@@ -33,9 +33,11 @@ _QUAD = {
         np.array([0.25, 0.25, 0.25, 0.25])),
 }
 
-# facet mass matrices over the unit-measure reference facet
-_EDGE_MASS = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-_TRI_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+# facet mass matrices over the unit-measure reference facet, by mesh dimension
+_FACET_MASS = {
+    2: np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0,
+    3: np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0,
+}
 
 
 class P1Geometry:
@@ -50,7 +52,6 @@ class P1Geometry:
         verts = mesh.vertices[mesh.cells]                 # (nc, d+1, d)
         self.qpoints = np.einsum("qi,cid->cqd", bary, verts)
         self.facet_measures = facet_measures(mesh)
-        self.robin_facets = mesh.facet_indices(BoundaryTag.ROBIN_TEMPERATURE)
 
     @staticmethod
     def _basis_gradients(mesh: Mesh) -> np.ndarray:
@@ -113,13 +114,12 @@ def _quad_weight(geom: P1Geometry, weight) -> np.ndarray:
     raise AssemblyError(f"cannot interpret weight of shape {arr.shape}")
 
 
-def _accumulate(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
-    """Sum (nc, k, k) local matrices into the global sparse matrix."""
+def _accumulate(conn: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
+    """Sum (m, k, k) local matrices on the m rows of the (m, k) connectivity
+    `conn` (cells or facets) into the global n x n sparse matrix."""
     k = local.shape[1]
-    cells = mesh.cells
-    rows = np.repeat(cells, k, axis=1).ravel()
-    cols = np.tile(cells, (1, k)).ravel()
-    n = mesh.n_vertices
+    rows = np.repeat(conn, k, axis=1).ravel()
+    cols = np.tile(conn, (1, k)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
@@ -136,7 +136,7 @@ def assemble_weighted_stiffness(mesh: Mesh, weight=1.0) -> sp.csr_matrix:
     wbar = w @ geom.qweights                              # (nc,)
     gg = np.einsum("cid,cjd->cij", geom.grads, geom.grads)
     local = gg * (wbar * geom.volumes)[:, None, None]
-    return _accumulate(mesh, local)
+    return _accumulate(mesh.cells, local, mesh.n_vertices)
 
 
 def assemble_mass(mesh: Mesh, weight=1.0) -> sp.csr_matrix:
@@ -145,7 +145,7 @@ def assemble_mass(mesh: Mesh, weight=1.0) -> sp.csr_matrix:
     w = _quad_weight(geom, weight)
     bb = np.einsum("q,qi,qj->qij", geom.qweights, geom.qbary, geom.qbary)
     local = np.einsum("cq,qij->cij", w, bb) * geom.volumes[:, None, None]
-    return _accumulate(mesh, local)
+    return _accumulate(mesh.cells, local, mesh.n_vertices)
 
 
 def load_vector(mesh: Mesh, weight=1.0) -> np.ndarray:
@@ -159,8 +159,20 @@ def load_vector(mesh: Mesh, weight=1.0) -> np.ndarray:
     return b
 
 
-def _facet_mass(mesh: Mesh) -> np.ndarray:
-    return _EDGE_MASS if mesh.dim == 2 else _TRI_MASS
+def facet_mass(mesh: Mesh, weights: np.ndarray, facet_ids: np.ndarray) -> sp.csr_matrix:
+    """Sparse sum over the listed boundary facets of w_f |f| (reference facet
+    mass), the consistent mass of the P1 trace weighted facetwise by w."""
+    scale = np.asarray(weights, dtype=float) * geometry(mesh).facet_measures[facet_ids]
+    local = scale[:, None, None] * _FACET_MASS[mesh.dim]
+    return _accumulate(mesh.boundary_facets[facet_ids], local, mesh.n_vertices)
+
+
+def facet_pairing(mesh: Mesh, facet_ids: np.ndarray, f: np.ndarray,
+                  g: np.ndarray) -> np.ndarray:
+    """integral over each listed facet of (P1 trace of f)(P1 trace of g) ds."""
+    verts = mesh.boundary_facets[facet_ids]
+    measures = geometry(mesh).facet_measures[facet_ids]
+    return measures * np.einsum("fi,ij,fj->f", f[verts], _FACET_MASS[mesh.dim], g[verts])
 
 
 def assemble_robin(mesh: Mesh, beta: Control, u1: Field) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -171,44 +183,8 @@ def assemble_robin(mesh: Mesh, beta: Control, u1: Field) -> tuple[sp.csr_matrix,
     """
     if np.any(beta.values < 0) or np.any(beta.values > beta.m_cap):
         raise DomainError("control values outside [0, m_cap]")
-    n = mesh.n_vertices
-    ref = _facet_mass(mesh)
-    measures = facet_measures(mesh)
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n)
-    for b, f in zip(beta.values, beta.facet_ids):
-        verts = mesh.boundary_facets[f]
-        local = b * measures[f] * ref
-        rows.append(np.repeat(verts, verts.size))
-        cols.append(np.tile(verts, verts.size))
-        vals.append(local.ravel())
-        rhs[verts] += local @ u1.values[verts]
-    if rows:
-        mat = sp.coo_matrix((np.concatenate(vals),
-                             (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(n, n)).tocsr()
-    else:
-        mat = sp.csr_matrix((n, n))
-    return mat, rhs
-
-
-def boundary_moments(mesh: Mesh, weights_per_facet: np.ndarray, facet_ids: np.ndarray,
-                     trace: np.ndarray) -> np.ndarray:
-    """r_i = sum over listed facets of w_f * integral trace lambda_i ds."""
-    ref = _facet_mass(mesh)
-    measures = facet_measures(mesh)
-    out = np.zeros(mesh.n_vertices)
-    for w, f in zip(weights_per_facet, facet_ids):
-        verts = mesh.boundary_facets[f]
-        out[verts] += w * measures[f] * (ref @ trace[verts])
-    return out
-
-
-def facet_integral(mesh: Mesh, facet_id: int, f: np.ndarray, g: np.ndarray) -> float:
-    """integral_f (P1 trace of f) (P1 trace of g) ds over one boundary facet."""
-    verts = mesh.boundary_facets[facet_id]
-    ref = _facet_mass(mesh)
-    return float(facet_measures(mesh)[facet_id] * (f[verts] @ ref @ g[verts]))
+    mat = facet_mass(mesh, beta.values, beta.facet_ids)
+    return mat, mat @ u1.values
 
 
 def assemble_joule_rhs_direct(mesh: Mesh, sigma_of_u: Callable, u: Field,
@@ -265,7 +241,7 @@ def convection_matrix(mesh: Mesh, coeff, phi: Field) -> sp.csr_matrix:
     conv = np.einsum("cd,cjd->cj", gphi, geom.grads)       # (nc, d+1) per trial j
     wbasis = np.einsum("cq,q,qi->ci", w, geom.qweights, geom.qbary)
     local = np.einsum("ci,cj->cij", wbasis, conv) * geom.volumes[:, None, None]
-    return _accumulate(mesh, local)
+    return _accumulate(mesh.cells, local, mesh.n_vertices)
 
 
 def apply_dirichlet(system: LinearSystem, bc: dict[int, float],
@@ -315,9 +291,10 @@ def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray, rtol: float = 1e-10) -> n
     if not np.all(np.isfinite(x)):
         raise SolverFailure("sparse solve produced non-finite values "
                             "(singular or degenerate system)")
-    res = np.linalg.norm(matrix @ x - rhs)
+    ax = matrix @ x
+    res = np.linalg.norm(ax - rhs)
     scale = max(np.linalg.norm(rhs), 1e-300)
-    if res > rtol * max(scale, np.linalg.norm(matrix @ x)):
+    if res > rtol * max(scale, np.linalg.norm(ax)):
         raise SolverFailure(f"linear solve residual {res / scale:.3e} exceeds {rtol:.1e}")
     return x
 
@@ -343,14 +320,8 @@ def norms(field: Field) -> Norms:
 
 
 def boundary_l2(field: Field, tag: BoundaryTag) -> float:
-    mesh = field.mesh
-    ref = _facet_mass(mesh)
-    measures = facet_measures(mesh)
-    total = 0.0
-    for f in mesh.facet_indices(tag):
-        verts = mesh.boundary_facets[f]
-        tr = field.values[verts]
-        total += measures[f] * float(tr @ ref @ tr)
+    ids = field.mesh.facet_indices(tag)
+    total = float(facet_pairing(field.mesh, ids, field.values, field.values).sum())
     return float(np.sqrt(max(total, 0.0)))
 
 

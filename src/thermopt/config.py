@@ -167,18 +167,23 @@ def load_config(path: str) -> RunConfig:
     return parse_config_text(text, path=path)
 
 
+def _file_values(source: str, key: str, count: int, what: str) -> np.ndarray:
+    """The `count` numbers of a `file:<path>` source, one per vertex or facet."""
+    path = source[len("file:"):].strip()
+    try:
+        vals = np.loadtxt(path, dtype=float).ravel()
+    except (OSError, ValueError) as exc:   # missing file, or not numbers
+        raise ConfigurationError(f"config key {key}: cannot read {path}: {exc}")
+    if vals.shape != (count,):
+        raise ConfigurationError(
+            f"config key {key}: file {path} holds {vals.size} values for "
+            f"{count} {what}")
+    return vals
+
+
 def _data_values(mesh: Mesh, source: str, key: str) -> np.ndarray:
     if source.startswith("file:"):
-        path = source[len("file:"):].strip()
-        try:
-            vals = np.loadtxt(path, dtype=float).ravel()
-        except OSError as exc:
-            raise ConfigurationError(f"config key {key}: cannot read {path}: {exc}")
-        if vals.shape != (mesh.n_vertices,):
-            raise ConfigurationError(
-                f"config key {key}: file {path} holds {vals.size} values for "
-                f"{mesh.n_vertices} vertices")
-        return vals
+        return _file_values(source, key, mesh.n_vertices, "vertices")
     return Expression(source)(mesh.vertices)
 
 
@@ -195,11 +200,14 @@ def build_mesh(config: RunConfig) -> Mesh:
 def build_model(config: RunConfig) -> ConductivityModel:
     kind = config.get("problem.model.kind").strip().lower()
     sigma0 = config.get_float("problem.model.sigma0")
-    if kind == "truncated_power":
-        return TruncatedPower(sigma0, config.get_float("problem.model.u_star"),
-                              config.get_float("problem.model.p"))
-    if kind == "constant":
-        return Constant(sigma0)
+    try:
+        if kind == "truncated_power":
+            return TruncatedPower(sigma0, config.get_float("problem.model.u_star"),
+                                  config.get_float("problem.model.p"))
+        if kind == "constant":
+            return Constant(sigma0)
+    except DomainError as exc:
+        raise ConfigurationError(f"problem.model: {exc}")
     raise ConfigurationError(f"unknown conductivity kind {kind!r}")
 
 
@@ -226,12 +234,7 @@ def build_control(config: RunConfig, spec: ProblemSpec) -> Control:
     ids = spec.mesh.facet_indices(BoundaryTag.ROBIN_TEMPERATURE)
     centroids = facet_centroids(spec.mesh)[ids]
     if source.startswith("file:"):
-        path = source[len("file:"):].strip()
-        vals = np.loadtxt(path, dtype=float).ravel()
-        if vals.shape != ids.shape:
-            raise ConfigurationError(
-                f"problem.beta file holds {vals.size} values for {ids.size} "
-                "Robin facets")
+        vals = _file_values(source, "problem.beta", ids.size, "Robin facets")
     else:
         vals = Expression(source)(centroids) if ids.size else np.zeros(0)
     try:

@@ -27,7 +27,7 @@ from . import assembly
 from .assembly import LinearSystem, apply_dirichlet, geometry
 from .errors import AdjointFailure, ConfigurationError, SolverFailure
 from .fields import Control, Field, FieldKind
-from .mesh import facet_measures
+from .mesh import BoundaryTag
 from .state import ProblemSpec, SolverOptions, StateSolution, solve_state
 
 
@@ -58,7 +58,7 @@ class SensitivityPair:
 def objective(mesh, u: Field, beta: Control) -> ObjectiveValue:
     """J = integral u dx + sum over Robin facets of |f| beta_f^2."""
     integral_u = float(assembly.load_vector(mesh) @ u.values)
-    measures = facet_measures(mesh)[beta.facet_ids]
+    measures = geometry(mesh).facet_measures[beta.facet_ids]
     return ObjectiveValue(integral_u, float(measures @ beta.values ** 2))
 
 
@@ -117,8 +117,8 @@ def sensitivity_system(spec: ProblemSpec, beta: Control, state: StateSolution,
     -ell (u - u1) on the Robin part; the transpose of the adjoint system."""
     A, H, W, S = _linearization_blocks(spec, beta, state)
     block = sp.bmat([[A, -2.0 * H], [W.T, S]], format="csr")
-    ell_load = assembly.boundary_moments(spec.mesh, ell.values, ell.facet_ids,
-                                         state.u.values - spec.u1.values)
+    ell_load = (assembly.facet_mass(spec.mesh, ell.values, ell.facet_ids)
+                @ (state.u.values - spec.u1.values))
     rhs = np.concatenate([-ell_load, np.zeros(spec.mesh.n_vertices)])
     return block, rhs, _block_bc(spec)
 
@@ -158,13 +158,9 @@ def _facet_averages(spec: ProblemSpec, state: StateSolution,
                     adjoint: AdjointSolution, facet_ids) -> np.ndarray:
     """Per-facet averages of (u - u1) p via consistent facet integrals."""
     mesh = spec.mesh
-    diff = state.u.values - spec.u1.values
-    measures = facet_measures(mesh)
-    out = np.empty(len(facet_ids))
-    for k, f in enumerate(facet_ids):
-        out[k] = assembly.facet_integral(mesh, int(f), diff,
-                                         adjoint.p.values) / measures[f]
-    return out
+    pairing = assembly.facet_pairing(mesh, facet_ids, state.u.values - spec.u1.values,
+                                     adjoint.p.values)
+    return pairing / geometry(mesh).facet_measures[facet_ids]
 
 
 def gradient(spec: ProblemSpec, state: StateSolution, adjoint: AdjointSolution,
@@ -176,7 +172,6 @@ def gradient(spec: ProblemSpec, state: StateSolution, adjoint: AdjointSolution,
 def project_control(spec: ProblemSpec, state: StateSolution,
                     adjoint: AdjointSolution, m_cap: float) -> Control:
     """Projection formula beta = clip(-(u - u1) p / 2, 0, m_cap), facetwise."""
-    from .mesh import BoundaryTag
     facet_ids = spec.mesh.facet_indices(BoundaryTag.ROBIN_TEMPERATURE)
     avg = _facet_averages(spec, state, adjoint, facet_ids)
     return Control(spec.mesh, np.clip(-0.5 * avg, 0.0, m_cap), m_cap)
@@ -186,14 +181,14 @@ def dj_adjoint(spec: ProblemSpec, state: StateSolution, adjoint: AdjointSolution
                beta: Control, ell: Control) -> float:
     """Directional derivative via the adjoint pairing integral g ell ds."""
     g = gradient(spec, state, adjoint, beta)
-    measures = facet_measures(spec.mesh)[beta.facet_ids]
+    measures = geometry(spec.mesh).facet_measures[beta.facet_ids]
     return float(np.sum(measures * g * ell.values))
 
 
 def dj_sensitivity(spec: ProblemSpec, pair: SensitivityPair, beta: Control,
                    ell: Control) -> float:
     """Directional derivative integral psi1 dx + 2 integral beta ell ds."""
-    measures = facet_measures(spec.mesh)[beta.facet_ids]
+    measures = geometry(spec.mesh).facet_measures[beta.facet_ids]
     return float(assembly.load_vector(spec.mesh) @ pair.psi1.values
                  + 2.0 * np.sum(measures * beta.values * ell.values))
 
@@ -262,18 +257,13 @@ def _resolve(spec, beta, opts):
     return state, adjoint
 
 
-def _projection_image(spec, state, adjoint, m_cap, facet_ids) -> np.ndarray:
-    avg = _facet_averages(spec, state, adjoint, facet_ids)
-    return np.clip(-0.5 * avg, 0.0, m_cap)
-
-
 def _optimize_sweep(spec: ProblemSpec, opts: OptimizerOptions) -> OptimizeResult:
     beta = _initial_control(spec, opts)
     history = []
     best = None
     for it in range(1, opts.max_outer + 1):
         state, adjoint = _resolve(spec, beta, opts)
-        proj = _projection_image(spec, state, adjoint, spec.m_cap, beta.facet_ids)
+        proj = project_control(spec, state, adjoint, spec.m_cap).values
         resid = float(np.max(np.abs(beta.values - proj))) if proj.size else 0.0
         j = objective(spec.mesh, state.u, beta)
         history.append({"iteration": it, "J": j.total, "integral_u": j.integral_u,
@@ -285,7 +275,7 @@ def _optimize_sweep(spec: ProblemSpec, opts: OptimizerOptions) -> OptimizeResult
             # land exactly on the projection image and report its residual
             beta = beta.with_values(proj)
             state, adjoint = _resolve(spec, beta, opts)
-            final = _projection_image(spec, state, adjoint, spec.m_cap, beta.facet_ids)
+            final = project_control(spec, state, adjoint, spec.m_cap).values
             final_resid = float(np.max(np.abs(beta.values - final))) if final.size else 0.0
             return OptimizeResult(beta, state, adjoint, history, final_resid,
                                   True, "converged")
@@ -299,14 +289,14 @@ def _optimize_sweep(spec: ProblemSpec, opts: OptimizerOptions) -> OptimizeResult
 def _optimize_projected_gradient(spec: ProblemSpec,
                                  opts: OptimizerOptions) -> OptimizeResult:
     beta = _initial_control(spec, opts)
-    measures = facet_measures(spec.mesh)[beta.facet_ids]
+    measures = geometry(spec.mesh).facet_measures[beta.facet_ids]
     state, adjoint = _resolve(spec, beta, opts)
     j = objective(spec.mesh, state.u, beta)
     history = []
     status, converged = "max_outer exceeded; best-J iterate returned", False
     for it in range(1, opts.max_outer + 1):
         g = gradient(spec, state, adjoint, beta)
-        proj = _projection_image(spec, state, adjoint, spec.m_cap, beta.facet_ids)
+        proj = project_control(spec, state, adjoint, spec.m_cap).values
         resid = float(np.max(np.abs(beta.values - proj))) if proj.size else 0.0
         entry = {"iteration": it, "J": j.total, "integral_u": j.integral_u,
                  "integral_beta_sq": j.integral_beta_sq,
@@ -335,6 +325,6 @@ def _optimize_projected_gradient(spec: ProblemSpec,
         if not accepted:
             status, converged = "converged", True  # no admissible descent
             break
-    final = _projection_image(spec, state, adjoint, spec.m_cap, beta.facet_ids)
+    final = project_control(spec, state, adjoint, spec.m_cap).values
     resid = float(np.max(np.abs(beta.values - final))) if final.size else 0.0
     return OptimizeResult(beta, state, adjoint, history, resid, converged, status)

@@ -103,13 +103,8 @@ def boundary_measure(mesh: Mesh, tag: BoundaryTag) -> float:
 
 def mesh_size(mesh: Mesh) -> float:
     """Largest cell diameter."""
-    v = mesh.vertices[mesh.cells]
-    h = 0.0
-    npts = mesh.dim + 1
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            h = max(h, float(np.max(np.linalg.norm(v[:, i] - v[:, j], axis=1))))
-    return h
+    v = mesh.vertices[mesh.cells[:, _EDGES[mesh.dim + 1]]]
+    return float(np.max(np.linalg.norm(v[..., 0, :] - v[..., 1, :], axis=-1)))
 
 
 def dirichlet_on_planes(*specs: str, default: BoundaryTag = BoundaryTag.ROBIN_TEMPERATURE,
@@ -137,26 +132,23 @@ def dirichlet_on_planes(*specs: str, default: BoundaryTag = BoundaryTag.ROBIN_TE
     return rule
 
 
-def _extract_boundary(cells: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Facets appearing in exactly one cell, with their owning cell index."""
-    npts = dim + 1
-    local_facets = [tuple(j for j in range(npts) if j != i) for i in range(npts)]
-    seen: dict[tuple, tuple] = {}
-    for c, cell in enumerate(cells):
-        for loc in local_facets:
-            facet = tuple(cell[j] for j in loc)
-            key = tuple(sorted(facet))
-            if key in seen:
-                seen[key] = None
-            else:
-                seen[key] = (facet, c)
-    facets = []
-    owners = []
-    for key, val in seen.items():
-        if val is not None:
-            facets.append(val[0])
-            owners.append(val[1])
-    return np.asarray(facets, dtype=np.int64), np.asarray(owners, dtype=np.int64)
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row of an int array, equal exactly when the rows are.
+
+    Keys sort bytewise, not numerically; callers rely only on equality and on
+    a consistent order between arrays keyed the same way.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+
+
+def _extract_boundary(cells: np.ndarray, dim: int) -> np.ndarray:
+    """Facets appearing in exactly one cell, in order of first appearance,
+    each with its vertex order in the owning cell."""
+    facets = cells[:, _FACETS_OF[dim + 1]].reshape(-1, dim)
+    _, first, counts = np.unique(_row_keys(np.sort(facets, axis=1)),
+                                 return_index=True, return_counts=True)
+    return facets[np.sort(first[counts == 1])]
 
 
 def _tag_facets(vertices: np.ndarray, facets: np.ndarray, tag_rule: TagRule) -> np.ndarray:
@@ -169,12 +161,32 @@ def _tag_facets(vertices: np.ndarray, facets: np.ndarray, tag_rule: TagRule) -> 
     return tags
 
 
-# Kuhn split of the unit cube: one tetrahedron per vertex permutation path.
-_KUHN_PATHS = [
-    [(0, 0, 0), tuple(np.eye(3, dtype=int)[p[0]]),
-     tuple(np.eye(3, dtype=int)[p[0]] + np.eye(3, dtype=int)[p[1]]), (1, 1, 1)]
-    for p in itertools.permutations(range(3), 2)
-]
+# Index tables of a simplex with k vertices: its facets (local facet i omits
+# vertex i), its edges, and its regular refinement. Children index the
+# vertices followed by the edge midpoints in _EDGES order; tetrahedra follow
+# Bey's rule (4 corner children + octahedron split along m02-m13).
+_FACETS_OF = {k: np.array([[j for j in range(k) if j != i] for i in range(k)])
+              for k in (3, 4)}
+_EDGES = {
+    2: np.array([[0, 1]]),
+    3: np.array([[0, 1], [1, 2], [2, 0]]),
+    4: np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]),
+}
+_CHILDREN = {
+    2: np.array([[0, 2], [2, 1]]),
+    3: np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]),
+    4: np.array([[0, 4, 5, 6], [4, 1, 7, 8], [5, 7, 2, 9], [6, 8, 9, 3],
+                 [4, 5, 6, 8], [4, 5, 7, 8], [5, 6, 8, 9], [5, 7, 8, 9]]),
+}
+
+# Corner offsets of the simplices splitting one box: two right triangles, or
+# the Kuhn split of the cube, one tetrahedron per vertex permutation path.
+_BOX_SPLIT = {
+    2: np.array([[(0, 0), (1, 0), (0, 1)], [(1, 0), (1, 1), (0, 1)]]),
+    3: np.array([[(0, 0, 0), np.eye(3, dtype=int)[p[0]],
+                  np.eye(3, dtype=int)[p[0]] + np.eye(3, dtype=int)[p[1]], (1, 1, 1)]
+                 for p in itertools.permutations(range(3), 2)]),
+}
 
 
 def build_rectangle_mesh(extents: Sequence[float], divisions: Sequence[int],
@@ -199,40 +211,15 @@ def build_rectangle_mesh(extents: Sequence[float], divisions: Sequence[int],
         raise ConfigurationError("all division counts must be at least 1")
 
     axes = [np.linspace(0.0, extents[k], divisions[k] + 1) for k in range(dim)]
-    if dim == 2:
-        nx, ny = divisions
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        vertices = np.column_stack([X.ravel(), Y.ravel()])
+    vertices = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    # vertex ids follow the C order of the grid, as the meshgrid above ravels
+    shape = np.asarray(divisions) + 1
+    strides = np.array([np.prod(shape[k + 1:]) for k in range(dim)])
+    corners = np.indices(divisions).reshape(dim, -1).T @ strides   # lower box corners
+    cells = (corners[:, None, None] + _BOX_SPLIT[dim] @ strides).reshape(-1, dim + 1)
+    cells = _orient_positively(vertices, cells)
 
-        def vid(i, j):
-            return i * (ny + 1) + j
-
-        cells = []
-        for i in range(nx):
-            for j in range(ny):
-                v00, v10 = vid(i, j), vid(i + 1, j)
-                v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-                cells.append((v00, v10, v01))
-                cells.append((v10, v11, v01))
-        cells = np.asarray(cells, dtype=np.int64)
-    else:
-        nx, ny, nz = divisions
-        X, Y, Z = np.meshgrid(axes[0], axes[1], axes[2], indexing="ij")
-        vertices = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
-
-        def vid(i, j, k):
-            return (i * (ny + 1) + j) * (nz + 1) + k
-
-        cells = []
-        for i in range(nx):
-            for j in range(ny):
-                for k in range(nz):
-                    for path in _KUHN_PATHS:
-                        cells.append(tuple(vid(i + c[0], j + c[1], k + c[2]) for c in path))
-        cells = np.asarray(cells, dtype=np.int64)
-        cells = _orient_positively(vertices, cells)
-
-    facets, _ = _extract_boundary(cells, dim)
+    facets = _extract_boundary(cells, dim)
     tags = _tag_facets(vertices, facets, tag_rule)
     mesh = Mesh(dim, vertices, cells, facets, tags)
     validate(mesh)
@@ -253,12 +240,11 @@ def validate(mesh: Mesh) -> None:
     vols = cell_volumes(mesh)
     if np.any(vols <= 0):
         raise ConfigurationError("mesh has a nonpositively oriented cell")
-    facets, _ = _extract_boundary(mesh.cells, mesh.dim)
-    have = {tuple(sorted(f)) for f in mesh.boundary_facets}
-    want = {tuple(sorted(f)) for f in facets}
-    if have != want:
+    have = np.unique(_row_keys(np.sort(mesh.boundary_facets, axis=1)))
+    want = np.unique(_row_keys(np.sort(_extract_boundary(mesh.cells, mesh.dim), axis=1)))
+    if not np.array_equal(have, want):
         raise ConfigurationError("boundary facets do not partition the boundary")
-    if len(have) != mesh.boundary_facets.shape[0]:
+    if have.size != mesh.boundary_facets.shape[0]:
         raise ConfigurationError("duplicate boundary facet")
     if mesh.facet_indices(BoundaryTag.DIRICHLET_TEMPERATURE).size == 0:
         raise ConfigurationError("no Dirichlet facet")
@@ -272,58 +258,35 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     Boundary tags are inherited from the parent facet.
     """
     nv = mesh.n_vertices
-    edge_index: dict[tuple[int, int], int] = {}
-    new_edges: list[tuple[int, int]] = []
+    edges = _edge_rows(mesh.cells)
+    keys, first, inverse = np.unique(_row_keys(edges), return_index=True,
+                                     return_inverse=True)
+    # midpoints are numbered in the order their edges are first met
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = nv + np.arange(order.size)
+    parent_edges = edges[first[order]]
+    cells = _split(mesh.cells, number[inverse])
+    facet_mids = number[np.searchsorted(keys, _row_keys(_edge_rows(mesh.boundary_facets)))]
+    facets = _split(mesh.boundary_facets, facet_mids)
+    tags = np.repeat(mesh.boundary_tags, len(_CHILDREN[mesh.dim]))
 
-    def midpoint(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        idx = edge_index.get(key)
-        if idx is None:
-            idx = nv + len(new_edges)
-            edge_index[key] = idx
-            new_edges.append(key)
-        return idx
-
-    cells = []
-    if mesh.dim == 2:
-        for a, b, c in mesh.cells:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            cells += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-    else:
-        for x0, x1, x2, x3 in mesh.cells:
-            m01, m02, m03 = midpoint(x0, x1), midpoint(x0, x2), midpoint(x0, x3)
-            m12, m13, m23 = midpoint(x1, x2), midpoint(x1, x3), midpoint(x2, x3)
-            # Bey's rule: 4 corner children + octahedron split along m02-m13
-            cells += [
-                (x0, m01, m02, m03), (m01, x1, m12, m13),
-                (m02, m12, x2, m23), (m03, m13, m23, x3),
-                (m01, m02, m03, m13), (m01, m02, m12, m13),
-                (m02, m03, m13, m23), (m02, m12, m13, m23),
-            ]
-    cells = np.asarray(cells, dtype=np.int64)
-
-    facets = []
-    tags = []
-    for f, t in zip(mesh.boundary_facets, mesh.boundary_tags):
-        if mesh.dim == 2:
-            a, b = f
-            m = midpoint(a, b)
-            facets += [(a, m), (m, b)]
-            tags += [t, t]
-        else:
-            a, b, c = f
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            facets += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-            tags += [t, t, t, t]
-
-    parent_edges = np.asarray(new_edges, dtype=np.int64)
     mids = 0.5 * (mesh.vertices[parent_edges[:, 0]] + mesh.vertices[parent_edges[:, 1]])
     vertices = np.vstack([mesh.vertices, mids])
-    if mesh.dim == 3:
-        cells = _orient_positively(vertices, cells)
-    return Mesh(mesh.dim, vertices, cells,
-                np.asarray(facets, dtype=np.int64), np.asarray(tags, dtype=np.int8),
-                parent_edges=parent_edges)
+    cells = _orient_positively(vertices, cells)
+    return Mesh(mesh.dim, vertices, cells, facets, tags, parent_edges=parent_edges)
+
+
+def _edge_rows(simplices: np.ndarray) -> np.ndarray:
+    """Vertex pairs (smaller first) of every edge of every simplex, in _EDGES order."""
+    return np.sort(simplices[:, _EDGES[simplices.shape[1]]], axis=2).reshape(-1, 2)
+
+
+def _split(simplices: np.ndarray, midpoints: np.ndarray) -> np.ndarray:
+    """Children of every simplex, given its edge midpoint ids in _EDGES order."""
+    k = simplices.shape[1]
+    ext = np.hstack([simplices, midpoints.reshape(simplices.shape[0], -1)])
+    return ext[:, _CHILDREN[k]].reshape(-1, k)
 
 
 def prolong(coarse_values: np.ndarray, fine_mesh: Mesh) -> np.ndarray:
@@ -390,7 +353,7 @@ def read_mesh_file(path: str) -> Mesh:
         if row[dim] not in names:
             raise ConfigurationError(f"mesh file: unknown tag {row[dim]!r}")
         tags.append(names[row[dim]])
-    mesh = Mesh(dim, verts, cells,
-                np.asarray(facets, dtype=np.int64), np.asarray(tags, dtype=np.int8))
+    mesh = Mesh(dim, verts, cells, np.asarray(facets, dtype=np.int64).reshape(k, dim),
+                np.asarray(tags, dtype=np.int8))
     validate(mesh)
     return mesh

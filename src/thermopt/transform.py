@@ -22,7 +22,7 @@ from .assembly import geometry
 from .errors import CertificateInfeasibleError, DomainError, EstimationError
 from .fields import Control, Field, FieldKind
 from .materials import ConductivityModel
-from .mesh import BoundaryTag, Mesh, cell_volumes, facet_measures
+from .mesh import BoundaryTag, Mesh, cell_volumes
 from .state import ProblemSpec, StateSolution
 
 C1_PROVENANCE = "user-supplied heuristic (no constructive Sobolev constant)"
@@ -75,8 +75,8 @@ def transformed_residual(ts: TransformedState, model: ConductivityModel,
     A = assembly.assemble_weighted_stiffness(
         mesh, a_of(geometry(mesh).at_quadrature(v.values)))
     f_inv_trace = np.asarray(model.F_inv(np.maximum(v.values, 0.0)), dtype=float)
-    robin = assembly.boundary_moments(mesh, beta.values, beta.facet_ids,
-                                      f_inv_trace - spec.u1.values)
+    robin = (assembly.facet_mass(mesh, beta.values, beta.facet_ids)
+             @ (f_inv_trace - spec.u1.values))
     rhs = assembly.assemble_joule_rhs_weak(mesh, a_of, v, phi, spec.phi0)
     res_v = A @ v.values + robin - rhs
     free_v = np.ones(mesh.n_vertices, dtype=bool)
@@ -404,18 +404,16 @@ def energy_inequality_report(ts: TransformedState, model: ConductivityModel,
     m0 = model.reciprocal_a_moment(ts.m_threshold, 2.0)
     xi_q = np.maximum(model.reciprocal_a_moment(psim_q.ravel(), 2.0).reshape(psim_q.shape)
                       - m0, 0.0)
-    boundary_term = 0.0
-    measures = facet_measures(mesh)
-    for b, f in zip(beta.values, beta.facet_ids):
-        verts = mesh.boundary_facets[f]
-        psi_mean = float(np.mean(ts.psi.values[verts]))
-        if psi_mean <= ts.m_threshold:
-            continue
-        xi_trace = np.maximum(
-            np.asarray(model.reciprocal_a_moment(ts.psi_m.values[verts], 2.0)) - m0, 0.0)
-        f_inv = np.asarray(model.F_inv(np.maximum(ts.v.values[verts], 0.0)))
-        integrand = xi_trace * (f_inv - spec.u1.values[verts])
-        boundary_term += b * measures[f] * float(np.mean(integrand))
+    # only Robin facets whose mean psi exceeds M carry the boundary term
+    facets = mesh.boundary_facets[beta.facet_ids]
+    active = ts.psi.values[facets].mean(axis=1) > ts.m_threshold
+    verts = facets[active]
+    flat = verts.ravel()   # the models evaluate 1-D arrays
+    xi_trace = np.maximum(model.reciprocal_a_moment(ts.psi_m.values[flat], 2.0) - m0, 0.0)
+    f_inv = np.asarray(model.F_inv(np.maximum(ts.v.values[flat], 0.0)))
+    integrand = (xi_trace * (f_inv - spec.u1.values[flat])).reshape(verts.shape).mean(axis=1)
+    measures = geom.facet_measures[beta.facet_ids[active]]
+    boundary_term = float(np.sum(beta.values[active] * measures * integrand))
     lhs += boundary_term
 
     gphi0 = geom.cell_gradient(spec.phi0.values)

@@ -114,6 +114,20 @@ def test_solve_inadmissible_beta_exits_1(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("old, new", [
+    ("problem.model.sigma0 = 1.0", "problem.model.sigma0 = -1.0"),
+    ("problem.model.p = 2.0", "problem.model.p = 1.0"),
+    ("problem.beta = 1.0", "problem.beta = file:{tmp}/missing.txt"),
+    ("problem.beta = 1.0", "problem.beta = file:{tmp}/words.txt"),
+    ("problem.u1 = 0", "problem.u1 = file:{tmp}/words.txt"),
+], ids=["sigma0", "p", "beta-missing-file", "beta-not-numbers", "u1-not-numbers"])
+def test_solve_invalid_data_exits_1(tmp_path, capsys, old, new):
+    (tmp_path / "words.txt").write_text("not numbers\n")
+    cfg = write_config(tmp_path, BENCHMARK.replace(old, new.format(tmp=tmp_path)))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "configuration error:" in capsys.readouterr().err
+
+
 def test_solve_determinism(tmp_path):
     cfg = write_config(tmp_path, BENCHMARK)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

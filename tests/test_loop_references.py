@@ -1,0 +1,331 @@
+"""Array implementations against the per-facet, per-edge and per-cell loops
+they replaced, kept here as references.
+
+Mesh arrays must match exactly; facet sums are accumulated in another order
+and must agree to 1e-13 relative.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from thermopt.assembly import (
+    assemble_robin,
+    boundary_l2,
+    facet_mass,
+    facet_pairing,
+    interpolate,
+)
+from thermopt.fields import Control, Field, FieldKind
+from thermopt.materials import TruncatedPower
+from thermopt.mesh import (
+    BoundaryTag,
+    build_rectangle_mesh,
+    dirichlet_on_planes,
+    facet_measures,
+    refine_uniform,
+)
+from thermopt.state import ProblemSpec, solve_state
+from thermopt.transform import energy_inequality_report, transform
+
+D = BoundaryTag.DIRICHLET_TEMPERATURE
+R = BoundaryTag.ROBIN_TEMPERATURE
+RTOL = 1e-13
+
+_EDGE_MASS = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+_TRI_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+
+
+def ref_mass(mesh):
+    return _EDGE_MASS if mesh.dim == 2 else _TRI_MASS
+
+
+# ---- loop references -------------------------------------------------------
+
+def extract_boundary_loop(cells, dim):
+    npts = dim + 1
+    local_facets = [tuple(j for j in range(npts) if j != i) for i in range(npts)]
+    seen = {}
+    for c, cell in enumerate(cells):
+        for loc in local_facets:
+            facet = tuple(cell[j] for j in loc)
+            key = tuple(sorted(facet))
+            if key in seen:
+                seen[key] = None
+            else:
+                seen[key] = (facet, c)
+    facets = [val[0] for val in seen.values() if val is not None]
+    return np.asarray(facets, dtype=np.int64)
+
+
+KUHN_PATHS = [
+    [(0, 0, 0), tuple(np.eye(3, dtype=int)[p[0]]),
+     tuple(np.eye(3, dtype=int)[p[0]] + np.eye(3, dtype=int)[p[1]]), (1, 1, 1)]
+    for p in itertools.permutations(range(3), 2)
+]
+
+
+def orient_positively(vertices, cells):
+    cells = cells.copy()
+    v = vertices[cells]
+    det = np.linalg.det(v[:, 1:, :] - v[:, :1, :])
+    flip = det < 0
+    cells[flip, -2], cells[flip, -1] = cells[flip, -1].copy(), cells[flip, -2].copy()
+    return cells
+
+
+def box_loop(extents, divisions):
+    """Vertices and cells of the box mesh, built cell by cell."""
+    axes = [np.linspace(0.0, extents[k], divisions[k] + 1) for k in range(len(extents))]
+    if len(extents) == 2:
+        nx, ny = divisions
+        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
+        vertices = np.column_stack([X.ravel(), Y.ravel()])
+
+        def vid(i, j):
+            return i * (ny + 1) + j
+
+        cells = []
+        for i in range(nx):
+            for j in range(ny):
+                v00, v10 = vid(i, j), vid(i + 1, j)
+                v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+                cells.append((v00, v10, v01))
+                cells.append((v10, v11, v01))
+        return vertices, np.asarray(cells, dtype=np.int64)
+    nx, ny, nz = divisions
+    X, Y, Z = np.meshgrid(axes[0], axes[1], axes[2], indexing="ij")
+    vertices = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
+
+    def vid(i, j, k):
+        return (i * (ny + 1) + j) * (nz + 1) + k
+
+    cells = []
+    for i in range(nx):
+        for j in range(ny):
+            for k in range(nz):
+                for path in KUHN_PATHS:
+                    cells.append(tuple(vid(i + c[0], j + c[1], k + c[2]) for c in path))
+    cells = np.asarray(cells, dtype=np.int64)
+    return vertices, orient_positively(vertices, cells)
+
+
+def refine_loop(mesh):
+    """(vertices, cells, facets, tags, parent_edges) of the regular refinement."""
+    nv = mesh.n_vertices
+    edge_index = {}
+    new_edges = []
+
+    def midpoint(a, b):
+        key = (a, b) if a < b else (b, a)
+        idx = edge_index.get(key)
+        if idx is None:
+            idx = nv + len(new_edges)
+            edge_index[key] = idx
+            new_edges.append(key)
+        return idx
+
+    cells = []
+    if mesh.dim == 2:
+        for a, b, c in mesh.cells:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            cells += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+    else:
+        for x0, x1, x2, x3 in mesh.cells:
+            m01, m02, m03 = midpoint(x0, x1), midpoint(x0, x2), midpoint(x0, x3)
+            m12, m13, m23 = midpoint(x1, x2), midpoint(x1, x3), midpoint(x2, x3)
+            cells += [
+                (x0, m01, m02, m03), (m01, x1, m12, m13),
+                (m02, m12, x2, m23), (m03, m13, m23, x3),
+                (m01, m02, m03, m13), (m01, m02, m12, m13),
+                (m02, m03, m13, m23), (m02, m12, m13, m23),
+            ]
+    cells = np.asarray(cells, dtype=np.int64)
+    facets, tags = [], []
+    for f, t in zip(mesh.boundary_facets, mesh.boundary_tags):
+        if mesh.dim == 2:
+            a, b = f
+            m = midpoint(a, b)
+            facets += [(a, m), (m, b)]
+            tags += [t, t]
+        else:
+            a, b, c = f
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            facets += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+            tags += [t, t, t, t]
+    parent_edges = np.asarray(new_edges, dtype=np.int64)
+    mids = 0.5 * (mesh.vertices[parent_edges[:, 0]] + mesh.vertices[parent_edges[:, 1]])
+    vertices = np.vstack([mesh.vertices, mids])
+    if mesh.dim == 3:
+        cells = orient_positively(vertices, cells)
+    return (vertices, cells, np.asarray(facets, dtype=np.int64),
+            np.asarray(tags, dtype=np.int8), parent_edges)
+
+
+def robin_loop(mesh, beta, u1):
+    n = mesh.n_vertices
+    ref = ref_mass(mesh)
+    measures = facet_measures(mesh)
+    mat = np.zeros((n, n))
+    rhs = np.zeros(n)
+    for b, f in zip(beta.values, beta.facet_ids):
+        verts = mesh.boundary_facets[f]
+        local = b * measures[f] * ref
+        mat[np.ix_(verts, verts)] += local
+        rhs[verts] += local @ u1[verts]
+    return mat, rhs
+
+
+def boundary_moments_loop(mesh, weights, facet_ids, trace):
+    ref = ref_mass(mesh)
+    measures = facet_measures(mesh)
+    out = np.zeros(mesh.n_vertices)
+    for w, f in zip(weights, facet_ids):
+        verts = mesh.boundary_facets[f]
+        out[verts] += w * measures[f] * (ref @ trace[verts])
+    return out
+
+
+def facet_integral_loop(mesh, facet_id, f, g):
+    verts = mesh.boundary_facets[facet_id]
+    return float(facet_measures(mesh)[facet_id] * (f[verts] @ ref_mass(mesh) @ g[verts]))
+
+
+def boundary_l2_loop(field, tag):
+    mesh = field.mesh
+    total = 0.0
+    for f in mesh.facet_indices(tag):
+        tr = field.values[mesh.boundary_facets[f]]
+        total += facet_measures(mesh)[f] * float(tr @ ref_mass(mesh) @ tr)
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def energy_boundary_term_loop(ts, model, spec, beta):
+    mesh = spec.mesh
+    m0 = model.reciprocal_a_moment(ts.m_threshold, 2.0)
+    boundary_term = 0.0
+    measures = facet_measures(mesh)
+    for b, f in zip(beta.values, beta.facet_ids):
+        verts = mesh.boundary_facets[f]
+        if float(np.mean(ts.psi.values[verts])) <= ts.m_threshold:
+            continue
+        xi_trace = np.maximum(
+            np.asarray(model.reciprocal_a_moment(ts.psi_m.values[verts], 2.0)) - m0, 0.0)
+        f_inv = np.asarray(model.F_inv(np.maximum(ts.v.values[verts], 0.0)))
+        integrand = xi_trace * (f_inv - spec.u1.values[verts])
+        boundary_term += b * measures[f] * float(np.mean(integrand))
+    return boundary_term
+
+
+# ---- meshes ----------------------------------------------------------------
+
+MESH_CASES = [
+    ([1.0, 1.0], [3, 5], ("x=0", "y=1")),          # mixed tags
+    ([2.0, 0.5], [1, 7], ("y=0",)),                # 1 x n strip
+    ([1.0, 2.0, 0.5], [2, 3, 2], ("x=0", "z=0.5")),
+    ([1.0, 1.0, 3.0], [1, 1, 5], ("z=0",)),        # 1 x 1 x n strip
+]
+
+
+def assert_same(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+
+
+@pytest.mark.parametrize("extents, divisions, planes", MESH_CASES)
+def test_box_mesh_matches_loop_reference(extents, divisions, planes):
+    mesh = build_rectangle_mesh(extents, divisions, dirichlet_on_planes(*planes))
+    vertices, cells = box_loop(extents, divisions)
+    assert_same(mesh.vertices, vertices)
+    assert_same(mesh.cells, cells)
+    assert_same(mesh.boundary_facets, extract_boundary_loop(cells, len(extents)))
+    assert mesh.facet_indices(D).size and mesh.facet_indices(R).size
+
+
+@pytest.mark.parametrize("extents, divisions, planes", MESH_CASES)
+def test_two_refinements_match_loop_reference(extents, divisions, planes):
+    mesh = build_rectangle_mesh(extents, divisions, dirichlet_on_planes(*planes))
+    for _ in range(2):
+        vertices, cells, facets, tags, parent_edges = refine_loop(mesh)
+        mesh = refine_uniform(mesh)
+        assert_same(mesh.vertices, vertices)
+        assert_same(mesh.cells, cells)
+        assert_same(mesh.boundary_facets, facets)
+        assert_same(mesh.boundary_tags, tags)
+        assert_same(mesh.parent_edges, parent_edges)
+        # the refined facets are exactly the boundary of the refined cells
+        key = lambda rows: sorted(map(tuple, np.sort(rows, axis=1)))
+        assert key(facets) == key(extract_boundary_loop(cells, mesh.dim))
+
+
+# ---- facet sums ------------------------------------------------------------
+
+FACET_CASES = [
+    ([1.0, 1.0], [4, 3], ("x=0",)),
+    ([1.0, 2.0, 0.5], [2, 3, 2], ("x=0", "z=0.5")),
+    ([1.0, 1.0], [3, 3], ("x=0", "x=1", "y=0", "y=1")),   # no Robin facet
+]
+
+
+def close(actual, expected):
+    scale = max(np.max(np.abs(expected)), 1e-300) if np.size(expected) else 1.0
+    return np.max(np.abs(np.asarray(actual) - expected), initial=0.0) <= RTOL * scale
+
+
+@pytest.mark.parametrize("extents, divisions, planes", FACET_CASES)
+def test_facet_kernels_match_loop_reference(extents, divisions, planes):
+    mesh = build_rectangle_mesh(extents, divisions, dirichlet_on_planes(*planes))
+    rng = np.random.default_rng(7)
+    n_robin = mesh.facet_indices(R).size
+    beta = Control(mesh, rng.uniform(0.0, 2.0, n_robin), 2.0)
+    f = rng.uniform(-1.0, 1.0, mesh.n_vertices)
+    g = rng.uniform(-1.0, 1.0, mesh.n_vertices)
+
+    mat, rhs = assemble_robin(mesh, beta, Field(mesh, f, FieldKind.TEMPERATURE))
+    mat_ref, rhs_ref = robin_loop(mesh, beta, f)
+    assert close(mat.toarray(), mat_ref)
+    assert close(rhs, rhs_ref)
+
+    for tag in (D, R):
+        ids = mesh.facet_indices(tag)
+        w = rng.uniform(-1.0, 1.0, ids.size)
+        assert close(facet_mass(mesh, w, ids) @ g, boundary_moments_loop(mesh, w, ids, g))
+        pair_ref = np.array([facet_integral_loop(mesh, k, f, g) for k in ids])
+        assert close(facet_pairing(mesh, ids, f, g), pair_ref)
+        field = Field(mesh, f, FieldKind.TEMPERATURE)
+        assert abs(boundary_l2(field, tag) - boundary_l2_loop(field, tag)) \
+            <= RTOL * boundary_l2_loop(field, tag)
+
+    if n_robin == 0:
+        assert mat.nnz == 0 and not np.any(rhs)
+        assert boundary_l2(Field(mesh, f, FieldKind.TEMPERATURE), R) == 0.0
+
+
+@pytest.mark.parametrize("extents, divisions", [([1.0, 1.0], [8, 8]),
+                                                ([1.0, 1.0, 1.0], [3, 3, 3])])
+def test_energy_boundary_term_matches_loop_reference(extents, divisions):
+    mesh = build_rectangle_mesh(extents, divisions, dirichlet_on_planes("x=0"))
+    model = TruncatedPower(1.0, 1.0, 2.0)
+    zero = lambda p: np.zeros(p.shape[0])
+    spec = ProblemSpec(mesh=mesh, model=model,
+                       u0=interpolate(mesh, zero, FieldKind.TEMPERATURE),
+                       u1=interpolate(mesh, lambda p: 0.05 * p[:, 1], FieldKind.TEMPERATURE),
+                       phi0=interpolate(mesh, lambda p: 2.0 * p[:, 0], FieldKind.POTENTIAL),
+                       m_cap=2.0)
+    rng = np.random.default_rng(3)
+    beta = Control(mesh, rng.uniform(0.5, 2.0, mesh.facet_indices(R).size), 2.0)
+    sol = solve_state(spec, beta)
+    # a threshold inside the range of psi on the Robin part makes some facets active
+    psi = transform(sol, model, spec.phi0, m_threshold=0.0).psi.values
+    ts = transform(sol, model, spec.phi0,
+                   m_threshold=float(np.median(psi[mesh.boundary_vertex_set(R)])))
+
+    report = energy_inequality_report(ts, model, spec, beta)
+    bulk = energy_inequality_report(ts, model, spec, Control.constant(mesh, 0.0, 2.0))
+    term = energy_boundary_term_loop(ts, model, spec, beta)
+    assert report["gamma_m_active"] and not bulk["gamma_m_active"]
+    assert term != 0.0
+    assert abs(report["lhs"] - (bulk["lhs"] + term)) <= RTOL * abs(report["lhs"])
+    assert report["rhs"] == bulk["rhs"]
