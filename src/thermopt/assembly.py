@@ -41,17 +41,37 @@ _FACET_MASS = {
 
 
 class P1Geometry:
-    """Precomputed per-cell data reused by all assembly routines."""
+    """Precomputed per-cell data and the CSR pattern reused by all assembly
+    routines.
+
+    Holds the cell array but not the mesh itself, so that the cache below
+    releases the geometry together with its mesh.
+    """
 
     def __init__(self, mesh: Mesh):
-        self.mesh = mesh
+        self.cells = mesh.cells
+        self.n_vertices = mesh.n_vertices
+        self.dim = mesh.dim
         self.volumes = cell_volumes(mesh)
         self.grads = self._basis_gradients(mesh)          # (nc, d+1, d)
+        # grad(lambda_i) . grad(lambda_j) |K|, the unit-weight cell stiffness
+        self.grad_products = (np.einsum("cid,cjd->cij", self.grads, self.grads)
+                              * self.volumes[:, None, None])
         bary, self.qweights = _QUAD[mesh.dim]
         self.qbary = bary                                 # (nq, d+1)
         verts = mesh.vertices[mesh.cells]                 # (nc, d+1, d)
         self.qpoints = np.einsum("qi,cid->cqd", bary, verts)
         self.facet_measures = facet_measures(mesh)
+        # canonical CSR pattern of the cell couplings; scatter sends every
+        # entry of the (nc, d+1, d+1) cell matrices to its slot in the data
+        n, k = self.n_vertices, mesh.dim + 1
+        rows = np.repeat(mesh.cells, k, axis=1).ravel()
+        cols = np.tile(mesh.cells, (1, k)).ravel()
+        keys, self.scatter = np.unique(rows * n + cols, return_inverse=True)
+        # built through scipy so that the index dtype is the one it keeps
+        pattern = sp.csr_matrix((np.zeros(keys.size), keys % n,
+                                 np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
+        self.indices, self.indptr = pattern.indices, pattern.indptr
 
     @staticmethod
     def _basis_gradients(mesh: Mesh) -> np.ndarray:
@@ -66,11 +86,26 @@ class P1Geometry:
 
     def cell_gradient(self, values: np.ndarray) -> np.ndarray:
         """Cellwise-constant gradient of a P1 nodal field, (nc, d)."""
-        return np.einsum("ci,cid->cd", values[self.mesh.cells], self.grads)
+        return np.einsum("ci,cid->cd", values[self.cells], self.grads)
 
     def at_quadrature(self, values: np.ndarray) -> np.ndarray:
         """P1 interpolant at the quadrature points, (nc, nq)."""
-        return values[self.mesh.cells] @ self.qbary.T
+        return values[self.cells] @ self.qbary.T
+
+    def matrix(self, local: np.ndarray) -> sp.csr_matrix:
+        """Sum the (nc, d+1, d+1) cell matrices into the cached pattern.
+
+        Every returned matrix owns its index arrays: in-place methods such
+        as eliminate_zeros() must not reach the shared pattern.
+        """
+        data = np.bincount(self.scatter, weights=local.ravel(), minlength=self.indices.size)
+        n = self.n_vertices
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
+
+    def load(self, local: np.ndarray) -> np.ndarray:
+        """Sum the (nc, d+1) cell vectors into a nodal vector."""
+        return np.bincount(self.cells.ravel(), weights=local.ravel(),
+                           minlength=self.n_vertices)
 
 
 _GEOMETRY_CACHE: "weakref.WeakKeyDictionary[Mesh, P1Geometry]" = weakref.WeakKeyDictionary()
@@ -98,29 +133,20 @@ WeightLike = "float | np.ndarray | Field | Callable"
 
 def _quad_weight(geom: P1Geometry, weight) -> np.ndarray:
     """Weight values at quadrature points, shape (nc, nq)."""
-    nc, nq = geom.mesh.n_cells, geom.qweights.shape[0]
+    nc, nq = geom.cells.shape[0], geom.qweights.shape[0]
     if callable(weight):
-        pts = geom.qpoints.reshape(-1, geom.mesh.dim)
+        pts = geom.qpoints.reshape(-1, geom.dim)
         return np.asarray(weight(pts), dtype=float).reshape(nc, nq)
     if isinstance(weight, Field):
         return geom.at_quadrature(weight.values)
     arr = np.asarray(weight, dtype=float)
     if arr.ndim == 0:
         return np.full((nc, nq), float(arr))
-    if arr.shape == (geom.mesh.n_vertices,):
+    if arr.shape == (geom.n_vertices,):
         return geom.at_quadrature(arr)
     if arr.shape == (nc, nq):
         return arr  # already sampled at the quadrature points
     raise AssemblyError(f"cannot interpret weight of shape {arr.shape}")
-
-
-def _accumulate(conn: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
-    """Sum (m, k, k) local matrices on the m rows of the (m, k) connectivity
-    `conn` (cells or facets) into the global n x n sparse matrix."""
-    k = local.shape[1]
-    rows = np.repeat(conn, k, axis=1).ravel()
-    cols = np.tile(conn, (1, k)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def assemble_weighted_stiffness(mesh: Mesh, weight=1.0) -> sp.csr_matrix:
@@ -134,9 +160,7 @@ def assemble_weighted_stiffness(mesh: Mesh, weight=1.0) -> sp.csr_matrix:
     if np.any(w < 0):
         raise AssemblyError("negative weight at a quadrature point")
     wbar = w @ geom.qweights                              # (nc,)
-    gg = np.einsum("cid,cjd->cij", geom.grads, geom.grads)
-    local = gg * (wbar * geom.volumes)[:, None, None]
-    return _accumulate(mesh.cells, local, mesh.n_vertices)
+    return geom.matrix(geom.grad_products * wbar[:, None, None])
 
 
 def assemble_mass(mesh: Mesh, weight=1.0) -> sp.csr_matrix:
@@ -145,7 +169,7 @@ def assemble_mass(mesh: Mesh, weight=1.0) -> sp.csr_matrix:
     w = _quad_weight(geom, weight)
     bb = np.einsum("q,qi,qj->qij", geom.qweights, geom.qbary, geom.qbary)
     local = np.einsum("cq,qij->cij", w, bb) * geom.volumes[:, None, None]
-    return _accumulate(mesh.cells, local, mesh.n_vertices)
+    return geom.matrix(local)
 
 
 def load_vector(mesh: Mesh, weight=1.0) -> np.ndarray:
@@ -154,9 +178,7 @@ def load_vector(mesh: Mesh, weight=1.0) -> np.ndarray:
     w = _quad_weight(geom, weight)
     local = np.einsum("cq,q,qi->ci", w, geom.qweights, geom.qbary)
     local *= geom.volumes[:, None]
-    b = np.zeros(mesh.n_vertices)
-    np.add.at(b, mesh.cells, local)
-    return b
+    return geom.load(local)
 
 
 def facet_mass(mesh: Mesh, weights: np.ndarray, facet_ids: np.ndarray) -> sp.csr_matrix:
@@ -164,7 +186,12 @@ def facet_mass(mesh: Mesh, weights: np.ndarray, facet_ids: np.ndarray) -> sp.csr
     mass), the consistent mass of the P1 trace weighted facetwise by w."""
     scale = np.asarray(weights, dtype=float) * geometry(mesh).facet_measures[facet_ids]
     local = scale[:, None, None] * _FACET_MASS[mesh.dim]
-    return _accumulate(mesh.boundary_facets[facet_ids], local, mesh.n_vertices)
+    conn = mesh.boundary_facets[facet_ids]
+    k = conn.shape[1]
+    rows = np.repeat(conn, k, axis=1).ravel()
+    cols = np.tile(conn, (1, k)).ravel()
+    n = mesh.n_vertices
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def facet_pairing(mesh: Mesh, facet_ids: np.ndarray, f: np.ndarray,
@@ -199,9 +226,7 @@ def assemble_joule_rhs_direct(mesh: Mesh, sigma_of_u: Callable, u: Field,
     gphi2 = np.sum(geom.cell_gradient(phi.values) ** 2, axis=1)
     local = np.einsum("cq,q,qi->ci", s, geom.qweights, geom.qbary)
     local *= (gphi2 * geom.volumes)[:, None]
-    b = np.zeros(mesh.n_vertices)
-    np.add.at(b, mesh.cells, local)
-    return b
+    return geom.load(local)
 
 
 def assemble_joule_rhs_weak(mesh: Mesh, sigma_of_u: Callable, u: Field, phi: Field,
@@ -224,9 +249,7 @@ def assemble_joule_rhs_weak(mesh: Mesh, sigma_of_u: Callable, u: Field, phi: Fie
     term2 = np.einsum("cq,q,qi->ci", s, geom.qweights, geom.qbary)
     term2 *= (dot * geom.volumes)[:, None]
 
-    b = np.zeros(mesh.n_vertices)
-    np.add.at(b, mesh.cells, term1 + term2)
-    return b
+    return geom.load(term1 + term2)
 
 
 def convection_matrix(mesh: Mesh, coeff, phi: Field) -> sp.csr_matrix:
@@ -241,7 +264,7 @@ def convection_matrix(mesh: Mesh, coeff, phi: Field) -> sp.csr_matrix:
     conv = np.einsum("cd,cjd->cj", gphi, geom.grads)       # (nc, d+1) per trial j
     wbasis = np.einsum("cq,q,qi->ci", w, geom.qweights, geom.qbary)
     local = np.einsum("ci,cj->cij", wbasis, conv) * geom.volumes[:, None, None]
-    return _accumulate(mesh.cells, local, mesh.n_vertices)
+    return geom.matrix(local)
 
 
 def apply_dirichlet(system: LinearSystem, bc: dict[int, float],
@@ -258,17 +281,30 @@ def apply_dirichlet(system: LinearSystem, bc: dict[int, float],
                 raise AssemblyError(f"Dirichlet constraint on interior vertex {v}")
     merged = dict(system.constrained)
     merged.update(bc)
-    A = system.matrix.tocsr()
+    A = system.matrix.tocsr(copy=True)
+    A.sum_duplicates()
+    n = A.shape[0]
     rhs = system.rhs.copy()
     idx = np.fromiter(merged.keys(), dtype=np.int64)
     vals = np.fromiter((merged[i] for i in idx), dtype=float)
-    x = np.zeros(A.shape[0])
+    x = np.zeros(n)
     x[idx] = vals
     rhs -= A @ x
-    keep = np.ones(A.shape[0])
-    keep[idx] = 0.0
-    dk = sp.diags(keep)
-    A = (dk @ A @ dk + sp.diags(1.0 - keep)).tocsr()
+    fixed = np.zeros(n, dtype=bool)
+    fixed[idx] = True
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    hit = fixed[rows] | fixed[A.indices]
+    A.data[hit] = 0.0
+    diagonal = hit & (rows == A.indices)
+    A.data[diagonal] = 1.0
+    A.eliminate_zeros()
+    # Every matrix built by P1Geometry.matrix (and the control blocks made of
+    # them) stores all its diagonals, so only a matrix from elsewhere lacks
+    # some; patching just those keeps the common path a pure in-place write.
+    if np.count_nonzero(diagonal) < idx.size:
+        unit = fixed.astype(float)
+        unit[rows[diagonal]] = 0.0
+        A = (A + sp.diags(unit)).tocsr()
     rhs[idx] = vals
     return LinearSystem(A, rhs, merged)
 
@@ -279,15 +315,34 @@ def check_symmetric(matrix: sp.spmatrix, rtol: float = 1e-12) -> bool:
     return d.max() <= rtol * scale
 
 
+def factor_spd(matrix: sp.spmatrix) -> spla.SuperLU:
+    """Sparse LU of a symmetric positive definite matrix.
+
+    Symmetric minimum-degree ordering on A^T + A and diagonal pivots keep
+    the fill of a symmetric factorization (half of what COLAMD leaves on P1
+    stiffness matrices). An exactly singular factor raises SolverFailure.
+    """
+    try:
+        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverFailure(f"sparse factorization failed ({exc})") from exc
+
+
 def solve_spd(system: LinearSystem, rtol: float = 1e-10) -> np.ndarray:
     """Direct sparse solve; contract is relative residual <= rtol."""
     if not check_symmetric(system.matrix):
         raise SolverFailure("matrix not symmetric")
-    return solve_sparse(system.matrix, system.rhs, rtol=rtol)
+    x = factor_spd(system.matrix).solve(system.rhs)
+    return _checked_solution(system.matrix, system.rhs, x, rtol)
 
 
 def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     x = spla.spsolve(matrix.tocsc(), rhs)
+    return _checked_solution(matrix, rhs, x, rtol)
+
+
+def _checked_solution(matrix, rhs, x, rtol):
     if not np.all(np.isfinite(x)):
         raise SolverFailure("sparse solve produced non-finite values "
                             "(singular or degenerate system)")

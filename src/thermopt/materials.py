@@ -69,13 +69,7 @@ class ConductivityModel:
 
     def reciprocal_a_moment(self, v, p: float = 2.0):
         """integral_0^v s^(p-2) / a(s) ds, used by the bound chain."""
-        v = np.asarray(v, dtype=float)
-        scalar = v.ndim == 0
-        flat = np.atleast_1d(v)
-        out = np.empty_like(flat)
-        for i, x in enumerate(flat):
-            out[i] = self._moment_scalar(float(x), p)
-        return float(out[0]) if scalar else out
+        return _elementwise(lambda x: self._moment_scalar(x, p), v)
 
     def _moment_scalar(self, v: float, p: float) -> float:
         if v <= 0.0:
@@ -87,6 +81,13 @@ class ConductivityModel:
 
 def _clamp(u):
     return np.maximum(np.asarray(u, dtype=float), 0.0)
+
+
+def _elementwise(scalar_fn, x):
+    """scalar_fn at every entry of x, in the shape of x (a float for a scalar)."""
+    x = np.asarray(x, dtype=float)
+    out = np.array([scalar_fn(float(s)) for s in x.ravel()], dtype=float).reshape(x.shape)
+    return float(out) if x.ndim == 0 else out
 
 
 class TruncatedPower(ConductivityModel):
@@ -124,13 +125,9 @@ class TruncatedPower(ConductivityModel):
             raise DomainError("F is defined on [0, u_star)")
         if self.exponent_p == 2.0:
             return self.u_star * u / (self.sigma0 * (self.u_star - u))
-        scalar = u.ndim == 0
-        flat = np.atleast_1d(u)
-        out = np.empty_like(flat)
-        for i, x in enumerate(flat):
-            out[i], _ = integrate.quad(lambda s: 1.0 / self.sigma(s), 0.0, float(x),
-                                       epsrel=1e-10, epsabs=1e-14, limit=200)
-        return float(out[0]) if scalar else out
+        return _elementwise(lambda x: integrate.quad(lambda s: 1.0 / self.sigma(s), 0.0, x,
+                                                     epsrel=1e-10, epsabs=1e-14,
+                                                     limit=200)[0], u)
 
     def F_inv(self, v):
         v = np.asarray(v, dtype=float)
@@ -138,12 +135,7 @@ class TruncatedPower(ConductivityModel):
             raise DomainError("F_inv is defined on [0, inf)")
         if self.exponent_p == 2.0:
             return self.sigma0 * self.u_star * v / (self.u_star + self.sigma0 * v)
-        scalar = v.ndim == 0
-        flat = np.atleast_1d(v)
-        out = np.empty_like(flat)
-        for i, x in enumerate(flat):
-            out[i] = self._f_inv_scalar(float(x))
-        return float(out[0]) if scalar else out
+        return _elementwise(self._f_inv_scalar, v)
 
     def _f_inv_scalar(self, v: float) -> float:
         if v == 0.0:

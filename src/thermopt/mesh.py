@@ -72,6 +72,7 @@ class Mesh:
 
 _TAG_CODE = {BoundaryTag.DIRICHLET_TEMPERATURE: 0, BoundaryTag.ROBIN_TEMPERATURE: 1}
 _TAG_FROM_CODE = {v: k for k, v in _TAG_CODE.items()}
+_MESH_SECTIONS = ("VERTICES", "CELLS", "FACETS")
 
 
 def cell_volumes(mesh: Mesh) -> np.ndarray:
@@ -326,34 +327,47 @@ def read_mesh_file(path: str) -> Mesh:
         tokens = [line.split() for line in fh if line.strip() and not line.startswith("#")]
     pos = 0
 
-    def expect_section(name):
+    def section(name):
         nonlocal pos
         if pos >= len(tokens) or tokens[pos][0] != name:
             raise ConfigurationError(f"mesh file: expected section {name}")
+        if len(tokens[pos]) != 2 or not tokens[pos][1].isdecimal():
+            raise ConfigurationError(f"mesh file: section {name} needs one row count")
         count = int(tokens[pos][1])
-        pos += 1
-        return count
+        rows = tokens[pos + 1:pos + 1 + count]
+        if len(rows) < count or any(row[0] in _MESH_SECTIONS for row in rows):
+            raise ConfigurationError(f"mesh file: section {name} has fewer than {count} rows")
+        pos += 1 + count
+        return rows
 
-    n = expect_section("VERTICES")
-    verts = np.array([[float(x) for x in tokens[pos + i]] for i in range(n)])
-    pos += n
-    dim = verts.shape[1]
+    def table(rows, width, dtype, name):
+        if any(len(row) != width for row in rows):
+            raise ConfigurationError(f"mesh file: every {name} row needs {width} entries")
+        try:
+            return np.array(rows, dtype=dtype).reshape(len(rows), width)
+        except (ValueError, OverflowError):
+            raise ConfigurationError(f"mesh file: {name} rows must hold numbers") from None
+
+    vertex_rows = section("VERTICES")
+    dim = len(vertex_rows[0]) if vertex_rows else 0
     if dim not in (2, 3):
         raise ConfigurationError(f"mesh file: dimension {dim} not supported")
-    m = expect_section("CELLS")
-    cells = np.array([[int(x) for x in tokens[pos + i]] for i in range(m)], dtype=np.int64)
-    pos += m
-    k = expect_section("FACETS")
-    facets = []
-    tags = []
+    verts = table(vertex_rows, dim, float, "VERTICES")
+    cells = table(section("CELLS"), dim + 1, np.int64, "CELLS")
+    facet_rows = section("FACETS")
+    if any(len(row) != dim + 1 for row in facet_rows):
+        raise ConfigurationError(f"mesh file: every FACETS row needs {dim} vertices and a tag")
+    facets = table([row[:dim] for row in facet_rows], dim, np.int64, "FACETS")
+    for name, ids in (("CELLS", cells), ("FACETS", facets)):
+        bad = ids[(ids < 0) | (ids >= len(verts))]
+        if bad.size:
+            raise ConfigurationError(
+                f"mesh file: {name} names vertex {bad[0]} of {len(verts)}")
     names = {t.value: code for t, code in _TAG_CODE.items()}
-    for i in range(k):
-        row = tokens[pos + i]
-        facets.append([int(x) for x in row[:dim]])
-        if row[dim] not in names:
-            raise ConfigurationError(f"mesh file: unknown tag {row[dim]!r}")
-        tags.append(names[row[dim]])
-    mesh = Mesh(dim, verts, cells, np.asarray(facets, dtype=np.int64).reshape(k, dim),
-                np.asarray(tags, dtype=np.int8))
+    unknown = [row[dim] for row in facet_rows if row[dim] not in names]
+    if unknown:
+        raise ConfigurationError(f"mesh file: unknown tag {unknown[0]!r}")
+    tags = np.array([names[row[dim]] for row in facet_rows], dtype=np.int8)
+    mesh = Mesh(dim, verts, cells, facets, tags)
     validate(mesh)
     return mesh

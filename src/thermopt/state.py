@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import assembly
 from .assembly import LinearSystem, apply_dirichlet, geometry
@@ -130,7 +129,7 @@ def solve_state(spec: ProblemSpec, beta: Control,
 
     # the temperature matrix is iteration-independent: factor once
     u_sys_template = apply_dirichlet(LinearSystem(A_u, np.zeros(mesh.n_vertices), {}), bc_u)
-    u_lu = spla.splu(u_sys_template.matrix.tocsc())
+    u_lu = assembly.factor_spd(u_sys_template.matrix)
     u_shift = _constraint_shift(A_u, bc_u)
 
     u = spec.u0.values.copy()

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import assembly
 from .assembly import geometry
@@ -159,10 +158,7 @@ def _flux_load(mesh: Mesh, coeff_q: np.ndarray, w: Field) -> np.ndarray:
     geom = geometry(mesh)
     cbar = (coeff_q @ geom.qweights) * geom.volumes
     gw = geom.cell_gradient(w.values)
-    local = np.einsum("c,cd,cid->ci", cbar, gw, geom.grads)
-    b = np.zeros(mesh.n_vertices)
-    np.add.at(b, mesh.cells, local)
-    return b
+    return geom.load(np.einsum("c,cd,cid->ci", cbar, gw, geom.grads))
 
 
 def compute_C_eps(model: ConductivityModel, eps: float, p: float = 2.0,
@@ -193,7 +189,7 @@ def estimate_poincare(mesh: Mesh, tol: float = 1e-8, max_iter: int = 500) -> flo
     idx = np.flatnonzero(free)
     Kff = K[np.ix_(idx, idx)].tocsc()
     Mff = M[np.ix_(idx, idx)].tocsc()
-    lu = spla.splu(Kff)
+    lu = assembly.factor_spd(Kff)
     x = np.ones(idx.size)
     x /= math.sqrt(float(x @ (Mff @ x)))
     lam_prev = math.inf
@@ -402,16 +398,14 @@ def energy_inequality_report(ts: TransformedState, model: ConductivityModel,
     lhs = float(np.sum(ratio_bar * g_psim_sq * geom.volumes))
 
     m0 = model.reciprocal_a_moment(ts.m_threshold, 2.0)
-    xi_q = np.maximum(model.reciprocal_a_moment(psim_q.ravel(), 2.0).reshape(psim_q.shape)
-                      - m0, 0.0)
+    xi_q = np.maximum(model.reciprocal_a_moment(psim_q, 2.0) - m0, 0.0)
     # only Robin facets whose mean psi exceeds M carry the boundary term
     facets = mesh.boundary_facets[beta.facet_ids]
     active = ts.psi.values[facets].mean(axis=1) > ts.m_threshold
     verts = facets[active]
-    flat = verts.ravel()   # the models evaluate 1-D arrays
-    xi_trace = np.maximum(model.reciprocal_a_moment(ts.psi_m.values[flat], 2.0) - m0, 0.0)
-    f_inv = np.asarray(model.F_inv(np.maximum(ts.v.values[flat], 0.0)))
-    integrand = (xi_trace * (f_inv - spec.u1.values[flat])).reshape(verts.shape).mean(axis=1)
+    xi_trace = np.maximum(model.reciprocal_a_moment(ts.psi_m.values[verts], 2.0) - m0, 0.0)
+    f_inv = np.asarray(model.F_inv(np.maximum(ts.v.values[verts], 0.0)))
+    integrand = (xi_trace * (f_inv - spec.u1.values[verts])).mean(axis=1)
     measures = geom.facet_measures[beta.facet_ids[active]]
     boundary_term = float(np.sum(beta.values[active] * measures * integrand))
     lhs += boundary_term

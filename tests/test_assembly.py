@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from thermopt import assembly
 from thermopt.assembly import (
     LinearSystem,
     apply_dirichlet,
@@ -329,3 +333,16 @@ def test_geometry_cache_and_interpolate():
     assert g1 is g2
     f = interpolate(mesh, lambda p: p[:, 0] * 2.0, FieldKind.TEMPERATURE)
     assert np.allclose(f.values, 2.0 * mesh.vertices[:, 0])
+
+
+def test_geometry_cache_releases_its_mesh():
+    gc.collect()
+    before = len(assembly._GEOMETRY_CACHE)
+    mesh = unit_square(3)
+    assemble_weighted_stiffness(mesh, 1.0)
+    assert len(assembly._GEOMETRY_CACHE) == before + 1
+    alive = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert alive() is None
+    assert len(assembly._GEOMETRY_CACHE) == before

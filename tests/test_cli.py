@@ -378,6 +378,40 @@ def test_mesh_file_import(tmp_path):
     assert "POINT_DATA 81" in (out / "u.vtk").read_text()
 
 
+TRIANGLE_MESH = """VERTICES 3
+0 0
+1 0
+0 1
+CELLS 1
+0 1 2
+FACETS 3
+0 1 robin_temperature
+1 2 robin_temperature
+2 0 dirichlet_temperature
+"""
+
+
+@pytest.mark.parametrize("old, new", [
+    ("2 0 dirichlet_temperature", "2 0"),
+    ("CELLS 1\n0 1 2", "CELLS 1\n0 1 7"),
+    ("CELLS 1\n0 1 2", "CELLS 1\n0 1 -1"),
+    ("0 1 robin_temperature", "0 3 robin_temperature"),
+    ("FACETS 3", "FACETS 4"),
+    ("VERTICES 3", "VERTICES 4"),
+    ("CELLS 1\n0 1 2", "CELLS 1\n0 1 2.5"),
+    ("CELLS 1\n0 1 2", "CELLS 1\n0 1 99999999999999999999"),
+    ("VERTICES 3", "VERTICES \u00b2"),
+], ids=["facet-without-tag", "cell-vertex-past-count", "negative-index",
+        "facet-vertex-past-count", "facets-short", "vertices-short", "not-integers",
+        "index-past-int64", "count-not-decimal"])
+def test_solve_malformed_mesh_file_exits_1(tmp_path, capsys, old, new):
+    mesh_path = tmp_path / "bad.mesh"
+    mesh_path.write_text(TRIANGLE_MESH.replace(old, new))
+    cfg = write_config(tmp_path, BENCHMARK + f"\nproblem.mesh_file = {mesh_path}\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "configuration error: mesh file:" in capsys.readouterr().err
+
+
 def _walk_numbers(node, path=""):
     if isinstance(node, dict):
         for k, v in node.items():

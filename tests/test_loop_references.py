@@ -1,22 +1,38 @@
 """Array implementations against the per-facet, per-edge and per-cell loops
-they replaced, kept here as references.
+and the general sparse operations they replaced, kept here as references.
 
-Mesh arrays must match exactly; facet sums are accumulated in another order
-and must agree to 1e-13 relative.
+Mesh arrays and sparsity patterns must match exactly; facet sums are
+accumulated in another order and must agree to 1e-13 relative, cell sums
+to 1e-14 relative.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from thermopt.assembly import (
+    LinearSystem,
+    apply_dirichlet,
+    assemble_joule_rhs_direct,
+    assemble_joule_rhs_weak,
+    assemble_mass,
     assemble_robin,
+    assemble_weighted_stiffness,
     boundary_l2,
+    convection_matrix,
     facet_mass,
     facet_pairing,
+    factor_spd,
+    geometry,
     interpolate,
+    load_vector,
+    solve_spd,
 )
+from thermopt.control import adjoint_system
+from thermopt.errors import SolverFailure
 from thermopt.fields import Control, Field, FieldKind
 from thermopt.materials import TruncatedPower
 from thermopt.mesh import (
@@ -27,7 +43,7 @@ from thermopt.mesh import (
     refine_uniform,
 )
 from thermopt.state import ProblemSpec, solve_state
-from thermopt.transform import energy_inequality_report, transform
+from thermopt.transform import _flux_load, energy_inequality_report, transform
 
 D = BoundaryTag.DIRICHLET_TEMPERATURE
 R = BoundaryTag.ROBIN_TEMPERATURE
@@ -329,3 +345,230 @@ def test_energy_boundary_term_matches_loop_reference(extents, divisions):
     assert term != 0.0
     assert abs(report["lhs"] - (bulk["lhs"] + term)) <= RTOL * abs(report["lhs"])
     assert report["rhs"] == bulk["rhs"]
+
+
+# ---- cell assembly: COO and np.add.at references ---------------------------
+
+CELL_RTOL = 1e-14
+
+
+def accumulate_coo(conn, local, n):
+    """COO assembly, converted (summed and sorted) on every call."""
+    k = local.shape[1]
+    rows = np.repeat(conn, k, axis=1).ravel()
+    cols = np.tile(conn, (1, k)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def add_at(mesh, local):
+    b = np.zeros(mesh.n_vertices)
+    np.add.at(b, mesh.cells, local)
+    return b
+
+
+def stiffness_coo(mesh, w):
+    geom = geometry(mesh)
+    wbar = geom.at_quadrature(w) @ geom.qweights
+    gg = np.einsum("cid,cjd->cij", geom.grads, geom.grads)
+    return accumulate_coo(mesh.cells, gg * (wbar * geom.volumes)[:, None, None],
+                          mesh.n_vertices)
+
+
+def mass_coo(mesh, w):
+    geom = geometry(mesh)
+    bb = np.einsum("q,qi,qj->qij", geom.qweights, geom.qbary, geom.qbary)
+    local = np.einsum("cq,qij->cij", geom.at_quadrature(w), bb) * geom.volumes[:, None, None]
+    return accumulate_coo(mesh.cells, local, mesh.n_vertices)
+
+
+def convection_coo(mesh, w, phi):
+    geom = geometry(mesh)
+    conv = np.einsum("cd,cjd->cj", geom.cell_gradient(phi), geom.grads)
+    wbasis = np.einsum("cq,q,qi->ci", geom.at_quadrature(w), geom.qweights, geom.qbary)
+    local = np.einsum("ci,cj->cij", wbasis, conv) * geom.volumes[:, None, None]
+    return accumulate_coo(mesh.cells, local, mesh.n_vertices)
+
+
+def load_add_at(mesh, w):
+    geom = geometry(mesh)
+    local = np.einsum("cq,q,qi->ci", geom.at_quadrature(w), geom.qweights, geom.qbary)
+    return add_at(mesh, local * geom.volumes[:, None])
+
+
+def joule_direct_add_at(mesh, s, phi):
+    geom = geometry(mesh)
+    gphi2 = np.sum(geom.cell_gradient(phi) ** 2, axis=1)
+    local = np.einsum("cq,q,qi->ci", s, geom.qweights, geom.qbary)
+    return add_at(mesh, local * (gphi2 * geom.volumes)[:, None])
+
+
+def joule_weak_add_at(mesh, s, phi, phi0):
+    geom = geometry(mesh)
+    diff = geom.at_quadrature(phi0 - phi)
+    gphi, gphi0 = geom.cell_gradient(phi), geom.cell_gradient(phi0)
+    coeff1 = ((s * diff) @ geom.qweights) * geom.volumes
+    term1 = np.einsum("c,cd,cid->ci", coeff1, gphi, geom.grads)
+    term2 = np.einsum("cq,q,qi->ci", s, geom.qweights, geom.qbary)
+    term2 *= (np.sum(gphi * gphi0, axis=1) * geom.volumes)[:, None]
+    return add_at(mesh, term1 + term2)
+
+
+def flux_add_at(mesh, coeff_q, w):
+    geom = geometry(mesh)
+    cbar = (coeff_q @ geom.qweights) * geom.volumes
+    return add_at(mesh, np.einsum("c,cd,cid->ci", cbar, geom.cell_gradient(w), geom.grads))
+
+
+def dirichlet_triple_product(system, bc):
+    """Constrained rows and columns zeroed by D A D + (I - D), D = diag(keep)."""
+    merged = dict(system.constrained)
+    merged.update(bc)
+    A = system.matrix.tocsr()
+    rhs = system.rhs.copy()
+    idx = np.fromiter(merged.keys(), dtype=np.int64)
+    vals = np.fromiter((merged[i] for i in idx), dtype=float)
+    x = np.zeros(A.shape[0])
+    x[idx] = vals
+    rhs -= A @ x
+    keep = np.ones(A.shape[0])
+    keep[idx] = 0.0
+    dk = sp.diags(keep)
+    A = (dk @ A @ dk + sp.diags(1.0 - keep)).tocsr()
+    rhs[idx] = vals
+    return LinearSystem(A, rhs, merged)
+
+
+def same_pattern(actual, expected):
+    return (np.array_equal(actual.indptr, expected.indptr)
+            and np.array_equal(actual.indices, expected.indices))
+
+
+def cell_close(actual, expected):
+    return np.max(np.abs(actual - expected)) <= CELL_RTOL * np.max(np.abs(expected))
+
+
+BOXES = [([1.0, 1.0], [5, 4]), ([1.0, 2.0, 0.5], [3, 2, 3])]
+
+
+def random_mesh_fields(extents, divisions, seed=11):
+    mesh = build_rectangle_mesh(extents, divisions, dirichlet_on_planes("x=0"))
+    rng = np.random.default_rng(seed)
+    w, phi, phi0 = (rng.uniform(0.2, 2.0, mesh.n_vertices) for _ in range(3))
+    return mesh, w, phi, phi0
+
+
+@pytest.mark.parametrize("extents, divisions", BOXES)
+def test_pattern_assembly_matches_coo_reference(extents, divisions):
+    mesh, w, phi, _ = random_mesh_fields(extents, divisions)
+    phi_field = Field(mesh, phi, FieldKind.POTENTIAL)
+    for actual, expected in [
+            (assemble_weighted_stiffness(mesh, w), stiffness_coo(mesh, w)),
+            (assemble_weighted_stiffness(mesh, 1.0), stiffness_coo(mesh, np.ones_like(w))),
+            (assemble_mass(mesh, w), mass_coo(mesh, w)),
+            (convection_matrix(mesh, w, phi_field), convection_coo(mesh, w, phi))]:
+        assert same_pattern(actual, expected)
+        assert cell_close(actual.data, expected.data)
+
+
+@pytest.mark.parametrize("extents, divisions", BOXES)
+def test_bincount_loads_match_add_at_reference(extents, divisions):
+    mesh, w, phi, phi0 = random_mesh_fields(extents, divisions)
+    geom = geometry(mesh)
+    sigma = lambda u: 1.0 / (1.0 + np.asarray(u) ** 2)
+    s = sigma(geom.at_quadrature(w))
+    u_f = Field(mesh, w, FieldKind.TEMPERATURE)
+    phi_f = Field(mesh, phi, FieldKind.POTENTIAL)
+    phi0_f = Field(mesh, phi0, FieldKind.POTENTIAL)
+    assert cell_close(load_vector(mesh, w), load_add_at(mesh, w))
+    assert cell_close(assemble_joule_rhs_direct(mesh, sigma, u_f, phi_f),
+                      joule_direct_add_at(mesh, s, phi))
+    assert cell_close(assemble_joule_rhs_weak(mesh, sigma, u_f, phi_f, phi0_f),
+                      joule_weak_add_at(mesh, s, phi, phi0))
+    assert cell_close(_flux_load(mesh, s, phi0_f), flux_add_at(mesh, s, phi0))
+
+
+def assert_same_system(actual, expected):
+    assert same_pattern(actual.matrix, expected.matrix)
+    assert np.array_equal(actual.matrix.data, expected.matrix.data)
+    assert np.array_equal(actual.rhs, expected.rhs)
+    assert actual.constrained == expected.constrained
+
+
+@pytest.mark.parametrize("extents, divisions", BOXES)
+def test_masked_dirichlet_matches_triple_product(extents, divisions):
+    mesh, w, _, _ = random_mesh_fields(extents, divisions)
+    rng = np.random.default_rng(5)
+    K = assemble_weighted_stiffness(mesh, w)
+    rhs = rng.standard_normal(mesh.n_vertices)
+    bdry = mesh.boundary_vertex_set()
+    bc = {int(i): float(v) for i, v in zip(bdry, rng.uniform(-1.0, 1.0, bdry.size))}
+    first = dict(list(bc.items())[::2])
+    for system in (LinearSystem(K, rhs, {}), LinearSystem(K, rhs, first)):
+        assert_same_system(apply_dirichlet(system, bc), dirichlet_triple_product(system, bc))
+    # a constrained vertex whose diagonal is not stored
+    off = (K - sp.diags(K.diagonal())).tocsr()
+    off.eliminate_zeros()
+    assert_same_system(apply_dirichlet(LinearSystem(off, rhs, {}), bc),
+                       dirichlet_triple_product(LinearSystem(off, rhs, {}), bc))
+
+
+def test_masked_dirichlet_matches_triple_product_on_adjoint_block():
+    mesh = build_rectangle_mesh([1.0, 1.0], [6, 5], dirichlet_on_planes("x=0"))
+    model = TruncatedPower(1.0, 1.0, 2.0)
+    spec = ProblemSpec(mesh=mesh, model=model,
+                       u0=interpolate(mesh, lambda p: np.zeros(p.shape[0]),
+                                      FieldKind.TEMPERATURE),
+                       u1=interpolate(mesh, lambda p: 0.05 + 0 * p[:, 0],
+                                      FieldKind.TEMPERATURE),
+                       phi0=interpolate(mesh, lambda p: 1.0 * p[:, 0], FieldKind.POTENTIAL),
+                       m_cap=2.0)
+    beta = Control.constant(mesh, 1.0, 2.0)
+    block, rhs, bc = adjoint_system(spec, beta, solve_state(spec, beta))
+    assert block.shape == (2 * mesh.n_vertices,) * 2
+    system = LinearSystem(block, rhs, {})
+    assert_same_system(apply_dirichlet(system, bc), dirichlet_triple_product(system, bc))
+
+
+@pytest.mark.parametrize("extents, divisions", BOXES)
+def test_factor_spd_matches_spsolve(extents, divisions):
+    mesh, w, _, _ = random_mesh_fields(extents, divisions)
+    rng = np.random.default_rng(9)
+    bc = {int(i): 0.5 for i in mesh.boundary_vertex_set(D)}
+    system = apply_dirichlet(LinearSystem(assemble_weighted_stiffness(mesh, w),
+                                          rng.standard_normal(mesh.n_vertices), {}), bc)
+    x = factor_spd(system.matrix).solve(system.rhs)
+    ref = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(solve_spd(system), x)
+
+
+def test_singular_spd_systems_raise_solver_failure():
+    # pure-Neumann P1 Laplacian of a 2D mesh: the round-off pivot passes the
+    # factorization, the residual check rejects the solve
+    mesh = build_rectangle_mesh([1.0, 1.0], [4, 4], dirichlet_on_planes("x=0"))
+    K = assemble_weighted_stiffness(mesh, 1.0)
+    rhs = np.random.default_rng(2).standard_normal(mesh.n_vertices)
+    with pytest.raises(SolverFailure):
+        solve_spd(LinearSystem(K, rhs, {}))
+    # pure-Neumann Laplacian of a uniform 1D mesh: an exactly zero pivot
+    n = 6
+    path = sp.diags([-np.ones(n - 1), np.r_[1.0, 2.0 * np.ones(n - 2), 1.0],
+                     -np.ones(n - 1)], [-1, 0, 1], format="csr")
+    with pytest.raises(SolverFailure, match="singular"):
+        factor_spd(path)
+    with pytest.raises(SolverFailure):
+        solve_spd(LinearSystem(path, np.ones(n), {}))
+
+
+def test_assembled_matrices_own_their_index_arrays():
+    mesh, w, _, _ = random_mesh_fields([1.0, 1.0, 1.0], [2, 2, 2])
+    for assemble, reference in ((assemble_weighted_stiffness, stiffness_coo),
+                                (assemble_mass, mass_coo)):
+        first = assemble(mesh, w)
+        first.data[::2] = 0.0
+        first.eliminate_zeros()   # rewrites indices and indptr in place
+        second = assemble(mesh, w)
+        assert first.nnz < second.nnz
+        assert not np.shares_memory(first.indices, second.indices)
+        assert same_pattern(second, reference(mesh, w))
+        assert cell_close(second.data, reference(mesh, w).data)

@@ -48,6 +48,19 @@ def test_F_general_p_matches_analytic():
         assert float(m.F(u)) == pytest.approx(v, abs=1e-8 * (1 + v))
 
 
+def test_general_p_evaluations_keep_array_shape():
+    m = TruncatedPower(1.0, 1.0, 3.0)
+    u = np.array([[0.1, 0.2, 0.3], [0.1, 0.5, 0.0]])
+    v = m.F(u)
+    assert v.shape == u.shape
+    assert np.array_equal(v, [[float(m.F(x)) for x in row] for row in u])
+    assert np.array_equal(m.F_inv(v), [[float(m.F_inv(x)) for x in row] for row in v])
+    moment = m.reciprocal_a_moment(v, 2.0)
+    assert np.array_equal(moment, [[m.reciprocal_a_moment(x, 2.0) for x in row]
+                                   for row in v])
+    assert isinstance(m.F_inv(0.3), float) and m.F(np.empty((0, 2))).shape == (0, 2)
+
+
 def test_round_trip_p2():
     m = TruncatedPower(1.0, 1.0, 2.0)
     v = np.geomspace(1e-6, 1e3, 40)

@@ -1,7 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from thermopt.assembly import interpolate, norms
 from thermopt.errors import ConfigurationError
@@ -39,6 +41,33 @@ def benchmark_spec(n=16, model=None, u1_val=0.0):
                      lambda p: np.zeros(p.shape[0]),
                      lambda p: np.full(p.shape[0], u1_val),
                      lambda p: 0.1 * p[:, 0])
+
+
+def test_solve_state_factors_with_symmetric_ordering_only(monkeypatch):
+    """One MMD factorization per Picard step plus one for the temperature,
+    and no COLAMD spsolve; a count, so it cannot flake on timing."""
+    calls = {"splu": [], "spsolve": 0}
+    splu, spsolve = spla.splu, spla.spsolve
+
+    def counting_splu(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "thermopt.assembly":
+            calls["splu"].append(kwargs.get("permc_spec"))
+        return splu(*args, **kwargs)
+
+    def counting_spsolve(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "thermopt.assembly":
+            calls["spsolve"] += 1
+        return spsolve(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(spla, "spsolve", counting_spsolve)
+    mesh = build_rectangle_mesh([1.0, 1.0, 1.0], [3, 3, 3], LEFT)
+    spec = make_spec(mesh, TruncatedPower(1.0, 1.0, 2.0), lambda p: np.zeros(p.shape[0]),
+                     lambda p: np.zeros(p.shape[0]), lambda p: 0.5 * p[:, 0])
+    sol = solve_state(spec, Control.constant(mesh, 1.0, 2.0))
+    assert sol.iterations > 1
+    assert calls["splu"] == ["MMD_AT_PLUS_A"] * (sol.iterations + 1)
+    assert calls["spsolve"] == 0
 
 
 def test_constant_data_trivial_solution():

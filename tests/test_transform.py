@@ -48,6 +48,20 @@ def solved_benchmark(n=16):
     return spec, beta, solve_state(spec, beta)
 
 
+def test_energy_inequality_report_general_p():
+    model = TruncatedPower(1.0, 1.0, 3.0)
+    mesh = build_rectangle_mesh([1.0, 1.0], [3, 3], LEFT)
+    spec = make_spec(mesh, model, u1_val=0.05, phi0_scale=1.0)
+    beta = Control.constant(mesh, 1.0, 2.0)
+    sol = solve_state(spec, beta)
+    psi = transform(sol, model, spec.phi0, m_threshold=0.0).psi.values
+    ts = transform(sol, model, spec.phi0, m_threshold=float(np.median(psi)))
+    report = energy_inequality_report(ts, model, spec, beta)
+    assert report["gamma_m_active"]
+    assert math.isfinite(report["lhs"]) and math.isfinite(report["rhs"])
+    assert report["lhs"] > 0.0
+
+
 def test_transform_trivial_constant():
     mesh = build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT)
     spec = make_spec(mesh, phi0_scale=0.0)
