@@ -10,7 +10,6 @@ returned and solves on distinct systems may run concurrently.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -117,15 +116,6 @@ def geometry(mesh: Mesh) -> P1Geometry:
         geom = P1Geometry(mesh)
         _GEOMETRY_CACHE[mesh] = geom
     return geom
-
-
-@dataclass
-class LinearSystem:
-    """Assembled sparse system plus Dirichlet constraints (vertex -> value)."""
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    constrained: dict[int, float]
 
 
 WeightLike = "float | np.ndarray | Field | Callable"
@@ -267,33 +257,36 @@ def convection_matrix(mesh: Mesh, coeff, phi: Field) -> sp.csr_matrix:
     return geom.matrix(local)
 
 
-def apply_dirichlet(system: LinearSystem, bc: dict[int, float],
-                    check_boundary: Mesh | None = None) -> LinearSystem:
-    """Symmetric elimination of constrained vertices.
+def lift_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray, fixed: np.ndarray,
+                   values) -> np.ndarray:
+    """Right side of the eliminated system: rhs - A x_D, then x_D on `fixed`.
+
+    x_D holds `values` (an array matching `fixed`, or a scalar) on the
+    constrained vertices and zero elsewhere.
+    """
+    x = np.zeros(matrix.shape[0])
+    x[fixed] = values
+    lifted = rhs - matrix @ x
+    lifted[fixed] = values
+    return lifted
+
+
+def apply_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray, fixed: np.ndarray,
+                    values) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Symmetric elimination of the distinct constrained vertices `fixed`,
+    with `values` as in lift_dirichlet.
 
     Constrained rows and columns are zeroed with a unit diagonal; the right
     side absorbs the lifted values. Idempotent for repeated application.
     """
-    if check_boundary is not None:
-        on_boundary = set(check_boundary.boundary_vertex_set().tolist())
-        for v in bc:
-            if v not in on_boundary:
-                raise AssemblyError(f"Dirichlet constraint on interior vertex {v}")
-    merged = dict(system.constrained)
-    merged.update(bc)
-    A = system.matrix.tocsr(copy=True)
+    A = matrix.tocsr(copy=True)
     A.sum_duplicates()
     n = A.shape[0]
-    rhs = system.rhs.copy()
-    idx = np.fromiter(merged.keys(), dtype=np.int64)
-    vals = np.fromiter((merged[i] for i in idx), dtype=float)
-    x = np.zeros(n)
-    x[idx] = vals
-    rhs -= A @ x
-    fixed = np.zeros(n, dtype=bool)
-    fixed[idx] = True
+    rhs = lift_dirichlet(A, rhs, fixed, values)
+    mask = np.zeros(n, dtype=bool)
+    mask[fixed] = True
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    hit = fixed[rows] | fixed[A.indices]
+    hit = mask[rows] | mask[A.indices]
     A.data[hit] = 0.0
     diagonal = hit & (rows == A.indices)
     A.data[diagonal] = 1.0
@@ -301,12 +294,11 @@ def apply_dirichlet(system: LinearSystem, bc: dict[int, float],
     # Every matrix built by P1Geometry.matrix (and the control blocks made of
     # them) stores all its diagonals, so only a matrix from elsewhere lacks
     # some; patching just those keeps the common path a pure in-place write.
-    if np.count_nonzero(diagonal) < idx.size:
-        unit = fixed.astype(float)
+    if np.count_nonzero(diagonal) < len(fixed):
+        unit = mask.astype(float)
         unit[rows[diagonal]] = 0.0
         A = (A + sp.diags(unit)).tocsr()
-    rhs[idx] = vals
-    return LinearSystem(A, rhs, merged)
+    return A, rhs
 
 
 def check_symmetric(matrix: sp.spmatrix, rtol: float = 1e-12) -> bool:
@@ -329,12 +321,11 @@ def factor_spd(matrix: sp.spmatrix) -> spla.SuperLU:
         raise SolverFailure(f"sparse factorization failed ({exc})") from exc
 
 
-def solve_spd(system: LinearSystem, rtol: float = 1e-10) -> np.ndarray:
+def solve_spd(matrix: sp.spmatrix, rhs: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     """Direct sparse solve; contract is relative residual <= rtol."""
-    if not check_symmetric(system.matrix):
+    if not check_symmetric(matrix):
         raise SolverFailure("matrix not symmetric")
-    x = factor_spd(system.matrix).solve(system.rhs)
-    return _checked_solution(system.matrix, system.rhs, x, rtol)
+    return _checked_solution(matrix, rhs, factor_spd(matrix).solve(rhs), rtol)
 
 
 def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray, rtol: float = 1e-10) -> np.ndarray:

@@ -46,6 +46,17 @@ EXIT_CRITICALITY = 3
 EXIT_VERIFICATION = 4
 EXIT_CERTIFICATE = 5
 
+# Error class -> exit code; the first class an error is an instance of
+# decides, so the base class comes last. Every other package error (domain,
+# assembly, solver, adjoint, estimation) exits 2.
+_EXIT_CODES = (
+    (ConfigurationError, EXIT_CONFIG),
+    (NonconvergenceError, EXIT_NONCONVERGENCE),
+    (CriticalityError, EXIT_CRITICALITY),
+    (CertificateInfeasibleError, EXIT_CERTIFICATE),
+    (ThermoptError, EXIT_NONCONVERGENCE),
+)
+
 
 def _state_summary(spec, sol):
     return {
@@ -84,15 +95,7 @@ def cmd_solve(config, outdir) -> int:
     t0 = time.perf_counter()
     spec = cfg.build_problem(config)
     beta = cfg.build_control(config, spec)
-    opts = cfg.build_solver_options(config)
-    try:
-        sol = solve_state(spec, beta, opts)
-    except NonconvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except CriticalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CRITICALITY
+    sol = solve_state(spec, beta, cfg.build_solver_options(config))
     report["timings_seconds"]["solve"] = time.perf_counter() - t0
     report["state"] = _state_summary(spec, sol)
     report["state"]["history"] = sol.history
@@ -113,14 +116,7 @@ def cmd_optimize(config, outdir) -> int:
     t0 = time.perf_counter()
     spec = cfg.build_problem(config)
     opts = cfg.build_optimizer_options(config)
-    try:
-        result = ctl.optimize(spec, opts)
-    except NonconvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except CriticalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CRITICALITY
+    result = ctl.optimize(spec, opts)
     report["timings_seconds"]["optimize"] = time.perf_counter() - t0
     report["state"] = _state_summary(spec, result.state)
     j = ctl.objective(spec.mesh, result.state.u, result.beta)
@@ -396,23 +392,12 @@ def cmd_certificate(config, outdir) -> int:
             "certificate for the constant model needs certificate.allow_constant "
             "= true (there is no critical temperature to certify against)")
     t0 = time.perf_counter()
-    try:
-        cert = compute_certificate(
-            spec.model, spec, eps=config.get_float("certificate.eps"),
-            C1=config.get_float("certificate.c1"),
-            auto_eps=cfg.certificate_eps_mode(config))
-    except CertificateInfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
+    cert = compute_certificate(
+        spec.model, spec, eps=config.get_float("certificate.eps"),
+        C1=config.get_float("certificate.c1"),
+        auto_eps=cfg.certificate_eps_mode(config))
     beta = cfg.build_control(config, spec)
-    try:
-        sol = solve_state(spec, beta, cfg.build_solver_options(config))
-    except NonconvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except CriticalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CRITICALITY
+    sol = solve_state(spec, beta, cfg.build_solver_options(config))
     check = check_certificate(sol, cert, spec.model)
     report["timings_seconds"]["certificate"] = time.perf_counter() - t0
     report["certificate"] = cert.as_dict()
@@ -461,15 +446,11 @@ def main(argv=None) -> int:
         if args.command == "certificate":
             return cmd_certificate(config, outdir)
         raise AssertionError(f"unhandled command {args.command}")
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CertificateInfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
     except ThermoptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+        code = next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+        prefix = "configuration error" if code == EXIT_CONFIG else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -41,15 +41,15 @@ _KNOWN_KEYS = {
     "problem.phi0": "potential Dirichlet data expression (or file:<path>)",
     "problem.beta": "control expression evaluated at Robin facet centroids",
     "problem.m_cap": "control upper bound >= 0",
-    "solver.tol": "Picard fixed-point increment tolerance",
+    "solver.tol": "Picard fixed-point increment tolerance > 0",
     "solver.damping": "Picard relaxation weight in (0, 1]",
-    "solver.max_iter": "Picard iteration cap",
+    "solver.max_iter": "Picard iteration cap >= 1",
     "solver.joule_form": "weak or direct",
     "solver.truncation_level": "override for the conductivity truncation level",
     "optimizer.mode": "sweep or projected_gradient",
     "optimizer.relaxation": "sweep averaging weight in (0, 1]",
-    "optimizer.tol": "optimality residual tolerance",
-    "optimizer.max_outer": "outer iteration cap",
+    "optimizer.tol": "optimality residual tolerance > 0",
+    "optimizer.max_outer": "outer iteration cap >= 1",
     "optimizer.beta0": "initial control value (default m_cap / 2)",
     "certificate.eps": "epsilon of the bound chain",
     "certificate.c1": "user-supplied Sobolev embedding constant",
@@ -243,14 +243,35 @@ def build_control(config: RunConfig, spec: ProblemSpec) -> Control:
         raise ConfigurationError(f"problem.beta: {exc}")
 
 
+# Admissible values of the run options, checked when the options are built.
+_RANGES = {
+    "solver.tol": (lambda v: v > 0, "must be > 0"),
+    "solver.damping": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+    "solver.max_iter": (lambda v: v >= 1, "must be >= 1"),
+    "optimizer.relaxation": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+    "optimizer.tol": (lambda v: v > 0, "must be > 0"),
+    "optimizer.max_outer": (lambda v: v >= 1, "must be >= 1"),
+}
+
+
+def _option(get, key: str):
+    """The value `get(key)`, or a ConfigurationError naming the key when it
+    lies outside _RANGES."""
+    value = get(key)
+    ok, requirement = _RANGES[key]
+    if not ok(value):
+        raise ConfigurationError(f"config key {key}: {value!r} {requirement}")
+    return value
+
+
 def build_solver_options(config: RunConfig) -> SolverOptions:
     level = None
     if config.raw.get("solver.truncation_level"):
         level = config.get_float("solver.truncation_level")
     return SolverOptions(
-        tol=config.get_float("solver.tol"),
-        damping=config.get_float("solver.damping"),
-        max_iter=config.get_int("solver.max_iter"),
+        tol=_option(config.get_float, "solver.tol"),
+        damping=_option(config.get_float, "solver.damping"),
+        max_iter=_option(config.get_int, "solver.max_iter"),
         joule_form=config.get("solver.joule_form").strip().lower(),
         truncation_level=level,
     )
@@ -262,9 +283,9 @@ def build_optimizer_options(config: RunConfig) -> OptimizerOptions:
         beta0 = config.get_float("optimizer.beta0")
     return OptimizerOptions(
         mode=config.get("optimizer.mode").strip().lower(),
-        relaxation=config.get_float("optimizer.relaxation"),
-        tol=config.get_float("optimizer.tol"),
-        max_outer=config.get_int("optimizer.max_outer"),
+        relaxation=_option(config.get_float, "optimizer.relaxation"),
+        tol=_option(config.get_float, "optimizer.tol"),
+        max_outer=_option(config.get_int, "optimizer.max_outer"),
         beta0=beta0,
         solver=build_solver_options(config),
     )

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assembly
-from .assembly import LinearSystem, apply_dirichlet, geometry
+from .assembly import apply_dirichlet, geometry
 from .errors import AdjointFailure, ConfigurationError, SolverFailure
 from .fields import Control, Field, FieldKind
 from .mesh import BoundaryTag
@@ -88,15 +88,15 @@ def _linearization_blocks(spec: ProblemSpec, beta: Control, state: StateSolution
     return A, H, W, S
 
 
-def _block_bc(spec: ProblemSpec):
-    n = spec.mesh.n_vertices
-    bc = {int(i): 0.0 for i in spec.dirichlet_temperature_vertices()}
-    bc.update({int(i) + n: 0.0 for i in spec.mesh.boundary_vertex_set()})
-    return bc
+def _block_fixed(spec: ProblemSpec) -> np.ndarray:
+    """Block rows clamped to zero: the first unknown on Gamma_D, the second
+    on the whole boundary."""
+    return np.concatenate([spec.dirichlet_temperature_vertices(),
+                           spec.mesh.boundary_vertex_set() + spec.mesh.n_vertices])
 
 
 def adjoint_system(spec: ProblemSpec, beta: Control,
-                   state: StateSolution) -> tuple[sp.csr_matrix, np.ndarray, dict]:
+                   state: StateSolution) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """Monolithic block system for (p, q) with the unit source from the
     objective; rows are the weak adjoint equations, sign fixed so that
 
@@ -108,11 +108,11 @@ def adjoint_system(spec: ProblemSpec, beta: Control,
     block = sp.bmat([[A, W], [-2.0 * H.T, S]], format="csr")
     rhs = np.concatenate([-assembly.load_vector(spec.mesh),
                           np.zeros(spec.mesh.n_vertices)])
-    return block, rhs, _block_bc(spec)
+    return block, rhs, _block_fixed(spec)
 
 
 def sensitivity_system(spec: ProblemSpec, beta: Control, state: StateSolution,
-                       ell: Control) -> tuple[sp.csr_matrix, np.ndarray, dict]:
+                       ell: Control) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """Monolithic block system for (psi1, psi2) with Robin forcing
     -ell (u - u1) on the Robin part; the transpose of the adjoint system."""
     A, H, W, S = _linearization_blocks(spec, beta, state)
@@ -120,36 +120,34 @@ def sensitivity_system(spec: ProblemSpec, beta: Control, state: StateSolution,
     ell_load = (assembly.facet_mass(spec.mesh, ell.values, ell.facet_ids)
                 @ (state.u.values - spec.u1.values))
     rhs = np.concatenate([-ell_load, np.zeros(spec.mesh.n_vertices)])
-    return block, rhs, _block_bc(spec)
+    return block, rhs, _block_fixed(spec)
 
 
-def _solve_block(block, rhs, bc, n) -> tuple[np.ndarray, np.ndarray, float]:
-    system = apply_dirichlet(LinearSystem(block, rhs, {}), bc)
+def _solve_block(block, rhs, fixed) -> tuple[np.ndarray, np.ndarray, float]:
+    """Solve the 2n block with zero data on `fixed`; returns both halves."""
+    n = rhs.size // 2
+    matrix, rhs = apply_dirichlet(block, rhs, fixed, 0.0)
     try:
-        x = assembly.solve_sparse(system.matrix, system.rhs)
+        x = assembly.solve_sparse(matrix, rhs)
     except SolverFailure as exc:
         raise AdjointFailure(
             f"block solve failed ({exc}); the conductivity may be degenerate "
             "on part of the domain") from exc
-    res = np.linalg.norm(system.matrix @ x - system.rhs)
-    res /= max(1.0, np.linalg.norm(system.rhs))
+    res = np.linalg.norm(matrix @ x - rhs)
+    res /= max(1.0, np.linalg.norm(rhs))
     return x[:n], x[n:], float(res)
 
 
 def solve_adjoint(spec: ProblemSpec, beta: Control,
                   state: StateSolution) -> AdjointSolution:
-    block, rhs, bc = adjoint_system(spec, beta, state)
-    n = spec.mesh.n_vertices
-    p, q, res = _solve_block(block, rhs, bc, n)
+    p, q, res = _solve_block(*adjoint_system(spec, beta, state))
     return AdjointSolution(Field(spec.mesh, p, FieldKind.ADJOINT_P),
                            Field(spec.mesh, q, FieldKind.ADJOINT_Q), res)
 
 
 def solve_sensitivity(spec: ProblemSpec, beta: Control, state: StateSolution,
                       ell: Control) -> SensitivityPair:
-    block, rhs, bc = sensitivity_system(spec, beta, state, ell)
-    n = spec.mesh.n_vertices
-    psi1, psi2, _ = _solve_block(block, rhs, bc, n)
+    psi1, psi2, _ = _solve_block(*sensitivity_system(spec, beta, state, ell))
     return SensitivityPair(Field(spec.mesh, psi1, FieldKind.SENSITIVITY_1),
                            Field(spec.mesh, psi2, FieldKind.SENSITIVITY_2), ell)
 

@@ -58,9 +58,6 @@ class Mesh:
     def facet_indices(self, tag: BoundaryTag) -> np.ndarray:
         return np.flatnonzero(self.boundary_tags == _TAG_CODE[tag])
 
-    def facet_tag(self, i: int) -> BoundaryTag:
-        return _TAG_FROM_CODE[int(self.boundary_tags[i])]
-
     def boundary_vertex_set(self, tag: BoundaryTag | None = None) -> np.ndarray:
         """Sorted vertex indices lying on facets with the given tag (all if None)."""
         if tag is None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import assembly
-from .assembly import LinearSystem, apply_dirichlet, geometry
+from .assembly import apply_dirichlet, geometry, lift_dirichlet
 from .errors import ConfigurationError, CriticalityError, NonconvergenceError
 from .fields import Control, Field, FieldKind
 from .materials import ConductivityModel, TruncatedModel, TruncationLevel, truncate
@@ -122,15 +122,14 @@ def solve_state(spec: ProblemSpec, beta: Control,
     K = assembly.assemble_weighted_stiffness(mesh, 1.0)
     R, robin_rhs = assembly.assemble_robin(mesh, beta, spec.u1)
     A_u = (K + R).tocsr()
-    bdry_all = mesh.boundary_vertex_set()
-    bc_phi = {int(i): float(spec.phi0.values[i]) for i in bdry_all}
-    bc_u = {int(i): float(spec.u0.values[i])
-            for i in spec.dirichlet_temperature_vertices()}
+    fixed_u = spec.dirichlet_temperature_vertices()
+    u_fixed = spec.u0.values[fixed_u]
+    fixed_phi = mesh.boundary_vertex_set()
+    phi_fixed = spec.phi0.values[fixed_phi]
 
     # the temperature matrix is iteration-independent: factor once
-    u_sys_template = apply_dirichlet(LinearSystem(A_u, np.zeros(mesh.n_vertices), {}), bc_u)
-    u_lu = assembly.factor_spd(u_sys_template.matrix)
-    u_shift = _constraint_shift(A_u, bc_u)
+    u_lu = assembly.factor_spd(
+        apply_dirichlet(A_u, np.zeros(mesh.n_vertices), fixed_u, u_fixed)[0])
 
     u = spec.u0.values.copy()
     phi = spec.phi0.values.copy()
@@ -139,7 +138,7 @@ def solve_state(spec: ProblemSpec, beta: Control,
     iterations = 0
 
     for iterations in range(1, opts.max_iter + 1):
-        phi_new = _solve_potential(spec, sigma, u, bc_phi)
+        phi_new = _solve_potential(mesh, sigma, u, fixed_phi, phi_fixed)
         u_field = Field(mesh, u, FieldKind.TEMPERATURE)
         phi_field = Field(mesh, phi_new, FieldKind.POTENTIAL)
         if opts.joule_form == "weak":
@@ -149,8 +148,7 @@ def solve_state(spec: ProblemSpec, beta: Control,
             joule = assembly.assemble_joule_rhs_direct(mesh, sigma, u_field, phi_field)
         else:
             raise ConfigurationError(f"unknown joule_form {opts.joule_form!r}")
-        rhs = joule + robin_rhs
-        u_candidate = _solve_constrained(u_lu, u_shift, rhs, bc_u)
+        u_candidate = u_lu.solve(lift_dirichlet(A_u, joule + robin_rhs, fixed_u, u_fixed))
 
         delta_u = float(np.max(np.abs(u_candidate - u)))
         delta_phi = float(np.max(np.abs(phi_new - phi)))
@@ -188,26 +186,12 @@ def solve_state(spec: ProblemSpec, beta: Control,
     return sol
 
 
-def _solve_potential(spec, sigma, u_vals, bc_phi):
-    mesh = spec.mesh
+def _solve_potential(mesh, sigma, u_vals, fixed, values):
+    # a function, so that its matrix is freed before the Joule assembly
     w = sigma(geometry(mesh).at_quadrature(u_vals))
     A_phi = assembly.assemble_weighted_stiffness(mesh, w)
-    system = apply_dirichlet(LinearSystem(A_phi, np.zeros(mesh.n_vertices), {}), bc_phi)
-    return assembly.solve_spd(system)
-
-
-def _constraint_shift(A, bc):
-    x = np.zeros(A.shape[0])
-    for i, v in bc.items():
-        x[i] = v
-    return A @ x
-
-
-def _solve_constrained(lu, shift, rhs, bc):
-    b = rhs - shift
-    for i, v in bc.items():
-        b[i] = v
-    return lu.solve(b)
+    return assembly.solve_spd(*apply_dirichlet(A_phi, np.zeros(mesh.n_vertices),
+                                               fixed, values))
 
 
 def weak_residual(spec: ProblemSpec, beta: Control, sol: StateSolution,

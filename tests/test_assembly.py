@@ -7,7 +7,6 @@ import scipy.sparse as sp
 
 from thermopt import assembly
 from thermopt.assembly import (
-    LinearSystem,
     apply_dirichlet,
     assemble_joule_rhs_direct,
     assemble_joule_rhs_weak,
@@ -169,10 +168,8 @@ def test_joule_weak_zero_for_constants():
 
 def _solve_phi(mesh, phi0_vals):
     K = assemble_weighted_stiffness(mesh, 1.0)
-    sysm = LinearSystem(K, np.zeros(mesh.n_vertices), {})
-    bc = {int(i): float(phi0_vals[i]) for i in mesh.boundary_vertex_set()}
-    reduced = apply_dirichlet(sysm, bc)
-    return solve_spd(reduced)
+    fixed = mesh.boundary_vertex_set()
+    return solve_spd(*apply_dirichlet(K, np.zeros(mesh.n_vertices), fixed, phi0_vals[fixed]))
 
 
 def test_weak_vs_direct_difference_decreases_under_refinement():
@@ -199,30 +196,19 @@ def test_weak_vs_direct_difference_decreases_under_refinement():
 def test_apply_dirichlet_full_constraint_identity():
     mesh = unit_square(2)
     K = assemble_weighted_stiffness(mesh, 1.0)
-    bc = {i: float(i) for i in range(mesh.n_vertices)}
-    reduced = apply_dirichlet(LinearSystem(K, np.zeros(mesh.n_vertices), {}), bc)
-    x = solve_spd(reduced)
+    fixed = np.arange(mesh.n_vertices)
+    x = solve_spd(*apply_dirichlet(K, np.zeros(mesh.n_vertices), fixed, fixed.astype(float)))
     assert np.allclose(x, np.arange(mesh.n_vertices, dtype=float), atol=1e-12)
 
 
 def test_apply_dirichlet_idempotent():
     mesh = unit_square(2)
     K = assemble_weighted_stiffness(mesh, 1.0)
-    bc = {int(i): 1.0 for i in mesh.boundary_vertex_set()}
-    sys1 = apply_dirichlet(LinearSystem(K, np.zeros(mesh.n_vertices), {}), bc)
-    sys2 = apply_dirichlet(sys1, bc)
-    assert abs(sys1.matrix - sys2.matrix).max() == 0.0
-    assert np.array_equal(sys1.rhs, sys2.rhs)
-
-
-def test_apply_dirichlet_interior_vertex_rejected():
-    mesh = unit_square(2)
-    K = assemble_weighted_stiffness(mesh, 1.0)
-    interior = [i for i in range(mesh.n_vertices)
-                if i not in set(mesh.boundary_vertex_set().tolist())]
-    with pytest.raises(AssemblyError):
-        apply_dirichlet(LinearSystem(K, np.zeros(mesh.n_vertices), {}),
-                        {interior[0]: 1.0}, check_boundary=mesh)
+    fixed = mesh.boundary_vertex_set()
+    A1, b1 = apply_dirichlet(K, np.zeros(mesh.n_vertices), fixed, 1.0)
+    A2, b2 = apply_dirichlet(A1, b1, fixed, 1.0)
+    assert abs(A1 - A2).max() == 0.0
+    assert np.array_equal(b1, b2)
 
 
 def test_p1_reproduces_linear_dirichlet_data():
@@ -233,7 +219,7 @@ def test_p1_reproduces_linear_dirichlet_data():
 
 def test_solve_spd_identity_returns_rhs():
     rhs = np.array([3.0, -1.0, 2.5])
-    x = solve_spd(LinearSystem(sp.identity(3, format="csr"), rhs, {}))
+    x = solve_spd(sp.identity(3, format="csr"), rhs)
     assert np.array_equal(x, rhs)
 
 
@@ -243,14 +229,14 @@ def test_solve_spd_against_dense_oracle():
     A = B @ B.T + 50.0 * np.eye(50)
     rhs = rng.standard_normal(50)
     oracle = np.linalg.solve(A, rhs)
-    x = solve_spd(LinearSystem(sp.csr_matrix(A), rhs, {}))
+    x = solve_spd(sp.csr_matrix(A), rhs)
     assert np.allclose(x, oracle, atol=1e-9)
 
 
 def test_solve_spd_rejects_nonsymmetric():
     A = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(SolverFailure):
-        solve_spd(LinearSystem(A, np.ones(2), {}))
+        solve_spd(A, np.ones(2))
 
 
 def test_norms_constant_and_linear():
@@ -309,9 +295,8 @@ def test_3d_p1_reproduces_linear_dirichlet_data():
     mesh = build_rectangle_mesh([1, 1, 1], [3, 3, 3], rule)
     K = assemble_weighted_stiffness(mesh, 1.0)
     target = mesh.vertices @ np.array([1.0, -2.0, 0.5])
-    bc = {int(i): float(target[i]) for i in mesh.boundary_vertex_set()}
-    reduced = apply_dirichlet(LinearSystem(K, np.zeros(mesh.n_vertices), {}), bc)
-    x = solve_spd(reduced)
+    fixed = mesh.boundary_vertex_set()
+    x = solve_spd(*apply_dirichlet(K, np.zeros(mesh.n_vertices), fixed, target[fixed]))
     assert np.allclose(x, target, atol=1e-11)
 
 

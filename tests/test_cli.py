@@ -1,10 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thermopt.cli as cli_mod
+from thermopt import errors
 from thermopt.cli import main
-from thermopt.config import parse_config_text
+from thermopt.config import _KNOWN_KEYS, build_optimizer_options, parse_config_text
 from thermopt.errors import ConfigurationError
 from thermopt.expressions import Expression
 
@@ -175,11 +179,108 @@ def test_solve_nonconvergence_exits_2(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+CRITICAL = (BENCHMARK.replace("16 16", "8 8")
+            .replace("problem.phi0 = 0.1*x", "problem.phi0 = 1.0*x")
+            + "solver.truncation_level = 0.1\n")
+
+
 def test_solve_criticality_exits_3(tmp_path):
-    cfg = write_config(tmp_path, BENCHMARK.replace("16 16", "8 8")
-                       .replace("problem.phi0 = 0.1*x", "problem.phi0 = 1.0*x")
-                       + "solver.truncation_level = 0.1\n")
+    cfg = write_config(tmp_path, CRITICAL)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("suite", ["maxprinciple", "substitution"])
+def test_verify_criticality_exits_3(tmp_path, capsys, suite):
+    cfg = write_config(tmp_path, CRITICAL)
+    assert main(["verify", "--config", cfg, "--suite", suite,
+                 "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: solution not bounded away from the critical temperature")
+
+
+# every error class the package raises, with its exit code and stderr prefix
+EXIT_CONTRACT = {
+    errors.ConfigurationError: (1, "configuration error: "),
+    errors.DomainError: (2, "error: "),
+    errors.AssemblyError: (2, "error: "),
+    errors.SolverFailure: (2, "error: "),
+    errors.NonconvergenceError: (2, "error: "),
+    errors.CriticalityError: (3, "error: "),
+    errors.AdjointFailure: (2, "error: "),
+    errors.EstimationError: (2, "error: "),
+    errors.CertificateInfeasibleError: (5, "error: "),
+}
+
+
+def test_exit_contract_covers_every_error_class():
+    assert set(EXIT_CONTRACT) == set(errors.ThermoptError.__subclasses__())
+
+
+def _raise_inside(monkeypatch, command, exc):
+    def raiser(*args, **kwargs):
+        raise exc
+
+    if command == "solve":
+        monkeypatch.setattr(cli_mod, "solve_state", raiser)
+    elif command == "optimize":
+        monkeypatch.setattr(cli_mod.ctl, "optimize", raiser)
+    elif command == "certificate":
+        monkeypatch.setattr(cli_mod, "compute_certificate", raiser)
+    else:
+        monkeypatch.setitem(cli_mod._SUITES, "lemma1", raiser)
+    return {"verify": ["--suite", "lemma1"]}.get(command, [])
+
+
+@pytest.mark.parametrize("command", ["solve", "optimize", "verify", "certificate"])
+@pytest.mark.parametrize("error_class", list(EXIT_CONTRACT),
+                         ids=lambda cls: cls.__name__)
+def test_error_class_exit_code(tmp_path, monkeypatch, capsys, command, error_class):
+    extra = _raise_inside(monkeypatch, command, error_class("injected failure"))
+    cfg = write_config(tmp_path, BENCHMARK.replace("16 16", "4 4"))
+    code, prefix = EXIT_CONTRACT[error_class]
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")] + extra) == code
+    assert capsys.readouterr().err == f"{prefix}injected failure\n"
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("solve", "solver.max_iter", "0"),
+    ("solve", "solver.tol", "-1"),
+    ("solve", "solver.damping", "0"),
+    ("optimize", "optimizer.max_outer", "0"),
+    ("optimize", "optimizer.tol", "0"),
+    ("optimize", "optimizer.relaxation", "1.5"),
+])
+def test_out_of_range_option_exits_1(tmp_path, capsys, command, key, value):
+    cfg = write_config(tmp_path, BENCHMARK.replace("16 16", "4 4") + f"{key} = {value}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"configuration error: config key {key}:")
+
+
+def test_option_ranges_include_their_upper_ends():
+    config = parse_config_text("solver.damping = 1\nsolver.max_iter = 1\n"
+                               "optimizer.relaxation = 1\noptimizer.max_outer = 1\n")
+    opts = build_optimizer_options(config)
+    assert (opts.relaxation, opts.max_outer) == (1.0, 1)
+    assert (opts.solver.damping, opts.solver.max_iter) == (1.0, 1)
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _readme_section(heading):
+    return README.split(heading, 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_lists_every_config_key():
+    block = _readme_section("## Configuration reference").split("```")[1]
+    keys = {line.split()[0] for line in block.splitlines() if line[:1].isalpha()}
+    assert keys == set(_KNOWN_KEYS)
+
+
+def test_readme_exit_code_table_matches_cli():
+    rows = re.findall(r"^\| (\d+) \|", _readme_section("## Command line"), re.M)
+    codes = {value for name, value in vars(cli_mod).items() if name.startswith("EXIT_")}
+    assert sorted(int(r) for r in rows) == sorted(codes)
 
 
 def test_optimize_benchmark_history(tmp_path):
@@ -224,8 +325,6 @@ def test_verify_gradient(tmp_path):
 
 
 def test_verify_failing_property_exits_4(tmp_path, monkeypatch, capsys):
-    import thermopt.cli as cli_mod
-
     def broken_suite(config, spec, checks):
         checks.append(("stub.always_fails", False, 2.0, 1.0))
 

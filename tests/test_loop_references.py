@@ -14,7 +14,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from thermopt.assembly import (
-    LinearSystem,
     apply_dirichlet,
     assemble_joule_rhs_direct,
     assemble_joule_rhs_weak,
@@ -419,23 +418,19 @@ def flux_add_at(mesh, coeff_q, w):
     return add_at(mesh, np.einsum("c,cd,cid->ci", cbar, geom.cell_gradient(w), geom.grads))
 
 
-def dirichlet_triple_product(system, bc):
+def dirichlet_triple_product(matrix, rhs, fixed, values):
     """Constrained rows and columns zeroed by D A D + (I - D), D = diag(keep)."""
-    merged = dict(system.constrained)
-    merged.update(bc)
-    A = system.matrix.tocsr()
-    rhs = system.rhs.copy()
-    idx = np.fromiter(merged.keys(), dtype=np.int64)
-    vals = np.fromiter((merged[i] for i in idx), dtype=float)
+    A = matrix.tocsr()
+    rhs = rhs.copy()
     x = np.zeros(A.shape[0])
-    x[idx] = vals
+    x[fixed] = values
     rhs -= A @ x
     keep = np.ones(A.shape[0])
-    keep[idx] = 0.0
+    keep[fixed] = 0.0
     dk = sp.diags(keep)
     A = (dk @ A @ dk + sp.diags(1.0 - keep)).tocsr()
-    rhs[idx] = vals
-    return LinearSystem(A, rhs, merged)
+    rhs[fixed] = values
+    return A, rhs
 
 
 def same_pattern(actual, expected):
@@ -488,10 +483,10 @@ def test_bincount_loads_match_add_at_reference(extents, divisions):
 
 
 def assert_same_system(actual, expected):
-    assert same_pattern(actual.matrix, expected.matrix)
-    assert np.array_equal(actual.matrix.data, expected.matrix.data)
-    assert np.array_equal(actual.rhs, expected.rhs)
-    assert actual.constrained == expected.constrained
+    (A, b), (A_ref, b_ref) = actual, expected
+    assert same_pattern(A, A_ref)
+    assert np.array_equal(A.data, A_ref.data)
+    assert np.array_equal(b, b_ref)
 
 
 @pytest.mark.parametrize("extents, divisions", BOXES)
@@ -500,16 +495,15 @@ def test_masked_dirichlet_matches_triple_product(extents, divisions):
     rng = np.random.default_rng(5)
     K = assemble_weighted_stiffness(mesh, w)
     rhs = rng.standard_normal(mesh.n_vertices)
-    bdry = mesh.boundary_vertex_set()
-    bc = {int(i): float(v) for i, v in zip(bdry, rng.uniform(-1.0, 1.0, bdry.size))}
-    first = dict(list(bc.items())[::2])
-    for system in (LinearSystem(K, rhs, {}), LinearSystem(K, rhs, first)):
-        assert_same_system(apply_dirichlet(system, bc), dirichlet_triple_product(system, bc))
+    fixed = mesh.boundary_vertex_set()
+    values = rng.uniform(-1.0, 1.0, fixed.size)
+    assert_same_system(apply_dirichlet(K, rhs, fixed, values),
+                       dirichlet_triple_product(K, rhs, fixed, values))
     # a constrained vertex whose diagonal is not stored
     off = (K - sp.diags(K.diagonal())).tocsr()
     off.eliminate_zeros()
-    assert_same_system(apply_dirichlet(LinearSystem(off, rhs, {}), bc),
-                       dirichlet_triple_product(LinearSystem(off, rhs, {}), bc))
+    assert_same_system(apply_dirichlet(off, rhs, fixed, values),
+                       dirichlet_triple_product(off, rhs, fixed, values))
 
 
 def test_masked_dirichlet_matches_triple_product_on_adjoint_block():
@@ -523,23 +517,23 @@ def test_masked_dirichlet_matches_triple_product_on_adjoint_block():
                        phi0=interpolate(mesh, lambda p: 1.0 * p[:, 0], FieldKind.POTENTIAL),
                        m_cap=2.0)
     beta = Control.constant(mesh, 1.0, 2.0)
-    block, rhs, bc = adjoint_system(spec, beta, solve_state(spec, beta))
+    block, rhs, fixed = adjoint_system(spec, beta, solve_state(spec, beta))
     assert block.shape == (2 * mesh.n_vertices,) * 2
-    system = LinearSystem(block, rhs, {})
-    assert_same_system(apply_dirichlet(system, bc), dirichlet_triple_product(system, bc))
+    assert_same_system(apply_dirichlet(block, rhs, fixed, 0.0),
+                       dirichlet_triple_product(block, rhs, fixed, 0.0))
 
 
 @pytest.mark.parametrize("extents, divisions", BOXES)
 def test_factor_spd_matches_spsolve(extents, divisions):
     mesh, w, _, _ = random_mesh_fields(extents, divisions)
     rng = np.random.default_rng(9)
-    bc = {int(i): 0.5 for i in mesh.boundary_vertex_set(D)}
-    system = apply_dirichlet(LinearSystem(assemble_weighted_stiffness(mesh, w),
-                                          rng.standard_normal(mesh.n_vertices), {}), bc)
-    x = factor_spd(system.matrix).solve(system.rhs)
-    ref = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    A, rhs = apply_dirichlet(assemble_weighted_stiffness(mesh, w),
+                             rng.standard_normal(mesh.n_vertices),
+                             mesh.boundary_vertex_set(D), 0.5)
+    x = factor_spd(A).solve(rhs)
+    ref = spla.spsolve(A.tocsc(), rhs)
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert np.array_equal(solve_spd(system), x)
+    assert np.array_equal(solve_spd(A, rhs), x)
 
 
 def test_singular_spd_systems_raise_solver_failure():
@@ -549,7 +543,7 @@ def test_singular_spd_systems_raise_solver_failure():
     K = assemble_weighted_stiffness(mesh, 1.0)
     rhs = np.random.default_rng(2).standard_normal(mesh.n_vertices)
     with pytest.raises(SolverFailure):
-        solve_spd(LinearSystem(K, rhs, {}))
+        solve_spd(K, rhs)
     # pure-Neumann Laplacian of a uniform 1D mesh: an exactly zero pivot
     n = 6
     path = sp.diags([-np.ones(n - 1), np.r_[1.0, 2.0 * np.ones(n - 2), 1.0],
@@ -557,7 +551,7 @@ def test_singular_spd_systems_raise_solver_failure():
     with pytest.raises(SolverFailure, match="singular"):
         factor_spd(path)
     with pytest.raises(SolverFailure):
-        solve_spd(LinearSystem(path, np.ones(n), {}))
+        solve_spd(path, np.ones(n))
 
 
 def test_assembled_matrices_own_their_index_arrays():
