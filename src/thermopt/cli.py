@@ -186,9 +186,7 @@ def _suite_maxprinciple(config, spec, checks):
 def _suite_substitution(config, spec, checks):
     beta = cfg.build_control(config, spec)
     opts = cfg.build_solver_options(config)
-    cert = compute_certificate(spec.model, spec, eps=config.get_float("certificate.eps"),
-                               C1=config.get_float("certificate.c1"),
-                               auto_eps=cfg.certificate_eps_mode(config))
+    cert = compute_certificate(spec.model, spec, **cfg.certificate_arguments(config))
     sol = solve_state(spec, beta, opts)
     ts = transform(sol, spec.model, spec.phi0, cert.M)
     r0 = transformed_residual(ts, spec.model, spec, beta)
@@ -392,10 +390,7 @@ def cmd_certificate(config, outdir) -> int:
             "certificate for the constant model needs certificate.allow_constant "
             "= true (there is no critical temperature to certify against)")
     t0 = time.perf_counter()
-    cert = compute_certificate(
-        spec.model, spec, eps=config.get_float("certificate.eps"),
-        C1=config.get_float("certificate.c1"),
-        auto_eps=cfg.certificate_eps_mode(config))
+    cert = compute_certificate(spec.model, spec, **cfg.certificate_arguments(config))
     beta = cfg.build_control(config, spec)
     sol = solve_state(spec, beta, cfg.build_solver_options(config))
     check = check_certificate(sol, cert, spec.model)

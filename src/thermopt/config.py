@@ -42,7 +42,7 @@ _KNOWN_KEYS = {
     "problem.beta": "control expression evaluated at Robin facet centroids",
     "problem.m_cap": "control upper bound >= 0",
     "solver.tol": "Picard fixed-point increment tolerance > 0",
-    "solver.damping": "Picard relaxation weight in (0, 1]",
+    "solver.damping": "Anderson mixing weight in (0, 1]",
     "solver.max_iter": "Picard iteration cap >= 1",
     "solver.joule_form": "weak or direct",
     "solver.truncation_level": "override for the conductivity truncation level",
@@ -151,14 +151,6 @@ def parse_config_text(text: str, path: str | None = None) -> RunConfig:
                      path=path)
 
 
-def certificate_eps_mode(config: RunConfig) -> bool:
-    """True when eps may be halved automatically: an explicitly pinned eps is
-    strict unless certificate.auto_eps is itself set."""
-    if "certificate.auto_eps" in config.explicit:
-        return config.get_bool("certificate.auto_eps")
-    return "certificate.eps" not in config.explicit
-
-
 def load_config(path: str) -> RunConfig:
     try:
         text = Path(path).read_text()
@@ -251,6 +243,8 @@ _RANGES = {
     "optimizer.relaxation": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
     "optimizer.tol": (lambda v: v > 0, "must be > 0"),
     "optimizer.max_outer": (lambda v: v >= 1, "must be >= 1"),
+    "certificate.eps": (lambda v: v > 0, "must be > 0"),
+    "certificate.c1": (lambda v: v > 0, "must be > 0"),
 }
 
 
@@ -289,3 +283,17 @@ def build_optimizer_options(config: RunConfig) -> OptimizerOptions:
         beta0=beta0,
         solver=build_solver_options(config),
     )
+
+
+def certificate_arguments(config: RunConfig) -> dict:
+    """Keyword arguments eps, C1 and auto_eps of `compute_certificate`.
+
+    eps may be halved automatically unless it was pinned in the file, and
+    certificate.auto_eps, when set, decides either way."""
+    if "certificate.auto_eps" in config.explicit:
+        auto_eps = config.get_bool("certificate.auto_eps")
+    else:
+        auto_eps = "certificate.eps" not in config.explicit
+    return {"eps": _option(config.get_float, "certificate.eps"),
+            "C1": _option(config.get_float, "certificate.c1"),
+            "auto_eps": auto_eps}

@@ -12,7 +12,8 @@ and the optimal control satisfies the pointwise projection formula
 beta = clip(-(u - u1) p / 2, 0, m_cap). Two drivers reach the coupled
 optimality system: a relaxed forward-backward sweep on the projection
 formula, and projected gradient descent with an Armijo backtracking line
-search (monotone in J by construction). Sensitivity solves exist only to
+search (monotone in J by construction), in which a trial control whose
+state solve fails counts as a rejected step. Sensitivity solves exist only to
 verify the gradient; the optimizers never use them.
 """
 
@@ -25,7 +26,8 @@ import scipy.sparse as sp
 
 from . import assembly
 from .assembly import apply_dirichlet, geometry
-from .errors import AdjointFailure, ConfigurationError, SolverFailure
+from .errors import (AdjointFailure, ConfigurationError, CriticalityError, DomainError,
+                     NonconvergenceError, SolverFailure)
 from .fields import Control, Field, FieldKind
 from .mesh import BoundaryTag
 from .state import ProblemSpec, SolverOptions, StateSolution, solve_state
@@ -235,9 +237,13 @@ class OptimizeResult:
 def _initial_control(spec: ProblemSpec, opts: OptimizerOptions) -> Control:
     if opts.beta0 is None:
         return Control.constant(spec.mesh, 0.5 * spec.m_cap, spec.m_cap)
-    if np.ndim(opts.beta0) == 0:
-        return Control.constant(spec.mesh, float(opts.beta0), spec.m_cap)
-    return Control(spec.mesh, np.asarray(opts.beta0, dtype=float), spec.m_cap)
+    try:
+        if np.ndim(opts.beta0) == 0:
+            return Control.constant(spec.mesh, float(opts.beta0), spec.m_cap)
+        return Control(spec.mesh, np.asarray(opts.beta0, dtype=float), spec.m_cap)
+    except DomainError as exc:
+        raise ConfigurationError(
+            f"optimizer.beta0: {exc} [0, m_cap = {spec.m_cap:g}]") from exc
 
 
 def optimize(spec: ProblemSpec, opts: OptimizerOptions | None = None) -> OptimizeResult:
@@ -298,7 +304,7 @@ def _optimize_projected_gradient(spec: ProblemSpec,
         resid = float(np.max(np.abs(beta.values - proj))) if proj.size else 0.0
         entry = {"iteration": it, "J": j.total, "integral_u": j.integral_u,
                  "integral_beta_sq": j.integral_beta_sq,
-                 "optimality_residual": resid, "step": 0.0}
+                 "optimality_residual": resid, "step": 0.0, "failed_trials": 0}
         history.append(entry)
         if resid <= opts.tol:
             status, converged = "converged", True
@@ -310,7 +316,13 @@ def _optimize_projected_gradient(spec: ProblemSpec,
             if not np.any(candidate != beta.values):
                 break  # projection blocks every move: stationary
             cand = beta.with_values(candidate)
-            cstate = solve_state(spec, cand, opts.solver)
+            try:
+                cstate = solve_state(spec, cand, opts.solver)
+            except (NonconvergenceError, CriticalityError):
+                # a trial the state solver cannot reach is a rejected step
+                entry["failed_trials"] += 1
+                step *= 0.5
+                continue
             cj = objective(spec.mesh, cstate.u, cand)
             decrease = float(np.sum(measures * g * (candidate - beta.values)))
             if cj.total <= j.total + opts.armijo_c * decrease:

@@ -249,11 +249,29 @@ def test_error_class_exit_code(tmp_path, monkeypatch, capsys, command, error_cla
     ("optimize", "optimizer.max_outer", "0"),
     ("optimize", "optimizer.tol", "0"),
     ("optimize", "optimizer.relaxation", "1.5"),
+    ("certificate", "certificate.c1", "-1"),
+    ("certificate", "certificate.eps", "-1"),
 ])
 def test_out_of_range_option_exits_1(tmp_path, capsys, command, key, value):
     cfg = write_config(tmp_path, BENCHMARK.replace("16 16", "4 4") + f"{key} = {value}\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith(f"configuration error: config key {key}:")
+
+
+@pytest.mark.parametrize("key", ["certificate.c1", "certificate.eps"])
+def test_substitution_suite_nonpositive_certificate_key_exits_1(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, BENCHMARK.replace("16 16", "4 4") + f"{key} = 0\n")
+    assert main(["verify", "--config", cfg, "--suite", "substitution",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"configuration error: config key {key}:")
+
+
+@pytest.mark.parametrize("beta0", ["5", "-1"])
+def test_optimize_beta0_outside_box_exits_1(tmp_path, capsys, beta0):
+    cfg = write_config(tmp_path, BENCHMARK.replace("16 16", "4 4")
+                       + f"optimizer.beta0 = {beta0}\n")
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: optimizer.beta0:")
 
 
 def test_option_ranges_include_their_upper_ends():

@@ -18,6 +18,7 @@ from thermopt.control import (
     solve_adjoint,
     solve_sensitivity,
 )
+from thermopt.errors import CriticalityError, NonconvergenceError
 from thermopt.fields import Control, Field, FieldKind
 from thermopt.materials import TruncatedPower
 from thermopt.mesh import (
@@ -266,6 +267,29 @@ def test_optimize_benchmark_both_modes():
     # projected gradient J history exactly nonincreasing
     hist = [h["J"] for h in results["projected_gradient"].history]
     assert all(a >= b for a, b in zip(hist, hist[1:]))
+
+
+@pytest.mark.parametrize("error_class", [NonconvergenceError, CriticalityError])
+def test_projected_gradient_survives_failed_trial_solve(monkeypatch, error_class):
+    spec = control_spec(8)
+    opts = OptimizerOptions(mode="projected_gradient", tol=1e-7)
+    reference = optimize(spec, opts)
+    calls = []
+
+    def failing_first_trial(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:  # call 1 is the initial state, call 2 the first trial
+            raise error_class("injected trial failure")
+        return solve_state(*args, **kwargs)
+
+    monkeypatch.setattr("thermopt.control.solve_state", failing_first_trial)
+    result = optimize(spec, opts)
+    assert result.converged
+    assert result.history[0]["failed_trials"] == 1
+    assert sum(h["failed_trials"] for h in result.history) == 1
+    j_ref = objective(spec.mesh, reference.state.u, reference.beta).total
+    j = objective(spec.mesh, result.state.u, result.beta).total
+    assert j == pytest.approx(j_ref, rel=1e-6)
 
 
 def test_optimize_interior_optimum_balances_projection():

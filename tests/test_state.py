@@ -70,6 +70,25 @@ def test_solve_state_factors_with_symmetric_ordering_only(monkeypatch):
     assert calls["spsolve"] == 0
 
 
+def test_benchmark_solve_takes_few_mixed_steps():
+    # damped Picard alone takes 16 steps here
+    spec = benchmark_spec()
+    sol = solve_state(spec, Control.constant(spec.mesh, 1.0, 2.0))
+    assert sol.iterations <= 8
+
+
+def test_strong_drive_converges_with_mixing():
+    # damped Picard alone oscillates here and stops at max_iter
+    mesh = build_rectangle_mesh([1.0, 1.0], [16, 16], LEFT)
+    spec = make_spec(mesh, TruncatedPower(1.0, 1.0, 2.0),
+                     lambda p: np.zeros(p.shape[0]),
+                     lambda p: np.zeros(p.shape[0]),
+                     lambda p: 2.0 * p[:, 0])
+    sol = solve_state(spec, Control.constant(mesh, 0.0, 2.0))
+    assert sol.residual_u <= 1e-8 and sol.residual_phi <= 1e-8
+    assert float(np.max(sol.u.values)) < sol.truncation_used.n
+
+
 def test_constant_data_trivial_solution():
     mesh = build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT)
     c_phi, c_u = 2.0, 0.3
