@@ -275,6 +275,10 @@ def build_optimizer_options(config: RunConfig) -> OptimizerOptions:
     beta0 = None
     if config.raw.get("optimizer.beta0"):
         beta0 = config.get_float("optimizer.beta0")
+        m_cap = config.get_float("problem.m_cap")
+        if not 0.0 <= beta0 <= m_cap:
+            raise ConfigurationError(f"config key optimizer.beta0: {beta0!r} must lie "
+                                     f"in [0, problem.m_cap = {m_cap:g}]")
     return OptimizerOptions(
         mode=config.get("optimizer.mode").strip().lower(),
         relaxation=_option(config.get_float, "optimizer.relaxation"),

@@ -13,7 +13,8 @@ beta = clip(-(u - u1) p / 2, 0, m_cap). Two drivers reach the coupled
 optimality system: a relaxed forward-backward sweep on the projection
 formula, and projected gradient descent with an Armijo backtracking line
 search (monotone in J by construction), in which a trial control whose
-state solve fails counts as a rejected step. Sensitivity solves exist only to
+state solve fails counts as a rejected step; a search that runs out of
+trials ends unconverged. Sensitivity solves exist only to
 verify the gradient; the optimizers never use them.
 """
 
@@ -26,7 +27,7 @@ import scipy.sparse as sp
 
 from . import assembly
 from .assembly import apply_dirichlet, geometry
-from .errors import (AdjointFailure, ConfigurationError, CriticalityError, DomainError,
+from .errors import (AdjointFailure, ConfigurationError, CriticalityError,
                      NonconvergenceError, SolverFailure)
 from .fields import Control, Field, FieldKind
 from .mesh import BoundaryTag
@@ -237,13 +238,9 @@ class OptimizeResult:
 def _initial_control(spec: ProblemSpec, opts: OptimizerOptions) -> Control:
     if opts.beta0 is None:
         return Control.constant(spec.mesh, 0.5 * spec.m_cap, spec.m_cap)
-    try:
-        if np.ndim(opts.beta0) == 0:
-            return Control.constant(spec.mesh, float(opts.beta0), spec.m_cap)
-        return Control(spec.mesh, np.asarray(opts.beta0, dtype=float), spec.m_cap)
-    except DomainError as exc:
-        raise ConfigurationError(
-            f"optimizer.beta0: {exc} [0, m_cap = {spec.m_cap:g}]") from exc
+    if np.ndim(opts.beta0) == 0:
+        return Control.constant(spec.mesh, float(opts.beta0), spec.m_cap)
+    return Control(spec.mesh, np.asarray(opts.beta0, dtype=float), spec.m_cap)
 
 
 def optimize(spec: ProblemSpec, opts: OptimizerOptions | None = None) -> OptimizeResult:
@@ -310,11 +307,12 @@ def _optimize_projected_gradient(spec: ProblemSpec,
             status, converged = "converged", True
             break
         step = 1.0
-        accepted = False
+        accepted = blocked = False
         for _ in range(opts.max_backtracks):
             candidate = np.clip(beta.values - step * g, 0.0, spec.m_cap)
             if not np.any(candidate != beta.values):
-                break  # projection blocks every move: stationary
+                blocked = True  # projection blocks every move: stationary
+                break
             cand = beta.with_values(candidate)
             try:
                 cstate = solve_state(spec, cand, opts.solver)
@@ -332,8 +330,11 @@ def _optimize_projected_gradient(spec: ProblemSpec,
                 accepted = True
                 break
             step *= 0.5
+        if blocked:
+            status, converged = "converged", True
+            break
         if not accepted:
-            status, converged = "converged", True  # no admissible descent
+            status = "line search exhausted; current iterate returned"
             break
     final = project_control(spec, state, adjoint, spec.m_cap).values
     resid = float(np.max(np.abs(beta.values - final))) if final.size else 0.0

@@ -271,7 +271,8 @@ def test_optimize_beta0_outside_box_exits_1(tmp_path, capsys, beta0):
     cfg = write_config(tmp_path, BENCHMARK.replace("16 16", "4 4")
                        + f"optimizer.beta0 = {beta0}\n")
     assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith("configuration error: optimizer.beta0:")
+    assert capsys.readouterr().err.startswith(
+        "configuration error: config key optimizer.beta0:")
 
 
 def test_option_ranges_include_their_upper_ends():

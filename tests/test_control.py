@@ -18,7 +18,7 @@ from thermopt.control import (
     solve_adjoint,
     solve_sensitivity,
 )
-from thermopt.errors import CriticalityError, NonconvergenceError
+from thermopt.errors import CriticalityError, DomainError, NonconvergenceError
 from thermopt.fields import Control, Field, FieldKind
 from thermopt.materials import TruncatedPower
 from thermopt.mesh import (
@@ -290,6 +290,32 @@ def test_projected_gradient_survives_failed_trial_solve(monkeypatch, error_class
     j_ref = objective(spec.mesh, reference.state.u, reference.beta).total
     j = objective(spec.mesh, result.state.u, result.beta).total
     assert j == pytest.approx(j_ref, rel=1e-6)
+
+
+def test_projected_gradient_exhausted_search_is_not_converged(monkeypatch):
+    spec = control_spec(8)
+    opts = OptimizerOptions(mode="projected_gradient", tol=1e-7, max_backtracks=6)
+    calls = []
+
+    def failing_trials(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 1:  # call 1 is the initial state; every trial fails
+            raise NonconvergenceError("injected trial failure")
+        return solve_state(*args, **kwargs)
+
+    monkeypatch.setattr("thermopt.control.solve_state", failing_trials)
+    result = optimize(spec, opts)
+    assert not result.converged
+    assert result.status.startswith("line search exhausted")
+    assert result.optimality_residual > opts.tol
+    assert len(result.history) == 1
+    assert result.history[0]["failed_trials"] == opts.max_backtracks
+
+
+def test_optimize_beta0_outside_box_is_a_domain_error():
+    spec = control_spec(4)
+    with pytest.raises(DomainError):
+        optimize(spec, OptimizerOptions(beta0=spec.m_cap + 1.0))
 
 
 def test_optimize_interior_optimum_balances_projection():
