@@ -44,7 +44,6 @@ _KNOWN_KEYS = {
     "solver.tol": "Picard fixed-point increment tolerance > 0",
     "solver.damping": "Anderson mixing weight in (0, 1]",
     "solver.max_iter": "Picard iteration cap >= 1",
-    "solver.joule_form": "weak or direct",
     "solver.truncation_level": "override for the conductivity truncation level",
     "optimizer.mode": "sweep or projected_gradient",
     "optimizer.relaxation": "sweep averaging weight in (0, 1]",
@@ -75,7 +74,6 @@ _DEFAULTS = {
     "solver.tol": "1e-9",
     "solver.damping": "0.7",
     "solver.max_iter": "200",
-    "solver.joule_form": "weak",
     "optimizer.mode": "sweep",
     "optimizer.relaxation": "0.5",
     "optimizer.tol": "1e-7",
@@ -266,7 +264,6 @@ def build_solver_options(config: RunConfig) -> SolverOptions:
         tol=_option(config.get_float, "solver.tol"),
         damping=_option(config.get_float, "solver.damping"),
         max_iter=_option(config.get_int, "solver.max_iter"),
-        joule_form=config.get("solver.joule_form").strip().lower(),
         truncation_level=level,
     )
 

@@ -2,9 +2,9 @@
 optimizers for the Robin boundary control problem.
 
 The objective is J(beta) = integral_Omega u dx + integral_GammaR beta^2 ds
-over the box 0 <= beta <= m_cap. The adjoint pair (p, q) solves the linear
-system that is the transpose of the linearized state equations, so one
-adjoint solve yields the whole gradient
+over the box 0 <= beta <= m_cap. The adjoint pair (p, q) solves the exact
+transpose of the Jacobian of the weak-form state residual that solve_state
+solves, so one adjoint solve yields the exact discrete gradient
 
     g = 2 beta + (u - u1) p      on the Robin boundary,
 
@@ -13,9 +13,11 @@ beta = clip(-(u - u1) p / 2, 0, m_cap). Two drivers reach the coupled
 optimality system: a relaxed forward-backward sweep on the projection
 formula, and projected gradient descent with an Armijo backtracking line
 search (monotone in J by construction), in which a trial control whose
-state solve fails counts as a rejected step; a search that runs out of
-trials ends unconverged. Sensitivity solves exist only to
-verify the gradient; the optimizers never use them.
+state solve fails counts as a rejected step; an iterate is stationary only
+when the projection blocks the full step, and a search that runs out of
+trials or whose step stops moving the control ends unconverged.
+Sensitivity solves exist only to verify the gradient; the optimizers never
+use them.
 """
 
 from __future__ import annotations
@@ -65,13 +67,15 @@ def objective(mesh, u: Field, beta: Control) -> ObjectiveValue:
     return ObjectiveValue(integral_u, float(measures @ beta.values ** 2))
 
 
-def _linearization_blocks(spec: ProblemSpec, beta: Control, state: StateSolution):
-    """Matrices of the state linearization at (u, phi).
+def _state_jacobian(spec: ProblemSpec, beta: Control, state: StateSolution):
+    """Exact Jacobian [[A, B], [C, S]] at (u, phi) of the residuals
+    (K + R) u - b(u, phi) - robin load and S(sigma(u)) phi, with b the weak
+    Joule load of assemble_joule_rhs_weak. H(w; f) is convection_matrix
+    (f = phi by default):
 
-    A  = stiffness(1) + robin(beta) - mass(sigma'(u)|grad phi|^2)
-    H  = convection with sigma(u) grad phi   (trial gradient, test value)
-    W  = convection with sigma'(u) grad phi
-    S  = stiffness(sigma(u))
+    A = K + R - H((phi0 - phi) sigma')^T - mass(sigma' grad phi . grad phi0)
+    B = H(sigma)^T - stiffness((phi0 - phi) sigma) - H(sigma; phi0)
+    C = H(sigma')^T,    S = stiffness(sigma)
     """
     mesh = spec.mesh
     geom = geometry(mesh)
@@ -79,16 +83,22 @@ def _linearization_blocks(spec: ProblemSpec, beta: Control, state: StateSolution
     u_q = np.maximum(geom.at_quadrature(state.u.values), 0.0)
     sigma_q = np.asarray(model.sigma(u_q), dtype=float)
     sigma_prime_q = np.asarray(model.sigma_prime(u_q), dtype=float)
-    gphi2 = np.sum(geom.cell_gradient(state.phi.values) ** 2, axis=1)
+    diff_q = geom.at_quadrature(spec.phi0.values - state.phi.values)
+    dot = np.sum(geom.cell_gradient(state.phi.values)
+                 * geom.cell_gradient(spec.phi0.values), axis=1)
 
     K = assembly.assemble_weighted_stiffness(mesh, 1.0)
     R, _ = assembly.assemble_robin(mesh, beta, spec.u1)
-    MJ = assembly.assemble_mass(mesh, sigma_prime_q * gphi2[:, None])
-    A = (K + R - MJ).tocsr()
-    H = assembly.convection_matrix(mesh, sigma_q, state.phi)
-    W = assembly.convection_matrix(mesh, sigma_prime_q, state.phi)
+    A = (K + R - assembly.convection_matrix(mesh, diff_q * sigma_prime_q, state.phi).T
+         - assembly.assemble_mass(mesh, sigma_prime_q * dot[:, None]))
+    # (phi0 - phi) sigma changes sign: this stiffness bypasses the weight guard
+    signed = geom.matrix(geom.grad_products
+                         * ((diff_q * sigma_q) @ geom.qweights)[:, None, None])
+    B = (assembly.convection_matrix(mesh, sigma_q, state.phi).T - signed
+         - assembly.convection_matrix(mesh, sigma_q, spec.phi0))
+    C = assembly.convection_matrix(mesh, sigma_prime_q, state.phi).T
     S = assembly.assemble_weighted_stiffness(mesh, sigma_q)
-    return A, H, W, S
+    return sp.bmat([[A, B], [C, S]], format="csr")
 
 
 def _block_fixed(spec: ProblemSpec) -> np.ndarray:
@@ -100,15 +110,10 @@ def _block_fixed(spec: ProblemSpec) -> np.ndarray:
 
 def adjoint_system(spec: ProblemSpec, beta: Control,
                    state: StateSolution) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """Monolithic block system for (p, q) with the unit source from the
-    objective; rows are the weak adjoint equations, sign fixed so that
-
-        integral grad p . grad v + robin - sigma'|grad phi|^2 p v
-            + sigma' (grad phi . grad q) v = -integral v        (p rows)
-        -2 integral sigma p grad phi . grad w + integral sigma grad q . grad w = 0.
-    """
-    A, H, W, S = _linearization_blocks(spec, beta, state)
-    block = sp.bmat([[A, W], [-2.0 * H.T, S]], format="csr")
+    """Monolithic block system for (p, q): the transpose of the state
+    Jacobian with the objective's source, A^T p + C^T q = -integral lambda_i
+    dx and B^T p + S q = 0, so the exact transpose of sensitivity_system."""
+    block = _state_jacobian(spec, beta, state).T.tocsr()
     rhs = np.concatenate([-assembly.load_vector(spec.mesh),
                           np.zeros(spec.mesh.n_vertices)])
     return block, rhs, _block_fixed(spec)
@@ -116,14 +121,13 @@ def adjoint_system(spec: ProblemSpec, beta: Control,
 
 def sensitivity_system(spec: ProblemSpec, beta: Control, state: StateSolution,
                        ell: Control) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """Monolithic block system for (psi1, psi2) with Robin forcing
-    -ell (u - u1) on the Robin part; the transpose of the adjoint system."""
-    A, H, W, S = _linearization_blocks(spec, beta, state)
-    block = sp.bmat([[A, -2.0 * H], [W.T, S]], format="csr")
+    """Monolithic block system for (psi1, psi2): the state Jacobian
+    [[A, B], [C, S]] with the derivative of the Robin terms in direction
+    ell, -integral ell (u - u1) lambda_i ds, as the temperature source."""
     ell_load = (assembly.facet_mass(spec.mesh, ell.values, ell.facet_ids)
                 @ (state.u.values - spec.u1.values))
     rhs = np.concatenate([-ell_load, np.zeros(spec.mesh.n_vertices)])
-    return block, rhs, _block_fixed(spec)
+    return _state_jacobian(spec, beta, state), rhs, _block_fixed(spec)
 
 
 def _solve_block(block, rhs, fixed) -> tuple[np.ndarray, np.ndarray, float]:
@@ -303,16 +307,17 @@ def _optimize_projected_gradient(spec: ProblemSpec,
                  "integral_beta_sq": j.integral_beta_sq,
                  "optimality_residual": resid, "step": 0.0, "failed_trials": 0}
         history.append(entry)
-        if resid <= opts.tol:
+        # stationary also when the projection blocks the full step
+        full_step = np.clip(beta.values - g, 0.0, spec.m_cap)
+        if resid <= opts.tol or np.array_equal(full_step, beta.values):
             status, converged = "converged", True
             break
         step = 1.0
-        accepted = blocked = False
+        accepted = False
         for _ in range(opts.max_backtracks):
             candidate = np.clip(beta.values - step * g, 0.0, spec.m_cap)
-            if not np.any(candidate != beta.values):
-                blocked = True  # projection blocks every move: stationary
-                break
+            if np.array_equal(candidate, beta.values):
+                break  # the step no longer moves beta: the search is exhausted
             cand = beta.with_values(candidate)
             try:
                 cstate = solve_state(spec, cand, opts.solver)
@@ -330,9 +335,6 @@ def _optimize_projected_gradient(spec: ProblemSpec,
                 accepted = True
                 break
             step *= 0.5
-        if blocked:
-            status, converged = "converged", True
-            break
         if not accepted:
             status = "line search exhausted; current iterate returned"
             break

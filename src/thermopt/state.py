@@ -71,7 +71,6 @@ class SolverOptions:
     tol: float = 1e-9
     damping: float = 0.7
     max_iter: int = 200
-    joule_form: str = "weak"            # "weak" (definitional) or "direct"
     truncation_level: float | None = None
 
 
@@ -153,13 +152,8 @@ def solve_state(spec: ProblemSpec, beta: Control,
         phi_new = _solve_potential(mesh, sigma, u, fixed_phi, phi_fixed)
         u_field = Field(mesh, u, FieldKind.TEMPERATURE)
         phi_field = Field(mesh, phi_new, FieldKind.POTENTIAL)
-        if opts.joule_form == "weak":
-            joule = assembly.assemble_joule_rhs_weak(mesh, sigma, u_field, phi_field,
-                                                     spec.phi0)
-        elif opts.joule_form == "direct":
-            joule = assembly.assemble_joule_rhs_direct(mesh, sigma, u_field, phi_field)
-        else:
-            raise ConfigurationError(f"unknown joule_form {opts.joule_form!r}")
+        joule = assembly.assemble_joule_rhs_weak(mesh, sigma, u_field, phi_field,
+                                                 spec.phi0)
         u_candidate = u_lu.solve(lift_dirichlet(A_u, joule + robin_rhs, fixed_u, u_fixed))
 
         residual = u_candidate - u
@@ -218,8 +212,7 @@ def _solve_potential(mesh, sigma, u_vals, fixed, values):
                                                fixed, values))
 
 
-def weak_residual(spec: ProblemSpec, beta: Control, sol: StateSolution,
-                  joule_form: str = "weak") -> tuple[float, float]:
+def weak_residual(spec: ProblemSpec, beta: Control, sol: StateSolution) -> tuple[float, float]:
     """Scaled norms of the discrete weak-form residuals with the ORIGINAL sigma.
 
     Using the untruncated conductivity here is what certifies the truncation
@@ -230,10 +223,7 @@ def weak_residual(spec: ProblemSpec, beta: Control, sol: StateSolution,
     sigma = lambda s: spec.model.sigma(np.maximum(np.asarray(s, dtype=float), 0.0))
     K = assembly.assemble_weighted_stiffness(mesh, 1.0)
     R, robin_rhs = assembly.assemble_robin(mesh, beta, spec.u1)
-    if joule_form == "weak":
-        joule = assembly.assemble_joule_rhs_weak(mesh, sigma, sol.u, sol.phi, spec.phi0)
-    else:
-        joule = assembly.assemble_joule_rhs_direct(mesh, sigma, sol.u, sol.phi)
+    joule = assembly.assemble_joule_rhs_weak(mesh, sigma, sol.u, sol.phi, spec.phi0)
     lhs_u = (K + R) @ sol.u.values
     res_u = lhs_u - joule - robin_rhs
     free_u = np.ones(mesh.n_vertices, dtype=bool)

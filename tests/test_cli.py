@@ -112,6 +112,12 @@ def test_solve_unknown_key_exits_1(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+def test_removed_joule_form_key_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, BENCHMARK + "solver.joule_form = weak\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "unknown key 'solver.joule_form'" in capsys.readouterr().err
+
+
 def test_solve_inadmissible_beta_exits_1(tmp_path):
     cfg = write_config(tmp_path, BENCHMARK.replace("problem.beta = 1.0",
                                                    "problem.beta = 5.0"))

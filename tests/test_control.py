@@ -36,14 +36,14 @@ ALL = dirichlet_on_planes("x=0", "x=1", "y=0", "y=1")
 MODEL = TruncatedPower(1.0, 1.0, 2.0)
 
 
-def control_spec(n=16, u1_val=0.05, m_cap=2.0, mesh=None):
+def control_spec(n=16, u1_val=0.05, m_cap=2.0, mesh=None, drive=0.1):
     mesh = mesh or build_rectangle_mesh([1.0, 1.0], [n, n], LEFT)
     return ProblemSpec(
         mesh=mesh, model=MODEL,
         u0=interpolate(mesh, lambda p: np.zeros(p.shape[0]), FieldKind.TEMPERATURE),
         u1=interpolate(mesh, lambda p: np.full(p.shape[0], u1_val),
                        FieldKind.TEMPERATURE),
-        phi0=interpolate(mesh, lambda p: 0.1 * p[:, 0], FieldKind.POTENTIAL),
+        phi0=interpolate(mesh, lambda p: drive * p[:, 0], FieldKind.POTENTIAL),
         m_cap=m_cap)
 
 
@@ -312,6 +312,39 @@ def test_projected_gradient_exhausted_search_is_not_converged(monkeypatch):
     assert result.history[0]["failed_trials"] == opts.max_backtracks
 
 
+def test_projected_gradient_vanishing_step_is_not_stationary(monkeypatch):
+    # an uphill direction of size 1e-6: no trial decreases J, and after about
+    # 35 halvings the clipped candidate equals beta bit for bit; that is an
+    # exhausted search, not a step the projection blocks
+    from thermopt import control
+    true_gradient = control.gradient
+    monkeypatch.setattr(control, "gradient",
+                        lambda *args: -1e-6 * np.sign(true_gradient(*args)))
+    opts = OptimizerOptions(mode="projected_gradient", tol=1e-7)
+    result = optimize(control_spec(8), opts)
+    assert not result.converged
+    assert result.status.startswith("line search exhausted")
+    assert result.optimality_residual > opts.tol
+    assert len(result.history) == 1
+
+
+def test_projected_gradient_coarse_mesh_converges_in_few_solves(monkeypatch):
+    # 12x12 at phi0 = 0.986464 x: with a gradient off by 1e-7 the search
+    # stalled for hundreds of state solves and reported a residual above tol
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(None)
+        return solve_state(*args, **kwargs)
+
+    monkeypatch.setattr("thermopt.control.solve_state", counting_solve)
+    opts = OptimizerOptions(mode="projected_gradient", tol=1e-7)
+    result = optimize(control_spec(12, drive=0.986464), opts)
+    assert result.converged
+    assert result.optimality_residual <= opts.tol
+    assert len(calls) <= 20
+
+
 def test_optimize_beta0_outside_box_is_a_domain_error():
     spec = control_spec(4)
     with pytest.raises(DomainError):
@@ -407,3 +440,24 @@ def test_gradient_triangle_pairwise():
         assert abs(d1 - d2) <= 1e-3 * scale
         assert abs(d1 - d3) <= 1e-3 * scale
         assert abs(d2 - d3) <= 1e-3 * scale
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("drive", [0.1, 1.0])
+def test_gradient_is_exact_derivative(n, drive):
+    # the adjoint is the transpose of the Jacobian of the weak-form state the
+    # solver solves, so it matches central differences to their own error
+    spec = control_spec(n, drive=drive)
+    beta = Control.constant(spec.mesh, 0.5, 2.0)
+    opts = SolverOptions(tol=1e-12)
+    state = solve_state(spec, beta, opts)
+    adjoint = solve_adjoint(spec, beta, state)
+    rng = np.random.default_rng(23)
+    for _ in range(2):
+        ell = Control.variation(spec.mesh, rng.uniform(-1, 1, beta.values.size))
+        d_adj = dj_adjoint(spec, state, adjoint, beta, ell)
+        d_sens = dj_sensitivity(spec, solve_sensitivity(spec, beta, state, ell),
+                                beta, ell)
+        d_fd = dj_fd(spec, beta, ell, eps=1e-4, solver=opts)
+        assert abs(d_adj - d_fd) <= 1e-7 * abs(d_fd)
+        assert abs(d_adj - d_sens) <= 1e-7 * abs(d_sens)

@@ -265,18 +265,6 @@ def test_negative_boundary_data_rejected():
         solve_state(spec, Control.constant(mesh, 1.0, 2.0))
 
 
-def test_direct_joule_form_close_to_weak():
-    spec = benchmark_spec(n=8)
-    beta = Control.constant(spec.mesh, 1.0, 2.0)
-    weak = solve_state(spec, beta)
-    direct = solve_state(spec, beta, SolverOptions(joule_form="direct"))
-    r_u, _ = weak_residual(spec, beta, direct, joule_form="direct")
-    assert r_u <= 1e-8
-    # the two discretizations agree up to the quadrature consistency gap
-    gap = float(np.max(np.abs(weak.u.values - direct.u.values)))
-    assert 0 < gap < 1e-4
-
-
 def test_nonconvergence_error_carries_history():
     from thermopt.errors import NonconvergenceError
     spec = benchmark_spec(n=4)
