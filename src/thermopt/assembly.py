@@ -10,6 +10,7 @@ returned and solves on distinct systems may run concurrently.
 from __future__ import annotations
 
 import weakref
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -44,13 +45,16 @@ class P1Geometry:
     routines.
 
     Holds the cell array but not the mesh itself, so that the cache below
-    releases the geometry together with its mesh.
+    releases the geometry together with its mesh. The operators that depend
+    on the mesh alone (the unit stiffness and the potential preconditioner)
+    are built on first use and kept here.
     """
 
     def __init__(self, mesh: Mesh):
         self.cells = mesh.cells
         self.n_vertices = mesh.n_vertices
         self.dim = mesh.dim
+        self.boundary_vertices = mesh.boundary_vertex_set()
         self.volumes = cell_volumes(mesh)
         self.grads = self._basis_gradients(mesh)          # (nc, d+1, d)
         # grad(lambda_i) . grad(lambda_j) |K|, the unit-weight cell stiffness
@@ -105,6 +109,22 @@ class P1Geometry:
         """Sum the (nc, d+1) cell vectors into a nodal vector."""
         return np.bincount(self.cells.ravel(), weights=local.ravel(),
                            minlength=self.n_vertices)
+
+    @cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        """The unit-weight stiffness K, shared by every caller on this mesh:
+        its arrays are read-only."""
+        K = self.matrix(self.grad_products)
+        for array in (K.data, K.indices, K.indptr):
+            array.flags.writeable = False
+        return K
+
+    @cached_property
+    def potential_factor(self) -> spla.SuperLU:
+        """Factor of K eliminated on the whole boundary, the potential's
+        Dirichlet set: it preconditions every potential solve on this mesh."""
+        return factor_spd(apply_dirichlet(self.stiffness, np.zeros(self.n_vertices),
+                                          self.boundary_vertices, 0.0)[0])
 
 
 _GEOMETRY_CACHE: "weakref.WeakKeyDictionary[Mesh, P1Geometry]" = weakref.WeakKeyDictionary()
@@ -326,6 +346,38 @@ def solve_spd(matrix: sp.spmatrix, rhs: np.ndarray, rtol: float = 1e-10) -> np.n
     if not check_symmetric(matrix):
         raise SolverFailure("matrix not symmetric")
     return _checked_solution(matrix, rhs, factor_spd(matrix).solve(rhs), rtol)
+
+
+def solve_spd_pcg(matrix: sp.spmatrix, rhs: np.ndarray, x0: np.ndarray,
+                  precond: spla.SuperLU, pcg_rtol: float, max_iter: int,
+                  rtol: float = 1e-10) -> tuple[np.ndarray, int, spla.SuperLU | None]:
+    """SPD solve by conjugate gradients from x0, preconditioned by `precond`
+    (a factor of a spectrally equivalent SPD matrix), to relative residual
+    pcg_rtol. When CG reaches max_iter iterations the matrix is factored and
+    solved directly instead. Returns the solution, the CG iterations and the
+    new factor (None when CG converged); the contract is that of solve_spd.
+    """
+    if not check_symmetric(matrix):
+        raise SolverFailure("matrix not symmetric")
+    x = np.array(x0, dtype=float)
+    r = rhs - matrix @ x
+    stop = pcg_rtol * np.linalg.norm(rhs)
+    p = np.zeros_like(x)
+    rz = 1.0
+    for iteration in range(max_iter + 1):
+        if np.linalg.norm(r) <= stop:
+            return _checked_solution(matrix, rhs, x, rtol), iteration, None
+        if iteration == max_iter:
+            break
+        z = precond.solve(r)
+        rz, rz_prev = float(r @ z), rz
+        p = z + (rz / rz_prev) * p
+        q = matrix @ p
+        alpha = rz / float(p @ q)
+        x += alpha * p
+        r -= alpha * q
+    lu = factor_spd(matrix)
+    return _checked_solution(matrix, rhs, lu.solve(rhs), rtol), max_iter, lu
 
 
 def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray, rtol: float = 1e-10) -> np.ndarray:

@@ -71,6 +71,8 @@ def _state_summary(spec, sol):
         "phi_w1inf_proxy": max(float(np.max(np.abs(sol.phi.values))),
                                max_cell_gradient(sol.phi)),
         "truncation_level": (sol.truncation_used.n if sol.truncation_used else None),
+        "cg_iterations": sol.cg_iterations,
+        "factorizations": sol.factorizations,
     }
 
 

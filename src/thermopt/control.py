@@ -87,9 +87,8 @@ def _state_jacobian(spec: ProblemSpec, beta: Control, state: StateSolution):
     dot = np.sum(geom.cell_gradient(state.phi.values)
                  * geom.cell_gradient(spec.phi0.values), axis=1)
 
-    K = assembly.assemble_weighted_stiffness(mesh, 1.0)
     R, _ = assembly.assemble_robin(mesh, beta, spec.u1)
-    A = (K + R - assembly.convection_matrix(mesh, diff_q * sigma_prime_q, state.phi).T
+    A = (geom.stiffness + R - assembly.convection_matrix(mesh, diff_q * sigma_prime_q, state.phi).T
          - assembly.assemble_mass(mesh, sigma_prime_q * dot[:, None]))
     # (phi0 - phi) sigma changes sign: this stiffness bypasses the weight guard
     signed = geom.matrix(geom.grad_products

@@ -18,28 +18,22 @@ _VTK_CELL_TYPE = {2: 5, 3: 10}  # triangle, tetrahedron
 def write_vtk(field: Field, path: str, name: str) -> None:
     """Legacy ASCII VTK unstructured grid with one point scalar."""
     mesh = field.mesh
+    k = mesh.dim + 1
+    points = np.zeros((mesh.n_vertices, 3))
+    points[:, :mesh.dim] = mesh.vertices
+    cells = np.column_stack([np.full(mesh.n_cells, k), mesh.cells])
+    lines = ["# vtk DataFile Version 3.0", name, "ASCII", "DATASET UNSTRUCTURED_GRID",
+             f"POINTS {mesh.n_vertices} double"]
+    lines += [" ".join(map(repr, row)) for row in points.tolist()]
+    lines.append(f"CELLS {mesh.n_cells} {mesh.n_cells * (k + 1)}")
+    lines += [" ".join(map(str, row)) for row in cells.tolist()]
+    lines.append(f"CELL_TYPES {mesh.n_cells}")
+    lines += [str(_VTK_CELL_TYPE[mesh.dim])] * mesh.n_cells
+    lines += [f"POINT_DATA {mesh.n_vertices}", f"SCALARS {name} double 1",
+              "LOOKUP_TABLE default"]
+    lines += map(repr, np.asarray(field.values, dtype=float).tolist())
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"{name}\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {mesh.n_vertices} double\n")
-        for v in mesh.vertices:
-            coords = list(v) + [0.0] * (3 - mesh.dim)
-            fh.write(" ".join(repr(float(c)) for c in coords) + "\n")
-        k = mesh.dim + 1
-        fh.write(f"CELLS {mesh.n_cells} {mesh.n_cells * (k + 1)}\n")
-        for c in mesh.cells:
-            fh.write(f"{k} " + " ".join(str(int(i)) for i in c) + "\n")
-        fh.write(f"CELL_TYPES {mesh.n_cells}\n")
-        ctype = _VTK_CELL_TYPE[mesh.dim]
-        for _ in range(mesh.n_cells):
-            fh.write(f"{ctype}\n")
-        fh.write(f"POINT_DATA {mesh.n_vertices}\n")
-        fh.write(f"SCALARS {name} double 1\n")
-        fh.write("LOOKUP_TABLE default\n")
-        for val in field.values:
-            fh.write(repr(float(val)) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_beta_csv(beta: Control, path: str) -> None:

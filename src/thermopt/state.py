@@ -14,6 +14,13 @@ solve uniformly elliptic; afterwards the solution is checked to stay below
 the truncation level, so it solves the original problem and the truncation
 was only scaffolding. Exceeding the level is a first-class error: that
 regime is outside the theory.
+
+The truncation also makes every potential matrix S(sigma_n(u)) spectrally
+equivalent to the unit stiffness K, with condition number of K^-1 S at most
+sigma_0 / min sigma_n. So each potential solve is conjugate gradients from
+the previous step's potential, preconditioned by the per-mesh factor of K;
+when CG reaches its cap the step factors S and solves directly, and that
+factor preconditions the rest of the solve.
 """
 
 from __future__ import annotations
@@ -34,6 +41,18 @@ from .mesh import BoundaryTag, Mesh
 # benchmark centre inputs (the 16^3 certificate solve and the 32^2 solve at
 # beta = 1) depths 2 to 8 take 6 and 8-9 steps, depth 1 takes 8 and 11.
 ANDERSON_DEPTH = 5
+
+# Relative residual at which CG stops on a potential solve. With 1e-13, J and
+# max u of the projected-gradient benchmark ops (32^2, seed 0, ops 0-19) stay
+# within 2.3e-13 of direct solves.
+PCG_RTOL = 1e-13
+
+# CG iterations after which a potential solve factors S instead. Preconditioned
+# by K, CG takes 0-3 iterations per Picard step on a 16^3 solve at phi0 = 0.1x
+# and 3-10 on a 32^2 solve at phi0 = x; at phi0 = 2x and 3x (32^2, beta = 0)
+# 4 of 15 and 9 of 35 steps reach this cap and refactor. Caps from 10 to 30
+# gave the same solve times there, within run-to-run noise.
+PCG_MAX_ITER = 20
 
 
 @dataclass
@@ -84,6 +103,8 @@ class StateSolution:
     sigma_clamp_count: int
     truncation_used: TruncationLevel | None
     history: list = dfield(default_factory=list)
+    cg_iterations: int = 0       # over all potential solves
+    factorizations: int = 0      # sparse LU factorizations this solve made
 
 
 class _CountingSigma:
@@ -129,17 +150,21 @@ def solve_state(spec: ProblemSpec, beta: Control,
     work_model = truncate(spec.model, level) if level is not None else spec.model
     sigma = _CountingSigma(work_model)
 
-    K = assembly.assemble_weighted_stiffness(mesh, 1.0)
+    geom = geometry(mesh)
     R, robin_rhs = assembly.assemble_robin(mesh, beta, spec.u1)
-    A_u = (K + R).tocsr()
+    A_u = (geom.stiffness + R).tocsr()
     fixed_u = spec.dirichlet_temperature_vertices()
     u_fixed = spec.u0.values[fixed_u]
-    fixed_phi = mesh.boundary_vertex_set()
+    fixed_phi = geom.boundary_vertices
     phi_fixed = spec.phi0.values[fixed_phi]
 
     # the temperature matrix is iteration-independent: factor once
     u_lu = assembly.factor_spd(
         apply_dirichlet(A_u, np.zeros(mesh.n_vertices), fixed_u, u_fixed)[0])
+    # K's factor counts only for the solve that builds it
+    factorizations = 1 + ("potential_factor" not in vars(geom))
+    precond = geom.potential_factor
+    cg_iterations = 0
 
     u = spec.u0.values.copy()
     phi = spec.phi0.values.copy()
@@ -149,7 +174,12 @@ def solve_state(spec: ProblemSpec, beta: Control,
     iterations = 0
 
     for iterations in range(1, opts.max_iter + 1):
-        phi_new = _solve_potential(mesh, sigma, u, fixed_phi, phi_fixed)
+        phi_new, cg, refactor = _solve_potential(mesh, sigma, u, phi, fixed_phi,
+                                                 phi_fixed, precond)
+        cg_iterations += cg
+        if refactor is not None:
+            precond = refactor
+            factorizations += 1
         u_field = Field(mesh, u, FieldKind.TEMPERATURE)
         phi_field = Field(mesh, phi_new, FieldKind.POTENTIAL)
         joule = assembly.assemble_joule_rhs_weak(mesh, sigma, u_field, phi_field,
@@ -160,7 +190,8 @@ def solve_state(spec: ProblemSpec, beta: Control,
         delta_u = float(np.max(np.abs(residual)))
         delta_phi = float(np.max(np.abs(phi_new - phi)))
         history.append({"iteration": iterations, "delta_u": delta_u,
-                        "delta_phi": delta_phi, "max_u": float(np.max(u_candidate))})
+                        "delta_phi": delta_phi, "max_u": float(np.max(u_candidate)),
+                        "cg_iterations": cg, "refactored": refactor is not None})
         phi = phi_new
         if max(delta_u, delta_phi) <= opts.tol:
             u = u_candidate
@@ -199,17 +230,20 @@ def solve_state(spec: ProblemSpec, beta: Control,
         truncation_used=(work_model.level if isinstance(work_model, TruncatedModel)
                          else None),
         history=history,
+        cg_iterations=cg_iterations,
+        factorizations=factorizations,
     )
     sol.residual_u, sol.residual_phi = weak_residual(spec, beta, sol)
     return sol
 
 
-def _solve_potential(mesh, sigma, u_vals, fixed, values):
+def _solve_potential(mesh, sigma, u_vals, phi, fixed, values, precond):
     # a function, so that its matrix is freed before the Joule assembly
     w = sigma(geometry(mesh).at_quadrature(u_vals))
     A_phi = assembly.assemble_weighted_stiffness(mesh, w)
-    return assembly.solve_spd(*apply_dirichlet(A_phi, np.zeros(mesh.n_vertices),
-                                               fixed, values))
+    return assembly.solve_spd_pcg(
+        *apply_dirichlet(A_phi, np.zeros(mesh.n_vertices), fixed, values),
+        phi, precond, PCG_RTOL, PCG_MAX_ITER)
 
 
 def weak_residual(spec: ProblemSpec, beta: Control, sol: StateSolution) -> tuple[float, float]:
@@ -221,10 +255,9 @@ def weak_residual(spec: ProblemSpec, beta: Control, sol: StateSolution) -> tuple
     """
     mesh = spec.mesh
     sigma = lambda s: spec.model.sigma(np.maximum(np.asarray(s, dtype=float), 0.0))
-    K = assembly.assemble_weighted_stiffness(mesh, 1.0)
     R, robin_rhs = assembly.assemble_robin(mesh, beta, spec.u1)
     joule = assembly.assemble_joule_rhs_weak(mesh, sigma, sol.u, sol.phi, spec.phi0)
-    lhs_u = (K + R) @ sol.u.values
+    lhs_u = (geometry(mesh).stiffness + R) @ sol.u.values
     res_u = lhs_u - joule - robin_rhs
     free_u = np.ones(mesh.n_vertices, dtype=bool)
     free_u[spec.dirichlet_temperature_vertices()] = False

@@ -182,7 +182,7 @@ def compute_C_eps(model: ConductivityModel, eps: float, p: float = 2.0,
 def estimate_poincare(mesh: Mesh, tol: float = 1e-8, max_iter: int = 500) -> float:
     """C_D = 1/sqrt(lambda_min) for the Laplacian with zero data on the
     Dirichlet part, by inverse power iteration on the generalized problem."""
-    K = assembly.assemble_weighted_stiffness(mesh, 1.0).tocsc()
+    K = geometry(mesh).stiffness.tocsc()
     M = assembly.assemble_mass(mesh).tocsc()
     free = np.ones(mesh.n_vertices, dtype=bool)
     free[mesh.boundary_vertex_set(BoundaryTag.DIRICHLET_TEMPERATURE)] = False

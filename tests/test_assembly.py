@@ -22,6 +22,7 @@ from thermopt.assembly import (
     norms,
     solve_sparse,
     solve_spd,
+    solve_spd_pcg,
 )
 from thermopt.errors import AssemblyError, SolverFailure
 from thermopt.fields import Control, Field, FieldKind
@@ -320,11 +321,50 @@ def test_geometry_cache_and_interpolate():
     assert np.allclose(f.values, 2.0 * mesh.vertices[:, 0])
 
 
+def test_geometry_keeps_unit_stiffness_and_potential_factor():
+    mesh = unit_square(4)
+    geom = geometry(mesh)
+    K = geom.stiffness
+    assert geom.stiffness is K
+    ref = assemble_weighted_stiffness(mesh, 1.0)
+    assert np.array_equal(K.indptr, ref.indptr) and np.array_equal(K.indices, ref.indices)
+    assert np.array_equal(K.data, ref.data)
+    with pytest.raises(ValueError):
+        K.data[0] = 0.0
+    fixed = mesh.boundary_vertex_set()
+    A, rhs = apply_dirichlet(K, np.ones(mesh.n_vertices), fixed, 0.5)
+    assert np.allclose(geom.potential_factor.solve(rhs), solve_spd(A, rhs), rtol=1e-13)
+
+
+def test_solve_spd_pcg_converges_or_refactors():
+    mesh = unit_square(8)
+    fixed = mesh.boundary_vertex_set()
+    w = 1.0 + mesh.vertices[:, 0] ** 2
+    A, rhs = apply_dirichlet(assemble_weighted_stiffness(mesh, w),
+                             np.zeros(mesh.n_vertices), fixed, mesh.vertices[fixed, 1])
+    x0 = np.zeros(mesh.n_vertices)
+    x0[fixed] = mesh.vertices[fixed, 1]
+    precond = geometry(mesh).potential_factor
+    x, iterations, lu = solve_spd_pcg(A, rhs, x0, precond, 1e-13, 50)
+    assert 0 < iterations < 50 and lu is None
+    assert np.allclose(x, solve_spd(A, rhs), rtol=0, atol=1e-12)
+    # converged start: no iteration
+    assert solve_spd_pcg(A, rhs, x, precond, 1e-13, 50)[1] == 0
+    # at the cap the matrix is factored and solved directly
+    y, iterations, lu = solve_spd_pcg(A, rhs, x0, precond, 1e-13, 1)
+    assert iterations == 1 and lu is not None
+    assert np.array_equal(y, solve_spd(A, rhs))
+    with pytest.raises(SolverFailure, match="symmetric"):
+        solve_spd_pcg(sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]])),
+                      np.ones(2), np.zeros(2), precond, 1e-13, 5)
+
+
 def test_geometry_cache_releases_its_mesh():
     gc.collect()
     before = len(assembly._GEOMETRY_CACHE)
     mesh = unit_square(3)
     assemble_weighted_stiffness(mesh, 1.0)
+    geometry(mesh).potential_factor
     assert len(assembly._GEOMETRY_CACHE) == before + 1
     alive = weakref.ref(mesh)
     del mesh

@@ -86,6 +86,10 @@ def test_solve_benchmark_writes_artifacts(tmp_path):
     assert report["schema_version"] == 1
     assert report["state"]["max_u"] < 0.9
     assert report["state"]["subcritical_margin"] > 0
+    history = report["state"]["history"]
+    assert report["state"]["cg_iterations"] == sum(h["cg_iterations"] for h in history)
+    # a fresh mesh: K, the temperature matrix and each refactored potential
+    assert report["state"]["factorizations"] == 2 + sum(h["refactored"] for h in history)
     for artifact in report["artifacts"]:
         assert (out / artifact.split("/")[-1]).exists()
     text = (out / "u.vtk").read_text()

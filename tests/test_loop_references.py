@@ -41,6 +41,7 @@ from thermopt.mesh import (
     facet_measures,
     refine_uniform,
 )
+from thermopt.reporting import write_vtk
 from thermopt.state import ProblemSpec, solve_state
 from thermopt.transform import _flux_load, energy_inequality_report, transform
 
@@ -566,3 +567,42 @@ def test_assembled_matrices_own_their_index_arrays():
         assert not np.shares_memory(first.indices, second.indices)
         assert same_pattern(second, reference(mesh, w))
         assert cell_close(second.data, reference(mesh, w).data)
+
+
+def write_vtk_loop(field, path, name):
+    """The line-by-line VTK writer that write_vtk replaced."""
+    mesh = field.mesh
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write(f"{name}\n")
+        fh.write("ASCII\n")
+        fh.write("DATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {mesh.n_vertices} double\n")
+        for v in mesh.vertices:
+            coords = list(v) + [0.0] * (3 - mesh.dim)
+            fh.write(" ".join(repr(float(c)) for c in coords) + "\n")
+        k = mesh.dim + 1
+        fh.write(f"CELLS {mesh.n_cells} {mesh.n_cells * (k + 1)}\n")
+        for c in mesh.cells:
+            fh.write(f"{k} " + " ".join(str(int(i)) for i in c) + "\n")
+        fh.write(f"CELL_TYPES {mesh.n_cells}\n")
+        ctype = {2: 5, 3: 10}[mesh.dim]
+        for _ in range(mesh.n_cells):
+            fh.write(f"{ctype}\n")
+        fh.write(f"POINT_DATA {mesh.n_vertices}\n")
+        fh.write(f"SCALARS {name} double 1\n")
+        fh.write("LOOKUP_TABLE default\n")
+        for val in field.values:
+            fh.write(repr(float(val)) + "\n")
+
+
+@pytest.mark.parametrize("extents, divisions", BOXES)
+def test_vtk_writer_matches_loop_reference(tmp_path, extents, divisions):
+    mesh, w, _, _ = random_mesh_fields(extents, divisions)
+    # values of every magnitude and sign, and exact zeros
+    values = w * np.geomspace(1e-300, 1e300, mesh.n_vertices) * np.cos(np.arange(mesh.n_vertices))
+    values[::7] = 0.0
+    field = Field(mesh, values, FieldKind.TEMPERATURE)
+    write_vtk(field, str(tmp_path / "a.vtk"), "u")
+    write_vtk_loop(field, str(tmp_path / "b.vtk"), "u")
+    assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes()

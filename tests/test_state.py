@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from thermopt import state
 from thermopt.assembly import interpolate, norms
 from thermopt.errors import ConfigurationError
 from thermopt.fields import Control, Field, FieldKind
@@ -44,8 +45,10 @@ def benchmark_spec(n=16, model=None, u1_val=0.0):
 
 
 def test_solve_state_factors_with_symmetric_ordering_only(monkeypatch):
-    """One MMD factorization per Picard step plus one for the temperature,
-    and no COLAMD spsolve; a count, so it cannot flake on timing."""
+    """A first solve factors K (the potential preconditioner) and the
+    temperature matrix, a second solve on the same mesh only the temperature
+    matrix, all with the MMD ordering, and no COLAMD spsolve; a count, so it
+    cannot flake on timing."""
     calls = {"splu": [], "spsolve": 0}
     splu, spsolve = spla.splu, spla.spsolve
 
@@ -64,10 +67,74 @@ def test_solve_state_factors_with_symmetric_ordering_only(monkeypatch):
     mesh = build_rectangle_mesh([1.0, 1.0, 1.0], [3, 3, 3], LEFT)
     spec = make_spec(mesh, TruncatedPower(1.0, 1.0, 2.0), lambda p: np.zeros(p.shape[0]),
                      lambda p: np.zeros(p.shape[0]), lambda p: 0.5 * p[:, 0])
-    sol = solve_state(spec, Control.constant(mesh, 1.0, 2.0))
+    beta = Control.constant(mesh, 1.0, 2.0)
+    sol = solve_state(spec, beta)
     assert sol.iterations > 1
-    assert calls["splu"] == ["MMD_AT_PLUS_A"] * (sol.iterations + 1)
+    assert calls["splu"] == ["MMD_AT_PLUS_A"] * 2
+    assert sol.factorizations == 2
+    calls["splu"].clear()
+    again = solve_state(spec, beta)
+    assert calls["splu"] == ["MMD_AT_PLUS_A"]
+    assert again.factorizations == 1
     assert calls["spsolve"] == 0
+
+
+def drive_spec(divisions, scale):
+    mesh = build_rectangle_mesh([1.0] * len(divisions), divisions, LEFT)
+    return make_spec(mesh, TruncatedPower(1.0, 1.0, 2.0),
+                     lambda p: np.zeros(p.shape[0]),
+                     lambda p: np.zeros(p.shape[0]),
+                     lambda p: scale * p[:, 0])
+
+
+def rel_diff(a, b):
+    return float(np.max(np.abs(a - b))) / float(np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("divisions", [[16, 16], [8, 8, 8]], ids=["16x16", "8x8x8"])
+def test_preconditioned_potential_solves_match_direct(monkeypatch, divisions):
+    spec = drive_spec(divisions, 0.1)
+    beta = Control.constant(spec.mesh, 1.0, 2.0)
+    cg = solve_state(spec, beta)
+    assert cg.cg_iterations > 0
+    assert not any(h["refactored"] for h in cg.history)
+    # a cap of zero CG iterations factors every potential matrix
+    monkeypatch.setattr(state, "PCG_MAX_ITER", 0)
+    direct = solve_state(spec, beta)
+    # a start that already meets the tolerance needs no factor
+    assert direct.cg_iterations == 0
+    assert sum(h["refactored"] for h in direct.history) >= direct.iterations - 1
+    assert cg.iterations == direct.iterations
+    assert rel_diff(cg.u.values, direct.u.values) <= 1e-12
+    assert rel_diff(cg.phi.values, direct.phi.values) <= 1e-12
+
+
+def test_potential_solve_refactors_under_strong_drive(monkeypatch):
+    spec = drive_spec([32, 32], 3.0)
+    beta = Control.constant(spec.mesh, 0.0, 2.0)
+    sol = solve_state(spec, beta)
+    refactors = sum(h["refactored"] for h in sol.history)
+    assert refactors >= 1
+    assert sol.factorizations == 2 + refactors
+    assert sol.cg_iterations == sum(h["cg_iterations"] for h in sol.history)
+    assert sol.residual_u <= 1e-8 and sol.residual_phi <= 1e-8
+    monkeypatch.setattr(state, "PCG_MAX_ITER", 0)
+    direct = solve_state(spec, beta)
+    assert sol.iterations == direct.iterations
+    assert abs(np.max(sol.u.values) - np.max(direct.u.values)) <= 1e-10 * np.max(direct.u.values)
+
+
+def test_solution_does_not_depend_on_earlier_solves_on_the_mesh():
+    weak = drive_spec([32, 32], 0.5)
+    strong = make_spec(weak.mesh, weak.model, lambda p: np.zeros(p.shape[0]),
+                       lambda p: np.zeros(p.shape[0]), lambda p: 3.0 * p[:, 0])
+    beta = Control.constant(weak.mesh, 0.0, 2.0)
+    first = solve_state(weak, beta)
+    assert any(h["refactored"] for h in solve_state(strong, beta).history)
+    second = solve_state(weak, beta)
+    assert np.array_equal(first.u.values, second.u.values)
+    assert np.array_equal(first.phi.values, second.phi.values)
+    assert first.history == second.history
 
 
 def test_benchmark_solve_takes_few_mixed_steps():
