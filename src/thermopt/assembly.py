@@ -239,15 +239,18 @@ def assemble_joule_rhs_direct(mesh: Mesh, sigma_of_u: Callable, u: Field,
     return geom.load(local)
 
 
-def assemble_joule_rhs_weak(mesh: Mesh, sigma_of_u: Callable, u: Field, phi: Field,
+def assemble_joule_rhs_weak(mesh: Mesh, sigma_q: np.ndarray, phi: Field,
                             phi0: Field) -> np.ndarray:
     """Joule load in the transformed weak form:
 
         b_i = integral (phi0 - phi) sigma(u) grad(phi).grad(lambda_i)
-            + integral sigma(u) (grad phi . grad phi0) lambda_i.
+            + integral sigma(u) (grad phi . grad phi0) lambda_i,
+
+    with sigma_q the conductivity sigma(u) at the quadrature points,
+    (nc, nq), as the caller evaluated it for the potential matrix.
     """
     geom = geometry(mesh)
-    s = np.asarray(sigma_of_u(geom.at_quadrature(u.values)), dtype=float)   # (nc, nq)
+    s = np.asarray(sigma_q, dtype=float)                                    # (nc, nq)
     diff = geom.at_quadrature(phi0.values - phi.values)                     # (nc, nq)
     gphi = geom.cell_gradient(phi.values)                                   # (nc, d)
     gphi0 = geom.cell_gradient(phi0.values)
@@ -341,21 +344,16 @@ def factor_spd(matrix: sp.spmatrix) -> spla.SuperLU:
         raise SolverFailure(f"sparse factorization failed ({exc})") from exc
 
 
-def solve_spd(matrix: sp.spmatrix, rhs: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Direct sparse solve; contract is relative residual <= rtol."""
-    if not check_symmetric(matrix):
-        raise SolverFailure("matrix not symmetric")
-    return _checked_solution(matrix, rhs, factor_spd(matrix).solve(rhs), rtol)
-
-
 def solve_spd_pcg(matrix: sp.spmatrix, rhs: np.ndarray, x0: np.ndarray,
                   precond: spla.SuperLU, pcg_rtol: float, max_iter: int,
                   rtol: float = 1e-10) -> tuple[np.ndarray, int, spla.SuperLU | None]:
     """SPD solve by conjugate gradients from x0, preconditioned by `precond`
     (a factor of a spectrally equivalent SPD matrix), to relative residual
     pcg_rtol. When CG reaches max_iter iterations the matrix is factored and
-    solved directly instead. Returns the solution, the CG iterations and the
-    new factor (None when CG converged); the contract is that of solve_spd.
+    solved directly instead, so max_iter = 0 is a direct solve. Returns the
+    solution, the CG iterations and the new factor (None when CG converged).
+    A nonsymmetric matrix raises SolverFailure; the contract is relative
+    residual <= rtol.
     """
     if not check_symmetric(matrix):
         raise SolverFailure("matrix not symmetric")

@@ -130,6 +130,8 @@ def cmd_optimize(config, outdir) -> int:
         "J": j.total,
         "integral_u": j.integral_u,
         "integral_beta_sq": j.integral_beta_sq,
+        "state_solves": result.state_solves,
+        "adjoint_solves": result.adjoint_solves,
         "history": result.history,
     }
 

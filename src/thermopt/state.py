@@ -174,16 +174,16 @@ def solve_state(spec: ProblemSpec, beta: Control,
     iterations = 0
 
     for iterations in range(1, opts.max_iter + 1):
-        phi_new, cg, refactor = _solve_potential(mesh, sigma, u, phi, fixed_phi,
+        # the potential matrix and the Joule load share one sigma evaluation
+        sigma_q = sigma(geom.at_quadrature(u))
+        phi_new, cg, refactor = _solve_potential(mesh, sigma_q, phi, fixed_phi,
                                                  phi_fixed, precond)
         cg_iterations += cg
         if refactor is not None:
             precond = refactor
             factorizations += 1
-        u_field = Field(mesh, u, FieldKind.TEMPERATURE)
         phi_field = Field(mesh, phi_new, FieldKind.POTENTIAL)
-        joule = assembly.assemble_joule_rhs_weak(mesh, sigma, u_field, phi_field,
-                                                 spec.phi0)
+        joule = assembly.assemble_joule_rhs_weak(mesh, sigma_q, phi_field, spec.phi0)
         u_candidate = u_lu.solve(lift_dirichlet(A_u, joule + robin_rhs, fixed_u, u_fixed))
 
         residual = u_candidate - u
@@ -237,10 +237,9 @@ def solve_state(spec: ProblemSpec, beta: Control,
     return sol
 
 
-def _solve_potential(mesh, sigma, u_vals, phi, fixed, values, precond):
+def _solve_potential(mesh, sigma_q, phi, fixed, values, precond):
     # a function, so that its matrix is freed before the Joule assembly
-    w = sigma(geometry(mesh).at_quadrature(u_vals))
-    A_phi = assembly.assemble_weighted_stiffness(mesh, w)
+    A_phi = assembly.assemble_weighted_stiffness(mesh, sigma_q)
     return assembly.solve_spd_pcg(
         *apply_dirichlet(A_phi, np.zeros(mesh.n_vertices), fixed, values),
         phi, precond, PCG_RTOL, PCG_MAX_ITER)
@@ -254,9 +253,9 @@ def weak_residual(spec: ProblemSpec, beta: Control, sol: StateSolution) -> tuple
     computed pair solves the original discrete problem.
     """
     mesh = spec.mesh
-    sigma = lambda s: spec.model.sigma(np.maximum(np.asarray(s, dtype=float), 0.0))
+    sigma_q = spec.model.sigma(np.maximum(geometry(mesh).at_quadrature(sol.u.values), 0.0))
     R, robin_rhs = assembly.assemble_robin(mesh, beta, spec.u1)
-    joule = assembly.assemble_joule_rhs_weak(mesh, sigma, sol.u, sol.phi, spec.phi0)
+    joule = assembly.assemble_joule_rhs_weak(mesh, sigma_q, sol.phi, spec.phi0)
     lhs_u = (geometry(mesh).stiffness + R) @ sol.u.values
     res_u = lhs_u - joule - robin_rhs
     free_u = np.ones(mesh.n_vertices, dtype=bool)
@@ -265,8 +264,7 @@ def weak_residual(spec: ProblemSpec, beta: Control, sol: StateSolution) -> tuple
                   + float(np.linalg.norm((joule + robin_rhs)[free_u])))
     r_u = float(np.linalg.norm(res_u[free_u])) / scale_u
 
-    S = assembly.assemble_weighted_stiffness(
-        mesh, sigma(geometry(mesh).at_quadrature(sol.u.values)))
+    S = assembly.assemble_weighted_stiffness(mesh, sigma_q)
     res_phi = S @ sol.phi.values
     free_phi = np.ones(mesh.n_vertices, dtype=bool)
     free_phi[mesh.boundary_vertex_set()] = False

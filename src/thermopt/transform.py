@@ -69,14 +69,13 @@ def transformed_residual(ts: TransformedState, model: ConductivityModel,
     mesh = spec.mesh
     v = ts.v
     phi = ts.phi
-    a_of = lambda s: model.a(np.maximum(np.asarray(s, dtype=float), 0.0))
+    a_q = model.a(np.maximum(geometry(mesh).at_quadrature(v.values), 0.0))
 
-    A = assembly.assemble_weighted_stiffness(
-        mesh, a_of(geometry(mesh).at_quadrature(v.values)))
+    A = assembly.assemble_weighted_stiffness(mesh, a_q)
     f_inv_trace = np.asarray(model.F_inv(np.maximum(v.values, 0.0)), dtype=float)
     robin = (assembly.facet_mass(mesh, beta.values, beta.facet_ids)
              @ (f_inv_trace - spec.u1.values))
-    rhs = assembly.assemble_joule_rhs_weak(mesh, a_of, v, phi, spec.phi0)
+    rhs = assembly.assemble_joule_rhs_weak(mesh, a_q, phi, spec.phi0)
     res_v = A @ v.values + robin - rhs
     free_v = np.ones(mesh.n_vertices, dtype=bool)
     free_v[spec.dirichlet_temperature_vertices()] = False

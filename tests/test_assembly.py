@@ -21,7 +21,6 @@ from thermopt.assembly import (
     load_vector,
     norms,
     solve_sparse,
-    solve_spd,
     solve_spd_pcg,
 )
 from thermopt.errors import AssemblyError, SolverFailure
@@ -36,6 +35,11 @@ from thermopt.mesh import (
 
 LEFT = dirichlet_on_planes("x=0")
 ALL = dirichlet_on_planes("x=0", "x=1", "y=0", "y=1")
+
+
+def solve_direct(matrix, rhs):
+    """solve_spd_pcg with an iteration cap of 0: factor and solve directly."""
+    return solve_spd_pcg(matrix, rhs, np.zeros(rhs.size), None, 0.0, 0)[0]
 
 
 def unit_square(n, rule=LEFT):
@@ -153,7 +157,8 @@ def test_joule_weak_equals_direct_when_phi_is_phi0():
     u = field(mesh, 0.3 * mesh.vertices[:, 1])
     phi0 = field(mesh, 0.5 * mesh.vertices[:, 0], FieldKind.POTENTIAL)
     sigma = lambda s: np.exp(-s)
-    bw = assemble_joule_rhs_weak(mesh, sigma, u, phi0, phi0)
+    bw = assemble_joule_rhs_weak(mesh, sigma(geometry(mesh).at_quadrature(u.values)),
+                                 phi0, phi0)
     bd = assemble_joule_rhs_direct(mesh, sigma, u, phi0)
     assert np.allclose(bw, bd, atol=1e-15)
 
@@ -163,14 +168,15 @@ def test_joule_weak_zero_for_constants():
     u = field(mesh, np.zeros(mesh.n_vertices))
     phi = field(mesh, np.full(mesh.n_vertices, 1.0), FieldKind.POTENTIAL)
     phi0 = field(mesh, np.full(mesh.n_vertices, 2.0), FieldKind.POTENTIAL)
-    bw = assemble_joule_rhs_weak(mesh, lambda s: np.ones_like(s), u, phi, phi0)
+    bw = assemble_joule_rhs_weak(mesh, np.ones_like(geometry(mesh).at_quadrature(u.values)),
+                                 phi, phi0)
     assert np.all(bw == 0)
 
 
 def _solve_phi(mesh, phi0_vals):
     K = assemble_weighted_stiffness(mesh, 1.0)
     fixed = mesh.boundary_vertex_set()
-    return solve_spd(*apply_dirichlet(K, np.zeros(mesh.n_vertices), fixed, phi0_vals[fixed]))
+    return solve_direct(*apply_dirichlet(K, np.zeros(mesh.n_vertices), fixed, phi0_vals[fixed]))
 
 
 def test_weak_vs_direct_difference_decreases_under_refinement():
@@ -182,7 +188,8 @@ def test_weak_vs_direct_difference_decreases_under_refinement():
         phi = field(mesh, _solve_phi(mesh, phi0.values), FieldKind.POTENTIAL)
         u = field(mesh, np.zeros(mesh.n_vertices))
         sigma = lambda s: np.ones_like(s)
-        bw = assemble_joule_rhs_weak(mesh, sigma, u, phi, phi0)
+        bw = assemble_joule_rhs_weak(mesh, sigma(geometry(mesh).at_quadrature(u.values)),
+                                     phi, phi0)
         bd = assemble_joule_rhs_direct(mesh, sigma, u, phi)
         M = assemble_mass(mesh)
         r = solve_sparse(M.tocsr(), bw - bd)
@@ -198,7 +205,7 @@ def test_apply_dirichlet_full_constraint_identity():
     mesh = unit_square(2)
     K = assemble_weighted_stiffness(mesh, 1.0)
     fixed = np.arange(mesh.n_vertices)
-    x = solve_spd(*apply_dirichlet(K, np.zeros(mesh.n_vertices), fixed, fixed.astype(float)))
+    x = solve_direct(*apply_dirichlet(K, np.zeros(mesh.n_vertices), fixed, fixed.astype(float)))
     assert np.allclose(x, np.arange(mesh.n_vertices, dtype=float), atol=1e-12)
 
 
@@ -220,7 +227,7 @@ def test_p1_reproduces_linear_dirichlet_data():
 
 def test_solve_spd_identity_returns_rhs():
     rhs = np.array([3.0, -1.0, 2.5])
-    x = solve_spd(sp.identity(3, format="csr"), rhs)
+    x = solve_direct(sp.identity(3, format="csr"), rhs)
     assert np.array_equal(x, rhs)
 
 
@@ -230,14 +237,14 @@ def test_solve_spd_against_dense_oracle():
     A = B @ B.T + 50.0 * np.eye(50)
     rhs = rng.standard_normal(50)
     oracle = np.linalg.solve(A, rhs)
-    x = solve_spd(sp.csr_matrix(A), rhs)
+    x = solve_direct(sp.csr_matrix(A), rhs)
     assert np.allclose(x, oracle, atol=1e-9)
 
 
 def test_solve_spd_rejects_nonsymmetric():
     A = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(SolverFailure):
-        solve_spd(A, np.ones(2))
+        solve_direct(A, np.ones(2))
 
 
 def test_norms_constant_and_linear():
@@ -297,7 +304,7 @@ def test_3d_p1_reproduces_linear_dirichlet_data():
     K = assemble_weighted_stiffness(mesh, 1.0)
     target = mesh.vertices @ np.array([1.0, -2.0, 0.5])
     fixed = mesh.boundary_vertex_set()
-    x = solve_spd(*apply_dirichlet(K, np.zeros(mesh.n_vertices), fixed, target[fixed]))
+    x = solve_direct(*apply_dirichlet(K, np.zeros(mesh.n_vertices), fixed, target[fixed]))
     assert np.allclose(x, target, atol=1e-11)
 
 
@@ -333,7 +340,7 @@ def test_geometry_keeps_unit_stiffness_and_potential_factor():
         K.data[0] = 0.0
     fixed = mesh.boundary_vertex_set()
     A, rhs = apply_dirichlet(K, np.ones(mesh.n_vertices), fixed, 0.5)
-    assert np.allclose(geom.potential_factor.solve(rhs), solve_spd(A, rhs), rtol=1e-13)
+    assert np.allclose(geom.potential_factor.solve(rhs), solve_direct(A, rhs), rtol=1e-13)
 
 
 def test_solve_spd_pcg_converges_or_refactors():
@@ -347,13 +354,13 @@ def test_solve_spd_pcg_converges_or_refactors():
     precond = geometry(mesh).potential_factor
     x, iterations, lu = solve_spd_pcg(A, rhs, x0, precond, 1e-13, 50)
     assert 0 < iterations < 50 and lu is None
-    assert np.allclose(x, solve_spd(A, rhs), rtol=0, atol=1e-12)
+    assert np.allclose(x, solve_direct(A, rhs), rtol=0, atol=1e-12)
     # converged start: no iteration
     assert solve_spd_pcg(A, rhs, x, precond, 1e-13, 50)[1] == 0
     # at the cap the matrix is factored and solved directly
     y, iterations, lu = solve_spd_pcg(A, rhs, x0, precond, 1e-13, 1)
     assert iterations == 1 and lu is not None
-    assert np.array_equal(y, solve_spd(A, rhs))
+    assert np.array_equal(y, solve_direct(A, rhs))
     with pytest.raises(SolverFailure, match="symmetric"):
         solve_spd_pcg(sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]])),
                       np.ones(2), np.zeros(2), precond, 1e-13, 5)

@@ -324,6 +324,20 @@ def test_optimize_benchmark_history(tmp_path):
     assert opt["history"][-1]["optimality_residual"] <= 1e-7
 
 
+DEFECTS = Path(__file__).resolve().parents[1] / "perfbench" / "defects"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DEFECTS.glob("pg_*.cfg")))
+def test_projected_gradient_defect_configs_converge_in_few_solves(tmp_path, name):
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(DEFECTS / name), "--out", str(out)]) == 0
+    opt = read_report(out)["optimizer"]
+    assert opt["converged"] and opt["status"] == "converged"
+    assert opt["optimality_residual"] <= 1e-7
+    assert opt["state_solves"] <= 8
+    assert opt["adjoint_solves"] == 1 + sum(h["step"] > 0 for h in opt["history"])
+
+
 def test_verify_conductivity_suite(tmp_path):
     cfg = write_config(tmp_path, BENCHMARK)
     assert main(["verify", "--config", cfg, "--suite", "lemma1",

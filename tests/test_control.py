@@ -345,6 +345,77 @@ def test_projected_gradient_coarse_mesh_converges_in_few_solves(monkeypatch):
     assert len(calls) <= 20
 
 
+def counting_state_solves(monkeypatch):
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args[1].values.copy())
+        return solve_state(*args, **kwargs)
+
+    monkeypatch.setattr("thermopt.control.solve_state", counting_solve)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["sweep", "projected_gradient"])
+def test_optimizer_counts_its_solves(monkeypatch, mode):
+    calls = counting_state_solves(monkeypatch)
+    result = optimize(control_spec(16), OptimizerOptions(mode=mode))
+    assert result.converged
+    assert result.state_solves == len(calls)
+    if mode == "projected_gradient":
+        assert result.state_solves == 1 + sum(h["trials"] for h in result.history)
+        accepted = sum(h["step"] > 0 for h in result.history)
+        assert result.adjoint_solves == 1 + accepted
+    else:
+        assert result.adjoint_solves == result.state_solves
+
+
+def test_projected_gradient_spectral_step_saves_trials(monkeypatch):
+    # the Tikhonov term puts the natural step near 1/2: a search from 1
+    # rejects its first trial at every outer step after the first
+    calls = counting_state_solves(monkeypatch)
+    opts = OptimizerOptions(mode="projected_gradient", tol=1e-7)
+    result = optimize(control_spec(16, drive=1.0), opts)
+    assert result.converged
+    assert result.optimality_residual <= opts.tol
+    assert len(calls) <= 8
+    searches = [h for h in result.history if h["trials"]]
+    assert searches[0]["initial_step"] == 1.0
+    assert all(0.25 <= h["initial_step"] < 1.0 for h in searches[1:])
+
+
+def test_projected_gradient_first_trial_is_the_full_step(monkeypatch):
+    # every run's first search tries step 1: clip(beta0 - g0, 0, m_cap)
+    for drive, beta0 in ((0.1, None), (1.0, 0.3), (0.5, 1.7)):
+        spec = control_spec(8, drive=drive)
+        opts = OptimizerOptions(mode="projected_gradient", beta0=beta0)
+        beta = Control.constant(spec.mesh, 1.0 if beta0 is None else beta0, spec.m_cap)
+        state = solve_state(spec, beta, opts.solver)
+        g = gradient(spec, state, solve_adjoint(spec, beta, state), beta)
+        with monkeypatch.context() as patch:
+            calls = counting_state_solves(patch)
+            optimize(spec, opts)
+        assert np.array_equal(calls[1], np.clip(beta.values - g, 0.0, spec.m_cap))
+
+
+def test_projected_gradient_nonpositive_curvature_restarts_at_one(monkeypatch):
+    # a gradient that grows while beta falls gives <s, y> < 0: the spectral
+    # step is undefined and every search starts from 1
+    from thermopt import control
+    calls = []
+
+    def growing_gradient(spec, state, adjoint, beta):
+        calls.append(None)
+        return np.full(beta.values.size, 0.1 * len(calls))
+
+    monkeypatch.setattr(control, "gradient", growing_gradient)
+    opts = OptimizerOptions(mode="projected_gradient", max_outer=3)
+    result = optimize(control_spec(8), opts)
+    searches = [h for h in result.history if h["trials"]]
+    assert len(searches) == 3
+    assert [h["initial_step"] for h in searches] == [1.0, 1.0, 1.0]
+
+
 def test_optimize_beta0_outside_box_is_a_domain_error():
     spec = control_spec(4)
     with pytest.raises(DomainError):

@@ -9,7 +9,7 @@ from thermopt import state
 from thermopt.assembly import interpolate, norms
 from thermopt.errors import ConfigurationError
 from thermopt.fields import Control, Field, FieldKind
-from thermopt.materials import Constant, TruncatedPower, truncate
+from thermopt.materials import Constant, TruncatedModel, TruncatedPower, truncate
 from thermopt.mesh import build_rectangle_mesh, dirichlet_on_planes, refine_uniform
 from thermopt.state import (
     ProblemSpec,
@@ -142,6 +142,22 @@ def test_benchmark_solve_takes_few_mixed_steps():
     spec = benchmark_spec()
     sol = solve_state(spec, Control.constant(spec.mesh, 1.0, 2.0))
     assert sol.iterations <= 8
+
+
+def test_sigma_runs_once_per_picard_step(monkeypatch):
+    # the potential matrix and the Joule load share one evaluation per step
+    calls = []
+    sigma = TruncatedModel.sigma
+
+    def spy(self, u):
+        calls.append(None)
+        return sigma(self, u)
+
+    monkeypatch.setattr(TruncatedModel, "sigma", spy)
+    spec = benchmark_spec()
+    sol = solve_state(spec, Control.constant(spec.mesh, 1.0, 2.0))
+    assert sol.iterations > 1
+    assert len(calls) == sol.iterations
 
 
 def test_strong_drive_converges_with_mixing():
