@@ -165,7 +165,7 @@ def _suite_conductivity(config, spec, checks):
     checks.append(("conductivity.ratio_upper", upper <= slack, upper, slack))
     checks.append(("conductivity.ratio_lower", lower >= 1.0 / slack, lower, 1.0 / slack))
     grid = np.geomspace(1.0, 1e4, 256)
-    g = np.asarray(model.a(grid)) / grid ** 2 * model.reciprocal_a_moment(grid, 2.0)
+    g = np.asarray(model.a(grid)) / grid ** 2 * model.reciprocal_a_moment(grid)
     excess = float(np.max(g * grid))
     checks.append(("conductivity.decay_product", excess <= 1.0 + 1e-12, excess, 1.0))
 

@@ -33,14 +33,14 @@ _KNOWN_KEYS = {
     "problem.dirichlet": "axis-aligned planes forming the Dirichlet part, e.g. x=0|y=1",
     "problem.mesh_file": "path to a mesh file (alternative to extents/divisions)",
     "problem.model.kind": "truncated_power or constant",
-    "problem.model.sigma0": "conductivity scale > 0",
-    "problem.model.u_star": "critical temperature > 0 (truncated_power)",
-    "problem.model.p": "decay exponent >= 2 (truncated_power)",
+    "problem.model.sigma0": "finite conductivity scale > 0",
+    "problem.model.u_star": "finite critical temperature > 0 (truncated_power)",
+    "problem.model.p": "finite decay exponent >= 2 (truncated_power)",
     "problem.u0": "temperature Dirichlet data expression (or file:<path>)",
     "problem.u1": "ambient temperature expression (or file:<path>)",
     "problem.phi0": "potential Dirichlet data expression (or file:<path>)",
     "problem.beta": "control expression evaluated at Robin facet centroids",
-    "problem.m_cap": "control upper bound >= 0",
+    "problem.m_cap": "finite control upper bound >= 0",
     "solver.tol": "Picard fixed-point increment tolerance > 0",
     "solver.damping": "Anderson mixing weight in (0, 1]",
     "solver.max_iter": "Picard iteration cap >= 1",

@@ -7,12 +7,15 @@ substitution diagnostics and the a-priori bound chain:
     F(u)    = integral_0^u ds / sigma(s)   (maps [0, u_star) onto [0, inf))
     F_inv   = inverse of F
     a(v)    = sigma(F_inv(v))              (strictly positive, nonincreasing)
+    M(v)    = integral_0^v ds / a(s)       (`reciprocal_a_moment`)
     mu      = max(sup sigma, sup |sigma'|) over [0, u_star]
 
-Negative temperature arguments (transients of the nonlinear iteration) are
-clamped to 0; callers that need to report clamping count negatives before
-evaluating. Models are immutable and every evaluation is a pure function,
-safe for concurrent use.
+Both concrete families evaluate all of these in closed form, elementwise on
+arrays of any shape; there is no quadrature or root finding. Negative
+temperature arguments (transients of the nonlinear iteration) are clamped to
+0; callers that need to report clamping count negatives before evaluating.
+Models are immutable and every evaluation is a pure function, safe for
+concurrent use.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import DomainError
 
@@ -38,7 +40,7 @@ class TruncationLevel:
 
 
 class ConductivityModel:
-    """Common interface; concrete families override the evaluations."""
+    """Common interface; concrete families implement the evaluations."""
 
     kind = "abstract"
     sigma0: float
@@ -57,57 +59,52 @@ class ConductivityModel:
         raise NotImplementedError
 
     def a(self, v):
-        v = np.maximum(np.asarray(v, dtype=float), 0.0)
-        return self.sigma(self.F_inv(v))
+        raise NotImplementedError
 
     def lipschitz_mu(self) -> float:
-        """C1 norm bound of sigma over [0, u_star], by dense sampling."""
-        hi = self.u_star if math.isfinite(self.u_star) else 1.0
-        s = np.linspace(0.0, hi, _DENSE_SAMPLES)
-        return float(max(np.max(np.abs(self.sigma(s))),
-                         np.max(np.abs(self.sigma_prime(s))))) + _MU_SLACK
+        """C1 norm bound of sigma over [0, u_star]."""
+        raise NotImplementedError
 
-    def reciprocal_a_moment(self, v, p: float = 2.0):
-        """integral_0^v s^(p-2) / a(s) ds, used by the bound chain."""
-        return _elementwise(lambda x: self._moment_scalar(x, p), v)
-
-    def _moment_scalar(self, v: float, p: float) -> float:
-        if v <= 0.0:
-            return 0.0
-        val, _ = integrate.quad(lambda s: s ** (p - 2.0) / self.a(s), 0.0, v,
-                                epsrel=1e-10, epsabs=1e-14, limit=200)
-        return val
+    def reciprocal_a_moment(self, v):
+        """integral_0^v ds / a(s), used by the bound chain; 0 for v <= 0."""
+        raise NotImplementedError
 
 
 def _clamp(u):
     return np.maximum(np.asarray(u, dtype=float), 0.0)
 
 
-def _elementwise(scalar_fn, x):
-    """scalar_fn at every entry of x, in the shape of x (a float for a scalar)."""
-    x = np.asarray(x, dtype=float)
-    out = np.array([scalar_fn(float(s)) for s in x.ravel()], dtype=float).reshape(x.shape)
-    return float(out) if x.ndim == 0 else out
+def _positive_finite(value: float) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 class TruncatedPower(ConductivityModel):
     """sigma(u) = sigma0 (1 - u/u_star)^p for u < u_star, zero beyond.
 
     p >= 2 keeps sigma in C1 across u_star and makes F(u) diverge at u_star.
-    p = 2 admits closed forms for F, F_inv and a; other exponents fall back
-    to adaptive quadrature (relative tolerance 1e-10) and root bracketing.
+    With c = sigma0 (p - 1) / u_star every derived quantity has a closed
+    form at every p, written with expm1/log1p so that no digits cancel near 0:
+
+        F(u)     = ((1 - u/u_star)^(1-p) - 1) / c
+        F_inv(v) = u_star (1 - (1 + c v)^(-1/(p-1)))
+        a(v)     = sigma0 (1 + c v)^(-p/(p-1))
+        M(v)     = ((1 + c v)^k - 1) / (sigma0 c k),  k = (2p - 1)/(p - 1)
     """
 
     kind = "truncated_power"
 
     def __init__(self, sigma0: float, u_star: float, exponent_p: float = 2.0):
-        if sigma0 <= 0 or u_star <= 0:
-            raise DomainError("sigma0 and u_star must be positive")
-        if exponent_p < 2:
-            raise DomainError("exponent p must be >= 2 for C1 regularity")
+        if not _positive_finite(sigma0):
+            raise DomainError("sigma0 must be finite and positive")
+        if not _positive_finite(u_star):
+            raise DomainError("u_star must be finite and positive (a model without "
+                              "a critical temperature is kind = constant)")
+        if not (math.isfinite(exponent_p) and exponent_p >= 2):
+            raise DomainError("exponent p must be finite and >= 2 for C1 regularity")
         self.sigma0 = float(sigma0)
         self.u_star = float(u_star)
         self.exponent_p = float(exponent_p)
+        self._c = self.sigma0 * (self.exponent_p - 1.0) / self.u_star
 
     def sigma(self, u):
         u = _clamp(u)
@@ -123,50 +120,26 @@ class TruncatedPower(ConductivityModel):
         u = np.asarray(u, dtype=float)
         if np.any(u < 0) or np.any(u >= self.u_star):
             raise DomainError("F is defined on [0, u_star)")
-        if self.exponent_p == 2.0:
-            return self.u_star * u / (self.sigma0 * (self.u_star - u))
-        return _elementwise(lambda x: integrate.quad(lambda s: 1.0 / self.sigma(s), 0.0, x,
-                                                     epsrel=1e-10, epsabs=1e-14,
-                                                     limit=200)[0], u)
+        return np.expm1((1.0 - self.exponent_p) * np.log1p(-u / self.u_star)) / self._c
 
     def F_inv(self, v):
         v = np.asarray(v, dtype=float)
         if np.any(v < 0):
             raise DomainError("F_inv is defined on [0, inf)")
-        if self.exponent_p == 2.0:
-            return self.sigma0 * self.u_star * v / (self.u_star + self.sigma0 * v)
-        return _elementwise(self._f_inv_scalar, v)
-
-    def _f_inv_scalar(self, v: float) -> float:
-        if v == 0.0:
-            return 0.0
-        lo, hi = 0.0, self.u_star * 0.5
-        while self.F(hi) < v:
-            hi = 0.5 * (hi + self.u_star)
-            if self.u_star - hi < 1e-15 * self.u_star:
-                return hi
-        return float(optimize.brentq(lambda u: self.F(u) - v, lo, hi,
-                                     xtol=1e-15, rtol=8.9e-16))
+        return -self.u_star * np.expm1(-np.log1p(self._c * v) / (self.exponent_p - 1.0))
 
     def a(self, v):
-        v = np.maximum(np.asarray(v, dtype=float), 0.0)
-        if self.exponent_p == 2.0:
-            return self.sigma0 * self.u_star ** 2 / (self.u_star + self.sigma0 * v) ** 2
-        return self.sigma(self.F_inv(v))
+        p = self.exponent_p
+        return self.sigma0 * np.exp(-p / (p - 1.0) * np.log1p(self._c * _clamp(v)))
 
     def lipschitz_mu(self) -> float:
         # sup sigma = sigma0 at u=0; sup |sigma'| = p sigma0 / u_star at u=0
         return max(self.sigma0, self.exponent_p * self.sigma0 / self.u_star)
 
-    def _moment_scalar(self, v: float, p: float) -> float:
-        if v <= 0.0:
-            return 0.0
-        if self.exponent_p == 2.0 and p == 2.0:
-            # 1/a(s) = (u* + sigma0 s)^2 / (sigma0 u*^2)
-            c = self.sigma0
-            w = self.u_star
-            return ((w + c * v) ** 3 - w ** 3) / (3.0 * c ** 2 * w ** 2)
-        return super()._moment_scalar(v, p)
+    def reciprocal_a_moment(self, v):
+        p = self.exponent_p
+        k = (2.0 * p - 1.0) / (p - 1.0)
+        return np.expm1(k * np.log1p(self._c * _clamp(v))) / (self.sigma0 * self._c * k)
 
 
 class Constant(ConductivityModel):
@@ -175,8 +148,8 @@ class Constant(ConductivityModel):
     kind = "constant"
 
     def __init__(self, sigma0: float):
-        if sigma0 <= 0:
-            raise DomainError("sigma0 must be positive")
+        if not _positive_finite(sigma0):
+            raise DomainError("sigma0 must be finite and positive")
         self.sigma0 = float(sigma0)
         self.u_star = math.inf
 
@@ -204,10 +177,8 @@ class Constant(ConductivityModel):
     def lipschitz_mu(self) -> float:
         return self.sigma0
 
-    def _moment_scalar(self, v: float, p: float) -> float:
-        if v <= 0.0:
-            return 0.0
-        return v ** (p - 1.0) / ((p - 1.0) * self.sigma0)
+    def reciprocal_a_moment(self, v):
+        return _clamp(v) / self.sigma0
 
 
 class TruncatedModel(ConductivityModel):

@@ -78,8 +78,9 @@ class ProblemSpec:
                 raise ConfigurationError(
                     f"boundary data not subcritical: max {name} = "
                     f"{np.max(f.values):g} >= u_star = {self.model.u_star:g}")
-        if self.m_cap < 0:
-            raise ConfigurationError("m_cap must be nonnegative")
+        if not (math.isfinite(self.m_cap) and self.m_cap >= 0):
+            raise ConfigurationError(f"m_cap must be finite and nonnegative, "
+                                     f"got {self.m_cap!r}")
 
     def dirichlet_temperature_vertices(self) -> np.ndarray:
         return self.mesh.boundary_vertex_set(BoundaryTag.DIRICHLET_TEMPERATURE)

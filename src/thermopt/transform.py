@@ -26,6 +26,9 @@ from .state import ProblemSpec, StateSolution
 
 C1_PROVENANCE = "user-supplied heuristic (no constructive Sobolev constant)"
 
+# Log-spaced grid on which compute_C_eps takes its supremum.
+_C_EPS_GRID_LO, _C_EPS_GRID_HI, _C_EPS_GRID_POINTS = 1e-6, 1e6, 2048
+
 
 @dataclass
 class TransformedState:
@@ -160,20 +163,16 @@ def _flux_load(mesh: Mesh, coeff_q: np.ndarray, w: Field) -> np.ndarray:
     return geom.load(np.einsum("c,cd,cid->ci", cbar, gw, geom.grads))
 
 
-def compute_C_eps(model: ConductivityModel, eps: float, p: float = 2.0,
-                  grid_lo: float = 1e-6, grid_hi: float = 1e6,
-                  grid_points: int = 2048) -> float:
-    """Smallest-practical C_eps with a(v) integral_0^v s^(p-2)/a(s) <= eps v^p + C_eps.
+def compute_C_eps(model: ConductivityModel, eps: float) -> float:
+    """Smallest-practical C_eps with a(v) integral_0^v 1/a(s) <= eps v^2 + C_eps.
 
     Supremum taken on a log-spaced grid, then 5% slack added; finite because
-    the product over v^p tends to zero.
+    the product over v^2 tends to zero.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
-    if p < 2:
-        raise DomainError("p must be >= 2")
-    v = np.geomspace(grid_lo, grid_hi, grid_points)
-    product = model.a(v) * model.reciprocal_a_moment(v, p) - eps * v ** p
+    v = np.geomspace(_C_EPS_GRID_LO, _C_EPS_GRID_HI, _C_EPS_GRID_POINTS)
+    product = model.a(v) * model.reciprocal_a_moment(v) - eps * v ** 2
     gmax = float(np.max(product))
     return max(0.0, gmax) * 1.05
 
@@ -313,7 +312,7 @@ def compute_certificate(model: ConductivityModel, spec: ProblemSpec, eps: float 
     if eps <= 0:
         raise CertificateInfeasibleError("eps must be positive")
     while True:
-        C_eps = compute_C_eps(model, eps, p=2.0)
+        C_eps = compute_C_eps(model, eps)
         try:
             chain = certificate_chain(mesh.dim, mes_omega, mu, phi0_inf,
                                       phi0_w1inf, F_u0, F_u1, eps, C_eps, C_D, C1)
@@ -396,13 +395,13 @@ def energy_inequality_report(ts: TransformedState, model: ConductivityModel,
     ratio_bar = (a_v / a_psim) @ geom.qweights
     lhs = float(np.sum(ratio_bar * g_psim_sq * geom.volumes))
 
-    m0 = model.reciprocal_a_moment(ts.m_threshold, 2.0)
-    xi_q = np.maximum(model.reciprocal_a_moment(psim_q, 2.0) - m0, 0.0)
+    m0 = model.reciprocal_a_moment(ts.m_threshold)
+    xi_q = np.maximum(model.reciprocal_a_moment(psim_q) - m0, 0.0)
     # only Robin facets whose mean psi exceeds M carry the boundary term
     facets = mesh.boundary_facets[beta.facet_ids]
     active = ts.psi.values[facets].mean(axis=1) > ts.m_threshold
     verts = facets[active]
-    xi_trace = np.maximum(model.reciprocal_a_moment(ts.psi_m.values[verts], 2.0) - m0, 0.0)
+    xi_trace = np.maximum(model.reciprocal_a_moment(ts.psi_m.values[verts]) - m0, 0.0)
     f_inv = np.asarray(model.F_inv(np.maximum(ts.v.values[verts], 0.0)))
     integrand = (xi_trace * (f_inv - spec.u1.values[verts])).mean(axis=1)
     measures = geom.facet_measures[beta.facet_ids[active]]

@@ -82,7 +82,7 @@ def test_criterion_1_conductivity_ratio_suite():
         assert np.all(ratio <= np.exp(mu * np.abs(y)) * slack)
         assert np.all(ratio >= np.exp(-mu * np.abs(y)) / slack)
         grid = np.geomspace(1.0, 1e4, 256)
-        g = np.asarray(MODEL.a(grid)) / grid ** 2 * MODEL.reciprocal_a_moment(grid, 2.0)
+        g = np.asarray(MODEL.a(grid)) / grid ** 2 * MODEL.reciprocal_a_moment(grid)
         margin = float(np.max(g * grid))
         assert margin <= 1.0 + 1e-12
     report(1, "conductivity ratio bound and decay product", t,
@@ -298,3 +298,23 @@ def test_criterion_9_self_convergence():
             assert 0.7 <= rates[f"{field}_h1"] <= 1.3, rates
     report(9, "self-convergence orders for the smooth constant-sigma case", t,
            ", ".join(f"{k} = {v:.3f}" for k, v in sorted(rates.items())))
+
+
+@pytest.mark.parametrize("argv", [["certificate"], ["verify", "--suite", "lemma1"],
+                                  ["verify", "--suite", "substitution"]],
+                         ids=["certificate", "lemma1", "substitution"])
+def test_general_exponent_commands_finish(tmp_path, argv):
+    from thermopt.cli import main
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("problem.extents = 1 1\n"
+                   "problem.divisions = 4 4\n"
+                   "problem.dirichlet = x=0\n"
+                   "problem.model.kind = truncated_power\n"
+                   "problem.model.p = 3.0\n"
+                   "problem.u1 = 0.05\n"
+                   "problem.phi0 = 0.1*x\n"
+                   "problem.beta = 1.0\n")
+    with Timer(cap=5.0) as t:
+        code = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 0
+    report("p = 3", " ".join(argv) + " on a 4x4 square", t, "exit 0")

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -134,12 +137,30 @@ def test_solve_inadmissible_beta_exits_1(tmp_path):
     ("problem.beta = 1.0", "problem.beta = file:{tmp}/missing.txt"),
     ("problem.beta = 1.0", "problem.beta = file:{tmp}/words.txt"),
     ("problem.u1 = 0", "problem.u1 = file:{tmp}/words.txt"),
-], ids=["sigma0", "p", "beta-missing-file", "beta-not-numbers", "u1-not-numbers"])
+    ("problem.model.p = 2.0", "problem.model.p = nan"),
+    ("problem.model.sigma0 = 1.0", "problem.model.sigma0 = nan"),
+    ("problem.model.u_star = 1.0", "problem.model.u_star = nan"),
+    ("problem.model.u_star = 1.0", "problem.model.u_star = inf"),
+    ("problem.m_cap = 2.0", "problem.m_cap = nan"),
+    ("problem.m_cap = 2.0", "problem.m_cap = inf"),
+], ids=["sigma0", "p", "beta-missing-file", "beta-not-numbers", "u1-not-numbers",
+        "p-nan", "sigma0-nan", "u_star-nan", "u_star-inf", "m_cap-nan", "m_cap-inf"])
 def test_solve_invalid_data_exits_1(tmp_path, capsys, old, new):
     (tmp_path / "words.txt").write_text("not numbers\n")
     cfg = write_config(tmp_path, BENCHMARK.replace(old, new.format(tmp=tmp_path)))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "configuration error:" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_quadrature_and_special_functions():
+    # these three scipy subpackages would add about 0.2 s to every command's start-up
+    src = Path(cli_mod.__file__).resolve().parents[1]
+    code = ("import sys, thermopt.cli; print(sorted(m for m in sys.modules if m in "
+            "('scipy.integrate', 'scipy.optimize', 'scipy.special')))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_solve_determinism(tmp_path):

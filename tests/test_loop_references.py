@@ -3,7 +3,8 @@ and the general sparse operations they replaced, kept here as references.
 
 Mesh arrays and sparsity patterns must match exactly; facet sums are
 accumulated in another order and must agree to 1e-13 relative, cell sums
-to 1e-14 relative.
+to 1e-14 relative. The closed-form conductivity quantities must agree with
+the adaptive quadrature and root bracketing they replaced to 1e-10 relative.
 """
 
 import itertools
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from thermopt.assembly import (
     apply_dirichlet,
@@ -224,7 +227,7 @@ def boundary_l2_loop(field, tag):
 
 def energy_boundary_term_loop(ts, model, spec, beta):
     mesh = spec.mesh
-    m0 = model.reciprocal_a_moment(ts.m_threshold, 2.0)
+    m0 = model.reciprocal_a_moment(ts.m_threshold)
     boundary_term = 0.0
     measures = facet_measures(mesh)
     for b, f in zip(beta.values, beta.facet_ids):
@@ -232,11 +235,54 @@ def energy_boundary_term_loop(ts, model, spec, beta):
         if float(np.mean(ts.psi.values[verts])) <= ts.m_threshold:
             continue
         xi_trace = np.maximum(
-            np.asarray(model.reciprocal_a_moment(ts.psi_m.values[verts], 2.0)) - m0, 0.0)
+            np.asarray(model.reciprocal_a_moment(ts.psi_m.values[verts])) - m0, 0.0)
         f_inv = np.asarray(model.F_inv(np.maximum(ts.v.values[verts], 0.0)))
         integrand = xi_trace * (f_inv - spec.u1.values[verts])
         boundary_term += b * measures[f] * float(np.mean(integrand))
     return boundary_term
+
+
+def F_quad(model, u):
+    """integral_0^u ds / sigma(s) by adaptive quadrature."""
+    return quad(lambda s: 1.0 / float(model.sigma(s)), 0.0, u,
+                epsrel=1e-10, epsabs=1e-14, limit=200)[0]
+
+
+def F_inv_brentq(model, v):
+    """The root of F_quad(u) = v, bracketed inside [0, u_star)."""
+    if v == 0.0:
+        return 0.0
+    hi = 0.5 * model.u_star
+    while F_quad(model, hi) < v:
+        hi = 0.5 * (hi + model.u_star)
+        if model.u_star - hi < 1e-15 * model.u_star:
+            return hi
+    return brentq(lambda u: F_quad(model, u) - v, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
+
+
+def a_brentq(model, v):
+    return float(model.sigma(F_inv_brentq(model, v)))
+
+
+def moment_quad(model, v):
+    """integral_0^v ds / a(s), with a itself by root bracketing."""
+    return quad(lambda s: 1.0 / a_brentq(model, s), 0.0, v,
+                epsrel=1e-10, epsabs=1e-14, limit=200)[0]
+
+
+# ---- conductivity ----------------------------------------------------------
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
+def test_closed_form_conductivity_matches_quadrature_reference(p):
+    model = TruncatedPower(1.5, 2.0, p)
+    for u in (0.1, 1.0, 1.9):
+        assert float(model.F(u)) == pytest.approx(F_quad(model, u), rel=1e-10)
+    for v in (0.3, 5.0, 200.0):
+        assert float(model.F_inv(v)) == pytest.approx(F_inv_brentq(model, v), rel=1e-10)
+        assert float(model.a(v)) == pytest.approx(a_brentq(model, v), rel=1e-10)
+    for v in (0.5, 3.0):
+        assert float(model.reciprocal_a_moment(v)) == pytest.approx(
+            moment_quad(model, v), rel=1e-10)
 
 
 # ---- meshes ----------------------------------------------------------------

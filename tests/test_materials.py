@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,13 +40,14 @@ def test_F_closed_forms_p2():
 
 
 def test_F_general_p_matches_analytic():
-    m = TruncatedPower(1.5, 2.0, 3.0)
-    for u in (0.1, 0.5, 1.2, 1.9):
-        assert float(m.F(u)) == pytest.approx(
-            analytic_F(u, 1.5, 2.0, 3.0), rel=1e-9)
-    for v in (0.0, 0.3, 5.0, 200.0):
-        u = float(m.F_inv(v))
-        assert float(m.F(u)) == pytest.approx(v, abs=1e-8 * (1 + v))
+    for p in (2.0, 3.0, 4.5):
+        m = TruncatedPower(1.5, 2.0, p)
+        for u in (0.1, 0.5, 1.2, 1.9):
+            assert float(m.F(u)) == pytest.approx(
+                analytic_F(u, 1.5, 2.0, p), rel=1e-9)
+        for v in (0.0, 0.3, 5.0, 200.0):
+            u = float(m.F_inv(v))
+            assert float(m.F(u)) == pytest.approx(v, abs=1e-8 * (1 + v))
 
 
 def test_general_p_evaluations_keep_array_shape():
@@ -55,8 +57,8 @@ def test_general_p_evaluations_keep_array_shape():
     assert v.shape == u.shape
     assert np.array_equal(v, [[float(m.F(x)) for x in row] for row in u])
     assert np.array_equal(m.F_inv(v), [[float(m.F_inv(x)) for x in row] for row in v])
-    moment = m.reciprocal_a_moment(v, 2.0)
-    assert np.array_equal(moment, [[m.reciprocal_a_moment(x, 2.0) for x in row]
+    moment = m.reciprocal_a_moment(v)
+    assert np.array_equal(moment, [[m.reciprocal_a_moment(x) for x in row]
                                    for row in v])
     assert isinstance(m.F_inv(0.3), float) and m.F(np.empty((0, 2))).shape == (0, 2)
 
@@ -116,16 +118,27 @@ def test_decay_product_bounded_by_inverse_v():
     m = TruncatedPower(1.0, 1.0, 2.0)
     p = 2.0
     v = np.geomspace(1.0, 1e4, 256)
-    g = m.a(v) / v ** p * m.reciprocal_a_moment(v, p)
+    g = m.a(v) / v ** p * m.reciprocal_a_moment(v)
     assert np.all(g <= 1.0 / v + 1e-15)
 
 
 def test_reciprocal_moment_closed_vs_quadrature():
-    m = TruncatedPower(1.0, 1.0, 2.0)
     from scipy.integrate import quad
-    for v in (0.5, 3.0, 40.0):
-        oracle, _ = quad(lambda s: 1.0 / m.a(s), 0.0, v, epsrel=1e-12)
-        assert m.reciprocal_a_moment(v, 2.0) == pytest.approx(oracle, rel=1e-10)
+    for p in (2.0, 3.0, 4.5):
+        m = TruncatedPower(1.0, 1.0, p)
+        for v in (0.5, 3.0, 40.0):
+            oracle, _ = quad(lambda s: 1.0 / m.a(s), 0.0, v, epsrel=1e-12)
+            assert m.reciprocal_a_moment(v) == pytest.approx(oracle, rel=1e-10)
+
+
+def test_reciprocal_moment_exact_at_small_v():
+    # sigma0 = u_star = 1, p = 2: 1/a(s) = (1 + s)^2, so M(v) = v + v^2 + v^3/3
+    m = TruncatedPower(1.0, 1.0, 2.0)
+    for v in (1e-8, 1e-6):
+        x = Fraction(v)
+        exact = x + x ** 2 + x ** 3 / 3
+        got = Fraction(float(m.reciprocal_a_moment(v)))
+        assert abs(float((got - exact) / exact)) <= 1e-15
 
 
 def test_truncation_matches_below_level():
