@@ -62,6 +62,8 @@ class P1Geometry:
                               * self.volumes[:, None, None])
         bary, self.qweights = _QUAD[mesh.dim]
         self.qbary = bary                                 # (nq, d+1)
+        # w @ weighted_qbary is sum_q qweights_q w_cq qbary_qi, (nc, d+1)
+        self.weighted_qbary = self.qweights[:, None] * bary
         verts = mesh.vertices[mesh.cells]                 # (nc, d+1, d)
         self.qpoints = np.einsum("qi,cid->cqd", bary, verts)
         self.facet_measures = facet_measures(mesh)
@@ -186,7 +188,7 @@ def load_vector(mesh: Mesh, weight=1.0) -> np.ndarray:
     """b_i = sum_cells integral w lambda_i dx."""
     geom = geometry(mesh)
     w = _quad_weight(geom, weight)
-    local = np.einsum("cq,q,qi->ci", w, geom.qweights, geom.qbary)
+    local = w @ geom.weighted_qbary
     local *= geom.volumes[:, None]
     return geom.load(local)
 
@@ -234,7 +236,7 @@ def assemble_joule_rhs_direct(mesh: Mesh, sigma_of_u: Callable, u: Field,
     geom = geometry(mesh)
     s = np.asarray(sigma_of_u(geom.at_quadrature(u.values)), dtype=float)
     gphi2 = np.sum(geom.cell_gradient(phi.values) ** 2, axis=1)
-    local = np.einsum("cq,q,qi->ci", s, geom.qweights, geom.qbary)
+    local = s @ geom.weighted_qbary
     local *= (gphi2 * geom.volumes)[:, None]
     return geom.load(local)
 
@@ -259,7 +261,7 @@ def assemble_joule_rhs_weak(mesh: Mesh, sigma_q: np.ndarray, phi: Field,
     term1 = np.einsum("c,cd,cid->ci", coeff1, gphi, geom.grads)
 
     dot = np.sum(gphi * gphi0, axis=1)                                      # (nc,)
-    term2 = np.einsum("cq,q,qi->ci", s, geom.qweights, geom.qbary)
+    term2 = s @ geom.weighted_qbary
     term2 *= (dot * geom.volumes)[:, None]
 
     return geom.load(term1 + term2)
@@ -275,7 +277,7 @@ def convection_matrix(mesh: Mesh, coeff, phi: Field) -> sp.csr_matrix:
     w = _quad_weight(geom, coeff)
     gphi = geom.cell_gradient(phi.values)
     conv = np.einsum("cd,cjd->cj", gphi, geom.grads)       # (nc, d+1) per trial j
-    wbasis = np.einsum("cq,q,qi->ci", w, geom.qweights, geom.qbary)
+    wbasis = w @ geom.weighted_qbary
     local = np.einsum("ci,cj->cij", wbasis, conv) * geom.volumes[:, None, None]
     return geom.matrix(local)
 
@@ -364,7 +366,7 @@ def solve_spd_pcg(matrix: sp.spmatrix, rhs: np.ndarray, x0: np.ndarray,
     rz = 1.0
     for iteration in range(max_iter + 1):
         if np.linalg.norm(r) <= stop:
-            return _checked_solution(matrix, rhs, x, rtol), iteration, None
+            return checked_solution(matrix, rhs, x, rtol), iteration, None
         if iteration == max_iter:
             break
         z = precond.solve(r)
@@ -375,15 +377,17 @@ def solve_spd_pcg(matrix: sp.spmatrix, rhs: np.ndarray, x0: np.ndarray,
         x += alpha * p
         r -= alpha * q
     lu = factor_spd(matrix)
-    return _checked_solution(matrix, rhs, lu.solve(rhs), rtol), max_iter, lu
+    return checked_solution(matrix, rhs, lu.solve(rhs), rtol), max_iter, lu
 
 
 def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     x = spla.spsolve(matrix.tocsc(), rhs)
-    return _checked_solution(matrix, rhs, x, rtol)
+    return checked_solution(matrix, rhs, x, rtol)
 
 
-def _checked_solution(matrix, rhs, x, rtol):
+def checked_solution(matrix, rhs, x, rtol=1e-10):
+    """x itself, after checking that it is finite and that its relative
+    residual is at most rtol; raises SolverFailure otherwise."""
     if not np.all(np.isfinite(x)):
         raise SolverFailure("sparse solve produced non-finite values "
                             "(singular or degenerate system)")

@@ -132,6 +132,7 @@ def cmd_optimize(config, outdir) -> int:
         "integral_beta_sq": j.integral_beta_sq,
         "state_solves": result.state_solves,
         "adjoint_solves": result.adjoint_solves,
+        "adjoint_iterations": result.adjoint_iterations,
         "history": result.history,
     }
 

@@ -25,6 +25,15 @@ this step sits near 1/2 and its first trial is accepted where a search
 from 1 would reject one.
 Sensitivity solves exist only to verify the gradient; the optimizers never
 use them.
+
+Both block systems, Dirichlet-eliminated, are solved by BiCGSTAB (van der
+Vorst, SIAM J. Sci. Stat. Comput. 13, 1992) with a block upper-triangular
+preconditioner (Murphy, Golub & Wathen, SIAM J. Sci. Comput. 21, 2000): a
+factor of the potential block S, the temperature factor of K + R that the
+state solve already made, and the block's own top-right coupling. The
+adjoint A^T - C^T S^-1 B^T and the sensitivity A - B S^-1 C share their
+Schur spectrum, so one path serves both; a run that reaches
+ADJOINT_MAX_ITER, or breaks down, falls back to the direct 2n solve.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import assembly
 from .assembly import apply_dirichlet, geometry
@@ -48,6 +58,19 @@ from .state import ProblemSpec, SolverOptions, StateSolution, solve_state
 # 0.45-0.50, so the clip never binds there; it keeps a degenerate curvature
 # estimate from starting a search below where ten halvings from 1 reach.
 ALPHA_MIN = 2.0 ** -10
+
+# Relative residual at which BiCGSTAB stops on an adjoint or sensitivity
+# block. Its recursive residual falls below 1e-18 without a fallback on 16^2-
+# 64^2 squares (phi0 = x at beta = 1, phi0 = 2x-3.8x at beta = 0 and 2) and on
+# 8^3 and 16^3 boxes, but the true residual levels off at 1e-14 to 4e-13; 1e-14
+# reaches that floor on every one of these cases (1e-13 leaves 8^3 at four
+# times it) and tighter values only add iterations.
+ADJOINT_RTOL = 1e-14
+
+# BiCGSTAB iterations after which a block solve falls back to the direct 2n
+# solve; 0 makes every block solve direct. The cases above take 3-10; 30
+# iterations at 32^2 cost about as much as the direct solve.
+ADJOINT_MAX_ITER = 30
 
 
 @dataclass
@@ -65,6 +88,7 @@ class AdjointSolution:
     p: Field
     q: Field
     residual: float
+    iterations: int = 0     # BiCGSTAB iterations; 0 for a direct solve
 
 
 @dataclass
@@ -143,31 +167,63 @@ def sensitivity_system(spec: ProblemSpec, beta: Control, state: StateSolution,
     return _state_jacobian(spec, beta, state), rhs, _block_fixed(spec)
 
 
-def _solve_block(block, rhs, fixed) -> tuple[np.ndarray, np.ndarray, float]:
-    """Solve the 2n block with zero data on `fixed`; returns both halves."""
+def _block_bicgstab(matrix, rhs, n: int,
+                    temperature_factor) -> tuple[np.ndarray | None, int]:
+    """BiCGSTAB on the eliminated 2n block, preconditioned block upper
+    triangularly: z2 = S^-1 r2 with S the block's potential block, then
+    z1 = T^-1 (r1 - M12 z2) with M12 its top-right block and T the state
+    solve's factor of K + R eliminated on Gamma_D. Returns the solution
+    (None when the cap or a breakdown stops BiCGSTAB) and the iterations."""
+    s_lu = assembly.factor_spd(matrix[n:, n:])
+    top_right = matrix[:n, n:]
+    applications = 0
+
+    def precondition(r):
+        nonlocal applications
+        applications += 1
+        z2 = s_lu.solve(r[n:])
+        return np.concatenate([temperature_factor.solve(r[:n] - top_right @ z2), z2])
+
+    x, info = spla.bicgstab(matrix, rhs, rtol=ADJOINT_RTOL, atol=0.0,
+                            maxiter=ADJOINT_MAX_ITER,
+                            M=spla.LinearOperator(matrix.shape, precondition, dtype=float))
+    # an iteration applies the preconditioner twice, once if it stops halfway
+    return (x if info == 0 else None), (applications + 1) // 2
+
+
+def _solve_block(block, rhs, fixed,
+                 state: StateSolution) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Solve the 2n block with zero data on `fixed`; returns both halves,
+    the relative residual and the BiCGSTAB iterations (0 for a direct
+    solve). A BiCGSTAB run that reaches ADJOINT_MAX_ITER or breaks down
+    falls back to the direct solve."""
     n = rhs.size // 2
     matrix, rhs = apply_dirichlet(block, rhs, fixed, 0.0)
     try:
-        x = assembly.solve_sparse(matrix, rhs)
+        x, iterations = None, 0
+        if ADJOINT_MAX_ITER > 0:
+            x, iterations = _block_bicgstab(matrix, rhs, n, state.temperature_factor)
+        x = (assembly.solve_sparse(matrix, rhs) if x is None
+             else assembly.checked_solution(matrix, rhs, x))
     except SolverFailure as exc:
         raise AdjointFailure(
             f"block solve failed ({exc}); the conductivity may be degenerate "
             "on part of the domain") from exc
     res = np.linalg.norm(matrix @ x - rhs)
     res /= max(1.0, np.linalg.norm(rhs))
-    return x[:n], x[n:], float(res)
+    return x[:n], x[n:], float(res), iterations
 
 
 def solve_adjoint(spec: ProblemSpec, beta: Control,
                   state: StateSolution) -> AdjointSolution:
-    p, q, res = _solve_block(*adjoint_system(spec, beta, state))
+    p, q, res, iterations = _solve_block(*adjoint_system(spec, beta, state), state)
     return AdjointSolution(Field(spec.mesh, p, FieldKind.ADJOINT_P),
-                           Field(spec.mesh, q, FieldKind.ADJOINT_Q), res)
+                           Field(spec.mesh, q, FieldKind.ADJOINT_Q), res, iterations)
 
 
 def solve_sensitivity(spec: ProblemSpec, beta: Control, state: StateSolution,
                       ell: Control) -> SensitivityPair:
-    psi1, psi2, _ = _solve_block(*sensitivity_system(spec, beta, state, ell))
+    psi1, psi2, _, _ = _solve_block(*sensitivity_system(spec, beta, state, ell), state)
     return SensitivityPair(Field(spec.mesh, psi1, FieldKind.SENSITIVITY_1),
                            Field(spec.mesh, psi2, FieldKind.SENSITIVITY_2), ell)
 
@@ -252,6 +308,7 @@ class OptimizeResult:
     status: str
     state_solves: int     # including failed and rejected trials
     adjoint_solves: int
+    adjoint_iterations: int   # BiCGSTAB iterations over all adjoint solves
 
 
 def _initial_control(spec: ProblemSpec, opts: OptimizerOptions) -> Control:
@@ -281,8 +338,10 @@ def _optimize_sweep(spec: ProblemSpec, opts: OptimizerOptions) -> OptimizeResult
     beta = _initial_control(spec, opts)
     history = []
     best = None
+    adjoint_iterations = 0
     for it in range(1, opts.max_outer + 1):
         state, adjoint = _resolve(spec, beta, opts)
+        adjoint_iterations += adjoint.iterations
         proj = project_control(spec, state, adjoint, spec.m_cap).values
         resid = float(np.max(np.abs(beta.values - proj))) if proj.size else 0.0
         j = objective(spec.mesh, state.u, beta)
@@ -295,16 +354,17 @@ def _optimize_sweep(spec: ProblemSpec, opts: OptimizerOptions) -> OptimizeResult
             # land exactly on the projection image and report its residual
             beta = beta.with_values(proj)
             state, adjoint = _resolve(spec, beta, opts)
+            adjoint_iterations += adjoint.iterations
             final = project_control(spec, state, adjoint, spec.m_cap).values
             final_resid = float(np.max(np.abs(beta.values - final))) if final.size else 0.0
             return OptimizeResult(beta, state, adjoint, history, final_resid,
-                                  True, "converged", it + 1, it + 1)
+                                  True, "converged", it + 1, it + 1, adjoint_iterations)
         beta = beta.with_values((1.0 - opts.relaxation) * beta.values
                                 + opts.relaxation * proj)
     _, beta, state, adjoint, resid = best
     return OptimizeResult(beta, state, adjoint, history, resid, False,
                           "max_outer exceeded; best-J iterate returned",
-                          opts.max_outer, opts.max_outer)
+                          opts.max_outer, opts.max_outer, adjoint_iterations)
 
 
 def _spectral_step(measures, previous, beta, g) -> float:
@@ -325,6 +385,7 @@ def _optimize_projected_gradient(spec: ProblemSpec,
     beta = _initial_control(spec, opts)
     measures = geometry(spec.mesh).facet_measures[beta.facet_ids]
     state, adjoint = _resolve(spec, beta, opts)
+    adjoint_iterations = adjoint.iterations
     j = objective(spec.mesh, state.u, beta)
     history = []
     previous = None   # (control, gradient) of the last accepted iterate
@@ -364,6 +425,7 @@ def _optimize_projected_gradient(spec: ProblemSpec,
             if cj.total <= j.total + opts.armijo_c * decrease:
                 beta, state, j = cand, cstate, cj
                 adjoint = solve_adjoint(spec, beta, state)
+                adjoint_iterations += adjoint.iterations
                 entry["step"] = step
                 accepted = True
                 break
@@ -375,4 +437,4 @@ def _optimize_projected_gradient(spec: ProblemSpec,
     resid = float(np.max(np.abs(beta.values - final))) if final.size else 0.0
     return OptimizeResult(beta, state, adjoint, history, resid, converged, status,
                           1 + sum(h["trials"] for h in history),
-                          1 + sum(h["step"] > 0.0 for h in history))
+                          1 + sum(h["step"] > 0.0 for h in history), adjoint_iterations)

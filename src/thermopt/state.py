@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from . import assembly
 from .assembly import apply_dirichlet, geometry, lift_dirichlet
@@ -106,6 +107,8 @@ class StateSolution:
     history: list = dfield(default_factory=list)
     cg_iterations: int = 0       # over all potential solves
     factorizations: int = 0      # sparse LU factorizations this solve made
+    # factor of K + R eliminated on Gamma_D; the adjoint block reuses it
+    temperature_factor: spla.SuperLU | None = None
 
 
 class _CountingSigma:
@@ -233,6 +236,7 @@ def solve_state(spec: ProblemSpec, beta: Control,
         history=history,
         cg_iterations=cg_iterations,
         factorizations=factorizations,
+        temperature_factor=u_lu,
     )
     sol.residual_u, sol.residual_phi = weak_residual(spec, beta, sol)
     return sol

@@ -21,7 +21,7 @@ from .assembly import geometry
 from .errors import CertificateInfeasibleError, DomainError, EstimationError
 from .fields import Control, Field, FieldKind
 from .materials import ConductivityModel
-from .mesh import BoundaryTag, Mesh, cell_volumes
+from .mesh import BoundaryTag, Mesh
 from .state import ProblemSpec, StateSolution
 
 C1_PROVENANCE = "user-supplied heuristic (no constructive Sobolev constant)"
@@ -306,7 +306,7 @@ def compute_certificate(model: ConductivityModel, spec: ProblemSpec, eps: float 
     phi0_w1inf = max(phi0_inf, assembly.max_cell_gradient(spec.phi0))
     F_u0 = float(model.F(float(np.max(spec.u0.values))))
     F_u1 = float(model.F(float(np.max(spec.u1.values))))
-    mes_omega = float(cell_volumes(mesh).sum())
+    mes_omega = float(geometry(mesh).volumes.sum())
     C_D = estimate_poincare(mesh)
 
     if eps <= 0:

@@ -345,6 +345,22 @@ def test_optimize_benchmark_history(tmp_path):
     assert opt["history"][-1]["optimality_residual"] <= 1e-7
 
 
+def test_optimize_projected_gradient_on_a_box(tmp_path):
+    # at phi0 = 0.1x the optimum is beta = 0; at phi0 = x it is not
+    cfg = write_config(tmp_path, BENCHMARK.replace("1 1\n", "1 1 1\n")
+                       .replace("16 16", "4 4 4").replace("0.1*x", "x")
+                       .replace("problem.u1 = 0", "problem.u1 = 0.05")
+                       + "optimizer.mode = projected_gradient\n")
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+    report = read_report(out)
+    opt = report["optimizer"]
+    assert opt["converged"] and opt["status"] == "converged"
+    assert opt["optimality_residual"] <= float(report["config"]["optimizer.tol"])
+    assert opt["integral_beta_sq"] > 0.0
+    assert opt["adjoint_iterations"] >= opt["adjoint_solves"]
+
+
 DEFECTS = Path(__file__).resolve().parents[1] / "perfbench" / "defects"
 
 

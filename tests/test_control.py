@@ -1,7 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from thermopt.assembly import interpolate, norms
 from thermopt.control import (
@@ -134,6 +136,77 @@ def test_adjoint_poisson_center_value_oracle():
     adj = solve_adjoint(spec, Control.constant(mesh, 0.0, 2.0), state)
     center = np.flatnonzero(np.all(np.abs(mesh.vertices - 0.5) < 1e-12, axis=1))[0]
     assert adj.p.values[center] == pytest.approx(-series, rel=2e-3)
+
+
+def _box_spec(n, drive):
+    mesh = build_rectangle_mesh([1.0, 1.0, 1.0], [n, n, n], LEFT)
+    return control_spec(mesh=mesh, drive=drive)
+
+
+@pytest.mark.parametrize("spec_of, beta_value", [
+    (lambda: control_spec(16, drive=0.1), 0.5),
+    (lambda: control_spec(16, drive=1.0), 0.5),
+    (lambda: control_spec(16, drive=3.0), 0.0),
+    (lambda: _box_spec(6, 1.0), 0.5),
+], ids=["16x16-0.1x", "16x16-x", "16x16-3x-beta0", "6x6x6-x"])
+def test_block_krylov_matches_direct_solve(monkeypatch, spec_of, beta_value):
+    # BiCGSTAB on the block against the direct 2n solve (a cap of 0)
+    from thermopt import control
+    spec = spec_of()
+    beta = Control.constant(spec.mesh, beta_value, spec.m_cap)
+    state = solve_state(spec, beta)
+    ell = Control.variation(spec.mesh, np.random.default_rng(3).uniform(
+        -1, 1, beta.values.size))
+    adjoint = solve_adjoint(spec, beta, state)
+    pair = solve_sensitivity(spec, beta, state, ell)
+    monkeypatch.setattr(control, "ADJOINT_MAX_ITER", 0)
+    direct = solve_adjoint(spec, beta, state)
+    direct_pair = solve_sensitivity(spec, beta, state, ell)
+    assert adjoint.iterations > 0 and direct.iterations == 0
+    for got, want in ((adjoint.p, direct.p), (adjoint.q, direct.q),
+                      (pair.psi1, direct_pair.psi1), (pair.psi2, direct_pair.psi2)):
+        scale = np.max(np.abs(want.values))
+        assert scale > 0
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12 * scale
+
+
+def test_block_krylov_cap_falls_back_to_direct_solve(monkeypatch):
+    from thermopt import control
+    spec = control_spec(8, drive=1.0)
+    beta = Control.constant(spec.mesh, 0.5, 2.0)
+    state = solve_state(spec, beta)
+    monkeypatch.setattr(control, "ADJOINT_MAX_ITER", 1)
+    capped = solve_adjoint(spec, beta, state)
+    monkeypatch.setattr(control, "ADJOINT_MAX_ITER", 0)
+    direct = solve_adjoint(spec, beta, state)
+    assert capped.iterations == 1
+    assert np.array_equal(capped.p.values, direct.p.values)
+    assert np.array_equal(capped.q.values, direct.q.values)
+
+
+def test_solve_adjoint_factors_only_the_potential_block(monkeypatch):
+    """The adjoint reuses the state's temperature factor: one MMD factor of
+    the potential block and no COLAMD spsolve of the 2n block."""
+    spec = control_spec(16, drive=1.0)
+    beta = Control.constant(spec.mesh, 0.5, 2.0)
+    state = solve_state(spec, beta)
+    calls = {"splu": [], "spsolve": 0}
+    splu, spsolve = spla.splu, spla.spsolve
+
+    def counting_splu(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "thermopt.assembly":
+            calls["splu"].append(kwargs.get("permc_spec"))
+        return splu(*args, **kwargs)
+
+    def counting_spsolve(*args, **kwargs):
+        calls["spsolve"] += 1
+        return spsolve(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(spla, "spsolve", counting_spsolve)
+    adjoint = solve_adjoint(spec, beta, state)
+    assert adjoint.iterations > 0
+    assert calls == {"splu": ["MMD_AT_PLUS_A"], "spsolve": 0}
 
 
 def test_sensitivity_zero_direction_gives_zero():
@@ -368,6 +441,23 @@ def test_optimizer_counts_its_solves(monkeypatch, mode):
         assert result.adjoint_solves == 1 + accepted
     else:
         assert result.adjoint_solves == result.state_solves
+
+
+@pytest.mark.parametrize("mode", ["sweep", "projected_gradient"])
+def test_optimizer_totals_adjoint_iterations(monkeypatch, mode):
+    from thermopt import control
+    adjoints = []
+
+    def recording_adjoint(*args):
+        adjoints.append(solve_adjoint(*args))
+        return adjoints[-1]
+
+    monkeypatch.setattr(control, "solve_adjoint", recording_adjoint)
+    result = optimize(control_spec(8), OptimizerOptions(mode=mode))
+    assert result.converged
+    assert result.adjoint_solves == len(adjoints)
+    assert all(a.iterations > 0 for a in adjoints)
+    assert result.adjoint_iterations == sum(a.iterations for a in adjoints)
 
 
 def test_projected_gradient_spectral_step_saves_trials(monkeypatch):
