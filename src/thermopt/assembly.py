@@ -64,8 +64,9 @@ class P1Geometry:
         self.qbary = bary                                 # (nq, d+1)
         # w @ weighted_qbary is sum_q qweights_q w_cq qbary_qi, (nc, d+1)
         self.weighted_qbary = self.qweights[:, None] * bary
-        verts = mesh.vertices[mesh.cells]                 # (nc, d+1, d)
-        self.qpoints = np.einsum("qi,cid->cqd", bary, verts)
+        # qweights_q qbary_qi qbary_qj, (nq, d+1, d+1); sum_q w_cq of it times |K|
+        # is the cell mass matrix of the weight w
+        self.mass_products = np.einsum("q,qi,qj->qij", self.qweights, bary, bary)
         self.facet_measures = facet_measures(mesh)
         # canonical CSR pattern of the cell couplings; scatter sends every
         # entry of the (nc, d+1, d+1) cell matrices to its slot in the data
@@ -140,15 +141,9 @@ def geometry(mesh: Mesh) -> P1Geometry:
     return geom
 
 
-WeightLike = "float | np.ndarray | Field | Callable"
-
-
 def _quad_weight(geom: P1Geometry, weight) -> np.ndarray:
     """Weight values at quadrature points, shape (nc, nq)."""
     nc, nq = geom.cells.shape[0], geom.qweights.shape[0]
-    if callable(weight):
-        pts = geom.qpoints.reshape(-1, geom.dim)
-        return np.asarray(weight(pts), dtype=float).reshape(nc, nq)
     if isinstance(weight, Field):
         return geom.at_quadrature(weight.values)
     arr = np.asarray(weight, dtype=float)
@@ -179,8 +174,7 @@ def assemble_mass(mesh: Mesh, weight=1.0) -> sp.csr_matrix:
     """M_ij = sum_cells integral w lambda_i lambda_j dx (consistent mass)."""
     geom = geometry(mesh)
     w = _quad_weight(geom, weight)
-    bb = np.einsum("q,qi,qj->qij", geom.qweights, geom.qbary, geom.qbary)
-    local = np.einsum("cq,qij->cij", w, bb) * geom.volumes[:, None, None]
+    local = np.einsum("cq,qij->cij", w, geom.mass_products) * geom.volumes[:, None, None]
     return geom.matrix(local)
 
 
@@ -265,21 +259,6 @@ def assemble_joule_rhs_weak(mesh: Mesh, sigma_q: np.ndarray, phi: Field,
     term2 *= (dot * geom.volumes)[:, None]
 
     return geom.load(term1 + term2)
-
-
-def convection_matrix(mesh: Mesh, coeff, phi: Field) -> sp.csr_matrix:
-    """H_ij = sum_cells integral w (grad phi . grad lambda_j) lambda_i dx.
-
-    Pairs a gradient of the trial function with the test function value;
-    `coeff` follows the same conventions as assembly weights.
-    """
-    geom = geometry(mesh)
-    w = _quad_weight(geom, coeff)
-    gphi = geom.cell_gradient(phi.values)
-    conv = np.einsum("cd,cjd->cj", gphi, geom.grads)       # (nc, d+1) per trial j
-    wbasis = w @ geom.weighted_qbary
-    local = np.einsum("ci,cj->cij", wbasis, conv) * geom.volumes[:, None, None]
-    return geom.matrix(local)
 
 
 def lift_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray, fixed: np.ndarray,

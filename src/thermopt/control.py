@@ -24,7 +24,8 @@ The Tikhonov term makes the reduced Hessian 2 I plus a smaller PDE part, so
 this step sits near 1/2 and its first trial is accepted where a search
 from 1 would reject one.
 Sensitivity solves exist only to verify the gradient; the optimizers never
-use them.
+use them. Both blocks come from one linearization, four cell matrices
+scattered once each; the adjoint scatters them transposed.
 
 Both block systems, Dirichlet-eliminated, are solved by BiCGSTAB (van der
 Vorst, SIAM J. Sci. Stat. Comput. 13, 1992) with a block upper-triangular
@@ -105,37 +106,50 @@ def objective(mesh, u: Field, beta: Control) -> ObjectiveValue:
     return ObjectiveValue(integral_u, float(measures @ beta.values ** 2))
 
 
-def _state_jacobian(spec: ProblemSpec, beta: Control, state: StateSolution):
+def _state_jacobian(spec: ProblemSpec, beta: Control, state: StateSolution,
+                    transpose: bool = False) -> sp.csr_matrix:
     """Exact Jacobian [[A, B], [C, S]] at (u, phi) of the residuals
     (K + R) u - b(u, phi) - robin load and S(sigma(u)) phi, with b the weak
-    Joule load of assemble_joule_rhs_weak. H(w; f) is convection_matrix
-    (f = phi by default):
+    Joule load of assemble_joule_rhs_weak; with transpose, [[A^T, C^T],
+    [B^T, S^T]]. With d = phi0 - phi, [.] the cell mean by quadrature, K the
+    cell stiffness, test i and trial j, the cell matrices are
 
-    A = K + R - H((phi0 - phi) sigma')^T - mass(sigma' grad phi . grad phi0)
-    B = H(sigma)^T - stiffness((phi0 - phi) sigma) - H(sigma; phi0)
-    C = H(sigma')^T,    S = stiffness(sigma)
+    A = K - |K| (grad phi . grad lambda_i) [d sigma' lambda_j]
+          - |K| [sigma' (grad phi . grad phi0) lambda_i lambda_j]
+    B = |K| (grad phi . grad lambda_i) [sigma lambda_j] - [d sigma] K
+          - |K| [sigma lambda_i] (grad phi0 . grad lambda_j)
+    C = |K| (grad phi . grad lambda_i) [sigma' lambda_j],    S = [sigma] K
+
+    and R, the only beta-dependent term, is added to A after the scatter.
+    The transpose scatters the transposed cell matrices: the same terms
+    summed in the same order, so it is the Jacobian's transpose bit for bit.
     """
-    mesh = spec.mesh
-    geom = geometry(mesh)
-    model = spec.model
+    geom = geometry(spec.mesh)
     u_q = np.maximum(geom.at_quadrature(state.u.values), 0.0)
-    sigma_q = np.asarray(model.sigma(u_q), dtype=float)
-    sigma_prime_q = np.asarray(model.sigma_prime(u_q), dtype=float)
+    sigma_q = np.asarray(spec.model.sigma(u_q), dtype=float)
+    sigma_prime_q = np.asarray(spec.model.sigma_prime(u_q), dtype=float)
     diff_q = geom.at_quadrature(spec.phi0.values - state.phi.values)
-    dot = np.sum(geom.cell_gradient(state.phi.values)
-                 * geom.cell_gradient(spec.phi0.values), axis=1)
+    gphi, gphi0 = geom.cell_gradient(state.phi.values), geom.cell_gradient(spec.phi0.values)
+    conv, conv0 = (np.einsum("cd,cid->ci", g, geom.grads) for g in (gphi, gphi0))
+    K = geom.grad_products
 
-    R, _ = assembly.assemble_robin(mesh, beta, spec.u1)
-    A = (geom.stiffness + R - assembly.convection_matrix(mesh, diff_q * sigma_prime_q, state.phi).T
-         - assembly.assemble_mass(mesh, sigma_prime_q * dot[:, None]))
-    # (phi0 - phi) sigma changes sign: this stiffness bypasses the weight guard
-    signed = geom.matrix(geom.grad_products
-                         * ((diff_q * sigma_q) @ geom.qweights)[:, None, None])
-    B = (assembly.convection_matrix(mesh, sigma_q, state.phi).T - signed
-         - assembly.convection_matrix(mesh, sigma_q, spec.phi0))
-    C = assembly.convection_matrix(mesh, sigma_prime_q, state.phi).T
-    S = assembly.assemble_weighted_stiffness(mesh, sigma_q)
-    return sp.bmat([[A, B], [C, S]], format="csr")
+    def basis(w_q):                                     # |K| [w lambda_i], (nc, d+1)
+        return (w_q @ geom.weighted_qbary) * geom.volumes[:, None]
+
+    sigma_basis = basis(sigma_q)
+    dot_vol = np.sum(gphi * gphi0, axis=1) * geom.volumes
+    A = (K - np.einsum("ci,cj->cij", conv, basis(diff_q * sigma_prime_q))
+         - np.einsum("cq,qij->cij", sigma_prime_q * dot_vol[:, None], geom.mass_products))
+    B = (np.einsum("ci,cj->cij", conv, sigma_basis) - np.einsum("ci,cj->cij", sigma_basis, conv0)
+         - K * ((diff_q * sigma_q) @ geom.qweights)[:, None, None])
+    C = np.einsum("ci,cj->cij", conv, basis(sigma_prime_q))
+    S = K * (sigma_q @ geom.qweights)[:, None, None]
+    blocks = [[A, B], [C, S]]
+    if transpose:
+        blocks = [[m.swapaxes(1, 2) for m in column] for column in zip(*blocks)]
+    (a, b), (c, s) = ([geom.matrix(m) for m in row] for row in blocks)
+    R, _ = assembly.assemble_robin(spec.mesh, beta, spec.u1)
+    return sp.bmat([[a + R, b], [c, s]], format="csr")
 
 
 def _block_fixed(spec: ProblemSpec) -> np.ndarray:
@@ -150,7 +164,7 @@ def adjoint_system(spec: ProblemSpec, beta: Control,
     """Monolithic block system for (p, q): the transpose of the state
     Jacobian with the objective's source, A^T p + C^T q = -integral lambda_i
     dx and B^T p + S q = 0, so the exact transpose of sensitivity_system."""
-    block = _state_jacobian(spec, beta, state).T.tocsr()
+    block = _state_jacobian(spec, beta, state, transpose=True)
     rhs = np.concatenate([-assembly.load_vector(spec.mesh),
                           np.zeros(spec.mesh.n_vertices)])
     return block, rhs, _block_fixed(spec)

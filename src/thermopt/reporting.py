@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .fields import Control, Field
 from .mesh import facet_centroids
 
@@ -71,6 +72,10 @@ def write_report(report: dict, path: str) -> None:
 
 
 def ensure_dir(path: str) -> Path:
+    """The output directory, created if missing; ConfigurationError if it cannot be."""
     p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
+    try:
+        p.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot use {path!r} as the output directory ({exc})") from exc
     return p

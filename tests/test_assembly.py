@@ -15,7 +15,6 @@ from thermopt.assembly import (
     assemble_weighted_stiffness,
     boundary_l2,
     check_symmetric,
-    convection_matrix,
     geometry,
     interpolate,
     load_vector,
@@ -282,20 +281,6 @@ def test_mass_integrates_polynomials_exactly():
     # integral of x^2 over unit square via quadratic-exact quadrature
     assert x @ (M @ x) == pytest.approx(1.0 / 3.0, rel=1e-13)
     assert load_vector(mesh).sum() == pytest.approx(1.0, rel=1e-13)
-
-
-def test_convection_matrix_against_quadrature_identity():
-    # row sums of H against constant trial: integral w (grad phi . grad 1) = 0
-    mesh = unit_square(3)
-    phi = field(mesh, mesh.vertices[:, 0] + 0.5 * mesh.vertices[:, 1],
-                FieldKind.POTENTIAL)
-    H = convection_matrix(mesh, 2.0, phi)
-    ones = np.ones(mesh.n_vertices)
-    assert np.allclose(H @ ones, 0.0, atol=1e-13)
-    # column pairing against linear trial: H v = integral w (grad phi . grad v) lambda_i
-    v = mesh.vertices[:, 0]
-    expect = 2.0 * 1.0 * load_vector(mesh)  # grad phi . grad x = 1
-    assert np.allclose(H @ v, expect, atol=1e-13)
 
 
 def test_3d_p1_reproduces_linear_dirichlet_data():

@@ -152,6 +152,19 @@ def test_solve_invalid_data_exits_1(tmp_path, capsys, old, new):
     assert "configuration error:" in capsys.readouterr().err
 
 
+def test_out_path_that_is_a_file_exits_1_without_traceback(tmp_path):
+    cfg = write_config(tmp_path, BENCHMARK)
+    taken = tmp_path / "taken"
+    taken.write_text("a regular file\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli_mod.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-m", "thermopt.cli", "solve", "--config", cfg,
+                             "--out", str(taken)], env=env, capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("configuration error:")
+    assert str(taken) in result.stderr
+
+
 def test_cli_import_leaves_out_quadrature_and_special_functions():
     # these three scipy subpackages would add about 0.2 s to every command's start-up
     src = Path(cli_mod.__file__).resolve().parents[1]

@@ -24,7 +24,6 @@ from thermopt.assembly import (
     assemble_robin,
     assemble_weighted_stiffness,
     boundary_l2,
-    convection_matrix,
     facet_mass,
     facet_pairing,
     factor_spd,
@@ -33,7 +32,7 @@ from thermopt.assembly import (
     load_vector,
     solve_spd_pcg,
 )
-from thermopt.control import adjoint_system
+from thermopt.control import adjoint_system, sensitivity_system
 from thermopt.errors import SolverFailure
 from thermopt.fields import Control, Field, FieldKind
 from thermopt.materials import TruncatedPower
@@ -45,7 +44,7 @@ from thermopt.mesh import (
     refine_uniform,
 )
 from thermopt.reporting import write_vtk
-from thermopt.state import ProblemSpec, solve_state
+from thermopt.state import ProblemSpec, StateSolution, solve_state
 from thermopt.transform import _flux_load, energy_inequality_report, transform
 
 D = BoundaryTag.DIRICHLET_TEMPERATURE
@@ -432,14 +431,6 @@ def mass_coo(mesh, w):
     return accumulate_coo(mesh.cells, local, mesh.n_vertices)
 
 
-def convection_coo(mesh, w, phi):
-    geom = geometry(mesh)
-    conv = np.einsum("cd,cjd->cj", geom.cell_gradient(phi), geom.grads)
-    wbasis = np.einsum("cq,q,qi->ci", geom.at_quadrature(w), geom.qweights, geom.qbary)
-    local = np.einsum("ci,cj->cij", wbasis, conv) * geom.volumes[:, None, None]
-    return accumulate_coo(mesh.cells, local, mesh.n_vertices)
-
-
 def load_add_at(mesh, w):
     geom = geometry(mesh)
     local = np.einsum("cq,q,qi->ci", geom.at_quadrature(w), geom.qweights, geom.qbary)
@@ -506,13 +497,11 @@ def random_mesh_fields(extents, divisions, seed=11):
 
 @pytest.mark.parametrize("extents, divisions", BOXES)
 def test_pattern_assembly_matches_coo_reference(extents, divisions):
-    mesh, w, phi, _ = random_mesh_fields(extents, divisions)
-    phi_field = Field(mesh, phi, FieldKind.POTENTIAL)
+    mesh, w, _, _ = random_mesh_fields(extents, divisions)
     for actual, expected in [
             (assemble_weighted_stiffness(mesh, w), stiffness_coo(mesh, w)),
             (assemble_weighted_stiffness(mesh, 1.0), stiffness_coo(mesh, np.ones_like(w))),
-            (assemble_mass(mesh, w), mass_coo(mesh, w)),
-            (convection_matrix(mesh, w, phi_field), convection_coo(mesh, w, phi))]:
+            (assemble_mass(mesh, w), mass_coo(mesh, w))]:
         assert same_pattern(actual, expected)
         assert cell_close(actual.data, expected.data)
 
@@ -573,6 +562,43 @@ def test_masked_dirichlet_matches_triple_product_on_adjoint_block():
     assert block.shape == (2 * mesh.n_vertices,) * 2
     assert_same_system(apply_dirichlet(block, rhs, fixed, 0.0),
                        dirichlet_triple_product(block, rhs, fixed, 0.0))
+
+
+@pytest.mark.parametrize("extents, divisions", BOXES)
+def test_state_jacobian_matches_residual_differences(extents, divisions):
+    # the block of sensitivity_system against central differences of the weak
+    # residual map that solve_state solves, at a random state well below u_star
+    mesh = build_rectangle_mesh(extents, divisions, dirichlet_on_planes("x=0"))
+    n = mesh.n_vertices
+    rng = np.random.default_rng(3)
+    model = TruncatedPower(1.0, 1.0, 2.0)
+    spec = ProblemSpec(mesh=mesh, model=model,
+                       u0=Field(mesh, np.zeros(n), FieldKind.TEMPERATURE),
+                       u1=Field(mesh, rng.uniform(0.0, 0.2, n), FieldKind.TEMPERATURE),
+                       phi0=Field(mesh, rng.uniform(-1.0, 1.0, n), FieldKind.POTENTIAL),
+                       m_cap=2.0)
+    beta = Control.constant(mesh, 1.0, 2.0)
+    beta = beta.with_values(rng.uniform(0.0, 2.0, beta.values.size))
+    u, phi = rng.uniform(0.05, 0.5, n), rng.uniform(-1.0, 1.0, n)
+    state = StateSolution(Field(mesh, u, FieldKind.TEMPERATURE),
+                          Field(mesh, phi, FieldKind.POTENTIAL), 1, 0.0, 0.0, 0, None)
+    K = assemble_weighted_stiffness(mesh, 1.0)
+    R, robin_load = assemble_robin(mesh, beta, spec.u1)
+
+    def residual(u, phi):
+        sigma_q = model.sigma(geometry(mesh).at_quadrature(u))
+        joule = assemble_joule_rhs_weak(mesh, sigma_q, Field(mesh, phi, FieldKind.POTENTIAL),
+                                        spec.phi0)
+        return np.concatenate([(K + R) @ u - joule - robin_load,
+                               assemble_weighted_stiffness(mesh, sigma_q) @ phi])
+
+    block, _, _ = sensitivity_system(spec, beta, state, beta)
+    du, dphi = rng.standard_normal((2, n))
+    h = 1e-5
+    fd = (residual(u + h * du, phi + h * dphi) - residual(u - h * du, phi - h * dphi)) / (2 * h)
+    jv = block @ np.concatenate([du, dphi])
+    for half in (slice(0, n), slice(n, 2 * n)):
+        assert np.linalg.norm(jv[half] - fd[half]) <= 1e-8 * np.linalg.norm(jv[half])
 
 
 @pytest.mark.parametrize("extents, divisions", BOXES)
