@@ -23,7 +23,8 @@ class BoundaryTag(enum.Enum):
     ROBIN_TEMPERATURE = "robin_temperature"
 
 
-TagRule = Callable[[np.ndarray], BoundaryTag]
+# Maps the (n, dim) facet centroids to a Dirichlet mask (False means Robin).
+TagRule = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +71,7 @@ class Mesh:
 _TAG_CODE = {BoundaryTag.DIRICHLET_TEMPERATURE: 0, BoundaryTag.ROBIN_TEMPERATURE: 1}
 _TAG_FROM_CODE = {v: k for k, v in _TAG_CODE.items()}
 _MESH_SECTIONS = ("VERTICES", "CELLS", "FACETS")
+_PLANE_TOL = 1e-12
 
 
 def cell_volumes(mesh: Mesh) -> np.ndarray:
@@ -105,12 +107,11 @@ def mesh_size(mesh: Mesh) -> float:
     return float(np.max(np.linalg.norm(v[..., 0, :] - v[..., 1, :], axis=-1)))
 
 
-def dirichlet_on_planes(*specs: str, default: BoundaryTag = BoundaryTag.ROBIN_TEMPERATURE,
-                        tol: float = 1e-12) -> TagRule:
+def dirichlet_on_planes(*specs: str) -> TagRule:
     """Tag rule from axis-aligned plane specs like "x=0" or "y=1.5".
 
-    A facet whose centroid lies on any listed plane is Dirichlet; everything
-    else gets the default tag.
+    A facet whose centroid lies on any listed plane is Dirichlet; every other
+    facet is Robin.
     """
     axes = {"x": 0, "y": 1, "z": 2}
     planes = []
@@ -121,11 +122,12 @@ def dirichlet_on_planes(*specs: str, default: BoundaryTag = BoundaryTag.ROBIN_TE
         except (ValueError, KeyError):
             raise ConfigurationError(f"bad plane spec {spec!r}; expected e.g. 'x=0'")
 
-    def rule(centroid: np.ndarray) -> BoundaryTag:
+    def rule(centroids: np.ndarray) -> np.ndarray:
+        on_plane = np.zeros(centroids.shape[0], dtype=bool)
         for axis, value in planes:
-            if axis < centroid.shape[0] and abs(centroid[axis] - value) <= tol:
-                return BoundaryTag.DIRICHLET_TEMPERATURE
-        return default
+            if axis < centroids.shape[1]:
+                on_plane |= np.abs(centroids[:, axis] - value) <= _PLANE_TOL
+        return on_plane
 
     return rule
 
@@ -150,19 +152,19 @@ def _extract_boundary(cells: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _tag_facets(vertices: np.ndarray, facets: np.ndarray, tag_rule: TagRule) -> np.ndarray:
-    tags = np.empty(facets.shape[0], dtype=np.int8)
-    centroids = vertices[facets].mean(axis=1)
-    for i, c in enumerate(centroids):
-        tags[i] = _TAG_CODE[tag_rule(c)]
-    if not np.any(tags == _TAG_CODE[BoundaryTag.DIRICHLET_TEMPERATURE]):
+    dirichlet = np.asarray(tag_rule(vertices[facets].mean(axis=1)), dtype=bool)
+    if not dirichlet.any():
         raise ConfigurationError("tag rule assigns no facet to the Dirichlet part")
-    return tags
+    return np.where(dirichlet, _TAG_CODE[BoundaryTag.DIRICHLET_TEMPERATURE],
+                    _TAG_CODE[BoundaryTag.ROBIN_TEMPERATURE]).astype(np.int8)
 
 
 # Index tables of a simplex with k vertices: its facets (local facet i omits
 # vertex i), its edges, and its regular refinement. Children index the
 # vertices followed by the edge midpoints in _EDGES order; tetrahedra follow
-# Bey's rule (4 corner children + octahedron split along m02-m13).
+# Bey's rule (4 corner children + octahedron split along m02-m13). Its two
+# negative interior children list vertices 0 and 2 exchanged: the odd swap
+# (0 2) makes them positive and keeps the edge pair {02, 13}, Bey's diagonal.
 _FACETS_OF = {k: np.array([[j for j in range(k) if j != i] for i in range(k)])
               for k in (3, 4)}
 _EDGES = {
@@ -174,16 +176,19 @@ _CHILDREN = {
     2: np.array([[0, 2], [2, 1]]),
     3: np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]),
     4: np.array([[0, 4, 5, 6], [4, 1, 7, 8], [5, 7, 2, 9], [6, 8, 9, 3],
-                 [4, 5, 6, 8], [4, 5, 7, 8], [5, 6, 8, 9], [5, 7, 8, 9]]),
+                 [4, 5, 6, 8], [7, 5, 4, 8], [5, 6, 8, 9], [8, 7, 5, 9]]),
 }
 
 # Corner offsets of the simplices splitting one box: two right triangles, or
-# the Kuhn split of the cube, one tetrahedron per vertex permutation path.
+# the Kuhn split of the cube, one tetrahedron per corner path 0, e_a, e_a + e_b,
+# (1, 1, 1). Odd paths list corners 0 and 2 exchanged, as in _CHILDREN, so all
+# cells are positive and k refinements give the box at 2^k divisions (Bey 1995).
+_UNIT = np.eye(3, dtype=int)
 _BOX_SPLIT = {
     2: np.array([[(0, 0), (1, 0), (0, 1)], [(1, 0), (1, 1), (0, 1)]]),
-    3: np.array([[(0, 0, 0), np.eye(3, dtype=int)[p[0]],
-                  np.eye(3, dtype=int)[p[0]] + np.eye(3, dtype=int)[p[1]], (1, 1, 1)]
-                 for p in itertools.permutations(range(3), 2)]),
+    3: np.array([np.array([(0, 0, 0), _UNIT[a], _UNIT[a] + _UNIT[b], (1, 1, 1)])
+                 [[0, 1, 2, 3] if (b - a) % 3 == 1 else [2, 1, 0, 3]]
+                 for a, b in itertools.permutations(range(3), 2)]),
 }
 
 
@@ -193,8 +198,12 @@ def build_rectangle_mesh(extents: Sequence[float], divisions: Sequence[int],
 
     extents : per-axis lengths, all > 0
     divisions : per-axis cell counts, all >= 1
-    tag_rule : maps a facet centroid to its BoundaryTag; must produce at
-        least one Dirichlet facet
+    tag_rule : maps the (n, dim) array of boundary facet centroids to a
+        boolean Dirichlet mask (True: Dirichlet, False: Robin), called once;
+        must mark at least one facet
+
+    Cells are positive by construction (see _BOX_SPLIT), so the result
+    satisfies `validate` without running it.
     """
     extents = [float(e) for e in extents]
     divisions = [int(n) for n in divisions]
@@ -215,22 +224,8 @@ def build_rectangle_mesh(extents: Sequence[float], divisions: Sequence[int],
     strides = np.array([np.prod(shape[k + 1:]) for k in range(dim)])
     corners = np.indices(divisions).reshape(dim, -1).T @ strides   # lower box corners
     cells = (corners[:, None, None] + _BOX_SPLIT[dim] @ strides).reshape(-1, dim + 1)
-    cells = _orient_positively(vertices, cells)
-
     facets = _extract_boundary(cells, dim)
-    tags = _tag_facets(vertices, facets, tag_rule)
-    mesh = Mesh(dim, vertices, cells, facets, tags)
-    validate(mesh)
-    return mesh
-
-
-def _orient_positively(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    cells = cells.copy()
-    v = vertices[cells]
-    det = np.linalg.det(v[:, 1:, :] - v[:, :1, :])
-    flip = det < 0
-    cells[flip, -2], cells[flip, -1] = cells[flip, -1].copy(), cells[flip, -2].copy()
-    return cells
+    return Mesh(dim, vertices, cells, facets, _tag_facets(vertices, facets, tag_rule))
 
 
 def validate(mesh: Mesh) -> None:
@@ -253,7 +248,9 @@ def refine_uniform(mesh: Mesh) -> Mesh:
 
     New midpoint vertices are appended after the existing ones, so nodal data
     prolongates by copying parents and averaging over `parent_edges`.
-    Boundary tags are inherited from the parent facet.
+    Boundary tags are inherited from the parent facet. Children of positive
+    cells are positive, and a box mesh refined k times has the cells of the
+    box mesh with 2^k times the divisions, numbered differently.
     """
     nv = mesh.n_vertices
     edges = _edge_rows(mesh.cells)
@@ -271,7 +268,6 @@ def refine_uniform(mesh: Mesh) -> Mesh:
 
     mids = 0.5 * (mesh.vertices[parent_edges[:, 0]] + mesh.vertices[parent_edges[:, 1]])
     vertices = np.vstack([mesh.vertices, mids])
-    cells = _orient_positively(vertices, cells)
     return Mesh(mesh.dim, vertices, cells, facets, tags, parent_edges=parent_edges)
 
 

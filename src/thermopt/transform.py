@@ -179,25 +179,26 @@ def compute_C_eps(model: ConductivityModel, eps: float) -> float:
 
 def estimate_poincare(mesh: Mesh, tol: float = 1e-8, max_iter: int = 500) -> float:
     """C_D = 1/sqrt(lambda_min) for the Laplacian with zero data on the
-    Dirichlet part, by inverse power iteration on the generalized problem."""
-    K = geometry(mesh).stiffness.tocsc()
-    M = assembly.assemble_mass(mesh).tocsc()
-    free = np.ones(mesh.n_vertices, dtype=bool)
-    free[mesh.boundary_vertex_set(BoundaryTag.DIRICHLET_TEMPERATURE)] = False
-    idx = np.flatnonzero(free)
-    Kff = K[np.ix_(idx, idx)].tocsc()
-    Mff = M[np.ix_(idx, idx)].tocsc()
-    lu = assembly.factor_spd(Kff)
-    x = np.ones(idx.size)
-    x /= math.sqrt(float(x @ (Mff @ x)))
+    Dirichlet part, by inverse power iteration on the generalized problem;
+    the iterates stay zero on the Dirichlet vertices the factor eliminates."""
+    K = geometry(mesh).stiffness
+    M = assembly.assemble_mass(mesh)
+    fixed = mesh.boundary_vertex_set(BoundaryTag.DIRICHLET_TEMPERATURE)
+    lu = assembly.factor_spd(assembly.apply_dirichlet(K, np.zeros(mesh.n_vertices),
+                                                      fixed, 0.0)[0])
+    x = np.ones(mesh.n_vertices)
+    x[fixed] = 0.0
+    x /= math.sqrt(float(x @ (M @ x)))
     lam_prev = math.inf
     for _ in range(max_iter):
-        y = lu.solve(Mff @ x)
-        ynorm = math.sqrt(float(y @ (Mff @ y)))
+        rhs = M @ x
+        rhs[fixed] = 0.0
+        y = lu.solve(rhs)
+        ynorm = math.sqrt(float(y @ (M @ y)))
         if ynorm == 0.0:
             raise EstimationError("inverse iteration collapsed to zero")
         x = y / ynorm
-        lam = float(x @ (Kff @ x)) / float(x @ (Mff @ x))
+        lam = float(x @ (K @ x)) / float(x @ (M @ x))
         if abs(lam - lam_prev) <= tol * abs(lam):
             return 1.0 / math.sqrt(lam)
         lam_prev = lam

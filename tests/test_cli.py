@@ -410,6 +410,14 @@ def test_verify_substitution(tmp_path):
                  "--out", str(tmp_path / "o")]) == 0
 
 
+def test_verify_substitution_3d(tmp_path):
+    # a refined 3D box must keep the Kuhn mesh for the identity defect to fall
+    text = (Path(__file__).parents[1] / "perfbench/defects/verify_substitution_3d.cfg").read_text()
+    cfg = write_config(tmp_path, text.replace("8 8 8", "4 4 4"))
+    assert main(["verify", "--config", cfg, "--suite", "substitution",
+                 "--out", str(tmp_path / "o")]) == 0
+
+
 def test_verify_gradient(tmp_path):
     cfg = write_config(tmp_path, BENCHMARK.replace("16 16", "8 8")
                        .replace("problem.u1 = 0", "problem.u1 = 0.05"))

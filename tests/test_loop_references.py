@@ -94,7 +94,7 @@ def orient_positively(vertices, cells):
     v = vertices[cells]
     det = np.linalg.det(v[:, 1:, :] - v[:, :1, :])
     flip = det < 0
-    cells[flip, -2], cells[flip, -1] = cells[flip, -1].copy(), cells[flip, -2].copy()
+    cells[flip, 0], cells[flip, 2] = cells[flip, 2].copy(), cells[flip, 0].copy()
     return cells
 
 

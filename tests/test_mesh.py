@@ -44,6 +44,7 @@ def test_left_dirichlet_tagging_counts():
 def test_unit_cube_counts():
     rule = dirichlet_on_planes("z=0")
     mesh = build_rectangle_mesh([1, 1, 1], [1, 1, 1], rule)
+    validate(mesh)
     assert mesh.n_vertices == 8
     assert mesh.n_cells == 6
     assert mesh.boundary_facets.shape[0] == 12
@@ -51,9 +52,11 @@ def test_unit_cube_counts():
 
 def test_cell_volumes_sum_to_box_volume():
     mesh = build_rectangle_mesh([2.0, 3.0], [3, 4], LEFT_DIRICHLET)
+    validate(mesh)
     assert cell_volumes(mesh).min() > 0
     assert abs(cell_volumes(mesh).sum() - 6.0) < 1e-12 * 6.0
     cube = build_rectangle_mesh([1.0, 2.0, 0.5], [2, 3, 2], dirichlet_on_planes("x=0"))
+    validate(cube)
     assert cell_volumes(cube).min() > 0
     assert abs(cell_volumes(cube).sum() - 1.0) < 1e-12
 
@@ -65,6 +68,7 @@ def test_boundary_measures():
     assert boundary_measure(mesh, D) == pytest.approx(1.0, abs=1e-12)
     assert boundary_measure(mesh, R) == pytest.approx(3.0, abs=1e-12)
     cube = build_rectangle_mesh([1, 1, 1], [2, 2, 2], dirichlet_on_planes("x=0"))
+    validate(cube)
     total = boundary_measure(cube, D) + boundary_measure(cube, R)
     assert total == pytest.approx(6.0, abs=1e-12)
 
@@ -89,12 +93,13 @@ def test_refine_counts_and_inheritance():
 
 
 def test_refine_halves_mesh_size():
-    mesh = unit_square(2)
-    h0 = mesh_size(mesh)
-    m1 = refine_uniform(mesh)
-    m2 = refine_uniform(m1)
-    assert mesh_size(m1) == pytest.approx(h0 / 2, rel=1e-12)
-    assert mesh_size(m2) == pytest.approx(h0 / 4, rel=1e-12)
+    for extents in ([1.0, 1.0], [1.0, 1.0, 1.0]):
+        mesh = build_rectangle_mesh(extents, [2] * len(extents), LEFT_DIRICHLET)
+        h0 = mesh_size(mesh)
+        m1 = refine_uniform(mesh)
+        m2 = refine_uniform(m1)
+        assert mesh_size(m1) == pytest.approx(h0 / 2, rel=1e-12)
+        assert mesh_size(m2) == pytest.approx(h0 / 4, rel=1e-12)
 
 
 def test_refine_conserves_volume_and_boundary_measure():
@@ -115,6 +120,27 @@ def test_refine_conserves_volume_and_boundary_measure():
     validate(fcube)
 
 
+def grid_cells(mesh, spacing):
+    """Cells as sorted rows of grid-point ids, rows sorted: the mesh up to
+    vertex numbering, cell order and vertex order within a cell."""
+    ijk = np.rint(mesh.vertices / spacing).astype(np.int64)
+    assert np.allclose(ijk * spacing, mesh.vertices, rtol=0, atol=1e-14)
+    ids = np.ravel_multi_index(ijk.T, tuple(ijk.max(axis=0) + 1))
+    rows = np.sort(ids[mesh.cells], axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@pytest.mark.parametrize("extents, divisions", [([1.0, 1.0, 1.0], [2, 2, 2]),
+                                                ([1.0, 2.0, 0.5], [3, 2, 3])])
+def test_two_refinements_equal_box_at_four_times_divisions(extents, divisions):
+    rule = dirichlet_on_planes("x=0")
+    fine = refine_uniform(refine_uniform(build_rectangle_mesh(extents, divisions, rule)))
+    validate(fine)
+    direct = build_rectangle_mesh(extents, [4 * n for n in divisions], rule)
+    spacing = np.asarray(extents) / (4 * np.asarray(divisions))
+    assert np.array_equal(grid_cells(fine, spacing), grid_cells(direct, spacing))
+
+
 def test_prolong_reproduces_linears():
     mesh = unit_square(2)
     fine = refine_uniform(mesh)
@@ -122,6 +148,14 @@ def test_prolong_reproduces_linears():
     fine_vals = prolong(coarse_vals, fine)
     expect = 2.0 * fine.vertices[:, 0] - fine.vertices[:, 1]
     assert np.allclose(fine_vals, expect, atol=1e-14)
+
+
+def test_plane_rule_maps_centroids_to_dirichlet_mask():
+    rule = dirichlet_on_planes("x=0", "z=1")   # z plane is ignored in 2D
+    centroids = np.array([[0.0, 0.5], [0.5, 0.0], [1e-13, 1.0], [0.5, 1.0]])
+    assert rule(centroids).tolist() == [True, False, True, False]
+    cube_centroids = np.array([[0.5, 0.5, 1.0], [0.5, 0.5, 0.5]])
+    assert rule(cube_centroids).tolist() == [True, False]
 
 
 def test_empty_dirichlet_rejected():
