@@ -1,10 +1,11 @@
 """P1 finite element assembly on simplicial meshes.
 
 Quadrature is the 3-point edge-midpoint rule on triangles (exact for
-quadratics) and the 4-point degree-2 rule on tetrahedra. Coefficients given
-as nodal fields are interpolated to the quadrature points; gradients of P1
-functions are cellwise constant. Assembled matrices are immutable once
-returned and solves on distinct systems may run concurrently.
+quadratics) and the 4-point degree-2 rule on tetrahedra. Coefficients are
+scalars or values at the quadrature points, (nc, nq); gradients of P1
+functions are cellwise constant. Every load sums two cell kernels, moments
+and fluxes. Assembled matrices are immutable once returned and solves on
+distinct systems may run concurrently.
 """
 
 from __future__ import annotations
@@ -98,6 +99,17 @@ class P1Geometry:
         """P1 interpolant at the quadrature points, (nc, nq)."""
         return values[self.cells] @ self.qbary.T
 
+    def moments(self, w_q: np.ndarray) -> np.ndarray:
+        """|K| [w lambda_i] of a weight at the quadrature points, (nc, d+1)."""
+        local = w_q @ self.weighted_qbary
+        local *= self.volumes[:, None]
+        return local
+
+    def fluxes(self, c_q: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """[c] |K| grad . grad(lambda_i) of a coefficient at the quadrature
+        points and a cellwise gradient (nc, d), (nc, d+1)."""
+        return np.einsum("c,cd,cid->ci", (c_q @ self.qweights) * self.volumes, grad, self.grads)
+
     def matrix(self, local: np.ndarray) -> sp.csr_matrix:
         """Sum the (nc, d+1, d+1) cell matrices into the cached pattern.
 
@@ -142,18 +154,12 @@ def geometry(mesh: Mesh) -> P1Geometry:
 
 
 def _quad_weight(geom: P1Geometry, weight) -> np.ndarray:
-    """Weight values at quadrature points, shape (nc, nq)."""
-    nc, nq = geom.cells.shape[0], geom.qweights.shape[0]
-    if isinstance(weight, Field):
-        return geom.at_quadrature(weight.values)
+    """A scalar or (nc, nq) weight as its values at the quadrature points."""
+    shape = (geom.cells.shape[0], geom.qweights.shape[0])
     arr = np.asarray(weight, dtype=float)
-    if arr.ndim == 0:
-        return np.full((nc, nq), float(arr))
-    if arr.shape == (geom.n_vertices,):
-        return geom.at_quadrature(arr)
-    if arr.shape == (nc, nq):
-        return arr  # already sampled at the quadrature points
-    raise AssemblyError(f"cannot interpret weight of shape {arr.shape}")
+    if arr.ndim and arr.shape != shape:
+        raise AssemblyError(f"cannot interpret weight of shape {arr.shape}")
+    return np.broadcast_to(arr, shape)
 
 
 def assemble_weighted_stiffness(mesh: Mesh, weight=1.0) -> sp.csr_matrix:
@@ -181,10 +187,7 @@ def assemble_mass(mesh: Mesh, weight=1.0) -> sp.csr_matrix:
 def load_vector(mesh: Mesh, weight=1.0) -> np.ndarray:
     """b_i = sum_cells integral w lambda_i dx."""
     geom = geometry(mesh)
-    w = _quad_weight(geom, weight)
-    local = w @ geom.weighted_qbary
-    local *= geom.volumes[:, None]
-    return geom.load(local)
+    return geom.load(geom.moments(_quad_weight(geom, weight)))
 
 
 def facet_mass(mesh: Mesh, weights: np.ndarray, facet_ids: np.ndarray) -> sp.csr_matrix:
@@ -220,45 +223,23 @@ def assemble_robin(mesh: Mesh, beta: Control, u1: Field) -> tuple[sp.csr_matrix,
     return mat, mat @ u1.values
 
 
-def assemble_joule_rhs_direct(mesh: Mesh, sigma_of_u: Callable, u: Field,
-                              phi: Field) -> np.ndarray:
-    """b_i = sum_cells sigma(u_h) |grad phi_h|^2 integral lambda_i.
-
-    sigma_of_u maps temperature values to conductivity values; |grad phi_h|
-    is cellwise constant for P1.
-    """
-    geom = geometry(mesh)
-    s = np.asarray(sigma_of_u(geom.at_quadrature(u.values)), dtype=float)
-    gphi2 = np.sum(geom.cell_gradient(phi.values) ** 2, axis=1)
-    local = s @ geom.weighted_qbary
-    local *= (gphi2 * geom.volumes)[:, None]
-    return geom.load(local)
-
-
 def assemble_joule_rhs_weak(mesh: Mesh, sigma_q: np.ndarray, phi: Field,
                             phi0: Field) -> np.ndarray:
-    """Joule load in the transformed weak form:
+    """The package's one discrete Joule load sigma(u)|grad phi|^2, in the
+    transformed weak form
 
         b_i = integral (phi0 - phi) sigma(u) grad(phi).grad(lambda_i)
             + integral sigma(u) (grad phi . grad phi0) lambda_i,
 
     with sigma_q the conductivity sigma(u) at the quadrature points,
-    (nc, nq), as the caller evaluated it for the potential matrix.
+    (nc, nq), as the caller evaluated it for the potential matrix; one flux
+    and one moment kernel, scattered once.
     """
     geom = geometry(mesh)
-    s = np.asarray(sigma_q, dtype=float)                                    # (nc, nq)
-    diff = geom.at_quadrature(phi0.values - phi.values)                     # (nc, nq)
-    gphi = geom.cell_gradient(phi.values)                                   # (nc, d)
-    gphi0 = geom.cell_gradient(phi0.values)
-
-    coeff1 = ((s * diff) @ geom.qweights) * geom.volumes                    # (nc,)
-    term1 = np.einsum("c,cd,cid->ci", coeff1, gphi, geom.grads)
-
-    dot = np.sum(gphi * gphi0, axis=1)                                      # (nc,)
-    term2 = s @ geom.weighted_qbary
-    term2 *= (dot * geom.volumes)[:, None]
-
-    return geom.load(term1 + term2)
+    gphi = geom.cell_gradient(phi.values)
+    dot = np.sum(gphi * geom.cell_gradient(phi0.values), axis=1)
+    return geom.load(geom.fluxes(sigma_q * geom.at_quadrature(phi0.values - phi.values), gphi)
+                     + geom.moments(sigma_q * dot[:, None]))
 
 
 def lift_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray, fixed: np.ndarray,

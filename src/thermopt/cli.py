@@ -195,7 +195,7 @@ def _suite_substitution(config, spec, checks):
     sol = solve_state(spec, beta, opts)
     ts = transform(sol, spec.model, spec.phi0, cert.M)
     r0 = transformed_residual(ts, spec.model, spec, beta)
-    d0 = psi_identity_defect(ts, spec.model, spec)
+    d0 = psi_identity_defect(ts, spec)
 
     fine_mesh = refine_uniform(spec.mesh)
     fine_cfg_spec = cfg.build_problem(config, mesh=fine_mesh)
@@ -203,7 +203,7 @@ def _suite_substitution(config, spec, checks):
     fine_sol = solve_state(fine_cfg_spec, fine_beta, opts)
     fts = transform(fine_sol, spec.model, fine_cfg_spec.phi0, cert.M)
     r1 = transformed_residual(fts, spec.model, fine_cfg_spec, fine_beta)
-    d1 = psi_identity_defect(fts, spec.model, fine_cfg_spec)
+    d1 = psi_identity_defect(fts, fine_cfg_spec)
 
     checks.append(("substitution.residual_v_decreases", r1[0] < r0[0], r1[0], r0[0]))
     checks.append(("substitution.residual_phi_decreases", r1[1] < r0[1], r1[1], r0[1]))

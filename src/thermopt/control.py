@@ -50,7 +50,6 @@ from .assembly import apply_dirichlet, geometry
 from .errors import (AdjointFailure, ConfigurationError, CriticalityError,
                      NonconvergenceError, SolverFailure)
 from .fields import Control, Field, FieldKind
-from .mesh import BoundaryTag
 from .state import ProblemSpec, SolverOptions, StateSolution, solve_state
 
 # Lower clip of the spectral first step. On 8^2-32^2 squares and a 4^3 box at
@@ -59,6 +58,7 @@ from .state import ProblemSpec, SolverOptions, StateSolution, solve_state
 # 0.45-0.50, so the clip never binds there; it keeps a degenerate curvature
 # estimate from starting a search below where ten halvings from 1 reach.
 ALPHA_MIN = 2.0 ** -10
+ARMIJO_C = 1e-4     # sufficient-decrease constant of the Armijo condition
 
 # Relative residual at which BiCGSTAB stops on an adjoint or sensitivity
 # block. Its recursive residual falls below 1e-18 without a fallback on 16^2-
@@ -132,17 +132,13 @@ def _state_jacobian(spec: ProblemSpec, beta: Control, state: StateSolution,
     gphi, gphi0 = geom.cell_gradient(state.phi.values), geom.cell_gradient(spec.phi0.values)
     conv, conv0 = (np.einsum("cd,cid->ci", g, geom.grads) for g in (gphi, gphi0))
     K = geom.grad_products
-
-    def basis(w_q):                                     # |K| [w lambda_i], (nc, d+1)
-        return (w_q @ geom.weighted_qbary) * geom.volumes[:, None]
-
-    sigma_basis = basis(sigma_q)
+    sigma_basis = geom.moments(sigma_q)
     dot_vol = np.sum(gphi * gphi0, axis=1) * geom.volumes
-    A = (K - np.einsum("ci,cj->cij", conv, basis(diff_q * sigma_prime_q))
+    A = (K - np.einsum("ci,cj->cij", conv, geom.moments(diff_q * sigma_prime_q))
          - np.einsum("cq,qij->cij", sigma_prime_q * dot_vol[:, None], geom.mass_products))
     B = (np.einsum("ci,cj->cij", conv, sigma_basis) - np.einsum("ci,cj->cij", sigma_basis, conv0)
          - K * ((diff_q * sigma_q) @ geom.qweights)[:, None, None])
-    C = np.einsum("ci,cj->cij", conv, basis(sigma_prime_q))
+    C = np.einsum("ci,cj->cij", conv, geom.moments(sigma_prime_q))
     S = K * (sigma_q @ geom.qweights)[:, None, None]
     blocks = [[A, B], [C, S]]
     if transpose:
@@ -251,18 +247,21 @@ def _facet_averages(spec: ProblemSpec, state: StateSolution,
     return pairing / geometry(mesh).facet_measures[facet_ids]
 
 
+def stationarity(spec: ProblemSpec, state: StateSolution, adjoint: AdjointSolution,
+                 beta: Control) -> tuple[np.ndarray, np.ndarray, float]:
+    """The gradient g = 2 beta + avg((u - u1) p), the projection formula's
+    control clip(-avg((u - u1) p) / 2, 0, m_cap) and the optimality residual
+    max |beta - projection| of one iterate, facetwise from one facet pairing."""
+    avg = _facet_averages(spec, state, adjoint, beta.facet_ids)
+    proj = np.clip(-0.5 * avg, 0.0, spec.m_cap)
+    resid = float(np.max(np.abs(beta.values - proj))) if proj.size else 0.0
+    return 2.0 * beta.values + avg, proj, resid
+
+
 def gradient(spec: ProblemSpec, state: StateSolution, adjoint: AdjointSolution,
              beta: Control) -> np.ndarray:
     """Facetwise g = 2 beta + avg((u - u1) p)."""
-    return 2.0 * beta.values + _facet_averages(spec, state, adjoint, beta.facet_ids)
-
-
-def project_control(spec: ProblemSpec, state: StateSolution,
-                    adjoint: AdjointSolution, m_cap: float) -> Control:
-    """Projection formula beta = clip(-(u - u1) p / 2, 0, m_cap), facetwise."""
-    facet_ids = spec.mesh.facet_indices(BoundaryTag.ROBIN_TEMPERATURE)
-    avg = _facet_averages(spec, state, adjoint, facet_ids)
-    return Control(spec.mesh, np.clip(-0.5 * avg, 0.0, m_cap), m_cap)
+    return stationarity(spec, state, adjoint, beta)[0]
 
 
 def dj_adjoint(spec: ProblemSpec, state: StateSolution, adjoint: AdjointSolution,
@@ -306,7 +305,6 @@ class OptimizerOptions:
     tol: float = 1e-7
     max_outer: int = 100
     beta0: np.ndarray | float | None = None   # default m_cap / 2
-    armijo_c: float = 1e-4
     max_backtracks: int = 40
     solver: SolverOptions = dfield(default_factory=SolverOptions)
 
@@ -356,8 +354,7 @@ def _optimize_sweep(spec: ProblemSpec, opts: OptimizerOptions) -> OptimizeResult
     for it in range(1, opts.max_outer + 1):
         state, adjoint = _resolve(spec, beta, opts)
         adjoint_iterations += adjoint.iterations
-        proj = project_control(spec, state, adjoint, spec.m_cap).values
-        resid = float(np.max(np.abs(beta.values - proj))) if proj.size else 0.0
+        _, proj, resid = stationarity(spec, state, adjoint, beta)
         j = objective(spec.mesh, state.u, beta)
         history.append({"iteration": it, "J": j.total, "integral_u": j.integral_u,
                         "integral_beta_sq": j.integral_beta_sq,
@@ -369,8 +366,7 @@ def _optimize_sweep(spec: ProblemSpec, opts: OptimizerOptions) -> OptimizeResult
             beta = beta.with_values(proj)
             state, adjoint = _resolve(spec, beta, opts)
             adjoint_iterations += adjoint.iterations
-            final = project_control(spec, state, adjoint, spec.m_cap).values
-            final_resid = float(np.max(np.abs(beta.values - final))) if final.size else 0.0
+            final_resid = stationarity(spec, state, adjoint, beta)[2]
             return OptimizeResult(beta, state, adjoint, history, final_resid,
                                   True, "converged", it + 1, it + 1, adjoint_iterations)
         beta = beta.with_values((1.0 - opts.relaxation) * beta.values
@@ -405,9 +401,7 @@ def _optimize_projected_gradient(spec: ProblemSpec,
     previous = None   # (control, gradient) of the last accepted iterate
     status, converged = "max_outer exceeded; best-J iterate returned", False
     for it in range(1, opts.max_outer + 1):
-        g = gradient(spec, state, adjoint, beta)
-        proj = project_control(spec, state, adjoint, spec.m_cap).values
-        resid = float(np.max(np.abs(beta.values - proj))) if proj.size else 0.0
+        g, _, resid = stationarity(spec, state, adjoint, beta)
         entry = {"iteration": it, "J": j.total, "integral_u": j.integral_u,
                  "integral_beta_sq": j.integral_beta_sq,
                  "optimality_residual": resid, "step": 0.0, "initial_step": 0.0,
@@ -436,7 +430,7 @@ def _optimize_projected_gradient(spec: ProblemSpec,
                 continue
             cj = objective(spec.mesh, cstate.u, cand)
             decrease = float(np.sum(measures * g * (candidate - beta.values)))
-            if cj.total <= j.total + opts.armijo_c * decrease:
+            if cj.total <= j.total + ARMIJO_C * decrease:
                 beta, state, j = cand, cstate, cj
                 adjoint = solve_adjoint(spec, beta, state)
                 adjoint_iterations += adjoint.iterations
@@ -447,8 +441,7 @@ def _optimize_projected_gradient(spec: ProblemSpec,
         if not accepted:
             status = "line search exhausted; current iterate returned"
             break
-    final = project_control(spec, state, adjoint, spec.m_cap).values
-    resid = float(np.max(np.abs(beta.values - final))) if final.size else 0.0
+    resid = stationarity(spec, state, adjoint, beta)[2]
     return OptimizeResult(beta, state, adjoint, history, resid, converged, status,
                           1 + sum(h["trials"] for h in history),
                           1 + sum(h["step"] > 0.0 for h in history), adjoint_iterations)

@@ -12,7 +12,7 @@ user-supplied; every certificate is conditional on it and labeled as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import asdict, dataclass, field as dfield
 
 import numpy as np
 
@@ -29,21 +29,26 @@ C1_PROVENANCE = "user-supplied heuristic (no constructive Sobolev constant)"
 # Log-spaced grid on which compute_C_eps takes its supremum.
 _C_EPS_GRID_LO, _C_EPS_GRID_HI, _C_EPS_GRID_POINTS = 1e-6, 1e6, 2048
 
+# Stopping rule of estimate_poincare: relative eigenvalue change and step cap.
+POINCARE_TOL, POINCARE_MAX_ITER = 1e-8, 500
+
 
 @dataclass
 class TransformedState:
-    """The transformed pair (v, phi) plus the test fields psi and psi_M."""
+    """The transformed pair (v, phi), the test fields psi and psi_M, and a(v) at
+    the quadrature points, a_q (nc, nq), evaluated once for every check."""
 
     v: Field
     phi: Field
     psi: Field
     psi_m: Field
     m_threshold: float
+    a_q: np.ndarray
 
 
 def transform(sol: StateSolution, model: ConductivityModel, phi0: Field,
               m_threshold: float) -> TransformedState:
-    """Nodewise v = F(u), psi = (phi - phi0)^2 + v, psi_M = max(M, psi)."""
+    """Nodewise v = F(u), psi = (phi - phi0)^2 + v, psi_M = max(M, psi), and a(v)."""
     u = sol.u.values
     if np.any(u >= model.u_star):
         raise DomainError("temperature reaches the critical value; "
@@ -58,6 +63,7 @@ def transform(sol: StateSolution, model: ConductivityModel, phi0: Field,
         psi=Field(mesh, psi, FieldKind.TEMPERATURE),
         psi_m=Field(mesh, psi_m, FieldKind.TEMPERATURE),
         m_threshold=float(m_threshold),
+        a_q=model.a(np.maximum(geometry(mesh).at_quadrature(v), 0.0)),
     )
 
 
@@ -72,13 +78,11 @@ def transformed_residual(ts: TransformedState, model: ConductivityModel,
     mesh = spec.mesh
     v = ts.v
     phi = ts.phi
-    a_q = model.a(np.maximum(geometry(mesh).at_quadrature(v.values), 0.0))
-
-    A = assembly.assemble_weighted_stiffness(mesh, a_q)
+    A = assembly.assemble_weighted_stiffness(mesh, ts.a_q)
     f_inv_trace = np.asarray(model.F_inv(np.maximum(v.values, 0.0)), dtype=float)
     robin = (assembly.facet_mass(mesh, beta.values, beta.facet_ids)
              @ (f_inv_trace - spec.u1.values))
-    rhs = assembly.assemble_joule_rhs_weak(mesh, a_q, phi, spec.phi0)
+    rhs = assembly.assemble_joule_rhs_weak(mesh, ts.a_q, phi, spec.phi0)
     res_v = A @ v.values + robin - rhs
     free_v = np.ones(mesh.n_vertices, dtype=bool)
     free_v[spec.dirichlet_temperature_vertices()] = False
@@ -94,73 +98,43 @@ def transformed_residual(ts: TransformedState, model: ConductivityModel,
     return r_v, r_phi
 
 
-def psi_identity_defect(ts: TransformedState, model: ConductivityModel,
-                        spec: ProblemSpec) -> float:
+def psi_identity_defect(ts: TransformedState, spec: ProblemSpec) -> float:
     """Defect norm of the weak identity satisfied by psi.
 
     Tests div(a(v) grad psi) = a(v)|grad phi|^2
         - 2 div((phi - phi0) a(v) grad phi0) - 2 a(v) grad phi . grad phi0
     against interior basis functions.
     """
-    lhs, rhs, interior = _psi_identity_sides(ts, model, spec)
-    defect = lhs - rhs
-    scale = max(1.0, float(np.linalg.norm(lhs[interior]))
-                + float(np.linalg.norm(rhs[interior])))
-    return float(np.linalg.norm(defect[interior])) / scale
+    boundary = geometry(spec.mesh).boundary_vertices
+    lhs, rhs = (np.delete(side, boundary) for side in _psi_identity_sides(ts, spec))
+    scale = max(1.0, float(np.linalg.norm(lhs)) + float(np.linalg.norm(rhs)))
+    return float(np.linalg.norm(lhs - rhs)) / scale
 
 
-def psi_inequality_margin(ts: TransformedState, model: ConductivityModel,
-                          spec: ProblemSpec) -> float:
+def psi_inequality_margin(ts: TransformedState, spec: ProblemSpec) -> float:
     """Min over interior nodes of (RHS - LHS) for the psi differential
     inequality tested against nonnegative basis functions."""
     mesh = spec.mesh
     geom = geometry(mesh)
-    a_q = model.a(np.maximum(geom.at_quadrature(ts.v.values), 0.0))
-    phi, phi0 = ts.phi, spec.phi0
-
-    A = assembly.assemble_weighted_stiffness(mesh, a_q)
-    lhs = A @ ts.psi.values  # weak form of -div(a grad psi)
-
-    gphi0 = geom.cell_gradient(phi0.values)
-    gphi0_sq = np.sum(gphi0 ** 2, axis=1)
-    rhs = assembly.load_vector(mesh, a_q * gphi0_sq[:, None])
-    diff_q = geom.at_quadrature(phi.values - phi0.values)
-    rhs -= 2.0 * _flux_load(mesh, a_q * diff_q, phi0)
-
-    interior = np.ones(mesh.n_vertices, dtype=bool)
-    interior[mesh.boundary_vertex_set()] = False
-    return float(np.min((rhs - lhs)[interior]))
+    lhs = assembly.assemble_weighted_stiffness(mesh, ts.a_q) @ ts.psi.values
+    gphi0 = geom.cell_gradient(spec.phi0.values)
+    diff_q = geom.at_quadrature(ts.phi.values - spec.phi0.values)
+    rhs = geom.load(geom.moments(ts.a_q * np.sum(gphi0 ** 2, axis=1)[:, None])
+                    - 2.0 * geom.fluxes(ts.a_q * diff_q, gphi0))
+    return float(np.min(np.delete(rhs - lhs, geom.boundary_vertices)))
 
 
-def _psi_identity_sides(ts, model, spec):
+def _psi_identity_sides(ts: TransformedState, spec: ProblemSpec):
     mesh = spec.mesh
     geom = geometry(mesh)
-    a_q = model.a(np.maximum(geom.at_quadrature(ts.v.values), 0.0))
-    phi, phi0 = ts.phi, spec.phi0
-
-    A = assembly.assemble_weighted_stiffness(mesh, a_q)
-    lhs = -(A @ ts.psi.values)  # integral div(a grad psi) lambda_i, weakly
-
-    a_of = lambda s: model.a(np.maximum(np.asarray(s, dtype=float), 0.0))
-    rhs = assembly.assemble_joule_rhs_direct(mesh, a_of, ts.v, phi)
-    diff_q = geom.at_quadrature(phi.values - phi0.values)
-    rhs += 2.0 * _flux_load(mesh, a_q * diff_q, phi0)
-    gphi = geom.cell_gradient(phi.values)
-    gphi0 = geom.cell_gradient(phi0.values)
-    dot = np.sum(gphi * gphi0, axis=1)
-    rhs -= 2.0 * assembly.load_vector(mesh, a_q * dot[:, None])
-
-    interior = np.ones(mesh.n_vertices, dtype=bool)
-    interior[mesh.boundary_vertex_set()] = False
-    return lhs, rhs, interior
-
-
-def _flux_load(mesh: Mesh, coeff_q: np.ndarray, w: Field) -> np.ndarray:
-    """b_i = sum_cells (integral coeff) (grad w . grad lambda_i)."""
-    geom = geometry(mesh)
-    cbar = (coeff_q @ geom.qweights) * geom.volumes
-    gw = geom.cell_gradient(w.values)
-    return geom.load(np.einsum("c,cd,cid->ci", cbar, gw, geom.grads))
+    # integral div(a grad psi) lambda_i, weakly
+    lhs = -(assembly.assemble_weighted_stiffness(mesh, ts.a_q) @ ts.psi.values)
+    gphi, gphi0 = geom.cell_gradient(ts.phi.values), geom.cell_gradient(spec.phi0.values)
+    source = np.sum(gphi * gphi, axis=1) - 2.0 * np.sum(gphi * gphi0, axis=1)
+    diff_q = geom.at_quadrature(ts.phi.values - spec.phi0.values)
+    rhs = geom.load(geom.moments(ts.a_q * source[:, None])
+                    + 2.0 * geom.fluxes(ts.a_q * diff_q, gphi0))
+    return lhs, rhs
 
 
 def compute_C_eps(model: ConductivityModel, eps: float) -> float:
@@ -177,7 +151,7 @@ def compute_C_eps(model: ConductivityModel, eps: float) -> float:
     return max(0.0, gmax) * 1.05
 
 
-def estimate_poincare(mesh: Mesh, tol: float = 1e-8, max_iter: int = 500) -> float:
+def estimate_poincare(mesh: Mesh) -> float:
     """C_D = 1/sqrt(lambda_min) for the Laplacian with zero data on the
     Dirichlet part, by inverse power iteration on the generalized problem;
     the iterates stay zero on the Dirichlet vertices the factor eliminates."""
@@ -190,7 +164,7 @@ def estimate_poincare(mesh: Mesh, tol: float = 1e-8, max_iter: int = 500) -> flo
     x[fixed] = 0.0
     x /= math.sqrt(float(x @ (M @ x)))
     lam_prev = math.inf
-    for _ in range(max_iter):
+    for _ in range(POINCARE_MAX_ITER):
         rhs = M @ x
         rhs[fixed] = 0.0
         y = lu.solve(rhs)
@@ -199,10 +173,10 @@ def estimate_poincare(mesh: Mesh, tol: float = 1e-8, max_iter: int = 500) -> flo
             raise EstimationError("inverse iteration collapsed to zero")
         x = y / ynorm
         lam = float(x @ (K @ x)) / float(x @ (M @ x))
-        if abs(lam - lam_prev) <= tol * abs(lam):
+        if abs(lam - lam_prev) <= POINCARE_TOL * abs(lam):
             return 1.0 / math.sqrt(lam)
         lam_prev = lam
-    raise EstimationError(f"inverse power iteration did not settle in {max_iter} steps")
+    raise EstimationError(f"inverse power iteration did not settle in {POINCARE_MAX_ITER} steps")
 
 
 @dataclass
@@ -242,11 +216,7 @@ class BoundCertificate:
         }
 
     def as_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "dim", "mes_omega", "mu", "phi0_inf", "phi0_w1inf", "F_u0", "F_u1",
-            "eps", "C_eps", "C", "M", "C_D", "C1", "C2", "psiM_l2_bound",
-            "psiM_inf_bound", "v_inf_bound", "N", "r", "s", "c1_provenance",
-            "notes")}
+        d = asdict(self)
         d["s"] = d["s"] if math.isfinite(d["s"]) else "inf"
         return d
 
@@ -257,15 +227,32 @@ def moser_factor(dim: int, C2: float) -> float:
     if dim <= 2:
         return 2.0 * C2
     d = float(dim)
-    return (2.0 * C2) ** (d / 2.0) * (d / (d - 2.0)) ** (d * (d - 2.0) / 4.0)
+    try:
+        return (2.0 * C2) ** (d / 2.0) * (d / (d - 2.0)) ** (d * (d - 2.0) / 4.0)
+    except OverflowError:
+        return math.inf
 
 
-def certificate_chain(dim: int, mes_omega: float, mu: float, phi0_inf: float,
-                      phi0_w1inf: float, F_u0: float, F_u1: float, eps: float,
-                      C_eps: float, C_D: float, C1: float) -> dict[str, float]:
-    """Pure arithmetic of the constant chain; raises when a denominator
-    closes. Returns every intermediate value."""
-    exp_term = math.exp(8.0 * mu * phi0_inf ** 2) * phi0_w1inf ** 2
+def exp_weight(mu: float, phi0_inf: float, phi0_w1inf: float) -> float:
+    """e^(8 mu |phi0|_inf^2) |phi0|_W1inf^2; one that overflows closes
+    denominator 1 for every eps and raises CertificateInfeasibleError."""
+    try:
+        weight = math.exp(8.0 * mu * phi0_inf ** 2) * phi0_w1inf ** 2
+    except OverflowError:
+        weight = math.inf
+    if weight == math.inf:
+        raise CertificateInfeasibleError(
+            "e^(8 mu |phi0|^2) |phi0|_W1inf^2 overflows, so denominator 1 closes "
+            "for every eps; reduce the potential data")
+    return weight
+
+
+def certificate_chain(dim: int, mes_omega: float, exp_term: float, phi0_inf: float,
+                      F_u0: float, F_u1: float, eps: float, C_eps: float, C_D: float,
+                      C1: float) -> dict[str, float]:
+    """Pure arithmetic of the constant chain from the weight exp_term of
+    exp_weight; raises when a denominator closes. Returns every intermediate
+    value; a product that overflows after the denominators is inf."""
     den1 = 1.0 - 2.0 * eps * exp_term
     if den1 <= 0.0:
         raise CertificateInfeasibleError(
@@ -281,7 +268,7 @@ def certificate_chain(dim: int, mes_omega: float, mu: float, phi0_inf: float,
             f"denominator 1 - 2 eps C C_D^2 = {den2:.3e} is not positive; "
             "reduce eps")
     psiM_l2_sq = (2.0 * mes_omega / den2) * (
-        C * C_D ** 2 * (C_eps + 1.0 / eps) + M ** 2 * mes_omega)
+        C * C_D ** 2 * (C_eps + 1.0 / eps) + M * M * mes_omega)
     psiM_l2 = math.sqrt(psiM_l2_sq)
     C2 = 0.5 * C1 * (1.0 + math.sqrt(C) * math.sqrt(M + eps))
     psiM_inf = moser_factor(dim, C2) * psiM_l2
@@ -292,19 +279,21 @@ def certificate_chain(dim: int, mes_omega: float, mu: float, phi0_inf: float,
 
 
 def compute_certificate(model: ConductivityModel, spec: ProblemSpec, eps: float = 0.01,
-                        C1: float = 1.0, mesh: Mesh | None = None,
-                        auto_eps: bool = True) -> BoundCertificate:
+                        C1: float = 1.0, auto_eps: bool = True) -> BoundCertificate:
     """Evaluate the whole constant chain for one problem.
 
     With auto_eps, eps is halved until both denominators exceed 0.5 (any
     sufficiently small eps works in the estimates); a pinned eps that closes
-    a denominator raises CertificateInfeasibleError instead.
+    a denominator raises CertificateInfeasibleError instead, and so do an
+    exponential weight that overflows, which no eps cures, and a v_inf bound
+    that overflows, which bounds nothing.
     """
-    mesh = mesh or spec.mesh
+    mesh = spec.mesh
     notes = []
     mu = model.lipschitz_mu()
     phi0_inf = float(np.max(np.abs(spec.phi0.values)))
     phi0_w1inf = max(phi0_inf, assembly.max_cell_gradient(spec.phi0))
+    exp_term = exp_weight(mu, phi0_inf, phi0_w1inf)
     F_u0 = float(model.F(float(np.max(spec.u0.values))))
     F_u1 = float(model.F(float(np.max(spec.u1.values))))
     mes_omega = float(geometry(mesh).volumes.sum())
@@ -315,8 +304,8 @@ def compute_certificate(model: ConductivityModel, spec: ProblemSpec, eps: float 
     while True:
         C_eps = compute_C_eps(model, eps)
         try:
-            chain = certificate_chain(mesh.dim, mes_omega, mu, phi0_inf,
-                                      phi0_w1inf, F_u0, F_u1, eps, C_eps, C_D, C1)
+            chain = certificate_chain(mesh.dim, mes_omega, exp_term, phi0_inf,
+                                      F_u0, F_u1, eps, C_eps, C_D, C1)
         except CertificateInfeasibleError:
             if not auto_eps:
                 raise
@@ -330,9 +319,13 @@ def compute_certificate(model: ConductivityModel, spec: ProblemSpec, eps: float 
         break
 
     v_inf = chain["v_inf_bound"]
-    if not math.isfinite(v_inf) or v_inf > 1e300:
+    if not math.isfinite(v_inf):
+        raise CertificateInfeasibleError(
+            "the v_inf bound overflows, so the chain bounds nothing; "
+            "reduce the potential data")
+    if v_inf > 1e300:
         notes.append("v_inf bound overflows the inverse map; N reported at cap")
-        v_inf = min(v_inf, 1e300)
+        v_inf = 1e300
     N = float(model.F_inv(v_inf))
     dim = mesh.dim
     s = 2.0 * (dim - 1) / (dim - 2) if dim > 2 else math.inf
@@ -356,9 +349,7 @@ class CertificateCheck:
     c1_provenance: str
 
     def as_dict(self) -> dict:
-        return {"passed": self.passed, "max_v": self.max_v,
-                "v_margin": self.v_margin, "max_u": self.max_u,
-                "u_margin": self.u_margin, "c1_provenance": self.c1_provenance}
+        return asdict(self)
 
 
 def check_certificate(sol: StateSolution, cert: BoundCertificate,
@@ -366,13 +357,14 @@ def check_certificate(sol: StateSolution, cert: BoundCertificate,
     """Compare a computed solution against the certified bounds.
 
     A violation is a reported finding (the user constant C1 may be
-    unphysical), not an error.
+    unphysical), not an error; so is an N that is not below u_star, which
+    the solution meets without the chain bounding anything.
     """
     u = np.maximum(sol.u.values, 0.0)
     max_u = float(np.max(u))
     max_v = float(np.max(np.asarray(model.F(u), dtype=float)))
     return CertificateCheck(
-        passed=(max_v <= cert.v_inf_bound and max_u <= cert.N),
+        passed=(max_v <= cert.v_inf_bound and max_u <= cert.N < model.u_star),
         max_v=max_v, v_margin=cert.v_inf_bound - max_v,
         max_u=max_u, u_margin=cert.N - max_u,
         c1_provenance=cert.c1_provenance)
@@ -387,13 +379,12 @@ def energy_inequality_report(ts: TransformedState, model: ConductivityModel,
     """
     mesh = spec.mesh
     geom = geometry(mesh)
-    a_v = model.a(np.maximum(geom.at_quadrature(ts.v.values), 0.0))
     psim_q = geom.at_quadrature(ts.psi_m.values)
     a_psim = model.a(np.maximum(psim_q, 0.0))
     g_psim = geom.cell_gradient(ts.psi_m.values)
     g_psim_sq = np.sum(g_psim ** 2, axis=1)
 
-    ratio_bar = (a_v / a_psim) @ geom.qweights
+    ratio_bar = (ts.a_q / a_psim) @ geom.qweights
     lhs = float(np.sum(ratio_bar * g_psim_sq * geom.volumes))
 
     m0 = model.reciprocal_a_moment(ts.m_threshold)
@@ -411,10 +402,10 @@ def energy_inequality_report(ts: TransformedState, model: ConductivityModel,
 
     gphi0 = geom.cell_gradient(spec.phi0.values)
     gphi0_sq = np.sum(gphi0 ** 2, axis=1)
-    rhs1 = float(np.sum(((a_v * xi_q) @ geom.qweights) * gphi0_sq * geom.volumes))
+    rhs1 = float(np.sum(((ts.a_q * xi_q) @ geom.qweights) * gphi0_sq * geom.volumes))
     diff_q = geom.at_quadrature(ts.phi.values - spec.phi0.values)
     dot = np.einsum("cd,cd->c", gphi0, g_psim)
-    rhs2 = -2.0 * float(np.sum(((a_v / a_psim * diff_q) @ geom.qweights)
+    rhs2 = -2.0 * float(np.sum(((ts.a_q / a_psim * diff_q) @ geom.qweights)
                                * dot * geom.volumes))
     rhs = rhs1 + rhs2
     slack = 0.1 * abs(rhs) + 1e-10

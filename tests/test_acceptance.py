@@ -132,7 +132,7 @@ def test_criterion_4_substitution_consistency():
         sol = solve_state(spec, beta)
         ts = transform(sol, MODEL, spec.phi0, cert.M)
         r0 = transformed_residual(ts, MODEL, spec, beta)
-        d0 = psi_identity_defect(ts, MODEL, spec)
+        d0 = psi_identity_defect(ts, spec)
 
         fine = refine_uniform(spec.mesh)
         fspec = benchmark_spec(mesh=fine)
@@ -140,7 +140,7 @@ def test_criterion_4_substitution_consistency():
         fsol = solve_state(fspec, fbeta)
         fts = transform(fsol, MODEL, fspec.phi0, cert.M)
         r1 = transformed_residual(fts, MODEL, fspec, fbeta)
-        d1 = psi_identity_defect(fts, MODEL, fspec)
+        d1 = psi_identity_defect(fts, fspec)
         assert r1[0] < r0[0] and r1[1] < r0[1]
         assert d1 < d0
 

@@ -8,7 +8,6 @@ import scipy.sparse as sp
 from thermopt import assembly
 from thermopt.assembly import (
     apply_dirichlet,
-    assemble_joule_rhs_direct,
     assemble_joule_rhs_weak,
     assemble_mass,
     assemble_robin,
@@ -57,6 +56,13 @@ def field(mesh, values, kind=FieldKind.TEMPERATURE):
     return Field(mesh, np.asarray(values, dtype=float), kind)
 
 
+def joule_direct(mesh, sigma, u, phi):
+    """Direct Joule load: sigma(u_h) |grad phi_h|^2 tested against lambda_i."""
+    geom = geometry(mesh)
+    gphi2 = np.sum(geom.cell_gradient(phi.values) ** 2, axis=1)
+    return load_vector(mesh, sigma(geom.at_quadrature(u.values)) * gphi2[:, None])
+
+
 def test_local_stiffness_reference_triangle():
     # hand integration of P1 gradients on (0,0),(1,0),(0,1)
     mesh = single_triangle()
@@ -86,6 +92,13 @@ def test_negative_weight_rejected():
     mesh = unit_square(2)
     with pytest.raises(AssemblyError):
         assemble_weighted_stiffness(mesh, -1.0)
+
+
+def test_nodal_weight_rejected():
+    # weights are a scalar or values at the quadrature points, (nc, nq)
+    mesh = unit_square(2)
+    with pytest.raises(AssemblyError, match="shape"):
+        load_vector(mesh, np.ones(mesh.n_vertices))
 
 
 def test_stiffness_m_matrix_offdiagonals():
@@ -127,7 +140,7 @@ def test_joule_direct_constant_phi_is_zero():
     mesh = unit_square(3)
     u = field(mesh, np.zeros(mesh.n_vertices))
     phi = field(mesh, np.full(mesh.n_vertices, 2.5), FieldKind.POTENTIAL)
-    b = assemble_joule_rhs_direct(mesh, lambda s: np.ones_like(s), u, phi)
+    b = joule_direct(mesh, lambda s: np.ones_like(s), u, phi)
     assert np.all(b == 0)
 
 
@@ -135,7 +148,7 @@ def test_joule_direct_partition_of_unity():
     mesh = unit_square(3)
     u = field(mesh, np.zeros(mesh.n_vertices))
     phi = field(mesh, mesh.vertices[:, 0], FieldKind.POTENTIAL)
-    b = assemble_joule_rhs_direct(mesh, lambda s: np.ones_like(s), u, phi)
+    b = joule_direct(mesh, lambda s: np.ones_like(s), u, phi)
     assert b.sum() == pytest.approx(1.0, rel=1e-14)
     assert np.all(b >= 0)
 
@@ -146,8 +159,8 @@ def test_joule_direct_quadratic_scaling():
     sigma = lambda s: 1.0 / (1.0 + s) ** 2
     phi1 = field(mesh, mesh.vertices[:, 0], FieldKind.POTENTIAL)
     phi2 = field(mesh, 3.0 * mesh.vertices[:, 0], FieldKind.POTENTIAL)
-    b1 = assemble_joule_rhs_direct(mesh, sigma, u, phi1)
-    b2 = assemble_joule_rhs_direct(mesh, sigma, u, phi2)
+    b1 = joule_direct(mesh, sigma, u, phi1)
+    b2 = joule_direct(mesh, sigma, u, phi2)
     assert np.allclose(b2, 9.0 * b1, rtol=1e-14)
 
 
@@ -158,7 +171,7 @@ def test_joule_weak_equals_direct_when_phi_is_phi0():
     sigma = lambda s: np.exp(-s)
     bw = assemble_joule_rhs_weak(mesh, sigma(geometry(mesh).at_quadrature(u.values)),
                                  phi0, phi0)
-    bd = assemble_joule_rhs_direct(mesh, sigma, u, phi0)
+    bd = joule_direct(mesh, sigma, u, phi0)
     assert np.allclose(bw, bd, atol=1e-15)
 
 
@@ -189,7 +202,7 @@ def test_weak_vs_direct_difference_decreases_under_refinement():
         sigma = lambda s: np.ones_like(s)
         bw = assemble_joule_rhs_weak(mesh, sigma(geometry(mesh).at_quadrature(u.values)),
                                      phi, phi0)
-        bd = assemble_joule_rhs_direct(mesh, sigma, u, phi)
+        bd = joule_direct(mesh, sigma, u, phi)
         M = assemble_mass(mesh)
         r = solve_sparse(M.tocsr(), bw - bd)
         gaps.append(float(np.sqrt(r @ (M @ r))))
@@ -266,7 +279,7 @@ def test_boundary_l2_constant():
 
 def test_assembled_matrices_symmetric():
     mesh = unit_square(3)
-    w = field(mesh, 1.0 + mesh.vertices[:, 0])
+    w = geometry(mesh).at_quadrature(1.0 + mesh.vertices[:, 0])
     assert check_symmetric(assemble_weighted_stiffness(mesh, w))
     assert check_symmetric(assemble_mass(mesh, w))
     beta = Control.constant(mesh, 1.5, 2.0)
@@ -332,7 +345,7 @@ def test_solve_spd_pcg_converges_or_refactors():
     mesh = unit_square(8)
     fixed = mesh.boundary_vertex_set()
     w = 1.0 + mesh.vertices[:, 0] ** 2
-    A, rhs = apply_dirichlet(assemble_weighted_stiffness(mesh, w),
+    A, rhs = apply_dirichlet(assemble_weighted_stiffness(mesh, geometry(mesh).at_quadrature(w)),
                              np.zeros(mesh.n_vertices), fixed, mesh.vertices[fixed, 1])
     x0 = np.zeros(mesh.n_vertices)
     x0[fixed] = mesh.vertices[fixed, 1]

@@ -467,6 +467,22 @@ def test_certificate_oversized_eps_exits_5(tmp_path):
                  str(tmp_path / "o")]) == 5
 
 
+@pytest.mark.parametrize("phi0", ["5*x", "12*x"])
+def test_overflowing_certificate_chain_exits_5_without_traceback(tmp_path, phi0):
+    # at 5x the v_inf bound overflows after auto-eps; at 12x already
+    # e^(8 mu |phi0|^2) does, and no eps opens denominator 1
+    cfg = write_config(tmp_path, BENCHMARK.replace("problem.phi0 = 0.1*x",
+                                                   f"problem.phi0 = {phi0}"))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli_mod.__file__).resolve().parents[1]))
+    for command in (["certificate"], ["verify", "--suite", "substitution"]):
+        result = subprocess.run([sys.executable, "-m", "thermopt.cli", *command,
+                                 "--config", cfg, "--out", str(tmp_path / "o")],
+                                env=env, capture_output=True, text=True)
+        assert result.returncode == 5
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error:") and "overflows" in result.stderr
+
+
 def test_certificate_constant_model_needs_override(tmp_path):
     base = BENCHMARK.replace("problem.model.kind = truncated_power",
                              "problem.model.kind = constant")

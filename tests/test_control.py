@@ -14,11 +14,11 @@ from thermopt.control import (
     gradient,
     objective,
     optimize,
-    project_control,
     sensitivity_system,
     adjoint_system,
     solve_adjoint,
     solve_sensitivity,
+    stationarity,
 )
 from thermopt.errors import CriticalityError, DomainError, NonconvergenceError
 from thermopt.fields import Control, Field, FieldKind
@@ -285,18 +285,22 @@ def test_gradient_matches_forward_difference():
 def test_projection_formula_clipping():
     mesh = build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT)
     spec = control_spec(mesh=mesh, u1_val=0.0, m_cap=3.0)
+    beta = Control.constant(mesh, 0.0, 3.0)
     # (u - u1) p = -2 per facet: -(-2)/2 = 1, inside the box
     state, adjoint = fabricated_state(mesh, 1.0, -2.0)
-    beta = project_control(spec, state, adjoint, 3.0)
-    assert np.allclose(beta.values, 1.0, atol=1e-14)
+    _, proj, resid = stationarity(spec, state, adjoint, beta)
+    assert np.allclose(proj, 1.0, atol=1e-14)
+    assert resid == pytest.approx(1.0, abs=1e-14)
     # (u - u1) p = +2: clipped at 0
     state, adjoint = fabricated_state(mesh, 1.0, 2.0)
-    beta = project_control(spec, state, adjoint, 3.0)
-    assert np.all(beta.values == 0.0)
+    _, proj, resid = stationarity(spec, state, adjoint, beta)
+    assert np.all(proj == 0.0)
+    assert resid == 0.0
     # (u - u1) p = -10: 5 clipped at the cap 3
     state, adjoint = fabricated_state(mesh, 1.0, -10.0)
-    beta = project_control(spec, state, adjoint, 3.0)
-    assert np.all(beta.values == 3.0)
+    _, proj, resid = stationarity(spec, state, adjoint, beta)
+    assert np.all(proj == 3.0)
+    assert resid == 3.0
 
 
 def test_optimize_zero_cap_immediate():
@@ -390,9 +394,13 @@ def test_projected_gradient_vanishing_step_is_not_stationary(monkeypatch):
     # 35 halvings the clipped candidate equals beta bit for bit; that is an
     # exhausted search, not a step the projection blocks
     from thermopt import control
-    true_gradient = control.gradient
-    monkeypatch.setattr(control, "gradient",
-                        lambda *args: -1e-6 * np.sign(true_gradient(*args)))
+    true_stationarity = control.stationarity
+
+    def uphill(*args):
+        g, proj, resid = true_stationarity(*args)
+        return -1e-6 * np.sign(g), proj, resid
+
+    monkeypatch.setattr(control, "stationarity", uphill)
     opts = OptimizerOptions(mode="projected_gradient", tol=1e-7)
     result = optimize(control_spec(8), opts)
     assert not result.converged
@@ -492,13 +500,15 @@ def test_projected_gradient_nonpositive_curvature_restarts_at_one(monkeypatch):
     # a gradient that grows while beta falls gives <s, y> < 0: the spectral
     # step is undefined and every search starts from 1
     from thermopt import control
+    true_stationarity = control.stationarity
     calls = []
 
     def growing_gradient(spec, state, adjoint, beta):
         calls.append(None)
-        return np.full(beta.values.size, 0.1 * len(calls))
+        _, proj, resid = true_stationarity(spec, state, adjoint, beta)
+        return np.full(beta.values.size, 0.1 * len(calls)), proj, resid
 
-    monkeypatch.setattr(control, "gradient", growing_gradient)
+    monkeypatch.setattr(control, "stationarity", growing_gradient)
     opts = OptimizerOptions(mode="projected_gradient", max_outer=3)
     result = optimize(control_spec(8), opts)
     searches = [h for h in result.history if h["trials"]]
@@ -580,8 +590,9 @@ def test_variational_inequality_at_optimum():
 def test_fixed_point_consistency_at_optimum():
     spec = control_spec(8)
     result = optimize(spec, OptimizerOptions(mode="sweep", tol=1e-8))
-    proj = project_control(spec, result.state, result.adjoint, spec.m_cap)
-    assert np.max(np.abs(result.beta.values - proj.values)) <= 1e-7
+    _, proj, resid = stationarity(spec, result.state, result.adjoint, result.beta)
+    assert np.max(np.abs(result.beta.values - proj)) <= 1e-7
+    assert resid == np.max(np.abs(result.beta.values - proj))
 
 
 def test_gradient_triangle_pairwise():

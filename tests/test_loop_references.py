@@ -18,7 +18,6 @@ from scipy.optimize import brentq
 
 from thermopt.assembly import (
     apply_dirichlet,
-    assemble_joule_rhs_direct,
     assemble_joule_rhs_weak,
     assemble_mass,
     assemble_robin,
@@ -45,7 +44,7 @@ from thermopt.mesh import (
 )
 from thermopt.reporting import write_vtk
 from thermopt.state import ProblemSpec, StateSolution, solve_state
-from thermopt.transform import _flux_load, energy_inequality_report, transform
+from thermopt.transform import _psi_identity_sides, energy_inequality_report, transform
 
 D = BoundaryTag.DIRICHLET_TEMPERATURE
 R = BoundaryTag.ROBIN_TEMPERATURE
@@ -431,9 +430,9 @@ def mass_coo(mesh, w):
     return accumulate_coo(mesh.cells, local, mesh.n_vertices)
 
 
-def load_add_at(mesh, w):
+def load_add_at(mesh, w_q):
     geom = geometry(mesh)
-    local = np.einsum("cq,q,qi->ci", geom.at_quadrature(w), geom.qweights, geom.qbary)
+    local = np.einsum("cq,q,qi->ci", w_q, geom.qweights, geom.qbary)
     return add_at(mesh, local * geom.volumes[:, None])
 
 
@@ -498,10 +497,11 @@ def random_mesh_fields(extents, divisions, seed=11):
 @pytest.mark.parametrize("extents, divisions", BOXES)
 def test_pattern_assembly_matches_coo_reference(extents, divisions):
     mesh, w, _, _ = random_mesh_fields(extents, divisions)
+    w_q = geometry(mesh).at_quadrature(w)
     for actual, expected in [
-            (assemble_weighted_stiffness(mesh, w), stiffness_coo(mesh, w)),
+            (assemble_weighted_stiffness(mesh, w_q), stiffness_coo(mesh, w)),
             (assemble_weighted_stiffness(mesh, 1.0), stiffness_coo(mesh, np.ones_like(w))),
-            (assemble_mass(mesh, w), mass_coo(mesh, w))]:
+            (assemble_mass(mesh, w_q), mass_coo(mesh, w))]:
         assert same_pattern(actual, expected)
         assert cell_close(actual.data, expected.data)
 
@@ -511,16 +511,38 @@ def test_bincount_loads_match_add_at_reference(extents, divisions):
     mesh, w, phi, phi0 = random_mesh_fields(extents, divisions)
     geom = geometry(mesh)
     sigma = lambda u: 1.0 / (1.0 + np.asarray(u) ** 2)
-    s = sigma(geom.at_quadrature(w))
-    u_f = Field(mesh, w, FieldKind.TEMPERATURE)
+    w_q = geom.at_quadrature(w)
+    s = sigma(w_q)
     phi_f = Field(mesh, phi, FieldKind.POTENTIAL)
     phi0_f = Field(mesh, phi0, FieldKind.POTENTIAL)
-    assert cell_close(load_vector(mesh, w), load_add_at(mesh, w))
-    assert cell_close(assemble_joule_rhs_direct(mesh, sigma, u_f, phi_f),
-                      joule_direct_add_at(mesh, s, phi))
+    assert cell_close(load_vector(mesh, w_q), load_add_at(mesh, w_q))
     assert cell_close(assemble_joule_rhs_weak(mesh, s, phi_f, phi0_f),
                       joule_weak_add_at(mesh, s, phi, phi0))
-    assert cell_close(_flux_load(mesh, s, phi0_f), flux_add_at(mesh, s, phi0))
+    assert cell_close(geom.load(geom.fluxes(s, geom.cell_gradient(phi0))),
+                      flux_add_at(mesh, s, phi0))
+
+
+@pytest.mark.parametrize("extents, divisions", BOXES)
+def test_psi_identity_rhs_matches_add_at_reference(extents, divisions):
+    # a |grad phi|^2 - 2 div((phi - phi0) a grad phi0) - 2 a grad phi . grad phi0
+    # tested against every basis function, with a = a(v) at the quadrature points
+    mesh, w, phi, phi0 = random_mesh_fields(extents, divisions)
+    geom = geometry(mesh)
+    model = TruncatedPower(1.0, 1.0, 2.0)
+    zero = Field(mesh, np.zeros(mesh.n_vertices), FieldKind.TEMPERATURE)
+    spec = ProblemSpec(mesh=mesh, model=model, u0=zero, u1=zero,
+                       phi0=Field(mesh, phi0, FieldKind.POTENTIAL), m_cap=2.0)
+    state = StateSolution(Field(mesh, 0.4 * w, FieldKind.TEMPERATURE),
+                          Field(mesh, phi, FieldKind.POTENTIAL), 1, 0.0, 0.0, 0, None)
+    ts = transform(state, model, spec.phi0, 1.0)
+    _, rhs = _psi_identity_sides(ts, spec)
+
+    a_q = model.a(np.maximum(geom.at_quadrature(ts.v.values), 0.0))
+    dot = np.sum(geom.cell_gradient(phi) * geom.cell_gradient(phi0), axis=1)
+    expected = (joule_direct_add_at(mesh, a_q, phi)
+                + 2.0 * flux_add_at(mesh, a_q * geom.at_quadrature(phi - phi0), phi0)
+                - 2.0 * load_add_at(mesh, a_q * dot[:, None]))
+    assert cell_close(rhs, expected)
 
 
 def assert_same_system(actual, expected):
@@ -534,7 +556,7 @@ def assert_same_system(actual, expected):
 def test_masked_dirichlet_matches_triple_product(extents, divisions):
     mesh, w, _, _ = random_mesh_fields(extents, divisions)
     rng = np.random.default_rng(5)
-    K = assemble_weighted_stiffness(mesh, w)
+    K = assemble_weighted_stiffness(mesh, geometry(mesh).at_quadrature(w))
     rhs = rng.standard_normal(mesh.n_vertices)
     fixed = mesh.boundary_vertex_set()
     values = rng.uniform(-1.0, 1.0, fixed.size)
@@ -605,7 +627,7 @@ def test_state_jacobian_matches_residual_differences(extents, divisions):
 def test_factor_spd_matches_spsolve(extents, divisions):
     mesh, w, _, _ = random_mesh_fields(extents, divisions)
     rng = np.random.default_rng(9)
-    A, rhs = apply_dirichlet(assemble_weighted_stiffness(mesh, w),
+    A, rhs = apply_dirichlet(assemble_weighted_stiffness(mesh, geometry(mesh).at_quadrature(w)),
                              rng.standard_normal(mesh.n_vertices),
                              mesh.boundary_vertex_set(D), 0.5)
     x = factor_spd(A).solve(rhs)
@@ -634,12 +656,13 @@ def test_singular_spd_systems_raise_solver_failure():
 
 def test_assembled_matrices_own_their_index_arrays():
     mesh, w, _, _ = random_mesh_fields([1.0, 1.0, 1.0], [2, 2, 2])
+    w_q = geometry(mesh).at_quadrature(w)
     for assemble, reference in ((assemble_weighted_stiffness, stiffness_coo),
                                 (assemble_mass, mass_coo)):
-        first = assemble(mesh, w)
+        first = assemble(mesh, w_q)
         first.data[::2] = 0.0
         first.eliminate_zeros()   # rewrites indices and indptr in place
-        second = assemble(mesh, w)
+        second = assemble(mesh, w_q)
         assert first.nnz < second.nnz
         assert not np.shares_memory(first.indices, second.indices)
         assert same_pattern(second, reference(mesh, w))

@@ -11,6 +11,7 @@ from thermopt.mesh import build_rectangle_mesh, dirichlet_on_planes, refine_unif
 from thermopt.state import ProblemSpec, solve_state
 from thermopt.transform import (
     certificate_chain,
+    exp_weight,
     check_certificate,
     compute_C_eps,
     compute_certificate,
@@ -140,13 +141,13 @@ def test_transformed_residual_decreases_under_refinement():
 def test_psi_identity_defect_small_and_decreasing():
     spec, beta, sol = solved_benchmark(8)
     ts = transform(sol, MODEL, spec.phi0, m_threshold=101.0)
-    d0 = psi_identity_defect(ts, MODEL, spec)
+    d0 = psi_identity_defect(ts, spec)
 
     fine = refine_uniform(spec.mesh)
     fspec = make_spec(fine)
     fsol = solve_state(fspec, Control.constant(fine, 1.0, 2.0))
     fts = transform(fsol, MODEL, fspec.phi0, m_threshold=101.0)
-    d1 = psi_identity_defect(fts, MODEL, fspec)
+    d1 = psi_identity_defect(fts, fspec)
     assert d1 < d0
 
 
@@ -162,15 +163,15 @@ def test_psi_identity_reduces_to_state_residual_for_constant_phi0():
     beta = Control.constant(mesh, 1.0, 2.0)
     sol = solve_state(spec, beta)
     ts = transform(sol, MODEL, spec.phi0, m_threshold=10.0)
-    defect = psi_identity_defect(ts, MODEL, spec)
+    defect = psi_identity_defect(ts, spec)
     assert defect <= max(sol.residual_u, 1e-12) * 10 + 1e-12
 
 
 def test_psi_inequality_holds_weakly():
     spec, beta, sol = solved_benchmark(8)
     ts = transform(sol, MODEL, spec.phi0, m_threshold=101.0)
-    margin = psi_inequality_margin(ts, MODEL, spec)
-    defect = psi_identity_defect(ts, MODEL, spec)
+    margin = psi_inequality_margin(ts, spec)
+    defect = psi_identity_defect(ts, spec)
     assert margin >= -(10 * defect + 1e-10)
 
 
@@ -235,7 +236,7 @@ def test_certificate_chain_d3_factor():
 def test_certificate_chain_phi0_zero_gives_zero_C():
     # C vanishes with phi0, so the psi_M bound reduces to the M-driven value
     mes = 1.0
-    chain = certificate_chain(2, mes, 2.0, 0.0, 0.0, 0.0, 0.0,
+    chain = certificate_chain(2, mes, exp_weight(2.0, 0.0, 0.0), 0.0, 0.0, 0.0,
                               eps=0.01, C_eps=3.0, C_D=0.5, C1=1.0)
     assert chain["C"] == 0.0
     m_driven = math.sqrt(2.0 * mes * chain["M"] ** 2 * mes)
@@ -264,17 +265,18 @@ def test_certificate_benchmark_values():
 def test_certificate_monotone_in_phi0_and_mu():
     base = dict(dim=2, mes_omega=1.0, F_u0=0.0, F_u1=0.05, eps=0.01,
                 C_eps=3.3, C_D=0.64, C1=1.0)
-    v_bounds = [certificate_chain(mu=2.0, phi0_inf=s, phi0_w1inf=s, **base)["v_inf_bound"]
+    v_bounds = [certificate_chain(exp_term=exp_weight(2.0, s, s), phi0_inf=s, **base)["v_inf_bound"]
                 for s in (0.1, 0.2, 0.4)]
     assert v_bounds[0] <= v_bounds[1] <= v_bounds[2]
-    v_bounds = [certificate_chain(mu=m, phi0_inf=0.1, phi0_w1inf=0.1, **base)["v_inf_bound"]
+    v_bounds = [certificate_chain(exp_term=exp_weight(m, 0.1, 0.1), phi0_inf=0.1,
+                                   **base)["v_inf_bound"]
                 for m in (2.0, 3.0, 4.0)]
     assert v_bounds[0] <= v_bounds[1] <= v_bounds[2]
 
 
 def test_certificate_infeasible_eps_raises():
     with pytest.raises(CertificateInfeasibleError):
-        certificate_chain(2, 1.0, 2.0, 1.0, 1.0, 0.0, 0.0,
+        certificate_chain(2, 1.0, exp_weight(2.0, 1.0, 1.0), 1.0, 0.0, 0.0,
                           eps=10.0, C_eps=1.0, C_D=0.5, C1=1.0)
 
 
@@ -290,6 +292,33 @@ def test_certificate_pinned_infeasible_eps_raises():
     spec = make_spec(mesh, phi0_scale=1.0)  # |phi0| = 1 makes exp term large
     with pytest.raises(CertificateInfeasibleError):
         compute_certificate(MODEL, spec, eps=10.0, C1=1.0, auto_eps=False)
+
+
+def test_certificate_overflowing_chain_raises():
+    # at phi0 = 5x auto-eps halves eps until M * M overflows to inf: that v_inf
+    # bound puts N at u_star, which certifies nothing
+    spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT), phi0_scale=5.0)
+    with pytest.raises(CertificateInfeasibleError, match="v_inf bound overflows"):
+        compute_certificate(MODEL, spec, eps=0.01, C1=1.0)
+
+
+def test_certificate_with_n_at_u_star_fails_its_check():
+    # at phi0 = 2x the v_inf bound is finite but F_inv rounds it to u_star:
+    # every solution meets N, and the check must not call that a pass
+    spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT), phi0_scale=2.0)
+    cert = compute_certificate(MODEL, spec, eps=0.01, C1=1.0)
+    assert math.isfinite(cert.v_inf_bound) and cert.N == MODEL.u_star
+    _, _, sol = solved_benchmark(4)
+    check = check_certificate(sol, cert, MODEL)
+    assert check.max_v <= cert.v_inf_bound and check.max_u <= cert.N
+    assert not check.passed
+
+
+def test_certificate_overflowing_weight_raises_for_every_eps():
+    # at phi0 = 12x the weight e^(8 mu |phi0|^2) overflows; auto-eps must not retry
+    spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT), phi0_scale=12.0)
+    with pytest.raises(CertificateInfeasibleError, match="overflows"):
+        compute_certificate(MODEL, spec, eps=0.01, C1=1.0)
 
 
 def test_certificate_3d_problem():
