@@ -10,6 +10,7 @@ distinct systems may run concurrently.
 
 from __future__ import annotations
 
+import math
 import weakref
 from functools import cached_property
 from typing import Callable
@@ -20,7 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, DomainError, SolverFailure
 from .fields import Control, Field, FieldKind
-from .mesh import BoundaryTag, Mesh, cell_volumes, facet_measures
+from .mesh import BoundaryTag, Mesh, edge_cofactors, facet_measures
 
 # quadrature in barycentric coordinates: (points, weights)
 _QUAD = {
@@ -56,8 +57,12 @@ class P1Geometry:
         self.n_vertices = mesh.n_vertices
         self.dim = mesh.dim
         self.boundary_vertices = mesh.boundary_vertex_set()
-        self.volumes = cell_volumes(mesh)
-        self.grads = self._basis_gradients(mesh)          # (nc, d+1, d)
+        # grad(lambda_i) = adj(E)_i / det(E) and |K| = det(E) / d!, E the edge matrix
+        cof, det = edge_cofactors(mesh)
+        self.volumes = det / math.factorial(mesh.dim)
+        self.grads = np.empty((mesh.n_cells, mesh.dim + 1, mesh.dim))   # (nc, d+1, d)
+        self.grads[:, 1:, :] = cof / det[:, None, None]
+        self.grads[:, 0, :] = -self.grads[:, 1:, :].sum(axis=1)
         # grad(lambda_i) . grad(lambda_j) |K|, the unit-weight cell stiffness
         self.grad_products = (np.einsum("cid,cjd->cij", self.grads, self.grads)
                               * self.volumes[:, None, None])
@@ -79,17 +84,6 @@ class P1Geometry:
         pattern = sp.csr_matrix((np.zeros(keys.size), keys % n,
                                  np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
         self.indices, self.indptr = pattern.indices, pattern.indptr
-
-    @staticmethod
-    def _basis_gradients(mesh: Mesh) -> np.ndarray:
-        v = mesh.vertices[mesh.cells]
-        d = mesh.dim
-        edges = v[:, 1:, :] - v[:, :1, :]                 # (nc, d, d)
-        inv = np.linalg.inv(edges)                        # rows: grad lambda_1..d
-        grads = np.empty((mesh.n_cells, d + 1, d))
-        grads[:, 1:, :] = np.transpose(inv, (0, 2, 1))
-        grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-        return grads
 
     def cell_gradient(self, values: np.ndarray) -> np.ndarray:
         """Cellwise-constant gradient of a P1 nodal field, (nc, d)."""

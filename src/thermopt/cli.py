@@ -32,6 +32,7 @@ from .fields import Control, Field, FieldKind
 from .mesh import mesh_size, prolong, refine_uniform
 from .state import solve_state, subcritical_margin
 from .transform import (
+    certificate_data,
     check_certificate,
     compute_certificate,
     psi_identity_defect,
@@ -191,8 +192,9 @@ def _suite_maxprinciple(config, spec, checks):
 def _suite_substitution(config, spec, checks):
     beta = cfg.build_control(config, spec)
     opts = cfg.build_solver_options(config)
-    cert = compute_certificate(spec.model, spec, **cfg.certificate_arguments(config))
+    data = certificate_data(spec.model, spec, **cfg.certificate_arguments(config))
     sol = solve_state(spec, beta, opts)
+    cert = compute_certificate(spec.model, spec, factor=sol.temperature_factor, data=data)
     ts = transform(sol, spec.model, spec.phi0, cert.M)
     r0 = transformed_residual(ts, spec.model, spec, beta)
     d0 = psi_identity_defect(ts, spec)
@@ -395,9 +397,12 @@ def cmd_certificate(config, outdir) -> int:
             "certificate for the constant model needs certificate.allow_constant "
             "= true (there is no critical temperature to certify against)")
     t0 = time.perf_counter()
-    cert = compute_certificate(spec.model, spec, **cfg.certificate_arguments(config))
+    # the checks that need no C_D come before the state solve, whose
+    # temperature factor then preconditions the Poincare estimate
+    data = certificate_data(spec.model, spec, **cfg.certificate_arguments(config))
     beta = cfg.build_control(config, spec)
     sol = solve_state(spec, beta, cfg.build_solver_options(config))
+    cert = compute_certificate(spec.model, spec, factor=sol.temperature_factor, data=data)
     check = check_certificate(sol, cert, spec.model)
     report["timings_seconds"]["certificate"] = time.perf_counter() - t0
     report["certificate"] = cert.as_dict()

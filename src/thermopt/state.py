@@ -107,7 +107,8 @@ class StateSolution:
     history: list = dfield(default_factory=list)
     cg_iterations: int = 0       # over all potential solves
     factorizations: int = 0      # sparse LU factorizations this solve made
-    # factor of K + R eliminated on Gamma_D; the adjoint block reuses it
+    # factor of K + R eliminated on Gamma_D; the adjoint block and the
+    # certificate's Poincare estimate reuse it
     temperature_factor: spla.SuperLU | None = None
 
 

@@ -12,10 +12,13 @@ user-supplied; every certificate is conditional on it and labeled as such.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import asdict, dataclass, field as dfield
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy import linalg
 
 from . import assembly
 from .assembly import geometry
@@ -30,8 +33,17 @@ C1_PROVENANCE = "user-supplied heuristic (no constructive Sobolev constant)"
 # Log-spaced grid on which compute_C_eps takes its supremum.
 _C_EPS_GRID_LO, _C_EPS_GRID_HI, _C_EPS_GRID_POINTS = 1e-6, 1e6, 2048
 
-# Stopping rule of estimate_poincare: relative eigenvalue change and step cap.
-POINCARE_TOL, POINCARE_MAX_ITER = 1e-8, 500
+# Stopping rule of estimate_poincare: LOBPCG stops when its residual
+# K x - lambda M x is POINCARE_RTOL times the initial theta M x, and fails
+# after POINCARE_MAX_ITER iterations. With 1e-6, C_D agrees with a dense
+# eigensolver to 3e-14 relative on boxes of 36 to 1,210 free vertices and
+# with a 1e-11 run to 2e-13 on up to 16,640, in 4 or 5 iterations
+# preconditioned by K and 8 by the K + R of the 16^3 certificate ops.
+POINCARE_RTOL, POINCARE_MAX_ITER = 1e-6, 100
+
+# scipy's lobpcg solves problems with fewer unknowns than five times the
+# block size densely and warns; estimate_poincare solves those itself.
+_LOBPCG_MIN_SIZE = 5
 
 
 @dataclass
@@ -141,32 +153,56 @@ def compute_C_eps(model: ConductivityModel, eps: float) -> float:
     return max(0.0, gmax) * 1.05
 
 
-def estimate_poincare(mesh: Mesh) -> float:
+def estimate_poincare(mesh: Mesh, factor: spla.SuperLU | None = None,
+                      return_iterations: bool = False):
     """C_D = 1/sqrt(lambda_min) for the Laplacian with zero data on the
-    Dirichlet part, by inverse power iteration on the generalized problem;
-    the iterates stay zero on the Dirichlet vertices the factor eliminates."""
-    K = geometry(mesh).stiffness
-    M = assembly.assemble_mass(mesh)
+    Dirichlet part Gamma_D: the smallest eigenvalue of (K, M) on the free
+    vertices, by LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001).
+
+    `factor` preconditions it: a factor of an SPD matrix eliminated on
+    Gamma_D and spectrally equivalent to K there, such as the state's
+    temperature factor of K + R; it changes the iteration count, not C_D.
+    Without one, K eliminated on Gamma_D is factored. Below _LOBPCG_MIN_SIZE
+    free vertices the problem is solved densely, in 0 iterations. With
+    return_iterations, returns (C_D, iterations).
+    """
+    n = mesh.n_vertices
     fixed = mesh.boundary_vertex_set(BoundaryTag.DIRICHLET_TEMPERATURE)
-    lu = assembly.factor_spd(assembly.apply_dirichlet(K, np.zeros(mesh.n_vertices),
-                                                      fixed, 0.0)[0])
-    x = np.ones(mesh.n_vertices)
-    x[fixed] = 0.0
-    x /= math.sqrt(float(x @ (M @ x)))
-    lam_prev = math.inf
-    for _ in range(POINCARE_MAX_ITER):
-        rhs = M @ x
-        rhs[fixed] = 0.0
-        y = lu.solve(rhs)
-        ynorm = math.sqrt(float(y @ (M @ y)))
-        if ynorm == 0.0:
-            raise EstimationError("inverse iteration collapsed to zero")
-        x = y / ynorm
-        lam = float(x @ (K @ x)) / float(x @ (M @ x))
-        if abs(lam - lam_prev) <= POINCARE_TOL * abs(lam):
-            return 1.0 / math.sqrt(lam)
-        lam_prev = lam
-    raise EstimationError(f"inverse power iteration did not settle in {POINCARE_MAX_ITER} steps")
+    free = np.setdiff1d(np.arange(n), fixed)
+    if free.size == 0:
+        raise EstimationError("every vertex lies on the Dirichlet part")
+    stiffness = geometry(mesh).stiffness
+    K = stiffness[free][:, free]
+    M = assembly.assemble_mass(mesh)[free][:, free]
+    if free.size < _LOBPCG_MIN_SIZE:
+        lam = linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True,
+                          subset_by_index=[0, 0])[0]
+        iterations = 0
+    else:
+        if factor is None:
+            factor = assembly.factor_spd(
+                assembly.apply_dirichlet(stiffness, np.zeros(n), fixed, 0.0)[0])
+
+        def precondition(r):
+            z = np.zeros((n,) + r.shape[1:])
+            z[free] = r
+            return factor.solve(z)[free]
+
+        x = np.full((free.size, 1), 1.0 / math.sqrt(M.sum()))   # M-normalized
+        tol = POINCARE_RTOL * (x.T @ (K @ x)).item() * float(np.linalg.norm(M @ x))
+        with warnings.catch_warnings():
+            # a run that stops short warns; the residual check below raises
+            warnings.simplefilter("ignore", UserWarning)
+            lams, _, residuals = spla.lobpcg(K, x, B=M, M=precondition, tol=tol,
+                                             maxiter=POINCARE_MAX_ITER, largest=False,
+                                             retResidualNormsHistory=True)
+        if not residuals[-1] <= tol:
+            raise EstimationError(f"LOBPCG did not reach residual {tol:.1e} in "
+                                  f"{POINCARE_MAX_ITER} iterations")
+        # the history holds the initial residual, one per iteration and the last
+        lam, iterations = lams[0], len(residuals) - 2
+    c_d = 1.0 / math.sqrt(lam)
+    return (c_d, iterations) if return_iterations else c_d
 
 
 @dataclass
@@ -193,6 +229,8 @@ class BoundCertificate:
     N: float
     r: float
     s: float
+    eps_halvings: int
+    poincare_iterations: int
     c1_provenance: str = C1_PROVENANCE
     notes: list = dfield(default_factory=list)
 
@@ -243,11 +281,7 @@ def certificate_chain(dim: int, mes_omega: float, exp_term: float, phi0_inf: flo
     """Pure arithmetic of the constant chain from the weight exp_term of
     exp_weight; raises when a denominator closes. Returns every intermediate
     value; a product that overflows after the denominators is inf."""
-    den1 = 1.0 - 2.0 * eps * exp_term
-    if den1 <= 0.0:
-        raise CertificateInfeasibleError(
-            f"denominator 1 - 2 eps e^(8 mu |phi0|^2) |phi0|_W1inf^2 = {den1:.3e} "
-            "is not positive; reduce eps or the potential data")
+    den1 = _denominator_1(eps, exp_term)
     C = 8.0 * exp_term / den1
     M = max(1.0, C_eps, 1.0 / eps,
             4.0 * phi0_inf ** 2 + F_u0,
@@ -268,6 +302,15 @@ def certificate_chain(dim: int, mes_omega: float, exp_term: float, phi0_inf: flo
             "v_inf_bound": v_inf}
 
 
+def _denominator_1(eps: float, exp_term: float) -> float:
+    den1 = 1.0 - 2.0 * eps * exp_term
+    if den1 <= 0.0:
+        raise CertificateInfeasibleError(
+            f"denominator 1 - 2 eps e^(8 mu |phi0|^2) |phi0|_W1inf^2 = {den1:.3e} "
+            "is not positive; reduce eps or the potential data")
+    return den1
+
+
 def _eps_halvings(eps: float, exp_term: float, C_D: float) -> int:
     """Smallest k >= 0 for which eps 2^-k closes neither denominator of
     certificate_chain to 0.5 or below: den1 > 1/2 iff 4 eps w < 1, and,
@@ -282,37 +325,75 @@ def _eps_halvings(eps: float, exp_term: float, C_D: float) -> int:
     return max(0, exponent + e) if m else 0
 
 
-def compute_certificate(model: ConductivityModel, spec: ProblemSpec, eps: float = 0.01,
-                        C1: float = 1.0, auto_eps: bool = True) -> BoundCertificate:
-    """Evaluate the whole constant chain for one problem.
+@dataclass
+class CertificateData:
+    """The constants of the chain that do not depend on C_D, with the eps,
+    C1 and auto_eps they were checked under."""
 
-    With auto_eps, eps is halved the fewest times that leave both
-    denominators above 0.5 (_eps_halvings; any sufficiently small eps works
-    in the estimates), and one note records the count. A pinned eps that
-    closes a denominator raises CertificateInfeasibleError instead, and so
-    do an eps <= 0, an exponential weight that overflows, which no eps
-    cures, and a v_inf bound that overflows, which bounds nothing.
-    """
+    mes_omega: float
+    mu: float
+    phi0_inf: float
+    phi0_w1inf: float
+    exp_term: float
+    F_u0: float
+    F_u1: float
+    eps: float
+    C1: float
+    auto_eps: bool
+
+
+def certificate_data(model: ConductivityModel, spec: ProblemSpec, eps: float = 0.01,
+                     C1: float = 1.0, auto_eps: bool = True) -> CertificateData:
+    """The C_D-free stage of compute_certificate and every check it allows:
+    an eps <= 0, an exponential weight that overflows, which no eps cures,
+    and a pinned eps that closes denominator 1 raise
+    CertificateInfeasibleError. It is cheap, so a caller runs it before the
+    state solve whose factor the Poincare estimate reuses."""
     if eps <= 0:
         raise CertificateInfeasibleError("eps must be positive")
-    mesh = spec.mesh
-    notes = []
     mu = model.lipschitz_mu()
     phi0_inf = float(np.max(np.abs(spec.phi0.values)))
     phi0_w1inf = max(phi0_inf, assembly.max_cell_gradient(spec.phi0))
     exp_term = exp_weight(mu, phi0_inf, phi0_w1inf)
-    F_u0 = float(model.F(float(np.max(spec.u0.values))))
-    F_u1 = float(model.F(float(np.max(spec.u1.values))))
-    mes_omega = float(geometry(mesh).volumes.sum())
-    C_D = estimate_poincare(mesh)
+    if not auto_eps:
+        _denominator_1(eps, exp_term)
+    return CertificateData(
+        mes_omega=float(geometry(spec.mesh).volumes.sum()), mu=mu,
+        phi0_inf=phi0_inf, phi0_w1inf=phi0_w1inf, exp_term=exp_term,
+        F_u0=float(model.F(float(np.max(spec.u0.values)))),
+        F_u1=float(model.F(float(np.max(spec.u1.values)))),
+        eps=eps, C1=C1, auto_eps=auto_eps)
 
-    halvings = _eps_halvings(eps, exp_term, C_D) if auto_eps else 0
+
+def compute_certificate(model: ConductivityModel, spec: ProblemSpec, eps: float = 0.01,
+                        C1: float = 1.0, auto_eps: bool = True,
+                        factor: spla.SuperLU | None = None,
+                        data: CertificateData | None = None) -> BoundCertificate:
+    """Evaluate the whole constant chain for one problem.
+
+    The first stage is certificate_data(model, spec, eps, C1, auto_eps); a
+    caller that ran it already passes its result as `data`, whose eps, C1
+    and auto_eps then stand for the arguments. `factor` preconditions
+    estimate_poincare. With auto_eps, eps is halved the fewest times that
+    leave both denominators above 0.5 (_eps_halvings; any sufficiently
+    small eps works in the estimates), and one note records the count. A
+    pinned eps that closes a denominator raises CertificateInfeasibleError
+    instead, and so does a v_inf bound that overflows, which bounds nothing.
+    """
+    if data is None:
+        data = certificate_data(model, spec, eps, C1, auto_eps)
+    eps, C1 = data.eps, data.C1
+    mesh = spec.mesh
+    notes = []
+    C_D, poincare_iterations = estimate_poincare(mesh, factor, return_iterations=True)
+
+    halvings = _eps_halvings(eps, data.exp_term, C_D) if data.auto_eps else 0
     if halvings:
         eps = math.ldexp(eps, -halvings)
         notes.append(f"eps halved {halvings} times to {eps:g} (denominators below 0.5)")
     C_eps = compute_C_eps(model, eps)
-    chain = certificate_chain(mesh.dim, mes_omega, exp_term, phi0_inf,
-                              F_u0, F_u1, eps, C_eps, C_D, C1)
+    chain = certificate_chain(mesh.dim, data.mes_omega, data.exp_term, data.phi0_inf,
+                              data.F_u0, data.F_u1, eps, C_eps, C_D, C1)
 
     v_inf = chain["v_inf_bound"]
     if not math.isfinite(v_inf):
@@ -326,13 +407,14 @@ def compute_certificate(model: ConductivityModel, spec: ProblemSpec, eps: float 
     dim = mesh.dim
     s = 2.0 * (dim - 1) / (dim - 2) if dim > 2 else math.inf
     return BoundCertificate(
-        dim=dim, mes_omega=mes_omega, mu=mu, phi0_inf=phi0_inf,
-        phi0_w1inf=phi0_w1inf, F_u0=F_u0, F_u1=F_u1, eps=eps, C_eps=C_eps,
-        C=chain["C"], M=chain["M"], C_D=C_D, C1=C1, C2=chain["C2"],
+        dim=dim, mes_omega=data.mes_omega, mu=data.mu, phi0_inf=data.phi0_inf,
+        phi0_w1inf=data.phi0_w1inf, F_u0=data.F_u0, F_u1=data.F_u1, eps=eps,
+        C_eps=C_eps, C=chain["C"], M=chain["M"], C_D=C_D, C1=C1, C2=chain["C2"],
         psiM_l2_bound=chain["psiM_l2_bound"],
         psiM_inf_bound=chain["psiM_inf_bound"],
         v_inf_bound=chain["v_inf_bound"], N=N,
-        r=2.0 * (dim - 1), s=s, notes=notes)
+        r=2.0 * (dim - 1), s=s, eps_halvings=halvings,
+        poincare_iterations=poincare_iterations, notes=notes)
 
 
 @dataclass

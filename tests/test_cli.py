@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import thermopt.cli as cli_mod
-from thermopt import errors
+from thermopt import assembly, errors
 from thermopt.cli import main
 from thermopt.config import _KNOWN_KEYS, build_optimizer_options, parse_config_text
 from thermopt.errors import ConfigurationError
@@ -481,6 +481,42 @@ def test_overflowing_certificate_chain_exits_5_without_traceback(tmp_path, phi0)
         assert result.returncode == 5
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith("error:") and "overflows" in result.stderr
+
+
+@pytest.mark.parametrize("change", [
+    "problem.phi0 = 12*x",                            # the weight overflows
+    "problem.phi0 = 1.0*x\ncertificate.eps = 1e9",     # pinned eps closes den1
+])
+def test_certificate_checks_without_c_d_precede_the_state_solve(tmp_path, monkeypatch,
+                                                                 change):
+    def raiser(*args, **kwargs):
+        raise AssertionError("state solved before the certificate data")
+
+    monkeypatch.setattr(cli_mod, "solve_state", raiser)
+    text = BENCHMARK.replace("problem.phi0 = 0.1*x", change)
+    cfg = write_config(tmp_path, text)
+    for command in (["certificate"], ["verify", "--suite", "substitution"]):
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 5
+
+
+def test_certificate_factors_twice_and_counts_its_work(tmp_path, monkeypatch):
+    # K for the potential and K + R for the temperature; the Poincare
+    # estimate is preconditioned by the latter
+    shapes = []
+    factor_spd = assembly.factor_spd
+
+    def counting(matrix):
+        shapes.append(matrix.shape)
+        return factor_spd(matrix)
+
+    monkeypatch.setattr(assembly, "factor_spd", counting)
+    cfg = write_config(tmp_path, BENCHMARK.replace("extents = 1 1", "extents = 1 1 1")
+                       .replace("divisions = 16 16", "divisions = 6 6 6"))
+    assert main(["certificate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert shapes == [(343, 343)] * 2
+    cert = read_report(tmp_path / "o")["certificate"]
+    assert type(cert["eps_halvings"]) is int and cert["eps_halvings"] == 0
+    assert type(cert["poincare_iterations"]) is int and cert["poincare_iterations"] > 0
 
 
 def test_certificate_constant_model_needs_override(tmp_path):

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from thermopt.assembly import geometry
 from thermopt.errors import ConfigurationError
 from thermopt.mesh import (
     BoundaryTag,
+    Mesh,
+    _row_keys,
     boundary_measure,
     build_rectangle_mesh,
     cell_volumes,
@@ -139,6 +144,80 @@ def test_two_refinements_equal_box_at_four_times_divisions(extents, divisions):
     direct = build_rectangle_mesh(extents, [4 * n for n in divisions], rule)
     spacing = np.asarray(extents) / (4 * np.asarray(divisions))
     assert np.array_equal(grid_cells(fine, spacing), grid_cells(direct, spacing))
+
+
+def test_one_refinement_of_a_2_cube_is_the_4_cube():
+    rule = dirichlet_on_planes("x=0")
+    fine = refine_uniform(build_rectangle_mesh([1.0, 1.0, 1.0], [2, 2, 2], rule))
+    direct = build_rectangle_mesh([1.0, 1.0, 1.0], [4, 4, 4], rule)
+    assert np.array_equal(grid_cells(fine, 0.25), grid_cells(direct, 0.25))
+
+    def tagged_facets(mesh):
+        ids = np.rint(mesh.vertices / 0.25).astype(np.int64) @ [25, 5, 1]
+        rows = np.sort(ids[mesh.boundary_facets], axis=1)
+        return sorted(zip(map(tuple, rows.tolist()), mesh.boundary_tags.tolist()))
+
+    assert tagged_facets(fine) == tagged_facets(direct)
+
+
+def jittered(extents, divisions, seed=0):
+    """The box mesh with every vertex moved by up to a tenth of the spacing."""
+    mesh = build_rectangle_mesh(extents, divisions, LEFT_DIRICHLET)
+    h = min(e / n for e, n in zip(extents, divisions))
+    shift = np.random.default_rng(seed).uniform(-0.1 * h, 0.1 * h, mesh.vertices.shape)
+    return Mesh(mesh.dim, mesh.vertices + shift, mesh.cells, mesh.boundary_facets,
+                mesh.boundary_tags)
+
+
+@pytest.mark.parametrize("extents, divisions", [([1.0, 2.0], [5, 7]),
+                                                ([1.0, 1.0, 0.5], [3, 4, 2])])
+def test_closed_form_geometry_matches_inverse_on_jittered_mesh(extents, divisions):
+    # on box meshes every entry is exact either way, so only a non-box mesh
+    # tells a wrong cofactor
+    mesh = jittered(extents, divisions)
+    validate(mesh)
+    v = mesh.vertices[mesh.cells]
+    edges = v[:, 1:, :] - v[:, :1, :]
+    want_volumes = np.linalg.det(edges) / math.factorial(mesh.dim)
+    want_grads = np.transpose(np.linalg.inv(edges), (0, 2, 1))
+    geom = geometry(mesh)
+    assert np.all(np.abs(geom.volumes - want_volumes) <= 1e-13 * np.abs(want_volumes))
+    assert np.array_equal(cell_volumes(mesh), geom.volumes)
+    scale = np.abs(want_grads).max(axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(geom.grads[:, 1:] - want_grads) <= 1e-13 * scale)
+    assert np.array_equal(geom.grads[:, 0], -geom.grads[:, 1:].sum(axis=1))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_validate_rejects_a_nonpositive_cell(dim):
+    mesh = jittered([1.0] * dim, [2] * dim)
+    cells = mesh.cells.copy()
+    cells[3, [0, 1]] = cells[3, [1, 0]]
+    with pytest.raises(ConfigurationError, match="nonpositively oriented"):
+        validate(Mesh(dim, mesh.vertices, cells, mesh.boundary_facets, mesh.boundary_tags))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("base", [2_146_689, 3_000_000])
+def test_row_keys_are_exact_for_large_vertex_indices(base, k):
+    # 2,146,689 = 129^3 vertices, where n^3 is past 2^63; sorted rows with
+    # repeated entries and repeated rows
+    rng = np.random.default_rng(k)
+    rows = np.sort(rng.integers(base - 30, base + 30, size=(4000, k)), axis=1)
+    rows = np.vstack([rows, rows[::7], np.full((1, k), base)])
+    keys = _row_keys(rows)
+    assert keys.dtype == np.int64
+    assert keys.tolist() == [sum(math.comb(r + j, j + 1) for j, r in enumerate(row))
+                             for row in rows.tolist()]
+    distinct_rows = np.unique(rows, axis=0).shape[0]
+    assert np.unique(keys).size == distinct_rows
+    assert len(set(zip(map(tuple, rows.tolist()), keys.tolist()))) == distinct_rows
+
+
+def test_row_keys_refuse_indices_past_int64():
+    assert _row_keys(np.array([[0, 0, 3_810_776]]))[0] < 2 ** 63
+    with pytest.raises(ConfigurationError, match="too large"):
+        _row_keys(np.array([[0, 0, 3_810_777]]))
 
 
 def test_prolong_reproduces_linears():

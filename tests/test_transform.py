@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from thermopt import transform as transform_mod
-from thermopt.assembly import geometry, interpolate, max_cell_gradient
-from thermopt.errors import CertificateInfeasibleError, DomainError
+from thermopt.assembly import assemble_mass, geometry, interpolate, max_cell_gradient
+from thermopt.errors import CertificateInfeasibleError, DomainError, EstimationError
 from thermopt.fields import Control, FieldKind
 from thermopt.materials import Constant, TruncatedPower
-from thermopt.mesh import build_rectangle_mesh, dirichlet_on_planes, refine_uniform
+from thermopt.mesh import (
+    BoundaryTag,
+    build_rectangle_mesh,
+    dirichlet_on_planes,
+    refine_uniform,
+)
 from thermopt.state import ProblemSpec, solve_state
 from thermopt.transform import (
     certificate_chain,
@@ -227,6 +233,47 @@ def test_poincare_mixed_eigenvalue_oracle():
     assert 1.0 / cd ** 2 == pytest.approx(math.pi ** 2 / 4.0, rel=5e-3)
 
 
+def dense_poincare(mesh):
+    """C_D from scipy.linalg.eigh on the dense free-vertex blocks of (K, M)."""
+    fixed = mesh.boundary_vertex_set(BoundaryTag.DIRICHLET_TEMPERATURE)
+    free = np.setdiff1d(np.arange(mesh.n_vertices), fixed)
+    K = geometry(mesh).stiffness.toarray()[np.ix_(free, free)]
+    M = assemble_mass(mesh).toarray()[np.ix_(free, free)]
+    return 1.0 / math.sqrt(scipy.linalg.eigh(K, M, eigvals_only=True)[0])
+
+
+@pytest.mark.parametrize("extents, divisions, iterates", [
+    ([1.0, 1.0], [1, 1], False), ([2.0, 1.0], [2, 1], False),
+    ([1.0, 1.0, 1.0], [1, 1, 1], False), ([1.0, 1.0, 1.0], [3, 2, 3], True)])
+def test_poincare_matches_dense_oracle(extents, divisions, iterates):
+    # the first three have 2 to 4 free vertices, fewer than scipy's lobpcg
+    # takes without warning (an error under this suite's filterwarnings)
+    mesh = build_rectangle_mesh(extents, divisions, LEFT)
+    c_d, iterations = estimate_poincare(mesh, return_iterations=True)
+    assert c_d == pytest.approx(dense_poincare(mesh), rel=1e-10)
+    assert (iterations > 0) == iterates
+
+
+def test_poincare_preconditioner_changes_only_the_iterations():
+    spec, beta, sol = solved_benchmark()
+    own, own_iterations = estimate_poincare(spec.mesh, return_iterations=True)
+    shared, shared_iterations = estimate_poincare(spec.mesh, sol.temperature_factor,
+                                                  return_iterations=True)
+    assert shared == pytest.approx(own, rel=1e-10)
+    assert min(own_iterations, shared_iterations) > 0
+
+
+def test_poincare_unconverged_lobpcg_raises(monkeypatch):
+    monkeypatch.setattr(transform_mod, "POINCARE_MAX_ITER", 1)
+    with pytest.raises(EstimationError, match="LOBPCG did not reach"):
+        estimate_poincare(build_rectangle_mesh([1.0, 1.0], [16, 16], LEFT))
+
+
+def test_poincare_without_free_vertex_raises():
+    with pytest.raises(EstimationError, match="every vertex"):
+        estimate_poincare(build_rectangle_mesh([1.0, 1.0], [1, 1], ALL))
+
+
 def test_certificate_chain_d3_factor():
     # dimension-3 bootstrap factor is (2 C2)^(3/2) * 3^(3/4)
     C2 = 1.7
@@ -286,6 +333,15 @@ def test_certificate_auto_eps_recovers():
     cert = compute_certificate(MODEL, spec, eps=1e6, C1=1.0, auto_eps=True)
     assert cert.eps < 1e6
     assert math.isfinite(cert.N)
+
+
+def test_certificate_counts_its_halvings():
+    spec, _, _ = solved_benchmark(4)
+    cert = compute_certificate(MODEL, spec, eps=1e6, C1=1.0, auto_eps=True)
+    assert cert.eps_halvings > 0
+    assert cert.eps == math.ldexp(1e6, -cert.eps_halvings)
+    assert cert.notes == [f"eps halved {cert.eps_halvings} times to {cert.eps:g} "
+                          "(denominators below 0.5)"]
 
 
 def test_certificate_pinned_infeasible_eps_raises():
