@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import weakref
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, DomainError, SolverFailure
 from .fields import Control, Field, FieldKind
-from .mesh import BoundaryTag, Mesh, edge_cofactors, facet_measures
+from .mesh import Mesh, edge_cofactors, facet_measures
 
 # quadrature in barycentric coordinates: (points, weights)
 _QUAD = {
@@ -48,8 +48,8 @@ class P1Geometry:
 
     Holds the cell array but not the mesh itself, so that the cache below
     releases the geometry together with its mesh. The operators that depend
-    on the mesh alone (the unit stiffness and the potential preconditioner)
-    are built on first use and kept here.
+    on the mesh alone (the unit stiffness, the potential preconditioner and
+    the slot maps of `eliminated`) are built on first use and kept here.
     """
 
     def __init__(self, mesh: Mesh):
@@ -64,7 +64,7 @@ class P1Geometry:
         self.grads[:, 1:, :] = cof / det[:, None, None]
         self.grads[:, 0, :] = -self.grads[:, 1:, :].sum(axis=1)
         # grad(lambda_i) . grad(lambda_j) |K|, the unit-weight cell stiffness
-        self.grad_products = (np.einsum("cid,cjd->cij", self.grads, self.grads)
+        self.grad_products = (self.grads @ self.grads.transpose(0, 2, 1)
                               * self.volumes[:, None, None])
         bary, self.qweights = _QUAD[mesh.dim]
         self.qbary = bary                                 # (nq, d+1)
@@ -83,7 +83,14 @@ class P1Geometry:
         # built through scipy so that the index dtype is the one it keeps
         pattern = sp.csr_matrix((np.zeros(keys.size), keys % n,
                                  np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
-        self.indices, self.indptr = pattern.indices, pattern.indptr
+        self.pattern = pattern.indices, pattern.indptr   # read-only: csr() shares them
+        for array in self.pattern:
+            array.flags.writeable = False
+        # the slot of each coupling of each boundary facet (a cell edge), (nf, d, d)
+        f, d = mesh.boundary_facets, mesh.dim
+        self.facet_slots = np.searchsorted(
+            keys, np.repeat(f, d, axis=1) * n + np.tile(f, (1, d))).reshape(-1, d, d)
+        self._eliminations: dict[bytes, tuple] = {}   # see eliminated()
 
     def cell_gradient(self, values: np.ndarray) -> np.ndarray:
         """Cellwise-constant gradient of a P1 nodal field, (nc, d)."""
@@ -104,15 +111,15 @@ class P1Geometry:
         points and a cellwise gradient (nc, d), (nc, d+1)."""
         return np.einsum("c,cd,cid->ci", (c_q @ self.qweights) * self.volumes, grad, self.grads)
 
-    def matrix(self, local: np.ndarray) -> sp.csr_matrix:
-        """Sum the (nc, d+1, d+1) cell matrices into the cached pattern.
+    def data(self, local: np.ndarray) -> np.ndarray:
+        """Sum the (nc, d+1, d+1) cell matrices into data on the cached pattern."""
+        return np.bincount(self.scatter, weights=local.ravel(), minlength=self.pattern[0].size)
 
-        Every returned matrix owns its index arrays: in-place methods such
-        as eliminate_zeros() must not reach the shared pattern.
-        """
-        data = np.bincount(self.scatter, weights=local.ravel(), minlength=self.indices.size)
-        n = self.n_vertices
-        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
+    def csr(self, data: np.ndarray, pattern: tuple | None = None) -> sp.csr_matrix:
+        """The matrix with `data` on the cached pattern (or on `pattern`),
+        sharing its read-only index arrays; its copy() owns its arrays."""
+        return sp.csr_matrix((data, *(pattern or self.pattern)),
+                             shape=(self.n_vertices,) * 2, copy=False)
 
     def load(self, local: np.ndarray) -> np.ndarray:
         """Sum the (nc, d+1) cell vectors into a nodal vector."""
@@ -123,17 +130,41 @@ class P1Geometry:
     def stiffness(self) -> sp.csr_matrix:
         """The unit-weight stiffness K, shared by every caller on this mesh:
         its arrays are read-only."""
-        K = self.matrix(self.grad_products)
-        for array in (K.data, K.indices, K.indptr):
-            array.flags.writeable = False
+        K = self.csr(self.data(self.grad_products))
+        K.data.flags.writeable = False
         return K
 
     @cached_property
     def potential_factor(self) -> spla.SuperLU:
         """Factor of K eliminated on the whole boundary, the potential's
         Dirichlet set: it preconditions every potential solve on this mesh."""
-        return factor_spd(apply_dirichlet(self.stiffness, np.zeros(self.n_vertices),
-                                          self.boundary_vertices, 0.0)[0])
+        return factor_spd(self.eliminated(self.stiffness.data, self.boundary_vertices)[0])
+
+    def eliminated(self, data: np.ndarray, fixed: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+        """apply_dirichlet's matrix for `data` on the cached pattern and the
+        distinct vertices `fixed`, zeros of `data` kept, and the permutation of
+        its data onto its transpose's, for check_symmetric. The slot map of
+        each `fixed` is built on first use and kept."""
+        key = fixed.tobytes()
+        if key not in self._eliminations:
+            indices, indptr = self.pattern
+            rows = np.repeat(np.arange(self.n_vertices), np.diff(indptr))
+            mask = np.zeros(self.n_vertices, dtype=bool)
+            mask[fixed] = True
+            diagonal = rows == indices
+            # kept is sorted, so it maps the row pointers too
+            kept = np.flatnonzero(~(mask[rows] | mask[indices]) | diagonal)
+            pattern = indices[kept], np.searchsorted(kept, indptr).astype(indptr.dtype)
+            for array in pattern:
+                array.flags.writeable = False
+            unit = np.flatnonzero(mask[rows[kept]] & diagonal[kept])
+            # the pattern is symmetric: its CSC order is its transpose's CSR order
+            transpose = self.csr(np.arange(kept.size), pattern).tocsc().data
+            self._eliminations[key] = kept, pattern, unit, transpose
+        kept, pattern, unit, transpose = self._eliminations[key]
+        reduced = data[kept]
+        reduced[unit] = 1.0
+        return self.csr(reduced, pattern), transpose
 
 
 _GEOMETRY_CACHE: "weakref.WeakKeyDictionary[Mesh, P1Geometry]" = weakref.WeakKeyDictionary()
@@ -167,7 +198,7 @@ def assemble_weighted_stiffness(mesh: Mesh, weight=1.0) -> sp.csr_matrix:
     if np.any(w < 0):
         raise AssemblyError("negative weight at a quadrature point")
     wbar = w @ geom.qweights                              # (nc,)
-    return geom.matrix(geom.grad_products * wbar[:, None, None])
+    return geom.csr(geom.data(geom.grad_products * wbar[:, None, None])).copy()
 
 
 def assemble_mass(mesh: Mesh, weight=1.0) -> sp.csr_matrix:
@@ -175,7 +206,7 @@ def assemble_mass(mesh: Mesh, weight=1.0) -> sp.csr_matrix:
     geom = geometry(mesh)
     w = _quad_weight(geom, weight)
     local = np.einsum("cq,qij->cij", w, geom.mass_products) * geom.volumes[:, None, None]
-    return geom.matrix(local)
+    return geom.csr(geom.data(local)).copy()
 
 
 def load_vector(mesh: Mesh, weight=1.0) -> np.ndarray:
@@ -186,15 +217,14 @@ def load_vector(mesh: Mesh, weight=1.0) -> np.ndarray:
 
 def facet_mass(mesh: Mesh, weights: np.ndarray, facet_ids: np.ndarray) -> sp.csr_matrix:
     """Sparse sum over the listed boundary facets of w_f |f| (reference facet
-    mass), the consistent mass of the P1 trace weighted facetwise by w."""
-    scale = np.asarray(weights, dtype=float) * geometry(mesh).facet_measures[facet_ids]
-    local = scale[:, None, None] * _FACET_MASS[mesh.dim]
-    conn = mesh.boundary_facets[facet_ids]
-    k = conn.shape[1]
-    rows = np.repeat(conn, k, axis=1).ravel()
-    cols = np.tile(conn, (1, k)).ravel()
-    n = mesh.n_vertices
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    mass), the consistent mass of the P1 trace weighted facetwise by w, on
+    the cell pattern of geometry(mesh), whose read-only index arrays it
+    shares: every facet coupling is a cell edge."""
+    geom = geometry(mesh)
+    scale = np.asarray(weights, dtype=float) * geom.facet_measures[facet_ids]
+    data = np.bincount(geom.facet_slots[facet_ids].ravel(), minlength=geom.pattern[0].size,
+                       weights=(scale[:, None, None] * _FACET_MASS[mesh.dim]).ravel())
+    return geom.csr(data.astype(float, copy=False))   # bincount of no facet is int
 
 
 def facet_pairing(mesh: Mesh, facet_ids: np.ndarray, f: np.ndarray,
@@ -270,8 +300,8 @@ def apply_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray, fixed: np.ndarray,
     diagonal = hit & (rows == A.indices)
     A.data[diagonal] = 1.0
     A.eliminate_zeros()
-    # Every matrix built by P1Geometry.matrix (and the control blocks made of
-    # them) stores all its diagonals, so only a matrix from elsewhere lacks
+    # Every matrix on the cell pattern of P1Geometry (and the control blocks
+    # made of them) stores all its diagonals, so only a matrix from elsewhere lacks
     # some; patching just those keeps the common path a pure in-place write.
     if np.count_nonzero(diagonal) < len(fixed):
         unit = mask.astype(float)
@@ -280,10 +310,14 @@ def apply_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray, fixed: np.ndarray,
     return A, rhs
 
 
-def check_symmetric(matrix: sp.spmatrix, rtol: float = 1e-12) -> bool:
-    d = abs(matrix - matrix.T)
-    scale = max(1e-300, abs(matrix).max())
-    return d.max() <= rtol * scale
+def check_symmetric(matrix: sp.spmatrix, rtol: float = 1e-12,
+                    transpose: np.ndarray | None = None) -> bool:
+    """max |A - A^T| <= rtol max |A|; with `transpose`, the permutation of the
+    data of a symmetric pattern onto its transpose's, A^T is not formed."""
+    if transpose is None:
+        return abs(matrix - matrix.T).max() <= rtol * max(1e-300, abs(matrix).max())
+    data = matrix.data
+    return np.abs(data - data[transpose]).max() <= rtol * max(1e-300, np.abs(data).max())
 
 
 def factor_spd(matrix: sp.spmatrix) -> spla.SuperLU:
@@ -291,10 +325,13 @@ def factor_spd(matrix: sp.spmatrix) -> spla.SuperLU:
 
     Symmetric minimum-degree ordering on A^T + A and diagonal pivots keep
     the fill of a symmetric factorization (half of what COLAMD leaves on P1
-    stiffness matrices). An exactly singular factor raises SolverFailure.
+    stiffness matrices); stored zeros are dropped first. An exactly singular
+    factor raises SolverFailure.
     """
+    csc = matrix.tocsc(copy=True)
+    csc.eliminate_zeros()
     try:
-        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+        return spla.splu(csc, permc_spec="MMD_AT_PLUS_A",
                          diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverFailure(f"sparse factorization failed ({exc})") from exc
@@ -302,16 +339,18 @@ def factor_spd(matrix: sp.spmatrix) -> spla.SuperLU:
 
 def solve_spd_pcg(matrix: sp.spmatrix, rhs: np.ndarray, x0: np.ndarray,
                   precond: spla.SuperLU | None, pcg_rtol: float, max_iter: int,
-                  rtol: float = 1e-10) -> tuple[np.ndarray, int, spla.SuperLU | None]:
+                  rtol: float = 1e-10, transpose: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, int, spla.SuperLU | None]:
     """SPD solve by scipy's conjugate gradients from x0, preconditioned by
     `precond` (a factor of a spectrally equivalent SPD matrix), to relative
     residual pcg_rtol. When CG has not converged within max_iter iterations
     the matrix is factored and solved directly instead, so max_iter = 0 is a
     direct solve and needs no `precond`. Returns the solution, the CG
     iterations and the new factor (None when CG converged). A nonsymmetric
-    matrix raises SolverFailure; the contract is relative residual <= rtol.
+    matrix raises SolverFailure (`transpose` as in check_symmetric); the contract
+    is relative residual <= rtol.
     """
-    if not check_symmetric(matrix):
+    if not check_symmetric(matrix, transpose=transpose):
         raise SolverFailure("matrix not symmetric")
     if max_iter > 0:
         steps = []   # cg hands every iterate to its callback
@@ -350,14 +389,12 @@ def relative_defect(lhs: np.ndarray, rhs: np.ndarray, fixed: np.ndarray) -> floa
     return float(np.linalg.norm(lhs - rhs)) / scale
 
 
-class Norms:
-    """Quadrature-exact norms of one P1 field."""
-
-    def __init__(self, l2: float, h1_semi: float, linf: float):
-        self.l2 = l2
-        self.h1_semi = h1_semi
-        self.h1 = float(np.hypot(l2, h1_semi))
-        self.linf = linf
+class Norms(NamedTuple):
+    """Quadrature-exact norms of one P1 field, as Python floats."""
+    l2: float
+    h1_semi: float
+    h1: float
+    linf: float
 
 
 def norms(field: Field) -> Norms:
@@ -366,14 +403,8 @@ def norms(field: Field) -> Norms:
     l2sq = float(((vq ** 2) @ geom.qweights * geom.volumes).sum())
     g = geom.cell_gradient(field.values)
     h1sq = float((np.sum(g ** 2, axis=1) * geom.volumes).sum())
-    return Norms(np.sqrt(max(l2sq, 0.0)), np.sqrt(max(h1sq, 0.0)),
-                 float(np.max(np.abs(field.values))))
-
-
-def boundary_l2(field: Field, tag: BoundaryTag) -> float:
-    ids = field.mesh.facet_indices(tag)
-    total = float(facet_pairing(field.mesh, ids, field.values, field.values).sum())
-    return float(np.sqrt(max(total, 0.0)))
+    l2, h1_semi = math.sqrt(max(l2sq, 0.0)), math.sqrt(max(h1sq, 0.0))
+    return Norms(l2, h1_semi, float(np.hypot(l2, h1_semi)), float(np.max(np.abs(field.values))))
 
 
 def max_cell_gradient(field: Field) -> float:

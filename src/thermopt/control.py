@@ -143,9 +143,9 @@ def _state_jacobian(spec: ProblemSpec, beta: Control, state: StateSolution,
     blocks = [[A, B], [C, S]]
     if transpose:
         blocks = [[m.swapaxes(1, 2) for m in column] for column in zip(*blocks)]
-    (a, b), (c, s) = ([geom.matrix(m) for m in row] for row in blocks)
+    (a, b), (c, s) = ([geom.csr(geom.data(m)) for m in row] for row in blocks)
     R, _ = assembly.assemble_robin(spec.mesh, beta, spec.u1)
-    return sp.bmat([[a + R, b], [c, s]], format="csr")
+    return sp.bmat([[geom.csr(a.data + R.data), b], [c, s]], format="csr")
 
 
 def _block_fixed(spec: ProblemSpec) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import assembly
-from .assembly import apply_dirichlet, geometry, lift_dirichlet
+from .assembly import geometry, lift_dirichlet
 from .errors import ConfigurationError, CriticalityError, NonconvergenceError
 from .fields import Control, Field, FieldKind
 from .materials import ConductivityModel, TruncatedModel, TruncationLevel, truncate
@@ -143,15 +143,14 @@ def solve_state(spec: ProblemSpec, beta: Control,
 
     geom = geometry(mesh)
     R, robin_rhs = assembly.assemble_robin(mesh, beta, spec.u1)
-    A_u = (geom.stiffness + R).tocsr()
+    A_u = geom.csr(geom.stiffness.data + R.data)   # both on the cell pattern
     fixed_u = spec.dirichlet_temperature_vertices()
     u_fixed = spec.u0.values[fixed_u]
     fixed_phi = geom.boundary_vertices
     phi_fixed = spec.phi0.values[fixed_phi]
 
     # the temperature matrix is iteration-independent: factor once
-    u_lu = assembly.factor_spd(
-        apply_dirichlet(A_u, np.zeros(mesh.n_vertices), fixed_u, u_fixed)[0])
+    u_lu = assembly.factor_spd(geom.eliminated(A_u.data, fixed_u)[0])
     # K's factor counts only for the solve that builds it
     factorizations = 1 + ("potential_factor" not in vars(geom))
     precond = geom.potential_factor
@@ -235,9 +234,10 @@ def solve_state(spec: ProblemSpec, beta: Control,
 def _solve_potential(mesh, sigma_q, phi, fixed, values, precond):
     # a function, so that its matrix is freed before the Joule assembly
     A_phi = assembly.assemble_weighted_stiffness(mesh, sigma_q)
+    matrix, transpose = geometry(mesh).eliminated(A_phi.data, fixed)
     return assembly.solve_spd_pcg(
-        *apply_dirichlet(A_phi, np.zeros(mesh.n_vertices), fixed, values),
-        phi, precond, PCG_RTOL, PCG_MAX_ITER)
+        matrix, lift_dirichlet(A_phi, np.zeros(mesh.n_vertices), fixed, values),
+        phi, precond, PCG_RTOL, PCG_MAX_ITER, transpose=transpose)
 
 
 def weak_residual(spec: ProblemSpec, beta: Control, sol: StateSolution) -> tuple[float, float]:
@@ -252,8 +252,8 @@ def weak_residual(spec: ProblemSpec, beta: Control, sol: StateSolution) -> tuple
     sigma_q = spec.model.sigma(geom.at_quadrature(sol.u.values))
     R, robin_rhs = assembly.assemble_robin(mesh, beta, spec.u1)
     joule = assembly.assemble_joule_rhs_weak(mesh, sigma_q, sol.phi, spec.phi0)
-    r_u = assembly.relative_defect((geom.stiffness + R) @ sol.u.values, joule + robin_rhs,
-                                   spec.dirichlet_temperature_vertices())
+    r_u = assembly.relative_defect(geom.csr(geom.stiffness.data + R.data) @ sol.u.values,
+                                   joule + robin_rhs, spec.dirichlet_temperature_vertices())
     S = assembly.assemble_weighted_stiffness(mesh, sigma_q)
     return r_u, potential_residual(S, sol.phi.values, geom.boundary_vertices)
 

@@ -180,8 +180,7 @@ def estimate_poincare(mesh: Mesh, factor: spla.SuperLU | None = None,
         iterations = 0
     else:
         if factor is None:
-            factor = assembly.factor_spd(
-                assembly.apply_dirichlet(stiffness, np.zeros(n), fixed, 0.0)[0])
+            factor = assembly.factor_spd(geometry(mesh).eliminated(stiffness.data, fixed)[0])
 
         def precondition(r):
             z = np.zeros((n,) + r.shape[1:])
@@ -490,22 +489,3 @@ def energy_inequality_report(ts: TransformedState, model: ConductivityModel,
     return {"lhs": lhs, "rhs": rhs, "slack": slack,
             "satisfied": lhs <= rhs + slack, "p": 2.0,
             "gamma_m_active": boundary_term != 0.0}
-
-
-def smallness_margin_k1(k: float, K_lip: float, M1: float, M2: float, C6: float,
-                        C1_u: float, Phi: float, mu: float,
-                        phi0_grad_inf: float, M_tilde: float) -> float:
-    """Margin of the differentiability smallness condition (documentation only).
-
-    The constants k, M1, M2, C6 have no computable definitions here and must
-    be supplied by the user; a positive return value means the condition
-    holds for the supplied values. M2 is the trace constant and enters the
-    sensitivity bound, not this margin.
-    """
-    del M2
-    return (k
-            - 2.0 * M_tilde * K_lip * M1 * Phi
-            - 2.0 * M_tilde * mu * K_lip * M1 * Phi / C1_u
-            - mu * C6 * K_lip * M1 * Phi ** 2 / C1_u
-            - K_lip * phi0_grad_inf * M1 * Phi
-            - mu * phi0_grad_inf * K_lip * M1 * Phi / C1_u)

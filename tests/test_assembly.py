@@ -12,10 +12,12 @@ from thermopt.assembly import (
     assemble_mass,
     assemble_robin,
     assemble_weighted_stiffness,
-    boundary_l2,
     check_symmetric,
+    facet_pairing,
+    factor_spd,
     geometry,
     interpolate,
+    lift_dirichlet,
     load_vector,
     norms,
     solve_sparse,
@@ -270,13 +272,6 @@ def test_norms_constant_and_linear():
     assert norms(fx).h1_semi == pytest.approx(1.0, rel=1e-13)
 
 
-def test_boundary_l2_constant():
-    mesh = unit_square(4)
-    one = field(mesh, np.ones(mesh.n_vertices))
-    assert boundary_l2(one, BoundaryTag.DIRICHLET_TEMPERATURE) == pytest.approx(1.0)
-    assert boundary_l2(one, BoundaryTag.ROBIN_TEMPERATURE) == pytest.approx(np.sqrt(3.0))
-
-
 def test_assembled_matrices_symmetric():
     mesh = unit_square(3)
     w = geometry(mesh).at_quadrature(1.0 + mesh.vertices[:, 0])
@@ -314,7 +309,8 @@ def test_3d_norms_and_load():
     assert load_vector(mesh).sum() == pytest.approx(1.0, rel=1e-12)
     fx = field(mesh, mesh.vertices[:, 0])
     assert norms(fx).h1_semi == pytest.approx(1.0, rel=1e-12)
-    assert boundary_l2(one, BoundaryTag.DIRICHLET_TEMPERATURE) == pytest.approx(1.0)
+    ids = mesh.facet_indices(BoundaryTag.DIRICHLET_TEMPERATURE)
+    assert facet_pairing(mesh, ids, one.values, one.values).sum() == pytest.approx(1.0)
 
 
 def test_geometry_cache_and_interpolate():
@@ -376,3 +372,88 @@ def test_geometry_cache_releases_its_mesh():
     gc.collect()
     assert alive() is None
     assert len(assembly._GEOMETRY_CACHE) == before
+
+
+FIXED_PATTERN_BOXES = [([1.0, 1.0], [32, 32]), ([1.0, 1.0, 1.0], [16, 16, 16]),
+                       ([3.0, 1.0, 0.5], [9, 3, 2])]
+
+
+@pytest.mark.parametrize("extents, divisions", FIXED_PATTERN_BOXES)
+def test_eliminated_matches_apply_dirichlet(extents, divisions):
+    # the potential's set (the boundary) with a weighted stiffness and the
+    # temperature's (Gamma_D) with the Robin term added, as the state solve
+    # builds them; apply_dirichlet drops stored zeros, eliminated keeps them
+    mesh = build_rectangle_mesh(extents, divisions, LEFT)
+    geom = geometry(mesh)
+    n = mesh.n_vertices
+    rng = np.random.default_rng(11)
+    S = assemble_weighted_stiffness(mesh, geom.at_quadrature(rng.uniform(0.5, 2.0, n)))
+    n_robin = mesh.facet_indices(BoundaryTag.ROBIN_TEMPERATURE).size
+    beta = Control(mesh, rng.uniform(0.1, 2.0, n_robin), 2.0)
+    u1 = field(mesh, rng.uniform(0.0, 0.2, n))
+    R, _ = assemble_robin(mesh, beta, u1)
+    gamma_d = mesh.boundary_vertex_set(BoundaryTag.DIRICHLET_TEMPERATURE)
+    rhs = rng.standard_normal(n)
+    for data, reference, fixed in ((S.data, S, geom.boundary_vertices),
+                                   (S.data + R.data, S + R, gamma_d)):
+        values = rng.uniform(-1.0, 1.0, fixed.size)
+        A_ref, rhs_ref = apply_dirichlet(reference, rhs, fixed, values)
+        A, transpose = geom.eliminated(data, fixed)
+        assert geom.eliminated(data, fixed)[1] is transpose   # the kept slot map
+        stored = A.copy()
+        stored.eliminate_zeros()
+        assert np.array_equal(stored.indptr, A_ref.indptr)
+        assert np.array_equal(stored.indices, A_ref.indices)
+        assert np.array_equal(stored.data, A_ref.data)
+        assert np.array_equal(lift_dirichlet(geom.csr(data), rhs, fixed, values), rhs_ref)
+        # the cached permutation is the transpose, also of nonsymmetric data
+        assert np.array_equal(A.data[transpose], A.T.tocsr().data)
+        skew = geom.csr(np.arange(A.nnz, dtype=float), (A.indices, A.indptr))
+        assert np.array_equal(skew.data[transpose], skew.T.tocsr().data)
+        with pytest.raises(ValueError):
+            A.indices[0] = 0
+
+
+def test_eliminated_potential_is_bit_identical_to_apply_dirichlet():
+    mesh = unit_square(32)
+    geom = geometry(mesh)
+    w = geom.at_quadrature(1.0 + mesh.vertices[:, 0] ** 2)
+    S = assemble_weighted_stiffness(mesh, w)
+    fixed = geom.boundary_vertices
+    A_ref, _ = apply_dirichlet(S, np.zeros(mesh.n_vertices), fixed, 0.0)
+    A, _ = geom.eliminated(S.data, fixed)
+    assert (A != A_ref).nnz == 0
+    assert np.array_equal(factor_spd(A).solve(np.ones(mesh.n_vertices)),
+                          factor_spd(A_ref).solve(np.ones(mesh.n_vertices)))
+
+
+def test_asymmetric_datum_on_cached_pattern_raises():
+    mesh = unit_square(8)
+    geom = geometry(mesh)
+    fixed = geom.boundary_vertices
+    S = assemble_weighted_stiffness(mesh, geom.at_quadrature(1.0 + mesh.vertices[:, 1]))
+    A, transpose = geom.eliminated(S.data, fixed)
+    rhs = lift_dirichlet(S, np.zeros(mesh.n_vertices), fixed, 1.0)
+    x0 = np.zeros(mesh.n_vertices)
+    x, _, _ = solve_spd_pcg(A, rhs, x0, geom.potential_factor, 1e-13, 50, transpose=transpose)
+    assert np.allclose(x[fixed], 1.0)
+    rows = np.repeat(np.arange(mesh.n_vertices), np.diff(A.indptr))
+    off = np.flatnonzero((rows != A.indices) & (A.data != 0))[0]
+    A.data[off] *= 1.0 + 1e-9
+    assert not check_symmetric(A, transpose=transpose)
+    with pytest.raises(SolverFailure, match="symmetric"):
+        solve_spd_pcg(A, rhs, x0, geom.potential_factor, 1e-13, 50, transpose=transpose)
+
+
+@pytest.mark.parametrize("extents, divisions", FIXED_PATTERN_BOXES[:2])
+def test_grad_products_equal_einsum(extents, divisions):
+    geom = geometry(build_rectangle_mesh(extents, divisions, LEFT))
+    expected = (np.einsum("cid,cjd->cij", geom.grads, geom.grads)
+                * geom.volumes[:, None, None])
+    assert np.array_equal(geom.grad_products, expected)
+
+
+def test_norms_are_python_floats():
+    mesh = unit_square(4)
+    for value in norms(field(mesh, mesh.vertices[:, 0] ** 2)):
+        assert type(value) is float

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -585,6 +586,22 @@ problem.m_cap = 2.0
     for field in ("u", "phi"):
         assert 1.7 <= rates[f"{field}_l2"] <= 2.3
         assert 0.7 <= rates[f"{field}_h1"] <= 1.3
+
+
+def test_convergence_prints_python_floats(tmp_path, capsys):
+    cfg = write_config(tmp_path, BENCHMARK.replace("16 16", "4 4"))
+    for levels in (2, 3):
+        assert main(["convergence", "--config", cfg, "--levels", str(levels),
+                     "--out", str(tmp_path / f"o{levels}")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "u_l2_vs_finest" in lines[0] and not any("np.float64" in x for x in lines)
+        rows = [ast.literal_eval(line) for line in lines if line.startswith("{")]
+        assert len(rows) == levels
+        for row in rows:
+            assert all(type(v) in (int, float) for v in row.values())
+        rates = ast.literal_eval(lines[-1].removeprefix("rates: "))
+        expected = float if levels == 3 else type(None)
+        assert all(type(v) is expected for v in rates.values())
 
 
 def test_convergence_trivial_reports_exact(tmp_path):

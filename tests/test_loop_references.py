@@ -22,7 +22,6 @@ from thermopt.assembly import (
     assemble_mass,
     assemble_robin,
     assemble_weighted_stiffness,
-    boundary_l2,
     facet_mass,
     facet_pairing,
     factor_spd,
@@ -214,15 +213,6 @@ def facet_integral_loop(mesh, facet_id, f, g):
     return float(facet_measures(mesh)[facet_id] * (f[verts] @ ref_mass(mesh) @ g[verts]))
 
 
-def boundary_l2_loop(field, tag):
-    mesh = field.mesh
-    total = 0.0
-    for f in mesh.facet_indices(tag):
-        tr = field.values[mesh.boundary_facets[f]]
-        total += facet_measures(mesh)[f] * float(tr @ ref_mass(mesh) @ tr)
-    return float(np.sqrt(max(total, 0.0)))
-
-
 def energy_boundary_term_loop(ts, model, spec, beta):
     mesh = spec.mesh
     m0 = model.reciprocal_a_moment(ts.m_threshold)
@@ -359,13 +349,9 @@ def test_facet_kernels_match_loop_reference(extents, divisions, planes):
         assert close(facet_mass(mesh, w, ids) @ g, boundary_moments_loop(mesh, w, ids, g))
         pair_ref = np.array([facet_integral_loop(mesh, k, f, g) for k in ids])
         assert close(facet_pairing(mesh, ids, f, g), pair_ref)
-        field = Field(mesh, f, FieldKind.TEMPERATURE)
-        assert abs(boundary_l2(field, tag) - boundary_l2_loop(field, tag)) \
-            <= RTOL * boundary_l2_loop(field, tag)
 
     if n_robin == 0:
-        assert mat.nnz == 0 and not np.any(rhs)
-        assert boundary_l2(Field(mesh, f, FieldKind.TEMPERATURE), R) == 0.0
+        assert mat.count_nonzero() == 0 and mat.dtype == float and not np.any(rhs)
 
 
 @pytest.mark.parametrize("extents, divisions", [([1.0, 1.0], [8, 8]),

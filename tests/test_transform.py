@@ -27,7 +27,6 @@ from thermopt.transform import (
     psi_identity_defect,
     psi_inequality_margin,
     moser_factor,
-    smallness_margin_k1,
     transform,
     transformed_residual,
 )
@@ -477,12 +476,3 @@ def test_energy_inequality_report_trivial_on_benchmark():
     report = energy_inequality_report(ts, MODEL, spec, beta)
     assert report["satisfied"]
     assert not report["gamma_m_active"]  # psi stays far below M
-
-
-def test_smallness_margin_k1_signs():
-    assert smallness_margin_k1(k=1.0, K_lip=0.0, M1=1.0, M2=1.0, C6=1.0,
-                               C1_u=1.0, Phi=1.0, mu=2.0,
-                               phi0_grad_inf=0.0, M_tilde=0.1) == pytest.approx(1.0)
-    assert smallness_margin_k1(k=0.1, K_lip=2.0, M1=1.0, M2=1.0, C6=1.0,
-                               C1_u=0.5, Phi=1.0, mu=2.0,
-                               phi0_grad_inf=0.5, M_tilde=0.5) < 0
