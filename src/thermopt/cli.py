@@ -36,6 +36,7 @@ from .transform import (
     check_certificate,
     compute_certificate,
     psi_identity_defect,
+    psi_inequality_margin,
     transform,
     transformed_residual,
 )
@@ -192,24 +193,31 @@ def _suite_maxprinciple(config, spec, checks):
 def _suite_substitution(config, spec, checks):
     beta = cfg.build_control(config, spec)
     opts = cfg.build_solver_options(config)
+    # No check reads the certificate; it runs for its exit codes, so that
+    # data the chain cannot bound exits 5 here as under `certificate`: the
+    # C_D-free checks before the state solve, the overflowing chain after.
     data = certificate_data(spec.model, spec, **cfg.certificate_arguments(config))
     sol = solve_state(spec, beta, opts)
-    cert = compute_certificate(spec.model, spec, factor=sol.temperature_factor, data=data)
-    ts = transform(sol, spec.model, spec.phi0, cert.M)
+    compute_certificate(spec.model, spec, data, factor=sol.temperature_factor)
+    ts = transform(sol, spec.model, spec.phi0)
     r0 = transformed_residual(ts, spec.model, spec, beta)
     d0 = psi_identity_defect(ts, spec)
+    margin = psi_inequality_margin(ts, spec)
 
     fine_mesh = refine_uniform(spec.mesh)
     fine_cfg_spec = cfg.build_problem(config, mesh=fine_mesh)
     fine_beta = Control(fine_mesh, _prolong_beta(beta, fine_mesh), beta.m_cap)
     fine_sol = solve_state(fine_cfg_spec, fine_beta, opts)
-    fts = transform(fine_sol, spec.model, fine_cfg_spec.phi0, cert.M)
+    fts = transform(fine_sol, spec.model, fine_cfg_spec.phi0)
     r1 = transformed_residual(fts, spec.model, fine_cfg_spec, fine_beta)
     d1 = psi_identity_defect(fts, fine_cfg_spec)
 
     checks.append(("substitution.residual_v_decreases", r1[0] < r0[0], r1[0], r0[0]))
     checks.append(("substitution.residual_phi_decreases", r1[1] < r0[1], r1[1], r0[1]))
     checks.append(("substitution.identity_defect_decreases", d1 < d0, d1, d0))
+    # the psi inequality holds up to the discretization defect of the identity
+    floor = -(10.0 * d0 + 1e-10)
+    checks.append(("substitution.psi_inequality_holds", margin >= floor, margin, floor))
     v = ts.v.values
     back = np.asarray(spec.model.F(np.asarray(spec.model.F_inv(v))))
     rt = float(np.max(np.abs(back - v) / (1.0 + v)))
@@ -402,7 +410,7 @@ def cmd_certificate(config, outdir) -> int:
     data = certificate_data(spec.model, spec, **cfg.certificate_arguments(config))
     beta = cfg.build_control(config, spec)
     sol = solve_state(spec, beta, cfg.build_solver_options(config))
-    cert = compute_certificate(spec.model, spec, factor=sol.temperature_factor, data=data)
+    cert = compute_certificate(spec.model, spec, data, factor=sol.temperature_factor)
     check = check_certificate(sol, cert, spec.model)
     report["timings_seconds"]["certificate"] = time.perf_counter() - t0
     report["certificate"] = cert.as_dict()

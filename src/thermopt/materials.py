@@ -27,9 +27,6 @@ import numpy as np
 
 from .errors import DomainError
 
-_DENSE_SAMPLES = 4096
-_MU_SLACK = 1e-6
-
 
 @dataclass(frozen=True)
 class TruncationLevel:
@@ -217,25 +214,13 @@ class TruncatedModel(ConductivityModel):
         out = np.where(u <= n, self.base.sigma_prime(np.minimum(u, n)), dblend)
         return np.where(u >= n + d, 0.0, out)
 
-    def lipschitz_mu(self) -> float:
-        s = np.linspace(0.0, self._n + self._d, _DENSE_SAMPLES)
-        return float(max(np.max(np.abs(self.sigma(s))),
-                         np.max(np.abs(self.sigma_prime(s))))) + _MU_SLACK
 
-
-def truncate(model: ConductivityModel, n: float,
-             delta: float | None = None) -> TruncatedModel:
-    """Build sigma_n with floor sigma(n)/2 and C1 blend of width delta.
-
-    Default blend width is 0.05 (u_star - n). Requires 0 < n < u_star.
-    """
+def truncate(model: ConductivityModel, n: float) -> TruncatedModel:
+    """Build sigma_n with floor sigma(n)/2 and a C1 blend of width
+    0.05 (u_star - n). Requires 0 < n < u_star, u_star finite."""
     if not (0.0 < n < model.u_star):
         raise DomainError(f"truncation level {n} outside (0, u_star)")
-    if delta is None:
-        if not math.isfinite(model.u_star):
-            raise DomainError("truncation of a model without finite u_star "
-                              "needs an explicit blend width")
-        delta = 0.05 * (model.u_star - n)
-    if delta <= 0:
-        raise DomainError("blend width must be positive")
+    delta = 0.05 * (model.u_star - n)
+    if not 0.0 < delta < math.inf:
+        raise DomainError("blend width must be positive and finite")
     return TruncatedModel(model, TruncationLevel(float(n), float(delta)))

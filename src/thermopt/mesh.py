@@ -111,11 +111,6 @@ def facet_centroids(mesh: Mesh) -> np.ndarray:
     return mesh.vertices[mesh.boundary_facets].mean(axis=1)
 
 
-def boundary_measure(mesh: Mesh, tag: BoundaryTag) -> float:
-    """Total measure of the boundary part carrying the tag."""
-    return float(facet_measures(mesh)[mesh.facet_indices(tag)].sum())
-
-
 def mesh_size(mesh: Mesh) -> float:
     """Largest cell diameter."""
     v = mesh.vertices[mesh.cells[:, _EDGES[mesh.dim + 1]]]

@@ -137,6 +137,9 @@ def solve_state(spec: ProblemSpec, beta: Control,
     level = opts.truncation_level
     if level is None:
         level = pick_truncation_level(spec)
+    if level is not None and not math.isfinite(spec.model.u_star):
+        raise ConfigurationError(f"truncation level {level} given for a model without "
+                                 "a critical temperature, which needs no truncation")
     if level is not None and not (0.0 < level < spec.model.u_star):
         raise ConfigurationError(f"truncation level {level} outside (0, u_star)")
     work_model = truncate(spec.model, level) if level is not None else spec.model

@@ -2,11 +2,12 @@
 
 The change of variables v = F(u), psi = (phi - phi0)^2 + v turns the
 degenerate system into one with the strictly positive coefficient a(v).
-This module checks the transformed equations and the psi identity at the
-discrete level, and evaluates the chain of computable constants that bounds
-||v||_inf, and hence keeps the temperature strictly below its critical
-value. The Sobolev embedding constant C1 has no cheap rigorous value and is
-user-supplied; every certificate is conditional on it and labeled as such.
+This module checks the transformed equations, the psi identity and the psi
+inequality at the discrete level, and evaluates the chain of computable
+constants that bounds ||v||_inf, and hence keeps the temperature strictly
+below its critical value. The Sobolev embedding constant C1 has no cheap
+rigorous value and is user-supplied; every certificate is conditional on it
+and labeled as such.
 """
 
 from __future__ import annotations
@@ -48,38 +49,32 @@ _LOBPCG_MIN_SIZE = 5
 
 @dataclass
 class TransformedState:
-    """The transformed pair (v, phi), the test fields psi and psi_M, a(v) at
-    the quadrature points, a_q (nc, nq), and the a(v)-weighted stiffness,
+    """The transformed pair (v, phi), the test field psi, a(v) at the
+    quadrature points, a_q (nc, nq), and the a(v)-weighted stiffness,
     evaluated once for every check."""
 
     v: Field
     phi: Field
     psi: Field
-    psi_m: Field
-    m_threshold: float
     a_q: np.ndarray
     stiffness: sp.csr_matrix
 
 
-def transform(sol: StateSolution, model: ConductivityModel, phi0: Field,
-              m_threshold: float) -> TransformedState:
-    """Nodewise v = F(u), psi = (phi - phi0)^2 + v, psi_M = max(M, psi), a(v)
-    and its weighted stiffness."""
+def transform(sol: StateSolution, model: ConductivityModel, phi0: Field) -> TransformedState:
+    """Nodewise v = F(u), psi = (phi - phi0)^2 + v, a(v) and its weighted
+    stiffness."""
     u = sol.u.values
     if np.any(u >= model.u_star):
         raise DomainError("temperature reaches the critical value; "
                           "the substitution is undefined")
     v = np.asarray(model.F(np.maximum(u, 0.0)), dtype=float)
     psi = (sol.phi.values - phi0.values) ** 2 + v
-    psi_m = np.maximum(psi, m_threshold)
     mesh = sol.u.mesh
     a_q = model.a(np.maximum(geometry(mesh).at_quadrature(v), 0.0))
     return TransformedState(
         v=Field(mesh, v, FieldKind.TEMPERATURE),
         phi=sol.phi,
         psi=Field(mesh, psi, FieldKind.TEMPERATURE),
-        psi_m=Field(mesh, psi_m, FieldKind.TEMPERATURE),
-        m_threshold=float(m_threshold),
         a_q=a_q,
         stiffness=assembly.assemble_weighted_stiffness(mesh, a_q),
     )
@@ -117,14 +112,15 @@ def psi_identity_defect(ts: TransformedState, spec: ProblemSpec) -> float:
 
 def psi_inequality_margin(ts: TransformedState, spec: ProblemSpec) -> float:
     """Min over interior nodes of (RHS - LHS) for the psi differential
-    inequality tested against nonnegative basis functions."""
+    inequality tested against nonnegative basis functions; +inf on a mesh
+    without interior nodes, where the inequality holds vacuously."""
     geom = geometry(spec.mesh)
     lhs = ts.stiffness @ ts.psi.values
     gphi0 = geom.cell_gradient(spec.phi0.values)
     diff_q = geom.at_quadrature(ts.phi.values - spec.phi0.values)
     rhs = geom.load(geom.moments(ts.a_q * np.sum(gphi0 ** 2, axis=1)[:, None])
                     - 2.0 * geom.fluxes(ts.a_q * diff_q, gphi0))
-    return float(np.min(np.delete(rhs - lhs, geom.boundary_vertices)))
+    return float(np.min(np.delete(rhs - lhs, geom.boundary_vertices), initial=math.inf))
 
 
 def _psi_identity_sides(ts: TransformedState, spec: ProblemSpec):
@@ -153,18 +149,17 @@ def compute_C_eps(model: ConductivityModel, eps: float) -> float:
     return max(0.0, gmax) * 1.05
 
 
-def estimate_poincare(mesh: Mesh, factor: spla.SuperLU | None = None,
-                      return_iterations: bool = False):
-    """C_D = 1/sqrt(lambda_min) for the Laplacian with zero data on the
-    Dirichlet part Gamma_D: the smallest eigenvalue of (K, M) on the free
-    vertices, by LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001).
+def estimate_poincare(mesh: Mesh, factor: spla.SuperLU | None = None) -> tuple[float, int]:
+    """(C_D, iterations): C_D = 1/sqrt(lambda_min) for the Laplacian with
+    zero data on the Dirichlet part Gamma_D, the smallest eigenvalue of
+    (K, M) on the free vertices, by LOBPCG (Knyazev, SIAM J. Sci. Comput.
+    23, 2001).
 
     `factor` preconditions it: a factor of an SPD matrix eliminated on
     Gamma_D and spectrally equivalent to K there, such as the state's
     temperature factor of K + R; it changes the iteration count, not C_D.
     Without one, K eliminated on Gamma_D is factored. Below _LOBPCG_MIN_SIZE
-    free vertices the problem is solved densely, in 0 iterations. With
-    return_iterations, returns (C_D, iterations).
+    free vertices the problem is solved densely, in 0 iterations.
     """
     n = mesh.n_vertices
     fixed = mesh.boundary_vertex_set(BoundaryTag.DIRICHLET_TEMPERATURE)
@@ -200,8 +195,7 @@ def estimate_poincare(mesh: Mesh, factor: spla.SuperLU | None = None,
                                   f"{POINCARE_MAX_ITER} iterations")
         # the history holds the initial residual, one per iteration and the last
         lam, iterations = lams[0], len(residuals) - 2
-    c_d = 1.0 / math.sqrt(lam)
-    return (c_d, iterations) if return_iterations else c_d
+    return 1.0 / math.sqrt(lam), iterations
 
 
 @dataclass
@@ -364,27 +358,23 @@ def certificate_data(model: ConductivityModel, spec: ProblemSpec, eps: float = 0
         eps=eps, C1=C1, auto_eps=auto_eps)
 
 
-def compute_certificate(model: ConductivityModel, spec: ProblemSpec, eps: float = 0.01,
-                        C1: float = 1.0, auto_eps: bool = True,
-                        factor: spla.SuperLU | None = None,
-                        data: CertificateData | None = None) -> BoundCertificate:
+def compute_certificate(model: ConductivityModel, spec: ProblemSpec, data: CertificateData,
+                        factor: spla.SuperLU | None = None) -> BoundCertificate:
     """Evaluate the whole constant chain for one problem.
 
-    The first stage is certificate_data(model, spec, eps, C1, auto_eps); a
-    caller that ran it already passes its result as `data`, whose eps, C1
-    and auto_eps then stand for the arguments. `factor` preconditions
-    estimate_poincare. With auto_eps, eps is halved the fewest times that
-    leave both denominators above 0.5 (_eps_halvings; any sufficiently
-    small eps works in the estimates), and one note records the count. A
-    pinned eps that closes a denominator raises CertificateInfeasibleError
-    instead, and so does a v_inf bound that overflows, which bounds nothing.
+    `data` is the first stage, certificate_data(model, spec, ...), which a
+    caller runs before the state solve; its eps, C1 and auto_eps hold here.
+    `factor` preconditions estimate_poincare. With auto_eps, eps is halved
+    the fewest times that leave both denominators above 0.5 (_eps_halvings;
+    any sufficiently small eps works in the estimates), and one note records
+    the count. A pinned eps that closes a denominator raises
+    CertificateInfeasibleError instead, and so does a v_inf bound that
+    overflows, which bounds nothing.
     """
-    if data is None:
-        data = certificate_data(model, spec, eps, C1, auto_eps)
     eps, C1 = data.eps, data.C1
     mesh = spec.mesh
     notes = []
-    C_D, poincare_iterations = estimate_poincare(mesh, factor, return_iterations=True)
+    C_D, poincare_iterations = estimate_poincare(mesh, factor)
 
     halvings = _eps_halvings(eps, data.exp_term, C_D) if data.auto_eps else 0
     if halvings:
@@ -445,47 +435,3 @@ def check_certificate(sol: StateSolution, cert: BoundCertificate,
         max_v=max_v, v_margin=cert.v_inf_bound - max_v,
         max_u=max_u, u_margin=cert.N - max_u,
         c1_provenance=cert.c1_provenance)
-
-
-def energy_inequality_report(ts: TransformedState, model: ConductivityModel,
-                             spec: ProblemSpec, beta: Control) -> dict:
-    """Discrete evaluation of the p = 2 testing estimate behind the L2 bound.
-
-    Both sides vanish on desk-scale subcritical solves (psi stays below M);
-    reported with a 10% + defect slack verdict, never fatal.
-    """
-    mesh = spec.mesh
-    geom = geometry(mesh)
-    psim_q = geom.at_quadrature(ts.psi_m.values)
-    a_psim = model.a(np.maximum(psim_q, 0.0))
-    g_psim = geom.cell_gradient(ts.psi_m.values)
-    g_psim_sq = np.sum(g_psim ** 2, axis=1)
-
-    ratio_bar = (ts.a_q / a_psim) @ geom.qweights
-    lhs = float(np.sum(ratio_bar * g_psim_sq * geom.volumes))
-
-    m0 = model.reciprocal_a_moment(ts.m_threshold)
-    xi_q = np.maximum(model.reciprocal_a_moment(psim_q) - m0, 0.0)
-    # only Robin facets whose mean psi exceeds M carry the boundary term
-    facets = mesh.boundary_facets[beta.facet_ids]
-    active = ts.psi.values[facets].mean(axis=1) > ts.m_threshold
-    verts = facets[active]
-    xi_trace = np.maximum(model.reciprocal_a_moment(ts.psi_m.values[verts]) - m0, 0.0)
-    f_inv = np.asarray(model.F_inv(np.maximum(ts.v.values[verts], 0.0)))
-    integrand = (xi_trace * (f_inv - spec.u1.values[verts])).mean(axis=1)
-    measures = geom.facet_measures[beta.facet_ids[active]]
-    boundary_term = float(np.sum(beta.values[active] * measures * integrand))
-    lhs += boundary_term
-
-    gphi0 = geom.cell_gradient(spec.phi0.values)
-    gphi0_sq = np.sum(gphi0 ** 2, axis=1)
-    rhs1 = float(np.sum(((ts.a_q * xi_q) @ geom.qweights) * gphi0_sq * geom.volumes))
-    diff_q = geom.at_quadrature(ts.phi.values - spec.phi0.values)
-    dot = np.einsum("cd,cd->c", gphi0, g_psim)
-    rhs2 = -2.0 * float(np.sum(((ts.a_q / a_psim * diff_q) @ geom.qweights)
-                               * dot * geom.volumes))
-    rhs = rhs1 + rhs2
-    slack = 0.1 * abs(rhs) + 1e-10
-    return {"lhs": lhs, "rhs": rhs, "slack": slack,
-            "satisfied": lhs <= rhs + slack, "p": 2.0,
-            "gamma_m_active": boundary_term != 0.0}

@@ -229,6 +229,16 @@ CRITICAL = (BENCHMARK.replace("16 16", "8 8")
             + "solver.truncation_level = 0.1\n")
 
 
+def test_truncation_level_for_constant_model_exits_1(tmp_path, capsys):
+    text = (BENCHMARK.replace("16 16", "4 4")
+            .replace("kind = truncated_power", "kind = constant")
+            + "solver.truncation_level = 0.5\n")
+    cfg = write_config(tmp_path, text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: truncation level 0.5")
+
+
 def test_solve_criticality_exits_3(tmp_path):
     cfg = write_config(tmp_path, CRITICAL)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
@@ -405,10 +415,15 @@ def test_verify_maxprinciple(tmp_path):
     assert all(c["passed"] for c in report["checks"])
 
 
+def check_results(outdir):
+    return {c["property"]: c["passed"] for c in read_report(outdir)["checks"]}
+
+
 def test_verify_substitution(tmp_path):
     cfg = write_config(tmp_path, BENCHMARK.replace("16 16", "8 8"))
     assert main(["verify", "--config", cfg, "--suite", "substitution",
                  "--out", str(tmp_path / "o")]) == 0
+    assert check_results(tmp_path / "o")["substitution.psi_inequality_holds"]
 
 
 def test_verify_substitution_3d(tmp_path):
@@ -417,6 +432,20 @@ def test_verify_substitution_3d(tmp_path):
     cfg = write_config(tmp_path, text.replace("8 8 8", "4 4 4"))
     assert main(["verify", "--config", cfg, "--suite", "substitution",
                  "--out", str(tmp_path / "o")]) == 0
+    assert check_results(tmp_path / "o")["substitution.psi_inequality_holds"]
+
+
+def test_verify_substitution_without_interior_vertex(tmp_path, capsys):
+    # a 1x1 square has no interior vertex: the psi inequality holds vacuously,
+    # and the potential residual of the coarse level is already 0
+    text = (Path(__file__).parents[1] / "configs/benchmark.cfg").read_text()
+    cfg = write_config(tmp_path, text.replace("16 16", "1 1"))
+    assert main(["verify", "--config", cfg, "--suite", "substitution",
+                 "--out", str(tmp_path / "o")]) == 4
+    assert "Traceback" not in capsys.readouterr().err
+    checks = check_results(tmp_path / "o")
+    assert checks["substitution.psi_inequality_holds"]
+    assert not checks["substitution.residual_phi_decreases"]
 
 
 def test_verify_gradient(tmp_path):

@@ -164,7 +164,9 @@ def test_truncation_c1_norm_close_to_base():
     m = TruncatedPower(1.0, 1.0, 2.0)
     tn = truncate(m, 0.9)
     # solver-realistic levels keep the blend slope under the base bound
-    assert tn.lipschitz_mu() <= m.lipschitz_mu() + 1e-6 + 1e-9
+    s = np.linspace(0.0, 0.9 + tn.level.delta, 4096)
+    c1_norm = max(np.max(np.abs(tn.sigma(s))), np.max(np.abs(tn.sigma_prime(s))))
+    assert c1_norm <= m.lipschitz_mu() + 1e-9
 
 
 def test_truncation_rejects_bad_level():
@@ -173,6 +175,8 @@ def test_truncation_rejects_bad_level():
         truncate(m, 1.0)
     with pytest.raises(DomainError):
         truncate(m, -0.1)
+    with pytest.raises(DomainError, match="blend width"):
+        truncate(Constant(1.0), 0.5)   # no u_star, no finite blend width
 
 
 def test_constant_model_basics():

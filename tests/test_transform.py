@@ -18,11 +18,11 @@ from thermopt.mesh import (
 from thermopt.state import ProblemSpec, solve_state
 from thermopt.transform import (
     certificate_chain,
+    certificate_data,
     exp_weight,
     check_certificate,
     compute_C_eps,
     compute_certificate,
-    energy_inequality_report,
     estimate_poincare,
     psi_identity_defect,
     psi_inequality_margin,
@@ -55,29 +55,14 @@ def solved_benchmark(n=16):
     return spec, beta, solve_state(spec, beta)
 
 
-def test_energy_inequality_report_general_p():
-    model = TruncatedPower(1.0, 1.0, 3.0)
-    mesh = build_rectangle_mesh([1.0, 1.0], [3, 3], LEFT)
-    spec = make_spec(mesh, model, u1_val=0.05, phi0_scale=1.0)
-    beta = Control.constant(mesh, 1.0, 2.0)
-    sol = solve_state(spec, beta)
-    psi = transform(sol, model, spec.phi0, m_threshold=0.0).psi.values
-    ts = transform(sol, model, spec.phi0, m_threshold=float(np.median(psi)))
-    report = energy_inequality_report(ts, model, spec, beta)
-    assert report["gamma_m_active"]
-    assert math.isfinite(report["lhs"]) and math.isfinite(report["rhs"])
-    assert report["lhs"] > 0.0
-
-
 def test_transform_trivial_constant():
     mesh = build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT)
     spec = make_spec(mesh, phi0_scale=0.0)
     beta = Control.constant(mesh, 1.0, 2.0)
     sol = solve_state(spec, beta)
-    ts = transform(sol, MODEL, spec.phi0, m_threshold=5.0)
+    ts = transform(sol, MODEL, spec.phi0)
     assert np.allclose(ts.v.values, 0.0, atol=1e-12)
     assert np.allclose(ts.psi.values, 0.0, atol=1e-12)
-    assert np.allclose(ts.psi_m.values, 5.0, atol=0)
 
 
 def test_transform_closed_form_values():
@@ -89,7 +74,7 @@ def test_transform_closed_form_values():
     phi = Field(mesh, np.full(mesh.n_vertices, 0.2), FieldKind.POTENTIAL)
     sol = StateSolution(u, phi, 1, 0.0, 0.0, 0, None)
     phi0 = Field(mesh, np.full(mesh.n_vertices, 0.2), FieldKind.POTENTIAL)
-    ts = transform(sol, MODEL, phi0, m_threshold=10.0)
+    ts = transform(sol, MODEL, phi0)
     assert np.allclose(ts.v.values, 1.0, rtol=1e-14)
     assert np.allclose(ts.psi.values, 1.0, rtol=1e-14)
     assert np.all(ts.psi.values >= ts.v.values - 1e-15)
@@ -97,7 +82,7 @@ def test_transform_closed_form_values():
 
 def test_transform_round_trip_recovers_u():
     spec, beta, sol = solved_benchmark(8)
-    ts = transform(sol, MODEL, spec.phi0, m_threshold=101.0)
+    ts = transform(sol, MODEL, spec.phi0)
     back = np.asarray(MODEL.F_inv(ts.v.values))
     assert np.max(np.abs(back - sol.u.values)) <= 1e-8
 
@@ -110,7 +95,7 @@ def test_transform_rejects_critical_temperature():
     phi = Field(mesh, np.zeros(mesh.n_vertices), FieldKind.POTENTIAL)
     sol = StateSolution(u, phi, 1, 0.0, 0.0, 0, None)
     with pytest.raises(DomainError):
-        transform(sol, MODEL, phi, m_threshold=1.0)
+        transform(sol, MODEL, phi)
 
 
 def test_transformed_residual_trivial_case():
@@ -123,7 +108,7 @@ def test_transformed_residual_trivial_case():
         m_cap=2.0)
     beta = Control.constant(mesh, 1.0, 2.0)
     sol = solve_state(spec, beta)
-    ts = transform(sol, MODEL, spec.phi0, m_threshold=10.0)
+    ts = transform(sol, MODEL, spec.phi0)
     r_v, r_phi = transformed_residual(ts, MODEL, spec, beta)
     assert r_v <= 1e-9
     assert r_phi <= 1e-9
@@ -131,14 +116,14 @@ def test_transformed_residual_trivial_case():
 
 def test_transformed_residual_decreases_under_refinement():
     spec, beta, sol = solved_benchmark(8)
-    ts = transform(sol, MODEL, spec.phi0, m_threshold=101.0)
+    ts = transform(sol, MODEL, spec.phi0)
     r_v0, r_phi0 = transformed_residual(ts, MODEL, spec, beta)
 
     fine = refine_uniform(spec.mesh)
     fspec = make_spec(fine)
     fbeta = Control.constant(fine, 1.0, 2.0)
     fsol = solve_state(fspec, fbeta)
-    fts = transform(fsol, MODEL, fspec.phi0, m_threshold=101.0)
+    fts = transform(fsol, MODEL, fspec.phi0)
     r_v1, r_phi1 = transformed_residual(fts, MODEL, fspec, fbeta)
     assert r_v1 < r_v0
     assert r_phi1 < r_phi0
@@ -146,13 +131,13 @@ def test_transformed_residual_decreases_under_refinement():
 
 def test_psi_identity_defect_small_and_decreasing():
     spec, beta, sol = solved_benchmark(8)
-    ts = transform(sol, MODEL, spec.phi0, m_threshold=101.0)
+    ts = transform(sol, MODEL, spec.phi0)
     d0 = psi_identity_defect(ts, spec)
 
     fine = refine_uniform(spec.mesh)
     fspec = make_spec(fine)
     fsol = solve_state(fspec, Control.constant(fine, 1.0, 2.0))
-    fts = transform(fsol, MODEL, fspec.phi0, m_threshold=101.0)
+    fts = transform(fsol, MODEL, fspec.phi0)
     d1 = psi_identity_defect(fts, fspec)
     assert d1 < d0
 
@@ -168,14 +153,14 @@ def test_psi_identity_reduces_to_state_residual_for_constant_phi0():
         m_cap=2.0)
     beta = Control.constant(mesh, 1.0, 2.0)
     sol = solve_state(spec, beta)
-    ts = transform(sol, MODEL, spec.phi0, m_threshold=10.0)
+    ts = transform(sol, MODEL, spec.phi0)
     defect = psi_identity_defect(ts, spec)
     assert defect <= max(sol.residual_u, 1e-12) * 10 + 1e-12
 
 
 def test_psi_inequality_holds_weakly():
     spec, beta, sol = solved_benchmark(8)
-    ts = transform(sol, MODEL, spec.phi0, m_threshold=101.0)
+    ts = transform(sol, MODEL, spec.phi0)
     margin = psi_inequality_margin(ts, spec)
     defect = psi_identity_defect(ts, spec)
     assert margin >= -(10 * defect + 1e-10)
@@ -208,7 +193,7 @@ def test_poincare_full_dirichlet_square():
     lams = []
     mesh = build_rectangle_mesh([1.0, 1.0], [8, 8], ALL)
     for _ in range(3):
-        cd = estimate_poincare(mesh)
+        cd = estimate_poincare(mesh)[0]
         lams.append(1.0 / cd ** 2)
         mesh = refine_uniform(mesh)
     # conformity: discrete eigenvalues decrease towards the continuum value
@@ -222,13 +207,13 @@ def test_poincare_full_dirichlet_square():
 def test_poincare_smaller_dirichlet_part_larger_constant():
     mesh_all = build_rectangle_mesh([1.0, 1.0], [16, 16], ALL)
     mesh_left = build_rectangle_mesh([1.0, 1.0], [16, 16], LEFT)
-    assert estimate_poincare(mesh_left) > estimate_poincare(mesh_all)
+    assert estimate_poincare(mesh_left)[0] > estimate_poincare(mesh_all)[0]
 
 
 def test_poincare_mixed_eigenvalue_oracle():
     # Dirichlet on x=0 only: eigenfunction sin(pi x / 2), lambda = pi^2/4
     mesh = build_rectangle_mesh([1.0, 1.0], [32, 32], LEFT)
-    cd = estimate_poincare(mesh)
+    cd = estimate_poincare(mesh)[0]
     assert 1.0 / cd ** 2 == pytest.approx(math.pi ** 2 / 4.0, rel=5e-3)
 
 
@@ -248,16 +233,15 @@ def test_poincare_matches_dense_oracle(extents, divisions, iterates):
     # the first three have 2 to 4 free vertices, fewer than scipy's lobpcg
     # takes without warning (an error under this suite's filterwarnings)
     mesh = build_rectangle_mesh(extents, divisions, LEFT)
-    c_d, iterations = estimate_poincare(mesh, return_iterations=True)
+    c_d, iterations = estimate_poincare(mesh)
     assert c_d == pytest.approx(dense_poincare(mesh), rel=1e-10)
     assert (iterations > 0) == iterates
 
 
 def test_poincare_preconditioner_changes_only_the_iterations():
     spec, beta, sol = solved_benchmark()
-    own, own_iterations = estimate_poincare(spec.mesh, return_iterations=True)
-    shared, shared_iterations = estimate_poincare(spec.mesh, sol.temperature_factor,
-                                                  return_iterations=True)
+    own, own_iterations = estimate_poincare(spec.mesh)
+    shared, shared_iterations = estimate_poincare(spec.mesh, sol.temperature_factor)
     assert shared == pytest.approx(own, rel=1e-10)
     assert min(own_iterations, shared_iterations) > 0
 
@@ -294,7 +278,7 @@ def test_certificate_chain_phi0_zero_gives_zero_C():
 
 def test_certificate_benchmark_values():
     spec, beta, sol = solved_benchmark(16)
-    cert = compute_certificate(MODEL, spec, eps=0.01, C1=1.0)
+    cert = compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=0.01, C1=1.0))
     thresholds = cert.threshold_values()
     for name, value in thresholds.items():
         assert cert.M > value, name
@@ -329,14 +313,16 @@ def test_certificate_infeasible_eps_raises():
 
 def test_certificate_auto_eps_recovers():
     spec, _, _ = solved_benchmark(4)
-    cert = compute_certificate(MODEL, spec, eps=1e6, C1=1.0, auto_eps=True)
+    cert = compute_certificate(MODEL, spec,
+                               certificate_data(MODEL, spec, eps=1e6, C1=1.0, auto_eps=True))
     assert cert.eps < 1e6
     assert math.isfinite(cert.N)
 
 
 def test_certificate_counts_its_halvings():
     spec, _, _ = solved_benchmark(4)
-    cert = compute_certificate(MODEL, spec, eps=1e6, C1=1.0, auto_eps=True)
+    cert = compute_certificate(MODEL, spec,
+                               certificate_data(MODEL, spec, eps=1e6, C1=1.0, auto_eps=True))
     assert cert.eps_halvings > 0
     assert cert.eps == math.ldexp(1e6, -cert.eps_halvings)
     assert cert.notes == [f"eps halved {cert.eps_halvings} times to {cert.eps:g} "
@@ -347,7 +333,8 @@ def test_certificate_pinned_infeasible_eps_raises():
     mesh = build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT)
     spec = make_spec(mesh, phi0_scale=1.0)  # |phi0| = 1 makes exp term large
     with pytest.raises(CertificateInfeasibleError):
-        compute_certificate(MODEL, spec, eps=10.0, C1=1.0, auto_eps=False)
+        compute_certificate(MODEL, spec,
+                            certificate_data(MODEL, spec, eps=10.0, C1=1.0, auto_eps=False))
 
 
 def test_certificate_overflowing_chain_raises():
@@ -355,14 +342,14 @@ def test_certificate_overflowing_chain_raises():
     # bound puts N at u_star, which certifies nothing
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT), phi0_scale=5.0)
     with pytest.raises(CertificateInfeasibleError, match="v_inf bound overflows"):
-        compute_certificate(MODEL, spec, eps=0.01, C1=1.0)
+        compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=0.01, C1=1.0))
 
 
 def test_certificate_with_n_at_u_star_fails_its_check():
     # at phi0 = 2x the v_inf bound is finite but F_inv rounds it to u_star:
     # every solution meets N, and the check must not call that a pass
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT), phi0_scale=2.0)
-    cert = compute_certificate(MODEL, spec, eps=0.01, C1=1.0)
+    cert = compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=0.01, C1=1.0))
     assert math.isfinite(cert.v_inf_bound) and cert.N == MODEL.u_star
     _, _, sol = solved_benchmark(4)
     check = check_certificate(sol, cert, MODEL)
@@ -374,7 +361,7 @@ def test_certificate_overflowing_weight_raises_for_every_eps():
     # at phi0 = 12x the weight e^(8 mu |phi0|^2) overflows; auto-eps must not retry
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT), phi0_scale=12.0)
     with pytest.raises(CertificateInfeasibleError, match="overflows"):
-        compute_certificate(MODEL, spec, eps=0.01, C1=1.0)
+        compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=0.01, C1=1.0))
 
 
 def halving_certificate(spec, eps):
@@ -388,7 +375,7 @@ def halving_certificate(spec, eps):
     data = (float(model.F(float(np.max(spec.u0.values)))),
             float(model.F(float(np.max(spec.u1.values)))))
     mes_omega = float(geometry(mesh).volumes.sum())
-    C_D = estimate_poincare(mesh)
+    C_D = estimate_poincare(mesh)[0]
     while True:
         try:
             chain = certificate_chain(mesh.dim, mes_omega, exp_term, phi0_inf, *data, eps,
@@ -411,9 +398,9 @@ def test_closed_form_eps_matches_halving_search(extents, divisions, phi0_scale, 
     eps, v_inf = halving_certificate(spec, eps0)
     if not math.isfinite(v_inf):
         with pytest.raises(CertificateInfeasibleError, match="v_inf bound overflows"):
-            compute_certificate(MODEL, spec, eps=eps0, C1=1.0)
+            compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=eps0, C1=1.0))
         return
-    cert = compute_certificate(MODEL, spec, eps=eps0, C1=1.0)
+    cert = compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=eps0, C1=1.0))
     assert cert.eps == eps
     assert cert.v_inf_bound == v_inf
     assert cert.N == float(MODEL.F_inv(min(v_inf, 1e300)))
@@ -428,7 +415,7 @@ def test_closed_form_eps_keeps_overflowing_product_in_range():
     # make both denominators positive, so the v_inf bound is what overflows
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT), phi0_scale=6.6)
     with pytest.raises(CertificateInfeasibleError, match="v_inf bound overflows"):
-        compute_certificate(MODEL, spec, eps=1e6, C1=1.0)
+        compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=1e6, C1=1.0))
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0])
@@ -439,7 +426,7 @@ def test_nonpositive_eps_rejected_before_poincare(monkeypatch, eps):
     monkeypatch.setattr(transform_mod, "estimate_poincare", raiser)
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT))
     with pytest.raises(CertificateInfeasibleError, match="eps must be positive"):
-        compute_certificate(MODEL, spec, eps=eps, C1=1.0)
+        compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=eps, C1=1.0))
 
 
 def test_certificate_3d_problem():
@@ -451,7 +438,7 @@ def test_certificate_3d_problem():
         u1=interpolate(mesh, lambda p: np.zeros(p.shape[0]), FieldKind.TEMPERATURE),
         phi0=interpolate(mesh, lambda p: 0.1 * p[:, 0], FieldKind.POTENTIAL),
         m_cap=2.0)
-    cert = compute_certificate(MODEL, spec, eps=0.01, C1=1.0)
+    cert = compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=0.01, C1=1.0))
     assert cert.dim == 3
     assert cert.r == 4.0
     assert cert.s == pytest.approx(4.0)  # 2(d-1)/(d-2) at d = 3
@@ -463,16 +450,7 @@ def test_certificate_3d_problem():
 
 def test_tiny_c1_flagged_in_check():
     spec, beta, sol = solved_benchmark(8)
-    cert = compute_certificate(MODEL, spec, eps=0.01, C1=1.0)
+    cert = compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=0.01, C1=1.0))
     assert "heuristic" in cert.c1_provenance
     check = check_certificate(sol, cert, MODEL)
     assert "heuristic" in check.c1_provenance
-
-
-def test_energy_inequality_report_trivial_on_benchmark():
-    spec, beta, sol = solved_benchmark(8)
-    cert = compute_certificate(MODEL, spec, eps=0.01, C1=1.0)
-    ts = transform(sol, MODEL, spec.phi0, m_threshold=cert.M)
-    report = energy_inequality_report(ts, MODEL, spec, beta)
-    assert report["satisfied"]
-    assert not report["gamma_m_active"]  # psi stays far below M
