@@ -3,8 +3,8 @@
 Quadrature is the 3-point edge-midpoint rule on triangles (exact for
 quadratics) and the 4-point degree-2 rule on tetrahedra. Coefficients are
 scalars or values at the quadrature points, (nc, nq); gradients of P1
-functions are cellwise constant. Every load sums two cell kernels, moments
-and fluxes. Assembled matrices are immutable once returned and solves on
+functions are cellwise constant. Loads sum cell kernels and scatter them
+once. Assembled matrices are immutable once returned and solves on
 distinct systems may run concurrently.
 """
 
@@ -48,8 +48,8 @@ class P1Geometry:
 
     Holds the cell array but not the mesh itself, so that the cache below
     releases the geometry together with its mesh. The operators that depend
-    on the mesh alone (the unit stiffness, the potential preconditioner and
-    the slot maps of `eliminated`) are built on first use and kept here.
+    on the mesh alone (K, the stiffness map, K's factor and the slot maps of
+    `eliminated`) are built on first use and kept here.
     """
 
     def __init__(self, mesh: Mesh):
@@ -127,6 +127,16 @@ class P1Geometry:
                            minlength=self.n_vertices)
 
     @cached_property
+    def stiffness_map(self) -> sp.csr_matrix:
+        """Read-only (pattern nnz, n_cells) matrix: row s holds the grad_products entries
+        that scatter sends to slot s, cells ascending, so map @ w sums as data() does."""
+        cell_of_entry = np.arange(self.scatter.size) // (self.dim + 1) ** 2
+        M = sp.csr_matrix((self.grad_products.ravel(), (self.scatter, cell_of_entry)),
+                          shape=(self.pattern[0].size, len(self.cells)))
+        M.data.flags.writeable = M.indices.flags.writeable = M.indptr.flags.writeable = False
+        return M
+
+    @cached_property
     def stiffness(self) -> sp.csr_matrix:
         """The unit-weight stiffness K, shared by every caller on this mesh:
         its arrays are read-only."""
@@ -187,18 +197,19 @@ def _quad_weight(geom: P1Geometry, weight) -> np.ndarray:
     return np.broadcast_to(arr, shape)
 
 
-def assemble_weighted_stiffness(mesh: Mesh, weight=1.0) -> sp.csr_matrix:
-    """A_ij = sum_cells integral w grad(lambda_i) . grad(lambda_j) dx.
-
-    Raises AssemblyError when the weight is negative at a quadrature point
-    (a conductivity evaluation bug upstream).
-    """
+def weighted_stiffness_data(mesh: Mesh, weight=1.0) -> np.ndarray:
+    """Data of assemble_weighted_stiffness on geometry(mesh)'s pattern. A weight
+    negative at a quadrature point (an upstream bug) raises AssemblyError."""
     geom = geometry(mesh)
     w = _quad_weight(geom, weight)
     if np.any(w < 0):
         raise AssemblyError("negative weight at a quadrature point")
-    wbar = w @ geom.qweights                              # (nc,)
-    return geom.csr(geom.data(geom.grad_products * wbar[:, None, None])).copy()
+    return geom.stiffness_map @ (w @ geom.qweights)
+
+
+def assemble_weighted_stiffness(mesh: Mesh, weight=1.0) -> sp.csr_matrix:
+    """A_ij = sum_cells integral w grad(lambda_i) . grad(lambda_j) dx."""
+    return geometry(mesh).csr(weighted_stiffness_data(mesh, weight)).copy()
 
 
 def assemble_mass(mesh: Mesh, weight=1.0) -> sp.csr_matrix:
@@ -256,14 +267,15 @@ def assemble_joule_rhs_weak(mesh: Mesh, sigma_q: np.ndarray, phi: Field,
             + integral sigma(u) (grad phi . grad phi0) lambda_i,
 
     with sigma_q the conductivity sigma(u) at the quadrature points,
-    (nc, nq), as the caller evaluated it for the potential matrix; one flux
-    and one moment kernel, scattered once.
+    (nc, nq), as the caller evaluated it. q_c = grad_products[c] phi_c gives q_ci =
+    |K| grad(phi).grad(lambda_i) and, by symmetry, q_c . phi0_c = |K| grad(phi).grad(phi0),
+    so a cell adds [sigma (phi0 - phi)] q_c + (q_c . phi0_c) [sigma lambda_i], [.] its mean.
     """
     geom = geometry(mesh)
-    gphi = geom.cell_gradient(phi.values)
-    dot = np.sum(gphi * geom.cell_gradient(phi0.values), axis=1)
-    return geom.load(geom.fluxes(sigma_q * geom.at_quadrature(phi0.values - phi.values), gphi)
-                     + geom.moments(sigma_q * dot[:, None]))
+    q = np.einsum("cij,cj->ci", geom.grad_products, phi.values[geom.cells])
+    c_bar = (sigma_q * geom.at_quadrature(phi0.values - phi.values)) @ geom.qweights
+    dot = np.einsum("ci,ci->c", q, phi0.values[geom.cells])
+    return geom.load(c_bar[:, None] * q + dot[:, None] * (sigma_q @ geom.weighted_qbary))
 
 
 def lift_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray, fixed: np.ndarray,

@@ -281,8 +281,8 @@ def dj_sensitivity(spec: ProblemSpec, pair: SensitivityPair, beta: Control,
 
 
 def dj_fd(spec: ProblemSpec, beta: Control, ell: Control, eps: float = 1e-4,
-          solver: SolverOptions | None = None, central: bool = True) -> float:
-    """Finite-difference derivative of J; two (or one) nonlinear solves."""
+          solver: SolverOptions | None = None) -> float:
+    """Central finite-difference derivative of J; two nonlinear solves."""
     solver = solver or SolverOptions(tol=1e-11)
 
     def j_at(values):
@@ -290,12 +290,8 @@ def dj_fd(spec: ProblemSpec, beta: Control, ell: Control, eps: float = 1e-4,
         sol = solve_state(spec, b, solver)
         return objective(spec.mesh, sol.u, b).total
 
-    if central:
-        jp = j_at(beta.values + eps * ell.values)
-        jm = j_at(beta.values - eps * ell.values)
-        return (jp - jm) / (2.0 * eps)
-    j0 = j_at(beta.values)
-    return (j_at(beta.values + eps * ell.values) - j0) / eps
+    jp, jm = j_at(beta.values + eps * ell.values), j_at(beta.values - eps * ell.values)
+    return (jp - jm) / (2.0 * eps)
 
 
 @dataclass

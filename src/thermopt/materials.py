@@ -198,21 +198,24 @@ class TruncatedModel(ConductivityModel):
         self._spn = float(base.sigma_prime(n))
         self._n, self._d = n, d
 
-    def sigma(self, u):
+    def _on_band(self, u, below, blend, floor):
+        """below(min(u, n)), then blend((u - n) / delta) if u > n, floor if u >= n + delta."""
         u = _clamp(u)
-        n, d, sn, spn = self._n, self._d, self._sn, self._spn
-        t = np.clip((u - n) / d, 0.0, 1.0)
-        blend = sn * (t ** 3 - 1.5 * t ** 2 + 1.0) + d * spn * t * (1.0 - t) ** 2
-        out = np.where(u <= n, self.base.sigma(np.minimum(u, n)), blend)
-        return np.where(u >= n + d, 0.5 * sn, out)
+        out = np.asarray(below(np.minimum(u, self._n)))
+        band = u > self._n
+        out[band] = blend(np.clip((u[band] - self._n) / self._d, 0.0, 1.0))
+        out[u >= self._n + self._d] = floor
+        return out
+
+    def sigma(self, u):
+        d, sn, spn = self._d, self._sn, self._spn
+        blend = lambda t: sn * (t ** 3 - 1.5 * t ** 2 + 1.0) + d * spn * t * (1.0 - t) ** 2
+        return self._on_band(u, self.base.sigma, blend, 0.5 * sn)
 
     def sigma_prime(self, u):
-        u = _clamp(u)
-        n, d, sn, spn = self._n, self._d, self._sn, self._spn
-        t = np.clip((u - n) / d, 0.0, 1.0)
-        dblend = sn * (3.0 * t ** 2 - 3.0 * t) / d + spn * (1.0 - t) * (1.0 - 3.0 * t)
-        out = np.where(u <= n, self.base.sigma_prime(np.minimum(u, n)), dblend)
-        return np.where(u >= n + d, 0.0, out)
+        d, sn, spn = self._d, self._sn, self._spn
+        dblend = lambda t: sn * (3.0 * t ** 2 - 3.0 * t) / d + spn * (1.0 - t) * (1.0 - 3.0 * t)
+        return self._on_band(u, self.base.sigma_prime, dblend, 0.0)
 
 
 def truncate(model: ConductivityModel, n: float) -> TruncatedModel:

@@ -3,35 +3,39 @@
 from __future__ import annotations
 
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .fields import Control, Field
-from .mesh import facet_centroids
+from .mesh import Mesh, facet_centroids
 
 REPORT_SCHEMA_VERSION = 1
 
 _VTK_CELL_TYPE = {2: 5, 3: 10}  # triangle, tetrahedron
+_VTK_MESH_CACHE: "weakref.WeakKeyDictionary[Mesh, str]" = weakref.WeakKeyDictionary()
 
 
 def write_vtk(field: Field, path: str, name: str) -> None:
-    """Legacy ASCII VTK unstructured grid with one point scalar."""
+    """Legacy ASCII VTK unstructured grid with one point scalar; mesh section cached per mesh."""
     mesh = field.mesh
-    k = mesh.dim + 1
-    points = np.zeros((mesh.n_vertices, 3))
-    points[:, :mesh.dim] = mesh.vertices
-    cells = np.column_stack([np.full(mesh.n_cells, k), mesh.cells])
+    if mesh not in _VTK_MESH_CACHE:
+        k = mesh.dim + 1
+        points = np.zeros((mesh.n_vertices, 3))
+        points[:, :mesh.dim] = mesh.vertices
+        cells = np.column_stack([np.full(mesh.n_cells, k), mesh.cells])
+        lines = [f"POINTS {mesh.n_vertices} double"]
+        lines += [" ".join(map(repr, row)) for row in points.tolist()]
+        lines.append(f"CELLS {mesh.n_cells} {mesh.n_cells * (k + 1)}")
+        lines += [" ".join(map(str, row)) for row in cells.tolist()]
+        lines.append(f"CELL_TYPES {mesh.n_cells}")
+        lines += [str(_VTK_CELL_TYPE[mesh.dim])] * mesh.n_cells
+        _VTK_MESH_CACHE[mesh] = "\n".join(lines)
     lines = ["# vtk DataFile Version 3.0", name, "ASCII", "DATASET UNSTRUCTURED_GRID",
-             f"POINTS {mesh.n_vertices} double"]
-    lines += [" ".join(map(repr, row)) for row in points.tolist()]
-    lines.append(f"CELLS {mesh.n_cells} {mesh.n_cells * (k + 1)}")
-    lines += [" ".join(map(str, row)) for row in cells.tolist()]
-    lines.append(f"CELL_TYPES {mesh.n_cells}")
-    lines += [str(_VTK_CELL_TYPE[mesh.dim])] * mesh.n_cells
-    lines += [f"POINT_DATA {mesh.n_vertices}", f"SCALARS {name} double 1",
-              "LOOKUP_TABLE default"]
+             _VTK_MESH_CACHE[mesh], f"POINT_DATA {mesh.n_vertices}",
+             f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
     lines += map(repr, np.asarray(field.values, dtype=float).tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

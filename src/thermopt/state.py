@@ -236,7 +236,7 @@ def solve_state(spec: ProblemSpec, beta: Control,
 
 def _solve_potential(mesh, sigma_q, phi, fixed, values, precond):
     # a function, so that its matrix is freed before the Joule assembly
-    A_phi = assembly.assemble_weighted_stiffness(mesh, sigma_q)
+    A_phi = geometry(mesh).csr(assembly.weighted_stiffness_data(mesh, sigma_q))
     matrix, transpose = geometry(mesh).eliminated(A_phi.data, fixed)
     return assembly.solve_spd_pcg(
         matrix, lift_dirichlet(A_phi, np.zeros(mesh.n_vertices), fixed, values),
@@ -257,7 +257,7 @@ def weak_residual(spec: ProblemSpec, beta: Control, sol: StateSolution) -> tuple
     joule = assembly.assemble_joule_rhs_weak(mesh, sigma_q, sol.phi, spec.phi0)
     r_u = assembly.relative_defect(geom.csr(geom.stiffness.data + R.data) @ sol.u.values,
                                    joule + robin_rhs, spec.dirichlet_temperature_vertices())
-    S = assembly.assemble_weighted_stiffness(mesh, sigma_q)
+    S = geom.csr(assembly.weighted_stiffness_data(mesh, sigma_q))
     return r_u, potential_residual(S, sol.phi.values, geom.boundary_vertices)
 
 

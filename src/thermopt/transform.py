@@ -335,8 +335,8 @@ class CertificateData:
     auto_eps: bool
 
 
-def certificate_data(model: ConductivityModel, spec: ProblemSpec, eps: float = 0.01,
-                     C1: float = 1.0, auto_eps: bool = True) -> CertificateData:
+def certificate_data(model: ConductivityModel, spec: ProblemSpec, eps: float,
+                     C1: float, auto_eps: bool) -> CertificateData:
     """The C_D-free stage of compute_certificate and every check it allows:
     an eps <= 0, an exponential weight that overflows, which no eps cures,
     and a pinned eps that closes denominator 1 raise

@@ -130,7 +130,7 @@ def test_criterion_4_substitution_consistency():
         spec = benchmark_spec()
         beta = Control.constant(spec.mesh, 1.0, 2.0)
         cert = compute_certificate(MODEL, spec,
-                                   certificate_data(MODEL, spec, eps=0.01, C1=1.0))
+                                   certificate_data(MODEL, spec, eps=0.01, C1=1.0, auto_eps=True))
         sol = solve_state(spec, beta)
         ts = transform(sol, MODEL, spec.phi0)
         r0 = transformed_residual(ts, MODEL, spec, beta)
@@ -159,7 +159,7 @@ def test_criterion_5_certificate_chain():
     with Timer(cap=60.0) as t:
         spec = benchmark_spec()
         cert = compute_certificate(MODEL, spec,
-                                   certificate_data(MODEL, spec, eps=0.01, C1=1.0))
+                                   certificate_data(MODEL, spec, eps=0.01, C1=1.0, auto_eps=True))
         for name, value in cert.threshold_values().items():
             assert cert.M > value, name
         assert 1.0 - 2.0 * cert.eps * math.exp(8 * cert.mu * cert.phi0_inf ** 2) \
@@ -199,7 +199,7 @@ def test_criterion_6_gradient_triangle():
             pair = solve_sensitivity(spec, beta, state, ell)
             d1 = dj_adjoint(spec, state, adjoint, beta, ell)
             d2 = dj_sensitivity(spec, pair, beta, ell)
-            d3 = dj_fd(spec, beta, ell, eps=1e-4, solver=opts, central=True)
+            d3 = dj_fd(spec, beta, ell, eps=1e-4, solver=opts)
             scale = max(abs(d1), abs(d2), abs(d3))
             gap = max(abs(d1 - d2), abs(d1 - d3), abs(d2 - d3)) / scale
             worst = max(worst, gap)

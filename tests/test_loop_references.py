@@ -5,9 +5,12 @@ Mesh arrays and sparsity patterns must match exactly; facet sums are
 accumulated in another order and must agree to 1e-13 relative, cell sums
 to 1e-14 relative. The closed-form conductivity quantities must agree with
 the adaptive quadrature and root bracketing they replaced to 1e-10 relative.
+Kernels that add the same products in the same order as the form they
+replaced (sigma_n on its band, the stiffness map) must match it bit for bit.
 """
 
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from thermopt import reporting
 from thermopt.assembly import (
     apply_dirichlet,
     assemble_joule_rhs_weak,
@@ -33,7 +37,7 @@ from thermopt.assembly import (
 from thermopt.control import adjoint_system, sensitivity_system
 from thermopt.errors import SolverFailure
 from thermopt.fields import Control, Field, FieldKind
-from thermopt.materials import TruncatedPower
+from thermopt.materials import TruncatedPower, truncate
 from thermopt.mesh import (
     BoundaryTag,
     build_rectangle_mesh,
@@ -256,6 +260,47 @@ def test_closed_form_conductivity_matches_quadrature_reference(p):
             moment_quad(model, v), rel=1e-10)
 
 
+def truncated_sigma_where(model, u):
+    """sigma_n as np.where over the base, the blend and the floor, each
+    evaluated at every point."""
+    u = np.maximum(np.asarray(u, dtype=float), 0.0)
+    n, d = model.level.n, model.level.delta
+    sn, spn = float(model.base.sigma(n)), float(model.base.sigma_prime(n))
+    t = np.clip((u - n) / d, 0.0, 1.0)
+    blend = sn * (t ** 3 - 1.5 * t ** 2 + 1.0) + d * spn * t * (1.0 - t) ** 2
+    out = np.where(u <= n, model.base.sigma(np.minimum(u, n)), blend)
+    return np.where(u >= n + d, 0.5 * sn, out)
+
+
+def truncated_sigma_prime_where(model, u):
+    """sigma_n' in the np.where form of truncated_sigma_where."""
+    u = np.maximum(np.asarray(u, dtype=float), 0.0)
+    n, d = model.level.n, model.level.delta
+    sn, spn = float(model.base.sigma(n)), float(model.base.sigma_prime(n))
+    t = np.clip((u - n) / d, 0.0, 1.0)
+    dblend = sn * (3.0 * t ** 2 - 3.0 * t) / d + spn * (1.0 - t) * (1.0 - 3.0 * t)
+    out = np.where(u <= n, model.base.sigma_prime(np.minimum(u, n)), dblend)
+    return np.where(u >= n + d, 0.0, out)
+
+
+@pytest.mark.parametrize("p, n", [(2.0, 0.9), (3.0, 0.5)])
+def test_truncated_sigma_matches_where_reference_bit_for_bit(p, n):
+    model = truncate(TruncatedPower(1.0, 1.0, p), n)
+    d = model.level.delta
+    u = np.concatenate([np.linspace(-0.5, 1.5, 100_001),
+                        np.nextafter(np.array([0.0, n, n + d, 1.0]), -np.inf),
+                        [0.0, n, n + d, 1.0, 1e300]])
+    u = np.concatenate([u, np.nextafter(u, np.inf)])
+    points = [u, u.reshape(-1, 2), np.array(n + 0.5 * d), n + 0.5 * d, n, n + d, -1.0, 0.3,
+              np.float64(n - d)]
+    for actual, reference in ((model.sigma, truncated_sigma_where),
+                              (model.sigma_prime, truncated_sigma_prime_where)):
+        for x in points:
+            a, b = actual(x), reference(model, x)
+            assert type(a) is type(b) and a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
 # ---- meshes ----------------------------------------------------------------
 
 MESH_CASES = [
@@ -461,6 +506,48 @@ def test_bincount_loads_match_add_at_reference(extents, divisions):
                       joule_weak_add_at(mesh, s, phi, phi0))
     assert cell_close(geom.load(geom.fluxes(s, geom.cell_gradient(phi0))),
                       flux_add_at(mesh, s, phi0))
+
+
+KERNEL_BOXES = [([1.0, 1.0], [32, 32]), ([1.0, 1.0, 1.0], [16, 16, 16]),
+                ([1.0, 1.0, 1.0], [9, 3, 2])]
+
+
+def joule_einsum(mesh, sigma_q, phi, phi0):
+    """The weak Joule load from two cell gradients, a flux and a moment kernel."""
+    geom = geometry(mesh)
+    gphi = geom.cell_gradient(phi)
+    dot = np.sum(gphi * geom.cell_gradient(phi0), axis=1)
+    return geom.load(geom.fluxes(sigma_q * geom.at_quadrature(phi0 - phi), gphi)
+                     + geom.moments(sigma_q * dot[:, None]))
+
+
+@pytest.mark.parametrize("extents, divisions", KERNEL_BOXES)
+def test_stiffness_map_matches_bincount_bit_for_bit(extents, divisions):
+    mesh = build_rectangle_mesh(extents, divisions, dirichlet_on_planes("x=0"))
+    geom = geometry(mesh)
+    stiffness_map = geom.stiffness_map
+    assert geom.stiffness_map is stiffness_map
+    for array in (stiffness_map.data, stiffness_map.indices, stiffness_map.indptr):
+        assert not array.flags.writeable
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        w = rng.uniform(0.0, 3.0, mesh.n_cells)
+        w[rng.random(mesh.n_cells) < 0.2] = 0.0
+        expected = np.bincount(geom.scatter, minlength=geom.pattern[0].size,
+                               weights=(geom.grad_products * w[:, None, None]).ravel())
+        assert (stiffness_map @ w).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("extents, divisions", KERNEL_BOXES)
+def test_joule_load_matches_einsum_reference(extents, divisions):
+    mesh = build_rectangle_mesh(extents, divisions, dirichlet_on_planes("x=0"))
+    rng = np.random.default_rng(5)
+    phi, phi0 = (rng.uniform(-1.0, 2.0, mesh.n_vertices) for _ in range(2))
+    sigma_q = rng.uniform(0.0, 2.0, geometry(mesh).at_quadrature(phi).shape)
+    expected = joule_einsum(mesh, sigma_q, phi, phi0)
+    actual = assemble_joule_rhs_weak(mesh, sigma_q, Field(mesh, phi, FieldKind.POTENTIAL),
+                                     Field(mesh, phi0, FieldKind.POTENTIAL))
+    assert np.max(np.abs(actual - expected)) <= CELL_RTOL * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("extents, divisions", BOXES)
@@ -709,3 +796,22 @@ def test_vtk_writer_matches_loop_reference(tmp_path, extents, divisions):
     write_vtk(field, str(tmp_path / "a.vtk"), "u")
     write_vtk_loop(field, str(tmp_path / "b.vtk"), "u")
     assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes()
+
+
+def test_vtk_writer_formats_each_mesh_once(tmp_path, monkeypatch):
+    mesh, w, phi, _ = random_mesh_fields([1.0, 1.0], [5, 4])
+    formatted = []
+
+    class CountingCache(weakref.WeakKeyDictionary):
+        def __setitem__(self, key, value):
+            formatted.append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(reporting, "_VTK_MESH_CACHE", CountingCache())
+    fields = (Field(mesh, w, FieldKind.TEMPERATURE), Field(mesh, phi, FieldKind.POTENTIAL))
+    for field, name in zip(fields, ("u", "phi")):
+        write_vtk(field, str(tmp_path / f"{name}.vtk"), name)
+        write_vtk_loop(field, str(tmp_path / f"{name}_loop.vtk"), name)
+        assert ((tmp_path / f"{name}.vtk").read_bytes()
+                == (tmp_path / f"{name}_loop.vtk").read_bytes())
+    assert formatted == [mesh]

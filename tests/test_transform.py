@@ -278,7 +278,8 @@ def test_certificate_chain_phi0_zero_gives_zero_C():
 
 def test_certificate_benchmark_values():
     spec, beta, sol = solved_benchmark(16)
-    cert = compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=0.01, C1=1.0))
+    cert = compute_certificate(MODEL, spec,
+                               certificate_data(MODEL, spec, eps=0.01, C1=1.0, auto_eps=True))
     thresholds = cert.threshold_values()
     for name, value in thresholds.items():
         assert cert.M > value, name
@@ -342,14 +343,16 @@ def test_certificate_overflowing_chain_raises():
     # bound puts N at u_star, which certifies nothing
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT), phi0_scale=5.0)
     with pytest.raises(CertificateInfeasibleError, match="v_inf bound overflows"):
-        compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=0.01, C1=1.0))
+        compute_certificate(MODEL, spec,
+                            certificate_data(MODEL, spec, eps=0.01, C1=1.0, auto_eps=True))
 
 
 def test_certificate_with_n_at_u_star_fails_its_check():
     # at phi0 = 2x the v_inf bound is finite but F_inv rounds it to u_star:
     # every solution meets N, and the check must not call that a pass
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT), phi0_scale=2.0)
-    cert = compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=0.01, C1=1.0))
+    cert = compute_certificate(MODEL, spec,
+                               certificate_data(MODEL, spec, eps=0.01, C1=1.0, auto_eps=True))
     assert math.isfinite(cert.v_inf_bound) and cert.N == MODEL.u_star
     _, _, sol = solved_benchmark(4)
     check = check_certificate(sol, cert, MODEL)
@@ -361,7 +364,8 @@ def test_certificate_overflowing_weight_raises_for_every_eps():
     # at phi0 = 12x the weight e^(8 mu |phi0|^2) overflows; auto-eps must not retry
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT), phi0_scale=12.0)
     with pytest.raises(CertificateInfeasibleError, match="overflows"):
-        compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=0.01, C1=1.0))
+        compute_certificate(MODEL, spec,
+                            certificate_data(MODEL, spec, eps=0.01, C1=1.0, auto_eps=True))
 
 
 def halving_certificate(spec, eps):
@@ -398,9 +402,11 @@ def test_closed_form_eps_matches_halving_search(extents, divisions, phi0_scale, 
     eps, v_inf = halving_certificate(spec, eps0)
     if not math.isfinite(v_inf):
         with pytest.raises(CertificateInfeasibleError, match="v_inf bound overflows"):
-            compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=eps0, C1=1.0))
+            compute_certificate(MODEL, spec,
+                                certificate_data(MODEL, spec, eps=eps0, C1=1.0, auto_eps=True))
         return
-    cert = compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=eps0, C1=1.0))
+    cert = compute_certificate(MODEL, spec,
+                               certificate_data(MODEL, spec, eps=eps0, C1=1.0, auto_eps=True))
     assert cert.eps == eps
     assert cert.v_inf_bound == v_inf
     assert cert.N == float(MODEL.F_inv(min(v_inf, 1e300)))
@@ -415,7 +421,8 @@ def test_closed_form_eps_keeps_overflowing_product_in_range():
     # make both denominators positive, so the v_inf bound is what overflows
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT), phi0_scale=6.6)
     with pytest.raises(CertificateInfeasibleError, match="v_inf bound overflows"):
-        compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=1e6, C1=1.0))
+        compute_certificate(MODEL, spec,
+                            certificate_data(MODEL, spec, eps=1e6, C1=1.0, auto_eps=True))
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0])
@@ -426,7 +433,8 @@ def test_nonpositive_eps_rejected_before_poincare(monkeypatch, eps):
     monkeypatch.setattr(transform_mod, "estimate_poincare", raiser)
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT))
     with pytest.raises(CertificateInfeasibleError, match="eps must be positive"):
-        compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=eps, C1=1.0))
+        compute_certificate(MODEL, spec,
+                            certificate_data(MODEL, spec, eps=eps, C1=1.0, auto_eps=True))
 
 
 def test_certificate_3d_problem():
@@ -438,7 +446,8 @@ def test_certificate_3d_problem():
         u1=interpolate(mesh, lambda p: np.zeros(p.shape[0]), FieldKind.TEMPERATURE),
         phi0=interpolate(mesh, lambda p: 0.1 * p[:, 0], FieldKind.POTENTIAL),
         m_cap=2.0)
-    cert = compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=0.01, C1=1.0))
+    cert = compute_certificate(MODEL, spec,
+                               certificate_data(MODEL, spec, eps=0.01, C1=1.0, auto_eps=True))
     assert cert.dim == 3
     assert cert.r == 4.0
     assert cert.s == pytest.approx(4.0)  # 2(d-1)/(d-2) at d = 3
@@ -450,7 +459,8 @@ def test_certificate_3d_problem():
 
 def test_tiny_c1_flagged_in_check():
     spec, beta, sol = solved_benchmark(8)
-    cert = compute_certificate(MODEL, spec, certificate_data(MODEL, spec, eps=0.01, C1=1.0))
+    cert = compute_certificate(MODEL, spec,
+                               certificate_data(MODEL, spec, eps=0.01, C1=1.0, auto_eps=True))
     assert "heuristic" in cert.c1_provenance
     check = check_certificate(sol, cert, MODEL)
     assert "heuristic" in check.c1_provenance
