@@ -135,6 +135,8 @@ def cmd_optimize(config, outdir) -> int:
         "state_solves": result.state_solves,
         "adjoint_solves": result.adjoint_solves,
         "adjoint_iterations": result.adjoint_iterations,
+        "cg_iterations": result.cg_iterations,
+        "factorizations": result.factorizations,
         "history": result.history,
     }
 

@@ -24,8 +24,9 @@ The Tikhonov term makes the reduced Hessian 2 I plus a smaller PDE part, so
 this step sits near 1/2 and its first trial is accepted where a search
 from 1 would reject one.
 Sensitivity solves exist only to verify the gradient; the optimizers never
-use them. Both blocks come from one linearization, four cell matrices
-scattered once each; the adjoint scatters them transposed.
+use them. Both blocks come from one linearization: three cell matrices
+scattered once each (the adjoint scatters them transposed) and S, symmetric,
+from the stiffness map.
 
 Both block systems, Dirichlet-eliminated, are solved by BiCGSTAB (van der
 Vorst, SIAM J. Sci. Stat. Comput. 13, 1992) with a block upper-triangular
@@ -34,11 +35,15 @@ factor of the potential block S, the temperature factor of K + R that the
 state solve already made, and the block's own top-right coupling. The
 adjoint A^T - C^T S^-1 B^T and the sensitivity A - B S^-1 C share their
 Schur spectrum, so one path serves both; a run that reaches
-ADJOINT_MAX_ITER, or breaks down, falls back to the direct 2n solve.
+ADJOINT_MAX_ITER, or breaks down, falls back to the direct 2n solve. The
+adjoint keeps its factor of S, and the optimizers precondition the potential
+CG of the next state solves (each line-search trial, the sweep's next
+iterate) with it in place of K's: the truncation keeps nearby S close.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -90,6 +95,8 @@ class AdjointSolution:
     q: Field
     residual: float
     iterations: int = 0     # BiCGSTAB iterations; 0 for a direct solve
+    # factor of the eliminated S; None when no BiCGSTAB ran
+    potential_factor: spla.SuperLU | None = None
 
 
 @dataclass
@@ -122,7 +129,8 @@ def _state_jacobian(spec: ProblemSpec, beta: Control, state: StateSolution,
 
     and R, the only beta-dependent term, is added to A after the scatter.
     The transpose scatters the transposed cell matrices: the same terms
-    summed in the same order, so it is the Jacobian's transpose bit for bit.
+    summed in the same order, so it is the Jacobian's transpose bit for bit;
+    S, symmetric, is the stiffness map's product with [sigma] in both.
     """
     geom = geometry(spec.mesh)
     u_q = np.maximum(geom.at_quadrature(state.u.values), 0.0)
@@ -139,11 +147,10 @@ def _state_jacobian(spec: ProblemSpec, beta: Control, state: StateSolution,
     B = (np.einsum("ci,cj->cij", conv, sigma_basis) - np.einsum("ci,cj->cij", sigma_basis, conv0)
          - K * ((diff_q * sigma_q) @ geom.qweights)[:, None, None])
     C = np.einsum("ci,cj->cij", conv, geom.moments(sigma_prime_q))
-    S = K * (sigma_q @ geom.qweights)[:, None, None]
-    blocks = [[A, B], [C, S]]
     if transpose:
-        blocks = [[m.swapaxes(1, 2) for m in column] for column in zip(*blocks)]
-    (a, b), (c, s) = ([geom.csr(geom.data(m)) for m in row] for row in blocks)
+        A, B, C = (m.swapaxes(1, 2) for m in (A, C, B))
+    a, b, c = (geom.csr(geom.data(m)) for m in (A, B, C))
+    s = geom.csr(geom.stiffness_map @ (sigma_q @ geom.qweights))
     R, _ = assembly.assemble_robin(spec.mesh, beta, spec.u1)
     return sp.bmat([[geom.csr(a.data + R.data), b], [c, s]], format="csr")
 
@@ -178,12 +185,12 @@ def sensitivity_system(spec: ProblemSpec, beta: Control, state: StateSolution,
 
 
 def _block_bicgstab(matrix, rhs, n: int,
-                    temperature_factor) -> tuple[np.ndarray | None, int]:
+                    temperature_factor) -> tuple[np.ndarray | None, int, spla.SuperLU]:
     """BiCGSTAB on the eliminated 2n block, preconditioned block upper
     triangularly: z2 = S^-1 r2 with S the block's potential block, then
     z1 = T^-1 (r1 - M12 z2) with M12 its top-right block and T the state
     solve's factor of K + R eliminated on Gamma_D. Returns the solution
-    (None when the cap or a breakdown stops BiCGSTAB) and the iterations."""
+    (None when the cap or a breakdown stops BiCGSTAB), the iterations and S's factor."""
     s_lu = assembly.factor_spd(matrix[n:, n:])
     top_right = matrix[:n, n:]
     applications = 0
@@ -198,21 +205,21 @@ def _block_bicgstab(matrix, rhs, n: int,
                             maxiter=ADJOINT_MAX_ITER,
                             M=spla.LinearOperator(matrix.shape, precondition, dtype=float))
     # an iteration applies the preconditioner twice, once if it stops halfway
-    return (x if info == 0 else None), (applications + 1) // 2
+    return (x if info == 0 else None), (applications + 1) // 2, s_lu
 
 
-def _solve_block(block, rhs, fixed,
-                 state: StateSolution) -> tuple[np.ndarray, np.ndarray, float, int]:
+def _solve_block(block, rhs, fixed, state: StateSolution
+                 ) -> tuple[np.ndarray, np.ndarray, float, int, spla.SuperLU | None]:
     """Solve the 2n block with zero data on `fixed`; returns both halves,
-    the relative residual and the BiCGSTAB iterations (0 for a direct
-    solve). A BiCGSTAB run that reaches ADJOINT_MAX_ITER or breaks down
-    falls back to the direct solve."""
+    the relative residual, the BiCGSTAB iterations (0 for a direct solve)
+    and the factor of S (None when no BiCGSTAB ran). A BiCGSTAB run that
+    reaches ADJOINT_MAX_ITER or breaks down falls back to the direct solve."""
     n = rhs.size // 2
     matrix, rhs = apply_dirichlet(block, rhs, fixed, 0.0)
     try:
-        x, iterations = None, 0
+        x, iterations, s_lu = None, 0, None
         if ADJOINT_MAX_ITER > 0:
-            x, iterations = _block_bicgstab(matrix, rhs, n, state.temperature_factor)
+            x, iterations, s_lu = _block_bicgstab(matrix, rhs, n, state.temperature_factor)
         x = (assembly.solve_sparse(matrix, rhs) if x is None
              else assembly.checked_solution(matrix, rhs, x))
     except SolverFailure as exc:
@@ -221,30 +228,21 @@ def _solve_block(block, rhs, fixed,
             "on part of the domain") from exc
     res = np.linalg.norm(matrix @ x - rhs)
     res /= max(1.0, np.linalg.norm(rhs))
-    return x[:n], x[n:], float(res), iterations
+    return x[:n], x[n:], float(res), iterations, s_lu
 
 
 def solve_adjoint(spec: ProblemSpec, beta: Control,
                   state: StateSolution) -> AdjointSolution:
-    p, q, res, iterations = _solve_block(*adjoint_system(spec, beta, state), state)
+    p, q, *rest = _solve_block(*adjoint_system(spec, beta, state), state)
     return AdjointSolution(Field(spec.mesh, p, FieldKind.ADJOINT_P),
-                           Field(spec.mesh, q, FieldKind.ADJOINT_Q), res, iterations)
+                           Field(spec.mesh, q, FieldKind.ADJOINT_Q), *rest)
 
 
 def solve_sensitivity(spec: ProblemSpec, beta: Control, state: StateSolution,
                       ell: Control) -> SensitivityPair:
-    psi1, psi2, _, _ = _solve_block(*sensitivity_system(spec, beta, state, ell), state)
+    psi1, psi2, *_ = _solve_block(*sensitivity_system(spec, beta, state, ell), state)
     return SensitivityPair(Field(spec.mesh, psi1, FieldKind.SENSITIVITY_1),
                            Field(spec.mesh, psi2, FieldKind.SENSITIVITY_2), ell)
-
-
-def _facet_averages(spec: ProblemSpec, state: StateSolution,
-                    adjoint: AdjointSolution, facet_ids) -> np.ndarray:
-    """Per-facet averages of (u - u1) p via consistent facet integrals."""
-    mesh = spec.mesh
-    pairing = assembly.facet_pairing(mesh, facet_ids, state.u.values - spec.u1.values,
-                                     adjoint.p.values)
-    return pairing / geometry(mesh).facet_measures[facet_ids]
 
 
 def stationarity(spec: ProblemSpec, state: StateSolution, adjoint: AdjointSolution,
@@ -252,7 +250,9 @@ def stationarity(spec: ProblemSpec, state: StateSolution, adjoint: AdjointSoluti
     """The gradient g = 2 beta + avg((u - u1) p), the projection formula's
     control clip(-avg((u - u1) p) / 2, 0, m_cap) and the optimality residual
     max |beta - projection| of one iterate, facetwise from one facet pairing."""
-    avg = _facet_averages(spec, state, adjoint, beta.facet_ids)
+    pairing = assembly.facet_pairing(spec.mesh, beta.facet_ids,
+                                     state.u.values - spec.u1.values, adjoint.p.values)
+    avg = pairing / geometry(spec.mesh).facet_measures[beta.facet_ids]
     proj = np.clip(-0.5 * avg, 0.0, spec.m_cap)
     resid = float(np.max(np.abs(beta.values - proj))) if proj.size else 0.0
     return 2.0 * beta.values + avg, proj, resid
@@ -317,6 +317,8 @@ class OptimizeResult:
     state_solves: int     # including failed and rejected trials
     adjoint_solves: int
     adjoint_iterations: int   # BiCGSTAB iterations over all adjoint solves
+    cg_iterations: int        # potential CG iterations over all state solves
+    factorizations: int       # the state solves' factors and the adjoints' S factors
 
 
 def _initial_control(spec: ProblemSpec, opts: OptimizerOptions) -> Control:
@@ -336,20 +338,34 @@ def optimize(spec: ProblemSpec, opts: OptimizerOptions | None = None) -> Optimiz
     raise ConfigurationError(f"unknown optimizer mode {opts.mode!r}")
 
 
-def _resolve(spec, beta, opts):
-    state = solve_state(spec, beta, opts.solver)
+def _count(work: Counter, state=None, adjoint=None) -> None:
+    """Add a state solve's and an adjoint solve's work to the `work` counters."""
+    if state is not None:
+        work.update(cg_iterations=state.cg_iterations, factorizations=state.factorizations)
+    if adjoint is not None:
+        work.update(adjoint_iterations=adjoint.iterations,
+                    factorizations=int(adjoint.potential_factor is not None))
+
+
+def _resolve(spec, beta, opts, work: Counter, previous: AdjointSolution | None = None):
+    """State and adjoint at beta. The state's potential CG is preconditioned
+    by the S factor of `previous`, the last iterate's adjoint, which drops it
+    before the new adjoint factors its own: one S factor is alive at a time."""
+    state = solve_state(spec, beta, opts.solver, getattr(previous, "potential_factor", None))
+    if previous is not None:
+        previous.potential_factor = None
     adjoint = solve_adjoint(spec, beta, state)
+    _count(work, state, adjoint)
     return state, adjoint
 
 
 def _optimize_sweep(spec: ProblemSpec, opts: OptimizerOptions) -> OptimizeResult:
     beta = _initial_control(spec, opts)
     history = []
-    best = None
-    adjoint_iterations = 0
+    best = adjoint = None
+    work = Counter()
     for it in range(1, opts.max_outer + 1):
-        state, adjoint = _resolve(spec, beta, opts)
-        adjoint_iterations += adjoint.iterations
+        state, adjoint = _resolve(spec, beta, opts, work, adjoint)
         _, proj, resid = stationarity(spec, state, adjoint, beta)
         j = objective(spec.mesh, state.u, beta)
         history.append({"iteration": it, "J": j.total, "integral_u": j.integral_u,
@@ -360,17 +376,16 @@ def _optimize_sweep(spec: ProblemSpec, opts: OptimizerOptions) -> OptimizeResult
         if resid <= opts.tol:
             # land exactly on the projection image and report its residual
             beta = beta.with_values(proj)
-            state, adjoint = _resolve(spec, beta, opts)
-            adjoint_iterations += adjoint.iterations
+            state, adjoint = _resolve(spec, beta, opts, work, adjoint)
             final_resid = stationarity(spec, state, adjoint, beta)[2]
             return OptimizeResult(beta, state, adjoint, history, final_resid,
-                                  True, "converged", it + 1, it + 1, adjoint_iterations)
+                                  True, "converged", it + 1, it + 1, **work)
         beta = beta.with_values((1.0 - opts.relaxation) * beta.values
                                 + opts.relaxation * proj)
     _, beta, state, adjoint, resid = best
     return OptimizeResult(beta, state, adjoint, history, resid, False,
                           "max_outer exceeded; best-J iterate returned",
-                          opts.max_outer, opts.max_outer, adjoint_iterations)
+                          opts.max_outer, opts.max_outer, **work)
 
 
 def _spectral_step(measures, previous, beta, g) -> float:
@@ -390,8 +405,8 @@ def _optimize_projected_gradient(spec: ProblemSpec,
                                  opts: OptimizerOptions) -> OptimizeResult:
     beta = _initial_control(spec, opts)
     measures = geometry(spec.mesh).facet_measures[beta.facet_ids]
-    state, adjoint = _resolve(spec, beta, opts)
-    adjoint_iterations = adjoint.iterations
+    work = Counter()
+    state, adjoint = _resolve(spec, beta, opts, work)
     j = objective(spec.mesh, state.u, beta)
     history = []
     previous = None   # (control, gradient) of the last accepted iterate
@@ -418,18 +433,21 @@ def _optimize_projected_gradient(spec: ProblemSpec,
             cand = beta.with_values(candidate)
             entry["trials"] += 1
             try:
-                cstate = solve_state(spec, cand, opts.solver)
-            except (NonconvergenceError, CriticalityError):
-                # a trial the state solver cannot reach is a rejected step
+                cstate = solve_state(spec, cand, opts.solver, adjoint.potential_factor)
+            except (NonconvergenceError, CriticalityError) as exc:
+                # an unreachable trial is a rejected step; it made u's factor and refactors
                 entry["failed_trials"] += 1
+                work.update(cg_iterations=sum(h["cg_iterations"] for h in exc.history),
+                            factorizations=1 + sum(h["refactored"] for h in exc.history))
                 step *= 0.5
                 continue
+            _count(work, cstate)
             cj = objective(spec.mesh, cstate.u, cand)
             decrease = float(np.sum(measures * g * (candidate - beta.values)))
             if cj.total <= j.total + ARMIJO_C * decrease:
-                beta, state, j = cand, cstate, cj
+                beta, state, j, adjoint = cand, cstate, cj, None   # frees the last S factor
                 adjoint = solve_adjoint(spec, beta, state)
-                adjoint_iterations += adjoint.iterations
+                _count(work, adjoint=adjoint)
                 entry["step"] = step
                 accepted = True
                 break
@@ -440,4 +458,4 @@ def _optimize_projected_gradient(spec: ProblemSpec,
     resid = stationarity(spec, state, adjoint, beta)[2]
     return OptimizeResult(beta, state, adjoint, history, resid, converged, status,
                           1 + sum(h["trials"] for h in history),
-                          1 + sum(h["step"] > 0.0 for h in history), adjoint_iterations)
+                          1 + sum(h["step"] > 0.0 for h in history), **work)

@@ -18,7 +18,8 @@ regime is outside the theory.
 The truncation also makes every potential matrix S(sigma_n(u)) spectrally
 equivalent to the unit stiffness K, with condition number of K^-1 S at most
 sigma_0 / min sigma_n. So each potential solve is conjugate gradients from
-the previous step's potential, preconditioned by the per-mesh factor of K;
+the previous step's potential, preconditioned by the per-mesh factor of K or
+by a caller's factor of a nearby S (the optimizers pass the last adjoint's);
 when CG reaches its cap the step factors S and solves directly, and that
 factor preconditions the rest of the solve.
 """
@@ -121,16 +122,20 @@ def pick_truncation_level(spec: ProblemSpec) -> float | None:
     return u_star - 0.1 * (u_star - u0max)
 
 
-def solve_state(spec: ProblemSpec, beta: Control,
-                opts: SolverOptions | None = None) -> StateSolution:
+def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = None,
+                precond: spla.SuperLU | None = None) -> StateSolution:
     """Solve the coupled system; raises on nonconvergence or criticality.
 
+    The potential CG is preconditioned by `precond`, a factor of a nearby
+    eliminated potential matrix, or by the mesh's factor of K when None.
     Convergence is measured on the unmixed Picard candidate (the fixed-point
     residual max |T(u^k) - u^k| together with the potential increment) and
     the final candidate is returned, which keeps the weak residual at the
     level of the last increment.
     """
     opts = opts or SolverOptions()
+    if opts.max_iter < 1:
+        raise ConfigurationError(f"max_iter must be >= 1, got {opts.max_iter}")
     spec.validate()
     mesh = spec.mesh
 
@@ -155,8 +160,8 @@ def solve_state(spec: ProblemSpec, beta: Control,
     # the temperature matrix is iteration-independent: factor once
     u_lu = assembly.factor_spd(geom.eliminated(A_u.data, fixed_u)[0])
     # K's factor counts only for the solve that builds it
-    factorizations = 1 + ("potential_factor" not in vars(geom))
-    precond = geom.potential_factor
+    factorizations = 1 + (precond is None and "potential_factor" not in vars(geom))
+    precond = geom.potential_factor if precond is None else precond
     cg_iterations = 0
     sigma_clamp_count = 0   # negative temperatures at quadrature points, clamped by sigma
 

@@ -192,6 +192,24 @@ def test_solve_determinism(tmp_path):
     assert (out1 / "u.vtk").read_text() == (out2 / "u.vtk").read_text()
 
 
+def test_solve_report_does_not_depend_on_an_earlier_optimize(tmp_path):
+    # the optimizers hand S factors only between their own state solves
+    cfg = write_config(tmp_path, BENCHMARK.replace("0.1*x", "x")
+                       + "optimizer.mode = projected_gradient\n")
+    outs = [tmp_path / name for name in ("before", "optimize", "after")]
+    assert main(["solve", "--config", cfg, "--out", str(outs[0])]) == 0
+    assert main(["optimize", "--config", cfg, "--out", str(outs[1])]) == 0
+    assert main(["solve", "--config", cfg, "--out", str(outs[2])]) == 0
+    before, opt, after = (read_report(out) for out in outs)
+    for report in (before, after):
+        report.pop("timings_seconds")
+        report.pop("artifacts")
+    assert before == after
+    opt = opt["optimizer"]
+    assert opt["cg_iterations"] > 0
+    assert opt["factorizations"] >= opt["state_solves"] + opt["adjoint_solves"]
+
+
 def test_optimize_zero_cap(tmp_path):
     cfg = write_config(tmp_path, BENCHMARK.replace("problem.m_cap = 2.0",
                                                    "problem.m_cap = 0")

@@ -1,10 +1,13 @@
 import math
 import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from thermopt import config as cfg
 from thermopt.assembly import interpolate, norms
 from thermopt.control import (
     OptimizerOptions,
@@ -163,6 +166,7 @@ def test_block_krylov_matches_direct_solve(monkeypatch, spec_of, beta_value):
     direct = solve_adjoint(spec, beta, state)
     direct_pair = solve_sensitivity(spec, beta, state, ell)
     assert adjoint.iterations > 0 and direct.iterations == 0
+    assert adjoint.potential_factor is not None and direct.potential_factor is None
     for got, want in ((adjoint.p, direct.p), (adjoint.q, direct.q),
                       (pair.psi1, direct_pair.psi1), (pair.psi2, direct_pair.psi2)):
         scale = np.max(np.abs(want.values))
@@ -475,6 +479,90 @@ def test_optimizer_totals_adjoint_iterations(monkeypatch, mode):
     assert result.adjoint_solves == len(adjoints)
     assert all(a.iterations > 0 for a in adjoints)
     assert result.adjoint_iterations == sum(a.iterations for a in adjoints)
+
+
+@pytest.mark.parametrize("mode, failing_call", [("sweep", None), ("projected_gradient", None),
+                                                ("projected_gradient", 2)])
+def test_optimizer_totals_cg_iterations_and_factorizations(monkeypatch, mode, failing_call):
+    # cg_iterations totals every state solve, a failed trial included (from
+    # its error's history); factorizations adds every adjoint's S factor
+    from thermopt import control
+    states, adjoint_factors = [], []
+
+    def recording_state(*args, **kwargs):
+        states.append(solve_state(*args, **kwargs))
+        if len(states) == failing_call:
+            raise NonconvergenceError("injected trial failure", states[-1].history)
+        return states[-1]
+
+    def recording_adjoint(*args):
+        adjoint = solve_adjoint(*args)
+        adjoint_factors.append(adjoint.potential_factor is not None)
+        return adjoint
+
+    monkeypatch.setattr(control, "solve_state", recording_state)
+    monkeypatch.setattr(control, "solve_adjoint", recording_adjoint)
+    result = optimize(control_spec(8, drive=1.0), OptimizerOptions(mode=mode))
+    assert result.converged
+    assert result.state_solves == len(states)
+    assert sum(h.get("failed_trials", 0) for h in result.history) == (failing_call is not None)
+    assert all(adjoint_factors) and result.adjoint_solves == len(adjoint_factors)
+    assert result.cg_iterations == sum(s.cg_iterations for s in states) > 0
+    assert result.factorizations == (sum(s.factorizations for s in states)
+                                     + len(adjoint_factors))
+
+
+@pytest.mark.parametrize("mode", ["sweep", "projected_gradient"])
+def test_optimizer_keeps_one_s_factor_alive(monkeypatch, mode):
+    # when an adjoint factors S, no earlier adjoint still holds its factor
+    from thermopt import control
+    earlier = []
+
+    def checking_adjoint(*args):
+        assert all(ref() is None or ref().potential_factor is None for ref in earlier)
+        adjoint = solve_adjoint(*args)
+        earlier.append(weakref.ref(adjoint))
+        return adjoint
+
+    monkeypatch.setattr(control, "solve_adjoint", checking_adjoint)
+    result = optimize(control_spec(8, drive=1.0), OptimizerOptions(mode=mode))
+    assert result.converged and len(earlier) == result.adjoint_solves > 2
+
+
+def test_trial_solve_preconditioned_by_the_adjoint_factor():
+    # a line-search trial given the accepted iterate's S factor reaches the
+    # K-preconditioned state in the same Picard steps with fewer CG iterations
+    spec = control_spec(16, drive=1.0)
+    beta = Control.constant(spec.mesh, 1.0, spec.m_cap)
+    state = solve_state(spec, beta)
+    adjoint = solve_adjoint(spec, beta, state)
+    g = gradient(spec, state, adjoint, beta)
+    trial = beta.with_values(np.clip(beta.values - 0.5 * g, 0.0, spec.m_cap))
+    plain = solve_state(spec, trial)
+    reused = solve_state(spec, trial, precond=adjoint.potential_factor)
+    for got, want in ((reused.u, plain.u), (reused.phi, plain.phi)):
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
+    assert reused.iterations == plain.iterations
+    assert reused.cg_iterations < plain.cg_iterations
+    assert reused.factorizations == plain.factorizations == 1
+
+
+# J of configs/benchmark.cfg with every potential CG preconditioned by K's
+# factor; both optimizers reach the optimum beta = 0 there
+BENCHMARK_CFG = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"
+BENCHMARK_J = 0.003307491842017859
+
+
+@pytest.mark.parametrize("mode", ["sweep", "projected_gradient"])
+def test_benchmark_config_objective_kept_under_factor_reuse(mode):
+    config = cfg.load_config(str(BENCHMARK_CFG))
+    spec = cfg.build_problem(config)
+    opts = cfg.build_optimizer_options(config)
+    opts.mode = mode
+    result = optimize(spec, opts)
+    assert result.converged
+    j = objective(spec.mesh, result.state.u, result.beta).total
+    assert abs(j - BENCHMARK_J) <= 1e-12 * BENCHMARK_J
 
 
 def test_projected_gradient_spectral_step_saves_trials(monkeypatch):

@@ -539,6 +539,33 @@ def test_stiffness_map_matches_bincount_bit_for_bit(extents, divisions):
 
 
 @pytest.mark.parametrize("extents, divisions", KERNEL_BOXES)
+def test_jacobian_potential_block_matches_bincount_bit_for_bit(extents, divisions):
+    # S = [sigma] K of the state Jacobian and of its transpose (the adjoint's)
+    # against the bincount of the cell matrices through geom.data
+    mesh = build_rectangle_mesh(extents, divisions, dirichlet_on_planes("x=0"))
+    geom, n = geometry(mesh), mesh.n_vertices
+    rng = np.random.default_rng(7)
+    spec = ProblemSpec(mesh=mesh, model=TruncatedPower(1.0, 1.0, 2.0),
+                       u0=Field(mesh, np.zeros(n), FieldKind.TEMPERATURE),
+                       u1=Field(mesh, rng.uniform(0.0, 0.2, n), FieldKind.TEMPERATURE),
+                       phi0=Field(mesh, rng.uniform(-1.0, 1.0, n), FieldKind.POTENTIAL),
+                       m_cap=2.0)
+    beta = Control.constant(mesh, 1.0, 2.0)
+    u = rng.uniform(-0.05, 0.5, n)
+    state = StateSolution(Field(mesh, u, FieldKind.TEMPERATURE),
+                          Field(mesh, rng.uniform(-1.0, 1.0, n), FieldKind.POTENTIAL),
+                          1, 0.0, 0.0, 0, None)
+    sigma_q = spec.model.sigma(np.maximum(geom.at_quadrature(u), 0.0))
+    cells = geom.grad_products * (sigma_q @ geom.qweights)[:, None, None]
+    for block, local in ((sensitivity_system(spec, beta, state, beta)[0], cells),
+                         (adjoint_system(spec, beta, state)[0], cells.swapaxes(1, 2))):
+        actual, expected = block[n:, n:], geom.csr(geom.data(local))
+        for got, want in ((actual.indptr, expected.indptr), (actual.indices, expected.indices),
+                          (actual.data, expected.data)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("extents, divisions", KERNEL_BOXES)
 def test_joule_load_matches_einsum_reference(extents, divisions):
     mesh = build_rectangle_mesh(extents, divisions, dirichlet_on_planes("x=0"))
     rng = np.random.default_rng(5)

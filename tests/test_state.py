@@ -357,6 +357,54 @@ def test_nonconvergence_error_carries_history():
     assert len(err.value.history) == 1
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_picard_cap_below_one_rejected(max_iter):
+    spec = benchmark_spec(n=4)
+    with pytest.raises(ConfigurationError, match="max_iter must be >= 1"):
+        solve_state(spec, Control.constant(spec.mesh, 1.0, 2.0),
+                    SolverOptions(max_iter=max_iter))
+
+
+def test_given_preconditioner_leaves_the_mesh_factor_unbuilt():
+    # a factor of K passed in gives the solve that builds and uses the
+    # mesh's own, bit for bit, and the count leaves K's factor out
+    spec = benchmark_spec(n=8)
+    beta = Control.constant(spec.mesh, 1.0, 2.0)
+    geom = assembly.geometry(spec.mesh)
+    precond = assembly.factor_spd(geom.eliminated(geom.stiffness.data,
+                                                  geom.boundary_vertices)[0])
+    given = solve_state(spec, beta, precond=precond)
+    assert given.factorizations == 1 and "potential_factor" not in vars(geom)
+    own = solve_state(spec, beta)
+    assert own.factorizations == 2
+    assert np.array_equal(given.u.values, own.u.values)
+    assert np.array_equal(given.phi.values, own.phi.values)
+
+
+def test_poor_preconditioner_reaches_the_state_through_refactoring():
+    # the S factor of a solve at phi0 = 3x preconditions one at phi0 = x so
+    # poorly that CG reaches its cap; the step refactors and the rest of the
+    # solve gives the K-preconditioned state
+    from thermopt.control import solve_adjoint
+    mesh = build_rectangle_mesh([1.0, 1.0], [16, 16], LEFT)
+    model = TruncatedPower(1.0, 1.0, 2.0)
+    beta = Control.constant(mesh, 1.0, 2.0)
+
+    def spec_at(drive):
+        return make_spec(mesh, model, lambda p: np.zeros(p.shape[0]),
+                         lambda p: np.full(p.shape[0], 0.05), lambda p: drive * p[:, 0])
+
+    hot = spec_at(3.0)
+    factor = solve_adjoint(hot, beta, solve_state(hot, beta)).potential_factor
+    plain = solve_state(spec_at(1.0), beta)
+    poor = solve_state(spec_at(1.0), beta, precond=factor)
+    assert any(h["refactored"] for h in poor.history)
+    assert poor.factorizations == plain.factorizations + 1
+    assert poor.iterations == plain.iterations
+    for got, want in ((poor.u, plain.u), (poor.phi, plain.phi)):
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
+
+
 def test_criticality_error_when_level_exceeded():
     from thermopt.errors import CriticalityError
     mesh = build_rectangle_mesh([1.0, 1.0], [8, 8], LEFT)
