@@ -226,7 +226,7 @@ def build_control(config: RunConfig, spec: ProblemSpec) -> Control:
     if source.startswith("file:"):
         vals = _file_values(source, "problem.beta", ids.size, "Robin facets")
     else:
-        vals = Expression(source)(centroids) if ids.size else np.zeros(0)
+        vals = Expression(source)(centroids)
     try:
         return Control(spec.mesh, vals, spec.m_cap)
     except DomainError as exc:

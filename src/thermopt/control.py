@@ -339,11 +339,12 @@ def optimize(spec: ProblemSpec, opts: OptimizerOptions | None = None) -> Optimiz
 
 
 def _count(work: Counter, state=None, adjoint=None) -> None:
-    """Add a state solve's and an adjoint solve's work to the `work` counters."""
+    """Count a state solve and an adjoint solve, with their work, in `work`."""
     if state is not None:
-        work.update(cg_iterations=state.cg_iterations, factorizations=state.factorizations)
+        work.update(state_solves=1, cg_iterations=state.cg_iterations,
+                    factorizations=state.factorizations)
     if adjoint is not None:
-        work.update(adjoint_iterations=adjoint.iterations,
+        work.update(adjoint_solves=1, adjoint_iterations=adjoint.iterations,
                     factorizations=int(adjoint.potential_factor is not None))
 
 
@@ -379,13 +380,12 @@ def _optimize_sweep(spec: ProblemSpec, opts: OptimizerOptions) -> OptimizeResult
             state, adjoint = _resolve(spec, beta, opts, work, adjoint)
             final_resid = stationarity(spec, state, adjoint, beta)[2]
             return OptimizeResult(beta, state, adjoint, history, final_resid,
-                                  True, "converged", it + 1, it + 1, **work)
+                                  True, "converged", **work)
         beta = beta.with_values((1.0 - opts.relaxation) * beta.values
                                 + opts.relaxation * proj)
     _, beta, state, adjoint, resid = best
     return OptimizeResult(beta, state, adjoint, history, resid, False,
-                          "max_outer exceeded; best-J iterate returned",
-                          opts.max_outer, opts.max_outer, **work)
+                          "max_outer exceeded; best-J iterate returned", **work)
 
 
 def _spectral_step(measures, previous, beta, g) -> float:
@@ -437,7 +437,8 @@ def _optimize_projected_gradient(spec: ProblemSpec,
             except (NonconvergenceError, CriticalityError) as exc:
                 # an unreachable trial is a rejected step; it made u's factor and refactors
                 entry["failed_trials"] += 1
-                work.update(cg_iterations=sum(h["cg_iterations"] for h in exc.history),
+                work.update(state_solves=1,
+                            cg_iterations=sum(h["cg_iterations"] for h in exc.history),
                             factorizations=1 + sum(h["refactored"] for h in exc.history))
                 step *= 0.5
                 continue
@@ -456,6 +457,4 @@ def _optimize_projected_gradient(spec: ProblemSpec,
             status = "line search exhausted; current iterate returned"
             break
     resid = stationarity(spec, state, adjoint, beta)[2]
-    return OptimizeResult(beta, state, adjoint, history, resid, converged, status,
-                          1 + sum(h["trials"] for h in history),
-                          1 + sum(h["step"] > 0.0 for h in history), **work)
+    return OptimizeResult(beta, state, adjoint, history, resid, converged, status, **work)

@@ -1,14 +1,20 @@
-"""Tiny arithmetic expression grammar for boundary data in config files.
+"""Closed-form boundary data of config files: arithmetic in the coordinates.
 
-Supported: +, -, *, /, ^ (right associative), unary minus, parentheses,
-the coordinates x, y, z, the constant pi, numeric literals, and the
-functions exp and sin. Expressions evaluate vectorized over coordinate
-arrays of shape (n, dim); a missing coordinate (z in 2D) is an error.
++ - * / and ^ (right associative, binding tighter than a unary minus on its
+left: -2^2 = -4), unary - and +, parentheses, the coordinates x, y, z, the
+constant pi, exp and sin of one argument, and decimal numerals (7, 07, 3.,
+.5, 1e-3, 2.5E+4). Python's `ast` parses the text with ^ read as **, and
+every node is checked against this grammar: any other syntax is a
+ConfigurationError. Expressions evaluate vectorized over coordinate arrays
+of shape (n, dim) in IEEE arithmetic (1/0 is inf); a missing coordinate
+(z in 2D) is an error.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
 
 import numpy as np
@@ -22,162 +28,62 @@ _CONSTANTS = {"pi": math.pi}
 _AXES = {"x": 0, "y": 1, "z": 2}
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _NUMBER.match(text, pos)
-        if m:
-            tokens.append(("num", float(m.group(0)), pos))
-            pos = m.end()
-            continue
-        m = re.match(r"[A-Za-z_]\w*", text[pos:])
-        if m:
-            tokens.append(("name", m.group(0), pos))
-            pos += m.end()
-            continue
-        if text[pos] in "+-*/^()":
-            tokens.append(("op", text[pos], pos))
-            pos += 1
-            continue
-        raise ConfigurationError(
-            f"expression: unexpected character {text[pos]!r} at column {pos + 1}")
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
-class _Parser:
-    """Recursive descent over + - (left), * / (left), unary -, ^ (right)."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, message):
-        kind, val, pos = self.peek()
-        raise ConfigurationError(
-            f"expression {self.text!r}: {message} at column {pos + 1}")
-
-    def parse(self):
-        node = self.sum()
-        if self.peek()[0] != "end":
-            self.fail("trailing input")
-        return node
-
-    def sum(self):
-        node = self.product()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.advance()[1]
-            rhs = self.product()
-            node = ("+" if op == "+" else "-", node, rhs)
-        return node
-
-    def product(self):
-        node = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.advance()[1]
-            rhs = self.unary()
-            node = (op, node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek()[:2] == ("op", "-"):
-            self.advance()
-            return ("neg", self.unary())
-        if self.peek()[:2] == ("op", "+"):
-            self.advance()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[:2] == ("op", "^"):
-            self.advance()
-            return ("^", base, self.unary())  # right associative
-        return base
-
-    def atom(self):
-        kind, val, pos = self.peek()
-        if kind == "num":
-            self.advance()
-            return ("num", val)
-        if kind == "name":
-            self.advance()
-            if val in _FUNCTIONS:
-                if self.peek()[:2] != ("op", "("):
-                    self.fail(f"function {val} needs parentheses")
-                self.advance()
-                arg = self.sum()
-                if self.peek()[:2] != ("op", ")"):
-                    self.fail("missing closing parenthesis")
-                self.advance()
-                return ("call", val, arg)
-            if val in _CONSTANTS:
-                return ("num", _CONSTANTS[val])
-            if val in _AXES:
-                return ("axis", _AXES[val], val)
-            self.fail(f"unknown name {val!r}")
-        if (kind, val) == ("op", "("):
-            self.advance()
-            node = self.sum()
-            if self.peek()[:2] != ("op", ")"):
-                self.fail("missing closing parenthesis")
-            self.advance()
-            return node
-        self.fail("expected a value")
-
-
 class Expression:
     """Parsed closed-form expression in the coordinates, evaluated vectorized."""
 
     def __init__(self, text: str):
         self.text = text
-        self._ast = _Parser(text).parse()
+        # the grammar's characters only, so no comment, string, comma or
+        # bracket reaches the parser; `^` is the power, never `**`
+        if "**" in text or not re.fullmatch(r"[\s\dA-Za-z_+\-*/^().]*", text):
+            raise ConfigurationError(f"expression {text!r}: a character outside the "
+                                     "grammar, or `**` (the power is `^`)")
+        # one space for any whitespace, ASCII for any decimal digit (float()
+        # reads both), `**` for `^`, and no leading zero on an integer
+        # numeral, which Python rejects: 07 is 7
+        source = re.sub(r"\d", lambda m: str(int(m[0])), " ".join(text.split()))
+        self._source = re.sub(r"(?<![\w.])0+(?=\d)", "", source.replace("^", "**"))
+        try:
+            self._tree = ast.parse(self._source, mode="eval").body
+            self(np.zeros((0, 3)))   # visits every node: the grammar check
+        except (SyntaxError, RecursionError) as exc:
+            raise ConfigurationError(f"expression {text!r}: {exc.args[0]}") from None
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             points = points[None, :]
-        out = self._eval(self._ast, points)
+        with np.errstate(all="ignore"):
+            out = self._evaluate(self._tree, points)
         return np.broadcast_to(np.asarray(out, dtype=float),
                                (points.shape[0],)).copy()
 
-    def _eval(self, node, pts):
-        tag = node[0]
-        if tag == "num":
-            return node[1]
-        if tag == "axis":
-            if node[1] >= pts.shape[1]:
+    def _evaluate(self, node: ast.expr, pts: np.ndarray):
+        """The value of `node` at the points `pts`; a ConfigurationError when
+        `node` lies outside the grammar."""
+        segment = self._source[node.col_offset:node.end_col_offset]
+        if isinstance(node, ast.BinOp):
+            # + - * by Python's operators, whose NaN signs ufuncs need not share;
+            # / and ^ as IEEE ufuncs, so that 1/0 is inf
+            op = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+                  ast.Div: np.divide, ast.Pow: np.power}.get(type(node.op))
+            if op is not None:
+                return op(self._evaluate(node.left, pts), self._evaluate(node.right, pts))
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            value = self._evaluate(node.operand, pts)
+            return -value if isinstance(node.op, ast.USub) else value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in _FUNCTIONS and len(node.args) == 1 and not node.keywords
+              and node.func.col_offset == node.col_offset):   # not `(sin)(x)`
+            return _FUNCTIONS[node.func.id](self._evaluate(node.args[0], pts))
+        elif isinstance(node, ast.Constant) and _NUMBER.fullmatch(segment):
+            return float(segment)
+        elif isinstance(node, ast.Name) and node.id in _CONSTANTS:
+            return _CONSTANTS[node.id]
+        elif isinstance(node, ast.Name) and node.id in _AXES:
+            if _AXES[node.id] >= pts.shape[1]:
                 raise ConfigurationError(
-                    f"expression {self.text!r}: coordinate {node[2]!r} "
+                    f"expression {self.text!r}: coordinate {node.id!r} "
                     f"unavailable in dimension {pts.shape[1]}")
-            return pts[:, node[1]]
-        if tag == "neg":
-            return -self._eval(node[1], pts)
-        if tag == "call":
-            return _FUNCTIONS[node[1]](self._eval(node[2], pts))
-        a = self._eval(node[1], pts)
-        b = self._eval(node[2], pts)
-        if tag == "+":
-            return a + b
-        if tag == "-":
-            return a - b
-        if tag == "*":
-            return a * b
-        if tag == "/":
-            return a / b
-        if tag == "^":
-            return np.power(a, b)
-        raise AssertionError(f"unhandled node {tag}")
+            return pts[:, _AXES[node.id]]
+        raise ConfigurationError(f"expression {self.text!r}: {segment!r} is not in the grammar")

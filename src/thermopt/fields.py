@@ -60,6 +60,8 @@ class Control:
             raise ConfigurationError(
                 f"control has {self.values.shape[0]} values for "
                 f"{self.facet_ids.shape[0]} Robin facets")
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("control contains non-finite values")
         if not self.is_variation:
             if self.m_cap < 0:
                 raise DomainError("control upper bound must be nonnegative")

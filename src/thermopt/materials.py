@@ -39,7 +39,6 @@ class TruncationLevel:
 class ConductivityModel:
     """Common interface; concrete families implement the evaluations."""
 
-    kind = "abstract"
     sigma0: float
     u_star: float
 
@@ -87,8 +86,6 @@ class TruncatedPower(ConductivityModel):
         a(v)     = sigma0 (1 + c v)^(-p/(p-1))
         M(v)     = ((1 + c v)^k - 1) / (sigma0 c k),  k = (2p - 1)/(p - 1)
     """
-
-    kind = "truncated_power"
 
     def __init__(self, sigma0: float, u_star: float, exponent_p: float = 2.0):
         if not _positive_finite(sigma0):
@@ -142,8 +139,6 @@ class TruncatedPower(ConductivityModel):
 class Constant(ConductivityModel):
     """Uniformly positive conductivity; the nondegenerate baseline."""
 
-    kind = "constant"
-
     def __init__(self, sigma0: float):
         if not _positive_finite(sigma0):
             raise DomainError("sigma0 must be finite and positive")
@@ -185,8 +180,6 @@ class TruncatedModel(ConductivityModel):
     Only sigma/sigma' evaluations are meaningful for a truncated model; it
     exists to make each linearized solve uniformly elliptic.
     """
-
-    kind = "truncated"
 
     def __init__(self, base: ConductivityModel, level: TruncationLevel):
         self.base = base

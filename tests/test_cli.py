@@ -1,5 +1,7 @@
 import ast
+import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,7 +14,8 @@ import pytest
 import thermopt.cli as cli_mod
 from thermopt import assembly, errors
 from thermopt.cli import main
-from thermopt.config import _KNOWN_KEYS, build_optimizer_options, parse_config_text
+from thermopt.config import (_KNOWN_KEYS, build_control, build_optimizer_options, build_problem,
+                             load_config, parse_config_text)
 from thermopt.errors import ConfigurationError
 from thermopt.expressions import Expression
 
@@ -71,6 +74,67 @@ def test_expression_grammar():
         Expression("z")(pts)  # no z in 2D
 
 
+# values of the grammar at the points [[0.25, -1], [2, 3]]: ^ binds tighter
+# than a unary minus and is right associative; a leading zero is dropped
+@pytest.mark.parametrize("text, expect", [
+    ("-2^2", [-4.0, -4.0]),
+    ("2^-1", [0.5, 0.5]),
+    ("2^3^2", [512.0, 512.0]),
+    ("07*x", [1.75, 14.0]),
+    (".5", [0.5, 0.5]),
+    ("3.", [3.0, 3.0]),
+    ("1e400", [math.inf, math.inf]),
+    ("x +\t\u0663", [3.25, 5.0]),   # any whitespace, any decimal digit
+])
+def test_expression_values(text, expect):
+    assert Expression(text)(np.array([[0.25, -1.0], [2.0, 3.0]])).tolist() == expect
+
+
+@pytest.mark.parametrize("text", [
+    "x**2", "x//2", "x%2", "sin", "sin(x, y)", "sin(x=1)", "pi(2)", "x.real", "[x]",
+    "1 if x else 2", "True", "'a'", "0x10", "1_0", "1j", "__import__('os')",
+    "(sin)(x)", "sin(*x)", "sin(^x)", "x # comment", "\uff58", "", "x +", "(x"])
+def test_expression_rejects_other_syntax(text):
+    with pytest.raises(ConfigurationError):
+        Expression(text)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = ["configs/*.cfg", "perfbench/defects/*.cfg"]
+# first 16 hex digits of the sha256 of u0, u1, phi0 and beta as little-endian doubles
+SHIPPED_DATA = {
+    "configs/benchmark.cfg":
+        ("35956830dc0e1c69", "d4d9efd16e6e0663", "ba34ed86ca697214", "1737432e85afd0cd"),
+    "configs/smooth_convergence.cfg":
+        ("f4bd841308415de6", "f4bd841308415de6", "d590c63b199d7950", "6ef38a009dcc7a3e"),
+    "perfbench/defects/pg_coarse_12x12.cfg":
+        ("eb3db1453c0dac39", "9dc2c6758afbfc54", "d52b0c2fd0612563", "f547b7098e7c9bdc"),
+    "perfbench/defects/pg_stall_phi0_12x.cfg":
+        ("766414c979fd8f69", "e080f1de12f42888", "9bcaed28d46fba25", "9b102308525df85d"),
+    "perfbench/defects/pg_stall_phi0_13x.cfg":
+        ("766414c979fd8f69", "e080f1de12f42888", "10b5bd6f236faa9b", "9b102308525df85d"),
+    "perfbench/defects/pg_stall_phi0_14x.cfg":
+        ("766414c979fd8f69", "e080f1de12f42888", "120b9ed5b5dd3d03", "9b102308525df85d"),
+    "perfbench/defects/verify_substitution_3d.cfg":
+        ("d1575943c8a4713d", "c48ba655f2bbccf6", "47a794dc2c00f7a6", "ed07ce8b9a09d910"),
+}
+
+
+def test_every_shipped_config_has_pinned_data():
+    shipped = {str(p.relative_to(ROOT)) for pattern in SHIPPED for p in ROOT.glob(pattern)}
+    assert shipped == set(SHIPPED_DATA)
+
+
+@pytest.mark.parametrize("path", sorted(SHIPPED_DATA))
+def test_shipped_config_builds_its_data(path):
+    config = load_config(str(ROOT / path))
+    spec = build_problem(config)
+    beta = build_control(config, spec)
+    digests = tuple(hashlib.sha256(np.asarray(v, "<f8").tobytes()).hexdigest()[:16]
+                    for v in (spec.u0.values, spec.u1.values, spec.phi0.values, beta.values))
+    assert digests == SHIPPED_DATA[path]
+
+
 def test_config_rejects_unknown_and_duplicate_keys():
     with pytest.raises(ConfigurationError, match="unknown key"):
         parse_config_text("problem.extents = 1 1\nproblem.typo = 3\n")
@@ -115,6 +179,14 @@ def test_solve_supercritical_data_exits_1(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+def test_beta_parsed_without_robin_facets(tmp_path, capsys):
+    cfg = write_config(tmp_path, BENCHMARK
+                       .replace("problem.dirichlet = x=0", "problem.dirichlet = x=0|x=1|y=0|y=1")
+                       .replace("problem.beta = 1.0", "problem.beta = garbage((("))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: expression 'garbage((('")
+
+
 def test_solve_unknown_key_exits_1(tmp_path):
     cfg = write_config(tmp_path, BENCHMARK + "\nnot.a.key = 1\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -144,8 +216,12 @@ def test_solve_inadmissible_beta_exits_1(tmp_path):
     ("problem.model.u_star = 1.0", "problem.model.u_star = inf"),
     ("problem.m_cap = 2.0", "problem.m_cap = nan"),
     ("problem.m_cap = 2.0", "problem.m_cap = inf"),
+    ("problem.beta = 1.0", "problem.beta = (-1)^0.5"),
+    ("problem.beta = 1.0", "problem.beta = 1/0"),
+    ("problem.phi0 = 0.1*x", "problem.phi0 = 1/0"),
 ], ids=["sigma0", "p", "beta-missing-file", "beta-not-numbers", "u1-not-numbers",
-        "p-nan", "sigma0-nan", "u_star-nan", "u_star-inf", "m_cap-nan", "m_cap-inf"])
+        "p-nan", "sigma0-nan", "u_star-nan", "u_star-inf", "m_cap-nan", "m_cap-inf",
+        "beta-expression-nan", "beta-expression-inf", "phi0-expression-inf"])
 def test_solve_invalid_data_exits_1(tmp_path, capsys, old, new):
     (tmp_path / "words.txt").write_text("not numbers\n")
     cfg = write_config(tmp_path, BENCHMARK.replace(old, new.format(tmp=tmp_path)))

@@ -619,6 +619,17 @@ def test_optimize_beta0_outside_box_is_a_domain_error():
         optimize(spec, OptimizerOptions(beta0=spec.m_cap + 1.0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_control_rejects_non_finite_values(value):
+    mesh = build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT)
+    values = np.full(Control.constant(mesh, 1.0, 2.0).values.size, 1.0)
+    values[0] = value
+    with pytest.raises(DomainError, match="non-finite"):
+        Control(mesh, values, 2.0)
+    with pytest.raises(DomainError, match="non-finite"):
+        Control.variation(mesh, values)
+
+
 def test_optimize_interior_optimum_balances_projection():
     # stronger drive with u1 = 0: cooling pays off and the optimum sits
     # strictly inside the box, so the projection formula is active
