@@ -74,7 +74,7 @@ _DEFAULTS = {
     "solver.tol": "1e-9",
     "solver.damping": "0.7",
     "solver.max_iter": "200",
-    "optimizer.mode": "sweep",
+    "optimizer.mode": "projected_gradient",
     "optimizer.relaxation": "0.5",
     "optimizer.tol": "1e-7",
     "optimizer.max_outer": "100",

@@ -1,5 +1,5 @@
 """Objective, adjoint/sensitivity solves, gradient, projection and the
-optimizers for the Robin boundary control problem.
+optimizer for the Robin boundary control problem.
 
 The objective is J(beta) = integral_Omega u dx + integral_GammaR beta^2 ds
 over the box 0 <= beta <= m_cap. The adjoint pair (p, q) solves the exact
@@ -9,22 +9,26 @@ solves, so one adjoint solve yields the exact discrete gradient
     g = 2 beta + (u - u1) p      on the Robin boundary,
 
 and the optimal control satisfies the pointwise projection formula
-beta = clip(-(u - u1) p / 2, 0, m_cap). Two drivers reach the coupled
-optimality system: a relaxed forward-backward sweep on the projection
-formula, and projected gradient descent with an Armijo backtracking line
-search (monotone in J by construction), in which a trial control whose
-state solve fails counts as a rejected step; an iterate is stationary only
-when the projection blocks the full step, and a search that runs out of
-trials or whose step stops moving the control ends unconverged. Each search
-after the first starts from the spectral (Barzilai-Borwein) step
-<s, s> / <s, y> of the last two accepted iterates, s their control and y
-their gradient difference, in the facet-measure inner product, clipped to
-[ALPHA_MIN, 1]; the first search, and one after <s, y> <= 0, starts at 1.
-The Tikhonov term makes the reduced Hessian 2 I plus a smaller PDE part, so
-this step sits near 1/2 and its first trial is accepted where a search
-from 1 would reject one.
-Sensitivity solves exist only to verify the gradient; the optimizers never
-use them. Both blocks come from one linearization: three cell matrices
+beta = clip(-(u - u1) p / 2, 0, m_cap). Its image proj is also
+clip(beta - g / 2, 0, m_cap), so one outer loop reaches the optimality
+system with either of two step rules (Hinze, Pinnau, Ulbrich & Ulbrich,
+Optimization with PDE Constraints, 2009, ch. 2). Projected gradient searches
+along clip(beta - step g, 0, m_cap) with Armijo backtracking, monotone in J
+by construction, each search from the spectral (Barzilai-Borwein) step of
+_spectral_step. The Tikhonov term makes the reduced Hessian 2 I plus a
+smaller PDE part, so this step sits near 1/2 and its first trial is
+accepted where a search from 1 would reject one. The sweep takes
+(1 - step) beta + step proj from step = relaxation, a gradient step of
+length 1/2 relaxed by step, and keeps its first trial that solves, with no
+decrease test; its target is proj from the facet pairing, not beta - g / 2,
+which rounds differently. Both rules share the rest of the loop: a trial
+whose state solve fails halves the step; an iterate is stationary when its
+residual reaches tol or the projection blocks the full step, and then the
+sweep lands exactly on proj; a search that runs out of trials or whose step
+stops moving the control ends unconverged; and at max_outer the lowest-J
+solved iterate is returned.
+Sensitivity solves exist only to verify the gradient; the optimizer never
+uses them. Both blocks come from one linearization: three cell matrices
 scattered once each (the adjoint scatters them transposed) and S, symmetric,
 from the stiffness map.
 
@@ -36,9 +40,9 @@ state solve already made, and the block's own top-right coupling. The
 adjoint A^T - C^T S^-1 B^T and the sensitivity A - B S^-1 C share their
 Schur spectrum, so one path serves both; a run that reaches
 ADJOINT_MAX_ITER, or breaks down, falls back to the direct 2n solve. The
-adjoint keeps its factor of S, and the optimizers precondition the potential
-CG of the next state solves (each line-search trial, the sweep's next
-iterate) with it in place of K's: the truncation keeps nearby S close.
+adjoint keeps its factor of S, and the optimizer preconditions the potential
+CG of the next state solves (each trial of the next step) with it in place
+of K's: the truncation keeps nearby S close.
 """
 
 from __future__ import annotations
@@ -296,7 +300,7 @@ def dj_fd(spec: ProblemSpec, beta: Control, ell: Control, eps: float = 1e-4,
 
 @dataclass
 class OptimizerOptions:
-    mode: str = "sweep"                 # "sweep" or "projected_gradient"
+    mode: str = "projected_gradient"    # or "sweep"
     relaxation: float = 0.5             # sweep averaging weight
     tol: float = 1e-7
     max_outer: int = 100
@@ -329,63 +333,20 @@ def _initial_control(spec: ProblemSpec, opts: OptimizerOptions) -> Control:
     return Control(spec.mesh, np.asarray(opts.beta0, dtype=float), spec.m_cap)
 
 
-def optimize(spec: ProblemSpec, opts: OptimizerOptions | None = None) -> OptimizeResult:
-    opts = opts or OptimizerOptions()
-    if opts.mode == "sweep":
-        return _optimize_sweep(spec, opts)
-    if opts.mode == "projected_gradient":
-        return _optimize_projected_gradient(spec, opts)
-    raise ConfigurationError(f"unknown optimizer mode {opts.mode!r}")
-
-
-def _count(work: Counter, state=None, adjoint=None) -> None:
-    """Count a state solve and an adjoint solve, with their work, in `work`."""
+def _count(work: Counter, state=None, adjoint=None, failed=None) -> None:
+    """Count in `work` a state solve, an adjoint solve and a state solve that
+    failed with the error `failed`, with their work: a failed solve made u's
+    factor and the refactors its error's history records."""
     if state is not None:
         work.update(state_solves=1, cg_iterations=state.cg_iterations,
                     factorizations=state.factorizations)
+    if failed is not None:
+        work.update(state_solves=1,
+                    cg_iterations=sum(h["cg_iterations"] for h in failed.history),
+                    factorizations=1 + sum(h["refactored"] for h in failed.history))
     if adjoint is not None:
         work.update(adjoint_solves=1, adjoint_iterations=adjoint.iterations,
                     factorizations=int(adjoint.potential_factor is not None))
-
-
-def _resolve(spec, beta, opts, work: Counter, previous: AdjointSolution | None = None):
-    """State and adjoint at beta. The state's potential CG is preconditioned
-    by the S factor of `previous`, the last iterate's adjoint, which drops it
-    before the new adjoint factors its own: one S factor is alive at a time."""
-    state = solve_state(spec, beta, opts.solver, getattr(previous, "potential_factor", None))
-    if previous is not None:
-        previous.potential_factor = None
-    adjoint = solve_adjoint(spec, beta, state)
-    _count(work, state, adjoint)
-    return state, adjoint
-
-
-def _optimize_sweep(spec: ProblemSpec, opts: OptimizerOptions) -> OptimizeResult:
-    beta = _initial_control(spec, opts)
-    history = []
-    best = adjoint = None
-    work = Counter()
-    for it in range(1, opts.max_outer + 1):
-        state, adjoint = _resolve(spec, beta, opts, work, adjoint)
-        _, proj, resid = stationarity(spec, state, adjoint, beta)
-        j = objective(spec.mesh, state.u, beta)
-        history.append({"iteration": it, "J": j.total, "integral_u": j.integral_u,
-                        "integral_beta_sq": j.integral_beta_sq,
-                        "optimality_residual": resid})
-        if best is None or j.total < best[0]:
-            best = (j.total, beta, state, adjoint, resid)
-        if resid <= opts.tol:
-            # land exactly on the projection image and report its residual
-            beta = beta.with_values(proj)
-            state, adjoint = _resolve(spec, beta, opts, work, adjoint)
-            final_resid = stationarity(spec, state, adjoint, beta)[2]
-            return OptimizeResult(beta, state, adjoint, history, final_resid,
-                                  True, "converged", **work)
-        beta = beta.with_values((1.0 - opts.relaxation) * beta.values
-                                + opts.relaxation * proj)
-    _, beta, state, adjoint, resid = best
-    return OptimizeResult(beta, state, adjoint, history, resid, False,
-                          "max_outer exceeded; best-J iterate returned", **work)
 
 
 def _spectral_step(measures, previous, beta, g) -> float:
@@ -401,18 +362,26 @@ def _spectral_step(measures, previous, beta, g) -> float:
     return float(np.clip(measures @ (s * s) / sy, ALPHA_MIN, 1.0))
 
 
-def _optimize_projected_gradient(spec: ProblemSpec,
-                                 opts: OptimizerOptions) -> OptimizeResult:
+def optimize(spec: ProblemSpec, opts: OptimizerOptions | None = None) -> OptimizeResult:
+    """Minimize J over the box: one outer loop with the step rule of
+    `opts.mode`, "projected_gradient" or "sweep" (see the module docstring)."""
+    opts = opts or OptimizerOptions()
+    if opts.mode not in ("sweep", "projected_gradient"):
+        raise ConfigurationError(f"unknown optimizer mode {opts.mode!r}")
+    sweep = opts.mode == "sweep"
     beta = _initial_control(spec, opts)
     measures = geometry(spec.mesh).facet_measures[beta.facet_ids]
     work = Counter()
-    state, adjoint = _resolve(spec, beta, opts, work)
+    state = solve_state(spec, beta, opts.solver)
+    adjoint = solve_adjoint(spec, beta, state)
+    _count(work, state, adjoint)
     j = objective(spec.mesh, state.u, beta)
+    best = None   # the lowest-J iterate left by a step that raised J
     history = []
     previous = None   # (control, gradient) of the last accepted iterate
     status, converged = "max_outer exceeded; best-J iterate returned", False
     for it in range(1, opts.max_outer + 1):
-        g, _, resid = stationarity(spec, state, adjoint, beta)
+        g, proj, resid = stationarity(spec, state, adjoint, beta)
         entry = {"iteration": it, "J": j.total, "integral_u": j.integral_u,
                  "integral_beta_sq": j.integral_beta_sq,
                  "optimality_residual": resid, "step": 0.0, "initial_step": 0.0,
@@ -423,11 +392,15 @@ def _optimize_projected_gradient(spec: ProblemSpec,
         if resid <= opts.tol or np.array_equal(full_step, beta.values):
             status, converged = "converged", True
             break
-        step = entry["initial_step"] = _spectral_step(measures, previous, beta.values, g)
-        previous = (beta.values, g)
-        accepted = False
+        if sweep:
+            step = opts.relaxation
+        else:
+            step = _spectral_step(measures, previous, beta.values, g)
+            previous = (beta.values, g)
+        entry["initial_step"] = step
         for _ in range(opts.max_backtracks):
-            candidate = np.clip(beta.values - step * g, 0.0, spec.m_cap)
+            candidate = ((1.0 - step) * beta.values + step * proj if sweep
+                         else np.clip(beta.values - step * g, 0.0, spec.m_cap))
             if np.array_equal(candidate, beta.values):
                 break  # the step no longer moves beta: the search is exhausted
             cand = beta.with_values(candidate)
@@ -435,26 +408,35 @@ def _optimize_projected_gradient(spec: ProblemSpec,
             try:
                 cstate = solve_state(spec, cand, opts.solver, adjoint.potential_factor)
             except (NonconvergenceError, CriticalityError) as exc:
-                # an unreachable trial is a rejected step; it made u's factor and refactors
-                entry["failed_trials"] += 1
-                work.update(state_solves=1,
-                            cg_iterations=sum(h["cg_iterations"] for h in exc.history),
-                            factorizations=1 + sum(h["refactored"] for h in exc.history))
+                entry["failed_trials"] += 1   # an unreachable trial is a rejected step
+                _count(work, failed=exc)
                 step *= 0.5
                 continue
             _count(work, cstate)
             cj = objective(spec.mesh, cstate.u, cand)
             decrease = float(np.sum(measures * g * (candidate - beta.values)))
-            if cj.total <= j.total + ARMIJO_C * decrease:
+            if sweep or cj.total <= j.total + ARMIJO_C * decrease:
+                if cj.total > j.total and (best is None or j.total < best[0]):
+                    adjoint.potential_factor = None   # the held iterate keeps no S factor
+                    best = (j.total, beta, state, adjoint)   # only a sweep step raises J
                 beta, state, j, adjoint = cand, cstate, cj, None   # frees the last S factor
                 adjoint = solve_adjoint(spec, beta, state)
                 _count(work, adjoint=adjoint)
                 entry["step"] = step
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        if not entry["step"]:
             status = "line search exhausted; current iterate returned"
             break
+    else:
+        if best is not None and best[0] < j.total:
+            _, beta, state, adjoint = best
+    if converged and sweep:
+        # land exactly on the projection image and report its residual
+        beta = beta.with_values(proj)
+        state = solve_state(spec, beta, opts.solver, adjoint.potential_factor)
+        adjoint.potential_factor = None
+        adjoint = solve_adjoint(spec, beta, state)
+        _count(work, state, adjoint)
     resid = stationarity(spec, state, adjoint, beta)[2]
     return OptimizeResult(beta, state, adjoint, history, resid, converged, status, **work)

@@ -19,7 +19,7 @@ The truncation also makes every potential matrix S(sigma_n(u)) spectrally
 equivalent to the unit stiffness K, with condition number of K^-1 S at most
 sigma_0 / min sigma_n. So each potential solve is conjugate gradients from
 the previous step's potential, preconditioned by the per-mesh factor of K or
-by a caller's factor of a nearby S (the optimizers pass the last adjoint's);
+by a caller's factor of a nearby S (the optimizer passes the last adjoint's);
 when CG reaches its cap the step factors S and solves directly, and that
 factor preconditions the rest of the solve.
 """

@@ -14,8 +14,9 @@ import pytest
 import thermopt.cli as cli_mod
 from thermopt import assembly, errors
 from thermopt.cli import main
-from thermopt.config import (_KNOWN_KEYS, build_control, build_optimizer_options, build_problem,
-                             load_config, parse_config_text)
+from thermopt.config import (_DEFAULTS, _KNOWN_KEYS, build_control, build_optimizer_options,
+                             build_problem, load_config, parse_config_text)
+from thermopt.control import OptimizerOptions
 from thermopt.errors import ConfigurationError
 from thermopt.expressions import Expression
 
@@ -430,6 +431,18 @@ def test_option_ranges_include_their_upper_ends():
     opts = build_optimizer_options(config)
     assert (opts.relaxation, opts.max_outer) == (1.0, 1)
     assert (opts.solver.damping, opts.solver.max_iter) == (1.0, 1)
+
+
+def test_default_table_matches_the_option_defaults():
+    # each solver and optimizer default is stated twice: in the config's
+    # default table and on the option dataclasses
+    built, default = build_optimizer_options(parse_config_text("")), OptimizerOptions()
+    keys = [key for key in _DEFAULTS if key.startswith(("solver.", "optimizer."))]
+    assert "optimizer.mode" in keys and "solver.tol" in keys
+    for key in keys:
+        section, name = key.split(".")
+        got, want = (built.solver, default.solver) if section == "solver" else (built, default)
+        assert getattr(got, name) == getattr(want, name), key
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -359,10 +359,14 @@ def test_optimize_benchmark_both_modes():
     assert all(a >= b for a, b in zip(hist, hist[1:]))
 
 
-@pytest.mark.parametrize("error_class", [NonconvergenceError, CriticalityError])
-def test_projected_gradient_survives_failed_trial_solve(monkeypatch, error_class):
+@pytest.mark.parametrize("mode, error_class", [
+    pytest.param(mode, error, id=f"{prefix}{error.__name__}")
+    for mode, prefix in (("projected_gradient", ""), ("sweep", "sweep-"))
+    for error in (NonconvergenceError, CriticalityError)])
+def test_projected_gradient_survives_failed_trial_solve(monkeypatch, mode, error_class):
+    # a failed trial halves the step: along -g, or toward proj in the sweep
     spec = control_spec(8)
-    opts = OptimizerOptions(mode="projected_gradient", tol=1e-7)
+    opts = OptimizerOptions(mode=mode, tol=1e-7)
     reference = optimize(spec, opts)
     calls = []
 

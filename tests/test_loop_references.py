@@ -6,11 +6,13 @@ accumulated in another order and must agree to 1e-13 relative, cell sums
 to 1e-14 relative. The closed-form conductivity quantities must agree with
 the adaptive quadrature and root bracketing they replaced to 1e-10 relative.
 Kernels that add the same products in the same order as the form they
-replaced (sigma_n on its band, the stiffness map) must match it bit for bit.
+replaced (sigma_n on its band, the stiffness map) must match it bit for bit,
+and so must the one optimizer loop against the two it replaced.
 """
 
 import itertools
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,8 +36,21 @@ from thermopt.assembly import (
     load_vector,
     solve_spd_pcg,
 )
-from thermopt.control import adjoint_system, sensitivity_system
-from thermopt.errors import SolverFailure
+from thermopt.control import (
+    ARMIJO_C,
+    AdjointSolution,
+    OptimizeResult,
+    OptimizerOptions,
+    _initial_control,
+    _spectral_step,
+    adjoint_system,
+    objective,
+    optimize,
+    sensitivity_system,
+    solve_adjoint,
+    stationarity,
+)
+from thermopt.errors import CriticalityError, NonconvergenceError, SolverFailure
 from thermopt.fields import Control, Field, FieldKind
 from thermopt.materials import TruncatedPower, truncate
 from thermopt.mesh import (
@@ -842,3 +857,210 @@ def test_vtk_writer_formats_each_mesh_once(tmp_path, monkeypatch):
         assert ((tmp_path / f"{name}.vtk").read_bytes()
                 == (tmp_path / f"{name}_loop.vtk").read_bytes())
     assert formatted == [mesh]
+
+
+# The sweep and projected-gradient loops that optimize's one loop replaced,
+# verbatim, with the helpers they shared.
+def _count(work: Counter, state=None, adjoint=None) -> None:
+    """Count a state solve and an adjoint solve, with their work, in `work`."""
+    if state is not None:
+        work.update(state_solves=1, cg_iterations=state.cg_iterations,
+                    factorizations=state.factorizations)
+    if adjoint is not None:
+        work.update(adjoint_solves=1, adjoint_iterations=adjoint.iterations,
+                    factorizations=int(adjoint.potential_factor is not None))
+
+
+def _resolve(spec, beta, opts, work: Counter, previous: AdjointSolution | None = None):
+    """State and adjoint at beta. The state's potential CG is preconditioned
+    by the S factor of `previous`, the last iterate's adjoint, which drops it
+    before the new adjoint factors its own: one S factor is alive at a time."""
+    state = solve_state(spec, beta, opts.solver, getattr(previous, "potential_factor", None))
+    if previous is not None:
+        previous.potential_factor = None
+    adjoint = solve_adjoint(spec, beta, state)
+    _count(work, state, adjoint)
+    return state, adjoint
+
+
+def _optimize_sweep(spec: ProblemSpec, opts: OptimizerOptions) -> OptimizeResult:
+    beta = _initial_control(spec, opts)
+    history = []
+    best = adjoint = None
+    work = Counter()
+    for it in range(1, opts.max_outer + 1):
+        state, adjoint = _resolve(spec, beta, opts, work, adjoint)
+        _, proj, resid = stationarity(spec, state, adjoint, beta)
+        j = objective(spec.mesh, state.u, beta)
+        history.append({"iteration": it, "J": j.total, "integral_u": j.integral_u,
+                        "integral_beta_sq": j.integral_beta_sq,
+                        "optimality_residual": resid})
+        if best is None or j.total < best[0]:
+            best = (j.total, beta, state, adjoint, resid)
+        if resid <= opts.tol:
+            # land exactly on the projection image and report its residual
+            beta = beta.with_values(proj)
+            state, adjoint = _resolve(spec, beta, opts, work, adjoint)
+            final_resid = stationarity(spec, state, adjoint, beta)[2]
+            return OptimizeResult(beta, state, adjoint, history, final_resid,
+                                  True, "converged", **work)
+        beta = beta.with_values((1.0 - opts.relaxation) * beta.values
+                                + opts.relaxation * proj)
+    _, beta, state, adjoint, resid = best
+    return OptimizeResult(beta, state, adjoint, history, resid, False,
+                          "max_outer exceeded; best-J iterate returned", **work)
+
+
+def _optimize_projected_gradient(spec: ProblemSpec,
+                                 opts: OptimizerOptions) -> OptimizeResult:
+    beta = _initial_control(spec, opts)
+    measures = geometry(spec.mesh).facet_measures[beta.facet_ids]
+    work = Counter()
+    state, adjoint = _resolve(spec, beta, opts, work)
+    j = objective(spec.mesh, state.u, beta)
+    history = []
+    previous = None   # (control, gradient) of the last accepted iterate
+    status, converged = "max_outer exceeded; best-J iterate returned", False
+    for it in range(1, opts.max_outer + 1):
+        g, _, resid = stationarity(spec, state, adjoint, beta)
+        entry = {"iteration": it, "J": j.total, "integral_u": j.integral_u,
+                 "integral_beta_sq": j.integral_beta_sq,
+                 "optimality_residual": resid, "step": 0.0, "initial_step": 0.0,
+                 "trials": 0, "failed_trials": 0}
+        history.append(entry)
+        # stationary also when the projection blocks the full step
+        full_step = np.clip(beta.values - g, 0.0, spec.m_cap)
+        if resid <= opts.tol or np.array_equal(full_step, beta.values):
+            status, converged = "converged", True
+            break
+        step = entry["initial_step"] = _spectral_step(measures, previous, beta.values, g)
+        previous = (beta.values, g)
+        accepted = False
+        for _ in range(opts.max_backtracks):
+            candidate = np.clip(beta.values - step * g, 0.0, spec.m_cap)
+            if np.array_equal(candidate, beta.values):
+                break  # the step no longer moves beta: the search is exhausted
+            cand = beta.with_values(candidate)
+            entry["trials"] += 1
+            try:
+                cstate = solve_state(spec, cand, opts.solver, adjoint.potential_factor)
+            except (NonconvergenceError, CriticalityError) as exc:
+                # an unreachable trial is a rejected step; it made u's factor and refactors
+                entry["failed_trials"] += 1
+                work.update(state_solves=1,
+                            cg_iterations=sum(h["cg_iterations"] for h in exc.history),
+                            factorizations=1 + sum(h["refactored"] for h in exc.history))
+                step *= 0.5
+                continue
+            _count(work, cstate)
+            cj = objective(spec.mesh, cstate.u, cand)
+            decrease = float(np.sum(measures * g * (candidate - beta.values)))
+            if cj.total <= j.total + ARMIJO_C * decrease:
+                beta, state, j, adjoint = cand, cstate, cj, None   # frees the last S factor
+                adjoint = solve_adjoint(spec, beta, state)
+                _count(work, adjoint=adjoint)
+                entry["step"] = step
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            status = "line search exhausted; current iterate returned"
+            break
+    resid = stationarity(spec, state, adjoint, beta)[2]
+    return OptimizeResult(beta, state, adjoint, history, resid, converged, status, **work)
+
+
+def control_spec(n, drive):
+    """A fresh mesh each call, so no run reuses another's cached K factor."""
+    mesh = build_rectangle_mesh([1.0, 1.0], [n, n], dirichlet_on_planes("x=0"))
+    return ProblemSpec(
+        mesh=mesh, model=TruncatedPower(1.0, 1.0, 2.0),
+        u0=interpolate(mesh, lambda p: np.zeros(p.shape[0]), FieldKind.TEMPERATURE),
+        u1=interpolate(mesh, lambda p: np.full(p.shape[0], 0.05), FieldKind.TEMPERATURE),
+        phi0=interpolate(mesh, lambda p: drive * p[:, 0], FieldKind.POTENTIAL),
+        m_cap=2.0)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_same_history(result, expected):
+    """Each history value both runs carry equal bit for bit, and the same end."""
+    assert len(result.history) == len(expected.history)
+    for got, want in zip(result.history, expected.history):
+        assert set(want) <= set(got)
+        assert all(bits(got[key]) == bits(want[key]) for key in want)
+    assert (result.converged, result.status) == (expected.converged, expected.status)
+
+
+def assert_same_iterate(result, expected):
+    """The returned beta, u, phi and residual equal bit for bit."""
+    for got, want in ((result.beta, expected.beta), (result.state.u, expected.state.u),
+                      (result.state.phi, expected.state.phi)):
+        assert bits(got.values) == bits(want.values)
+    assert bits(result.optimality_residual) == bits(expected.optimality_residual)
+
+
+def assert_same_run(result, expected):
+    """Equal bit for bit in the returned iterate, the history and the work counts."""
+    assert_same_iterate(result, expected)
+    assert_same_history(result, expected)
+    for count in ("state_solves", "adjoint_solves", "adjoint_iterations",
+                  "cg_iterations", "factorizations"):
+        assert getattr(result, count) == getattr(expected, count), count
+
+
+REFERENCE_LOOPS = {"sweep": _optimize_sweep,
+                   "projected_gradient": _optimize_projected_gradient}
+
+
+@pytest.mark.parametrize("mode", sorted(REFERENCE_LOOPS))
+@pytest.mark.parametrize("n, drive", [(8, 0.1), (16, 1.0), (12, 0.986464), (16, 2.0)])
+def test_one_optimizer_loop_matches_both_loop_references(mode, n, drive):
+    opts = OptimizerOptions(mode=mode)
+    expected = REFERENCE_LOOPS[mode](control_spec(n, drive), opts)
+    result = optimize(control_spec(n, drive), opts)
+    assert result.converged
+    assert_same_run(result, expected)
+    if mode == "sweep":
+        # each step but the last goes the relaxation's way to proj in one trial
+        assert all(h["step"] == h["initial_step"] == opts.relaxation
+                   and (h["trials"], h["failed_trials"]) == (1, 0)
+                   for h in result.history[:-1])
+
+
+def test_projected_gradient_at_max_outer_matches_loop_reference():
+    opts = OptimizerOptions(mode="projected_gradient", max_outer=3)
+    expected = _optimize_projected_gradient(control_spec(16, 1.0), opts)
+    assert not expected.converged
+    assert_same_run(optimize(control_spec(16, 1.0), opts), expected)
+
+
+def test_sweep_at_max_outer_returns_the_best_of_every_solved_iterate(monkeypatch):
+    # the step taken at the last outer iteration is solved too: one state and
+    # one adjoint solve more than the reference, which stopped before it
+    opts = OptimizerOptions(mode="sweep", max_outer=3)
+    expected = _optimize_sweep(control_spec(8, 0.1), opts)
+    spec = control_spec(8, 0.1)
+    result = optimize(spec, opts)
+    assert result.status == "max_outer exceeded; best-J iterate returned"
+    assert_same_history(result, expected)
+    assert result.state_solves == expected.state_solves + 1 == 4
+    assert result.adjoint_solves == expected.adjoint_solves + 1 == 4
+    j = objective(spec.mesh, result.state.u, result.beta).total
+    assert j < min(h["J"] for h in result.history)
+    # that iterate made to raise J: the reference's best iterate is returned
+    from thermopt import control
+    calls = []
+
+    def last_iterate_rises(*args):
+        calls.append(None)
+        j = objective(*args)
+        return type(j)(j.integral_u + (len(calls) == 4), j.integral_beta_sq)
+
+    monkeypatch.setattr(control, "objective", last_iterate_rises)
+    result = optimize(control_spec(8, 0.1), opts)
+    assert_same_iterate(result, expected)
+    assert_same_history(result, expected)
+    assert result.adjoint.potential_factor is None   # dropped when the next S was made
