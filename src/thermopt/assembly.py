@@ -20,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, DomainError, SolverFailure
-from .fields import Control, Field, FieldKind
+from .fields import Control, Field
 from .mesh import Mesh, edge_cofactors, facet_measures
 
 # quadrature in barycentric coordinates: (points, weights)
@@ -426,9 +426,9 @@ def max_cell_gradient(field: Field) -> float:
     return float(np.max(np.linalg.norm(g, axis=1))) if g.size else 0.0
 
 
-def interpolate(mesh: Mesh, fn: Callable, kind: FieldKind) -> Field:
+def interpolate(mesh: Mesh, fn: Callable) -> Field:
     """P1 interpolant of a coordinate function fn(points)->values."""
     vals = np.asarray(fn(mesh.vertices), dtype=float)
     if vals.ndim == 0:
         vals = np.full(mesh.n_vertices, float(vals))
-    return Field(mesh, vals, kind)
+    return Field(mesh, vals)

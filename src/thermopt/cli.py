@@ -28,7 +28,7 @@ from .errors import (
     NonconvergenceError,
     ThermoptError,
 )
-from .fields import Control, Field, FieldKind
+from .fields import Control, Field
 from .mesh import mesh_size, prolong, refine_uniform
 from .state import solve_state, subcritical_margin
 from .transform import (
@@ -78,50 +78,30 @@ def _state_summary(spec, sol):
     }
 
 
-def _base_report(config):
-    return {
-        "schema_version": reporting.REPORT_SCHEMA_VERSION,
-        "config": dict(config.raw),
-        "timings_seconds": {},
-        "artifacts": [],
-    }
+def _write_fields(outdir, **fields):
+    """Each field to <name>.vtk in outdir; returns the paths written."""
+    paths = [outdir / f"{name}.vtk" for name in fields]
+    for path, (name, field) in zip(paths, fields.items()):
+        reporting.write_vtk(field, str(path), name)
+    return paths
 
 
-def _finish_report(report, outdir, artifacts):
-    report["artifacts"] = sorted(str(a) for a in artifacts)
-    path = outdir / "report.json"
-    reporting.write_report(report, str(path))
-    return path
-
-
-def cmd_solve(config, outdir) -> int:
-    report = _base_report(config)
-    t0 = time.perf_counter()
+def cmd_solve(config, outdir, report):
     spec = cfg.build_problem(config)
     beta = cfg.build_control(config, spec)
     sol = solve_state(spec, beta, cfg.build_solver_options(config))
-    report["timings_seconds"]["solve"] = time.perf_counter() - t0
     report["state"] = _state_summary(spec, sol)
     report["state"]["history"] = sol.history
-
-    artifacts = []
-    for name, field in (("u", sol.u), ("phi", sol.phi)):
-        path = outdir / f"{name}.vtk"
-        reporting.write_vtk(field, str(path), name)
-        artifacts.append(path)
-    _finish_report(report, outdir, artifacts + [outdir / "report.json"])
+    artifacts = _write_fields(outdir, u=sol.u, phi=sol.phi)
     print(f"solved in {sol.iterations} iterations; max u = "
           f"{report['state']['max_u']:.6g}; report: {outdir / 'report.json'}")
-    return EXIT_OK
+    return EXIT_OK, artifacts
 
 
-def cmd_optimize(config, outdir) -> int:
-    report = _base_report(config)
-    t0 = time.perf_counter()
+def cmd_optimize(config, outdir, report):
     spec = cfg.build_problem(config)
     opts = cfg.build_optimizer_options(config)
     result = ctl.optimize(spec, opts)
-    report["timings_seconds"]["optimize"] = time.perf_counter() - t0
     report["state"] = _state_summary(spec, result.state)
     j = ctl.objective(spec.mesh, result.state.u, result.beta)
     report["optimizer"] = {
@@ -139,21 +119,13 @@ def cmd_optimize(config, outdir) -> int:
         "factorizations": result.factorizations,
         "history": result.history,
     }
-
-    artifacts = []
-    fields = (("u", result.state.u), ("phi", result.state.phi),
-              ("p", result.adjoint.p), ("q", result.adjoint.q))
-    for name, field in fields:
-        path = outdir / f"{name}.vtk"
-        reporting.write_vtk(field, str(path), name)
-        artifacts.append(path)
+    artifacts = _write_fields(outdir, u=result.state.u, phi=result.state.phi,
+                              p=result.adjoint.p, q=result.adjoint.q)
     beta_path = outdir / "beta.csv"
     reporting.write_beta_csv(result.beta, str(beta_path))
-    artifacts.append(beta_path)
-    _finish_report(report, outdir, artifacts + [outdir / "report.json"])
     print(f"optimizer {result.status}; J = {j.total:.8g}; residual = "
           f"{result.optimality_residual:.3e}; report: {outdir / 'report.json'}")
-    return EXIT_OK
+    return EXIT_OK, artifacts + [beta_path]
 
 
 def _suite_conductivity(config, spec, checks):
@@ -264,127 +236,86 @@ _SUITES = {
 }
 
 
-def cmd_verify(config, outdir, suite) -> int:
-    if suite not in _SUITES:
-        raise ConfigurationError(
-            f"unknown suite {suite!r}; choose from {sorted(_SUITES)}")
-    report = _base_report(config)
-    spec = cfg.build_problem(config)
+def cmd_verify(config, outdir, report, suite):
     checks: list[tuple[str, bool, float, float]] = []
-    t0 = time.perf_counter()
-    _SUITES[suite](config, spec, checks)
-    report["timings_seconds"]["verify"] = time.perf_counter() - t0
+    _SUITES[suite](config, cfg.build_problem(config), checks)
     report["suite"] = suite
     report["checks"] = [
         {"property": name, "passed": bool(ok), "measured": val, "tolerance": tol}
         for name, ok, val, tol in checks]
     failed = [name for name, ok, _, _ in checks if not ok]
     report["passed"] = not failed
-    _finish_report(report, outdir, [outdir / "report.json"])
     for name, ok, val, tol in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: measured {val:.6g} "
               f"(tolerance {tol:.6g})")
     if failed:
         print(f"verification failed: {failed[0]}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+        return EXIT_VERIFICATION, []
+    return EXIT_OK, []
 
 
-def cmd_convergence(config, outdir, levels) -> int:
+def cmd_convergence(config, outdir, report, levels):
     if levels < 2:
         raise ConfigurationError("convergence study needs at least 2 levels")
-    report = _base_report(config)
-    t0 = time.perf_counter()
-
     meshes = [cfg.build_mesh(config)]
     for _ in range(levels - 1):
         meshes.append(refine_uniform(meshes[-1]))
-    solutions = []
-    failures = None
-    for k, mesh in enumerate(meshes):
+    solutions, failure = [], None
+    for mesh in meshes:
         spec = cfg.build_problem(config, mesh=mesh)
         beta = cfg.build_control(config, spec)
         try:
-            solutions.append((spec, solve_state(spec, beta,
-                                                cfg.build_solver_options(config))))
+            solutions.append(solve_state(spec, beta, cfg.build_solver_options(config)))
         except (NonconvergenceError, CriticalityError) as exc:
-            failures = (k, exc)
+            failure = exc
             break
 
-    rows = []
-    rates = {}
-    n_solved = len(solutions)
-    if n_solved >= 2:
-        prolonged = _prolongation_table(meshes, solutions)
-        finest = n_solved - 1
-        for k in range(n_solved):
-            row = {"level": k, "h": mesh_size(meshes[k]),
-                   "n_vertices": meshes[k].n_vertices}
-            if k < finest:
-                for fname in ("u", "phi"):
-                    diff = prolonged[(k, finest, fname)] - prolonged[(finest, finest, fname)]
-                    f = Field(meshes[finest], diff, FieldKind.TEMPERATURE)
-                    row[f"{fname}_l2_vs_finest"] = norms(f).l2
-                    row[f"{fname}_h1_vs_finest"] = norms(f).h1
-            rows.append(row)
-        rates = _cauchy_rates(meshes, solutions, prolonged)
-    report["timings_seconds"]["convergence"] = time.perf_counter() - t0
-    report["levels"] = [r for r in rows]
+    def gap(fname, k, m):
+        """Norms on level m of level k's field prolonged there minus level m's."""
+        values = getattr(solutions[k], fname).values
+        for mesh in meshes[k + 1:m + 1]:
+            values = prolong(values, mesh)
+        return norms(Field(meshes[m], values - getattr(solutions[m], fname).values))
+
+    rows, rates = [], {}
+    finest = len(solutions) - 1
+    if finest >= 1:
+        rows = [{"level": k, "h": mesh_size(mesh), "n_vertices": mesh.n_vertices}
+                for k, mesh in enumerate(meshes[:finest + 1])]
+        for k in range(finest):
+            for fname in ("u", "phi"):
+                nm = gap(fname, k, finest)
+                rows[k][f"{fname}_l2_vs_finest"] = nm.l2
+                rows[k][f"{fname}_h1_vs_finest"] = nm.h1
+        for fname in ("u", "phi"):
+            steps = [gap(fname, k, k + 1) for k in range(finest)]
+            scale = max(1.0, float(np.max(np.abs(getattr(solutions[finest], fname).values))))
+            for norm_name in ("l2", "h1"):
+                rates[f"{fname}_{norm_name}"] = _cauchy_rate(
+                    [getattr(nm, norm_name) for nm in steps], scale)
+    report["levels"] = rows
     report["rates"] = rates
 
     csv_path = outdir / "convergence.csv"
     _write_convergence_csv(rows, rates, csv_path)
-    artifacts = [csv_path]
-    _finish_report(report, outdir, artifacts + [outdir / "report.json"])
     for row in rows:
         print(row)
     print("rates:", rates)
-    if failures is not None:
-        k, exc = failures
-        print(f"level {k} failed: {exc}", file=sys.stderr)
-        return (EXIT_CRITICALITY if isinstance(exc, CriticalityError)
-                else EXIT_NONCONVERGENCE)
-    return EXIT_OK
+    if failure is None:
+        return EXIT_OK, [csv_path]
+    print(f"level {len(solutions)} failed: {failure}", file=sys.stderr)
+    return (EXIT_CRITICALITY if isinstance(failure, CriticalityError)
+            else EXIT_NONCONVERGENCE), [csv_path]
 
 
-def _prolongation_table(meshes, solutions):
-    """Nodal values of every solution prolonged to every finer level."""
-    table = {}
-    n = len(solutions)
-    for k, (spec, sol) in enumerate(solutions):
-        vals = {"u": sol.u.values, "phi": sol.phi.values}
-        for fname in ("u", "phi"):
-            v = vals[fname]
-            table[(k, k, fname)] = v
-            for m in range(k + 1, n):
-                v = prolong(v, meshes[m])
-                table[(k, m, fname)] = v
-    return table
-
-
-def _cauchy_rates(meshes, solutions, table):
-    """Rates from successive-refinement differences; 'exact' at roundoff."""
-    n = len(solutions)
-    rates = {}
-    for fname in ("u", "phi"):
-        d_l2, d_h1 = [], []
-        for k in range(n - 1):
-            diff = table[(k, k + 1, fname)] - table[(k + 1, k + 1, fname)]
-            f = Field(meshes[k + 1], diff, FieldKind.TEMPERATURE)
-            nm = norms(f)
-            d_l2.append(nm.l2)
-            d_h1.append(nm.h1)
-        scale = max(1.0, float(np.max(np.abs(table[(n - 1, n - 1, fname)]))))
-        for norm_name, seq in (("l2", d_l2), ("h1", d_h1)):
-            key = f"{fname}_{norm_name}"
-            if any(d <= 1e-13 * scale for d in seq):
-                rates[key] = "exact"
-            elif len(seq) >= 2:
-                rates[key] = float(np.mean([math.log2(seq[i] / seq[i + 1])
-                                            for i in range(len(seq) - 1)]))
-            else:
-                rates[key] = None
-    return rates
+def _cauchy_rate(seq, scale):
+    """Mean order of successive-refinement differences; 'exact' at roundoff."""
+    if any(d <= 1e-13 * scale for d in seq):
+        return "exact"
+    if len(seq) >= 2:
+        return float(np.mean([math.log2(seq[i] / seq[i + 1])
+                              for i in range(len(seq) - 1)]))
+    return None
 
 
 def _write_convergence_csv(rows, rates, path):
@@ -398,15 +329,13 @@ def _write_convergence_csv(rows, rates, path):
                  + "\n")
 
 
-def cmd_certificate(config, outdir) -> int:
-    report = _base_report(config)
+def cmd_certificate(config, outdir, report):
     spec = cfg.build_problem(config)
     if not math.isfinite(spec.model.u_star) and \
             not config.get_bool("certificate.allow_constant"):
         raise ConfigurationError(
             "certificate for the constant model needs certificate.allow_constant "
             "= true (there is no critical temperature to certify against)")
-    t0 = time.perf_counter()
     # the checks that need no C_D come before the state solve, whose
     # temperature factor then preconditions the Poincare estimate
     data = certificate_data(spec.model, spec, **cfg.certificate_arguments(config))
@@ -414,16 +343,27 @@ def cmd_certificate(config, outdir) -> int:
     sol = solve_state(spec, beta, cfg.build_solver_options(config))
     cert = compute_certificate(spec.model, spec, data, factor=sol.temperature_factor)
     check = check_certificate(sol, cert, spec.model)
-    report["timings_seconds"]["certificate"] = time.perf_counter() - t0
     report["certificate"] = cert.as_dict()
     report["certificate"]["thresholds"] = cert.threshold_values()
     report["certificate_check"] = check.as_dict()
     report["state"] = _state_summary(spec, sol)
-    _finish_report(report, outdir, [outdir / "report.json"])
     print(f"certificate: N = {cert.N:.6g} (u_star = {spec.model.u_star:g}); "
           f"check {'passed' if check.passed else 'FAILED'} with v margin "
           f"{check.v_margin:.6g}")
-    return EXIT_OK
+    return EXIT_OK, []
+
+
+# Subcommand -> (function, its own options as argparse keywords). A command
+# fills its sections of the report and returns (exit code, artifact paths).
+_COMMANDS = {
+    "solve": (cmd_solve, {}),
+    "optimize": (cmd_optimize, {}),
+    "verify": (cmd_verify, {"suite": dict(required=True, choices=sorted(_SUITES),
+                                          help="verification suite")}),
+    "convergence": (cmd_convergence, {"levels": dict(
+        type=int, default=3, help="number of uniform refinement levels")}),
+    "certificate": (cmd_certificate, {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,36 +371,34 @@ def build_parser() -> argparse.ArgumentParser:
         prog="thermopt",
         description="Steady thermistor solves and Robin boundary control")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "optimize", "verify", "convergence", "certificate"):
+    for name, (_, options) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default=None, help="output directory "
                        "(default: output.dir from the config)")
-        if name == "verify":
-            p.add_argument("--suite", required=True,
-                           choices=sorted(_SUITES), help="verification suite")
-        if name == "convergence":
-            p.add_argument("--levels", type=int, default=3,
-                           help="number of uniform refinement levels")
+        for option, kwargs in options.items():
+            p.add_argument(f"--{option}", **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command. A command that returns gets report.json with the
+    schema version, its effective config, its wall time and the sorted
+    artifact list; one that raises gets none."""
     args = build_parser().parse_args(argv)
+    command, options = _COMMANDS[args.command]
     try:
         config = cfg.load_config(args.config)
         outdir = reporting.ensure_dir(args.out or config.get("output.dir"))
-        if args.command == "solve":
-            return cmd_solve(config, outdir)
-        if args.command == "optimize":
-            return cmd_optimize(config, outdir)
-        if args.command == "verify":
-            return cmd_verify(config, outdir, args.suite)
-        if args.command == "convergence":
-            return cmd_convergence(config, outdir, args.levels)
-        if args.command == "certificate":
-            return cmd_certificate(config, outdir)
-        raise AssertionError(f"unhandled command {args.command}")
+        report = {"config": dict(config.raw)}
+        t0 = time.perf_counter()
+        code, artifacts = command(config, outdir, report,
+                                  **{option: getattr(args, option) for option in options})
+        report["timings_seconds"] = {args.command: time.perf_counter() - t0}
+        path = outdir / "report.json"
+        report["artifacts"] = sorted(str(a) for a in artifacts + [path])
+        reporting.write_report(report, str(path))
+        return code
     except ThermoptError as exc:
         code = next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
         prefix = "configuration error" if code == EXIT_CONFIG else "error"

@@ -15,7 +15,7 @@ import numpy as np
 from .control import OptimizerOptions
 from .errors import ConfigurationError, DomainError
 from .expressions import Expression
-from .fields import Control, Field, FieldKind
+from .fields import Control, Field
 from .materials import Constant, ConductivityModel, TruncatedPower
 from .mesh import (
     BoundaryTag,
@@ -95,7 +95,6 @@ class RunConfig:
 
     raw: dict[str, str]
     explicit: frozenset = frozenset()
-    path: str | None = None
 
     def get(self, key: str) -> str:
         return self.raw[key]
@@ -145,8 +144,7 @@ def parse_config_text(text: str, path: str | None = None) -> RunConfig:
                 f"{path or '<config>'}:{lineno}:1: duplicate key {key!r}")
         seen.add(key)
         values[key] = value
-    return RunConfig(raw=dict(sorted(values.items())), explicit=frozenset(seen),
-                     path=path)
+    return RunConfig(raw=dict(sorted(values.items())), explicit=frozenset(seen))
 
 
 def load_config(path: str) -> RunConfig:
@@ -207,12 +205,9 @@ def build_problem(config: RunConfig, mesh: Mesh | None = None) -> ProblemSpec:
     spec = ProblemSpec(
         mesh=mesh,
         model=model,
-        u0=Field(mesh, _data_values(mesh, config.get("problem.u0"), "problem.u0"),
-                 FieldKind.TEMPERATURE),
-        u1=Field(mesh, _data_values(mesh, config.get("problem.u1"), "problem.u1"),
-                 FieldKind.TEMPERATURE),
-        phi0=Field(mesh, _data_values(mesh, config.get("problem.phi0"), "problem.phi0"),
-                   FieldKind.POTENTIAL),
+        u0=Field(mesh, _data_values(mesh, config.get("problem.u0"), "problem.u0")),
+        u1=Field(mesh, _data_values(mesh, config.get("problem.u1"), "problem.u1")),
+        phi0=Field(mesh, _data_values(mesh, config.get("problem.phi0"), "problem.phi0")),
         m_cap=config.get_float("problem.m_cap"),
     )
     spec.validate()

@@ -58,7 +58,7 @@ from . import assembly
 from .assembly import apply_dirichlet, geometry
 from .errors import (AdjointFailure, ConfigurationError, CriticalityError,
                      NonconvergenceError, SolverFailure)
-from .fields import Control, Field, FieldKind
+from .fields import Control, Field
 from .state import ProblemSpec, SolverOptions, StateSolution, solve_state
 
 # Lower clip of the spectral first step. On 8^2-32^2 squares and a 4^3 box at
@@ -97,7 +97,6 @@ class ObjectiveValue:
 class AdjointSolution:
     p: Field
     q: Field
-    residual: float
     iterations: int = 0     # BiCGSTAB iterations; 0 for a direct solve
     # factor of the eliminated S; None when no BiCGSTAB ran
     potential_factor: spla.SuperLU | None = None
@@ -107,7 +106,6 @@ class AdjointSolution:
 class SensitivityPair:
     psi1: Field
     psi2: Field
-    direction: Control
 
 
 def objective(mesh, u: Field, beta: Control) -> ObjectiveValue:
@@ -213,11 +211,11 @@ def _block_bicgstab(matrix, rhs, n: int,
 
 
 def _solve_block(block, rhs, fixed, state: StateSolution
-                 ) -> tuple[np.ndarray, np.ndarray, float, int, spla.SuperLU | None]:
+                 ) -> tuple[np.ndarray, np.ndarray, int, spla.SuperLU | None]:
     """Solve the 2n block with zero data on `fixed`; returns both halves,
-    the relative residual, the BiCGSTAB iterations (0 for a direct solve)
-    and the factor of S (None when no BiCGSTAB ran). A BiCGSTAB run that
-    reaches ADJOINT_MAX_ITER or breaks down falls back to the direct solve."""
+    the BiCGSTAB iterations (0 for a direct solve) and the factor of S
+    (None when no BiCGSTAB ran). A BiCGSTAB run that reaches
+    ADJOINT_MAX_ITER or breaks down falls back to the direct solve."""
     n = rhs.size // 2
     matrix, rhs = apply_dirichlet(block, rhs, fixed, 0.0)
     try:
@@ -230,23 +228,19 @@ def _solve_block(block, rhs, fixed, state: StateSolution
         raise AdjointFailure(
             f"block solve failed ({exc}); the conductivity may be degenerate "
             "on part of the domain") from exc
-    res = np.linalg.norm(matrix @ x - rhs)
-    res /= max(1.0, np.linalg.norm(rhs))
-    return x[:n], x[n:], float(res), iterations, s_lu
+    return x[:n], x[n:], iterations, s_lu
 
 
 def solve_adjoint(spec: ProblemSpec, beta: Control,
                   state: StateSolution) -> AdjointSolution:
     p, q, *rest = _solve_block(*adjoint_system(spec, beta, state), state)
-    return AdjointSolution(Field(spec.mesh, p, FieldKind.ADJOINT_P),
-                           Field(spec.mesh, q, FieldKind.ADJOINT_Q), *rest)
+    return AdjointSolution(Field(spec.mesh, p), Field(spec.mesh, q), *rest)
 
 
 def solve_sensitivity(spec: ProblemSpec, beta: Control, state: StateSolution,
                       ell: Control) -> SensitivityPair:
     psi1, psi2, *_ = _solve_block(*sensitivity_system(spec, beta, state, ell), state)
-    return SensitivityPair(Field(spec.mesh, psi1, FieldKind.SENSITIVITY_1),
-                           Field(spec.mesh, psi2, FieldKind.SENSITIVITY_2), ell)
+    return SensitivityPair(Field(spec.mesh, psi1), Field(spec.mesh, psi2))
 
 
 def stationarity(spec: ProblemSpec, state: StateSolution, adjoint: AdjointSolution,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -12,22 +11,12 @@ from .errors import ConfigurationError, DomainError
 from .mesh import BoundaryTag, Mesh
 
 
-class FieldKind(enum.Enum):
-    TEMPERATURE = "temperature"
-    POTENTIAL = "potential"
-    ADJOINT_P = "adjoint_p"
-    ADJOINT_Q = "adjoint_q"
-    SENSITIVITY_1 = "sensitivity_1"
-    SENSITIVITY_2 = "sensitivity_2"
-
-
 @dataclass
 class Field:
     """One real value per mesh vertex (P1 nodal coefficients)."""
 
     mesh: Mesh
     values: np.ndarray
-    kind: FieldKind
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

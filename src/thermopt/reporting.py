@@ -55,7 +55,7 @@ def write_beta_csv(beta: Control, path: str) -> None:
 
 def _jsonable(value):
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        return _jsonable(value.item())
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value]
     if isinstance(value, float) and not np.isfinite(value):

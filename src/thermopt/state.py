@@ -35,7 +35,7 @@ import scipy.sparse.linalg as spla
 from . import assembly
 from .assembly import geometry, lift_dirichlet
 from .errors import ConfigurationError, CriticalityError, NonconvergenceError
-from .fields import Control, Field, FieldKind
+from .fields import Control, Field
 from .materials import ConductivityModel, TruncatedModel, TruncationLevel, truncate
 from .mesh import BoundaryTag, Mesh
 
@@ -183,7 +183,7 @@ def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = N
         if refactor is not None:
             precond = refactor
             factorizations += 1
-        phi_field = Field(mesh, phi_new, FieldKind.POTENTIAL)
+        phi_field = Field(mesh, phi_new)
         joule = assembly.assemble_joule_rhs_weak(mesh, sigma_q, phi_field, spec.phi0)
         u_candidate = u_lu.solve(lift_dirichlet(A_u, joule + robin_rhs, fixed_u, u_fixed))
 
@@ -222,8 +222,8 @@ def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = N
             f"max u = {np.max(u):.6g} >= truncation level {level:.6g}", history)
 
     sol = StateSolution(
-        u=Field(mesh, u, FieldKind.TEMPERATURE),
-        phi=Field(mesh, phi, FieldKind.POTENTIAL),
+        u=Field(mesh, u),
+        phi=Field(mesh, phi),
         iterations=iterations,
         residual_u=0.0,
         residual_phi=0.0,

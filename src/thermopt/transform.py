@@ -24,7 +24,7 @@ from scipy import linalg
 from . import assembly
 from .assembly import geometry
 from .errors import CertificateInfeasibleError, DomainError, EstimationError
-from .fields import Control, Field, FieldKind
+from .fields import Control, Field
 from .materials import ConductivityModel
 from .mesh import BoundaryTag, Mesh
 from .state import ProblemSpec, StateSolution, potential_residual
@@ -72,9 +72,9 @@ def transform(sol: StateSolution, model: ConductivityModel, phi0: Field) -> Tran
     mesh = sol.u.mesh
     a_q = model.a(np.maximum(geometry(mesh).at_quadrature(v), 0.0))
     return TransformedState(
-        v=Field(mesh, v, FieldKind.TEMPERATURE),
+        v=Field(mesh, v),
         phi=sol.phi,
-        psi=Field(mesh, psi, FieldKind.TEMPERATURE),
+        psi=Field(mesh, psi),
         a_q=a_q,
         stiffness=assembly.assemble_weighted_stiffness(mesh, a_q),
     )

@@ -20,7 +20,7 @@ from thermopt.control import (
     solve_adjoint,
     solve_sensitivity,
 )
-from thermopt.fields import Control, FieldKind
+from thermopt.fields import Control
 from thermopt.materials import TruncatedPower
 from thermopt.mesh import build_rectangle_mesh, dirichlet_on_planes, refine_uniform
 from thermopt.state import ProblemSpec, SolverOptions, solve_state, weak_residual
@@ -44,10 +44,9 @@ def benchmark_spec(n=16, u1_val=0.0, m_cap=2.0, model=MODEL, mesh=None):
     mesh = mesh or build_rectangle_mesh([1.0, 1.0], [n, n], LEFT)
     return ProblemSpec(
         mesh=mesh, model=model,
-        u0=interpolate(mesh, lambda p: np.zeros(p.shape[0]), FieldKind.TEMPERATURE),
-        u1=interpolate(mesh, lambda p: np.full(p.shape[0], u1_val),
-                       FieldKind.TEMPERATURE),
-        phi0=interpolate(mesh, lambda p: 0.1 * p[:, 0], FieldKind.POTENTIAL),
+        u0=interpolate(mesh, lambda p: np.zeros(p.shape[0])),
+        u1=interpolate(mesh, lambda p: np.full(p.shape[0], u1_val)),
+        phi0=interpolate(mesh, lambda p: 0.1 * p[:, 0]),
         m_cap=m_cap)
 
 
@@ -249,12 +248,9 @@ def test_criterion_8_degenerate_cases():
         mesh = build_rectangle_mesh([1.0, 1.0], [8, 8], LEFT)
         spec_const = ProblemSpec(
             mesh=mesh, model=MODEL,
-            u0=interpolate(mesh, lambda p: np.full(p.shape[0], 0.3),
-                           FieldKind.TEMPERATURE),
-            u1=interpolate(mesh, lambda p: np.full(p.shape[0], 0.3),
-                           FieldKind.TEMPERATURE),
-            phi0=interpolate(mesh, lambda p: np.full(p.shape[0], 1.0),
-                             FieldKind.POTENTIAL),
+            u0=interpolate(mesh, lambda p: np.full(p.shape[0], 0.3)),
+            u1=interpolate(mesh, lambda p: np.full(p.shape[0], 0.3)),
+            phi0=interpolate(mesh, lambda p: np.full(p.shape[0], 1.0)),
             m_cap=2.0)
         res_c = optimize(spec_const, OptimizerOptions(mode="projected_gradient"))
         assert np.all(res_c.beta.values == 0.0)

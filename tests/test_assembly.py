@@ -24,7 +24,7 @@ from thermopt.assembly import (
     solve_spd_pcg,
 )
 from thermopt.errors import AssemblyError, SolverFailure
-from thermopt.fields import Control, Field, FieldKind
+from thermopt.fields import Control, Field
 from thermopt.mesh import (
     BoundaryTag,
     Mesh,
@@ -54,8 +54,8 @@ def single_triangle():
     return Mesh(2, verts, cells, facets, tags)
 
 
-def field(mesh, values, kind=FieldKind.TEMPERATURE):
-    return Field(mesh, np.asarray(values, dtype=float), kind)
+def field(mesh, values):
+    return Field(mesh, np.asarray(values, dtype=float))
 
 
 def joule_direct(mesh, sigma, u, phi):
@@ -141,7 +141,7 @@ def test_robin_edge_moments():
 def test_joule_direct_constant_phi_is_zero():
     mesh = unit_square(3)
     u = field(mesh, np.zeros(mesh.n_vertices))
-    phi = field(mesh, np.full(mesh.n_vertices, 2.5), FieldKind.POTENTIAL)
+    phi = field(mesh, np.full(mesh.n_vertices, 2.5))
     b = joule_direct(mesh, lambda s: np.ones_like(s), u, phi)
     assert np.all(b == 0)
 
@@ -149,7 +149,7 @@ def test_joule_direct_constant_phi_is_zero():
 def test_joule_direct_partition_of_unity():
     mesh = unit_square(3)
     u = field(mesh, np.zeros(mesh.n_vertices))
-    phi = field(mesh, mesh.vertices[:, 0], FieldKind.POTENTIAL)
+    phi = field(mesh, mesh.vertices[:, 0])
     b = joule_direct(mesh, lambda s: np.ones_like(s), u, phi)
     assert b.sum() == pytest.approx(1.0, rel=1e-14)
     assert np.all(b >= 0)
@@ -159,8 +159,8 @@ def test_joule_direct_quadratic_scaling():
     mesh = unit_square(3)
     u = field(mesh, mesh.vertices[:, 1])
     sigma = lambda s: 1.0 / (1.0 + s) ** 2
-    phi1 = field(mesh, mesh.vertices[:, 0], FieldKind.POTENTIAL)
-    phi2 = field(mesh, 3.0 * mesh.vertices[:, 0], FieldKind.POTENTIAL)
+    phi1 = field(mesh, mesh.vertices[:, 0])
+    phi2 = field(mesh, 3.0 * mesh.vertices[:, 0])
     b1 = joule_direct(mesh, sigma, u, phi1)
     b2 = joule_direct(mesh, sigma, u, phi2)
     assert np.allclose(b2, 9.0 * b1, rtol=1e-14)
@@ -169,7 +169,7 @@ def test_joule_direct_quadratic_scaling():
 def test_joule_weak_equals_direct_when_phi_is_phi0():
     mesh = unit_square(3)
     u = field(mesh, 0.3 * mesh.vertices[:, 1])
-    phi0 = field(mesh, 0.5 * mesh.vertices[:, 0], FieldKind.POTENTIAL)
+    phi0 = field(mesh, 0.5 * mesh.vertices[:, 0])
     sigma = lambda s: np.exp(-s)
     bw = assemble_joule_rhs_weak(mesh, sigma(geometry(mesh).at_quadrature(u.values)),
                                  phi0, phi0)
@@ -180,8 +180,8 @@ def test_joule_weak_equals_direct_when_phi_is_phi0():
 def test_joule_weak_zero_for_constants():
     mesh = unit_square(2)
     u = field(mesh, np.zeros(mesh.n_vertices))
-    phi = field(mesh, np.full(mesh.n_vertices, 1.0), FieldKind.POTENTIAL)
-    phi0 = field(mesh, np.full(mesh.n_vertices, 2.0), FieldKind.POTENTIAL)
+    phi = field(mesh, np.full(mesh.n_vertices, 1.0))
+    phi0 = field(mesh, np.full(mesh.n_vertices, 2.0))
     bw = assemble_joule_rhs_weak(mesh, np.ones_like(geometry(mesh).at_quadrature(u.values)),
                                  phi, phi0)
     assert np.all(bw == 0)
@@ -198,8 +198,8 @@ def test_weak_vs_direct_difference_decreases_under_refinement():
     mesh = unit_square(4)
     gaps = []
     for _ in range(3):
-        phi0 = field(mesh, mesh.vertices[:, 0] ** 2, FieldKind.POTENTIAL)
-        phi = field(mesh, _solve_phi(mesh, phi0.values), FieldKind.POTENTIAL)
+        phi0 = field(mesh, mesh.vertices[:, 0] ** 2)
+        phi = field(mesh, _solve_phi(mesh, phi0.values))
         u = field(mesh, np.zeros(mesh.n_vertices))
         sigma = lambda s: np.ones_like(s)
         bw = assemble_joule_rhs_weak(mesh, sigma(geometry(mesh).at_quadrature(u.values)),
@@ -318,7 +318,7 @@ def test_geometry_cache_and_interpolate():
     g1 = geometry(mesh)
     g2 = geometry(mesh)
     assert g1 is g2
-    f = interpolate(mesh, lambda p: p[:, 0] * 2.0, FieldKind.TEMPERATURE)
+    f = interpolate(mesh, lambda p: p[:, 0] * 2.0)
     assert np.allclose(f.values, 2.0 * mesh.vertices[:, 0])
 
 

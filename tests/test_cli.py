@@ -19,6 +19,7 @@ from thermopt.config import (_DEFAULTS, _KNOWN_KEYS, build_control, build_optimi
 from thermopt.control import OptimizerOptions
 from thermopt.errors import ConfigurationError
 from thermopt.expressions import Expression
+from thermopt.reporting import write_report
 
 BENCHMARK = """
 problem.extents = 1 1
@@ -740,6 +741,30 @@ def test_convergence_prints_python_floats(tmp_path, capsys):
         assert all(type(v) is expected for v in rates.values())
 
 
+@pytest.mark.parametrize("error_class, code", [(errors.NonconvergenceError, 2),
+                                              (errors.CriticalityError, 3)])
+def test_convergence_failing_level_reports_the_solved_ones(tmp_path, monkeypatch, capsys,
+                                                           error_class, code):
+    solve, calls = cli_mod.solve_state, []
+
+    def third_solve_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise error_class("injected failure")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "solve_state", third_solve_fails)
+    cfg = write_config(tmp_path, BENCHMARK.replace("16 16", "4 4"))
+    out = tmp_path / "o"
+    assert main(["convergence", "--config", cfg, "--levels", "3",
+                 "--out", str(out)]) == code
+    assert "level 2 failed: injected failure" in capsys.readouterr().err
+    report = read_report(out)
+    assert [row["level"] for row in report["levels"]] == [0, 1]
+    assert set(report["rates"]) == {"u_l2", "u_h1", "phi_l2", "phi_h1"}
+    assert (out / "convergence.csv").exists()
+
+
 def test_convergence_trivial_reports_exact(tmp_path):
     cfg = write_config(tmp_path, CONSTANT_DATA)
     out = tmp_path / "o"
@@ -857,3 +882,33 @@ def test_vtk_output_parses_back(tmp_path):
     vals = np.array([float(lines[idata + 3 + i]) for i in range(n_points)])
     # potential stays inside its boundary data range
     assert vals.min() >= -1e-12 and vals.max() <= 0.1 + 1e-12
+
+
+@pytest.mark.parametrize("command", ["solve", "optimize", "verify", "convergence",
+                                     "certificate"])
+def test_every_command_writes_the_report_skeleton(tmp_path, command):
+    text = (ROOT / "configs" / "benchmark.cfg").read_text().replace("16 16", "4 4")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    extra = {"verify": ["--suite", "lemma1"]}.get(command, [])
+    assert main([command, "--config", cfg, "--out", str(out)] + extra) == 0
+    report = read_report(out)
+    assert report["schema_version"] == 1
+    assert report["config"] == load_config(cfg).raw
+    assert set(report["timings_seconds"]) == {command}
+    assert report["artifacts"] == sorted(report["artifacts"])
+    assert str(out / "report.json") in report["artifacts"]
+    assert set(report["artifacts"]) == {str(path) for path in out.iterdir()}
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not valid JSON")
+
+
+def test_report_writes_non_finite_numbers_as_strings(tmp_path):
+    path = tmp_path / "report.json"
+    write_report({"a": np.float64("inf"), "b": -math.inf,
+                  "c": np.array([np.nan, 1.0])}, str(path))
+    report = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert report["a"] == "inf" and report["b"] == "-inf"
+    assert report["c"] == ["nan", 1.0]

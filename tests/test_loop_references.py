@@ -51,7 +51,7 @@ from thermopt.control import (
     stationarity,
 )
 from thermopt.errors import CriticalityError, NonconvergenceError, SolverFailure
-from thermopt.fields import Control, Field, FieldKind
+from thermopt.fields import Control, Field
 from thermopt.materials import TruncatedPower, truncate
 from thermopt.mesh import (
     BoundaryTag,
@@ -381,7 +381,7 @@ def test_facet_kernels_match_loop_reference(extents, divisions, planes):
     f = rng.uniform(-1.0, 1.0, mesh.n_vertices)
     g = rng.uniform(-1.0, 1.0, mesh.n_vertices)
 
-    mat, rhs = assemble_robin(mesh, beta, Field(mesh, f, FieldKind.TEMPERATURE))
+    mat, rhs = assemble_robin(mesh, beta, Field(mesh, f))
     mat_ref, rhs_ref = robin_loop(mesh, beta, f)
     assert close(mat.toarray(), mat_ref)
     assert close(rhs, rhs_ref)
@@ -514,8 +514,8 @@ def test_bincount_loads_match_add_at_reference(extents, divisions):
     sigma = lambda u: 1.0 / (1.0 + np.asarray(u) ** 2)
     w_q = geom.at_quadrature(w)
     s = sigma(w_q)
-    phi_f = Field(mesh, phi, FieldKind.POTENTIAL)
-    phi0_f = Field(mesh, phi0, FieldKind.POTENTIAL)
+    phi_f = Field(mesh, phi)
+    phi0_f = Field(mesh, phi0)
     assert cell_close(load_vector(mesh, w_q), load_add_at(mesh, w_q))
     assert cell_close(assemble_joule_rhs_weak(mesh, s, phi_f, phi0_f),
                       joule_weak_add_at(mesh, s, phi, phi0))
@@ -561,14 +561,14 @@ def test_jacobian_potential_block_matches_bincount_bit_for_bit(extents, division
     geom, n = geometry(mesh), mesh.n_vertices
     rng = np.random.default_rng(7)
     spec = ProblemSpec(mesh=mesh, model=TruncatedPower(1.0, 1.0, 2.0),
-                       u0=Field(mesh, np.zeros(n), FieldKind.TEMPERATURE),
-                       u1=Field(mesh, rng.uniform(0.0, 0.2, n), FieldKind.TEMPERATURE),
-                       phi0=Field(mesh, rng.uniform(-1.0, 1.0, n), FieldKind.POTENTIAL),
+                       u0=Field(mesh, np.zeros(n)),
+                       u1=Field(mesh, rng.uniform(0.0, 0.2, n)),
+                       phi0=Field(mesh, rng.uniform(-1.0, 1.0, n)),
                        m_cap=2.0)
     beta = Control.constant(mesh, 1.0, 2.0)
     u = rng.uniform(-0.05, 0.5, n)
-    state = StateSolution(Field(mesh, u, FieldKind.TEMPERATURE),
-                          Field(mesh, rng.uniform(-1.0, 1.0, n), FieldKind.POTENTIAL),
+    state = StateSolution(Field(mesh, u),
+                          Field(mesh, rng.uniform(-1.0, 1.0, n)),
                           1, 0.0, 0.0, 0, None)
     sigma_q = spec.model.sigma(np.maximum(geom.at_quadrature(u), 0.0))
     cells = geom.grad_products * (sigma_q @ geom.qweights)[:, None, None]
@@ -587,8 +587,8 @@ def test_joule_load_matches_einsum_reference(extents, divisions):
     phi, phi0 = (rng.uniform(-1.0, 2.0, mesh.n_vertices) for _ in range(2))
     sigma_q = rng.uniform(0.0, 2.0, geometry(mesh).at_quadrature(phi).shape)
     expected = joule_einsum(mesh, sigma_q, phi, phi0)
-    actual = assemble_joule_rhs_weak(mesh, sigma_q, Field(mesh, phi, FieldKind.POTENTIAL),
-                                     Field(mesh, phi0, FieldKind.POTENTIAL))
+    actual = assemble_joule_rhs_weak(mesh, sigma_q, Field(mesh, phi),
+                                     Field(mesh, phi0))
     assert np.max(np.abs(actual - expected)) <= CELL_RTOL * np.max(np.abs(expected))
 
 
@@ -599,11 +599,11 @@ def test_psi_identity_rhs_matches_add_at_reference(extents, divisions):
     mesh, w, phi, phi0 = random_mesh_fields(extents, divisions)
     geom = geometry(mesh)
     model = TruncatedPower(1.0, 1.0, 2.0)
-    zero = Field(mesh, np.zeros(mesh.n_vertices), FieldKind.TEMPERATURE)
+    zero = Field(mesh, np.zeros(mesh.n_vertices))
     spec = ProblemSpec(mesh=mesh, model=model, u0=zero, u1=zero,
-                       phi0=Field(mesh, phi0, FieldKind.POTENTIAL), m_cap=2.0)
-    state = StateSolution(Field(mesh, 0.4 * w, FieldKind.TEMPERATURE),
-                          Field(mesh, phi, FieldKind.POTENTIAL), 1, 0.0, 0.0, 0, None)
+                       phi0=Field(mesh, phi0), m_cap=2.0)
+    state = StateSolution(Field(mesh, 0.4 * w),
+                          Field(mesh, phi), 1, 0.0, 0.0, 0, None)
     ts = transform(state, model, spec.phi0)
     _, rhs = _psi_identity_sides(ts, spec)
 
@@ -643,11 +643,9 @@ def test_masked_dirichlet_matches_triple_product_on_adjoint_block():
     mesh = build_rectangle_mesh([1.0, 1.0], [6, 5], dirichlet_on_planes("x=0"))
     model = TruncatedPower(1.0, 1.0, 2.0)
     spec = ProblemSpec(mesh=mesh, model=model,
-                       u0=interpolate(mesh, lambda p: np.zeros(p.shape[0]),
-                                      FieldKind.TEMPERATURE),
-                       u1=interpolate(mesh, lambda p: 0.05 + 0 * p[:, 0],
-                                      FieldKind.TEMPERATURE),
-                       phi0=interpolate(mesh, lambda p: 1.0 * p[:, 0], FieldKind.POTENTIAL),
+                       u0=interpolate(mesh, lambda p: np.zeros(p.shape[0])),
+                       u1=interpolate(mesh, lambda p: 0.05 + 0 * p[:, 0]),
+                       phi0=interpolate(mesh, lambda p: 1.0 * p[:, 0]),
                        m_cap=2.0)
     beta = Control.constant(mesh, 1.0, 2.0)
     block, rhs, fixed = adjoint_system(spec, beta, solve_state(spec, beta))
@@ -665,21 +663,21 @@ def test_state_jacobian_matches_residual_differences(extents, divisions):
     rng = np.random.default_rng(3)
     model = TruncatedPower(1.0, 1.0, 2.0)
     spec = ProblemSpec(mesh=mesh, model=model,
-                       u0=Field(mesh, np.zeros(n), FieldKind.TEMPERATURE),
-                       u1=Field(mesh, rng.uniform(0.0, 0.2, n), FieldKind.TEMPERATURE),
-                       phi0=Field(mesh, rng.uniform(-1.0, 1.0, n), FieldKind.POTENTIAL),
+                       u0=Field(mesh, np.zeros(n)),
+                       u1=Field(mesh, rng.uniform(0.0, 0.2, n)),
+                       phi0=Field(mesh, rng.uniform(-1.0, 1.0, n)),
                        m_cap=2.0)
     beta = Control.constant(mesh, 1.0, 2.0)
     beta = beta.with_values(rng.uniform(0.0, 2.0, beta.values.size))
     u, phi = rng.uniform(0.05, 0.5, n), rng.uniform(-1.0, 1.0, n)
-    state = StateSolution(Field(mesh, u, FieldKind.TEMPERATURE),
-                          Field(mesh, phi, FieldKind.POTENTIAL), 1, 0.0, 0.0, 0, None)
+    state = StateSolution(Field(mesh, u),
+                          Field(mesh, phi), 1, 0.0, 0.0, 0, None)
     K = assemble_weighted_stiffness(mesh, 1.0)
     R, robin_load = assemble_robin(mesh, beta, spec.u1)
 
     def residual(u, phi):
         sigma_q = model.sigma(geometry(mesh).at_quadrature(u))
-        joule = assemble_joule_rhs_weak(mesh, sigma_q, Field(mesh, phi, FieldKind.POTENTIAL),
+        joule = assemble_joule_rhs_weak(mesh, sigma_q, Field(mesh, phi),
                                         spec.phi0)
         return np.concatenate([(K + R) @ u - joule - robin_load,
                                assemble_weighted_stiffness(mesh, sigma_q) @ phi])
@@ -735,11 +733,9 @@ def potential_system(extents, divisions):
     mesh = build_rectangle_mesh(extents, divisions, dirichlet_on_planes("x=0"))
     model = TruncatedPower(1.0, 1.0, 2.0)
     spec = ProblemSpec(mesh=mesh, model=model,
-                       u0=interpolate(mesh, lambda p: np.zeros(p.shape[0]),
-                                      FieldKind.TEMPERATURE),
-                       u1=interpolate(mesh, lambda p: 0.05 + 0 * p[:, 0],
-                                      FieldKind.TEMPERATURE),
-                       phi0=interpolate(mesh, lambda p: 1.0 * p[:, 0], FieldKind.POTENTIAL),
+                       u0=interpolate(mesh, lambda p: np.zeros(p.shape[0])),
+                       u1=interpolate(mesh, lambda p: 0.05 + 0 * p[:, 0]),
+                       phi0=interpolate(mesh, lambda p: 1.0 * p[:, 0]),
                        m_cap=2.0)
     geom = geometry(mesh)
     u = solve_state(spec, Control.constant(mesh, 1.0, 2.0)).u.values
@@ -834,7 +830,7 @@ def test_vtk_writer_matches_loop_reference(tmp_path, extents, divisions):
     # values of every magnitude and sign, and exact zeros
     values = w * np.geomspace(1e-300, 1e300, mesh.n_vertices) * np.cos(np.arange(mesh.n_vertices))
     values[::7] = 0.0
-    field = Field(mesh, values, FieldKind.TEMPERATURE)
+    field = Field(mesh, values)
     write_vtk(field, str(tmp_path / "a.vtk"), "u")
     write_vtk_loop(field, str(tmp_path / "b.vtk"), "u")
     assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes()
@@ -850,7 +846,7 @@ def test_vtk_writer_formats_each_mesh_once(tmp_path, monkeypatch):
             super().__setitem__(key, value)
 
     monkeypatch.setattr(reporting, "_VTK_MESH_CACHE", CountingCache())
-    fields = (Field(mesh, w, FieldKind.TEMPERATURE), Field(mesh, phi, FieldKind.POTENTIAL))
+    fields = (Field(mesh, w), Field(mesh, phi))
     for field, name in zip(fields, ("u", "phi")):
         write_vtk(field, str(tmp_path / f"{name}.vtk"), name)
         write_vtk_loop(field, str(tmp_path / f"{name}_loop.vtk"), name)
@@ -975,9 +971,9 @@ def control_spec(n, drive):
     mesh = build_rectangle_mesh([1.0, 1.0], [n, n], dirichlet_on_planes("x=0"))
     return ProblemSpec(
         mesh=mesh, model=TruncatedPower(1.0, 1.0, 2.0),
-        u0=interpolate(mesh, lambda p: np.zeros(p.shape[0]), FieldKind.TEMPERATURE),
-        u1=interpolate(mesh, lambda p: np.full(p.shape[0], 0.05), FieldKind.TEMPERATURE),
-        phi0=interpolate(mesh, lambda p: drive * p[:, 0], FieldKind.POTENTIAL),
+        u0=interpolate(mesh, lambda p: np.zeros(p.shape[0])),
+        u1=interpolate(mesh, lambda p: np.full(p.shape[0], 0.05)),
+        phi0=interpolate(mesh, lambda p: drive * p[:, 0]),
         m_cap=2.0)
 
 

@@ -1,5 +1,6 @@
 """Every function, class and method defined in the package serves its code:
-its name is referenced somewhere in src/ outside its own definition."""
+its name is referenced somewhere in src/ outside its own definition, and
+every field of a dataclass there is read somewhere in src/."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,41 @@ def unreferenced():
 
 def test_every_definition_is_referenced():
     assert unreferenced() == set(ALLOWED)
+
+
+# Dataclass fields kept although no package code reads them.
+UNREAD_ALLOWED = {
+    ("SensitivityPair", "psi2"): "the potential half of the sensitivity, which tests check",
+}
+
+
+def _is_dataclass(node):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _serializes_itself(node):
+    """Whether a method of the class calls asdict(self), which reads every field."""
+    return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "asdict"
+               and [getattr(a, "id", None) for a in n.args] == ["self"]
+               for n in ast.walk(node))
+
+
+def unread_fields():
+    """(class, field) of every @dataclass in src/ whose field nothing there
+    reads as an attribute; classes that serialize themselves are left out."""
+    fields, reads = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node) \
+                    and not _serializes_itself(node):
+                fields += [(node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    return {f for f in fields if f[1] not in reads}
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields() == set(UNREAD_ALLOWED)

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from thermopt import assembly, state
 from thermopt.assembly import interpolate, norms
 from thermopt.errors import ConfigurationError
-from thermopt.fields import Control, Field, FieldKind
+from thermopt.fields import Control, Field
 from thermopt.materials import Constant, TruncatedModel, TruncatedPower, truncate
 from thermopt.mesh import build_rectangle_mesh, dirichlet_on_planes, refine_uniform
 from thermopt.state import (
@@ -28,9 +28,9 @@ def make_spec(mesh, model, u0, u1, phi0, m_cap=2.0):
     return ProblemSpec(
         mesh=mesh,
         model=model,
-        u0=interpolate(mesh, u0, FieldKind.TEMPERATURE),
-        u1=interpolate(mesh, u1, FieldKind.TEMPERATURE),
-        phi0=interpolate(mesh, phi0, FieldKind.POTENTIAL),
+        u0=interpolate(mesh, u0),
+        u1=interpolate(mesh, u1),
+        phi0=interpolate(mesh, phi0),
         m_cap=m_cap,
     )
 
@@ -259,7 +259,7 @@ def test_weak_residual_detects_perturbation():
                 if i not in set(mesh.boundary_vertex_set().tolist())]
     bad = sol.u.values.copy()
     bad[interior[0]] += 0.1
-    perturbed = Field(mesh, bad, FieldKind.TEMPERATURE)
+    perturbed = Field(mesh, bad)
     from thermopt.state import StateSolution
     psol = StateSolution(perturbed, sol.phi, sol.iterations, 0, 0, 0, None)
     r_u, _ = weak_residual(spec, beta, psol)

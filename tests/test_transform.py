@@ -7,7 +7,7 @@ import scipy.linalg
 from thermopt import transform as transform_mod
 from thermopt.assembly import assemble_mass, geometry, interpolate, max_cell_gradient
 from thermopt.errors import CertificateInfeasibleError, DomainError, EstimationError
-from thermopt.fields import Control, FieldKind
+from thermopt.fields import Control
 from thermopt.materials import Constant, TruncatedPower
 from thermopt.mesh import (
     BoundaryTag,
@@ -40,10 +40,9 @@ def make_spec(mesh, model=MODEL, u1_val=0.0, phi0_scale=0.1):
     return ProblemSpec(
         mesh=mesh,
         model=model,
-        u0=interpolate(mesh, lambda p: np.zeros(p.shape[0]), FieldKind.TEMPERATURE),
-        u1=interpolate(mesh, lambda p: np.full(p.shape[0], u1_val),
-                       FieldKind.TEMPERATURE),
-        phi0=interpolate(mesh, lambda p: phi0_scale * p[:, 0], FieldKind.POTENTIAL),
+        u0=interpolate(mesh, lambda p: np.zeros(p.shape[0])),
+        u1=interpolate(mesh, lambda p: np.full(p.shape[0], u1_val)),
+        phi0=interpolate(mesh, lambda p: phi0_scale * p[:, 0]),
         m_cap=2.0,
     )
 
@@ -70,10 +69,10 @@ def test_transform_closed_form_values():
     mesh = build_rectangle_mesh([1.0, 1.0], [2, 2], LEFT)
     from thermopt.fields import Field
     from thermopt.state import StateSolution
-    u = Field(mesh, np.full(mesh.n_vertices, 0.5), FieldKind.TEMPERATURE)
-    phi = Field(mesh, np.full(mesh.n_vertices, 0.2), FieldKind.POTENTIAL)
+    u = Field(mesh, np.full(mesh.n_vertices, 0.5))
+    phi = Field(mesh, np.full(mesh.n_vertices, 0.2))
     sol = StateSolution(u, phi, 1, 0.0, 0.0, 0, None)
-    phi0 = Field(mesh, np.full(mesh.n_vertices, 0.2), FieldKind.POTENTIAL)
+    phi0 = Field(mesh, np.full(mesh.n_vertices, 0.2))
     ts = transform(sol, MODEL, phi0)
     assert np.allclose(ts.v.values, 1.0, rtol=1e-14)
     assert np.allclose(ts.psi.values, 1.0, rtol=1e-14)
@@ -91,8 +90,8 @@ def test_transform_rejects_critical_temperature():
     mesh = build_rectangle_mesh([1.0, 1.0], [2, 2], LEFT)
     from thermopt.fields import Field
     from thermopt.state import StateSolution
-    u = Field(mesh, np.full(mesh.n_vertices, 1.0), FieldKind.TEMPERATURE)
-    phi = Field(mesh, np.zeros(mesh.n_vertices), FieldKind.POTENTIAL)
+    u = Field(mesh, np.full(mesh.n_vertices, 1.0))
+    phi = Field(mesh, np.zeros(mesh.n_vertices))
     sol = StateSolution(u, phi, 1, 0.0, 0.0, 0, None)
     with pytest.raises(DomainError):
         transform(sol, MODEL, phi)
@@ -102,9 +101,9 @@ def test_transformed_residual_trivial_case():
     mesh = build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT)
     spec = ProblemSpec(
         mesh=mesh, model=MODEL,
-        u0=interpolate(mesh, lambda p: np.full(p.shape[0], 0.3), FieldKind.TEMPERATURE),
-        u1=interpolate(mesh, lambda p: np.full(p.shape[0], 0.3), FieldKind.TEMPERATURE),
-        phi0=interpolate(mesh, lambda p: np.full(p.shape[0], 1.0), FieldKind.POTENTIAL),
+        u0=interpolate(mesh, lambda p: np.full(p.shape[0], 0.3)),
+        u1=interpolate(mesh, lambda p: np.full(p.shape[0], 0.3)),
+        phi0=interpolate(mesh, lambda p: np.full(p.shape[0], 1.0)),
         m_cap=2.0)
     beta = Control.constant(mesh, 1.0, 2.0)
     sol = solve_state(spec, beta)
@@ -147,9 +146,9 @@ def test_psi_identity_reduces_to_state_residual_for_constant_phi0():
     mesh = build_rectangle_mesh([1.0, 1.0], [8, 8], LEFT)
     spec = ProblemSpec(
         mesh=mesh, model=MODEL,
-        u0=interpolate(mesh, lambda p: np.zeros(p.shape[0]), FieldKind.TEMPERATURE),
-        u1=interpolate(mesh, lambda p: np.zeros(p.shape[0]), FieldKind.TEMPERATURE),
-        phi0=interpolate(mesh, lambda p: np.full(p.shape[0], 0.7), FieldKind.POTENTIAL),
+        u0=interpolate(mesh, lambda p: np.zeros(p.shape[0])),
+        u1=interpolate(mesh, lambda p: np.zeros(p.shape[0])),
+        phi0=interpolate(mesh, lambda p: np.full(p.shape[0], 0.7)),
         m_cap=2.0)
     beta = Control.constant(mesh, 1.0, 2.0)
     sol = solve_state(spec, beta)
@@ -442,9 +441,9 @@ def test_certificate_3d_problem():
     mesh = build_rectangle_mesh([1.0, 1.0, 1.0], [3, 3, 3], rule)
     spec = ProblemSpec(
         mesh=mesh, model=MODEL,
-        u0=interpolate(mesh, lambda p: np.zeros(p.shape[0]), FieldKind.TEMPERATURE),
-        u1=interpolate(mesh, lambda p: np.zeros(p.shape[0]), FieldKind.TEMPERATURE),
-        phi0=interpolate(mesh, lambda p: 0.1 * p[:, 0], FieldKind.POTENTIAL),
+        u0=interpolate(mesh, lambda p: np.zeros(p.shape[0])),
+        u1=interpolate(mesh, lambda p: np.zeros(p.shape[0])),
+        phi0=interpolate(mesh, lambda p: 0.1 * p[:, 0]),
         m_cap=2.0)
     cert = compute_certificate(MODEL, spec,
                                certificate_data(MODEL, spec, eps=0.01, C1=1.0, auto_eps=True))
