@@ -151,10 +151,11 @@ class P1Geometry:
         return factor_spd(self.eliminated(self.stiffness.data, self.boundary_vertices)[0])
 
     def eliminated(self, data: np.ndarray, fixed: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
-        """apply_dirichlet's matrix for `data` on the cached pattern and the
-        distinct vertices `fixed`, zeros of `data` kept, and the permutation of
-        its data onto its transpose's, for check_symmetric. The slot map of
-        each `fixed` is built on first use and kept."""
+        """The matrix with `data` on the cached pattern, the rows and columns
+        of the distinct vertices `fixed` dropped but for a unit diagonal and
+        zeros of `data` kept (lift_dirichlet gives its right side), and the
+        permutation of its data onto its transpose's, for check_symmetric.
+        The slot map of each `fixed` is built on first use and kept."""
         key = fixed.tobytes()
         if key not in self._eliminations:
             indices, indptr = self.pattern
@@ -290,36 +291,6 @@ def lift_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray, fixed: np.ndarray,
     lifted = rhs - matrix @ x
     lifted[fixed] = values
     return lifted
-
-
-def apply_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray, fixed: np.ndarray,
-                    values) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Symmetric elimination of the distinct constrained vertices `fixed`,
-    with `values` as in lift_dirichlet.
-
-    Constrained rows and columns are zeroed with a unit diagonal; the right
-    side absorbs the lifted values. Idempotent for repeated application.
-    """
-    A = matrix.tocsr(copy=True)
-    A.sum_duplicates()
-    n = A.shape[0]
-    rhs = lift_dirichlet(A, rhs, fixed, values)
-    mask = np.zeros(n, dtype=bool)
-    mask[fixed] = True
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    hit = mask[rows] | mask[A.indices]
-    A.data[hit] = 0.0
-    diagonal = hit & (rows == A.indices)
-    A.data[diagonal] = 1.0
-    A.eliminate_zeros()
-    # Every matrix on the cell pattern of P1Geometry (and the control blocks
-    # made of them) stores all its diagonals, so only a matrix from elsewhere lacks
-    # some; patching just those keeps the common path a pure in-place write.
-    if np.count_nonzero(diagonal) < len(fixed):
-        unit = mask.astype(float)
-        unit[rows[diagonal]] = 0.0
-        A = (A + sp.diags(unit)).tocsr()
-    return A, rhs
 
 
 def check_symmetric(matrix: sp.spmatrix, rtol: float = 1e-12,

@@ -100,18 +100,21 @@ class RunConfig:
         return self.raw[key]
 
     def get_float(self, key: str) -> float:
-        try:
-            return float(self.raw[key])
-        except ValueError:
-            raise ConfigurationError(f"config key {key}: not a number: "
-                                     f"{self.raw[key]!r}")
+        return self._parsed(key, float, "a number")
 
     def get_int(self, key: str) -> int:
+        return self._parsed(key, int, "an integer")
+
+    def get_list(self, key: str, kind: type) -> list:
+        """The whitespace-separated values of `key`, each parsed by `kind`."""
+        return self._parsed(key, lambda text: [kind(tok) for tok in text.split()],
+                            f"a list of {kind.__name__} values")
+
+    def _parsed(self, key: str, parse, noun: str):
         try:
-            return int(self.raw[key])
+            return parse(self.raw[key])
         except ValueError:
-            raise ConfigurationError(f"config key {key}: not an integer: "
-                                     f"{self.raw[key]!r}")
+            raise ConfigurationError(f"config key {key}: not {noun}: {self.raw[key]!r}")
 
     def get_bool(self, key: str) -> bool:
         val = self.raw[key].strip().lower()
@@ -178,8 +181,8 @@ def _data_values(mesh: Mesh, source: str, key: str) -> np.ndarray:
 def build_mesh(config: RunConfig) -> Mesh:
     if "problem.mesh_file" in config.raw and config.raw.get("problem.mesh_file"):
         return read_mesh_file(config.get("problem.mesh_file"))
-    extents = [float(tok) for tok in config.get("problem.extents").split()]
-    divisions = [int(tok) for tok in config.get("problem.divisions").split()]
+    extents = config.get_list("problem.extents", float)
+    divisions = config.get_list("problem.divisions", int)
     planes = [tok.strip() for tok in config.get("problem.dirichlet").split("|")
               if tok.strip()]
     return build_rectangle_mesh(extents, divisions, dirichlet_on_planes(*planes))

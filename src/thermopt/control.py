@@ -29,16 +29,16 @@ stops moving the control ends unconverged; and at max_outer the lowest-J
 solved iterate is returned.
 Sensitivity solves exist only to verify the gradient; the optimizer never
 uses them. Both blocks come from one linearization: three cell matrices
-scattered once each (the adjoint scatters them transposed) and S, symmetric,
-from the stiffness map.
+scattered once each and S from the stiffness map, eliminated on the slot
+maps of the state solve (the adjoint takes the transposed blocks).
 
-Both block systems, Dirichlet-eliminated, are solved by BiCGSTAB (van der
-Vorst, SIAM J. Sci. Stat. Comput. 13, 1992) with a block upper-triangular
-preconditioner (Murphy, Golub & Wathen, SIAM J. Sci. Comput. 21, 2000): a
-factor of the potential block S, the temperature factor of K + R that the
-state solve already made, and the block's own top-right coupling. The
-adjoint A^T - C^T S^-1 B^T and the sensitivity A - B S^-1 C share their
-Schur spectrum, so one path serves both; a run that reaches
+Both block systems are solved by BiCGSTAB (van der Vorst, SIAM J. Sci.
+Stat. Comput. 13, 1992) with a block upper-triangular preconditioner
+(Murphy, Golub & Wathen, SIAM J. Sci. Comput. 21, 2000): a factor of the
+potential block S, the temperature factor of K + R that the state solve
+already made, and the block's own top-right coupling. The adjoint
+A^T - C^T S^-1 B^T and the sensitivity A - B S^-1 C share their Schur
+spectrum, so one path serves both; a run that reaches
 ADJOINT_MAX_ITER, or breaks down, falls back to the direct 2n solve. The
 adjoint keeps its factor of S, and the optimizer preconditions the potential
 CG of the next state solves (each trial of the next step) with it in place
@@ -55,7 +55,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly
-from .assembly import apply_dirichlet, geometry
+from .assembly import geometry
 from .errors import (AdjointFailure, ConfigurationError, CriticalityError,
                      NonconvergenceError, SolverFailure)
 from .fields import Control, Field
@@ -115,13 +115,16 @@ def objective(mesh, u: Field, beta: Control) -> ObjectiveValue:
     return ObjectiveValue(integral_u, float(measures @ beta.values ** 2))
 
 
-def _state_jacobian(spec: ProblemSpec, beta: Control, state: StateSolution,
-                    transpose: bool = False) -> sp.csr_matrix:
-    """Exact Jacobian [[A, B], [C, S]] at (u, phi) of the residuals
-    (K + R) u - b(u, phi) - robin load and S(sigma(u)) phi, with b the weak
-    Joule load of assemble_joule_rhs_weak; with transpose, [[A^T, C^T],
-    [B^T, S^T]]. With d = phi0 - phi, [.] the cell mean by quadrature, K the
-    cell stiffness, test i and trial j, the cell matrices are
+def _state_jacobian(spec: ProblemSpec, beta: Control,
+                    state: StateSolution) -> list[list[sp.csr_matrix]]:
+    """Blocks [[A, B], [C, S]] of the exact Jacobian at (u, phi) of the
+    residuals (K + R) u - b(u, phi) - robin load and S(sigma(u)) phi, with b
+    the weak Joule load of assemble_joule_rhs_weak, Dirichlet-eliminated:
+    A (with R) on Gamma_D and S on the whole boundary through the slot maps
+    that the state solve built, B and C with the rows and columns of those
+    sets zeroed in every cell matrix. With d = phi0 - phi, [.] the cell mean
+    by quadrature, K the cell stiffness, test i and trial j, the cell
+    matrices are
 
     A = K - |K| (grad phi . grad lambda_i) [d sigma' lambda_j]
           - |K| [sigma' (grad phi . grad phi0) lambda_i lambda_j]
@@ -130,9 +133,6 @@ def _state_jacobian(spec: ProblemSpec, beta: Control, state: StateSolution,
     C = |K| (grad phi . grad lambda_i) [sigma' lambda_j],    S = [sigma] K
 
     and R, the only beta-dependent term, is added to A after the scatter.
-    The transpose scatters the transposed cell matrices: the same terms
-    summed in the same order, so it is the Jacobian's transpose bit for bit;
-    S, symmetric, is the stiffness map's product with [sigma] in both.
     """
     geom = geometry(spec.mesh)
     u_q = np.maximum(geom.at_quadrature(state.u.values), 0.0)
@@ -149,59 +149,58 @@ def _state_jacobian(spec: ProblemSpec, beta: Control, state: StateSolution,
     B = (np.einsum("ci,cj->cij", conv, sigma_basis) - np.einsum("ci,cj->cij", sigma_basis, conv0)
          - K * ((diff_q * sigma_q) @ geom.qweights)[:, None, None])
     C = np.einsum("ci,cj->cij", conv, geom.moments(sigma_prime_q))
-    if transpose:
-        A, B, C = (m.swapaxes(1, 2) for m in (A, C, B))
-    a, b, c = (geom.csr(geom.data(m)) for m in (A, B, C))
-    s = geom.csr(geom.stiffness_map @ (sigma_q @ geom.qweights))
+    fixed_u, fixed_phi = spec.dirichlet_temperature_vertices(), geom.boundary_vertices
+    free_u, free_phi = (~np.isin(geom.cells, fixed) for fixed in (fixed_u, fixed_phi))
+    B *= free_u[:, :, None] & free_phi[:, None, :]
+    C *= free_phi[:, :, None] & free_u[:, None, :]
     R, _ = assembly.assemble_robin(spec.mesh, beta, spec.u1)
-    return sp.bmat([[geom.csr(a.data + R.data), b], [c, s]], format="csr")
+    return [[geom.eliminated(geom.data(A) + R.data, fixed_u)[0], geom.csr(geom.data(B))],
+            [geom.csr(geom.data(C)),
+             geom.eliminated(geom.stiffness_map @ (sigma_q @ geom.qweights), fixed_phi)[0]]]
 
 
-def _block_fixed(spec: ProblemSpec) -> np.ndarray:
-    """Block rows clamped to zero: the first unknown on Gamma_D, the second
-    on the whole boundary."""
-    return np.concatenate([spec.dirichlet_temperature_vertices(),
-                           spec.mesh.boundary_vertex_set() + spec.mesh.n_vertices])
+def _block_rhs(spec: ProblemSpec, source: np.ndarray) -> np.ndarray:
+    """Right side (source, 0) of a block system, zero on Gamma_D."""
+    rhs = np.concatenate([source, np.zeros(spec.mesh.n_vertices)])
+    rhs[spec.dirichlet_temperature_vertices()] = 0.0
+    return rhs
 
 
 def adjoint_system(spec: ProblemSpec, beta: Control,
-                   state: StateSolution) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """Monolithic block system for (p, q): the transpose of the state
-    Jacobian with the objective's source, A^T p + C^T q = -integral lambda_i
-    dx and B^T p + S q = 0, so the exact transpose of sensitivity_system."""
-    block = _state_jacobian(spec, beta, state, transpose=True)
-    rhs = np.concatenate([-assembly.load_vector(spec.mesh),
-                          np.zeros(spec.mesh.n_vertices)])
-    return block, rhs, _block_fixed(spec)
+                   state: StateSolution) -> tuple[list[list[sp.spmatrix]], np.ndarray]:
+    """Eliminated block system for (p, q): the state Jacobian's transpose
+    [[A^T, C^T], [B^T, S]], bit for bit as elimination commutes with it, with
+    the objective's source: A^T p + C^T q = -integral lambda_i dx, B^T p + S q = 0."""
+    (a, b), (c, s) = _state_jacobian(spec, beta, state)
+    return [[a.T, c.T], [b.T, s]], _block_rhs(spec, -assembly.load_vector(spec.mesh))
 
 
 def sensitivity_system(spec: ProblemSpec, beta: Control, state: StateSolution,
-                       ell: Control) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """Monolithic block system for (psi1, psi2): the state Jacobian
+                       ell: Control) -> tuple[list[list[sp.spmatrix]], np.ndarray]:
+    """Eliminated block system for (psi1, psi2): the state Jacobian
     [[A, B], [C, S]] with the derivative of the Robin terms in direction
     ell, -integral ell (u - u1) lambda_i ds, as the temperature source."""
     ell_load = (assembly.facet_mass(spec.mesh, ell.values, ell.facet_ids)
                 @ (state.u.values - spec.u1.values))
-    rhs = np.concatenate([-ell_load, np.zeros(spec.mesh.n_vertices)])
-    return _state_jacobian(spec, beta, state), rhs, _block_fixed(spec)
+    return _state_jacobian(spec, beta, state), _block_rhs(spec, -ell_load)
 
 
-def _block_bicgstab(matrix, rhs, n: int,
+def _block_bicgstab(matrix, rhs, potential, coupling,
                     temperature_factor) -> tuple[np.ndarray | None, int, spla.SuperLU]:
     """BiCGSTAB on the eliminated 2n block, preconditioned block upper
-    triangularly: z2 = S^-1 r2 with S the block's potential block, then
-    z1 = T^-1 (r1 - M12 z2) with M12 its top-right block and T the state
-    solve's factor of K + R eliminated on Gamma_D. Returns the solution
+    triangularly: z2 = S^-1 r2 with S the `potential` block, then
+    z1 = T^-1 (r1 - M12 z2) with M12 the top-right `coupling` block and T the
+    state solve's factor of K + R eliminated on Gamma_D. Returns the solution
     (None when the cap or a breakdown stops BiCGSTAB), the iterations and S's factor."""
-    s_lu = assembly.factor_spd(matrix[n:, n:])
-    top_right = matrix[:n, n:]
+    s_lu = assembly.factor_spd(potential)
+    n = potential.shape[0]
     applications = 0
 
     def precondition(r):
         nonlocal applications
         applications += 1
         z2 = s_lu.solve(r[n:])
-        return np.concatenate([temperature_factor.solve(r[:n] - top_right @ z2), z2])
+        return np.concatenate([temperature_factor.solve(r[:n] - coupling @ z2), z2])
 
     x, info = spla.bicgstab(matrix, rhs, rtol=ADJOINT_RTOL, atol=0.0,
                             maxiter=ADJOINT_MAX_ITER,
@@ -210,18 +209,20 @@ def _block_bicgstab(matrix, rhs, n: int,
     return (x if info == 0 else None), (applications + 1) // 2, s_lu
 
 
-def _solve_block(block, rhs, fixed, state: StateSolution
+def _solve_block(blocks, rhs, state: StateSolution
                  ) -> tuple[np.ndarray, np.ndarray, int, spla.SuperLU | None]:
-    """Solve the 2n block with zero data on `fixed`; returns both halves,
-    the BiCGSTAB iterations (0 for a direct solve) and the factor of S
-    (None when no BiCGSTAB ran). A BiCGSTAB run that reaches
-    ADJOINT_MAX_ITER or breaks down falls back to the direct solve."""
+    """Solve the eliminated 2n block; returns both halves, the BiCGSTAB
+    iterations (0 for a direct solve) and the factor of S (None when no
+    BiCGSTAB ran). A BiCGSTAB run that reaches ADJOINT_MAX_ITER or breaks
+    down falls back to the direct solve."""
     n = rhs.size // 2
-    matrix, rhs = apply_dirichlet(block, rhs, fixed, 0.0)
+    matrix = sp.bmat(blocks, format="csr")
+    matrix.eliminate_zeros()   # stored zeros would change the direct solve's ordering
     try:
         x, iterations, s_lu = None, 0, None
         if ADJOINT_MAX_ITER > 0:
-            x, iterations, s_lu = _block_bicgstab(matrix, rhs, n, state.temperature_factor)
+            x, iterations, s_lu = _block_bicgstab(matrix, rhs, blocks[1][1], blocks[0][1],
+                                                  state.temperature_factor)
         x = (assembly.solve_sparse(matrix, rhs) if x is None
              else assembly.checked_solution(matrix, rhs, x))
     except SolverFailure as exc:

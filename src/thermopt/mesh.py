@@ -227,7 +227,7 @@ def build_rectangle_mesh(extents: Sequence[float], divisions: Sequence[int],
                          tag_rule: TagRule) -> Mesh:
     """Mesh an axis-aligned box [0,L1]x...x[0,Ld] with right simplices.
 
-    extents : per-axis lengths, all > 0
+    extents : per-axis lengths, all finite and > 0
     divisions : per-axis cell counts, all >= 1
     tag_rule : maps the (n, dim) array of boundary facet centroids to a
         boolean Dirichlet mask (True: Dirichlet, False: Robin), called once;
@@ -243,8 +243,8 @@ def build_rectangle_mesh(extents: Sequence[float], divisions: Sequence[int],
         raise ConfigurationError(f"dimension {dim} not supported (need 2 or 3)")
     if len(divisions) != dim:
         raise ConfigurationError("extents and divisions must have equal length")
-    if any(e <= 0 for e in extents):
-        raise ConfigurationError("all extents must be positive")
+    if not all(0.0 < e < math.inf for e in extents):
+        raise ConfigurationError(f"all extents must be finite and positive, got {extents}")
     if any(n < 1 for n in divisions):
         raise ConfigurationError("all division counts must be at least 1")
 

@@ -54,7 +54,7 @@ def write_beta_csv(beta: Control, path: str) -> None:
 
 
 def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
+    if isinstance(value, np.generic):   # numpy scalars, np.bool_ included
         return _jsonable(value.item())
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value]

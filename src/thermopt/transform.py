@@ -237,9 +237,7 @@ class BoundCertificate:
         }
 
     def as_dict(self) -> dict:
-        d = asdict(self)
-        d["s"] = d["s"] if math.isfinite(d["s"]) else "inf"
-        return d
+        return asdict(self)
 
 
 def moser_factor(dim: int, C2: float) -> float:

@@ -7,7 +7,6 @@ import scipy.sparse as sp
 
 from thermopt import assembly
 from thermopt.assembly import (
-    apply_dirichlet,
     assemble_joule_rhs_weak,
     assemble_mass,
     assemble_robin,
@@ -40,6 +39,13 @@ ALL = dirichlet_on_planes("x=0", "x=1", "y=0", "y=1")
 def solve_direct(matrix, rhs):
     """solve_spd_pcg with an iteration cap of 0: factor and solve directly."""
     return solve_spd_pcg(matrix, rhs, np.zeros(rhs.size), None, 0.0, 0)[0]
+
+
+def dirichlet_system(mesh, matrix, rhs, fixed, values):
+    """A matrix on the cell pattern of geometry(mesh) with the vertices
+    `fixed` eliminated and `values` lifted onto the right side `rhs`."""
+    return (geometry(mesh).eliminated(matrix.data, fixed)[0],
+            lift_dirichlet(matrix, rhs, fixed, values))
 
 
 def unit_square(n, rule=LEFT):
@@ -190,7 +196,8 @@ def test_joule_weak_zero_for_constants():
 def _solve_phi(mesh, phi0_vals):
     K = assemble_weighted_stiffness(mesh, 1.0)
     fixed = mesh.boundary_vertex_set()
-    return solve_direct(*apply_dirichlet(K, np.zeros(mesh.n_vertices), fixed, phi0_vals[fixed]))
+    return solve_direct(*dirichlet_system(mesh, K, np.zeros(mesh.n_vertices), fixed,
+                                          phi0_vals[fixed]))
 
 
 def test_weak_vs_direct_difference_decreases_under_refinement():
@@ -215,22 +222,13 @@ def test_weak_vs_direct_difference_decreases_under_refinement():
     assert rate > 0.8  # at least O(h)
 
 
-def test_apply_dirichlet_full_constraint_identity():
+def test_eliminated_full_constraint_identity():
     mesh = unit_square(2)
     K = assemble_weighted_stiffness(mesh, 1.0)
     fixed = np.arange(mesh.n_vertices)
-    x = solve_direct(*apply_dirichlet(K, np.zeros(mesh.n_vertices), fixed, fixed.astype(float)))
-    assert np.allclose(x, np.arange(mesh.n_vertices, dtype=float), atol=1e-12)
-
-
-def test_apply_dirichlet_idempotent():
-    mesh = unit_square(2)
-    K = assemble_weighted_stiffness(mesh, 1.0)
-    fixed = mesh.boundary_vertex_set()
-    A1, b1 = apply_dirichlet(K, np.zeros(mesh.n_vertices), fixed, 1.0)
-    A2, b2 = apply_dirichlet(A1, b1, fixed, 1.0)
-    assert abs(A1 - A2).max() == 0.0
-    assert np.array_equal(b1, b2)
+    A, rhs = dirichlet_system(mesh, K, np.zeros(mesh.n_vertices), fixed, fixed.astype(float))
+    assert np.array_equal(A.toarray(), np.eye(mesh.n_vertices))
+    assert np.array_equal(solve_direct(A, rhs), fixed.astype(float))
 
 
 def test_p1_reproduces_linear_dirichlet_data():
@@ -297,7 +295,7 @@ def test_3d_p1_reproduces_linear_dirichlet_data():
     K = assemble_weighted_stiffness(mesh, 1.0)
     target = mesh.vertices @ np.array([1.0, -2.0, 0.5])
     fixed = mesh.boundary_vertex_set()
-    x = solve_direct(*apply_dirichlet(K, np.zeros(mesh.n_vertices), fixed, target[fixed]))
+    x = solve_direct(*dirichlet_system(mesh, K, np.zeros(mesh.n_vertices), fixed, target[fixed]))
     assert np.allclose(x, target, atol=1e-11)
 
 
@@ -333,7 +331,7 @@ def test_geometry_keeps_unit_stiffness_and_potential_factor():
     with pytest.raises(ValueError):
         K.data[0] = 0.0
     fixed = mesh.boundary_vertex_set()
-    A, rhs = apply_dirichlet(K, np.ones(mesh.n_vertices), fixed, 0.5)
+    A, rhs = dirichlet_system(mesh, K, np.ones(mesh.n_vertices), fixed, 0.5)
     assert np.allclose(geom.potential_factor.solve(rhs), solve_direct(A, rhs), rtol=1e-13)
 
 
@@ -341,8 +339,8 @@ def test_solve_spd_pcg_converges_or_refactors():
     mesh = unit_square(8)
     fixed = mesh.boundary_vertex_set()
     w = 1.0 + mesh.vertices[:, 0] ** 2
-    A, rhs = apply_dirichlet(assemble_weighted_stiffness(mesh, geometry(mesh).at_quadrature(w)),
-                             np.zeros(mesh.n_vertices), fixed, mesh.vertices[fixed, 1])
+    A, rhs = dirichlet_system(mesh, assemble_weighted_stiffness(mesh, geometry(mesh).at_quadrature(w)),
+                              np.zeros(mesh.n_vertices), fixed, mesh.vertices[fixed, 1])
     x0 = np.zeros(mesh.n_vertices)
     x0[fixed] = mesh.vertices[fixed, 1]
     precond = geometry(mesh).potential_factor
@@ -374,57 +372,7 @@ def test_geometry_cache_releases_its_mesh():
     assert len(assembly._GEOMETRY_CACHE) == before
 
 
-FIXED_PATTERN_BOXES = [([1.0, 1.0], [32, 32]), ([1.0, 1.0, 1.0], [16, 16, 16]),
-                       ([3.0, 1.0, 0.5], [9, 3, 2])]
-
-
-@pytest.mark.parametrize("extents, divisions", FIXED_PATTERN_BOXES)
-def test_eliminated_matches_apply_dirichlet(extents, divisions):
-    # the potential's set (the boundary) with a weighted stiffness and the
-    # temperature's (Gamma_D) with the Robin term added, as the state solve
-    # builds them; apply_dirichlet drops stored zeros, eliminated keeps them
-    mesh = build_rectangle_mesh(extents, divisions, LEFT)
-    geom = geometry(mesh)
-    n = mesh.n_vertices
-    rng = np.random.default_rng(11)
-    S = assemble_weighted_stiffness(mesh, geom.at_quadrature(rng.uniform(0.5, 2.0, n)))
-    n_robin = mesh.facet_indices(BoundaryTag.ROBIN_TEMPERATURE).size
-    beta = Control(mesh, rng.uniform(0.1, 2.0, n_robin), 2.0)
-    u1 = field(mesh, rng.uniform(0.0, 0.2, n))
-    R, _ = assemble_robin(mesh, beta, u1)
-    gamma_d = mesh.boundary_vertex_set(BoundaryTag.DIRICHLET_TEMPERATURE)
-    rhs = rng.standard_normal(n)
-    for data, reference, fixed in ((S.data, S, geom.boundary_vertices),
-                                   (S.data + R.data, S + R, gamma_d)):
-        values = rng.uniform(-1.0, 1.0, fixed.size)
-        A_ref, rhs_ref = apply_dirichlet(reference, rhs, fixed, values)
-        A, transpose = geom.eliminated(data, fixed)
-        assert geom.eliminated(data, fixed)[1] is transpose   # the kept slot map
-        stored = A.copy()
-        stored.eliminate_zeros()
-        assert np.array_equal(stored.indptr, A_ref.indptr)
-        assert np.array_equal(stored.indices, A_ref.indices)
-        assert np.array_equal(stored.data, A_ref.data)
-        assert np.array_equal(lift_dirichlet(geom.csr(data), rhs, fixed, values), rhs_ref)
-        # the cached permutation is the transpose, also of nonsymmetric data
-        assert np.array_equal(A.data[transpose], A.T.tocsr().data)
-        skew = geom.csr(np.arange(A.nnz, dtype=float), (A.indices, A.indptr))
-        assert np.array_equal(skew.data[transpose], skew.T.tocsr().data)
-        with pytest.raises(ValueError):
-            A.indices[0] = 0
-
-
-def test_eliminated_potential_is_bit_identical_to_apply_dirichlet():
-    mesh = unit_square(32)
-    geom = geometry(mesh)
-    w = geom.at_quadrature(1.0 + mesh.vertices[:, 0] ** 2)
-    S = assemble_weighted_stiffness(mesh, w)
-    fixed = geom.boundary_vertices
-    A_ref, _ = apply_dirichlet(S, np.zeros(mesh.n_vertices), fixed, 0.0)
-    A, _ = geom.eliminated(S.data, fixed)
-    assert (A != A_ref).nnz == 0
-    assert np.array_equal(factor_spd(A).solve(np.ones(mesh.n_vertices)),
-                          factor_spd(A_ref).solve(np.ones(mesh.n_vertices)))
+FIXED_PATTERN_BOXES = [([1.0, 1.0], [32, 32]), ([1.0, 1.0, 1.0], [16, 16, 16])]
 
 
 def test_asymmetric_datum_on_cached_pattern_raises():
@@ -445,7 +393,7 @@ def test_asymmetric_datum_on_cached_pattern_raises():
         solve_spd_pcg(A, rhs, x0, geom.potential_factor, 1e-13, 50, transpose=transpose)
 
 
-@pytest.mark.parametrize("extents, divisions", FIXED_PATTERN_BOXES[:2])
+@pytest.mark.parametrize("extents, divisions", FIXED_PATTERN_BOXES)
 def test_grad_products_equal_einsum(extents, divisions):
     geom = geometry(build_rectangle_mesh(extents, divisions, LEFT))
     expected = (np.einsum("cid,cjd->cij", geom.grads, geom.grads)

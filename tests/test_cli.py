@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -409,6 +410,23 @@ def test_out_of_range_option_exits_1(tmp_path, capsys, command, key, value):
     assert capsys.readouterr().err.startswith(f"configuration error: config key {key}:")
 
 
+@pytest.mark.parametrize("line", ["problem.divisions = 16.5 16", "problem.extents = one 1",
+                                  "problem.extents = nan 1", "problem.extents = inf 1",
+                                  "problem.extents = 1 -1"])
+def test_malformed_box_size_exits_1(tmp_path, capsys, line):
+    # the line replaces the key's line in BENCHMARK: a second one would be a duplicate key
+    key = line.split(" = ")[0]
+    text = "\n".join(line if row.startswith(f"{key} = ") else row
+                     for row in BENCHMARK.replace("16 16", "4 4").splitlines())
+    cfg = write_config(tmp_path, text + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy RuntimeWarning fails the test
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and key.split(".")[1] in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("key", ["certificate.c1", "certificate.eps"])
 def test_substitution_suite_nonpositive_certificate_key_exits_1(tmp_path, capsys, key):
     cfg = write_config(tmp_path, BENCHMARK.replace("16 16", "4 4") + f"{key} = 0\n")
@@ -593,6 +611,7 @@ def test_certificate_benchmark(tmp_path):
     assert cert["N"] < 1.0
     assert report["certificate_check"]["passed"]
     assert "heuristic" in cert["c1_provenance"]
+    assert cert["s"] == "inf"   # the 2D Sobolev exponent, written by the report's serializer
 
 
 def test_certificate_oversized_eps_exits_5(tmp_path):
@@ -912,3 +931,10 @@ def test_report_writes_non_finite_numbers_as_strings(tmp_path):
     report = json.loads(path.read_text(), parse_constant=_reject_constant)
     assert report["a"] == "inf" and report["b"] == "-inf"
     assert report["c"] == ["nan", 1.0]
+
+
+def test_report_writes_numpy_bools(tmp_path):
+    path = tmp_path / "report.json"
+    write_report({"a": np.bool_(True), "b": np.array([False, True])}, str(path))
+    report = json.loads(path.read_text())
+    assert report["a"] is True and report["b"] == [False, True]

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from thermopt import config as cfg
-from thermopt.assembly import apply_dirichlet, interpolate, norms
+from thermopt import assembly, config as cfg
+from thermopt.assembly import interpolate, norms
 from thermopt.control import (
     OptimizerOptions,
     dj_adjoint,
@@ -93,8 +94,8 @@ def test_adjoint_and_sensitivity_systems_are_transposes():
     state = solve_state(spec, beta)
     rng = np.random.default_rng(5)
     ell = Control.variation(spec.mesh, rng.uniform(-1, 1, beta.values.size))
-    bA, _, _ = adjoint_system(spec, beta, state)
-    bS, _, _ = sensitivity_system(spec, beta, state, ell)
+    bA = sp.bmat(adjoint_system(spec, beta, state)[0], format="csr")
+    bS = sp.bmat(sensitivity_system(spec, beta, state, ell)[0], format="csr")
     assert abs(bA - bS.T).max() == 0.0
 
 
@@ -103,7 +104,8 @@ def test_adjoint_weak_form_residual():
     beta = Control.constant(spec.mesh, 0.5, 2.0)
     state = solve_state(spec, beta)
     adj = solve_adjoint(spec, beta, state)
-    matrix, rhs = apply_dirichlet(*adjoint_system(spec, beta, state), 0.0)
+    blocks, rhs = adjoint_system(spec, beta, state)
+    matrix = sp.bmat(blocks, format="csr")
     x = np.concatenate([adj.p.values, adj.q.values])
     assert np.linalg.norm(matrix @ x - rhs) <= 1e-9 * max(1.0, np.linalg.norm(rhs))
     assert np.all(adj.p.values[spec.dirichlet_temperature_vertices()] == 0)
@@ -211,6 +213,27 @@ def test_solve_adjoint_factors_only_the_potential_block(monkeypatch):
     adjoint = solve_adjoint(spec, beta, state)
     assert adjoint.iterations > 0
     assert calls == {"splu": ["MMD_AT_PLUS_A"], "spsolve": 0}
+
+
+def test_solve_adjoint_eliminates_through_the_state_slot_maps(monkeypatch):
+    """The adjoint eliminates A + R and S through the slot maps that the
+    state solve built: two eliminated calls and no new slot map."""
+    spec = control_spec(16, drive=1.0)
+    beta = Control.constant(spec.mesh, 0.5, 2.0)
+    state = solve_state(spec, beta)
+    geom = assembly.geometry(spec.mesh)
+    slot_maps = set(geom._eliminations)
+    calls = []
+    eliminated = assembly.P1Geometry.eliminated
+
+    def counting_eliminated(self, data, fixed):
+        calls.append(fixed.tobytes())
+        return eliminated(self, data, fixed)
+
+    monkeypatch.setattr(assembly.P1Geometry, "eliminated", counting_eliminated)
+    solve_adjoint(spec, beta, state)
+    assert len(calls) == 2 and set(calls) == slot_maps
+    assert set(geom._eliminations) == slot_maps
 
 
 def test_sensitivity_zero_direction_gives_zero():

@@ -23,7 +23,6 @@ from scipy.optimize import brentq
 
 from thermopt import reporting
 from thermopt.assembly import (
-    apply_dirichlet,
     assemble_joule_rhs_weak,
     assemble_mass,
     assemble_robin,
@@ -33,6 +32,7 @@ from thermopt.assembly import (
     factor_spd,
     geometry,
     interpolate,
+    lift_dirichlet,
     load_vector,
     solve_spd_pcg,
 )
@@ -556,7 +556,8 @@ def test_stiffness_map_matches_bincount_bit_for_bit(extents, divisions):
 @pytest.mark.parametrize("extents, divisions", KERNEL_BOXES)
 def test_jacobian_potential_block_matches_bincount_bit_for_bit(extents, divisions):
     # S = [sigma] K of the state Jacobian and of its transpose (the adjoint's)
-    # against the bincount of the cell matrices through geom.data
+    # against the bincount of the cell matrices through geom.data, both
+    # eliminated on the boundary
     mesh = build_rectangle_mesh(extents, divisions, dirichlet_on_planes("x=0"))
     geom, n = geometry(mesh), mesh.n_vertices
     rng = np.random.default_rng(7)
@@ -572,9 +573,10 @@ def test_jacobian_potential_block_matches_bincount_bit_for_bit(extents, division
                           1, 0.0, 0.0, 0, None)
     sigma_q = spec.model.sigma(np.maximum(geom.at_quadrature(u), 0.0))
     cells = geom.grad_products * (sigma_q @ geom.qweights)[:, None, None]
-    for block, local in ((sensitivity_system(spec, beta, state, beta)[0], cells),
-                         (adjoint_system(spec, beta, state)[0], cells.swapaxes(1, 2))):
-        actual, expected = block[n:, n:], geom.csr(geom.data(local))
+    for blocks, local in ((sensitivity_system(spec, beta, state, beta)[0], cells),
+                          (adjoint_system(spec, beta, state)[0], cells.swapaxes(1, 2))):
+        actual = blocks[1][1]
+        expected = geom.eliminated(geom.data(local), geom.boundary_vertices)[0]
         for got, want in ((actual.indptr, expected.indptr), (actual.indices, expected.indices),
                           (actual.data, expected.data)):
             assert got.tobytes() == want.tobytes()
@@ -630,13 +632,44 @@ def test_masked_dirichlet_matches_triple_product(extents, divisions):
     rhs = rng.standard_normal(mesh.n_vertices)
     fixed = mesh.boundary_vertex_set()
     values = rng.uniform(-1.0, 1.0, fixed.size)
-    assert_same_system(apply_dirichlet(K, rhs, fixed, values),
+    A = geometry(mesh).eliminated(K.data, fixed)[0].copy()
+    A.eliminate_zeros()
+    assert_same_system((A, lift_dirichlet(K, rhs, fixed, values)),
                        dirichlet_triple_product(K, rhs, fixed, values))
-    # a constrained vertex whose diagonal is not stored
-    off = (K - sp.diags(K.diagonal())).tocsr()
-    off.eliminate_zeros()
-    assert_same_system(apply_dirichlet(off, rhs, fixed, values),
-                       dirichlet_triple_product(off, rhs, fixed, values))
+
+
+@pytest.mark.parametrize("extents, divisions", [([1.0, 1.0], [32, 32]), ([1.0, 1.0, 1.0], [16, 16, 16]),
+                                                ([3.0, 1.0, 0.5], [9, 3, 2])])
+def test_eliminated_matches_triple_product(extents, divisions):
+    # the potential's set (the boundary) with a weighted stiffness and the
+    # temperature's (Gamma_D) with the Robin term added, as the state solve
+    # builds them; the triple product drops stored zeros, eliminated keeps them
+    mesh = build_rectangle_mesh(extents, divisions, dirichlet_on_planes("x=0"))
+    geom = geometry(mesh)
+    n = mesh.n_vertices
+    rng = np.random.default_rng(11)
+    S = assemble_weighted_stiffness(mesh, geom.at_quadrature(rng.uniform(0.5, 2.0, n)))
+    beta = Control(mesh, rng.uniform(0.1, 2.0, mesh.facet_indices(R).size), 2.0)
+    R_u, _ = assemble_robin(mesh, beta, Field(mesh, rng.uniform(0.0, 0.2, n)))
+    rhs = rng.standard_normal(n)
+    for data, reference, fixed in ((S.data, S, geom.boundary_vertices),
+                                   (S.data + R_u.data, S + R_u, mesh.boundary_vertex_set(D))):
+        values = rng.uniform(-1.0, 1.0, fixed.size)
+        A_ref, rhs_ref = dirichlet_triple_product(reference, rhs, fixed, values)
+        A, transpose = geom.eliminated(data, fixed)
+        assert geom.eliminated(data, fixed)[1] is transpose   # the kept slot map
+        stored = A.copy()
+        stored.eliminate_zeros()
+        assert_same_system((stored, lift_dirichlet(geom.csr(data), rhs, fixed, values)),
+                           (A_ref, rhs_ref))
+        # factor_spd drops the stored zeros: the same factor
+        assert np.array_equal(factor_spd(A).solve(rhs_ref), factor_spd(A_ref).solve(rhs_ref))
+        # the cached permutation is the transpose, also of nonsymmetric data
+        assert np.array_equal(A.data[transpose], A.T.tocsr().data)
+        skew = geom.csr(np.arange(A.nnz, dtype=float), (A.indices, A.indptr))
+        assert np.array_equal(skew.data[transpose], skew.T.tocsr().data)
+        with pytest.raises(ValueError):
+            A.indices[0] = 0
 
 
 def test_masked_dirichlet_matches_triple_product_on_adjoint_block():
@@ -648,10 +681,15 @@ def test_masked_dirichlet_matches_triple_product_on_adjoint_block():
                        phi0=interpolate(mesh, lambda p: 1.0 * p[:, 0]),
                        m_cap=2.0)
     beta = Control.constant(mesh, 1.0, 2.0)
-    block, rhs, fixed = adjoint_system(spec, beta, solve_state(spec, beta))
+    blocks, rhs = adjoint_system(spec, beta, solve_state(spec, beta))
+    block = sp.bmat(blocks, format="csr")
+    block.eliminate_zeros()
     assert block.shape == (2 * mesh.n_vertices,) * 2
-    assert_same_system(apply_dirichlet(block, rhs, fixed, 0.0),
-                       dirichlet_triple_product(block, rhs, fixed, 0.0))
+    # p vanishes on Gamma_D and q on the whole boundary: the system is
+    # already eliminated there, so masking it again changes nothing
+    fixed = np.concatenate([mesh.boundary_vertex_set(D),
+                            mesh.boundary_vertex_set() + mesh.n_vertices])
+    assert_same_system((block, rhs), dirichlet_triple_product(block, rhs, fixed, 0.0))
 
 
 @pytest.mark.parametrize("extents, divisions", BOXES)
@@ -682,22 +720,27 @@ def test_state_jacobian_matches_residual_differences(extents, divisions):
         return np.concatenate([(K + R) @ u - joule - robin_load,
                                assemble_weighted_stiffness(mesh, sigma_q) @ phi])
 
-    block, _, _ = sensitivity_system(spec, beta, state, beta)
+    # the eliminated block agrees with the Jacobian on the free rows and
+    # columns: directions zero on Gamma_D and on the boundary, compared off them
+    block = sp.bmat(sensitivity_system(spec, beta, state, beta)[0], format="csr")
+    fixed_u, fixed_phi = mesh.boundary_vertex_set(D), mesh.boundary_vertex_set()
     du, dphi = rng.standard_normal((2, n))
+    du[fixed_u] = dphi[fixed_phi] = 0.0
     h = 1e-5
     fd = (residual(u + h * du, phi + h * dphi) - residual(u - h * du, phi - h * dphi)) / (2 * h)
     jv = block @ np.concatenate([du, dphi])
-    for half in (slice(0, n), slice(n, 2 * n)):
-        assert np.linalg.norm(jv[half] - fd[half]) <= 1e-8 * np.linalg.norm(jv[half])
+    for half, fixed in ((slice(0, n), fixed_u), (slice(n, 2 * n), fixed_phi)):
+        got, want = np.delete(jv[half], fixed), np.delete(fd[half], fixed)
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(got)
 
 
 @pytest.mark.parametrize("extents, divisions", BOXES)
 def test_factor_spd_matches_spsolve(extents, divisions):
     mesh, w, _, _ = random_mesh_fields(extents, divisions)
     rng = np.random.default_rng(9)
-    A, rhs = apply_dirichlet(assemble_weighted_stiffness(mesh, geometry(mesh).at_quadrature(w)),
-                             rng.standard_normal(mesh.n_vertices),
-                             mesh.boundary_vertex_set(D), 0.5)
+    A, rhs = dirichlet_triple_product(
+        assemble_weighted_stiffness(mesh, geometry(mesh).at_quadrature(w)),
+        rng.standard_normal(mesh.n_vertices), mesh.boundary_vertex_set(D), 0.5)
     x = factor_spd(A).solve(rhs)
     ref = spla.spsolve(A.tocsc(), rhs)
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -740,8 +783,9 @@ def potential_system(extents, divisions):
     geom = geometry(mesh)
     u = solve_state(spec, Control.constant(mesh, 1.0, 2.0)).u.values
     fixed = geom.boundary_vertices
-    A, rhs = apply_dirichlet(assemble_weighted_stiffness(mesh, model.sigma(geom.at_quadrature(u))),
-                             np.zeros(mesh.n_vertices), fixed, spec.phi0.values[fixed])
+    A, rhs = dirichlet_triple_product(
+        assemble_weighted_stiffness(mesh, model.sigma(geom.at_quadrature(u))),
+        np.zeros(mesh.n_vertices), fixed, spec.phi0.values[fixed])
     return A, rhs, spec.phi0.values, geom.potential_factor
 
 

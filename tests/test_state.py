@@ -430,23 +430,17 @@ def test_default_truncation_level():
 
 
 def test_picard_steps_gather_through_the_slot_map(monkeypatch):
-    """No apply_dirichlet call in a solve: each Picard step eliminates its
-    potential matrix through the cached slot map, and so do the temperature
-    matrix and K's factor, one call each."""
-    calls = {"apply_dirichlet": 0, "eliminated": 0}
-    apply_dirichlet, eliminated = assembly.apply_dirichlet, assembly.P1Geometry.eliminated
-
-    def counting_apply_dirichlet(*args, **kwargs):
-        calls["apply_dirichlet"] += 1
-        return apply_dirichlet(*args, **kwargs)
+    """Each Picard step eliminates its potential matrix through the cached
+    slot map, and so do the temperature matrix and K's factor, one call each."""
+    calls = {"eliminated": 0}
+    eliminated = assembly.P1Geometry.eliminated
 
     def counting_eliminated(*args, **kwargs):
         calls["eliminated"] += 1
         return eliminated(*args, **kwargs)
 
-    monkeypatch.setattr(assembly, "apply_dirichlet", counting_apply_dirichlet)
     monkeypatch.setattr(assembly.P1Geometry, "eliminated", counting_eliminated)
     spec = benchmark_spec(16, u1_val=0.05)
     sol = solve_state(spec, Control.constant(spec.mesh, 1.0, 2.0))
     assert sol.iterations > 2 and sol.factorizations == 2
-    assert calls == {"apply_dirichlet": 0, "eliminated": sol.iterations + 2}
+    assert calls == {"eliminated": sol.iterations + 2}
