@@ -372,7 +372,69 @@ def test_geometry_cache_releases_its_mesh():
     assert len(assembly._GEOMETRY_CACHE) == before
 
 
-FIXED_PATTERN_BOXES = [([1.0, 1.0], [32, 32]), ([1.0, 1.0, 1.0], [16, 16, 16])]
+FIXED_PATTERN_BOXES = [([1.0, 1.0], [32, 32]), ([1.0, 1.0, 1.0], [16, 16, 16]),
+                       ([3.0, 1.0, 0.5], [9, 3, 2])]
+
+
+def apply_dirichlet(matrix, rhs, fixed, values):
+    """Reference elimination: D A D + (I - D) with D = diag(keep), the
+    constrained rows and columns zeroed but for a unit diagonal, stored zeros
+    dropped, and `values` lifted onto the right side."""
+    keep = np.ones(matrix.shape[0])
+    keep[fixed] = 0.0
+    A = (sp.diags(keep) @ matrix @ sp.diags(keep) + sp.diags(1.0 - keep)).tocsr()
+    A.eliminate_zeros()
+    return A, lift_dirichlet(matrix, rhs, fixed, values)
+
+
+@pytest.mark.parametrize("extents, divisions", FIXED_PATTERN_BOXES)
+def test_eliminated_matches_apply_dirichlet(extents, divisions):
+    # the potential's set (the boundary) with a weighted stiffness and the
+    # temperature's (Gamma_D) with the Robin term added, as the state solve
+    # builds them; apply_dirichlet drops stored zeros, eliminated keeps them
+    mesh = build_rectangle_mesh(extents, divisions, LEFT)
+    geom = geometry(mesh)
+    n = mesh.n_vertices
+    rng = np.random.default_rng(11)
+    S = assemble_weighted_stiffness(mesh, geom.at_quadrature(rng.uniform(0.5, 2.0, n)))
+    n_robin = mesh.facet_indices(BoundaryTag.ROBIN_TEMPERATURE).size
+    beta = Control(mesh, rng.uniform(0.1, 2.0, n_robin), 2.0)
+    R, _ = assemble_robin(mesh, beta, field(mesh, rng.uniform(0.0, 0.2, n)))
+    gamma_d = mesh.boundary_vertex_set(BoundaryTag.DIRICHLET_TEMPERATURE)
+    rhs = rng.standard_normal(n)
+    for data, reference, fixed in ((S.data, S, geom.boundary_vertices),
+                                   (S.data + R.data, S + R, gamma_d)):
+        values = rng.uniform(-1.0, 1.0, fixed.size)
+        A_ref, rhs_ref = apply_dirichlet(reference, rhs, fixed, values)
+        A, transpose = geom.eliminated(data, fixed)
+        assert geom.eliminated(data, fixed)[1] is transpose   # the kept slot map
+        stored = A.copy()
+        stored.eliminate_zeros()
+        assert np.array_equal(stored.indptr, A_ref.indptr)
+        assert np.array_equal(stored.indices, A_ref.indices)
+        assert np.array_equal(stored.data, A_ref.data)
+        assert np.array_equal(lift_dirichlet(geom.csr(data), rhs, fixed, values), rhs_ref)
+        # factor_spd drops the stored zeros: the same factor
+        assert np.array_equal(factor_spd(A).solve(rhs_ref), factor_spd(A_ref).solve(rhs_ref))
+        # the cached permutation is the transpose, also of nonsymmetric data
+        assert np.array_equal(A.data[transpose], A.T.tocsr().data)
+        skew = geom.csr(np.arange(A.nnz, dtype=float), (A.indices, A.indptr))
+        assert np.array_equal(skew.data[transpose], skew.T.tocsr().data)
+        with pytest.raises(ValueError):
+            A.indices[0] = 0
+
+
+def test_eliminated_potential_is_bit_identical_to_apply_dirichlet():
+    mesh = unit_square(32)
+    geom = geometry(mesh)
+    w = geom.at_quadrature(1.0 + mesh.vertices[:, 0] ** 2)
+    S = assemble_weighted_stiffness(mesh, w)
+    fixed = geom.boundary_vertices
+    A_ref, _ = apply_dirichlet(S, np.zeros(mesh.n_vertices), fixed, 0.0)
+    A, _ = geom.eliminated(S.data, fixed)
+    assert (A != A_ref).nnz == 0
+    assert np.array_equal(factor_spd(A).solve(np.ones(mesh.n_vertices)),
+                          factor_spd(A_ref).solve(np.ones(mesh.n_vertices)))
 
 
 def test_asymmetric_datum_on_cached_pattern_raises():
@@ -393,7 +455,7 @@ def test_asymmetric_datum_on_cached_pattern_raises():
         solve_spd_pcg(A, rhs, x0, geom.potential_factor, 1e-13, 50, transpose=transpose)
 
 
-@pytest.mark.parametrize("extents, divisions", FIXED_PATTERN_BOXES)
+@pytest.mark.parametrize("extents, divisions", FIXED_PATTERN_BOXES[:2])
 def test_grad_products_equal_einsum(extents, divisions):
     geom = geometry(build_rectangle_mesh(extents, divisions, LEFT))
     expected = (np.einsum("cid,cjd->cij", geom.grads, geom.grads)

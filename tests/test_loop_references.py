@@ -638,40 +638,6 @@ def test_masked_dirichlet_matches_triple_product(extents, divisions):
                        dirichlet_triple_product(K, rhs, fixed, values))
 
 
-@pytest.mark.parametrize("extents, divisions", [([1.0, 1.0], [32, 32]), ([1.0, 1.0, 1.0], [16, 16, 16]),
-                                                ([3.0, 1.0, 0.5], [9, 3, 2])])
-def test_eliminated_matches_triple_product(extents, divisions):
-    # the potential's set (the boundary) with a weighted stiffness and the
-    # temperature's (Gamma_D) with the Robin term added, as the state solve
-    # builds them; the triple product drops stored zeros, eliminated keeps them
-    mesh = build_rectangle_mesh(extents, divisions, dirichlet_on_planes("x=0"))
-    geom = geometry(mesh)
-    n = mesh.n_vertices
-    rng = np.random.default_rng(11)
-    S = assemble_weighted_stiffness(mesh, geom.at_quadrature(rng.uniform(0.5, 2.0, n)))
-    beta = Control(mesh, rng.uniform(0.1, 2.0, mesh.facet_indices(R).size), 2.0)
-    R_u, _ = assemble_robin(mesh, beta, Field(mesh, rng.uniform(0.0, 0.2, n)))
-    rhs = rng.standard_normal(n)
-    for data, reference, fixed in ((S.data, S, geom.boundary_vertices),
-                                   (S.data + R_u.data, S + R_u, mesh.boundary_vertex_set(D))):
-        values = rng.uniform(-1.0, 1.0, fixed.size)
-        A_ref, rhs_ref = dirichlet_triple_product(reference, rhs, fixed, values)
-        A, transpose = geom.eliminated(data, fixed)
-        assert geom.eliminated(data, fixed)[1] is transpose   # the kept slot map
-        stored = A.copy()
-        stored.eliminate_zeros()
-        assert_same_system((stored, lift_dirichlet(geom.csr(data), rhs, fixed, values)),
-                           (A_ref, rhs_ref))
-        # factor_spd drops the stored zeros: the same factor
-        assert np.array_equal(factor_spd(A).solve(rhs_ref), factor_spd(A_ref).solve(rhs_ref))
-        # the cached permutation is the transpose, also of nonsymmetric data
-        assert np.array_equal(A.data[transpose], A.T.tocsr().data)
-        skew = geom.csr(np.arange(A.nnz, dtype=float), (A.indices, A.indptr))
-        assert np.array_equal(skew.data[transpose], skew.T.tocsr().data)
-        with pytest.raises(ValueError):
-            A.indices[0] = 0
-
-
 def test_masked_dirichlet_matches_triple_product_on_adjoint_block():
     mesh = build_rectangle_mesh([1.0, 1.0], [6, 5], dirichlet_on_planes("x=0"))
     model = TruncatedPower(1.0, 1.0, 2.0)
