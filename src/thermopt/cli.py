@@ -72,7 +72,7 @@ def _state_summary(spec, sol):
         "u_h1_norm": norms(sol.u).h1,
         "phi_w1inf_proxy": max(float(np.max(np.abs(sol.phi.values))),
                                max_cell_gradient(sol.phi)),
-        "truncation_level": (sol.truncation_used.n if sol.truncation_used else None),
+        "truncation_level": sol.truncation_level,
         "cg_iterations": sol.cg_iterations,
         "factorizations": sol.factorizations,
     }
@@ -131,7 +131,7 @@ def cmd_optimize(config, outdir, report):
 def _suite_conductivity(config, spec, checks):
     model = spec.model
     mu = model.lipschitz_mu()
-    rng = np.random.default_rng(config.get_int("verify.seed"))
+    rng = np.random.default_rng(cfg._option(config.get_int, "verify.seed"))
     v = rng.uniform(0.0, 50.0, 100)
     w = rng.uniform(0.0, 50.0, 100)
     y = w - v
@@ -214,7 +214,7 @@ def _suite_gradient(config, spec, checks):
     solver.tol = min(solver.tol, 1e-11)
     state = solve_state(spec, beta, solver)
     adjoint = ctl.solve_adjoint(spec, beta, state)
-    rng = np.random.default_rng(config.get_int("verify.seed"))
+    rng = np.random.default_rng(cfg._option(config.get_int, "verify.seed"))
     scale_cap = min(base, spec.m_cap - base)
     for k in range(5):
         ell = Control.variation(spec.mesh,

@@ -241,6 +241,7 @@ _RANGES = {
     "optimizer.max_outer": (lambda v: v >= 1, "must be >= 1"),
     "certificate.eps": (lambda v: v > 0, "must be > 0"),
     "certificate.c1": (lambda v: v > 0, "must be > 0"),
+    "verify.seed": (lambda v: v >= 0, "must be >= 0"),
 }
 
 

@@ -394,8 +394,9 @@ def optimize(spec: ProblemSpec, opts: OptimizerOptions | None = None) -> Optimiz
             previous = (beta.values, g)
         entry["initial_step"] = step
         for _ in range(opts.max_backtracks):
-            candidate = ((1.0 - step) * beta.values + step * proj if sweep
-                         else np.clip(beta.values - step * g, 0.0, spec.m_cap))
+            # clipped also for the sweep, whose combination can round past m_cap
+            candidate = np.clip((1.0 - step) * beta.values + step * proj if sweep
+                                else beta.values - step * g, 0.0, spec.m_cap)
             if np.array_equal(candidate, beta.values):
                 break  # the step no longer moves beta: the search is exhausted
             cand = beta.with_values(candidate)

@@ -16,24 +16,17 @@ temperature arguments (transients of the nonlinear iteration) are clamped to
 0; callers that need to report clamping count negatives before evaluating.
 Models are immutable and every evaluation is a pure function, safe for
 concurrent use.
+
+The truncation sigma_n is a separate two-method object that checks its level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class TruncationLevel:
-    """Level n in (0, u_star) at which sigma is blended to a positive floor."""
-
-    n: float
-    delta: float
 
 
 class ConductivityModel:
@@ -173,50 +166,39 @@ class Constant(ConductivityModel):
         return _clamp(v) / self.sigma0
 
 
-class TruncatedModel(ConductivityModel):
-    """sigma_n: equals sigma below the level n, then a C1 cubic blend down to
-    the constant floor sigma(n)/2 on [n, n+delta], constant beyond.
-
-    Only sigma/sigma' evaluations are meaningful for a truncated model; it
-    exists to make each linearized solve uniformly elliptic.
+class TruncatedModel:
+    """sigma_n: sigma below the level n, a C1 cubic blend of width
+    delta = 0.05 (u_star - n) down to the floor sigma(n)/2, constant beyond.
+    Only sigma and sigma'; it keeps each linearized solve uniformly elliptic,
+    and its constructor is the one check of the level, 0 < n < u_star < inf.
     """
 
-    def __init__(self, base: ConductivityModel, level: TruncationLevel):
+    def __init__(self, base: ConductivityModel, n: float):
+        if not 0.0 < n < base.u_star < math.inf:
+            why = ("outside (0, u_star)" if math.isfinite(base.u_star)
+                   else "given for a model without a critical temperature")
+            raise DomainError(f"truncation level {n} {why}")
         self.base = base
-        self.level = level
-        self.sigma0 = base.sigma0
-        self.u_star = math.inf  # sigma_n never vanishes
-        n, d = level.n, level.delta
-        self._sn = float(base.sigma(n))
-        self._spn = float(base.sigma_prime(n))
-        self._n, self._d = n, d
+        self.n = float(n)
+        self.delta = 0.05 * (base.u_star - self.n)
+        self._sn = float(base.sigma(self.n))
+        self._spn = float(base.sigma_prime(self.n))
 
     def _on_band(self, u, below, blend, floor):
         """below(min(u, n)), then blend((u - n) / delta) if u > n, floor if u >= n + delta."""
         u = _clamp(u)
-        out = np.asarray(below(np.minimum(u, self._n)))
-        band = u > self._n
-        out[band] = blend(np.clip((u[band] - self._n) / self._d, 0.0, 1.0))
-        out[u >= self._n + self._d] = floor
+        out = np.asarray(below(np.minimum(u, self.n)))
+        band = u > self.n
+        out[band] = blend(np.clip((u[band] - self.n) / self.delta, 0.0, 1.0))
+        out[u >= self.n + self.delta] = floor
         return out
 
     def sigma(self, u):
-        d, sn, spn = self._d, self._sn, self._spn
+        d, sn, spn = self.delta, self._sn, self._spn
         blend = lambda t: sn * (t ** 3 - 1.5 * t ** 2 + 1.0) + d * spn * t * (1.0 - t) ** 2
         return self._on_band(u, self.base.sigma, blend, 0.5 * sn)
 
     def sigma_prime(self, u):
-        d, sn, spn = self._d, self._sn, self._spn
+        d, sn, spn = self.delta, self._sn, self._spn
         dblend = lambda t: sn * (3.0 * t ** 2 - 3.0 * t) / d + spn * (1.0 - t) * (1.0 - 3.0 * t)
         return self._on_band(u, self.base.sigma_prime, dblend, 0.0)
-
-
-def truncate(model: ConductivityModel, n: float) -> TruncatedModel:
-    """Build sigma_n with floor sigma(n)/2 and a C1 blend of width
-    0.05 (u_star - n). Requires 0 < n < u_star, u_star finite."""
-    if not (0.0 < n < model.u_star):
-        raise DomainError(f"truncation level {n} outside (0, u_star)")
-    delta = 0.05 * (model.u_star - n)
-    if not 0.0 < delta < math.inf:
-        raise DomainError("blend width must be positive and finite")
-    return TruncatedModel(model, TruncationLevel(float(n), float(delta)))

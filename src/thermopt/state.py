@@ -34,9 +34,9 @@ import scipy.sparse.linalg as spla
 
 from . import assembly
 from .assembly import geometry, lift_dirichlet
-from .errors import ConfigurationError, CriticalityError, NonconvergenceError
+from .errors import ConfigurationError, CriticalityError, DomainError, NonconvergenceError
 from .fields import Control, Field
-from .materials import ConductivityModel, TruncatedModel, TruncationLevel, truncate
+from .materials import ConductivityModel, TruncatedModel
 from .mesh import BoundaryTag, Mesh
 
 # Residual differences the Anderson mixing keeps (its depth m). On the
@@ -104,7 +104,7 @@ class StateSolution:
     residual_u: float
     residual_phi: float
     sigma_clamp_count: int
-    truncation_used: TruncationLevel | None
+    truncation_level: float | None   # the level n of sigma_n; None untruncated
     history: list = dfield(default_factory=list)
     cg_iterations: int = 0       # over all potential solves
     factorizations: int = 0      # sparse LU factorizations this solve made
@@ -142,12 +142,10 @@ def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = N
     level = opts.truncation_level
     if level is None:
         level = pick_truncation_level(spec)
-    if level is not None and not math.isfinite(spec.model.u_star):
-        raise ConfigurationError(f"truncation level {level} given for a model without "
-                                 "a critical temperature, which needs no truncation")
-    if level is not None and not (0.0 < level < spec.model.u_star):
-        raise ConfigurationError(f"truncation level {level} outside (0, u_star)")
-    work_model = truncate(spec.model, level) if level is not None else spec.model
+    try:
+        sigma = spec.model.sigma if level is None else TruncatedModel(spec.model, level).sigma
+    except DomainError as exc:
+        raise ConfigurationError(str(exc)) from None
 
     geom = geometry(mesh)
     R, robin_rhs = assembly.assemble_robin(mesh, beta, spec.u1)
@@ -169,14 +167,12 @@ def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = N
     phi = spec.phi0.values.copy()
     iterates, residuals = [], []   # the last ANDERSON_DEPTH + 1 of u and T(u) - u
     history = []
-    converged = False
-    iterations = 0
 
     for iterations in range(1, opts.max_iter + 1):
         # the potential matrix and the Joule load share one sigma evaluation
         u_q = geom.at_quadrature(u)
         sigma_clamp_count += int(np.count_nonzero(u_q < 0))
-        sigma_q = work_model.sigma(u_q)
+        sigma_q = sigma(u_q)
         phi_new, cg, refactor = _solve_potential(mesh, sigma_q, phi, fixed_phi,
                                                  phi_fixed, precond)
         cg_iterations += cg
@@ -196,7 +192,6 @@ def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = N
         phi = phi_new
         if max(delta_u, delta_phi) <= opts.tol:
             u = u_candidate
-            converged = True
             break
         # Type-II Anderson step: the coefficients gamma minimize
         # |residual - dF gamma| over the differences of the kept residuals;
@@ -210,8 +205,7 @@ def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = N
         gamma = np.linalg.lstsq(d_f, residual, rcond=None)[0]
         w = opts.damping
         u = (1.0 - w) * u + w * u_candidate - (d_u + w * d_f) @ gamma
-
-    if not converged:
+    else:
         raise NonconvergenceError(
             f"Picard did not reach tol {opts.tol:g} in {opts.max_iter} iterations "
             f"(last increment {max(delta_u, delta_phi):.3e})", history)
@@ -228,8 +222,7 @@ def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = N
         residual_u=0.0,
         residual_phi=0.0,
         sigma_clamp_count=sigma_clamp_count,
-        truncation_used=(work_model.level if isinstance(work_model, TruncatedModel)
-                         else None),
+        truncation_level=level,
         history=history,
         cg_iterations=cg_iterations,
         factorizations=factorizations,

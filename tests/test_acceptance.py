@@ -110,7 +110,7 @@ def test_criterion_3_subcritical_existence_mirror():
         opts = SolverOptions(tol=1e-9, max_iter=200)
         sol = solve_state(spec, beta, opts)
         assert sol.iterations <= 200
-        level = sol.truncation_used.n
+        level = sol.truncation_level
         max_u = float(np.max(sol.u.values))
         assert max_u < level
         r_u, r_phi = weak_residual(spec, beta, sol)

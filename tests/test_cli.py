@@ -326,14 +326,29 @@ CRITICAL = (BENCHMARK.replace("16 16", "8 8")
             + "solver.truncation_level = 0.1\n")
 
 
-def test_truncation_level_for_constant_model_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("kind, level", [("constant", "0.5"), ("truncated_power", "1.0"),
+                                         ("truncated_power", "0")])
+def test_bad_truncation_level_exits_1(tmp_path, capsys, kind, level):
+    # a constant model takes no level; a truncated power one needs 0 < n < u_star
     text = (BENCHMARK.replace("16 16", "4 4")
-            .replace("kind = truncated_power", "kind = constant")
-            + "solver.truncation_level = 0.5\n")
+            .replace("kind = truncated_power", f"kind = {kind}")
+            + f"solver.truncation_level = {level}\n")
     cfg = write_config(tmp_path, text)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: truncation level 0.5")
+    assert err.startswith(f"configuration error: truncation level {level}")
+
+
+@pytest.mark.parametrize("kind, line, level", [
+    ("truncated_power", "", 0.9),
+    ("truncated_power", "solver.truncation_level = 0.5\n", 0.5),
+    ("constant", "", None),
+])
+def test_report_states_the_truncation_level(tmp_path, kind, line, level):
+    text = BENCHMARK.replace("16 16", "4 4").replace("truncated_power", kind) + line
+    cfg = write_config(tmp_path, text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert read_report(tmp_path / "o")["state"]["truncation_level"] == level
 
 
 def test_solve_criticality_exits_3(tmp_path):
@@ -403,10 +418,12 @@ def test_error_class_exit_code(tmp_path, monkeypatch, capsys, command, error_cla
     ("optimize", "optimizer.relaxation", "1.5"),
     ("certificate", "certificate.c1", "-1"),
     ("certificate", "certificate.eps", "-1"),
+    ("verify --suite lemma1", "verify.seed", "-1"),
+    ("verify --suite gradient", "verify.seed", "-1"),
 ])
 def test_out_of_range_option_exits_1(tmp_path, capsys, command, key, value):
     cfg = write_config(tmp_path, BENCHMARK.replace("16 16", "4 4") + f"{key} = {value}\n")
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert main(command.split() + ["--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith(f"configuration error: config key {key}:")
 
 
@@ -477,6 +494,15 @@ def test_readme_lists_every_config_key():
     assert keys == set(_KNOWN_KEYS)
 
 
+def test_readme_layout_names_every_module():
+    # each row's first cell: `thermopt.name`, or several names joined by " / "
+    cells = re.findall(r"^\| (`.*?) \|", _readme_section("## Package layout"), re.M)
+    named = {name.removeprefix("thermopt.") for cell in cells
+             for name in re.findall(r"`([\w.]+)`", cell)}
+    modules = {path.stem for path in (ROOT / "src" / "thermopt").glob("*.py")}
+    assert modules - {"__init__"} <= named
+
+
 def test_readme_exit_code_table_matches_cli():
     rows = re.findall(r"^\| (\d+) \|", _readme_section("## Command line"), re.M)
     codes = {value for name, value in vars(cli_mod).items() if name.startswith("EXIT_")}
@@ -509,6 +535,22 @@ def test_optimize_projected_gradient_on_a_box(tmp_path):
     assert opt["optimality_residual"] <= float(report["config"]["optimizer.tol"])
     assert opt["integral_beta_sq"] > 0.0
     assert opt["adjoint_iterations"] >= opt["adjoint_solves"]
+
+
+def test_sweep_from_the_upper_bound_stays_in_the_box(tmp_path):
+    # (1 - 0.45) 0.02 + 0.45 0.02 rounds above 0.02 on facets where the
+    # control and its projection both sit on m_cap
+    text = (ROOT / "configs" / "benchmark.cfg").read_text()
+    for old, new in (("16 16", "8 8"), ("m_cap = 2.0", "m_cap = 0.02"),
+                     ("u1 = 0.05", "u1 = 0"), ("0.1*x", "1.0*x")):
+        text = text.replace(old, new)
+    cfg = write_config(tmp_path, text + "optimizer.relaxation = 0.45\n"
+                       "optimizer.beta0 = 0.02\n")
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+    assert read_report(out)["optimizer"]["converged"]
+    beta = np.loadtxt(out / "beta.csv", delimiter=",", skiprows=1)[:, -1]
+    assert beta.max() <= 0.02 and beta.min() >= 0.0
 
 
 DEFECTS = Path(__file__).resolve().parents[1] / "perfbench" / "defects"

@@ -52,7 +52,7 @@ from thermopt.control import (
 )
 from thermopt.errors import CriticalityError, NonconvergenceError, SolverFailure
 from thermopt.fields import Control, Field
-from thermopt.materials import TruncatedPower, truncate
+from thermopt.materials import TruncatedModel, TruncatedPower
 from thermopt.mesh import (
     BoundaryTag,
     build_rectangle_mesh,
@@ -279,7 +279,7 @@ def truncated_sigma_where(model, u):
     """sigma_n as np.where over the base, the blend and the floor, each
     evaluated at every point."""
     u = np.maximum(np.asarray(u, dtype=float), 0.0)
-    n, d = model.level.n, model.level.delta
+    n, d = model.n, model.delta
     sn, spn = float(model.base.sigma(n)), float(model.base.sigma_prime(n))
     t = np.clip((u - n) / d, 0.0, 1.0)
     blend = sn * (t ** 3 - 1.5 * t ** 2 + 1.0) + d * spn * t * (1.0 - t) ** 2
@@ -290,7 +290,7 @@ def truncated_sigma_where(model, u):
 def truncated_sigma_prime_where(model, u):
     """sigma_n' in the np.where form of truncated_sigma_where."""
     u = np.maximum(np.asarray(u, dtype=float), 0.0)
-    n, d = model.level.n, model.level.delta
+    n, d = model.n, model.delta
     sn, spn = float(model.base.sigma(n)), float(model.base.sigma_prime(n))
     t = np.clip((u - n) / d, 0.0, 1.0)
     dblend = sn * (3.0 * t ** 2 - 3.0 * t) / d + spn * (1.0 - t) * (1.0 - 3.0 * t)
@@ -300,8 +300,8 @@ def truncated_sigma_prime_where(model, u):
 
 @pytest.mark.parametrize("p, n", [(2.0, 0.9), (3.0, 0.5)])
 def test_truncated_sigma_matches_where_reference_bit_for_bit(p, n):
-    model = truncate(TruncatedPower(1.0, 1.0, p), n)
-    d = model.level.delta
+    model = TruncatedModel(TruncatedPower(1.0, 1.0, p), n)
+    d = model.delta
     u = np.concatenate([np.linspace(-0.5, 1.5, 100_001),
                         np.nextafter(np.array([0.0, n, n + d, 1.0]), -np.inf),
                         [0.0, n, n + d, 1.0, 1e300]])

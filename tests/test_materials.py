@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from thermopt.errors import DomainError
-from thermopt.materials import Constant, TruncatedPower, truncate
+from thermopt.materials import Constant, TruncatedModel, TruncatedPower
 
 
 def analytic_F(u, sigma0, u_star, p):
@@ -143,7 +143,7 @@ def test_reciprocal_moment_exact_at_small_v():
 
 def test_truncation_matches_below_level():
     m = TruncatedPower(1.0, 1.0, 2.0)
-    tn = truncate(m, 0.9)
+    tn = TruncatedModel(m, 0.9)
     s = np.linspace(0.0, 0.9, 300)
     assert np.allclose(tn.sigma(s), m.sigma(s), rtol=0, atol=0)
     assert np.allclose(tn.sigma_prime(s), m.sigma_prime(s), rtol=0, atol=0)
@@ -151,9 +151,9 @@ def test_truncation_matches_below_level():
 
 def test_truncation_floor_and_constant_tail():
     m = TruncatedPower(1.0, 1.0, 2.0)
-    tn = truncate(m, 0.9)
+    tn = TruncatedModel(m, 0.9)
     floor = 0.5 * float(m.sigma(0.9))
-    delta = tn.level.delta
+    delta = tn.delta
     s = np.linspace(0.9 + delta, 5.0, 100)
     assert np.allclose(tn.sigma(s), floor, atol=1e-15)
     dense = np.linspace(0.0, 5.0, 5000)
@@ -162,9 +162,9 @@ def test_truncation_floor_and_constant_tail():
 
 def test_truncation_c1_norm_close_to_base():
     m = TruncatedPower(1.0, 1.0, 2.0)
-    tn = truncate(m, 0.9)
+    tn = TruncatedModel(m, 0.9)
     # solver-realistic levels keep the blend slope under the base bound
-    s = np.linspace(0.0, 0.9 + tn.level.delta, 4096)
+    s = np.linspace(0.0, 0.9 + tn.delta, 4096)
     c1_norm = max(np.max(np.abs(tn.sigma(s))), np.max(np.abs(tn.sigma_prime(s))))
     assert c1_norm <= m.lipschitz_mu() + 1e-9
 
@@ -172,11 +172,11 @@ def test_truncation_c1_norm_close_to_base():
 def test_truncation_rejects_bad_level():
     m = TruncatedPower(1.0, 1.0, 2.0)
     with pytest.raises(DomainError):
-        truncate(m, 1.0)
+        TruncatedModel(m, 1.0)
     with pytest.raises(DomainError):
-        truncate(m, -0.1)
-    with pytest.raises(DomainError, match="blend width"):
-        truncate(Constant(1.0), 0.5)   # no u_star, no finite blend width
+        TruncatedModel(m, -0.1)
+    with pytest.raises(DomainError, match="without a critical temperature"):
+        TruncatedModel(Constant(1.0), 0.5)   # no u_star
 
 
 def test_constant_model_basics():

@@ -9,7 +9,7 @@ from thermopt import assembly, state
 from thermopt.assembly import interpolate, norms
 from thermopt.errors import ConfigurationError
 from thermopt.fields import Control, Field
-from thermopt.materials import Constant, TruncatedModel, TruncatedPower, truncate
+from thermopt.materials import Constant, TruncatedModel, TruncatedPower
 from thermopt.mesh import build_rectangle_mesh, dirichlet_on_planes, refine_uniform
 from thermopt.state import (
     ProblemSpec,
@@ -169,7 +169,7 @@ def test_strong_drive_converges_with_mixing():
                      lambda p: 2.0 * p[:, 0])
     sol = solve_state(spec, Control.constant(mesh, 0.0, 2.0))
     assert sol.residual_u <= 1e-8 and sol.residual_phi <= 1e-8
-    assert float(np.max(sol.u.values)) < sol.truncation_used.n
+    assert float(np.max(sol.u.values)) < sol.truncation_level
 
 
 def test_constant_data_trivial_solution():
@@ -208,8 +208,8 @@ def test_symmetry_under_reflection():
 def test_benchmark_subcritical_and_truncation_inactive():
     spec = benchmark_spec()
     sol = solve_state(spec, Control.constant(spec.mesh, 1.0, 2.0))
-    assert sol.truncation_used is not None
-    n = sol.truncation_used.n
+    assert sol.truncation_level is not None
+    n = sol.truncation_level
     assert n == pytest.approx(0.9)
     assert float(np.max(sol.u.values)) < n
     assert subcritical_margin(sol, spec.model) > 0
@@ -238,7 +238,7 @@ def test_weak_residual_with_truncated_sigma_matches_original():
     beta = Control.constant(spec.mesh, 1.0, 2.0)
     sol = solve_state(spec, beta)
     r_orig = weak_residual(spec, beta, sol)
-    trunc_spec = make_spec(spec.mesh, truncate(spec.model, 0.9),
+    trunc_spec = make_spec(spec.mesh, TruncatedModel(spec.model, 0.9),
                            lambda p: np.zeros(p.shape[0]),
                            lambda p: np.zeros(p.shape[0]),
                            lambda p: 0.1 * p[:, 0])
