@@ -23,6 +23,11 @@ from .errors import AssemblyError, DomainError, SolverFailure
 from .fields import Control, Field
 from .mesh import Mesh, edge_cofactors, facet_measures
 
+# the residual contract of every sparse solve: relative residual <= SOLVE_RTOL
+SOLVE_RTOL = 1e-10
+# a matrix is symmetric when max |A - A^T| <= SYMMETRY_RTOL max |A|
+SYMMETRY_RTOL = 1e-12
+
 # quadrature in barycentric coordinates: (points, weights)
 _QUAD = {
     2: (np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
@@ -293,14 +298,14 @@ def lift_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray, fixed: np.ndarray,
     return lifted
 
 
-def check_symmetric(matrix: sp.spmatrix, rtol: float = 1e-12,
-                    transpose: np.ndarray | None = None) -> bool:
-    """max |A - A^T| <= rtol max |A|; with `transpose`, the permutation of the
-    data of a symmetric pattern onto its transpose's, A^T is not formed."""
+def check_symmetric(matrix: sp.spmatrix, transpose: np.ndarray | None = None) -> bool:
+    """max |A - A^T| <= SYMMETRY_RTOL max |A|; with `transpose`, the permutation
+    of the data of a symmetric pattern onto its transpose's, A^T is not formed."""
     if transpose is None:
-        return abs(matrix - matrix.T).max() <= rtol * max(1e-300, abs(matrix).max())
+        return abs(matrix - matrix.T).max() <= SYMMETRY_RTOL * max(1e-300, abs(matrix).max())
     data = matrix.data
-    return np.abs(data - data[transpose]).max() <= rtol * max(1e-300, np.abs(data).max())
+    return (np.abs(data - data[transpose]).max()
+            <= SYMMETRY_RTOL * max(1e-300, np.abs(data).max()))
 
 
 def factor_spd(matrix: sp.spmatrix) -> spla.SuperLU:
@@ -322,7 +327,7 @@ def factor_spd(matrix: sp.spmatrix) -> spla.SuperLU:
 
 def solve_spd_pcg(matrix: sp.spmatrix, rhs: np.ndarray, x0: np.ndarray,
                   precond: spla.SuperLU | None, pcg_rtol: float, max_iter: int,
-                  rtol: float = 1e-10, transpose: np.ndarray | None = None
+                  transpose: np.ndarray | None = None
                   ) -> tuple[np.ndarray, int, spla.SuperLU | None]:
     """SPD solve by scipy's conjugate gradients from x0, preconditioned by
     `precond` (a factor of a spectrally equivalent SPD matrix), to relative
@@ -331,7 +336,7 @@ def solve_spd_pcg(matrix: sp.spmatrix, rhs: np.ndarray, x0: np.ndarray,
     direct solve and needs no `precond`. Returns the solution, the CG
     iterations and the new factor (None when CG converged). A nonsymmetric
     matrix raises SolverFailure (`transpose` as in check_symmetric); the contract
-    is relative residual <= rtol.
+    is relative residual <= SOLVE_RTOL.
     """
     if not check_symmetric(matrix, transpose=transpose):
         raise SolverFailure("matrix not symmetric")
@@ -341,27 +346,27 @@ def solve_spd_pcg(matrix: sp.spmatrix, rhs: np.ndarray, x0: np.ndarray,
                           M=spla.LinearOperator(matrix.shape, precond.solve, dtype=float),
                           callback=steps.append)
         if info == 0:
-            return checked_solution(matrix, rhs, x, rtol), len(steps), None
+            return checked_solution(matrix, rhs, x), len(steps), None
     lu = factor_spd(matrix)
-    return checked_solution(matrix, rhs, lu.solve(rhs), rtol), max_iter, lu
+    return checked_solution(matrix, rhs, lu.solve(rhs)), max_iter, lu
 
 
-def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     x = spla.spsolve(matrix.tocsc(), rhs)
-    return checked_solution(matrix, rhs, x, rtol)
+    return checked_solution(matrix, rhs, x)
 
 
-def checked_solution(matrix, rhs, x, rtol=1e-10):
+def checked_solution(matrix, rhs, x):
     """x itself, after checking that it is finite and that its relative
-    residual is at most rtol; raises SolverFailure otherwise."""
+    residual is at most SOLVE_RTOL; raises SolverFailure otherwise."""
     if not np.all(np.isfinite(x)):
         raise SolverFailure("sparse solve produced non-finite values "
                             "(singular or degenerate system)")
     ax = matrix @ x
     res = np.linalg.norm(ax - rhs)
     scale = max(np.linalg.norm(rhs), 1e-300)
-    if res > rtol * max(scale, np.linalg.norm(ax)):
-        raise SolverFailure(f"linear solve residual {res / scale:.3e} exceeds {rtol:.1e}")
+    if res > SOLVE_RTOL * max(scale, np.linalg.norm(ax)):
+        raise SolverFailure(f"linear solve residual {res / scale:.3e} exceeds {SOLVE_RTOL:.1e}")
     return x
 
 

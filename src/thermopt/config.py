@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,63 +28,80 @@ from .mesh import (
 )
 from .state import ProblemSpec, SolverOptions
 
-_KNOWN_KEYS = {
-    "problem.extents": "per-axis box lengths, space separated",
-    "problem.divisions": "per-axis cell counts, space separated",
-    "problem.dirichlet": "axis-aligned planes forming the Dirichlet part, e.g. x=0|y=1",
-    "problem.mesh_file": "path to a mesh file (alternative to extents/divisions)",
-    "problem.model.kind": "truncated_power or constant",
-    "problem.model.sigma0": "finite conductivity scale > 0",
-    "problem.model.u_star": "finite critical temperature > 0 (truncated_power)",
-    "problem.model.p": "finite decay exponent >= 2 (truncated_power)",
-    "problem.u0": "temperature Dirichlet data expression (or file:<path>)",
-    "problem.u1": "ambient temperature expression (or file:<path>)",
-    "problem.phi0": "potential Dirichlet data expression (or file:<path>)",
-    "problem.beta": "control expression evaluated at Robin facet centroids",
-    "problem.m_cap": "finite control upper bound >= 0",
-    "solver.tol": "Picard fixed-point increment tolerance > 0",
-    "solver.damping": "Anderson mixing weight in (0, 1]",
-    "solver.max_iter": "Picard iteration cap >= 1",
-    "solver.truncation_level": "override for the conductivity truncation level",
-    "optimizer.mode": "sweep or projected_gradient",
-    "optimizer.relaxation": "sweep averaging weight in (0, 1]",
-    "optimizer.tol": "optimality residual tolerance > 0",
-    "optimizer.max_outer": "outer iteration cap >= 1",
-    "optimizer.beta0": "initial control value (default m_cap / 2)",
-    "certificate.eps": "epsilon of the bound chain",
-    "certificate.c1": "user-supplied Sobolev embedding constant",
-    "certificate.auto_eps": "halve eps automatically until feasible (true/false)",
-    "certificate.allow_constant": "permit certificates for the constant model",
-    "verify.seed": "seed for the randomized verification probes",
-    "output.dir": "output directory",
-}
+class _Kind(NamedTuple):
+    """How a key's text becomes its value. `parse` raises ValueError or
+    KeyError on text that is `not <noun>`; a folded kind reads its text
+    lowercased."""
+    parse: Callable[[str], object]
+    noun: str = ""
+    fold: bool = False
 
-_DEFAULTS = {
-    "problem.extents": "1 1",
-    "problem.divisions": "16 16",
-    "problem.dirichlet": "x=0",
-    "problem.model.kind": "truncated_power",
-    "problem.model.sigma0": "1.0",
-    "problem.model.u_star": "1.0",
-    "problem.model.p": "2.0",
-    "problem.u0": "0",
-    "problem.u1": "0",
-    "problem.phi0": "0",
-    "problem.beta": "0",
-    "problem.m_cap": "2.0",
-    "solver.tol": "1e-9",
-    "solver.damping": "0.7",
-    "solver.max_iter": "200",
-    "optimizer.mode": "projected_gradient",
-    "optimizer.relaxation": "0.5",
-    "optimizer.tol": "1e-7",
-    "optimizer.max_outer": "100",
-    "certificate.eps": "0.01",
-    "certificate.c1": "1.0",
-    "certificate.auto_eps": "true",
-    "certificate.allow_constant": "false",
-    "verify.seed": "20240801",
-    "output.dir": "out",
+
+def _nonempty(text: str) -> str:
+    if not text:
+        raise ValueError("empty text")
+    return text
+
+
+_BOOLEANS = {**dict.fromkeys(("true", "yes", "1", "on"), True),
+             **dict.fromkeys(("false", "no", "0", "off"), False)}
+_TEXT = _Kind(str)
+_WORD = _Kind(str, fold=True)
+_PATH = _Kind(_nonempty, "a path")
+_PLANES = _Kind(lambda text: [tok.strip() for tok in text.split("|") if tok.strip()])
+_NUMBER = _Kind(float, "a number")
+_INTEGER = _Kind(int, "an integer")
+_NUMBERS = _Kind(lambda text: [float(tok) for tok in text.split()], "a list of float values")
+_INTEGERS = _Kind(lambda text: [int(tok) for tok in text.split()], "a list of int values")
+_BOOLEAN = _Kind(_BOOLEANS.__getitem__, "a boolean", fold=True)
+
+# Admitted values: a predicate and the requirement that names the rest.
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_UNIT = (lambda v: 0 < v <= 1, "must lie in (0, 1]")
+_COUNT = (lambda v: v >= 1, "must be >= 1")
+_NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
+
+
+class _Key(NamedTuple):
+    default: str | None    # None: unset unless the file gives it non-empty text
+    kind: _Kind
+    admits: tuple | None = None
+
+
+# Every key, with its default text, its kind and its admitted values; the
+# README's configuration reference documents them. A key whose values are
+# checked elsewhere, with messages of their own (the box, the model and its
+# truncation level, the data, the control, optimizer.mode and
+# optimizer.beta0), admits every value its kind parses.
+_KEYS = {
+    "problem.extents": _Key("1 1", _NUMBERS),
+    "problem.divisions": _Key("16 16", _INTEGERS),
+    "problem.dirichlet": _Key("x=0", _PLANES),
+    "problem.mesh_file": _Key(None, _TEXT),
+    "problem.model.kind": _Key("truncated_power", _WORD),
+    "problem.model.sigma0": _Key("1.0", _NUMBER),
+    "problem.model.u_star": _Key("1.0", _NUMBER),
+    "problem.model.p": _Key("2.0", _NUMBER),
+    "problem.u0": _Key("0", _TEXT),
+    "problem.u1": _Key("0", _TEXT),
+    "problem.phi0": _Key("0", _TEXT),
+    "problem.beta": _Key("0", _TEXT),
+    "problem.m_cap": _Key("2.0", _NUMBER),
+    "solver.tol": _Key("1e-9", _NUMBER, _POSITIVE),
+    "solver.damping": _Key("0.7", _NUMBER, _UNIT),
+    "solver.max_iter": _Key("200", _INTEGER, _COUNT),
+    "solver.truncation_level": _Key(None, _NUMBER),
+    "optimizer.mode": _Key("projected_gradient", _WORD),
+    "optimizer.relaxation": _Key("0.5", _NUMBER, _UNIT),
+    "optimizer.tol": _Key("1e-7", _NUMBER, _POSITIVE),
+    "optimizer.max_outer": _Key("100", _INTEGER, _COUNT),
+    "optimizer.beta0": _Key(None, _NUMBER),
+    "certificate.eps": _Key("0.01", _NUMBER, _POSITIVE),
+    "certificate.c1": _Key("1.0", _NUMBER, _POSITIVE),
+    "certificate.auto_eps": _Key("true", _BOOLEAN),
+    "certificate.allow_constant": _Key("false", _BOOLEAN),
+    "verify.seed": _Key("20240801", _INTEGER, _NONNEGATIVE),
+    "output.dir": _Key("out", _PATH),
 }
 
 
@@ -96,37 +114,28 @@ class RunConfig:
     raw: dict[str, str]
     explicit: frozenset = frozenset()
 
-    def get(self, key: str) -> str:
-        return self.raw[key]
-
-    def get_float(self, key: str) -> float:
-        return self._parsed(key, float, "a number")
-
-    def get_int(self, key: str) -> int:
-        return self._parsed(key, int, "an integer")
-
-    def get_list(self, key: str, kind: type) -> list:
-        """The whitespace-separated values of `key`, each parsed by `kind`."""
-        return self._parsed(key, lambda text: [kind(tok) for tok in text.split()],
-                            f"a list of {kind.__name__} values")
-
-    def _parsed(self, key: str, parse, noun: str):
+    def get(self, key: str):
+        """The value of `key`, parsed and checked against its admitted values
+        when it is read, so a command rejects only the keys it reads; None
+        for a key without a default that is unset or empty."""
+        spec = _KEYS[key]
+        text = self.raw.get(key, "")
+        if spec.default is None and not text:
+            return None
+        if spec.kind.fold:
+            text = text.lower()
         try:
-            return parse(self.raw[key])
-        except ValueError:
-            raise ConfigurationError(f"config key {key}: not {noun}: {self.raw[key]!r}")
-
-    def get_bool(self, key: str) -> bool:
-        val = self.raw[key].strip().lower()
-        if val in ("true", "yes", "1", "on"):
-            return True
-        if val in ("false", "no", "0", "off"):
-            return False
-        raise ConfigurationError(f"config key {key}: not a boolean: {val!r}")
+            value = spec.kind.parse(text)
+        except (ValueError, KeyError):
+            raise ConfigurationError(f"config key {key}: not {spec.kind.noun}: {text!r}")
+        if spec.admits and not spec.admits[0](value):
+            raise ConfigurationError(f"config key {key}: {value!r} {spec.admits[1]}")
+        return value
 
 
 def parse_config_text(text: str, path: str | None = None) -> RunConfig:
-    values = dict(_DEFAULTS)
+    values = {key: spec.default for key, spec in _KEYS.items()
+              if spec.default is not None}
     seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -138,7 +147,7 @@ def parse_config_text(text: str, path: str | None = None) -> RunConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             col = line.index(key) + 1 if key in line else 1
             raise ConfigurationError(
                 f"{path or '<config>'}:{lineno}:{col}: unknown key {key!r}")
@@ -172,29 +181,28 @@ def _file_values(source: str, key: str, count: int, what: str) -> np.ndarray:
     return vals
 
 
-def _data_values(mesh: Mesh, source: str, key: str) -> np.ndarray:
+def _data_values(mesh: Mesh, config: RunConfig, key: str) -> np.ndarray:
+    source = config.get(key)
     if source.startswith("file:"):
         return _file_values(source, key, mesh.n_vertices, "vertices")
     return Expression(source)(mesh.vertices)
 
 
 def build_mesh(config: RunConfig) -> Mesh:
-    if "problem.mesh_file" in config.raw and config.raw.get("problem.mesh_file"):
-        return read_mesh_file(config.get("problem.mesh_file"))
-    extents = config.get_list("problem.extents", float)
-    divisions = config.get_list("problem.divisions", int)
-    planes = [tok.strip() for tok in config.get("problem.dirichlet").split("|")
-              if tok.strip()]
-    return build_rectangle_mesh(extents, divisions, dirichlet_on_planes(*planes))
+    path = config.get("problem.mesh_file")
+    if path is not None:
+        return read_mesh_file(path)
+    return build_rectangle_mesh(config.get("problem.extents"), config.get("problem.divisions"),
+                                dirichlet_on_planes(*config.get("problem.dirichlet")))
 
 
 def build_model(config: RunConfig) -> ConductivityModel:
-    kind = config.get("problem.model.kind").strip().lower()
-    sigma0 = config.get_float("problem.model.sigma0")
+    kind = config.get("problem.model.kind")
+    sigma0 = config.get("problem.model.sigma0")
     try:
         if kind == "truncated_power":
-            return TruncatedPower(sigma0, config.get_float("problem.model.u_star"),
-                                  config.get_float("problem.model.p"))
+            return TruncatedPower(sigma0, config.get("problem.model.u_star"),
+                                  config.get("problem.model.p"))
         if kind == "constant":
             return Constant(sigma0)
     except DomainError as exc:
@@ -208,10 +216,10 @@ def build_problem(config: RunConfig, mesh: Mesh | None = None) -> ProblemSpec:
     spec = ProblemSpec(
         mesh=mesh,
         model=model,
-        u0=Field(mesh, _data_values(mesh, config.get("problem.u0"), "problem.u0")),
-        u1=Field(mesh, _data_values(mesh, config.get("problem.u1"), "problem.u1")),
-        phi0=Field(mesh, _data_values(mesh, config.get("problem.phi0"), "problem.phi0")),
-        m_cap=config.get_float("problem.m_cap"),
+        u0=Field(mesh, _data_values(mesh, config, "problem.u0")),
+        u1=Field(mesh, _data_values(mesh, config, "problem.u1")),
+        phi0=Field(mesh, _data_values(mesh, config, "problem.phi0")),
+        m_cap=config.get("problem.m_cap"),
     )
     spec.validate()
     return spec
@@ -231,58 +239,25 @@ def build_control(config: RunConfig, spec: ProblemSpec) -> Control:
         raise ConfigurationError(f"problem.beta: {exc}")
 
 
-# Admissible values of the run options, checked when the options are built.
-_RANGES = {
-    "solver.tol": (lambda v: v > 0, "must be > 0"),
-    "solver.damping": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
-    "solver.max_iter": (lambda v: v >= 1, "must be >= 1"),
-    "optimizer.relaxation": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
-    "optimizer.tol": (lambda v: v > 0, "must be > 0"),
-    "optimizer.max_outer": (lambda v: v >= 1, "must be >= 1"),
-    "certificate.eps": (lambda v: v > 0, "must be > 0"),
-    "certificate.c1": (lambda v: v > 0, "must be > 0"),
-    "verify.seed": (lambda v: v >= 0, "must be >= 0"),
-}
-
-
-def _option(get, key: str):
-    """The value `get(key)`, or a ConfigurationError naming the key when it
-    lies outside _RANGES."""
-    value = get(key)
-    ok, requirement = _RANGES[key]
-    if not ok(value):
-        raise ConfigurationError(f"config key {key}: {value!r} {requirement}")
-    return value
+def _section(config: RunConfig, section: str) -> dict:
+    """The keys of `section`, read as keyword arguments named after them."""
+    return {key.partition(".")[2]: config.get(key) for key in _KEYS
+            if key.startswith(section + ".")}
 
 
 def build_solver_options(config: RunConfig) -> SolverOptions:
-    level = None
-    if config.raw.get("solver.truncation_level"):
-        level = config.get_float("solver.truncation_level")
-    return SolverOptions(
-        tol=_option(config.get_float, "solver.tol"),
-        damping=_option(config.get_float, "solver.damping"),
-        max_iter=_option(config.get_int, "solver.max_iter"),
-        truncation_level=level,
-    )
+    return SolverOptions(**_section(config, "solver"))
 
 
 def build_optimizer_options(config: RunConfig) -> OptimizerOptions:
-    beta0 = None
-    if config.raw.get("optimizer.beta0"):
-        beta0 = config.get_float("optimizer.beta0")
-        m_cap = config.get_float("problem.m_cap")
-        if not 0.0 <= beta0 <= m_cap:
-            raise ConfigurationError(f"config key optimizer.beta0: {beta0!r} must lie "
+    opts = OptimizerOptions(**_section(config, "optimizer"),
+                            solver=build_solver_options(config))
+    if opts.beta0 is not None:
+        m_cap = config.get("problem.m_cap")
+        if not 0.0 <= opts.beta0 <= m_cap:
+            raise ConfigurationError(f"config key optimizer.beta0: {opts.beta0!r} must lie "
                                      f"in [0, problem.m_cap = {m_cap:g}]")
-    return OptimizerOptions(
-        mode=config.get("optimizer.mode").strip().lower(),
-        relaxation=_option(config.get_float, "optimizer.relaxation"),
-        tol=_option(config.get_float, "optimizer.tol"),
-        max_outer=_option(config.get_int, "optimizer.max_outer"),
-        beta0=beta0,
-        solver=build_solver_options(config),
-    )
+    return opts
 
 
 def certificate_arguments(config: RunConfig) -> dict:
@@ -291,9 +266,9 @@ def certificate_arguments(config: RunConfig) -> dict:
     eps may be halved automatically unless it was pinned in the file, and
     certificate.auto_eps, when set, decides either way."""
     if "certificate.auto_eps" in config.explicit:
-        auto_eps = config.get_bool("certificate.auto_eps")
+        auto_eps = config.get("certificate.auto_eps")
     else:
         auto_eps = "certificate.eps" not in config.explicit
-    return {"eps": _option(config.get_float, "certificate.eps"),
-            "C1": _option(config.get_float, "certificate.c1"),
+    return {"eps": config.get("certificate.eps"),
+            "C1": config.get("certificate.c1"),
             "auto_eps": auto_eps}

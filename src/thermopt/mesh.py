@@ -326,6 +326,15 @@ def prolong(coarse_values: np.ndarray, fine_mesh: Mesh) -> np.ndarray:
     return out
 
 
+def prolong_facets(coarse_values: np.ndarray, fine_mesh: Mesh) -> np.ndarray:
+    """Values on boundary facets of the coarse mesh, in facet order, onto
+    their children on a refine_uniform child: each child takes its parent's.
+    refine_uniform numbers a facet's children consecutively, in facet order."""
+    if fine_mesh.parent_edges is None:
+        raise ConfigurationError("fine mesh was not produced by refine_uniform")
+    return np.repeat(coarse_values, len(_CHILDREN[fine_mesh.dim]))
+
+
 # Plain-text mesh format:
 #   VERTICES n      followed by n lines of dim coordinates
 #   CELLS m         followed by m lines of dim+1 vertex indices

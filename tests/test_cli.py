@@ -15,7 +15,7 @@ import pytest
 import thermopt.cli as cli_mod
 from thermopt import assembly, errors
 from thermopt.cli import main
-from thermopt.config import (_DEFAULTS, _KNOWN_KEYS, build_control, build_optimizer_options,
+from thermopt.config import (_KEYS, build_control, build_optimizer_options,
                              build_problem, load_config, parse_config_text)
 from thermopt.control import OptimizerOptions
 from thermopt.errors import ConfigurationError
@@ -473,12 +473,62 @@ def test_default_table_matches_the_option_defaults():
     # each solver and optimizer default is stated twice: in the config's
     # default table and on the option dataclasses
     built, default = build_optimizer_options(parse_config_text("")), OptimizerOptions()
-    keys = [key for key in _DEFAULTS if key.startswith(("solver.", "optimizer."))]
+    keys = [key for key in _KEYS if key.startswith(("solver.", "optimizer."))]
     assert "optimizer.mode" in keys and "solver.tol" in keys
     for key in keys:
         section, name = key.split(".")
         got, want = (built.solver, default.solver) if section == "solver" else (built, default)
         assert getattr(got, name) == getattr(want, name), key
+
+
+@pytest.mark.parametrize("key, text", [(key, "" if key == "output.dir" else "x")
+                                       for key, spec in _KEYS.items() if spec.kind.noun])
+def test_unparsable_text_names_the_key(key, text):
+    # output.dir takes any text but empty text
+    with pytest.raises(ConfigurationError) as info:
+        parse_config_text(f"{key} = {text}\n").get(key)
+    assert str(info.value).startswith(f"config key {key}: not ")
+
+
+@pytest.mark.parametrize("key", [key for key, spec in _KEYS.items() if spec.admits])
+def test_out_of_range_value_names_the_key(key):
+    with pytest.raises(ConfigurationError) as info:
+        parse_config_text(f"{key} = -1\n").get(key)
+    assert re.match(rf"config key {re.escape(key)}: -1(\.0)? must ", str(info.value))
+
+
+# a command that reads each section's keys
+SECTION_COMMAND = {"problem": ["solve"], "solver": ["solve"], "optimizer": ["optimize"],
+                   "certificate": ["certificate"], "verify": ["verify", "--suite", "lemma1"],
+                   "output": ["solve"]}
+
+
+@pytest.mark.parametrize("key", [key for key, spec in _KEYS.items() if spec.default is not None])
+def test_empty_text_of_a_key_with_a_default_exits_1(tmp_path, monkeypatch, capsys, key):
+    monkeypatch.chdir(tmp_path)   # where an empty output.dir would write
+    text = BENCHMARK.replace("16 16", "4 4")
+    if key == "certificate.allow_constant":   # read for the constant model only
+        text = text.replace("kind = truncated_power", "kind = constant")
+    rows = [row for row in text.splitlines() if not row.startswith(f"{key} = ")]
+    cfg = write_config(tmp_path, "\n".join(rows + [f"{key} ="]) + "\n")
+    out = [] if key == "output.dir" else ["--out", str(tmp_path / "o")]
+    assert main(SECTION_COMMAND[key.split(".")[0]] + ["--config", cfg] + out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "duplicate" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_empty_text_of_a_key_without_a_default_unsets_it():
+    keys = [key for key, spec in _KEYS.items() if spec.default is None]
+    assert keys == ["problem.mesh_file", "solver.truncation_level", "optimizer.beta0"]
+    for key in keys:
+        assert parse_config_text(f"{key} =\n").get(key) is None
+        assert parse_config_text("").get(key) is None
+
+
+def test_a_command_checks_only_the_keys_it_reads(tmp_path):
+    cfg = write_config(tmp_path, BENCHMARK.replace("16 16", "4 4") + "optimizer.tol = 0\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -491,7 +541,12 @@ def _readme_section(heading):
 def test_readme_lists_every_config_key():
     block = _readme_section("## Configuration reference").split("```")[1]
     keys = {line.split()[0] for line in block.splitlines() if line[:1].isalpha()}
-    assert keys == set(_KNOWN_KEYS)
+    assert keys == set(_KEYS)
+    # an entry is its key's line and the indented lines after it
+    entries = re.findall(r"^(\S+)(.*(?:\n\s.*)*)", block, re.M)
+    for key, entry in entries:
+        if _KEYS[key].default is not None:
+            assert f'("{_KEYS[key].default}"' in " ".join(entry.split()), key
 
 
 def test_readme_layout_names_every_module():
@@ -614,6 +669,15 @@ def test_verify_substitution_without_interior_vertex(tmp_path, capsys):
     checks = check_results(tmp_path / "o")
     assert checks["substitution.psi_inequality_holds"]
     assert not checks["substitution.residual_phi_decreases"]
+
+
+@pytest.mark.parametrize("text", [(ROOT / "configs/smooth_convergence.cfg").read_text(), ""],
+                         ids=["smooth_convergence", "all_defaults"])
+def test_verify_substitution_passes_on_exact_solutions(tmp_path, text):
+    # residuals at round-off on both levels count as falling
+    cfg = write_config(tmp_path, text)
+    assert main(["verify", "--config", cfg, "--suite", "substitution",
+                 "--out", str(tmp_path / "o")]) == 0
 
 
 def test_verify_gradient(tmp_path):
@@ -838,17 +902,16 @@ def test_convergence_trivial_reports_exact(tmp_path):
 
 def test_control_prolongation_follows_facet_children():
     # child Robin facets must inherit the value of the parent they subdivide
-    from thermopt.cli import _prolong_beta
     from thermopt.fields import Control
     from thermopt.mesh import (BoundaryTag, build_rectangle_mesh,
                                dirichlet_on_planes, facet_centroids,
-                               refine_uniform)
+                               prolong_facets, refine_uniform)
     mesh = build_rectangle_mesh([1, 1], [4, 4], dirichlet_on_planes("x=0"))
     ids = mesh.facet_indices(BoundaryTag.ROBIN_TEMPERATURE)
     coarse_centroids = facet_centroids(mesh)[ids]
     beta = Control(mesh, np.arange(ids.size, dtype=float), float(ids.size))
     fine = refine_uniform(mesh)
-    fine_vals = _prolong_beta(beta, fine)
+    fine_vals = prolong_facets(beta.values, fine)
     fine_ids = fine.facet_indices(BoundaryTag.ROBIN_TEMPERATURE)
     fine_centroids = facet_centroids(fine)[fine_ids]
     h = 0.25

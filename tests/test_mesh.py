@@ -12,9 +12,11 @@ from thermopt.mesh import (
     build_rectangle_mesh,
     cell_volumes,
     dirichlet_on_planes,
+    facet_centroids,
     facet_measures,
     mesh_size,
     prolong,
+    prolong_facets,
     read_mesh_file,
     refine_uniform,
     validate,
@@ -231,6 +233,23 @@ def test_prolong_reproduces_linears():
     fine_vals = prolong(coarse_vals, fine)
     expect = 2.0 * fine.vertices[:, 0] - fine.vertices[:, 1]
     assert np.allclose(fine_vals, expect, atol=1e-14)
+
+
+@pytest.mark.parametrize("extents, divisions", [([1, 1], [4, 4]), ([1, 1, 1], [2, 2, 2])])
+def test_prolong_facets_gives_each_child_its_parents_value(extents, divisions):
+    mesh = build_rectangle_mesh(extents, divisions, LEFT_DIRICHLET)
+    fine = refine_uniform(mesh)
+    coarse_ids = mesh.facet_indices(R)
+    fine_ids = fine.facet_indices(R)
+    # prolong each Robin facet's index: a child's value names its parent
+    parents = prolong_facets(coarse_ids, fine)
+    assert parents.shape == fine_ids.shape
+    corners = mesh.vertices[mesh.boundary_facets[parents]]
+    centroids = facet_centroids(fine)[fine_ids]
+    assert np.all(corners.min(axis=1) - 1e-12 <= centroids)
+    assert np.all(centroids <= corners.max(axis=1) + 1e-12)
+    with pytest.raises(ConfigurationError, match="refine_uniform"):
+        prolong_facets(coarse_ids, mesh)
 
 
 def test_plane_rule_maps_centroids_to_dirichlet_mask():

@@ -1,6 +1,7 @@
 """Every function, class and method defined in the package serves its code:
 its name is referenced somewhere in src/ outside its own definition, and
-every field of a dataclass there is read somewhere in src/."""
+every field of a dataclass there is read somewhere in src/. No module reads
+another module's underscore names."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,29 @@ def unread_fields():
 
 def test_every_dataclass_field_is_read():
     assert unread_fields() == set(UNREAD_ALLOWED)
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def cross_module_private_reads():
+    """(module, name) of every underscore name a src/ module takes from another
+    package module: by `from .mod import _name`, or as `mod._name` on a name
+    that a relative import bound."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found.update((path.stem, a.name) for a in node.names if _private(a.name))
+                imported.update(a.asname or a.name for a in node.names)
+        found.update((path.stem, node.attr) for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and _private(node.attr)
+                     and isinstance(node.value, ast.Name) and node.value.id in imported)
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert cross_module_private_reads() == set()
