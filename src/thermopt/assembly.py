@@ -395,11 +395,12 @@ def norms(field: Field) -> Norms:
     return Norms(l2, h1_semi, float(np.hypot(l2, h1_semi)), float(np.max(np.abs(field.values))))
 
 
-def max_cell_gradient(field: Field) -> float:
-    """L-infinity proxy for |grad field| (max over cells)."""
-    geom = geometry(field.mesh)
-    g = geom.cell_gradient(field.values)
-    return float(np.max(np.linalg.norm(g, axis=1))) if g.size else 0.0
+def w1inf_proxy(field: Field) -> float:
+    """W^{1,inf} proxy of a P1 field: the larger of max |field| and the
+    largest |grad field| over the cells."""
+    g = geometry(field.mesh).cell_gradient(field.values)
+    return max(float(np.max(np.abs(field.values))),
+               float(np.max(np.linalg.norm(g, axis=1))) if g.size else 0.0)
 
 
 def interpolate(mesh: Mesh, fn: Callable) -> Field:

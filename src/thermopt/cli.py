@@ -20,7 +20,7 @@ import numpy as np
 from . import config as cfg
 from . import control as ctl
 from . import reporting
-from .assembly import max_cell_gradient, norms
+from .assembly import norms, w1inf_proxy
 from .errors import (
     CertificateInfeasibleError,
     ConfigurationError,
@@ -35,8 +35,7 @@ from .transform import (
     certificate_data,
     check_certificate,
     compute_certificate,
-    psi_identity_defect,
-    psi_inequality_margin,
+    psi_checks,
     transform,
     transformed_residual,
 )
@@ -78,8 +77,7 @@ def _state_summary(spec, sol):
         "subcritical_margin": subcritical_margin(sol, spec.model),
         "sigma_clamp_count": sol.sigma_clamp_count,
         "u_h1_norm": norms(sol.u).h1,
-        "phi_w1inf_proxy": max(float(np.max(np.abs(sol.phi.values))),
-                               max_cell_gradient(sol.phi)),
+        "phi_w1inf_proxy": w1inf_proxy(sol.phi),
         "truncation_level": sol.truncation_level,
         "cg_iterations": sol.cg_iterations,
         "factorizations": sol.factorizations,
@@ -172,27 +170,32 @@ def _suite_maxprinciple(config, spec, checks):
                    float(np.min(sol.u.values)), -1e-10))
 
 
-def _suite_substitution(config, spec, checks):
+def _certified_state(config, spec):
+    """(control, state, certificate) of the configured problem. The checks
+    that need no C_D come before the state solve, so that data the chain
+    cannot bound exits 5 without one; the solve's temperature factor then
+    preconditions the Poincare estimate."""
+    data = certificate_data(spec, **cfg.certificate_arguments(config))
     beta = cfg.build_control(config, spec)
-    opts = cfg.build_solver_options(config)
+    sol = solve_state(spec, beta, cfg.build_solver_options(config))
+    return beta, sol, compute_certificate(spec, data, factor=sol.temperature_factor)
+
+
+def _suite_substitution(config, spec, checks):
     # No check reads the certificate; it runs for its exit codes, so that
-    # data the chain cannot bound exits 5 here as under `certificate`: the
-    # C_D-free checks before the state solve, the overflowing chain after.
-    data = certificate_data(spec.model, spec, **cfg.certificate_arguments(config))
-    sol = solve_state(spec, beta, opts)
-    compute_certificate(spec.model, spec, data, factor=sol.temperature_factor)
-    ts = transform(sol, spec.model, spec.phi0)
-    r0 = transformed_residual(ts, spec.model, spec, beta)
-    d0 = psi_identity_defect(ts, spec)
-    margin = psi_inequality_margin(ts, spec)
+    # data the chain cannot bound exits 5 here as under `certificate`.
+    beta, sol, _ = _certified_state(config, spec)
+    ts = transform(sol, spec)
+    r0 = transformed_residual(ts, spec, beta)
+    d0, margin = psi_checks(ts, spec)
 
     fine_mesh = refine_uniform(spec.mesh)
-    fine_cfg_spec = cfg.build_problem(config, mesh=fine_mesh)
+    fine_spec = cfg.build_problem(config, mesh=fine_mesh)
     fine_beta = Control(fine_mesh, prolong_facets(beta.values, fine_mesh), beta.m_cap)
-    fine_sol = solve_state(fine_cfg_spec, fine_beta, opts)
-    fts = transform(fine_sol, spec.model, fine_cfg_spec.phi0)
-    r1 = transformed_residual(fts, spec.model, fine_cfg_spec, fine_beta)
-    d1 = psi_identity_defect(fts, fine_cfg_spec)
+    fine_sol = solve_state(fine_spec, fine_beta, cfg.build_solver_options(config))
+    fts = transform(fine_sol, fine_spec)
+    r1 = transformed_residual(fts, fine_spec, fine_beta)
+    d1 = psi_checks(fts, fine_spec)[0]
 
     checks.append(("substitution.residual_v_decreases", _decreases(r1[0], r0[0]), r1[0], r0[0]))
     checks.append(("substitution.residual_phi_decreases", _decreases(r1[1], r0[1]), r1[1], r0[1]))
@@ -343,15 +346,9 @@ def cmd_certificate(config, outdir, report):
         raise ConfigurationError(
             "certificate for the constant model needs certificate.allow_constant "
             "= true (there is no critical temperature to certify against)")
-    # the checks that need no C_D come before the state solve, whose
-    # temperature factor then preconditions the Poincare estimate
-    data = certificate_data(spec.model, spec, **cfg.certificate_arguments(config))
-    beta = cfg.build_control(config, spec)
-    sol = solve_state(spec, beta, cfg.build_solver_options(config))
-    cert = compute_certificate(spec.model, spec, data, factor=sol.temperature_factor)
-    check = check_certificate(sol, cert, spec.model)
+    _, sol, cert = _certified_state(config, spec)
+    check = check_certificate(sol, cert, spec)
     report["certificate"] = cert.as_dict()
-    report["certificate"]["thresholds"] = cert.threshold_values()
     report["certificate_check"] = check.as_dict()
     report["state"] = _state_summary(spec, sol)
     print(f"certificate: N = {cert.N:.6g} (u_star = {spec.model.u_star:g}); "

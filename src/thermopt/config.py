@@ -162,7 +162,7 @@ def parse_config_text(text: str, path: str | None = None) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}")
     return parse_config_text(text, path=path)
 

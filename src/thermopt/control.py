@@ -328,17 +328,13 @@ def _initial_control(spec: ProblemSpec, opts: OptimizerOptions) -> Control:
     return Control(spec.mesh, np.asarray(opts.beta0, dtype=float), spec.m_cap)
 
 
-def _count(work: Counter, state=None, adjoint=None, failed=None) -> None:
-    """Count in `work` a state solve, an adjoint solve and a state solve that
-    failed with the error `failed`, with their work: a failed solve made u's
-    factor and the refactors its error's history records."""
+def _count(work: Counter, state=None, adjoint=None) -> None:
+    """Count in `work` a state solve and an adjoint solve with their work;
+    `state` is a solution or the error of a failed solve, which carries the
+    same counts."""
     if state is not None:
         work.update(state_solves=1, cg_iterations=state.cg_iterations,
                     factorizations=state.factorizations)
-    if failed is not None:
-        work.update(state_solves=1,
-                    cg_iterations=sum(h["cg_iterations"] for h in failed.history),
-                    factorizations=1 + sum(h["refactored"] for h in failed.history))
     if adjoint is not None:
         work.update(adjoint_solves=1, adjoint_iterations=adjoint.iterations,
                     factorizations=int(adjoint.potential_factor is not None))
@@ -405,7 +401,7 @@ def optimize(spec: ProblemSpec, opts: OptimizerOptions | None = None) -> Optimiz
                 cstate = solve_state(spec, cand, opts.solver, adjoint.potential_factor)
             except (NonconvergenceError, CriticalityError) as exc:
                 entry["failed_trials"] += 1   # an unreachable trial is a rejected step
-                _count(work, failed=exc)
+                _count(work, exc)
                 step *= 0.5
                 continue
             _count(work, cstate)

@@ -21,20 +21,23 @@ class SolverFailure(ThermoptError):
     """A linear solve did not meet its residual contract."""
 
 
-class NonconvergenceError(ThermoptError):
+class _FailedSolve:
+    """The per-step history and the work of a state solve that raised, under
+    StateSolution's names; empty and 0 for an error raised elsewhere."""
+
+    def __init__(self, message, history=None, cg_iterations=0, factorizations=0):
+        super().__init__(message)
+        self.history = history or []
+        self.cg_iterations = cg_iterations
+        self.factorizations = factorizations
+
+
+class NonconvergenceError(_FailedSolve, ThermoptError):
     """Nonlinear iteration hit its cap before reaching tolerance."""
 
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = history or []
 
-
-class CriticalityError(ThermoptError):
+class CriticalityError(_FailedSolve, ThermoptError):
     """Computed temperature not bounded away from the critical value."""
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = history or []
 
 
 class AdjointFailure(ThermoptError):

@@ -356,8 +356,11 @@ def write_mesh_file(mesh: Mesh, path: str) -> None:
 
 
 def read_mesh_file(path: str) -> Mesh:
-    with open(path) as fh:
-        tokens = [line.split() for line in fh if line.strip() and not line.startswith("#")]
+    try:
+        with open(path) as fh:
+            tokens = [line.split() for line in fh if line.strip() and not line.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read mesh file {path}: {exc}") from None
     pos = 0
 
     def section(name):

@@ -208,12 +208,14 @@ def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = N
     else:
         raise NonconvergenceError(
             f"Picard did not reach tol {opts.tol:g} in {opts.max_iter} iterations "
-            f"(last increment {max(delta_u, delta_phi):.3e})", history)
+            f"(last increment {max(delta_u, delta_phi):.3e})", history,
+            cg_iterations, factorizations)
 
     if level is not None and float(np.max(u)) >= level:
         raise CriticalityError(
             f"solution not bounded away from the critical temperature: "
-            f"max u = {np.max(u):.6g} >= truncation level {level:.6g}", history)
+            f"max u = {np.max(u):.6g} >= truncation level {level:.6g}", history,
+            cg_iterations, factorizations)
 
     sol = StateSolution(
         u=Field(mesh, u),

@@ -60,15 +60,16 @@ class TransformedState:
     stiffness: sp.csr_matrix
 
 
-def transform(sol: StateSolution, model: ConductivityModel, phi0: Field) -> TransformedState:
+def transform(sol: StateSolution, spec: ProblemSpec) -> TransformedState:
     """Nodewise v = F(u), psi = (phi - phi0)^2 + v, a(v) and its weighted
     stiffness."""
+    model = spec.model
     u = sol.u.values
     if np.any(u >= model.u_star):
         raise DomainError("temperature reaches the critical value; "
                           "the substitution is undefined")
     v = np.asarray(model.F(np.maximum(u, 0.0)), dtype=float)
-    psi = (sol.phi.values - phi0.values) ** 2 + v
+    psi = (sol.phi.values - spec.phi0.values) ** 2 + v
     mesh = sol.u.mesh
     a_q = model.a(np.maximum(geometry(mesh).at_quadrature(v), 0.0))
     return TransformedState(
@@ -80,8 +81,8 @@ def transform(sol: StateSolution, model: ConductivityModel, phi0: Field) -> Tran
     )
 
 
-def transformed_residual(ts: TransformedState, model: ConductivityModel,
-                         spec: ProblemSpec, beta: Control) -> tuple[float, float]:
+def transformed_residual(ts: TransformedState, spec: ProblemSpec,
+                         beta: Control) -> tuple[float, float]:
     """Weak residuals of the transformed system at (v, phi).
 
     The v-equation residual uses the same transformed right-hand side shape
@@ -89,7 +90,7 @@ def transformed_residual(ts: TransformedState, model: ConductivityModel,
     (beta/a(v)) (F_inv(v) - u1) integrated consistently on the Robin facets.
     """
     mesh = spec.mesh
-    f_inv_trace = np.asarray(model.F_inv(np.maximum(ts.v.values, 0.0)), dtype=float)
+    f_inv_trace = np.asarray(spec.model.F_inv(np.maximum(ts.v.values, 0.0)), dtype=float)
     robin = (assembly.facet_mass(mesh, beta.values, beta.facet_ids)
              @ (f_inv_trace - spec.u1.values))
     rhs = assembly.assemble_joule_rhs_weak(mesh, ts.a_q, ts.phi, spec.phi0)
@@ -99,40 +100,32 @@ def transformed_residual(ts: TransformedState, model: ConductivityModel,
                                    geometry(mesh).boundary_vertices)
 
 
-def psi_identity_defect(ts: TransformedState, spec: ProblemSpec) -> float:
-    """Defect norm of the weak identity satisfied by psi.
+def psi_checks(ts: TransformedState, spec: ProblemSpec) -> tuple[float, float]:
+    """(defect, margin) of psi against the interior basis functions: the
+    defect norm of the weak identity
+        div(a(v) grad psi) = a(v)|grad phi|^2
+            - 2 div((phi - phi0) a(v) grad phi0) - 2 a(v) grad phi . grad phi0
+    and the min of RHS - LHS of the psi differential inequality, +inf on a
+    mesh without interior nodes, where it holds vacuously."""
+    s_psi, identity, inequality = _psi_sides(ts, spec)
+    boundary = geometry(spec.mesh).boundary_vertices
+    # integral div(a grad psi) lambda_i, weakly, is -(S psi)_i
+    defect = assembly.relative_defect(-s_psi, identity, boundary)
+    return defect, float(np.min(np.delete(inequality - s_psi, boundary), initial=math.inf))
 
-    Tests div(a(v) grad psi) = a(v)|grad phi|^2
-        - 2 div((phi - phi0) a(v) grad phi0) - 2 a(v) grad phi . grad phi0
-    against interior basis functions.
-    """
-    return assembly.relative_defect(*_psi_identity_sides(ts, spec),
-                                    geometry(spec.mesh).boundary_vertices)
 
-
-def psi_inequality_margin(ts: TransformedState, spec: ProblemSpec) -> float:
-    """Min over interior nodes of (RHS - LHS) for the psi differential
-    inequality tested against nonnegative basis functions; +inf on a mesh
-    without interior nodes, where the inequality holds vacuously."""
+def _psi_sides(ts: TransformedState, spec: ProblemSpec):
+    """S psi, with S the a(v)-weighted stiffness, and the right sides of the
+    psi identity and of the psi inequality, tested against every basis
+    function."""
     geom = geometry(spec.mesh)
-    lhs = ts.stiffness @ ts.psi.values
-    gphi0 = geom.cell_gradient(spec.phi0.values)
-    diff_q = geom.at_quadrature(ts.phi.values - spec.phi0.values)
-    rhs = geom.load(geom.moments(ts.a_q * np.sum(gphi0 ** 2, axis=1)[:, None])
-                    - 2.0 * geom.fluxes(ts.a_q * diff_q, gphi0))
-    return float(np.min(np.delete(rhs - lhs, geom.boundary_vertices), initial=math.inf))
-
-
-def _psi_identity_sides(ts: TransformedState, spec: ProblemSpec):
-    geom = geometry(spec.mesh)
-    # integral div(a grad psi) lambda_i, weakly
-    lhs = -(ts.stiffness @ ts.psi.values)
     gphi, gphi0 = geom.cell_gradient(ts.phi.values), geom.cell_gradient(spec.phi0.values)
-    source = np.sum(gphi * gphi, axis=1) - 2.0 * np.sum(gphi * gphi0, axis=1)
     diff_q = geom.at_quadrature(ts.phi.values - spec.phi0.values)
-    rhs = geom.load(geom.moments(ts.a_q * source[:, None])
-                    + 2.0 * geom.fluxes(ts.a_q * diff_q, gphi0))
-    return lhs, rhs
+    flux = 2.0 * geom.fluxes(ts.a_q * diff_q, gphi0)
+    source = np.sum(gphi * gphi, axis=1) - 2.0 * np.sum(gphi * gphi0, axis=1)
+    identity = geom.load(geom.moments(ts.a_q * source[:, None]) + flux)
+    inequality = geom.load(geom.moments(ts.a_q * np.sum(gphi0 ** 2, axis=1)[:, None]) - flux)
+    return ts.stiffness @ ts.psi.values, identity, inequality
 
 
 def compute_C_eps(model: ConductivityModel, eps: float) -> float:
@@ -213,6 +206,7 @@ class BoundCertificate:
     C_eps: float
     C: float
     M: float
+    thresholds: dict   # the lower bounds of M, by name: M is their max + 1
     C_D: float
     C1: float
     C2: float
@@ -226,15 +220,6 @@ class BoundCertificate:
     poincare_iterations: int
     c1_provenance: str = C1_PROVENANCE
     notes: list = dfield(default_factory=list)
-
-    def threshold_values(self) -> dict[str, float]:
-        return {
-            "one": 1.0,
-            "C_eps": self.C_eps,
-            "inv_eps": 1.0 / self.eps,
-            "data_u0": 4.0 * self.phi0_inf ** 2 + self.F_u0,
-            "data_u1": 4.0 * self.phi0_inf ** 2 + self.F_u1,
-        }
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -274,9 +259,10 @@ def certificate_chain(dim: int, mes_omega: float, exp_term: float, phi0_inf: flo
     value; a product that overflows after the denominators is inf."""
     den1 = _denominator_1(eps, exp_term)
     C = 8.0 * exp_term / den1
-    M = max(1.0, C_eps, 1.0 / eps,
-            4.0 * phi0_inf ** 2 + F_u0,
-            4.0 * phi0_inf ** 2 + F_u1) + 1.0
+    thresholds = {"one": 1.0, "C_eps": C_eps, "inv_eps": 1.0 / eps,
+                  "data_u0": 4.0 * phi0_inf ** 2 + F_u0,
+                  "data_u1": 4.0 * phi0_inf ** 2 + F_u1}
+    M = max(thresholds.values()) + 1.0
     den2 = 1.0 - 2.0 * eps * C * C_D ** 2
     if den2 <= 0.0:
         raise CertificateInfeasibleError(
@@ -288,7 +274,8 @@ def certificate_chain(dim: int, mes_omega: float, exp_term: float, phi0_inf: flo
     C2 = 0.5 * C1 * (1.0 + math.sqrt(C) * math.sqrt(M + eps))
     psiM_inf = moser_factor(dim, C2) * psiM_l2
     v_inf = 4.0 * phi0_inf ** 2 + max(M, psiM_inf)
-    return {"exp_term": exp_term, "den1": den1, "C": C, "M": M, "den2": den2,
+    return {"exp_term": exp_term, "den1": den1, "C": C, "M": M,
+            "thresholds": thresholds, "den2": den2,
             "psiM_l2_bound": psiM_l2, "C2": C2, "psiM_inf_bound": psiM_inf,
             "v_inf_bound": v_inf}
 
@@ -333,8 +320,8 @@ class CertificateData:
     auto_eps: bool
 
 
-def certificate_data(model: ConductivityModel, spec: ProblemSpec, eps: float,
-                     C1: float, auto_eps: bool) -> CertificateData:
+def certificate_data(spec: ProblemSpec, eps: float, C1: float,
+                     auto_eps: bool) -> CertificateData:
     """The C_D-free stage of compute_certificate and every check it allows:
     an eps <= 0, an exponential weight that overflows, which no eps cures,
     and a pinned eps that closes denominator 1 raise
@@ -342,25 +329,25 @@ def certificate_data(model: ConductivityModel, spec: ProblemSpec, eps: float,
     state solve whose factor the Poincare estimate reuses."""
     if eps <= 0:
         raise CertificateInfeasibleError("eps must be positive")
-    mu = model.lipschitz_mu()
+    mu = spec.model.lipschitz_mu()
     phi0_inf = float(np.max(np.abs(spec.phi0.values)))
-    phi0_w1inf = max(phi0_inf, assembly.max_cell_gradient(spec.phi0))
+    phi0_w1inf = assembly.w1inf_proxy(spec.phi0)
     exp_term = exp_weight(mu, phi0_inf, phi0_w1inf)
     if not auto_eps:
         _denominator_1(eps, exp_term)
     return CertificateData(
         mes_omega=float(geometry(spec.mesh).volumes.sum()), mu=mu,
         phi0_inf=phi0_inf, phi0_w1inf=phi0_w1inf, exp_term=exp_term,
-        F_u0=float(model.F(float(np.max(spec.u0.values)))),
-        F_u1=float(model.F(float(np.max(spec.u1.values)))),
+        F_u0=float(spec.model.F(float(np.max(spec.u0.values)))),
+        F_u1=float(spec.model.F(float(np.max(spec.u1.values)))),
         eps=eps, C1=C1, auto_eps=auto_eps)
 
 
-def compute_certificate(model: ConductivityModel, spec: ProblemSpec, data: CertificateData,
+def compute_certificate(spec: ProblemSpec, data: CertificateData,
                         factor: spla.SuperLU | None = None) -> BoundCertificate:
     """Evaluate the whole constant chain for one problem.
 
-    `data` is the first stage, certificate_data(model, spec, ...), which a
+    `data` is the first stage, certificate_data(spec, ...), which a
     caller runs before the state solve; its eps, C1 and auto_eps hold here.
     `factor` preconditions estimate_poincare. With auto_eps, eps is halved
     the fewest times that leave both denominators above 0.5 (_eps_halvings;
@@ -378,7 +365,7 @@ def compute_certificate(model: ConductivityModel, spec: ProblemSpec, data: Certi
     if halvings:
         eps = math.ldexp(eps, -halvings)
         notes.append(f"eps halved {halvings} times to {eps:g} (denominators below 0.5)")
-    C_eps = compute_C_eps(model, eps)
+    C_eps = compute_C_eps(spec.model, eps)
     chain = certificate_chain(mesh.dim, data.mes_omega, data.exp_term, data.phi0_inf,
                               data.F_u0, data.F_u1, eps, C_eps, C_D, C1)
 
@@ -390,16 +377,15 @@ def compute_certificate(model: ConductivityModel, spec: ProblemSpec, data: Certi
     if v_inf > 1e300:
         notes.append("v_inf bound overflows the inverse map; N reported at cap")
         v_inf = 1e300
-    N = float(model.F_inv(v_inf))
+    N = float(spec.model.F_inv(v_inf))
     dim = mesh.dim
     s = 2.0 * (dim - 1) / (dim - 2) if dim > 2 else math.inf
     return BoundCertificate(
         dim=dim, mes_omega=data.mes_omega, mu=data.mu, phi0_inf=data.phi0_inf,
         phi0_w1inf=data.phi0_w1inf, F_u0=data.F_u0, F_u1=data.F_u1, eps=eps,
-        C_eps=C_eps, C=chain["C"], M=chain["M"], C_D=C_D, C1=C1, C2=chain["C2"],
-        psiM_l2_bound=chain["psiM_l2_bound"],
-        psiM_inf_bound=chain["psiM_inf_bound"],
-        v_inf_bound=chain["v_inf_bound"], N=N,
+        C_eps=C_eps, C=chain["C"], M=chain["M"], thresholds=chain["thresholds"],
+        C_D=C_D, C1=C1, C2=chain["C2"], psiM_l2_bound=chain["psiM_l2_bound"],
+        psiM_inf_bound=chain["psiM_inf_bound"], v_inf_bound=chain["v_inf_bound"], N=N,
         r=2.0 * (dim - 1), s=s, eps_halvings=halvings,
         poincare_iterations=poincare_iterations, notes=notes)
 
@@ -418,7 +404,7 @@ class CertificateCheck:
 
 
 def check_certificate(sol: StateSolution, cert: BoundCertificate,
-                      model: ConductivityModel) -> CertificateCheck:
+                      spec: ProblemSpec) -> CertificateCheck:
     """Compare a computed solution against the certified bounds.
 
     A violation is a reported finding (the user constant C1 may be
@@ -427,9 +413,9 @@ def check_certificate(sol: StateSolution, cert: BoundCertificate,
     """
     u = np.maximum(sol.u.values, 0.0)
     max_u = float(np.max(u))
-    max_v = float(np.max(np.asarray(model.F(u), dtype=float)))
+    max_v = float(np.max(np.asarray(spec.model.F(u), dtype=float)))
     return CertificateCheck(
-        passed=(max_v <= cert.v_inf_bound and max_u <= cert.N < model.u_star),
+        passed=(max_v <= cert.v_inf_bound and max_u <= cert.N < spec.model.u_star),
         max_v=max_v, v_margin=cert.v_inf_bound - max_v,
         max_u=max_u, u_margin=cert.N - max_u,
         c1_provenance=cert.c1_provenance)

@@ -29,7 +29,7 @@ from thermopt.transform import (
     check_certificate,
     compute_certificate,
     estimate_poincare,
-    psi_identity_defect,
+    psi_checks,
     transform,
     transformed_residual,
 )
@@ -128,20 +128,20 @@ def test_criterion_4_substitution_consistency():
     with Timer(cap=60.0) as t:
         spec = benchmark_spec()
         beta = Control.constant(spec.mesh, 1.0, 2.0)
-        cert = compute_certificate(MODEL, spec,
-                                   certificate_data(MODEL, spec, eps=0.01, C1=1.0, auto_eps=True))
+        cert = compute_certificate(spec, certificate_data(spec, eps=0.01, C1=1.0,
+                                                          auto_eps=True))
         sol = solve_state(spec, beta)
-        ts = transform(sol, MODEL, spec.phi0)
-        r0 = transformed_residual(ts, MODEL, spec, beta)
-        d0 = psi_identity_defect(ts, spec)
+        ts = transform(sol, spec)
+        r0 = transformed_residual(ts, spec, beta)
+        d0 = psi_checks(ts, spec)[0]
 
         fine = refine_uniform(spec.mesh)
         fspec = benchmark_spec(mesh=fine)
         fbeta = Control.constant(fine, 1.0, 2.0)
         fsol = solve_state(fspec, fbeta)
-        fts = transform(fsol, MODEL, fspec.phi0)
-        r1 = transformed_residual(fts, MODEL, fspec, fbeta)
-        d1 = psi_identity_defect(fts, fspec)
+        fts = transform(fsol, fspec)
+        r1 = transformed_residual(fts, fspec, fbeta)
+        d1 = psi_checks(fts, fspec)[0]
         assert r1[0] < r0[0] and r1[1] < r0[1]
         assert d1 < d0
 
@@ -157,15 +157,15 @@ def test_criterion_4_substitution_consistency():
 def test_criterion_5_certificate_chain():
     with Timer(cap=60.0) as t:
         spec = benchmark_spec()
-        cert = compute_certificate(MODEL, spec,
-                                   certificate_data(MODEL, spec, eps=0.01, C1=1.0, auto_eps=True))
-        for name, value in cert.threshold_values().items():
+        cert = compute_certificate(spec, certificate_data(spec, eps=0.01, C1=1.0,
+                                                          auto_eps=True))
+        for name, value in cert.thresholds.items():
             assert cert.M > value, name
         assert 1.0 - 2.0 * cert.eps * math.exp(8 * cert.mu * cert.phi0_inf ** 2) \
             * cert.phi0_w1inf ** 2 > 0
         assert math.isfinite(cert.N) and cert.N < MODEL.u_star
         sol = solve_state(spec, Control.constant(spec.mesh, 1.0, 2.0))
-        check = check_certificate(sol, cert, MODEL)
+        check = check_certificate(sol, cert, spec)
         assert check.passed and check.v_margin > 0 and check.u_margin > 0
 
         lams = []

@@ -720,6 +720,26 @@ def test_certificate_benchmark(tmp_path):
     assert cert["s"] == "inf"   # the 2D Sobolev exponent, written by the report's serializer
 
 
+@pytest.mark.parametrize("box", [("1 1", "16 16"), ("1 1 1", "4 4 4")])
+def test_certificate_m_is_built_from_its_reported_thresholds(tmp_path, monkeypatch, box):
+    certs, compute = [], cli_mod.compute_certificate
+
+    def recording(*args, **kwargs):
+        certs.append(compute(*args, **kwargs))
+        return certs[-1]
+
+    monkeypatch.setattr(cli_mod, "compute_certificate", recording)
+    text = (Path(__file__).parents[1] / "configs/benchmark.cfg").read_text()
+    cfg = write_config(tmp_path, text.replace("extents = 1 1", f"extents = {box[0]}")
+                       .replace("divisions = 16 16", f"divisions = {box[1]}"))
+    assert main(["certificate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    (cert,) = certs
+    assert cert.M == max(cert.thresholds.values()) + 1.0
+    reported = read_report(tmp_path / "o")["certificate"]
+    assert set(reported["thresholds"]) == {"one", "C_eps", "inv_eps", "data_u0", "data_u1"}
+    assert reported["M"] == cert.M and reported["thresholds"] == cert.thresholds
+
+
 def test_certificate_oversized_eps_exits_5(tmp_path):
     cfg = write_config(tmp_path, BENCHMARK
                        + "certificate.eps = 1e9\nproblem.phi0 = 1.0*x\n")
@@ -964,6 +984,27 @@ def test_solve_malformed_mesh_file_exits_1(tmp_path, capsys, old, new):
     cfg = write_config(tmp_path, BENCHMARK + f"\nproblem.mesh_file = {mesh_path}\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "configuration error: mesh file:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not UTF-8"])
+@pytest.mark.parametrize("source", ["--config", "problem.mesh_file", "problem.u0",
+                                    "problem.u1", "problem.phi0", "problem.beta"])
+def test_unreadable_input_file_exits_1(tmp_path, capsys, source, kind):
+    # every file a command reads: the config, the mesh and the file: data sources
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        bad.mkdir()
+    elif kind == "not UTF-8":
+        bad.write_bytes(bytes(range(128, 256)))
+    cfg = str(bad)
+    if source != "--config":
+        value = bad if source == "problem.mesh_file" else f"file:{bad}"
+        text = re.sub(rf"(?m)^{re.escape(source)} = .*\n", "", BENCHMARK.replace("16 16", "4 4"))
+        cfg = write_config(tmp_path, text + f"{source} = {value}\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(bad) in err
+    assert "Traceback" not in err
 
 
 def _walk_numbers(node, path=""):

@@ -512,14 +512,15 @@ def test_optimizer_totals_adjoint_iterations(monkeypatch, mode):
                                                 ("projected_gradient", 2)])
 def test_optimizer_totals_cg_iterations_and_factorizations(monkeypatch, mode, failing_call):
     # cg_iterations totals every state solve, a failed trial included (from
-    # its error's history); factorizations adds every adjoint's S factor
+    # its error's counts); factorizations adds every adjoint's S factor
     from thermopt import control
     states, adjoint_factors = [], []
 
     def recording_state(*args, **kwargs):
         states.append(solve_state(*args, **kwargs))
         if len(states) == failing_call:
-            raise NonconvergenceError("injected trial failure", states[-1].history)
+            raise NonconvergenceError("injected trial failure", states[-1].history,
+                                      states[-1].cg_iterations, states[-1].factorizations)
         return states[-1]
 
     def recording_adjoint(*args):

@@ -11,6 +11,7 @@ and so must the one optimizer loop against the two it replaced.
 """
 
 import itertools
+import math
 import weakref
 from collections import Counter
 
@@ -22,6 +23,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from thermopt import reporting
+from thermopt import assembly
 from thermopt.assembly import (
     assemble_joule_rhs_weak,
     assemble_mass,
@@ -62,7 +64,7 @@ from thermopt.mesh import (
 )
 from thermopt.reporting import write_vtk
 from thermopt.state import ProblemSpec, StateSolution, solve_state
-from thermopt.transform import _psi_identity_sides, transform
+from thermopt.transform import TransformedState, _psi_sides, psi_checks, transform
 
 D = BoundaryTag.DIRICHLET_TEMPERATURE
 R = BoundaryTag.ROBIN_TEMPERATURE
@@ -606,8 +608,8 @@ def test_psi_identity_rhs_matches_add_at_reference(extents, divisions):
                        phi0=Field(mesh, phi0), m_cap=2.0)
     state = StateSolution(Field(mesh, 0.4 * w),
                           Field(mesh, phi), 1, 0.0, 0.0, 0, None)
-    ts = transform(state, model, spec.phi0)
-    _, rhs = _psi_identity_sides(ts, spec)
+    ts = transform(state, spec)
+    _, rhs, _ = _psi_sides(ts, spec)
 
     a_q = model.a(np.maximum(geom.at_quadrature(ts.v.values), 0.0))
     dot = np.sum(geom.cell_gradient(phi) * geom.cell_gradient(phi0), axis=1)
@@ -615,6 +617,51 @@ def test_psi_identity_rhs_matches_add_at_reference(extents, divisions):
                 + 2.0 * flux_add_at(mesh, a_q * geom.at_quadrature(phi - phi0), phi0)
                 - 2.0 * load_add_at(mesh, a_q * dot[:, None]))
     assert cell_close(rhs, expected)
+
+
+# The psi identity and inequality checks that psi_checks replaced, verbatim:
+# two passes, each with its own S psi, grad phi0 and phi - phi0 flux.
+def psi_identity_defect(ts: TransformedState, spec: ProblemSpec) -> float:
+    return assembly.relative_defect(*_psi_identity_sides(ts, spec),
+                                    geometry(spec.mesh).boundary_vertices)
+
+
+def psi_inequality_margin(ts: TransformedState, spec: ProblemSpec) -> float:
+    geom = geometry(spec.mesh)
+    lhs = ts.stiffness @ ts.psi.values
+    gphi0 = geom.cell_gradient(spec.phi0.values)
+    diff_q = geom.at_quadrature(ts.phi.values - spec.phi0.values)
+    rhs = geom.load(geom.moments(ts.a_q * np.sum(gphi0 ** 2, axis=1)[:, None])
+                    - 2.0 * geom.fluxes(ts.a_q * diff_q, gphi0))
+    return float(np.min(np.delete(rhs - lhs, geom.boundary_vertices), initial=math.inf))
+
+
+def _psi_identity_sides(ts: TransformedState, spec: ProblemSpec):
+    geom = geometry(spec.mesh)
+    # integral div(a grad psi) lambda_i, weakly
+    lhs = -(ts.stiffness @ ts.psi.values)
+    gphi, gphi0 = geom.cell_gradient(ts.phi.values), geom.cell_gradient(spec.phi0.values)
+    source = np.sum(gphi * gphi, axis=1) - 2.0 * np.sum(gphi * gphi0, axis=1)
+    diff_q = geom.at_quadrature(ts.phi.values - spec.phi0.values)
+    rhs = geom.load(geom.moments(ts.a_q * source[:, None])
+                    + 2.0 * geom.fluxes(ts.a_q * diff_q, gphi0))
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("extents, divisions", BOXES + [([1.0, 1.0], [1, 1])])
+def test_psi_checks_match_the_two_pass_reference_bit_for_bit(extents, divisions):
+    # the 1 x 1 box has no interior vertex, so its margin is +inf
+    mesh, w, phi, phi0 = random_mesh_fields(extents, divisions)
+    model = TruncatedPower(1.0, 1.0, 2.0)
+    zero = Field(mesh, np.zeros(mesh.n_vertices))
+    spec = ProblemSpec(mesh=mesh, model=model, u0=zero, u1=zero,
+                       phi0=Field(mesh, phi0), m_cap=2.0)
+    ts = transform(StateSolution(Field(mesh, 0.4 * w), Field(mesh, phi), 1, 0.0, 0.0, 0,
+                                 None), spec)
+    defect, margin = psi_checks(ts, spec)
+    assert bits(defect) == bits(psi_identity_defect(ts, spec))
+    assert bits(margin) == bits(psi_inequality_margin(ts, spec))
+    assert (margin == math.inf) == (divisions == [1, 1])
 
 
 def assert_same_system(actual, expected):

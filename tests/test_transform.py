@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from thermopt import transform as transform_mod
-from thermopt.assembly import assemble_mass, geometry, interpolate, max_cell_gradient
+from thermopt.assembly import assemble_mass, geometry, interpolate, w1inf_proxy
 from thermopt.errors import CertificateInfeasibleError, DomainError, EstimationError
 from thermopt.fields import Control
 from thermopt.materials import Constant, TruncatedPower
@@ -24,9 +25,8 @@ from thermopt.transform import (
     compute_C_eps,
     compute_certificate,
     estimate_poincare,
-    psi_identity_defect,
-    psi_inequality_margin,
     moser_factor,
+    psi_checks,
     transform,
     transformed_residual,
 )
@@ -59,7 +59,7 @@ def test_transform_trivial_constant():
     spec = make_spec(mesh, phi0_scale=0.0)
     beta = Control.constant(mesh, 1.0, 2.0)
     sol = solve_state(spec, beta)
-    ts = transform(sol, MODEL, spec.phi0)
+    ts = transform(sol, spec)
     assert np.allclose(ts.v.values, 0.0, atol=1e-12)
     assert np.allclose(ts.psi.values, 0.0, atol=1e-12)
 
@@ -73,7 +73,7 @@ def test_transform_closed_form_values():
     phi = Field(mesh, np.full(mesh.n_vertices, 0.2))
     sol = StateSolution(u, phi, 1, 0.0, 0.0, 0, None)
     phi0 = Field(mesh, np.full(mesh.n_vertices, 0.2))
-    ts = transform(sol, MODEL, phi0)
+    ts = transform(sol, dataclasses.replace(make_spec(mesh), phi0=phi0))
     assert np.allclose(ts.v.values, 1.0, rtol=1e-14)
     assert np.allclose(ts.psi.values, 1.0, rtol=1e-14)
     assert np.all(ts.psi.values >= ts.v.values - 1e-15)
@@ -81,7 +81,7 @@ def test_transform_closed_form_values():
 
 def test_transform_round_trip_recovers_u():
     spec, beta, sol = solved_benchmark(8)
-    ts = transform(sol, MODEL, spec.phi0)
+    ts = transform(sol, spec)
     back = np.asarray(MODEL.F_inv(ts.v.values))
     assert np.max(np.abs(back - sol.u.values)) <= 1e-8
 
@@ -94,7 +94,7 @@ def test_transform_rejects_critical_temperature():
     phi = Field(mesh, np.zeros(mesh.n_vertices))
     sol = StateSolution(u, phi, 1, 0.0, 0.0, 0, None)
     with pytest.raises(DomainError):
-        transform(sol, MODEL, phi)
+        transform(sol, make_spec(mesh))
 
 
 def test_transformed_residual_trivial_case():
@@ -107,37 +107,37 @@ def test_transformed_residual_trivial_case():
         m_cap=2.0)
     beta = Control.constant(mesh, 1.0, 2.0)
     sol = solve_state(spec, beta)
-    ts = transform(sol, MODEL, spec.phi0)
-    r_v, r_phi = transformed_residual(ts, MODEL, spec, beta)
+    ts = transform(sol, spec)
+    r_v, r_phi = transformed_residual(ts, spec, beta)
     assert r_v <= 1e-9
     assert r_phi <= 1e-9
 
 
 def test_transformed_residual_decreases_under_refinement():
     spec, beta, sol = solved_benchmark(8)
-    ts = transform(sol, MODEL, spec.phi0)
-    r_v0, r_phi0 = transformed_residual(ts, MODEL, spec, beta)
+    ts = transform(sol, spec)
+    r_v0, r_phi0 = transformed_residual(ts, spec, beta)
 
     fine = refine_uniform(spec.mesh)
     fspec = make_spec(fine)
     fbeta = Control.constant(fine, 1.0, 2.0)
     fsol = solve_state(fspec, fbeta)
-    fts = transform(fsol, MODEL, fspec.phi0)
-    r_v1, r_phi1 = transformed_residual(fts, MODEL, fspec, fbeta)
+    fts = transform(fsol, fspec)
+    r_v1, r_phi1 = transformed_residual(fts, fspec, fbeta)
     assert r_v1 < r_v0
     assert r_phi1 < r_phi0
 
 
 def test_psi_identity_defect_small_and_decreasing():
     spec, beta, sol = solved_benchmark(8)
-    ts = transform(sol, MODEL, spec.phi0)
-    d0 = psi_identity_defect(ts, spec)
+    ts = transform(sol, spec)
+    d0 = psi_checks(ts, spec)[0]
 
     fine = refine_uniform(spec.mesh)
     fspec = make_spec(fine)
     fsol = solve_state(fspec, Control.constant(fine, 1.0, 2.0))
-    fts = transform(fsol, MODEL, fspec.phi0)
-    d1 = psi_identity_defect(fts, fspec)
+    fts = transform(fsol, fspec)
+    d1 = psi_checks(fts, fspec)[0]
     assert d1 < d0
 
 
@@ -152,16 +152,15 @@ def test_psi_identity_reduces_to_state_residual_for_constant_phi0():
         m_cap=2.0)
     beta = Control.constant(mesh, 1.0, 2.0)
     sol = solve_state(spec, beta)
-    ts = transform(sol, MODEL, spec.phi0)
-    defect = psi_identity_defect(ts, spec)
+    ts = transform(sol, spec)
+    defect = psi_checks(ts, spec)[0]
     assert defect <= max(sol.residual_u, 1e-12) * 10 + 1e-12
 
 
 def test_psi_inequality_holds_weakly():
     spec, beta, sol = solved_benchmark(8)
-    ts = transform(sol, MODEL, spec.phi0)
-    margin = psi_inequality_margin(ts, spec)
-    defect = psi_identity_defect(ts, spec)
+    ts = transform(sol, spec)
+    defect, margin = psi_checks(ts, spec)
     assert margin >= -(10 * defect + 1e-10)
 
 
@@ -277,9 +276,8 @@ def test_certificate_chain_phi0_zero_gives_zero_C():
 
 def test_certificate_benchmark_values():
     spec, beta, sol = solved_benchmark(16)
-    cert = compute_certificate(MODEL, spec,
-                               certificate_data(MODEL, spec, eps=0.01, C1=1.0, auto_eps=True))
-    thresholds = cert.threshold_values()
+    cert = compute_certificate(spec, certificate_data(spec, eps=0.01, C1=1.0, auto_eps=True))
+    thresholds = cert.thresholds
     for name, value in thresholds.items():
         assert cert.M > value, name
     assert cert.M == pytest.approx(101.0, rel=1e-6)
@@ -288,7 +286,7 @@ def test_certificate_benchmark_values():
     assert math.isfinite(cert.N)
     assert cert.r == 2.0
     assert math.isinf(cert.s)
-    check = check_certificate(sol, cert, MODEL)
+    check = check_certificate(sol, cert, spec)
     assert check.passed
     assert check.v_margin > 0 and check.u_margin > 0
 
@@ -313,16 +311,14 @@ def test_certificate_infeasible_eps_raises():
 
 def test_certificate_auto_eps_recovers():
     spec, _, _ = solved_benchmark(4)
-    cert = compute_certificate(MODEL, spec,
-                               certificate_data(MODEL, spec, eps=1e6, C1=1.0, auto_eps=True))
+    cert = compute_certificate(spec, certificate_data(spec, eps=1e6, C1=1.0, auto_eps=True))
     assert cert.eps < 1e6
     assert math.isfinite(cert.N)
 
 
 def test_certificate_counts_its_halvings():
     spec, _, _ = solved_benchmark(4)
-    cert = compute_certificate(MODEL, spec,
-                               certificate_data(MODEL, spec, eps=1e6, C1=1.0, auto_eps=True))
+    cert = compute_certificate(spec, certificate_data(spec, eps=1e6, C1=1.0, auto_eps=True))
     assert cert.eps_halvings > 0
     assert cert.eps == math.ldexp(1e6, -cert.eps_halvings)
     assert cert.notes == [f"eps halved {cert.eps_halvings} times to {cert.eps:g} "
@@ -333,8 +329,7 @@ def test_certificate_pinned_infeasible_eps_raises():
     mesh = build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT)
     spec = make_spec(mesh, phi0_scale=1.0)  # |phi0| = 1 makes exp term large
     with pytest.raises(CertificateInfeasibleError):
-        compute_certificate(MODEL, spec,
-                            certificate_data(MODEL, spec, eps=10.0, C1=1.0, auto_eps=False))
+        compute_certificate(spec, certificate_data(spec, eps=10.0, C1=1.0, auto_eps=False))
 
 
 def test_certificate_overflowing_chain_raises():
@@ -342,19 +337,17 @@ def test_certificate_overflowing_chain_raises():
     # bound puts N at u_star, which certifies nothing
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT), phi0_scale=5.0)
     with pytest.raises(CertificateInfeasibleError, match="v_inf bound overflows"):
-        compute_certificate(MODEL, spec,
-                            certificate_data(MODEL, spec, eps=0.01, C1=1.0, auto_eps=True))
+        compute_certificate(spec, certificate_data(spec, eps=0.01, C1=1.0, auto_eps=True))
 
 
 def test_certificate_with_n_at_u_star_fails_its_check():
     # at phi0 = 2x the v_inf bound is finite but F_inv rounds it to u_star:
     # every solution meets N, and the check must not call that a pass
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT), phi0_scale=2.0)
-    cert = compute_certificate(MODEL, spec,
-                               certificate_data(MODEL, spec, eps=0.01, C1=1.0, auto_eps=True))
+    cert = compute_certificate(spec, certificate_data(spec, eps=0.01, C1=1.0, auto_eps=True))
     assert math.isfinite(cert.v_inf_bound) and cert.N == MODEL.u_star
     _, _, sol = solved_benchmark(4)
-    check = check_certificate(sol, cert, MODEL)
+    check = check_certificate(sol, cert, spec)
     assert check.max_v <= cert.v_inf_bound and check.max_u <= cert.N
     assert not check.passed
 
@@ -363,8 +356,7 @@ def test_certificate_overflowing_weight_raises_for_every_eps():
     # at phi0 = 12x the weight e^(8 mu |phi0|^2) overflows; auto-eps must not retry
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT), phi0_scale=12.0)
     with pytest.raises(CertificateInfeasibleError, match="overflows"):
-        compute_certificate(MODEL, spec,
-                            certificate_data(MODEL, spec, eps=0.01, C1=1.0, auto_eps=True))
+        compute_certificate(spec, certificate_data(spec, eps=0.01, C1=1.0, auto_eps=True))
 
 
 def halving_certificate(spec, eps):
@@ -373,8 +365,7 @@ def halving_certificate(spec, eps):
     both denominators above 0.5."""
     model, mesh = spec.model, spec.mesh
     phi0_inf = float(np.max(np.abs(spec.phi0.values)))
-    exp_term = exp_weight(model.lipschitz_mu(), phi0_inf,
-                          max(phi0_inf, max_cell_gradient(spec.phi0)))
+    exp_term = exp_weight(model.lipschitz_mu(), phi0_inf, w1inf_proxy(spec.phi0))
     data = (float(model.F(float(np.max(spec.u0.values)))),
             float(model.F(float(np.max(spec.u1.values)))))
     mes_omega = float(geometry(mesh).volumes.sum())
@@ -401,11 +392,9 @@ def test_closed_form_eps_matches_halving_search(extents, divisions, phi0_scale, 
     eps, v_inf = halving_certificate(spec, eps0)
     if not math.isfinite(v_inf):
         with pytest.raises(CertificateInfeasibleError, match="v_inf bound overflows"):
-            compute_certificate(MODEL, spec,
-                                certificate_data(MODEL, spec, eps=eps0, C1=1.0, auto_eps=True))
+            compute_certificate(spec, certificate_data(spec, eps=eps0, C1=1.0, auto_eps=True))
         return
-    cert = compute_certificate(MODEL, spec,
-                               certificate_data(MODEL, spec, eps=eps0, C1=1.0, auto_eps=True))
+    cert = compute_certificate(spec, certificate_data(spec, eps=eps0, C1=1.0, auto_eps=True))
     assert cert.eps == eps
     assert cert.v_inf_bound == v_inf
     assert cert.N == float(MODEL.F_inv(min(v_inf, 1e300)))
@@ -420,8 +409,7 @@ def test_closed_form_eps_keeps_overflowing_product_in_range():
     # make both denominators positive, so the v_inf bound is what overflows
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT), phi0_scale=6.6)
     with pytest.raises(CertificateInfeasibleError, match="v_inf bound overflows"):
-        compute_certificate(MODEL, spec,
-                            certificate_data(MODEL, spec, eps=1e6, C1=1.0, auto_eps=True))
+        compute_certificate(spec, certificate_data(spec, eps=1e6, C1=1.0, auto_eps=True))
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0])
@@ -432,8 +420,7 @@ def test_nonpositive_eps_rejected_before_poincare(monkeypatch, eps):
     monkeypatch.setattr(transform_mod, "estimate_poincare", raiser)
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT))
     with pytest.raises(CertificateInfeasibleError, match="eps must be positive"):
-        compute_certificate(MODEL, spec,
-                            certificate_data(MODEL, spec, eps=eps, C1=1.0, auto_eps=True))
+        compute_certificate(spec, certificate_data(spec, eps=eps, C1=1.0, auto_eps=True))
 
 
 def test_certificate_3d_problem():
@@ -445,8 +432,7 @@ def test_certificate_3d_problem():
         u1=interpolate(mesh, lambda p: np.zeros(p.shape[0])),
         phi0=interpolate(mesh, lambda p: 0.1 * p[:, 0]),
         m_cap=2.0)
-    cert = compute_certificate(MODEL, spec,
-                               certificate_data(MODEL, spec, eps=0.01, C1=1.0, auto_eps=True))
+    cert = compute_certificate(spec, certificate_data(spec, eps=0.01, C1=1.0, auto_eps=True))
     assert cert.dim == 3
     assert cert.r == 4.0
     assert cert.s == pytest.approx(4.0)  # 2(d-1)/(d-2) at d = 3
@@ -458,8 +444,7 @@ def test_certificate_3d_problem():
 
 def test_tiny_c1_flagged_in_check():
     spec, beta, sol = solved_benchmark(8)
-    cert = compute_certificate(MODEL, spec,
-                               certificate_data(MODEL, spec, eps=0.01, C1=1.0, auto_eps=True))
+    cert = compute_certificate(spec, certificate_data(spec, eps=0.01, C1=1.0, auto_eps=True))
     assert "heuristic" in cert.c1_provenance
-    check = check_certificate(sol, cert, MODEL)
+    check = check_certificate(sol, cert, spec)
     assert "heuristic" in check.c1_provenance
