@@ -4,8 +4,14 @@ Quadrature is the 3-point edge-midpoint rule on triangles (exact for
 quadratics) and the 4-point degree-2 rule on tetrahedra. Coefficients are
 scalars or values at the quadrature points, (nc, nq); gradients of P1
 functions are cellwise constant. Loads sum cell kernels and scatter them
-once. Assembled matrices are immutable once returned and solves on
-distinct systems may run concurrently.
+once. Assembled matrices are immutable once returned. No command solves
+concurrently: a SciPy 1.17 SuperLU must be freed on the thread that made it
+(30 factors of the 16^3 boundary-eliminated K made on a worker thread and
+dropped on the main one grew the RSS from 78 to 212 MB; made and dropped on
+one thread, or only solved on another, 78-80 MB), and factoring K beside
+K + R with the Poincare estimate beside the Picard loop gained only 5-15 %
+in the 16^3 certificate's median op time (4 paired runs) and raised its
+peak RSS from 121-123 to 126-127 MB.
 """
 
 from __future__ import annotations
@@ -79,23 +85,28 @@ class P1Geometry:
         # is the cell mass matrix of the weight w
         self.mass_products = np.einsum("q,qi,qj->qij", self.qweights, bary, bary)
         self.facet_measures = facet_measures(mesh)
-        # canonical CSR pattern of the cell couplings; scatter sends every
-        # entry of the (nc, d+1, d+1) cell matrices to its slot in the data
-        n, k = self.n_vertices, mesh.dim + 1
-        rows = np.repeat(mesh.cells, k, axis=1).ravel()
-        cols = np.tile(mesh.cells, (1, k)).ravel()
-        keys, self.scatter = np.unique(rows * n + cols, return_inverse=True)
-        # built through scipy so that the index dtype is the one it keeps
-        pattern = sp.csr_matrix((np.zeros(keys.size), keys % n,
-                                 np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
+        # the cell pattern is that of C^T C, C the (nc, n) cell-vertex incidence;
+        # scatter sends every entry of the (nc, d+1, d+1) cell matrices to its slot
+        nc, k = mesh.cells.shape
+        incidence = sp.csr_matrix((np.ones(mesh.cells.size), mesh.cells.ravel(),
+                                   np.arange(0, nc * k + 1, k)), shape=(nc, self.n_vertices))
+        pattern = (incidence.T @ incidence).tocsr()
+        pattern.sort_indices()
+        pattern.indices.flags.writeable = pattern.indptr.flags.writeable = False
         self.pattern = pattern.indices, pattern.indptr   # read-only: csr() shares them
-        for array in self.pattern:
-            array.flags.writeable = False
+        self.scatter = self._slots(mesh.cells).ravel()
         # the slot of each coupling of each boundary facet (a cell edge), (nf, d, d)
-        f, d = mesh.boundary_facets, mesh.dim
-        self.facet_slots = np.searchsorted(
-            keys, np.repeat(f, d, axis=1) * n + np.tile(f, (1, d))).reshape(-1, d, d)
+        self.facet_slots = self._slots(mesh.boundary_facets)
         self._eliminations: dict[bytes, tuple] = {}   # see eliminated()
+
+    def _slots(self, simplices: np.ndarray) -> np.ndarray:
+        """The pattern slot of every vertex pair of each simplex, (m, k, k), by a binary
+        search within each row, in the pattern's index dtype (so the lookup copies none)."""
+        dtype = self.pattern[0].dtype
+        slots = self.csr(np.arange(self.pattern[0].size, dtype=dtype))
+        ids, k = simplices.astype(dtype), simplices.shape[1]
+        pairs = slots[np.repeat(ids, k, axis=1).ravel(), np.tile(ids, (1, k)).ravel()]
+        return np.asarray(pairs).reshape(-1, k, k)
 
     def cell_gradient(self, values: np.ndarray) -> np.ndarray:
         """Cellwise-constant gradient of a P1 nodal field, (nc, d)."""
@@ -134,10 +145,11 @@ class P1Geometry:
     @cached_property
     def stiffness_map(self) -> sp.csr_matrix:
         """Read-only (pattern nnz, n_cells) matrix: row s holds the grad_products entries
-        that scatter sends to slot s, cells ascending, so map @ w sums as data() does."""
-        cell_of_entry = np.arange(self.scatter.size) // (self.dim + 1) ** 2
-        M = sp.csr_matrix((self.grad_products.ravel(), (self.scatter, cell_of_entry)),
-                          shape=(self.pattern[0].size, len(self.cells)))
+        that scatter sends to slot s, cells ascending, so map @ w sums as data() does.
+        Built column by column as CSC: its conversion is a counting sort."""
+        M = sp.csc_matrix((self.grad_products.ravel(), self.scatter,
+                           np.arange(0, self.scatter.size + 1, (self.dim + 1) ** 2)),
+                          shape=(self.pattern[0].size, len(self.cells))).tocsr()
         M.data.flags.writeable = M.indices.flags.writeable = M.indptr.flags.writeable = False
         return M
 

@@ -264,6 +264,9 @@ def validate(mesh: Mesh) -> None:
     vols = cell_volumes(mesh)
     if np.any(vols <= 0):
         raise ConfigurationError("mesh has a nonpositively oriented cell")
+    unused = np.flatnonzero(np.bincount(mesh.cells.ravel(), minlength=mesh.n_vertices) == 0)
+    if unused.size:
+        raise ConfigurationError(f"mesh vertex {unused[0]} is in no cell")
     have = np.unique(_row_keys(np.sort(mesh.boundary_facets, axis=1)))
     want = np.unique(_row_keys(np.sort(_extract_boundary(mesh.cells, mesh.dim), axis=1)))
     if not np.array_equal(have, want):

@@ -986,6 +986,20 @@ def test_solve_malformed_mesh_file_exits_1(tmp_path, capsys, old, new):
     assert "configuration error: mesh file:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "certificate"])
+def test_mesh_file_vertex_in_no_cell_exits_1(tmp_path, capsys, command):
+    # a vertex that no cell names leaves an empty row in every matrix
+    from thermopt.mesh import build_rectangle_mesh, dirichlet_on_planes, write_mesh_file
+    mesh_path = tmp_path / "orphan.mesh"
+    write_mesh_file(build_rectangle_mesh([1, 1], [4, 4], dirichlet_on_planes("x=0")),
+                    str(mesh_path))
+    text = mesh_path.read_text().replace("VERTICES 25", "VERTICES 26")
+    mesh_path.write_text(text.replace("CELLS", "0.5 0.5\nCELLS"))
+    cfg = write_config(tmp_path, BENCHMARK + f"\nproblem.mesh_file = {mesh_path}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "configuration error: mesh vertex 25 is in no cell" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory", "not UTF-8"])
 @pytest.mark.parametrize("source", ["--config", "problem.mesh_file", "problem.u0",
                                     "problem.u1", "problem.phi0", "problem.beta"])
