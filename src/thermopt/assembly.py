@@ -5,13 +5,14 @@ quadratics) and the 4-point degree-2 rule on tetrahedra. Coefficients are
 scalars or values at the quadrature points, (nc, nq); gradients of P1
 functions are cellwise constant. Loads sum cell kernels and scatter them
 once. Assembled matrices are immutable once returned. No command solves
-concurrently: a SciPy 1.17 SuperLU must be freed on the thread that made it
-(30 factors of the 16^3 boundary-eliminated K made on a worker thread and
-dropped on the main one grew the RSS from 78 to 212 MB; made and dropped on
-one thread, or only solved on another, 78-80 MB), and factoring K beside
-K + R with the Poincare estimate beside the Picard loop gained only 5-15 %
-in the 16^3 certificate's median op time (4 paired runs) and raised its
-peak RSS from 121-123 to 126-127 MB.
+concurrently: a SciPy 1.17 SuperLU factor (factor_spd's factor above the
+banded cap) must be freed on the thread that made it (30 factors of the 16^3
+boundary-eliminated K made on a worker thread and dropped on the main one
+grew the RSS from 78 to 212 MB; made and dropped on one thread, or only
+solved on another, 78-80 MB), and factoring K beside K + R with the Poincare
+estimate beside the Picard loop gained only 5-15 % in the 16^3 certificate's
+median op time (4 paired runs) and raised its peak RSS from 121-123 to
+126-127 MB.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import AssemblyError, DomainError, SolverFailure
 from .fields import Control, Field
@@ -33,6 +35,18 @@ from .mesh import Mesh, edge_cofactors, facet_measures
 SOLVE_RTOL = 1e-10
 # a matrix is symmetric when max |A - A^T| <= SYMMETRY_RTOL max |A|
 SYMMETRY_RTOL = 1e-12
+# factor_spd factors by banded Cholesky up to this half-bandwidth b. Median time
+# of one factor and 30 solves, banded / SuperLU, on the eliminated potential and
+# temperature matrices of box meshes (a shared 2-core machine, SciPy 1.17, 2 BLAS
+# threads, the two paths interleaved, 21 repetitions):
+#   2D  b = 17: 0.37 0.34   33: 0.47 0.46   49: 0.55 0.52   57: 0.71 0.70
+#       b = 64: 0.65 0.84   65: 1.11 1.07   69: 1.18 1.08   73: 0.79 0.75
+#       b = 81: 1.02 0.99   97: 1.00 0.97
+#   3D  b = 16/20: 0.50 0.40   36/42: 0.85 0.50   64/72: 0.76 0.62
+#       b = 81/90: 1.17 0.64   289/306: 1.51 0.77
+# The banded path wins every repetition up to b = 57; from b = 61 on (2D) the
+# ratio scatters around 1 from one sweep to the next (0.64-1.18).
+BANDED_MAX_HALF_WIDTH = 64
 
 # quadrature in barycentric coordinates: (points, weights)
 _QUAD = {
@@ -162,7 +176,7 @@ class P1Geometry:
         return K
 
     @cached_property
-    def potential_factor(self) -> spla.SuperLU:
+    def potential_factor(self) -> Factor:
         """Factor of K eliminated on the whole boundary, the potential's
         Dirichlet set: it preconditions every potential solve on this mesh."""
         return factor_spd(self.eliminated(self.stiffness.data, self.boundary_vertices)[0])
@@ -320,14 +334,54 @@ def check_symmetric(matrix: sp.spmatrix, transpose: np.ndarray | None = None) ->
             <= SYMMETRY_RTOL * max(1e-300, np.abs(data).max()))
 
 
-def factor_spd(matrix: sp.spmatrix) -> spla.SuperLU:
-    """Sparse LU of a symmetric positive definite matrix.
+class BandedCholesky:
+    """Cholesky factor of an SPD matrix in LAPACK lower-band storage, as
+    dpbtrf leaves it; solve takes a vector or an (n, k) block, as
+    SuperLU.solve does, and modifies neither it nor the factor."""
 
-    Symmetric minimum-degree ordering on A^T + A and diagonal pivots keep
-    the fill of a symmetric factorization (half of what COLAMD leaves on P1
-    stiffness matrices); stored zeros are dropped first. An exactly singular
-    factor raises SolverFailure.
+    def __init__(self, band: np.ndarray):
+        self.band = band
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if rhs.shape[0] != self.band.shape[1]:
+            raise ValueError(f"right side of {rhs.shape[0]} rows for a factor of "
+                             f"{self.band.shape[1]}")
+        return lapack.dpbtrs(self.band, rhs, lower=1)[0]
+
+
+# the factor of an SPD matrix, as factor_spd returns it
+Factor = spla.SuperLU | BandedCholesky
+
+
+def factor_spd(matrix: sp.spmatrix) -> Factor:
+    """Factor of a symmetric positive definite matrix; stored zeros are
+    ignored, so a matrix with and without them gets the same factor.
+
+    When every nonzero of the lower triangle lies within BANDED_MAX_HALF_WIDTH
+    of the diagonal, in the matrix's own order, LAPACK's banded Cholesky
+    (dpbtrf), which reads the lower triangle alone: every caller's matrix is
+    symmetric by construction or has passed check_symmetric. Otherwise sparse
+    LU with a symmetric minimum-degree ordering on A^T + A and diagonal
+    pivots, which keep the fill of a symmetric factorization (half of what
+    COLAMD leaves on P1 stiffness matrices). An exactly singular factor, or a
+    nonpositive banded pivot, raises SolverFailure.
     """
+    csr = matrix.tocsr()
+    n = csr.shape[0]
+    cols = csr.indices
+    offsets = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(csr.indptr)) - cols
+    lower = np.flatnonzero((offsets >= 0) & (csr.data != 0))
+    width = int(offsets[lower].max(initial=0))
+    if width <= BANDED_MAX_HALF_WIDTH:
+        # A_ij at band[i - j, j], summed as duplicates would be, in Fortran order
+        slots = cols[lower].astype(np.intp) * (width + 1) + offsets[lower]
+        band = np.bincount(slots, weights=csr.data[lower], minlength=(width + 1) * n)
+        band, info = lapack.dpbtrf(band.reshape((width + 1, n), order="F"),
+                                   lower=1, overwrite_ab=1)
+        if info:
+            raise SolverFailure(f"sparse factorization failed (banded Cholesky: leading minor "
+                                f"{info} not positive, matrix singular or not positive definite)")
+        return BandedCholesky(band)
     csc = matrix.tocsc(copy=True)
     csc.eliminate_zeros()
     try:
@@ -338,9 +392,9 @@ def factor_spd(matrix: sp.spmatrix) -> spla.SuperLU:
 
 
 def solve_spd_pcg(matrix: sp.spmatrix, rhs: np.ndarray, x0: np.ndarray,
-                  precond: spla.SuperLU | None, pcg_rtol: float, max_iter: int,
+                  precond: Factor | None, pcg_rtol: float, max_iter: int,
                   transpose: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, int, spla.SuperLU | None]:
+                  ) -> tuple[np.ndarray, int, Factor | None]:
     """SPD solve by scipy's conjugate gradients from x0, preconditioned by
     `precond` (a factor of a spectrally equivalent SPD matrix), to relative
     residual pcg_rtol. When CG has not converged within max_iter iterations

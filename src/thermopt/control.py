@@ -99,7 +99,7 @@ class AdjointSolution:
     q: Field
     iterations: int = 0     # BiCGSTAB iterations; 0 for a direct solve
     # factor of the eliminated S; None when no BiCGSTAB ran
-    potential_factor: spla.SuperLU | None = None
+    potential_factor: assembly.Factor | None = None
 
 
 @dataclass
@@ -186,7 +186,7 @@ def sensitivity_system(spec: ProblemSpec, beta: Control, state: StateSolution,
 
 
 def _block_bicgstab(matrix, rhs, potential, coupling,
-                    temperature_factor) -> tuple[np.ndarray | None, int, spla.SuperLU]:
+                    temperature_factor) -> tuple[np.ndarray | None, int, assembly.Factor]:
     """BiCGSTAB on the eliminated 2n block, preconditioned block upper
     triangularly: z2 = S^-1 r2 with S the `potential` block, then
     z1 = T^-1 (r1 - M12 z2) with M12 the top-right `coupling` block and T the
@@ -210,7 +210,7 @@ def _block_bicgstab(matrix, rhs, potential, coupling,
 
 
 def _solve_block(blocks, rhs, state: StateSolution
-                 ) -> tuple[np.ndarray, np.ndarray, int, spla.SuperLU | None]:
+                 ) -> tuple[np.ndarray, np.ndarray, int, assembly.Factor | None]:
     """Solve the eliminated 2n block; returns both halves, the BiCGSTAB
     iterations (0 for a direct solve) and the factor of S (None when no
     BiCGSTAB ran). A BiCGSTAB run that reaches ADJOINT_MAX_ITER or breaks

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import assembly
 from .assembly import geometry, lift_dirichlet
@@ -110,7 +109,7 @@ class StateSolution:
     factorizations: int = 0      # sparse LU factorizations this solve made
     # factor of K + R eliminated on Gamma_D; the adjoint block and the
     # certificate's Poincare estimate reuse it
-    temperature_factor: spla.SuperLU | None = None
+    temperature_factor: assembly.Factor | None = None
 
 
 def pick_truncation_level(spec: ProblemSpec) -> float | None:
@@ -123,7 +122,7 @@ def pick_truncation_level(spec: ProblemSpec) -> float | None:
 
 
 def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = None,
-                precond: spla.SuperLU | None = None) -> StateSolution:
+                precond: assembly.Factor | None = None) -> StateSolution:
     """Solve the coupled system; raises on nonconvergence or criticality.
 
     The potential CG is preconditioned by `precond`, a factor of a nearby

@@ -142,7 +142,7 @@ def compute_C_eps(model: ConductivityModel, eps: float) -> float:
     return max(0.0, gmax) * 1.05
 
 
-def estimate_poincare(mesh: Mesh, factor: spla.SuperLU | None = None) -> tuple[float, int]:
+def estimate_poincare(mesh: Mesh, factor: assembly.Factor | None = None) -> tuple[float, int]:
     """(C_D, iterations): C_D = 1/sqrt(lambda_min) for the Laplacian with
     zero data on the Dirichlet part Gamma_D, the smallest eigenvalue of
     (K, M) on the free vertices, by LOBPCG (Knyazev, SIAM J. Sci. Comput.
@@ -344,7 +344,7 @@ def certificate_data(spec: ProblemSpec, eps: float, C1: float,
 
 
 def compute_certificate(spec: ProblemSpec, data: CertificateData,
-                        factor: spla.SuperLU | None = None) -> BoundCertificate:
+                        factor: assembly.Factor | None = None) -> BoundCertificate:
     """Evaluate the whole constant chain for one problem.
 
     `data` is the first stage, certificate_data(spec, ...), which a

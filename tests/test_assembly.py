@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from thermopt import assembly
 from thermopt.assembly import (
@@ -439,6 +440,109 @@ def test_eliminated_potential_is_bit_identical_to_apply_dirichlet():
     assert (A != A_ref).nnz == 0
     assert np.array_equal(factor_spd(A).solve(np.ones(mesh.n_vertices)),
                           factor_spd(A_ref).solve(np.ones(mesh.n_vertices)))
+
+
+def eliminated_systems(divisions):
+    """The two matrices that the state solve factors, with random weights: a
+    weighted stiffness eliminated on the whole boundary (the potential) and
+    K + R eliminated on Gamma_D (the temperature)."""
+    mesh = build_rectangle_mesh([1.0] * len(divisions), divisions, LEFT)
+    geom = geometry(mesh)
+    rng = np.random.default_rng(5)
+    S = assemble_weighted_stiffness(mesh, geom.at_quadrature(rng.uniform(0.5, 2.0,
+                                                                         mesh.n_vertices)))
+    n_robin = mesh.facet_indices(BoundaryTag.ROBIN_TEMPERATURE).size
+    R, _ = assemble_robin(mesh, Control(mesh, rng.uniform(0.1, 2.0, n_robin), 2.0),
+                          field(mesh, np.zeros(mesh.n_vertices)))
+    gamma_d = mesh.boundary_vertex_set(BoundaryTag.DIRICHLET_TEMPERATURE)
+    return [geom.eliminated(S.data, geom.boundary_vertices)[0],
+            geom.eliminated(geom.stiffness.data + R.data, gamma_d)[0]]
+
+
+def half_bandwidth(matrix):
+    """The largest i - j over the nonzero entries of the lower triangle."""
+    lower = sp.tril(matrix, format="coo")
+    return int((lower.row - lower.col)[lower.data != 0].max(initial=0))
+
+
+def band_matrix(n, width, diagonal=4.0):
+    """diagonal I - E - E^T, E the ones at offset `width` below the diagonal."""
+    return sp.diags([diagonal, -1.0, -1.0], [0, -width, width], shape=(n, n), format="csr")
+
+
+@pytest.mark.parametrize("divisions", [[4, 4], [16, 16], [32, 32], [3, 3, 3]])
+def test_banded_factor_matches_superlu(monkeypatch, divisions):
+    # vector and (n, 3) block right sides: the Poincare estimate's LOBPCG
+    # preconditions blocks
+    rng = np.random.default_rng(6)
+    for A in eliminated_systems(divisions):
+        assert half_bandwidth(A) <= assembly.BANDED_MAX_HALF_WIDTH
+        data = A.data.copy()
+        banded = factor_spd(A)
+        with monkeypatch.context() as patch:
+            patch.setattr(assembly, "BANDED_MAX_HALF_WIDTH", -1)
+            lu = factor_spd(A)
+        assert isinstance(banded, assembly.BandedCholesky) and isinstance(lu, spla.SuperLU)
+        for rhs in (rng.standard_normal(A.shape[0]), rng.standard_normal((A.shape[0], 3))):
+            given = rhs.copy()
+            x, ref = banded.solve(rhs), lu.solve(rhs)
+            assert x.shape == rhs.shape and np.array_equal(rhs, given)
+            assert np.array_equal(banded.solve(rhs), x)
+            for column, b in zip(x.reshape(A.shape[0], -1).T, rhs.reshape(A.shape[0], -1).T):
+                assembly.checked_solution(A, b, column)
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(A.data, data)
+        with pytest.raises(ValueError):   # dpbtrs itself would solve the first n rows
+            banded.solve(np.ones(A.shape[0] + 1))
+
+
+def test_factor_spd_takes_the_banded_path_up_to_the_cap(monkeypatch):
+    """Counted, not timed: half-bandwidth at the cap factors by dpbtrf, one
+    past it by splu with the MMD ordering; stored zeros do not widen the band."""
+    calls = []
+    splu, dpbtrf = spla.splu, assembly.lapack.dpbtrf
+
+    def counting_splu(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return splu(*args, **kwargs)
+
+    def counting_dpbtrf(*args, **kwargs):
+        calls.append("dpbtrf")
+        return dpbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(assembly.lapack, "dpbtrf", counting_dpbtrf)
+    cap = assembly.BANDED_MAX_HALF_WIDTH
+    n = 3 * cap
+    at_cap = band_matrix(n, cap)
+    coo = at_cap.tocoo()
+    padded = sp.csr_matrix((np.r_[coo.data, 0.0, 0.0], (np.r_[coo.row, n - 1, 0],
+                                                        np.r_[coo.col, 0, n - 1])))
+    assert padded.nnz == at_cap.nnz + 2
+    rhs = np.arange(n, dtype=float)
+    x = factor_spd(at_cap).solve(rhs)
+    assert calls == ["dpbtrf"]
+    assert np.array_equal(factor_spd(padded).solve(rhs), x)
+    assert calls == ["dpbtrf"] * 2
+    above = band_matrix(n, cap + 1)
+    y = factor_spd(above).solve(rhs)
+    assert calls == ["dpbtrf"] * 2 + ["MMD_AT_PLUS_A"]
+    assembly.checked_solution(at_cap, rhs, x)
+    assembly.checked_solution(above, rhs, y)
+
+
+def test_banded_factor_of_an_indefinite_or_singular_matrix_raises():
+    n = 12
+    diagonal = np.full(n, 4.0)
+    diagonal[5] = -4.0
+    # pure-Neumann Laplacian of a uniform 1D mesh: an exactly zero last pivot
+    path = sp.diags([-np.ones(n - 1), np.r_[1.0, 2.0 * np.ones(n - 2), 1.0],
+                     -np.ones(n - 1)], [-1, 0, 1], format="csr")
+    zero_row = sp.diags([np.r_[1.0, 0.0, 1.0]], [0], format="csr")
+    for A in (band_matrix(n, 3, diagonal), path, zero_row):
+        assert half_bandwidth(A) <= assembly.BANDED_MAX_HALF_WIDTH
+        with pytest.raises(SolverFailure, match="singular or not positive definite"):
+            factor_spd(A)
 
 
 def test_asymmetric_datum_on_cached_pattern_raises():

@@ -190,19 +190,25 @@ def test_block_krylov_cap_falls_back_to_direct_solve(monkeypatch):
     assert np.array_equal(capped.q.values, direct.q.values)
 
 
-def test_solve_adjoint_factors_only_the_potential_block(monkeypatch):
-    """The adjoint reuses the state's temperature factor: one MMD factor of
-    the potential block and no COLAMD spsolve of the 2n block."""
-    spec = control_spec(16, drive=1.0)
+def check_adjoint_factors(monkeypatch, mesh, kind):
+    """The adjoint reuses the state's temperature factor: one factor of the
+    potential block, by `kind` ("dpbtrf" or splu's ordering), and no COLAMD
+    spsolve of the 2n block."""
+    spec = control_spec(mesh=mesh, drive=1.0)
     beta = Control.constant(spec.mesh, 0.5, 2.0)
     state = solve_state(spec, beta)
-    calls = {"splu": [], "spsolve": 0}
-    splu, spsolve = spla.splu, spla.spsolve
+    calls = {"factors": [], "spsolve": 0}
+    splu, spsolve, dpbtrf = spla.splu, spla.spsolve, assembly.lapack.dpbtrf
 
     def counting_splu(*args, **kwargs):
         if sys._getframe(1).f_globals["__name__"] == "thermopt.assembly":
-            calls["splu"].append(kwargs.get("permc_spec"))
+            calls["factors"].append(kwargs.get("permc_spec"))
         return splu(*args, **kwargs)
+
+    def counting_dpbtrf(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "thermopt.assembly":
+            calls["factors"].append("dpbtrf")
+        return dpbtrf(*args, **kwargs)
 
     def counting_spsolve(*args, **kwargs):
         calls["spsolve"] += 1
@@ -210,9 +216,22 @@ def test_solve_adjoint_factors_only_the_potential_block(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     monkeypatch.setattr(spla, "spsolve", counting_spsolve)
+    monkeypatch.setattr(assembly.lapack, "dpbtrf", counting_dpbtrf)
     adjoint = solve_adjoint(spec, beta, state)
     assert adjoint.iterations > 0
-    assert calls == {"splu": ["MMD_AT_PLUS_A"], "spsolve": 0}
+    assert calls == {"factors": [kind], "spsolve": 0}
+
+
+def test_solve_adjoint_factors_only_the_potential_block(monkeypatch):
+    # half-bandwidth 17, below the cap: banded Cholesky
+    check_adjoint_factors(monkeypatch, build_rectangle_mesh([1.0, 1.0], [16, 16], LEFT),
+                          "dpbtrf")
+
+
+def test_solve_adjoint_factors_above_the_banded_cap_with_mmd(monkeypatch):
+    # half-bandwidth 81, above the cap: splu with the MMD ordering
+    check_adjoint_factors(monkeypatch, build_rectangle_mesh([1.0, 1.0, 1.0], [8, 8, 8], LEFT),
+                          "MMD_AT_PLUS_A")
 
 
 def test_solve_adjoint_eliminates_through_the_state_slot_maps(monkeypatch):

@@ -44,18 +44,23 @@ def benchmark_spec(n=16, model=None, u1_val=0.0):
                      lambda p: 0.1 * p[:, 0])
 
 
-def test_solve_state_factors_with_symmetric_ordering_only(monkeypatch):
+def check_state_factors(monkeypatch, divisions, kind):
     """A first solve factors K (the potential preconditioner) and the
     temperature matrix, a second solve on the same mesh only the temperature
-    matrix, all with the MMD ordering, and no COLAMD spsolve; a count, so it
-    cannot flake on timing."""
-    calls = {"splu": [], "spsolve": 0}
-    splu, spsolve = spla.splu, spla.spsolve
+    matrix, each factor by `kind` ("dpbtrf" or splu's ordering), and no
+    COLAMD spsolve runs; a count, so it cannot flake on timing."""
+    calls = {"factors": [], "spsolve": 0}
+    splu, spsolve, dpbtrf = spla.splu, spla.spsolve, assembly.lapack.dpbtrf
 
     def counting_splu(*args, **kwargs):
         if sys._getframe(1).f_globals["__name__"] == "thermopt.assembly":
-            calls["splu"].append(kwargs.get("permc_spec"))
+            calls["factors"].append(kwargs.get("permc_spec"))
         return splu(*args, **kwargs)
+
+    def counting_dpbtrf(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "thermopt.assembly":
+            calls["factors"].append("dpbtrf")
+        return dpbtrf(*args, **kwargs)
 
     def counting_spsolve(*args, **kwargs):
         if sys._getframe(1).f_globals["__name__"] == "thermopt.assembly":
@@ -64,19 +69,30 @@ def test_solve_state_factors_with_symmetric_ordering_only(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     monkeypatch.setattr(spla, "spsolve", counting_spsolve)
-    mesh = build_rectangle_mesh([1.0, 1.0, 1.0], [3, 3, 3], LEFT)
+    monkeypatch.setattr(assembly.lapack, "dpbtrf", counting_dpbtrf)
+    mesh = build_rectangle_mesh([1.0, 1.0, 1.0], divisions, LEFT)
     spec = make_spec(mesh, TruncatedPower(1.0, 1.0, 2.0), lambda p: np.zeros(p.shape[0]),
                      lambda p: np.zeros(p.shape[0]), lambda p: 0.5 * p[:, 0])
     beta = Control.constant(mesh, 1.0, 2.0)
     sol = solve_state(spec, beta)
     assert sol.iterations > 1
-    assert calls["splu"] == ["MMD_AT_PLUS_A"] * 2
+    assert calls["factors"] == [kind] * 2
     assert sol.factorizations == 2
-    calls["splu"].clear()
+    calls["factors"].clear()
     again = solve_state(spec, beta)
-    assert calls["splu"] == ["MMD_AT_PLUS_A"]
+    assert calls["factors"] == [kind]
     assert again.factorizations == 1
     assert calls["spsolve"] == 0
+
+
+def test_solve_state_factors_with_symmetric_ordering_only(monkeypatch):
+    # half-bandwidths 16 and 20, below the cap: banded Cholesky
+    check_state_factors(monkeypatch, [3, 3, 3], "dpbtrf")
+
+
+def test_solve_state_factors_above_the_banded_cap_with_mmd(monkeypatch):
+    # half-bandwidths 81 and 90, above the cap: splu with the MMD ordering
+    check_state_factors(monkeypatch, [8, 8, 8], "MMD_AT_PLUS_A")
 
 
 def drive_spec(divisions, scale):
