@@ -135,9 +135,8 @@ def _state_jacobian(spec: ProblemSpec, beta: Control,
     and R, the only beta-dependent term, is added to A after the scatter.
     """
     geom = geometry(spec.mesh)
-    u_q = np.maximum(geom.at_quadrature(state.u.values), 0.0)
-    sigma_q = np.asarray(spec.model.sigma(u_q), dtype=float)
-    sigma_prime_q = np.asarray(spec.model.sigma_prime(u_q), dtype=float)
+    u_q = geom.at_quadrature(state.u.values)
+    sigma_q, sigma_prime_q = spec.model.sigma(u_q), spec.model.sigma_prime(u_q)
     diff_q = geom.at_quadrature(spec.phi0.values - state.phi.values)
     gphi, gphi0 = geom.cell_gradient(state.phi.values), geom.cell_gradient(spec.phi0.values)
     conv, conv0 = (np.einsum("cd,cid->ci", g, geom.grads) for g in (gphi, gphi0))

@@ -10,10 +10,13 @@ substitution diagnostics and the a-priori bound chain:
     M(v)    = integral_0^v ds / a(s)       (`reciprocal_a_moment`)
     mu      = max(sup sigma, sup |sigma'|) over [0, u_star]
 
-Both concrete families evaluate all of these in closed form, elementwise on
-arrays of any shape; there is no quadrature or root finding. Negative
-temperature arguments (transients of the nonlinear iteration) are clamped to
-0; callers that need to report clamping count negatives before evaluating.
+The two families, TruncatedPower and Constant, are the model interface;
+ConductivityModel names their union. Both evaluate all of these in closed
+form, elementwise, returning float arrays of the argument's shape; there is
+no quadrature or root finding. sigma, sigma' and a clamp negative arguments
+(transients of the nonlinear iteration) to 0 and M is 0 there, so callers
+pass them unclamped; F and F_inv raise DomainError on them. Callers that
+need to report clamping count negatives before evaluating.
 Models are immutable and every evaluation is a pure function, safe for
 concurrent use.
 
@@ -29,36 +32,6 @@ import numpy as np
 from .errors import DomainError
 
 
-class ConductivityModel:
-    """Common interface; concrete families implement the evaluations."""
-
-    sigma0: float
-    u_star: float
-
-    def sigma(self, u):
-        raise NotImplementedError
-
-    def sigma_prime(self, u):
-        raise NotImplementedError
-
-    def F(self, u):
-        raise NotImplementedError
-
-    def F_inv(self, v):
-        raise NotImplementedError
-
-    def a(self, v):
-        raise NotImplementedError
-
-    def lipschitz_mu(self) -> float:
-        """C1 norm bound of sigma over [0, u_star]."""
-        raise NotImplementedError
-
-    def reciprocal_a_moment(self, v):
-        """integral_0^v ds / a(s), used by the bound chain; 0 for v <= 0."""
-        raise NotImplementedError
-
-
 def _clamp(u):
     return np.maximum(np.asarray(u, dtype=float), 0.0)
 
@@ -67,7 +40,7 @@ def _positive_finite(value: float) -> bool:
     return math.isfinite(value) and value > 0
 
 
-class TruncatedPower(ConductivityModel):
+class TruncatedPower:
     """sigma(u) = sigma0 (1 - u/u_star)^p for u < u_star, zero beyond.
 
     p >= 2 keeps sigma in C1 across u_star and makes F(u) diverge at u_star.
@@ -120,16 +93,18 @@ class TruncatedPower(ConductivityModel):
         return self.sigma0 * np.exp(-p / (p - 1.0) * np.log1p(self._c * _clamp(v)))
 
     def lipschitz_mu(self) -> float:
+        """C1 norm bound of sigma over [0, u_star]."""
         # sup sigma = sigma0 at u=0; sup |sigma'| = p sigma0 / u_star at u=0
         return max(self.sigma0, self.exponent_p * self.sigma0 / self.u_star)
 
     def reciprocal_a_moment(self, v):
+        """integral_0^v ds / a(s), used by the bound chain; 0 for v <= 0."""
         p = self.exponent_p
         k = (2.0 * p - 1.0) / (p - 1.0)
         return np.expm1(k * np.log1p(self._c * _clamp(v))) / (self.sigma0 * self._c * k)
 
 
-class Constant(ConductivityModel):
+class Constant:
     """Uniformly positive conductivity; the nondegenerate baseline."""
 
     def __init__(self, sigma0: float):
@@ -160,10 +135,16 @@ class Constant(ConductivityModel):
         return np.full_like(np.asarray(v, dtype=float), self.sigma0)
 
     def lipschitz_mu(self) -> float:
+        """C1 norm bound of sigma over [0, u_star]."""
         return self.sigma0
 
     def reciprocal_a_moment(self, v):
+        """integral_0^v ds / a(s), used by the bound chain; 0 for v <= 0."""
         return _clamp(v) / self.sigma0
+
+
+# The model interface: what config.build_model returns.
+ConductivityModel = TruncatedPower | Constant
 
 
 class TruncatedModel:

@@ -46,8 +46,10 @@ class Mesh:
     parent_edges: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for arr in (self.vertices, self.cells, self.boundary_facets, self.boundary_tags):
-            arr.setflags(write=False)
+        for arr in (self.vertices, self.cells, self.boundary_facets, self.boundary_tags,
+                    self.parent_edges):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def n_vertices(self) -> int:

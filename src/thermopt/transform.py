@@ -68,10 +68,10 @@ def transform(sol: StateSolution, spec: ProblemSpec) -> TransformedState:
     if np.any(u >= model.u_star):
         raise DomainError("temperature reaches the critical value; "
                           "the substitution is undefined")
-    v = np.asarray(model.F(np.maximum(u, 0.0)), dtype=float)
+    v = model.F(np.maximum(u, 0.0))
     psi = (sol.phi.values - spec.phi0.values) ** 2 + v
     mesh = sol.u.mesh
-    a_q = model.a(np.maximum(geometry(mesh).at_quadrature(v), 0.0))
+    a_q = model.a(geometry(mesh).at_quadrature(v))
     return TransformedState(
         v=Field(mesh, v),
         phi=sol.phi,
@@ -90,7 +90,7 @@ def transformed_residual(ts: TransformedState, spec: ProblemSpec,
     (beta/a(v)) (F_inv(v) - u1) integrated consistently on the Robin facets.
     """
     mesh = spec.mesh
-    f_inv_trace = np.asarray(spec.model.F_inv(np.maximum(ts.v.values, 0.0)), dtype=float)
+    f_inv_trace = spec.model.F_inv(np.maximum(ts.v.values, 0.0))
     robin = (assembly.facet_mass(mesh, beta.values, beta.facet_ids)
              @ (f_inv_trace - spec.u1.values))
     rhs = assembly.assemble_joule_rhs_weak(mesh, ts.a_q, ts.phi, spec.phi0)
@@ -413,7 +413,7 @@ def check_certificate(sol: StateSolution, cert: BoundCertificate,
     """
     u = np.maximum(sol.u.values, 0.0)
     max_u = float(np.max(u))
-    max_v = float(np.max(np.asarray(spec.model.F(u), dtype=float)))
+    max_v = float(np.max(spec.model.F(u)))
     return CertificateCheck(
         passed=(max_v <= cert.v_inf_bound and max_u <= cert.N < spec.model.u_star),
         max_v=max_v, v_margin=cert.v_inf_bound - max_v,

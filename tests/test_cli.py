@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -705,6 +706,46 @@ def test_verify_unknown_suite_exits_1(tmp_path):
                  "--out", str(tmp_path / "o")]) == 0
     with pytest.raises(SystemExit):
         main(["verify", "--config", cfg, "--suite", "nope"])
+
+
+# Whether a verify check passes with its measured value at most (le) or at
+# least (ge) its tolerance; gradient.triangle_k for every k.
+CHECK_DIRECTIONS = {
+    "conductivity.ratio_upper": operator.le,
+    "conductivity.ratio_lower": operator.ge,
+    "conductivity.decay_product": operator.le,
+    "maxprinciple.phi_lower": operator.ge,
+    "maxprinciple.phi_upper": operator.le,
+    "maxprinciple.u_nonnegative": operator.ge,
+    "substitution.psi_inequality_holds": operator.ge,
+    "substitution.round_trip": operator.le,
+    "gradient.triangle": operator.le,
+}
+BENCHMARK_4X4 = (ROOT / "configs/benchmark.cfg").read_text().replace("16 16", "4 4")
+CONSTANT_SQUARE = (BENCHMARK_4X4.replace("kind = truncated_power", "kind = constant")
+                   .replace("sigma0 = 1.0", "sigma0 = 3.0"))
+
+
+@pytest.mark.parametrize("text, suite", [
+    *((BENCHMARK_4X4, suite) for suite in sorted(cli_mod._SUITES)),
+    (CONSTANT_SQUARE, "lemma1"),
+], ids=[*(f"benchmark-{suite}" for suite in sorted(cli_mod._SUITES)), "constant-lemma1"])
+def test_verify_checks_pass_by_the_tolerance_they_report(tmp_path, text, suite):
+    out = tmp_path / "o"
+    code = main(["verify", "--config", write_config(tmp_path, text), "--suite", suite,
+                 "--out", str(out)])
+    report = read_report(out)
+    assert code == (0 if report["passed"] else 4)
+    for check in report["checks"]:
+        name = check["property"]
+        if name.endswith("_decreases"):
+            continue   # a fall under refinement, with the round-off rule of the README
+        compare = CHECK_DIRECTIONS[re.sub(r"_\d+$", "", name)]
+        assert check["passed"] == compare(check["measured"], check["tolerance"]), check
+    if suite == "lemma1":
+        decay = next(c for c in report["checks"]
+                     if c["property"] == "conductivity.decay_product")
+        assert decay["tolerance"] == 1.0 + 1e-12
 
 
 def test_certificate_benchmark(tmp_path):

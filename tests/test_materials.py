@@ -184,3 +184,45 @@ def test_constant_model_basics():
     assert float(c.F(6.0)) == pytest.approx(2.0)
     assert float(c.F_inv(2.0)) == pytest.approx(6.0)
     assert math.isinf(c.u_star)
+
+
+# The conductivity contract that callers rely on without restating it.
+FAMILIES = {"power_p2": TruncatedPower(1.5, 2.0, 2.0),
+            "power_p3": TruncatedPower(1.5, 2.0, 3.0),
+            "constant": Constant(3.0)}
+
+
+def clamping_evaluations():
+    """sigma, sigma' and a of each family, and sigma, sigma' of a truncation."""
+    for name, model in FAMILIES.items():
+        for method in ("sigma", "sigma_prime", "a"):
+            yield pytest.param(getattr(model, method), id=f"{name}.{method}")
+    truncated = TruncatedModel(FAMILIES["power_p3"], 1.6)
+    for method in ("sigma", "sigma_prime"):
+        yield pytest.param(getattr(truncated, method), id=f"truncated.{method}")
+
+
+@pytest.mark.parametrize("evaluate", list(clamping_evaluations()))
+def test_negative_arguments_evaluate_as_zero(evaluate):
+    negative = -np.geomspace(1e-12, 10.0, 12).reshape(4, 3)
+    assert np.array_equal(evaluate(negative), np.full((4, 3), evaluate(0.0)))
+
+
+@pytest.mark.parametrize("model", FAMILIES.values(), ids=FAMILIES.keys())
+def test_moment_vanishes_and_F_raises_at_negative_arguments(model):
+    negative = np.array([-1e-12, -0.5, -7.0])
+    assert np.array_equal(model.reciprocal_a_moment(np.append(negative, 0.0)), np.zeros(4))
+    for evaluate in (model.F, model.F_inv):
+        for x in (negative, negative[0]):
+            with pytest.raises(DomainError):
+                evaluate(x)
+
+
+@pytest.mark.parametrize("shape", [(12,), (4, 3)], ids=["vector", "cells_by_points"])
+@pytest.mark.parametrize("model", FAMILIES.values(), ids=FAMILIES.keys())
+def test_evaluations_return_float_arrays_of_the_arguments_shape(model, shape):
+    x = np.linspace(0.0, 1.9, 12).reshape(shape)   # inside [0, u_star) of every family
+    for method in ("sigma", "sigma_prime", "F", "F_inv", "a", "reciprocal_a_moment"):
+        out = getattr(model, method)(x)
+        assert type(out) is np.ndarray and out.dtype == np.float64, method
+        assert out.shape == shape, method

@@ -103,6 +103,13 @@ def test_refine_counts_and_inheritance():
     validate(fine)
 
 
+def test_refined_mesh_parent_edges_are_read_only():
+    # prolong reads them on every later call, so a write must not go through
+    fine = refine_uniform(unit_square(2))
+    with pytest.raises(ValueError):
+        fine.parent_edges[0, 0] = 0
+
+
 def test_refine_halves_mesh_size():
     for extents in ([1.0, 1.0], [1.0, 1.0, 1.0]):
         mesh = build_rectangle_mesh(extents, [2] * len(extents), LEFT_DIRICHLET)

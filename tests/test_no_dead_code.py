@@ -103,3 +103,26 @@ def cross_module_private_reads():
 
 def test_no_module_reads_another_modules_private_names():
     assert cross_module_private_reads() == set()
+
+
+def _only_raises_not_implemented(node):
+    """Whether a function's body, docstring aside, is one raise NotImplementedError."""
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    if len(body) != 1 or not isinstance(body[0], ast.Raise) or body[0].exc is None:
+        return False
+    exc = body[0].exc.func if isinstance(body[0].exc, ast.Call) else body[0].exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def stub_functions():
+    """(module, name, line) of every function or method in src/ that only
+    raises NotImplementedError: an interface stated apart from its code."""
+    return {(path.name, node.name, node.lineno)
+            for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and _only_raises_not_implemented(node)}
+
+
+def test_no_function_is_a_not_implemented_stub():
+    assert stub_functions() == set()
