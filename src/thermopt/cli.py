@@ -111,7 +111,6 @@ def cmd_optimize(config, outdir, report):
     report["state"] = _state_summary(spec, result.state)
     j = ctl.objective(spec.mesh, result.state.u, result.beta)
     report["optimizer"] = {
-        "mode": opts.mode,
         "converged": result.converged,
         "status": result.status,
         "optimality_residual": result.optimality_residual,
@@ -260,8 +259,8 @@ def cmd_verify(config, outdir, report, suite):
     failed = [name for name, ok, _, _ in checks if not ok]
     report["passed"] = not failed
     for name, ok, val, tol in checks:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: measured {val:.6g} "
-              f"(tolerance {tol:.6g})")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: measured {float(val)!r} "
+              f"(tolerance {float(tol)!r})")
     if failed:
         print(f"verification failed: {failed[0]}", file=sys.stderr)
         return EXIT_VERIFICATION, []

@@ -60,6 +60,8 @@ _POSITIVE = (lambda v: v > 0, "must be > 0")
 _UNIT = (lambda v: 0 < v <= 1, "must lie in (0, 1]")
 _COUNT = (lambda v: v >= 1, "must be >= 1")
 _NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
+# optimizer.mode names the one step rule; the key stays for configs that set it
+_STEP_RULE = (lambda v: v == "projected_gradient", "must be projected_gradient")
 
 
 class _Key(NamedTuple):
@@ -71,8 +73,8 @@ class _Key(NamedTuple):
 # Every key, with its default text, its kind and its admitted values; the
 # README's configuration reference documents them. A key whose values are
 # checked elsewhere, with messages of their own (the box, the model and its
-# truncation level, the data, the control, optimizer.mode and
-# optimizer.beta0), admits every value its kind parses.
+# truncation level, the data, the control and optimizer.beta0), admits every
+# value its kind parses.
 _KEYS = {
     "problem.extents": _Key("1 1", _NUMBERS),
     "problem.divisions": _Key("16 16", _INTEGERS),
@@ -91,8 +93,7 @@ _KEYS = {
     "solver.damping": _Key("0.7", _NUMBER, _UNIT),
     "solver.max_iter": _Key("200", _INTEGER, _COUNT),
     "solver.truncation_level": _Key(None, _NUMBER),
-    "optimizer.mode": _Key("projected_gradient", _WORD),
-    "optimizer.relaxation": _Key("0.5", _NUMBER, _UNIT),
+    "optimizer.mode": _Key("projected_gradient", _WORD, _STEP_RULE),
     "optimizer.tol": _Key("1e-7", _NUMBER, _POSITIVE),
     "optimizer.max_outer": _Key("100", _INTEGER, _COUNT),
     "optimizer.beta0": _Key(None, _NUMBER),
@@ -250,8 +251,9 @@ def build_solver_options(config: RunConfig) -> SolverOptions:
 
 
 def build_optimizer_options(config: RunConfig) -> OptimizerOptions:
-    opts = OptimizerOptions(**_section(config, "optimizer"),
-                            solver=build_solver_options(config))
+    section = _section(config, "optimizer")
+    del section["mode"]   # checked on reading; projected gradient is the only rule
+    opts = OptimizerOptions(**section, solver=build_solver_options(config))
     if opts.beta0 is not None:
         m_cap = config.get("problem.m_cap")
         if not 0.0 <= opts.beta0 <= m_cap:

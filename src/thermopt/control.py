@@ -10,23 +10,17 @@ solves, so one adjoint solve yields the exact discrete gradient
 
 and the optimal control satisfies the pointwise projection formula
 beta = clip(-(u - u1) p / 2, 0, m_cap). Its image proj is also
-clip(beta - g / 2, 0, m_cap), so one outer loop reaches the optimality
-system with either of two step rules (Hinze, Pinnau, Ulbrich & Ulbrich,
-Optimization with PDE Constraints, 2009, ch. 2). Projected gradient searches
-along clip(beta - step g, 0, m_cap) with Armijo backtracking, monotone in J
-by construction, each search from the spectral (Barzilai-Borwein) step of
-_spectral_step. The Tikhonov term makes the reduced Hessian 2 I plus a
-smaller PDE part, so this step sits near 1/2 and its first trial is
-accepted where a search from 1 would reject one. The sweep takes
-(1 - step) beta + step proj from step = relaxation, a gradient step of
-length 1/2 relaxed by step, and keeps its first trial that solves, with no
-decrease test; its target is proj from the facet pairing, not beta - g / 2,
-which rounds differently. Both rules share the rest of the loop: a trial
+clip(beta - g / 2, 0, m_cap), and optimize reaches it by projected gradient
+(Hinze, Pinnau, Ulbrich & Ulbrich, Optimization with PDE Constraints, 2009,
+ch. 2): it searches along clip(beta - step g, 0, m_cap) with Armijo
+backtracking, monotone in J by construction, each search from the spectral
+(Barzilai-Borwein) step of _spectral_step. The Tikhonov term makes the
+reduced Hessian 2 I plus a smaller PDE part, so this step sits near 1/2 and
+its first trial is accepted where a search from 1 would reject one. A trial
 whose state solve fails halves the step; an iterate is stationary when its
-residual reaches tol or the projection blocks the full step, and then the
-sweep lands exactly on proj; a search that runs out of trials or whose step
-stops moving the control ends unconverged; and at max_outer the lowest-J
-solved iterate is returned.
+residual reaches tol or the projection blocks the full step; a search that
+runs out of trials or whose step stops moving the control ends unconverged;
+and at max_outer the last iterate, which has the lowest J, is returned.
 Sensitivity solves exist only to verify the gradient; the optimizer never
 uses them. Both blocks come from one linearization: three cell matrices
 scattered once each and S from the stiffness map, eliminated on the slot
@@ -56,8 +50,7 @@ import scipy.sparse.linalg as spla
 
 from . import assembly
 from .assembly import geometry
-from .errors import (AdjointFailure, ConfigurationError, CriticalityError,
-                     NonconvergenceError, SolverFailure)
+from .errors import AdjointFailure, CriticalityError, NonconvergenceError, SolverFailure
 from .fields import Control, Field
 from .state import ProblemSpec, SolverOptions, StateSolution, solve_state
 
@@ -294,8 +287,6 @@ def dj_fd(spec: ProblemSpec, beta: Control, ell: Control, eps: float = 1e-4,
 
 @dataclass
 class OptimizerOptions:
-    mode: str = "projected_gradient"    # or "sweep"
-    relaxation: float = 0.5             # sweep averaging weight
     tol: float = 1e-7
     max_outer: int = 100
     beta0: np.ndarray | float | None = None   # default m_cap / 2
@@ -353,12 +344,8 @@ def _spectral_step(measures, previous, beta, g) -> float:
 
 
 def optimize(spec: ProblemSpec, opts: OptimizerOptions | None = None) -> OptimizeResult:
-    """Minimize J over the box: one outer loop with the step rule of
-    `opts.mode`, "projected_gradient" or "sweep" (see the module docstring)."""
+    """Minimize J over the box by projected gradient (see the module docstring)."""
     opts = opts or OptimizerOptions()
-    if opts.mode not in ("sweep", "projected_gradient"):
-        raise ConfigurationError(f"unknown optimizer mode {opts.mode!r}")
-    sweep = opts.mode == "sweep"
     beta = _initial_control(spec, opts)
     measures = geometry(spec.mesh).facet_measures[beta.facet_ids]
     work = Counter()
@@ -366,12 +353,11 @@ def optimize(spec: ProblemSpec, opts: OptimizerOptions | None = None) -> Optimiz
     adjoint = solve_adjoint(spec, beta, state)
     _count(work, state, adjoint)
     j = objective(spec.mesh, state.u, beta)
-    best = None   # the lowest-J iterate left by a step that raised J
     history = []
     previous = None   # (control, gradient) of the last accepted iterate
     status, converged = "max_outer exceeded; best-J iterate returned", False
     for it in range(1, opts.max_outer + 1):
-        g, proj, resid = stationarity(spec, state, adjoint, beta)
+        g, _, resid = stationarity(spec, state, adjoint, beta)
         entry = {"iteration": it, "J": j.total, "integral_u": j.integral_u,
                  "integral_beta_sq": j.integral_beta_sq,
                  "optimality_residual": resid, "step": 0.0, "initial_step": 0.0,
@@ -382,16 +368,11 @@ def optimize(spec: ProblemSpec, opts: OptimizerOptions | None = None) -> Optimiz
         if resid <= opts.tol or np.array_equal(full_step, beta.values):
             status, converged = "converged", True
             break
-        if sweep:
-            step = opts.relaxation
-        else:
-            step = _spectral_step(measures, previous, beta.values, g)
-            previous = (beta.values, g)
+        step = _spectral_step(measures, previous, beta.values, g)
+        previous = (beta.values, g)
         entry["initial_step"] = step
         for _ in range(opts.max_backtracks):
-            # clipped also for the sweep, whose combination can round past m_cap
-            candidate = np.clip((1.0 - step) * beta.values + step * proj if sweep
-                                else beta.values - step * g, 0.0, spec.m_cap)
+            candidate = np.clip(beta.values - step * g, 0.0, spec.m_cap)
             if np.array_equal(candidate, beta.values):
                 break  # the step no longer moves beta: the search is exhausted
             cand = beta.with_values(candidate)
@@ -406,10 +387,7 @@ def optimize(spec: ProblemSpec, opts: OptimizerOptions | None = None) -> Optimiz
             _count(work, cstate)
             cj = objective(spec.mesh, cstate.u, cand)
             decrease = float(np.sum(measures * g * (candidate - beta.values)))
-            if sweep or cj.total <= j.total + ARMIJO_C * decrease:
-                if cj.total > j.total and (best is None or j.total < best[0]):
-                    adjoint.potential_factor = None   # the held iterate keeps no S factor
-                    best = (j.total, beta, state, adjoint)   # only a sweep step raises J
+            if cj.total <= j.total + ARMIJO_C * decrease:
                 beta, state, j, adjoint = cand, cstate, cj, None   # frees the last S factor
                 adjoint = solve_adjoint(spec, beta, state)
                 _count(work, adjoint=adjoint)
@@ -419,15 +397,5 @@ def optimize(spec: ProblemSpec, opts: OptimizerOptions | None = None) -> Optimiz
         if not entry["step"]:
             status = "line search exhausted; current iterate returned"
             break
-    else:
-        if best is not None and best[0] < j.total:
-            _, beta, state, adjoint = best
-    if converged and sweep:
-        # land exactly on the projection image and report its residual
-        beta = beta.with_values(proj)
-        state = solve_state(spec, beta, opts.solver, adjoint.potential_factor)
-        adjoint.potential_factor = None
-        adjoint = solve_adjoint(spec, beta, state)
-        _count(work, state, adjoint)
     resid = stationarity(spec, state, adjoint, beta)[2]
     return OptimizeResult(beta, state, adjoint, history, resid, converged, status, **work)

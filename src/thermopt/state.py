@@ -106,7 +106,7 @@ class StateSolution:
     truncation_level: float | None   # the level n of sigma_n; None untruncated
     history: list = dfield(default_factory=list)
     cg_iterations: int = 0       # over all potential solves
-    factorizations: int = 0      # sparse LU factorizations this solve made
+    factorizations: int = 0      # banded Cholesky or SuperLU factors this solve made
     # factor of K + R eliminated on Gamma_D; the adjoint block and the
     # certificate's Poincare estimate reuse it
     temperature_factor: assembly.Factor | None = None

@@ -210,16 +210,12 @@ def test_criterion_6_gradient_triangle():
 def test_criterion_7_optimality_fixed_point():
     with Timer(cap=300.0) as t:
         spec = benchmark_spec(u1_val=0.05, m_cap=2.0)
-        results = {}
-        for mode in ("sweep", "projected_gradient"):
-            res = optimize(spec, OptimizerOptions(mode=mode, tol=1e-7))
-            assert res.converged, mode
-            assert res.optimality_residual <= 1e-6, mode
-            results[mode] = res
-        hist = [h["J"] for h in results["projected_gradient"].history]
+        res = optimize(spec, OptimizerOptions(tol=1e-7))
+        assert res.converged
+        assert res.optimality_residual <= 1e-6
+        hist = [h["J"] for h in res.history]
         assert all(a >= b for a, b in zip(hist, hist[1:]))
 
-        res = results["sweep"]
         j_star = objective(spec.mesh, res.state.u, res.beta).total
         rng = np.random.default_rng(SEED)
         worst_gap = -math.inf
@@ -231,8 +227,7 @@ def test_criterion_7_optimality_fixed_point():
             worst_gap = max(worst_gap, j_star - j)
             assert j_star <= j + 1e-8
     report(7, "projection fixed point and global optimality probe", t,
-           f"residuals sweep {results['sweep'].optimality_residual:.2e} / "
-           f"pg {results['projected_gradient'].optimality_residual:.2e}, "
+           f"residual {res.optimality_residual:.2e}, "
            f"J* - min random J = {worst_gap:.3e}")
 
 
@@ -240,7 +235,7 @@ def test_criterion_8_degenerate_cases():
     with Timer(cap=10.0) as t:
         # admissible set collapsed to a point
         spec0 = benchmark_spec(u1_val=0.05, m_cap=0.0)
-        res0 = optimize(spec0, OptimizerOptions(mode="sweep"))
+        res0 = optimize(spec0)
         assert np.all(res0.beta.values == 0.0)
         assert res0.optimality_residual == 0.0
 
@@ -252,7 +247,7 @@ def test_criterion_8_degenerate_cases():
             u1=interpolate(mesh, lambda p: np.full(p.shape[0], 0.3)),
             phi0=interpolate(mesh, lambda p: np.full(p.shape[0], 1.0)),
             m_cap=2.0)
-        res_c = optimize(spec_const, OptimizerOptions(mode="projected_gradient"))
+        res_c = optimize(spec_const)
         assert np.all(res_c.beta.values == 0.0)
         assert np.allclose(res_c.state.u.values, 0.3, atol=1e-12)
 

@@ -202,6 +202,21 @@ def test_removed_joule_form_key_exits_1(tmp_path, capsys):
     assert "unknown key 'solver.joule_form'" in capsys.readouterr().err
 
 
+def test_removed_relaxation_key_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, BENCHMARK.replace("16 16", "4 4")
+                       + "optimizer.relaxation = 0.5\n")
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "unknown key 'optimizer.relaxation'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "certificate"])
+def test_commands_that_do_not_optimize_leave_the_step_rule_unread(tmp_path, command):
+    # the shape of the certify-3d benchmark config, which sets the removed sweep
+    cfg = write_config(tmp_path, BENCHMARK.replace("1 1\n", "1 1 1\n")
+                       .replace("16 16", "4 4 4") + "optimizer.mode = sweep\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 def test_solve_inadmissible_beta_exits_1(tmp_path):
     cfg = write_config(tmp_path, BENCHMARK.replace("problem.beta = 1.0",
                                                    "problem.beta = 5.0"))
@@ -273,9 +288,8 @@ def test_solve_determinism(tmp_path):
 
 
 def test_solve_report_does_not_depend_on_an_earlier_optimize(tmp_path):
-    # the optimizers hand S factors only between their own state solves
-    cfg = write_config(tmp_path, BENCHMARK.replace("0.1*x", "x")
-                       + "optimizer.mode = projected_gradient\n")
+    # the optimizer hands S factors only between its own state solves
+    cfg = write_config(tmp_path, BENCHMARK.replace("0.1*x", "x"))
     outs = [tmp_path / name for name in ("before", "optimize", "after")]
     assert main(["solve", "--config", cfg, "--out", str(outs[0])]) == 0
     assert main(["optimize", "--config", cfg, "--out", str(outs[1])]) == 0
@@ -305,8 +319,7 @@ def test_optimize_zero_cap(tmp_path):
 
 
 def test_optimize_constant_data(tmp_path):
-    cfg = write_config(tmp_path, CONSTANT_DATA
-                       + "optimizer.mode = projected_gradient\n")
+    cfg = write_config(tmp_path, CONSTANT_DATA)
     out = tmp_path / "out"
     assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
     report = read_report(out)
@@ -416,7 +429,7 @@ def test_error_class_exit_code(tmp_path, monkeypatch, capsys, command, error_cla
     ("solve", "solver.damping", "0"),
     ("optimize", "optimizer.max_outer", "0"),
     ("optimize", "optimizer.tol", "0"),
-    ("optimize", "optimizer.relaxation", "1.5"),
+    ("optimize", "optimizer.mode", "sweep"),
     ("certificate", "certificate.c1", "-1"),
     ("certificate", "certificate.eps", "-1"),
     ("verify --suite lemma1", "verify.seed", "-1"),
@@ -464,18 +477,20 @@ def test_optimize_beta0_outside_box_exits_1(tmp_path, capsys, beta0):
 
 def test_option_ranges_include_their_upper_ends():
     config = parse_config_text("solver.damping = 1\nsolver.max_iter = 1\n"
-                               "optimizer.relaxation = 1\noptimizer.max_outer = 1\n")
+                               "optimizer.max_outer = 1\n")
     opts = build_optimizer_options(config)
-    assert (opts.relaxation, opts.max_outer) == (1.0, 1)
+    assert opts.max_outer == 1
     assert (opts.solver.damping, opts.solver.max_iter) == (1.0, 1)
 
 
 def test_default_table_matches_the_option_defaults():
     # each solver and optimizer default is stated twice: in the config's
-    # default table and on the option dataclasses
+    # default table and on the option dataclasses; optimizer.mode, the one
+    # step rule, is checked by the config and is no option
     built, default = build_optimizer_options(parse_config_text("")), OptimizerOptions()
-    keys = [key for key in _KEYS if key.startswith(("solver.", "optimizer."))]
-    assert "optimizer.mode" in keys and "solver.tol" in keys
+    keys = [key for key in _KEYS if key.startswith(("solver.", "optimizer."))
+            and key != "optimizer.mode"]
+    assert "optimizer.tol" in keys and "solver.tol" in keys
     for key in keys:
         section, name = key.split(".")
         got, want = (built.solver, default.solver) if section == "solver" else (built, default)
@@ -495,7 +510,8 @@ def test_unparsable_text_names_the_key(key, text):
 def test_out_of_range_value_names_the_key(key):
     with pytest.raises(ConfigurationError) as info:
         parse_config_text(f"{key} = -1\n").get(key)
-    assert re.match(rf"config key {re.escape(key)}: -1(\.0)? must ", str(info.value))
+    # a number is echoed as parsed, a word quoted
+    assert re.match(rf"config key {re.escape(key)}: (-1(\.0)?|'-1') must ", str(info.value))
 
 
 # a command that reads each section's keys
@@ -581,8 +597,7 @@ def test_optimize_projected_gradient_on_a_box(tmp_path):
     # at phi0 = 0.1x the optimum is beta = 0; at phi0 = x it is not
     cfg = write_config(tmp_path, BENCHMARK.replace("1 1\n", "1 1 1\n")
                        .replace("16 16", "4 4 4").replace("0.1*x", "x")
-                       .replace("problem.u1 = 0", "problem.u1 = 0.05")
-                       + "optimizer.mode = projected_gradient\n")
+                       .replace("problem.u1 = 0", "problem.u1 = 0.05"))
     out = tmp_path / "out"
     assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
     report = read_report(out)
@@ -593,15 +608,14 @@ def test_optimize_projected_gradient_on_a_box(tmp_path):
     assert opt["adjoint_iterations"] >= opt["adjoint_solves"]
 
 
-def test_sweep_from_the_upper_bound_stays_in_the_box(tmp_path):
-    # (1 - 0.45) 0.02 + 0.45 0.02 rounds above 0.02 on facets where the
-    # control and its projection both sit on m_cap
+def test_projected_gradient_from_the_upper_bound_stays_in_the_box(tmp_path):
+    # from beta0 = m_cap the steps push the facets with g < 0 past m_cap, where
+    # the clip holds them: the optimum keeps some of them on the bound
     text = (ROOT / "configs" / "benchmark.cfg").read_text()
     for old, new in (("16 16", "8 8"), ("m_cap = 2.0", "m_cap = 0.02"),
                      ("u1 = 0.05", "u1 = 0"), ("0.1*x", "1.0*x")):
         text = text.replace(old, new)
-    cfg = write_config(tmp_path, text + "optimizer.relaxation = 0.45\n"
-                       "optimizer.beta0 = 0.02\n")
+    cfg = write_config(tmp_path, text + "optimizer.beta0 = 0.02\n")
     out = tmp_path / "out"
     assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
     assert read_report(out)["optimizer"]["converged"]
@@ -746,6 +760,20 @@ def test_verify_checks_pass_by_the_tolerance_they_report(tmp_path, text, suite):
         decay = next(c for c in report["checks"]
                      if c["property"] == "conductivity.decay_product")
         assert decay["tolerance"] == 1.0 + 1e-12
+
+
+def test_verify_prints_the_values_it_compares_in_full(tmp_path, capsys):
+    # a pass by round-off at the bound must read apart from the bound: each
+    # line shows the report's values exactly
+    out = tmp_path / "o"
+    assert main(["verify", "--config", write_config(tmp_path, CONSTANT_SQUARE),
+                 "--suite", "lemma1", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert ("PASS conductivity.decay_product: measured 1.0000000000000002 "
+            "(tolerance 1.000000000001)") in lines
+    for check in read_report(out)["checks"]:
+        assert (f"{'PASS' if check['passed'] else 'FAIL'} {check['property']}: measured "
+                f"{check['measured']!r} (tolerance {check['tolerance']!r})") in lines
 
 
 def test_certificate_benchmark(tmp_path):

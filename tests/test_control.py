@@ -359,56 +359,42 @@ def test_projection_formula_clipping():
 
 
 def test_optimize_zero_cap_immediate():
-    spec = control_spec(4, m_cap=0.0)
-    for mode in ("sweep", "projected_gradient"):
-        result = optimize(spec, OptimizerOptions(mode=mode))
-        assert result.converged
-        assert np.all(result.beta.values == 0.0)
-        assert result.optimality_residual == 0.0
+    result = optimize(control_spec(4, m_cap=0.0))
+    assert result.converged
+    assert np.all(result.beta.values == 0.0)
+    assert result.optimality_residual == 0.0
 
 
 def test_optimize_constant_data_exact_zero():
     mesh = build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT)
     spec = constant_spec(mesh, c_u=0.3, c_phi=1.0)
     # projected gradient reaches the lower bound by clipping: exactly zero
-    result = optimize(spec, OptimizerOptions(mode="projected_gradient"))
+    result = optimize(spec)
     assert result.converged
     assert np.all(result.beta.values == 0.0)
     assert np.allclose(result.state.u.values, 0.3, atol=1e-12)
     area = 1.0
     assert objective(mesh, result.state.u, result.beta).total == pytest.approx(
         0.3 * area, rel=1e-12)
-    # the sweep's projection image carries only LU roundoff of (u - u1) p
-    result = optimize(spec, OptimizerOptions(mode="sweep"))
-    assert result.converged
-    assert np.max(np.abs(result.beta.values)) <= 1e-15
 
 
-def test_optimize_benchmark_both_modes():
+def test_optimize_benchmark_converges_in_the_box_without_raising_j():
     spec = control_spec(8)
-    results = {}
-    for mode in ("sweep", "projected_gradient"):
-        result = optimize(spec, OptimizerOptions(mode=mode, tol=1e-7))
-        assert result.converged, mode
-        assert result.optimality_residual <= 1e-6
-        assert np.all(result.beta.values >= 0)
-        assert np.all(result.beta.values <= spec.m_cap)
-        results[mode] = result
-    j_vals = [r.history[-1]["J"] for r in results.values()]
-    assert j_vals[0] == pytest.approx(j_vals[1], rel=1e-4)
-    # projected gradient J history exactly nonincreasing
-    hist = [h["J"] for h in results["projected_gradient"].history]
+    result = optimize(spec, OptimizerOptions(tol=1e-7))
+    assert result.converged
+    assert result.optimality_residual <= 1e-6
+    assert np.all(result.beta.values >= 0)
+    assert np.all(result.beta.values <= spec.m_cap)
+    # J history exactly nonincreasing
+    hist = [h["J"] for h in result.history]
     assert all(a >= b for a, b in zip(hist, hist[1:]))
 
 
-@pytest.mark.parametrize("mode, error_class", [
-    pytest.param(mode, error, id=f"{prefix}{error.__name__}")
-    for mode, prefix in (("projected_gradient", ""), ("sweep", "sweep-"))
-    for error in (NonconvergenceError, CriticalityError)])
-def test_projected_gradient_survives_failed_trial_solve(monkeypatch, mode, error_class):
-    # a failed trial halves the step: along -g, or toward proj in the sweep
+@pytest.mark.parametrize("error_class", [NonconvergenceError, CriticalityError])
+def test_projected_gradient_survives_failed_trial_solve(monkeypatch, error_class):
+    # a failed trial halves the step along -g
     spec = control_spec(8)
-    opts = OptimizerOptions(mode=mode, tol=1e-7)
+    opts = OptimizerOptions(tol=1e-7)
     reference = optimize(spec, opts)
     calls = []
 
@@ -430,7 +416,7 @@ def test_projected_gradient_survives_failed_trial_solve(monkeypatch, mode, error
 
 def test_projected_gradient_exhausted_search_is_not_converged(monkeypatch):
     spec = control_spec(8)
-    opts = OptimizerOptions(mode="projected_gradient", tol=1e-7, max_backtracks=6)
+    opts = OptimizerOptions(tol=1e-7, max_backtracks=6)
     calls = []
 
     def failing_trials(*args, **kwargs):
@@ -460,7 +446,7 @@ def test_projected_gradient_vanishing_step_is_not_stationary(monkeypatch):
         return -1e-6 * np.sign(g), proj, resid
 
     monkeypatch.setattr(control, "stationarity", uphill)
-    opts = OptimizerOptions(mode="projected_gradient", tol=1e-7)
+    opts = OptimizerOptions(tol=1e-7)
     result = optimize(control_spec(8), opts)
     assert not result.converged
     assert result.status.startswith("line search exhausted")
@@ -478,7 +464,7 @@ def test_projected_gradient_coarse_mesh_converges_in_few_solves(monkeypatch):
         return solve_state(*args, **kwargs)
 
     monkeypatch.setattr("thermopt.control.solve_state", counting_solve)
-    opts = OptimizerOptions(mode="projected_gradient", tol=1e-7)
+    opts = OptimizerOptions(tol=1e-7)
     result = optimize(control_spec(12, drive=0.986464), opts)
     assert result.converged
     assert result.optimality_residual <= opts.tol
@@ -496,22 +482,17 @@ def counting_state_solves(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("mode", ["sweep", "projected_gradient"])
-def test_optimizer_counts_its_solves(monkeypatch, mode):
+def test_optimizer_counts_its_solves(monkeypatch):
     calls = counting_state_solves(monkeypatch)
-    result = optimize(control_spec(16), OptimizerOptions(mode=mode))
+    result = optimize(control_spec(16))
     assert result.converged
     assert result.state_solves == len(calls)
-    if mode == "projected_gradient":
-        assert result.state_solves == 1 + sum(h["trials"] for h in result.history)
-        accepted = sum(h["step"] > 0 for h in result.history)
-        assert result.adjoint_solves == 1 + accepted
-    else:
-        assert result.adjoint_solves == result.state_solves
+    assert result.state_solves == 1 + sum(h["trials"] for h in result.history)
+    accepted = sum(h["step"] > 0 for h in result.history)
+    assert result.adjoint_solves == 1 + accepted
 
 
-@pytest.mark.parametrize("mode", ["sweep", "projected_gradient"])
-def test_optimizer_totals_adjoint_iterations(monkeypatch, mode):
+def test_optimizer_totals_adjoint_iterations(monkeypatch):
     from thermopt import control
     adjoints = []
 
@@ -520,16 +501,15 @@ def test_optimizer_totals_adjoint_iterations(monkeypatch, mode):
         return adjoints[-1]
 
     monkeypatch.setattr(control, "solve_adjoint", recording_adjoint)
-    result = optimize(control_spec(8), OptimizerOptions(mode=mode))
+    result = optimize(control_spec(8))
     assert result.converged
     assert result.adjoint_solves == len(adjoints)
     assert all(a.iterations > 0 for a in adjoints)
     assert result.adjoint_iterations == sum(a.iterations for a in adjoints)
 
 
-@pytest.mark.parametrize("mode, failing_call", [("sweep", None), ("projected_gradient", None),
-                                                ("projected_gradient", 2)])
-def test_optimizer_totals_cg_iterations_and_factorizations(monkeypatch, mode, failing_call):
+@pytest.mark.parametrize("failing_call", [None, 2])
+def test_optimizer_totals_cg_iterations_and_factorizations(monkeypatch, failing_call):
     # cg_iterations totals every state solve, a failed trial included (from
     # its error's counts); factorizations adds every adjoint's S factor
     from thermopt import control
@@ -549,7 +529,7 @@ def test_optimizer_totals_cg_iterations_and_factorizations(monkeypatch, mode, fa
 
     monkeypatch.setattr(control, "solve_state", recording_state)
     monkeypatch.setattr(control, "solve_adjoint", recording_adjoint)
-    result = optimize(control_spec(8, drive=1.0), OptimizerOptions(mode=mode))
+    result = optimize(control_spec(8, drive=1.0))
     assert result.converged
     assert result.state_solves == len(states)
     assert sum(h.get("failed_trials", 0) for h in result.history) == (failing_call is not None)
@@ -559,8 +539,7 @@ def test_optimizer_totals_cg_iterations_and_factorizations(monkeypatch, mode, fa
                                      + len(adjoint_factors))
 
 
-@pytest.mark.parametrize("mode", ["sweep", "projected_gradient"])
-def test_optimizer_keeps_one_s_factor_alive(monkeypatch, mode):
+def test_optimizer_keeps_one_s_factor_alive(monkeypatch):
     # when an adjoint factors S, no earlier adjoint still holds its factor
     from thermopt import control
     earlier = []
@@ -572,7 +551,7 @@ def test_optimizer_keeps_one_s_factor_alive(monkeypatch, mode):
         return adjoint
 
     monkeypatch.setattr(control, "solve_adjoint", checking_adjoint)
-    result = optimize(control_spec(8, drive=1.0), OptimizerOptions(mode=mode))
+    result = optimize(control_spec(8, drive=1.0))
     assert result.converged and len(earlier) == result.adjoint_solves > 2
 
 
@@ -595,18 +574,15 @@ def test_trial_solve_preconditioned_by_the_adjoint_factor():
 
 
 # J of configs/benchmark.cfg with every potential CG preconditioned by K's
-# factor; both optimizers reach the optimum beta = 0 there
+# factor; the optimizer reaches the optimum beta = 0 there
 BENCHMARK_CFG = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"
 BENCHMARK_J = 0.003307491842017859
 
 
-@pytest.mark.parametrize("mode", ["sweep", "projected_gradient"])
-def test_benchmark_config_objective_kept_under_factor_reuse(mode):
+def test_benchmark_config_objective_kept_under_factor_reuse():
     config = cfg.load_config(str(BENCHMARK_CFG))
     spec = cfg.build_problem(config)
-    opts = cfg.build_optimizer_options(config)
-    opts.mode = mode
-    result = optimize(spec, opts)
+    result = optimize(spec, cfg.build_optimizer_options(config))
     assert result.converged
     j = objective(spec.mesh, result.state.u, result.beta).total
     assert abs(j - BENCHMARK_J) <= 1e-12 * BENCHMARK_J
@@ -616,7 +592,7 @@ def test_projected_gradient_spectral_step_saves_trials(monkeypatch):
     # the Tikhonov term puts the natural step near 1/2: a search from 1
     # rejects its first trial at every outer step after the first
     calls = counting_state_solves(monkeypatch)
-    opts = OptimizerOptions(mode="projected_gradient", tol=1e-7)
+    opts = OptimizerOptions(tol=1e-7)
     result = optimize(control_spec(16, drive=1.0), opts)
     assert result.converged
     assert result.optimality_residual <= opts.tol
@@ -630,7 +606,7 @@ def test_projected_gradient_first_trial_is_the_full_step(monkeypatch):
     # every run's first search tries step 1: clip(beta0 - g0, 0, m_cap)
     for drive, beta0 in ((0.1, None), (1.0, 0.3), (0.5, 1.7)):
         spec = control_spec(8, drive=drive)
-        opts = OptimizerOptions(mode="projected_gradient", beta0=beta0)
+        opts = OptimizerOptions(beta0=beta0)
         beta = Control.constant(spec.mesh, 1.0 if beta0 is None else beta0, spec.m_cap)
         state = solve_state(spec, beta, opts.solver)
         g = gradient(spec, state, solve_adjoint(spec, beta, state), beta)
@@ -653,7 +629,7 @@ def test_projected_gradient_nonpositive_curvature_restarts_at_one(monkeypatch):
         return np.full(beta.values.size, 0.1 * len(calls)), proj, resid
 
     monkeypatch.setattr(control, "stationarity", growing_gradient)
-    opts = OptimizerOptions(mode="projected_gradient", max_outer=3)
+    opts = OptimizerOptions(max_outer=3)
     result = optimize(control_spec(8), opts)
     searches = [h for h in result.history if h["trials"]]
     assert len(searches) == 3
@@ -687,18 +663,13 @@ def test_optimize_interior_optimum_balances_projection():
         u1=interpolate(mesh, lambda p: np.zeros(p.shape[0])),
         phi0=interpolate(mesh, lambda p: 0.5 * p[:, 0]),
         m_cap=2.0)
-    sweep = optimize(spec, OptimizerOptions(mode="sweep", tol=1e-8))
-    assert sweep.converged
-    assert np.all(sweep.beta.values > 0)
-    assert np.all(sweep.beta.values < spec.m_cap)
+    result = optimize(spec, OptimizerOptions(tol=1e-8, max_outer=200))
+    assert result.converged
+    assert np.all(result.beta.values > 0)
+    assert np.all(result.beta.values < spec.m_cap)
     # interior optimality: 2 beta = -(u - u1) p holds facetwise
-    g = gradient(spec, sweep.state, sweep.adjoint, sweep.beta)
+    g = gradient(spec, result.state, result.adjoint, result.beta)
     assert np.max(np.abs(g)) <= 1e-6
-    pg = optimize(spec, OptimizerOptions(mode="projected_gradient", tol=1e-8,
-                                         max_outer=200))
-    j_sweep = objective(mesh, sweep.state.u, sweep.beta).total
-    j_pg = objective(mesh, pg.state.u, pg.beta).total
-    assert j_pg == pytest.approx(j_sweep, rel=1e-6)
 
 
 def test_optimize_3d_problem():
@@ -710,7 +681,7 @@ def test_optimize_3d_problem():
         u1=interpolate(mesh, lambda p: np.full(p.shape[0], 0.05)),
         phi0=interpolate(mesh, lambda p: 0.1 * p[:, 0]),
         m_cap=2.0)
-    res = optimize(spec, OptimizerOptions(mode="sweep"))
+    res = optimize(spec)
     assert res.converged
     assert res.optimality_residual <= 1e-6
     assert np.all(res.beta.values >= 0)
@@ -719,7 +690,7 @@ def test_optimize_3d_problem():
 
 def test_optimize_beats_random_admissible_controls():
     spec = control_spec(8)
-    result = optimize(spec, OptimizerOptions(mode="sweep"))
+    result = optimize(spec)
     j_star = objective(spec.mesh, result.state.u, result.beta).total
     rng = np.random.default_rng(20240801)
     nfac = result.beta.values.size
@@ -731,7 +702,7 @@ def test_optimize_beats_random_admissible_controls():
 
 def test_variational_inequality_at_optimum():
     spec = control_spec(8)
-    result = optimize(spec, OptimizerOptions(mode="sweep"))
+    result = optimize(spec)
     g = gradient(spec, result.state, result.adjoint, result.beta)
     measures = facet_measures(spec.mesh)[result.beta.facet_ids]
     rng = np.random.default_rng(99)
@@ -743,7 +714,7 @@ def test_variational_inequality_at_optimum():
 
 def test_fixed_point_consistency_at_optimum():
     spec = control_spec(8)
-    result = optimize(spec, OptimizerOptions(mode="sweep", tol=1e-8))
+    result = optimize(spec, OptimizerOptions(tol=1e-8))
     _, proj, resid = stationarity(spec, result.state, result.adjoint, result.beta)
     assert np.max(np.abs(result.beta.values - proj)) <= 1e-7
     assert resid == np.max(np.abs(result.beta.values - proj))

@@ -40,7 +40,6 @@ from thermopt.assembly import (
 )
 from thermopt.control import (
     ARMIJO_C,
-    AdjointSolution,
     OptimizeResult,
     OptimizerOptions,
     _initial_control,
@@ -912,8 +911,8 @@ def test_vtk_writer_formats_each_mesh_once(tmp_path, monkeypatch):
     assert formatted == [mesh]
 
 
-# The sweep and projected-gradient loops that optimize's one loop replaced,
-# verbatim, with the helpers they shared.
+# The projected-gradient loop that optimize's one loop replaced, with its
+# counting helper.
 def _count(work: Counter, state=None, adjoint=None) -> None:
     """Count a state solve and an adjoint solve, with their work, in `work`."""
     if state is not None:
@@ -924,52 +923,14 @@ def _count(work: Counter, state=None, adjoint=None) -> None:
                     factorizations=int(adjoint.potential_factor is not None))
 
 
-def _resolve(spec, beta, opts, work: Counter, previous: AdjointSolution | None = None):
-    """State and adjoint at beta. The state's potential CG is preconditioned
-    by the S factor of `previous`, the last iterate's adjoint, which drops it
-    before the new adjoint factors its own: one S factor is alive at a time."""
-    state = solve_state(spec, beta, opts.solver, getattr(previous, "potential_factor", None))
-    if previous is not None:
-        previous.potential_factor = None
-    adjoint = solve_adjoint(spec, beta, state)
-    _count(work, state, adjoint)
-    return state, adjoint
-
-
-def _optimize_sweep(spec: ProblemSpec, opts: OptimizerOptions) -> OptimizeResult:
-    beta = _initial_control(spec, opts)
-    history = []
-    best = adjoint = None
-    work = Counter()
-    for it in range(1, opts.max_outer + 1):
-        state, adjoint = _resolve(spec, beta, opts, work, adjoint)
-        _, proj, resid = stationarity(spec, state, adjoint, beta)
-        j = objective(spec.mesh, state.u, beta)
-        history.append({"iteration": it, "J": j.total, "integral_u": j.integral_u,
-                        "integral_beta_sq": j.integral_beta_sq,
-                        "optimality_residual": resid})
-        if best is None or j.total < best[0]:
-            best = (j.total, beta, state, adjoint, resid)
-        if resid <= opts.tol:
-            # land exactly on the projection image and report its residual
-            beta = beta.with_values(proj)
-            state, adjoint = _resolve(spec, beta, opts, work, adjoint)
-            final_resid = stationarity(spec, state, adjoint, beta)[2]
-            return OptimizeResult(beta, state, adjoint, history, final_resid,
-                                  True, "converged", **work)
-        beta = beta.with_values((1.0 - opts.relaxation) * beta.values
-                                + opts.relaxation * proj)
-    _, beta, state, adjoint, resid = best
-    return OptimizeResult(beta, state, adjoint, history, resid, False,
-                          "max_outer exceeded; best-J iterate returned", **work)
-
-
 def _optimize_projected_gradient(spec: ProblemSpec,
                                  opts: OptimizerOptions) -> OptimizeResult:
     beta = _initial_control(spec, opts)
     measures = geometry(spec.mesh).facet_measures[beta.facet_ids]
     work = Counter()
-    state, adjoint = _resolve(spec, beta, opts, work)
+    state = solve_state(spec, beta, opts.solver)
+    adjoint = solve_adjoint(spec, beta, state)
+    _count(work, state, adjoint)
     j = objective(spec.mesh, state.u, beta)
     history = []
     previous = None   # (control, gradient) of the last accepted iterate
@@ -1064,56 +1025,17 @@ def assert_same_run(result, expected):
         assert getattr(result, count) == getattr(expected, count), count
 
 
-REFERENCE_LOOPS = {"sweep": _optimize_sweep,
-                   "projected_gradient": _optimize_projected_gradient}
-
-
-@pytest.mark.parametrize("mode", sorted(REFERENCE_LOOPS))
 @pytest.mark.parametrize("n, drive", [(8, 0.1), (16, 1.0), (12, 0.986464), (16, 2.0)])
-def test_one_optimizer_loop_matches_both_loop_references(mode, n, drive):
-    opts = OptimizerOptions(mode=mode)
-    expected = REFERENCE_LOOPS[mode](control_spec(n, drive), opts)
+def test_optimizer_loop_matches_its_loop_reference(n, drive):
+    opts = OptimizerOptions()
+    expected = _optimize_projected_gradient(control_spec(n, drive), opts)
     result = optimize(control_spec(n, drive), opts)
     assert result.converged
     assert_same_run(result, expected)
-    if mode == "sweep":
-        # each step but the last goes the relaxation's way to proj in one trial
-        assert all(h["step"] == h["initial_step"] == opts.relaxation
-                   and (h["trials"], h["failed_trials"]) == (1, 0)
-                   for h in result.history[:-1])
 
 
 def test_projected_gradient_at_max_outer_matches_loop_reference():
-    opts = OptimizerOptions(mode="projected_gradient", max_outer=3)
+    opts = OptimizerOptions(max_outer=3)
     expected = _optimize_projected_gradient(control_spec(16, 1.0), opts)
     assert not expected.converged
     assert_same_run(optimize(control_spec(16, 1.0), opts), expected)
-
-
-def test_sweep_at_max_outer_returns_the_best_of_every_solved_iterate(monkeypatch):
-    # the step taken at the last outer iteration is solved too: one state and
-    # one adjoint solve more than the reference, which stopped before it
-    opts = OptimizerOptions(mode="sweep", max_outer=3)
-    expected = _optimize_sweep(control_spec(8, 0.1), opts)
-    spec = control_spec(8, 0.1)
-    result = optimize(spec, opts)
-    assert result.status == "max_outer exceeded; best-J iterate returned"
-    assert_same_history(result, expected)
-    assert result.state_solves == expected.state_solves + 1 == 4
-    assert result.adjoint_solves == expected.adjoint_solves + 1 == 4
-    j = objective(spec.mesh, result.state.u, result.beta).total
-    assert j < min(h["J"] for h in result.history)
-    # that iterate made to raise J: the reference's best iterate is returned
-    from thermopt import control
-    calls = []
-
-    def last_iterate_rises(*args):
-        calls.append(None)
-        j = objective(*args)
-        return type(j)(j.integral_u + (len(calls) == 4), j.integral_beta_sq)
-
-    monkeypatch.setattr(control, "objective", last_iterate_rises)
-    result = optimize(control_spec(8, 0.1), opts)
-    assert_same_iterate(result, expected)
-    assert_same_history(result, expected)
-    assert result.adjoint.potential_factor is None   # dropped when the next S was made

@@ -1,7 +1,8 @@
 """Every function, class and method defined in the package serves its code:
 its name is referenced somewhere in src/ outside its own definition, and
 every field of a dataclass there is read somewhere in src/. No module reads
-another module's underscore names."""
+another module's underscore names, and every name a module imports is
+referenced in it."""
 
 import ast
 from pathlib import Path
@@ -126,3 +127,34 @@ def stub_functions():
 
 def test_no_function_is_a_not_implemented_stub():
     assert stub_functions() == set()
+
+
+def _annotation_names(tree):
+    """Names inside the string annotations of a module, which the AST keeps as text."""
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns]
+    return {name.id for annotation in annotations for text in ast.walk(annotation)
+            if isinstance(text, ast.Constant) and isinstance(text.value, str)
+            for name in ast.walk(ast.parse(text.value, mode="eval"))
+            if isinstance(name, ast.Name)}
+
+
+def unused_imports():
+    """(module, name) of every name a src/ module imports and never references
+    in its code or its string annotations; __future__ imports are left out."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found.update((path.stem, name) for name in imported - used - _annotation_names(tree))
+    return found
+
+
+def test_every_imported_name_is_referenced():
+    assert unused_imports() == set()
