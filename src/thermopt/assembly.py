@@ -5,8 +5,8 @@ quadratics) and the 4-point degree-2 rule on tetrahedra. Coefficients are
 scalars or values at the quadrature points, (nc, nq); gradients of P1
 functions are cellwise constant. Loads sum cell kernels and scatter them
 once. Assembled matrices are immutable once returned. No command solves
-concurrently: a SciPy 1.17 SuperLU factor (factor_spd's factor above the
-banded cap) must be freed on the thread that made it (30 factors of the 16^3
+concurrently: a SciPy 1.17 SuperLU factor (factor_spd's factor where it
+does not band) must be freed on the thread that made it (30 of the 16^3
 boundary-eliminated K made on a worker thread and dropped on the main one
 grew the RSS from 78 to 212 MB; made and dropped on one thread, or only
 solved on another, 78-80 MB), and factoring K beside K + R with the Poincare
@@ -35,17 +35,14 @@ from .mesh import Mesh, edge_cofactors, facet_measures
 SOLVE_RTOL = 1e-10
 # a matrix is symmetric when max |A - A^T| <= SYMMETRY_RTOL max |A|
 SYMMETRY_RTOL = 1e-12
-# factor_spd factors by banded Cholesky up to this half-bandwidth b. Median time
-# of one factor and 30 solves, banded / SuperLU, on the eliminated potential and
-# temperature matrices of box meshes (a shared 2-core machine, SciPy 1.17, 2 BLAS
-# threads, the two paths interleaved, 21 repetitions):
-#   2D  b = 17: 0.37 0.34   33: 0.47 0.46   49: 0.55 0.52   57: 0.71 0.70
-#       b = 64: 0.65 0.84   65: 1.11 1.07   69: 1.18 1.08   73: 0.79 0.75
-#       b = 81: 1.02 0.99   97: 1.00 0.97
-#   3D  b = 16/20: 0.50 0.40   36/42: 0.85 0.50   64/72: 0.76 0.62
-#       b = 81/90: 1.17 0.64   289/306: 1.51 0.77
-# The banded path wins every repetition up to b = 57; from b = 61 on (2D) the
-# ratio scatters around 1 from one sweep to the next (0.64-1.18).
+# factor_spd bands a matrix up to this half-bandwidth b, and above it its m
+# coupled rows when m <= 64 b and b^2 <= 64 m. Time of one factor and 15
+# solves, banded coupled block / SuperLU, on the eliminated K and K + R of box
+# meshes (a shared 2-core machine, SciPy 1.17, 2 BLAS threads):
+#   mesh  64^2   96^2  128^2  8^3   12^3  16^3  20^3  24^3
+#   m/b  63-64    95    127     7    11    15    19    23
+#   K     0.85  1.13   1.08  0.41  0.54  0.69  0.65  0.68
+#   K + R 0.86  0.96   1.10  0.51  0.61  0.65  0.48  0.56
 BANDED_MAX_HALF_WIDTH = 64
 
 # quadrature in barycentric coordinates: (points, weights)
@@ -82,6 +79,7 @@ class P1Geometry:
         self.n_vertices = mesh.n_vertices
         self.dim = mesh.dim
         self.boundary_vertices = mesh.boundary_vertex_set()
+        self.grid = mesh.grid
         # grad(lambda_i) = adj(E)_i / det(E) and |K| = det(E) / d!, E the edge matrix
         cof, det = edge_cofactors(mesh)
         self.volumes = det / math.factorial(mesh.dim)
@@ -177,9 +175,11 @@ class P1Geometry:
 
     @cached_property
     def potential_factor(self) -> Factor:
-        """Factor of K eliminated on the whole boundary, the potential's
-        Dirichlet set: it preconditions every potential solve on this mesh."""
-        return factor_spd(self.eliminated(self.stiffness.data, self.boundary_vertices)[0])
+        """Inverse of K eliminated on the whole boundary, the potential's
+        Dirichlet set: it preconditions every potential solve on this mesh.
+        A GridPoisson on a box mesh, else a factor."""
+        return (GridPoisson(*self.grid) if self.grid else
+                factor_spd(self.eliminated(self.stiffness.data, self.boundary_vertices)[0]))
 
     def eliminated(self, data: np.ndarray, fixed: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
         """The matrix with `data` on the cached pattern, the rows and columns
@@ -336,21 +336,62 @@ def check_symmetric(matrix: sp.spmatrix, transpose: np.ndarray | None = None) ->
 
 class BandedCholesky:
     """Cholesky factor of an SPD matrix in LAPACK lower-band storage, as
-    dpbtrf leaves it; solve takes a vector or an (n, k) block, as
+    dpbtrf leaves it, of the rows `coupled` alone when given (the others
+    divide by `diagonal`); solve takes a vector or an (n, k) block, as
     SuperLU.solve does, and modifies neither it nor the factor."""
 
-    def __init__(self, band: np.ndarray):
-        self.band = band
+    def __init__(self, band: np.ndarray, coupled: np.ndarray | None = None,
+                 diagonal: np.ndarray | None = None):
+        self.band, self.coupled, self.diagonal = band, coupled, diagonal
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if rhs.shape[0] != self.band.shape[1]:
-            raise ValueError(f"right side of {rhs.shape[0]} rows for a factor of "
-                             f"{self.band.shape[1]}")
-        return lapack.dpbtrs(self.band, rhs, lower=1)[0]
+        n = self.band.shape[1] if self.coupled is None else self.diagonal.size
+        if rhs.shape[0] != n:
+            raise ValueError(f"right side of {rhs.shape[0]} rows for a factor of {n}")
+        if self.coupled is None:
+            return lapack.dpbtrs(self.band, rhs, lower=1)[0]
+        x = rhs / self.diagonal.reshape((n,) + (1,) * (rhs.ndim - 1))
+        x[self.coupled] = lapack.dpbtrs(self.band, rhs[self.coupled], lower=1)[0]
+        return x
 
 
-# the factor of an SPD matrix, as factor_spd returns it
-Factor = spla.SuperLU | BandedCholesky
+class GridPoisson:
+    """Exact inverse of K eliminated on the boundary of a box mesh by fast
+    diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964): on Kuhn
+    simplices K's interior block is sum_k (prod h / h_k^2) T_k, T_k the 1D
+    second difference, diagonalized by S_k = sqrt(2 / N_k) sin(pi i j / N_k).
+    solve is a factor's: vector or (n, k) block, boundary rows passed through."""
+
+    def __init__(self, divisions: tuple[int, ...], extents: tuple[float, ...]):
+        h = np.asarray(extents) / divisions
+        j = [np.arange(1, n) for n in divisions]
+        self.shape = tuple(n + 1 for n in divisions)
+        self.sines = [math.sqrt(2.0 / n) * np.sin(np.pi * np.outer(jk, jk) / n)
+                      for jk, n in zip(j, divisions)]
+        self.eigenvalues = sum(np.ix_(*[np.prod(h) / hk ** 2 * (2.0 - 2.0 * np.cos(np.pi * jk / n))
+                                        for jk, n, hk in zip(j, divisions, h)]))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x = rhs.copy()
+        grid = x.reshape(self.shape + rhs.shape[1:])
+        if rhs.ndim == 2:
+            grid = np.moveaxis(grid, -1, 0)   # the block's columns first
+        inner = grid[(...,) + (slice(1, -1),) * len(self.shape)]
+        inner[...] = self._sine(self._sine(inner) / self.eigenvalues)
+        return x
+
+    def _sine(self, y: np.ndarray) -> np.ndarray:
+        """(S_1 x ... x S_d) y over the last d axes, one matmul per axis."""
+        shape = y.shape
+        for axis, sine in enumerate(self.sines, start=len(shape) - len(self.sines)):
+            lead, rest = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
+            y = (y.reshape(lead, shape[axis]) @ sine if rest == 1   # S_k is symmetric
+                 else sine @ y.reshape(lead, shape[axis], rest))
+        return y.reshape(shape)
+
+
+# the factor of an SPD matrix, as factor_spd returns it, or K's grid inverse
+Factor = spla.SuperLU | BandedCholesky | GridPoisson
 
 
 def factor_spd(matrix: sp.spmatrix) -> Factor:
@@ -360,28 +401,42 @@ def factor_spd(matrix: sp.spmatrix) -> Factor:
     When every nonzero of the lower triangle lies within BANDED_MAX_HALF_WIDTH
     of the diagonal, in the matrix's own order, LAPACK's banded Cholesky
     (dpbtrf), which reads the lower triangle alone: every caller's matrix is
-    symmetric by construction or has passed check_symmetric. Otherwise sparse
-    LU with a symmetric minimum-degree ordering on A^T + A and diagonal
-    pivots, which keep the fill of a symmetric factorization (half of what
-    COLAMD leaves on P1 stiffness matrices). An exactly singular factor, or a
-    nonpositive banded pivot, raises SolverFailure.
+    symmetric by construction or has passed check_symmetric. Above the cap,
+    the m rows with a nonzero off the diagonal, renumbered in order to
+    half-bandwidth b, when m <= cap b (the band's m b^2 flops undercut nested
+    dissection's b^3) and b^2 <= cap m (bad orders fail it); the other rows
+    divide by their diagonal. Otherwise sparse LU with a symmetric
+    minimum-degree ordering on A^T + A and diagonal pivots, which keep the
+    fill of a symmetric factorization (half of what COLAMD leaves on P1
+    stiffness matrices). An exactly singular factor, a nonpositive banded
+    pivot or a nonpositive decoupled diagonal raises SolverFailure.
     """
     csr = matrix.tocsr()
     n = csr.shape[0]
     cols = csr.indices
-    offsets = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(csr.indptr)) - cols
+    rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(csr.indptr))
+    offsets = rows - cols
     lower = np.flatnonzero((offsets >= 0) & (csr.data != 0))
-    width = int(offsets[lower].max(initial=0))
+    cols, offsets, data = cols[lower], offsets[lower], csr.data[lower]
+    width = int(offsets.max(initial=0))
     if width <= BANDED_MAX_HALF_WIDTH:
-        # A_ij at band[i - j, j], summed as duplicates would be, in Fortran order
-        slots = cols[lower].astype(np.intp) * (width + 1) + offsets[lower]
-        band = np.bincount(slots, weights=csr.data[lower], minlength=(width + 1) * n)
-        band, info = lapack.dpbtrf(band.reshape((width + 1, n), order="F"),
-                                   lower=1, overwrite_ab=1)
-        if info:
-            raise SolverFailure(f"sparse factorization failed (banded Cholesky: leading minor "
-                                f"{info} not positive, matrix singular or not positive definite)")
-        return BandedCholesky(band)
+        return BandedCholesky(_band_factor(cols, offsets, data, n, width))
+    rows = rows[lower]
+    coupled = np.zeros(n, dtype=bool)
+    coupled[rows[offsets > 0]] = coupled[cols[offsets > 0]] = True
+    number, kept = np.cumsum(coupled) - 1, coupled[rows]
+    # a decoupled row's one nonzero is its diagonal; 1 on the coupled rows
+    diagonal = np.bincount(rows[~kept], weights=data[~kept], minlength=n) + coupled
+    cols, m = number[cols[kept]], int(number[-1]) + 1
+    offsets = number[rows[kept]] - cols
+    width = int(offsets.max())
+    if m <= BANDED_MAX_HALF_WIDTH * width and width ** 2 <= BANDED_MAX_HALF_WIDTH * m:
+        if not np.all(diagonal > 0):
+            raise SolverFailure(f"sparse factorization failed (banded Cholesky: diagonal entry "
+                                f"{np.argmin(diagonal > 0)} not positive, matrix singular or "
+                                "not positive definite)")
+        return BandedCholesky(_band_factor(cols, offsets, data[kept], m, width),
+                              np.flatnonzero(coupled), diagonal)
     csc = matrix.tocsc(copy=True)
     csc.eliminate_zeros()
     try:
@@ -389,6 +444,19 @@ def factor_spd(matrix: sp.spmatrix) -> Factor:
                          diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverFailure(f"sparse factorization failed ({exc})") from exc
+
+
+def _band_factor(cols, offsets, data, n, width):
+    """dpbtrf of the n x n matrix of half-bandwidth `width` whose lower triangle
+    holds `data` at (cols + offsets, cols), duplicates summed: A_ij at band[i - j, j]."""
+    slots = cols.astype(np.intp) * (width + 1) + offsets
+    band = np.bincount(slots, weights=data, minlength=(width + 1) * n)
+    band, info = lapack.dpbtrf(band.reshape((width + 1, n), order="F"),
+                               lower=1, overwrite_ab=1)
+    if info:
+        raise SolverFailure(f"sparse factorization failed (banded Cholesky: leading minor "
+                            f"{info} not positive, matrix singular or not positive definite)")
+    return band
 
 
 def solve_spd_pcg(matrix: sp.spmatrix, rhs: np.ndarray, x0: np.ndarray,

@@ -36,6 +36,8 @@ class Mesh:
     cells : (n_cells, dim+1) int array, positively oriented simplices
     boundary_facets : (n_facets, dim) int array of vertex indices
     boundary_tags : (n_facets,) int8 array of BoundaryTag values (enum index)
+    grid : (divisions, extents) of a box whose vertices are its grid points
+        in C order, as build_rectangle_mesh numbers them; None otherwise
     """
 
     dim: int
@@ -44,6 +46,7 @@ class Mesh:
     boundary_facets: np.ndarray
     boundary_tags: np.ndarray
     parent_edges: np.ndarray | None = field(default=None, repr=False)
+    grid: tuple[tuple[int, ...], tuple[float, ...]] | None = None
 
     def __post_init__(self):
         for arr in (self.vertices, self.cells, self.boundary_facets, self.boundary_tags,
@@ -258,7 +261,8 @@ def build_rectangle_mesh(extents: Sequence[float], divisions: Sequence[int],
     corners = np.indices(divisions).reshape(dim, -1).T @ strides   # lower box corners
     cells = (corners[:, None, None] + _BOX_SPLIT[dim] @ strides).reshape(-1, dim + 1)
     facets = _extract_boundary(cells, dim)
-    return Mesh(dim, vertices, cells, facets, _tag_facets(vertices, facets, tag_rule))
+    return Mesh(dim, vertices, cells, facets, _tag_facets(vertices, facets, tag_rule),
+                grid=(tuple(divisions), tuple(extents)))
 
 
 def validate(mesh: Mesh) -> None:

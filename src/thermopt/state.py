@@ -18,8 +18,9 @@ regime is outside the theory.
 The truncation also makes every potential matrix S(sigma_n(u)) spectrally
 equivalent to the unit stiffness K, with condition number of K^-1 S at most
 sigma_0 / min sigma_n. So each potential solve is conjugate gradients from
-the previous step's potential, preconditioned by the per-mesh factor of K or
-by a caller's factor of a nearby S (the optimizer passes the last adjoint's);
+the previous step's potential, preconditioned by the per-mesh inverse of K
+(a sine transform on a box mesh, else K's factor) or by a caller's factor of
+a nearby S (the optimizer passes the last adjoint's);
 when CG reaches its cap the step factors S and solves directly, and that
 factor preconditions the rest of the solve.
 """
@@ -156,8 +157,10 @@ def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = N
 
     # the temperature matrix is iteration-independent: factor once
     u_lu = assembly.factor_spd(geom.eliminated(A_u.data, fixed_u)[0])
-    # K's factor counts only for the solve that builds it
-    factorizations = 1 + (precond is None and "potential_factor" not in vars(geom))
+    # K's factor counts only for the solve that builds it, and K's grid
+    # inverse on a box mesh is no factorization
+    factorizations = 1 + (precond is None and "potential_factor" not in vars(geom)
+                          and geom.grid is None)
     precond = geom.potential_factor if precond is None else precond
     cg_iterations = 0
     sigma_clamp_count = 0   # negative temperatures at quadrature points, clamped by sigma

@@ -340,6 +340,42 @@ def test_geometry_keeps_unit_stiffness_and_potential_factor():
     assert np.allclose(geom.potential_factor.solve(rhs), solve_direct(A, rhs), rtol=1e-13)
 
 
+@pytest.mark.parametrize("extents, divisions", [
+    ([1.0, 1.0], [8, 8]), ([2.0, 0.5], [7, 5]), ([1.0, 1.0, 1.0], [5, 5, 5]),
+    ([1.0, 2.0, 0.7], [4, 6, 3]), ([1.0, 1.0, 1.0], [16, 16, 16]),
+    ([1.0, 1.0, 1.0], [1, 4, 4])])
+def test_grid_inverse_matches_spsolve_of_the_eliminated_stiffness(extents, divisions):
+    # isotropic and anisotropic boxes, and one with no interior vertex
+    mesh = build_rectangle_mesh(extents, divisions, LEFT)
+    geom = geometry(mesh)
+    inverse = geom.potential_factor
+    assert isinstance(inverse, assembly.GridPoisson)
+    K = geom.eliminated(geom.stiffness.data, geom.boundary_vertices)[0].tocsc()
+    rng = np.random.default_rng(12)
+    for rhs in (rng.standard_normal(mesh.n_vertices), rng.standard_normal((mesh.n_vertices, 3))):
+        given = rhs.copy()
+        x, ref = inverse.solve(rhs), spla.spsolve(K, rhs)
+        assert x.shape == rhs.shape and np.array_equal(rhs, given)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_only_box_meshes_carry_a_grid(tmp_path):
+    # a refined child and a mesh read from a file keep the box's geometry
+    # but not its vertex order, so they factor K
+    mesh = build_rectangle_mesh([2.0, 1.0], [4, 3], LEFT)
+    assert mesh.grid == ((4, 3), (2.0, 1.0))
+    path = tmp_path / "mesh.txt"
+    write_mesh_file(mesh, str(path))
+    for other in (refine_uniform(mesh), read_mesh_file(str(path))):
+        assert other.grid is None
+        geom = geometry(other)
+        factor = geom.potential_factor
+        assert isinstance(factor, assembly.BandedCholesky | spla.SuperLU)
+        K = geom.eliminated(geom.stiffness.data, geom.boundary_vertices)[0]
+        rhs = np.linspace(-1.0, 1.0, other.n_vertices)
+        assembly.checked_solution(K, rhs, factor.solve(rhs))
+
+
 def test_solve_spd_pcg_converges_or_refactors():
     mesh = unit_square(8)
     fixed = mesh.boundary_vertex_set()
@@ -442,11 +478,13 @@ def test_eliminated_potential_is_bit_identical_to_apply_dirichlet():
                           factor_spd(A_ref).solve(np.ones(mesh.n_vertices)))
 
 
-def eliminated_systems(divisions):
+def eliminated_systems(divisions, refined=False):
     """The two matrices that the state solve factors, with random weights: a
     weighted stiffness eliminated on the whole boundary (the potential) and
-    K + R eliminated on Gamma_D (the temperature)."""
+    K + R eliminated on Gamma_D (the temperature), on the unit box or its
+    refine_uniform child."""
     mesh = build_rectangle_mesh([1.0] * len(divisions), divisions, LEFT)
+    mesh = refine_uniform(mesh) if refined else mesh
     geom = geometry(mesh)
     rng = np.random.default_rng(5)
     S = assemble_weighted_stiffness(mesh, geom.at_quadrature(rng.uniform(0.5, 2.0,
@@ -470,19 +508,20 @@ def band_matrix(n, width, diagonal=4.0):
     return sp.diags([diagonal, -1.0, -1.0], [0, -width, width], shape=(n, n), format="csr")
 
 
-@pytest.mark.parametrize("divisions", [[4, 4], [16, 16], [32, 32], [3, 3, 3]])
+@pytest.mark.parametrize("divisions", [[4, 4], [16, 16], [32, 32], [3, 3, 3], [8, 8, 8],
+                                       [16, 16, 16]])
 def test_banded_factor_matches_superlu(monkeypatch, divisions):
     # vector and (n, 3) block right sides: the Poincare estimate's LOBPCG
-    # preconditions blocks
+    # preconditions blocks; the 3D boxes from 8^3 on band their coupled rows
     rng = np.random.default_rng(6)
     for A in eliminated_systems(divisions):
-        assert half_bandwidth(A) <= assembly.BANDED_MAX_HALF_WIDTH
         data = A.data.copy()
         banded = factor_spd(A)
         with monkeypatch.context() as patch:
             patch.setattr(assembly, "BANDED_MAX_HALF_WIDTH", -1)
             lu = factor_spd(A)
         assert isinstance(banded, assembly.BandedCholesky) and isinstance(lu, spla.SuperLU)
+        assert (banded.coupled is None) == (half_bandwidth(A) <= assembly.BANDED_MAX_HALF_WIDTH)
         for rhs in (rng.standard_normal(A.shape[0]), rng.standard_normal((A.shape[0], 3))):
             given = rhs.copy()
             x, ref = banded.solve(rhs), lu.solve(rhs)
@@ -497,8 +536,10 @@ def test_banded_factor_matches_superlu(monkeypatch, divisions):
 
 
 def test_factor_spd_takes_the_banded_path_up_to_the_cap(monkeypatch):
-    """Counted, not timed: half-bandwidth at the cap factors by dpbtrf, one
-    past it by splu with the MMD ordering; stored zeros do not widen the band."""
+    """Counted, not timed: half-bandwidth at the cap factors by dpbtrf, and
+    stored zeros do not widen the band; above the cap the m coupled rows of
+    half-bandwidth b are banded while m <= cap b and b^2 <= cap m, else
+    factored by splu with the MMD ordering."""
     calls = []
     splu, dpbtrf = spla.splu, assembly.lapack.dpbtrf
 
@@ -526,9 +567,18 @@ def test_factor_spd_takes_the_banded_path_up_to_the_cap(monkeypatch):
     assert calls == ["dpbtrf"] * 2
     above = band_matrix(n, cap + 1)
     y = factor_spd(above).solve(rhs)
-    assert calls == ["dpbtrf"] * 2 + ["MMD_AT_PLUS_A"]
+    assert calls == ["dpbtrf"] * 3
     assembly.checked_solution(at_cap, rhs, x)
     assembly.checked_solution(above, rhs, y)
+    long = band_matrix(cap * (cap + 1) + 1, cap + 1)   # m = cap b + 1
+    order = np.random.default_rng(3).permutation(n)
+    shuffled = above[order][:, order]
+    assert half_bandwidth(shuffled) ** 2 > cap * n
+    for A in (long, shuffled):
+        calls.clear()
+        b = np.arange(A.shape[0], dtype=float)
+        assembly.checked_solution(A, b, factor_spd(A).solve(b))
+        assert calls == ["MMD_AT_PLUS_A"]
 
 
 def test_banded_factor_of_an_indefinite_or_singular_matrix_raises():
@@ -543,6 +593,53 @@ def test_banded_factor_of_an_indefinite_or_singular_matrix_raises():
         assert half_bandwidth(A) <= assembly.BANDED_MAX_HALF_WIDTH
         with pytest.raises(SolverFailure, match="singular or not positive definite"):
             factor_spd(A)
+
+
+def test_decoupled_rows_divide_by_their_diagonal_and_a_nonpositive_one_raises():
+    # offset 120 on 192 rows leaves rows 72-119 with the diagonal alone: the
+    # other 144 rows have b = 72 once renumbered, so they are banded
+    n, width = 192, 120
+    A = band_matrix(n, width).tolil()
+    A[80, 80] = 2.0
+    A = A.tocsr()
+    rhs = np.random.default_rng(9).standard_normal((n, 2))
+    factor = factor_spd(A)
+    assert isinstance(factor, assembly.BandedCholesky) and factor.band.shape == (73, 144)
+    assert np.array_equal(factor.coupled, np.r_[0:72, 120:192])
+    x = factor.solve(rhs)
+    assert np.array_equal(x[72:120], rhs[72:120] / A.diagonal()[72:120, None])
+    ref = solve_direct(A, rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    with pytest.raises(ValueError):
+        factor.solve(np.ones(n - 1))
+    for value in (0.0, -1.0):
+        bad = A.tolil()
+        bad[100, 100] = value
+        with pytest.raises(SolverFailure, match="diagonal entry 100 not positive"):
+            factor_spd(bad.tocsr())
+
+
+@pytest.mark.parametrize("divisions, refined", [([96, 96], False), ([16, 16], True),
+                                                ([32, 32], True), ([4, 4, 4], True),
+                                                ([8, 8, 8], True)])
+def test_long_and_refined_meshes_stay_on_superlu(divisions, refined):
+    # 96^2: m / b = 95 > cap; refine_uniform children: b about m, so b^2 > cap m
+    for A in eliminated_systems(divisions, refined):
+        assert isinstance(factor_spd(A), spla.SuperLU)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_2d_box_bands_are_the_cholesky_of_their_coupled_block(n):
+    # 32^2 is within the cap and bands the whole matrix, as before; 64^2
+    # (b = 65) bands the block of its coupled rows
+    for A in eliminated_systems([n, n]):
+        factor = factor_spd(A)
+        assert (factor.coupled is None) == (n == 32)
+        block = A if factor.coupled is None else A[factor.coupled][:, factor.coupled]
+        lower = sp.tril(block, format="coo")
+        band = np.zeros((half_bandwidth(block) + 1, block.shape[0]))
+        band[lower.row - lower.col, lower.col] = lower.data
+        assert np.array_equal(factor.band, assembly.lapack.dpbtrf(band, lower=1)[0])
 
 
 def test_asymmetric_datum_on_cached_pattern_raises():

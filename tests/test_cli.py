@@ -160,8 +160,9 @@ def test_solve_benchmark_writes_artifacts(tmp_path):
     assert report["state"]["subcritical_margin"] > 0
     history = report["state"]["history"]
     assert report["state"]["cg_iterations"] == sum(h["cg_iterations"] for h in history)
-    # a fresh mesh: K, the temperature matrix and each refactored potential
-    assert report["state"]["factorizations"] == 2 + sum(h["refactored"] for h in history)
+    # a fresh box mesh: the temperature matrix and each refactored potential
+    # (K's grid inverse is no factorization)
+    assert report["state"]["factorizations"] == 1 + sum(h["refactored"] for h in history)
     for artifact in report["artifacts"]:
         assert (out / artifact.split("/")[-1]).exists()
     text = (out / "u.vtk").read_text()
@@ -262,10 +263,10 @@ def test_out_path_that_is_a_file_exits_1_without_traceback(tmp_path):
 
 
 def test_cli_import_leaves_out_quadrature_and_special_functions():
-    # these three scipy subpackages would add about 0.2 s to every command's start-up
+    # these scipy subpackages would add about 0.2 s to every command's start-up
     src = Path(cli_mod.__file__).resolve().parents[1]
     code = ("import sys, thermopt.cli; print(sorted(m for m in sys.modules if m in "
-            "('scipy.integrate', 'scipy.optimize', 'scipy.special')))")
+            "('scipy.fft', 'scipy.integrate', 'scipy.optimize', 'scipy.special')))")
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
@@ -851,9 +852,9 @@ def test_certificate_checks_without_c_d_precede_the_state_solve(tmp_path, monkey
         assert main([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 5
 
 
-def test_certificate_factors_twice_and_counts_its_work(tmp_path, monkeypatch):
-    # K for the potential and K + R for the temperature; the Poincare
-    # estimate is preconditioned by the latter
+def test_certificate_factors_once_on_a_box_and_counts_its_work(tmp_path, monkeypatch):
+    # K + R for the temperature, which also preconditions the Poincare
+    # estimate; the potential's K has a grid inverse on a box
     shapes = []
     factor_spd = assembly.factor_spd
 
@@ -865,7 +866,8 @@ def test_certificate_factors_twice_and_counts_its_work(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, BENCHMARK.replace("extents = 1 1", "extents = 1 1 1")
                        .replace("divisions = 16 16", "divisions = 6 6 6"))
     assert main(["certificate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert shapes == [(343, 343)] * 2
+    assert shapes == [(343, 343)]
+    assert read_report(tmp_path / "o")["state"]["factorizations"] == 1
     cert = read_report(tmp_path / "o")["certificate"]
     assert type(cert["eps_halvings"]) is int and cert["eps_halvings"] == 0
     assert type(cert["poincare_iterations"]) is int and cert["poincare_iterations"] > 0

@@ -32,6 +32,7 @@ from thermopt.mesh import (
     build_rectangle_mesh,
     dirichlet_on_planes,
     facet_measures,
+    refine_uniform,
 )
 from thermopt.state import ProblemSpec, SolverOptions, StateSolution, solve_state
 
@@ -229,9 +230,16 @@ def test_solve_adjoint_factors_only_the_potential_block(monkeypatch):
 
 
 def test_solve_adjoint_factors_above_the_banded_cap_with_mmd(monkeypatch):
-    # half-bandwidth 81, above the cap: splu with the MMD ordering
+    # the 8^3 refined from 4^3, whose vertex order gives b about m: splu
+    # with the MMD ordering
+    coarse = build_rectangle_mesh([1.0, 1.0, 1.0], [4, 4, 4], LEFT)
+    check_adjoint_factors(monkeypatch, refine_uniform(coarse), "MMD_AT_PLUS_A")
+
+
+def test_solve_adjoint_bands_the_coupled_block_of_a_3d_box(monkeypatch):
+    # half-bandwidth 81, above the cap; the 343 coupled rows have b = 49
     check_adjoint_factors(monkeypatch, build_rectangle_mesh([1.0, 1.0, 1.0], [8, 8, 8], LEFT),
-                          "MMD_AT_PLUS_A")
+                          "dpbtrf")
 
 
 def test_solve_adjoint_eliminates_through_the_state_slot_maps(monkeypatch):

@@ -44,11 +44,12 @@ def benchmark_spec(n=16, model=None, u1_val=0.0):
                      lambda p: 0.1 * p[:, 0])
 
 
-def check_state_factors(monkeypatch, divisions, kind):
-    """A first solve factors K (the potential preconditioner) and the
-    temperature matrix, a second solve on the same mesh only the temperature
-    matrix, each factor by `kind` ("dpbtrf" or splu's ordering), and no
-    COLAMD spsolve runs; a count, so it cannot flake on timing."""
+def check_state_factors(monkeypatch, mesh, kind):
+    """A first solve factors K (the potential preconditioner) unless the mesh
+    is a box, whose K has a grid inverse, and the temperature matrix; a
+    second solve on the same mesh only the temperature matrix; each factor by
+    `kind` ("dpbtrf" or splu's ordering), and no COLAMD spsolve runs; a
+    count, so it cannot flake on timing."""
     calls = {"factors": [], "spsolve": 0}
     splu, spsolve, dpbtrf = spla.splu, spla.spsolve, assembly.lapack.dpbtrf
 
@@ -70,14 +71,14 @@ def check_state_factors(monkeypatch, divisions, kind):
     monkeypatch.setattr(spla, "splu", counting_splu)
     monkeypatch.setattr(spla, "spsolve", counting_spsolve)
     monkeypatch.setattr(assembly.lapack, "dpbtrf", counting_dpbtrf)
-    mesh = build_rectangle_mesh([1.0, 1.0, 1.0], divisions, LEFT)
     spec = make_spec(mesh, TruncatedPower(1.0, 1.0, 2.0), lambda p: np.zeros(p.shape[0]),
                      lambda p: np.zeros(p.shape[0]), lambda p: 0.5 * p[:, 0])
     beta = Control.constant(mesh, 1.0, 2.0)
     sol = solve_state(spec, beta)
     assert sol.iterations > 1
-    assert calls["factors"] == [kind] * 2
-    assert sol.factorizations == 2
+    first = 1 + (mesh.grid is None)
+    assert calls["factors"] == [kind] * first
+    assert sol.factorizations == first
     calls["factors"].clear()
     again = solve_state(spec, beta)
     assert calls["factors"] == [kind]
@@ -86,13 +87,23 @@ def check_state_factors(monkeypatch, divisions, kind):
 
 
 def test_solve_state_factors_with_symmetric_ordering_only(monkeypatch):
-    # half-bandwidths 16 and 20, below the cap: banded Cholesky
-    check_state_factors(monkeypatch, [3, 3, 3], "dpbtrf")
+    # temperature half-bandwidth 20, below the cap: banded Cholesky
+    check_state_factors(monkeypatch, build_rectangle_mesh([1.0] * 3, [3, 3, 3], LEFT),
+                        "dpbtrf")
+
+
+def test_solve_state_bands_the_coupled_block_of_a_3d_box(monkeypatch):
+    # temperature half-bandwidth 90, above the cap; its coupled block has
+    # m = 648 rows, m / b = 7.2: banded Cholesky
+    check_state_factors(monkeypatch, build_rectangle_mesh([1.0] * 3, [8, 8, 8], LEFT),
+                        "dpbtrf")
 
 
 def test_solve_state_factors_above_the_banded_cap_with_mmd(monkeypatch):
-    # half-bandwidths 81 and 90, above the cap: splu with the MMD ordering
-    check_state_factors(monkeypatch, [8, 8, 8], "MMD_AT_PLUS_A")
+    # the 8^3 refined from 4^3, whose vertex order gives b about m: splu with
+    # the MMD ordering, for K and the temperature matrix
+    coarse = build_rectangle_mesh([1.0] * 3, [4, 4, 4], LEFT)
+    check_state_factors(monkeypatch, refine_uniform(coarse), "MMD_AT_PLUS_A")
 
 
 def drive_spec(divisions, scale):
@@ -131,7 +142,8 @@ def test_potential_solve_refactors_under_strong_drive(monkeypatch):
     sol = solve_state(spec, beta)
     refactors = sum(h["refactored"] for h in sol.history)
     assert refactors >= 1
-    assert sol.factorizations == 2 + refactors
+    # K's grid inverse on the box is no factorization
+    assert sol.factorizations == 1 + refactors
     assert sol.cg_iterations == sum(h["cg_iterations"] for h in sol.history)
     assert sol.residual_u <= 1e-8 and sol.residual_phi <= 1e-8
     monkeypatch.setattr(state, "PCG_MAX_ITER", 0)
@@ -383,8 +395,12 @@ def test_picard_cap_below_one_rejected(max_iter):
 
 def test_given_preconditioner_leaves_the_mesh_factor_unbuilt():
     # a factor of K passed in gives the solve that builds and uses the
-    # mesh's own, bit for bit, and the count leaves K's factor out
-    spec = benchmark_spec(n=8)
+    # mesh's own, bit for bit, and the count leaves K's factor out; on a
+    # refined mesh, since a box's own is its grid inverse
+    box = benchmark_spec(n=4)
+    mesh = refine_uniform(box.mesh)
+    spec = make_spec(mesh, box.model, lambda p: np.zeros(p.shape[0]),
+                     lambda p: np.zeros(p.shape[0]), lambda p: 0.1 * p[:, 0])
     beta = Control.constant(spec.mesh, 1.0, 2.0)
     geom = assembly.geometry(spec.mesh)
     precond = assembly.factor_spd(geom.eliminated(geom.stiffness.data,
@@ -447,7 +463,8 @@ def test_default_truncation_level():
 
 def test_picard_steps_gather_through_the_slot_map(monkeypatch):
     """Each Picard step eliminates its potential matrix through the cached
-    slot map, and so do the temperature matrix and K's factor, one call each."""
+    slot map, and so does the temperature matrix, one call; K's grid inverse
+    on the box eliminates nothing."""
     calls = {"eliminated": 0}
     eliminated = assembly.P1Geometry.eliminated
 
@@ -458,5 +475,5 @@ def test_picard_steps_gather_through_the_slot_map(monkeypatch):
     monkeypatch.setattr(assembly.P1Geometry, "eliminated", counting_eliminated)
     spec = benchmark_spec(16, u1_val=0.05)
     sol = solve_state(spec, Control.constant(spec.mesh, 1.0, 2.0))
-    assert sol.iterations > 2 and sol.factorizations == 2
-    assert calls == {"eliminated": sol.iterations + 2}
+    assert sol.iterations > 2 and sol.factorizations == 1
+    assert calls == {"eliminated": sol.iterations + 1}
