@@ -80,15 +80,21 @@ class P1Geometry:
         self.dim = mesh.dim
         self.boundary_vertices = mesh.boundary_vertex_set()
         self.grid = mesh.grid
+        # cell c of a box mesh is a translate of cell c mod d! (see Mesh.grid),
+        # so its geometry is computed on those d! cells and repeated
+        nc, k = mesh.cells.shape
+        period = math.factorial(mesh.dim) if mesh.grid else nc
         # grad(lambda_i) = adj(E)_i / det(E) and |K| = det(E) / d!, E the edge matrix
-        cof, det = edge_cofactors(mesh)
-        self.volumes = det / math.factorial(mesh.dim)
-        self.grads = np.empty((mesh.n_cells, mesh.dim + 1, mesh.dim))   # (nc, d+1, d)
-        self.grads[:, 1:, :] = cof / det[:, None, None]
-        self.grads[:, 0, :] = -self.grads[:, 1:, :].sum(axis=1)
+        cof, det = edge_cofactors(mesh.vertices, mesh.cells[:period])
+        volumes = det / math.factorial(mesh.dim)
+        grads = np.empty((period, mesh.dim + 1, mesh.dim))
+        grads[:, 1:, :] = cof / det[:, None, None]
+        grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+        self.volumes = _periodic(volumes, nc)
+        self.grads = _periodic(grads, nc)                 # (nc, d+1, d)
         # grad(lambda_i) . grad(lambda_j) |K|, the unit-weight cell stiffness
-        self.grad_products = (self.grads @ self.grads.transpose(0, 2, 1)
-                              * self.volumes[:, None, None])
+        self.grad_products = _periodic(grads @ grads.transpose(0, 2, 1)
+                                       * volumes[:, None, None], nc)
         bary, self.qweights = _QUAD[mesh.dim]
         self.qbary = bary                                 # (nq, d+1)
         # w @ weighted_qbary is sum_q qweights_q w_cq qbary_qi, (nc, d+1)
@@ -99,7 +105,6 @@ class P1Geometry:
         self.facet_measures = facet_measures(mesh)
         # the cell pattern is that of C^T C, C the (nc, n) cell-vertex incidence;
         # scatter sends every entry of the (nc, d+1, d+1) cell matrices to its slot
-        nc, k = mesh.cells.shape
         incidence = sp.csr_matrix((np.ones(mesh.cells.size), mesh.cells.ravel(),
                                    np.arange(0, nc * k + 1, k)), shape=(nc, self.n_vertices))
         pattern = (incidence.T @ incidence).tocsr()
@@ -209,6 +214,13 @@ class P1Geometry:
         return self.csr(reduced, pattern), transpose
 
 
+def _periodic(values: np.ndarray, n: int) -> np.ndarray:
+    """The n rows whose row c is values[c mod len(values)], len(values) dividing n."""
+    out = np.empty((n // len(values),) + values.shape)
+    out[...] = values
+    return out.reshape((n,) + values.shape[1:])
+
+
 _GEOMETRY_CACHE: "weakref.WeakKeyDictionary[Mesh, P1Geometry]" = weakref.WeakKeyDictionary()
 
 
@@ -248,8 +260,9 @@ def assemble_mass(mesh: Mesh, weight=1.0) -> sp.csr_matrix:
     """M_ij = sum_cells integral w lambda_i lambda_j dx (consistent mass)."""
     geom = geometry(mesh)
     w = _quad_weight(geom, weight)
-    local = np.einsum("cq,qij->cij", w, geom.mass_products) * geom.volumes[:, None, None]
-    return geom.csr(geom.data(local)).copy()
+    # a scalar weight gives every cell the same sum over q, scaled by its |K|
+    sums = np.einsum("cq,qij->cij", w[:1] if np.ndim(weight) == 0 else w, geom.mass_products)
+    return geom.csr(geom.data(sums * geom.volumes[:, None, None])).copy()
 
 
 def load_vector(mesh: Mesh, weight=1.0) -> np.ndarray:

@@ -36,8 +36,13 @@ class Mesh:
     cells : (n_cells, dim+1) int array, positively oriented simplices
     boundary_facets : (n_facets, dim) int array of vertex indices
     boundary_tags : (n_facets,) int8 array of BoundaryTag values (enum index)
-    grid : (divisions, extents) of a box whose vertices are its grid points
-        in C order, as build_rectangle_mesh numbers them; None otherwise
+    grid : (divisions, extents) of a box meshed as build_rectangle_mesh
+        meshes it, or None: its vertices are the grid points in C order and
+        its cells the d! simplices of _BOX_SPLIT of each box in turn, boxes
+        in C order, so cell c is a translate of cell c mod d!. Solvers rely
+        on both orders; a refine_uniform child or a file mesh has neither
+        and carries None. Counts that are not the box's raise
+        ConfigurationError.
     """
 
     dim: int
@@ -53,6 +58,13 @@ class Mesh:
                     self.parent_edges):
             if arr is not None:
                 arr.setflags(write=False)
+        if self.grid is not None:
+            divisions = self.grid[0]
+            if (self.n_vertices != math.prod(n + 1 for n in divisions)
+                    or self.n_cells != math.factorial(self.dim) * math.prod(divisions)):
+                raise ConfigurationError(
+                    f"grid {divisions} does not match a mesh of {self.n_vertices} "
+                    f"vertices and {self.n_cells} cells")
 
     @property
     def n_vertices(self) -> int:
@@ -80,18 +92,18 @@ _MESH_SECTIONS = ("VERTICES", "CELLS", "FACETS")
 _PLANE_TOL = 1e-12
 
 
-def edge_cofactors(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Cofactors and determinants of the cell edge matrices E, whose rows are
-    the edges v_i - v_0 (i = 1..d).
+def edge_cofactors(vertices: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cofactors and determinants of the edge matrices E of the listed cells,
+    whose rows are the edges v_i - v_0 (i = 1..d).
 
     Returns (nc, d, d) with row i - 1 the i-th column of adj(E), which is
     det(E) grad(lambda_i), and (nc,) det(E), d! times the signed volume. The
     columns are cross products of edge pairs in 3D and perpendiculars of
     edges in 2D, so no batched inverse or determinant is needed.
     """
-    v = mesh.vertices[mesh.cells]
+    v = vertices[cells]
     e = v[:, 1:, :] - v[:, :1, :]
-    if mesh.dim == 2:
+    if vertices.shape[1] == 2:
         cof = np.stack([e[:, 1, ::-1], -e[:, 0, ::-1]], axis=1) * [1.0, -1.0]
     else:
         cof = np.cross(e[:, [1, 2, 0]], e[:, [2, 0, 1]])
@@ -100,7 +112,7 @@ def edge_cofactors(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 
 def cell_volumes(mesh: Mesh) -> np.ndarray:
     """Signed volumes of all cells (positive for valid meshes)."""
-    return edge_cofactors(mesh)[1] / math.factorial(mesh.dim)
+    return edge_cofactors(mesh.vertices, mesh.cells)[1] / math.factorial(mesh.dim)
 
 
 def facet_measures(mesh: Mesh) -> np.ndarray:
@@ -239,7 +251,10 @@ def build_rectangle_mesh(extents: Sequence[float], divisions: Sequence[int],
         must mark at least one facet
 
     Cells are positive by construction (see _BOX_SPLIT), so the result
-    satisfies `validate` without running it.
+    satisfies `validate` without running it. The cells are listed box by box
+    and the vertices in grid order, as `Mesh.grid` states. The boundary
+    facets are the cell facets whose vertices share a face of the box: the
+    rows of _extract_boundary, in its order, found without sorting.
     """
     extents = [float(e) for e in extents]
     divisions = [int(n) for n in divisions]
@@ -260,7 +275,12 @@ def build_rectangle_mesh(extents: Sequence[float], divisions: Sequence[int],
     strides = np.array([np.prod(shape[k + 1:]) for k in range(dim)])
     corners = np.indices(divisions).reshape(dim, -1).T @ strides   # lower box corners
     cells = (corners[:, None, None] + _BOX_SPLIT[dim] @ strides).reshape(-1, dim + 1)
-    facets = _extract_boundary(cells, dim)
+    # bit 2k marks the grid points on the face x_k = 0, bit 2k + 1 those on x_k = L_k
+    index = np.indices(shape).reshape(dim, -1)
+    faces = sum((index[k] == 0) << 2 * k | (index[k] == divisions[k]) << 2 * k + 1
+                for k in range(dim))
+    facets = cells[:, _FACETS_OF[dim + 1]].reshape(-1, dim)
+    facets = facets[np.bitwise_and.reduce(faces[facets], axis=1) != 0]
     return Mesh(dim, vertices, cells, facets, _tag_facets(vertices, facets, tag_rule),
                 grid=(tuple(divisions), tuple(extents)))
 

@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -359,21 +360,35 @@ def test_grid_inverse_matches_spsolve_of_the_eliminated_stiffness(extents, divis
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_only_box_meshes_carry_a_grid(tmp_path):
+def test_only_box_meshes_carry_a_grid(tmp_path, monkeypatch):
     # a refined child and a mesh read from a file keep the box's geometry
-    # but not its vertex order, so they factor K
-    mesh = build_rectangle_mesh([2.0, 1.0], [4, 3], LEFT)
-    assert mesh.grid == ((4, 3), (2.0, 1.0))
-    path = tmp_path / "mesh.txt"
-    write_mesh_file(mesh, str(path))
-    for other in (refine_uniform(mesh), read_mesh_file(str(path))):
-        assert other.grid is None
-        geom = geometry(other)
-        factor = geom.potential_factor
-        assert isinstance(factor, assembly.BandedCholesky | spla.SuperLU)
-        K = geom.eliminated(geom.stiffness.data, geom.boundary_vertices)[0]
-        rhs = np.linspace(-1.0, 1.0, other.n_vertices)
-        assembly.checked_solution(K, rhs, factor.solve(rhs))
+    # but not its vertex and cell order, so they factor K and compute the
+    # cofactors of every cell, where the box computes those of its first box
+    periods, cofactors = [], assembly.edge_cofactors
+
+    def counted(vertices, cells):
+        periods.append(len(cells))
+        return cofactors(vertices, cells)
+
+    monkeypatch.setattr(assembly, "edge_cofactors", counted)
+    for extents, divisions in (((2.0, 1.0), (4, 3)), ((1.0, 2.0, 0.5), (2, 3, 1))):
+        mesh = build_rectangle_mesh(extents, divisions, LEFT)
+        assert mesh.grid == (divisions, extents)
+        periods.clear()
+        geometry(mesh)
+        assert periods == [math.factorial(mesh.dim)]
+        path = tmp_path / "mesh.txt"
+        write_mesh_file(mesh, str(path))
+        for other in (refine_uniform(mesh), read_mesh_file(str(path))):
+            assert other.grid is None
+            periods.clear()
+            geom = geometry(other)
+            assert periods == [other.n_cells]
+            factor = geom.potential_factor
+            assert isinstance(factor, assembly.BandedCholesky | spla.SuperLU)
+            K = geom.eliminated(geom.stiffness.data, geom.boundary_vertices)[0]
+            rhs = np.linspace(-1.0, 1.0, other.n_vertices)
+            assembly.checked_solution(K, rhs, factor.solve(rhs))
 
 
 def test_solve_spd_pcg_converges_or_refactors():

@@ -1,19 +1,21 @@
-"""Every command's report on configs/benchmark.cfg at 8 x 8 against a golden
-in tests/golden/, so that a change meant to keep behaviour is seen to keep
-it.
+"""Every command's report on configs/benchmark.cfg at 8 x 8, and the
+certificate's on its data on the 4 x 4 x 4 unit cube, against a golden in
+tests/golden/, so that a change meant to keep behaviour is seen to keep it.
 
 A golden is the command's report.json without `timings_seconds` and
 `artifacts`. Key sets, strings, bools, ints and nulls must match exactly;
 floats must agree within RTOL * max(1, |a|, |b|).
 
-To regenerate every golden, run from the repository root
+To regenerate every golden (or only the named ones), run from the
+repository root
 
-    PYTHONPATH=src python tests/test_golden_reports.py
+    PYTHONPATH=src python tests/test_golden_reports.py [name ...]
 
 and state in CHANGES.md which goldens changed and why.
 """
 
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -25,24 +27,34 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-10
 
-# golden name -> command line
+# edits of configs/benchmark.cfg: the 8 x 8 square and the 4 x 4 x 4 cube
+SQUARE = {"problem.divisions = 16 16": "problem.divisions = 8 8"}
+CUBE = {"problem.extents = 1 1": "problem.extents = 1 1 1",
+        "problem.divisions = 16 16": "problem.divisions = 4 4 4"}
+
+# golden name -> (command line, config edits)
 RUNS = {
-    "solve": ["solve"],
-    "optimize": ["optimize"],
-    "certificate": ["certificate"],
-    "convergence": ["convergence", "--levels", "2"],
-    **{f"verify_{suite}": ["verify", "--suite", suite]
+    "solve": (["solve"], SQUARE),
+    "optimize": (["optimize"], SQUARE),
+    "certificate": (["certificate"], SQUARE),
+    "certificate_3d": (["certificate"], CUBE),
+    "convergence": (["convergence", "--levels", "2"], SQUARE),
+    **{f"verify_{suite}": (["verify", "--suite", suite], SQUARE)
        for suite in ("lemma1", "maxprinciple", "substitution", "gradient")},
 }
 
 
 def report(name, tmp):
     """The report of run `name` without its timings and artifact list."""
-    config = tmp / "benchmark_8x8.cfg"
-    config.write_text((ROOT / "configs" / "benchmark.cfg").read_text()
-                      .replace("problem.divisions = 16 16", "problem.divisions = 8 8"))
+    argv, edits = RUNS[name]
+    text = (ROOT / "configs" / "benchmark.cfg").read_text()
+    for old, new in edits.items():
+        assert old in text, old
+        text = text.replace(old, new)
+    config = tmp / f"{name}.cfg"
+    config.write_text(text)
     out = tmp / name
-    main(RUNS[name] + ["--config", str(config), "--out", str(out)])
+    main(argv + ["--config", str(config), "--out", str(out)])
     data = json.loads((out / "report.json").read_text())
     del data["timings_seconds"], data["artifacts"]
     return data
@@ -75,6 +87,6 @@ def test_report_matches_golden(tmp_path, name):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in RUNS:
+        for name in sys.argv[1:] or RUNS:
             (GOLDEN / f"{name}.json").write_text(
                 json.dumps(report(name, Path(tmp)), indent=2, sort_keys=True) + "\n")

@@ -503,9 +503,13 @@ def test_pattern_assembly_matches_coo_reference(extents, divisions):
     for actual, expected in [
             (assemble_weighted_stiffness(mesh, w_q), stiffness_coo(mesh, w)),
             (assemble_weighted_stiffness(mesh, 1.0), stiffness_coo(mesh, np.ones_like(w))),
-            (assemble_mass(mesh, w_q), mass_coo(mesh, w))]:
+            (assemble_mass(mesh, w_q), mass_coo(mesh, w)),
+            (assemble_mass(mesh, 1.0), mass_coo(mesh, np.ones_like(w)))]:
         assert same_pattern(actual, expected)
         assert cell_close(actual.data, expected.data)
+    # a scalar weight sums over q once for all cells, as each cell would
+    assert np.array_equal(assemble_mass(mesh, 0.37).data,
+                          assemble_mass(mesh, np.full_like(w_q, 0.37)).data)
 
 
 @pytest.mark.parametrize("extents, divisions", BOXES)

@@ -8,6 +8,7 @@ from thermopt.errors import ConfigurationError
 from thermopt.mesh import (
     BoundaryTag,
     Mesh,
+    _extract_boundary,
     _row_keys,
     build_rectangle_mesh,
     cell_volumes,
@@ -199,6 +200,34 @@ def test_closed_form_geometry_matches_inverse_on_jittered_mesh(extents, division
     scale = np.abs(want_grads).max(axis=(1, 2))[:, None, None]
     assert np.all(np.abs(geom.grads[:, 1:] - want_grads) <= 1e-13 * scale)
     assert np.array_equal(geom.grads[:, 0], -geom.grads[:, 1:].sum(axis=1))
+
+
+@pytest.mark.parametrize("extents, divisions, rtol", [
+    ([1.0, 1.0], [8, 8], 0.0), ([1.0, 1.0], [32, 32], 0.0), ([1.0] * 3, [4] * 3, 0.0),
+    ([1.0] * 3, [16] * 3, 0.0), ([2.0, 0.7], [7, 1], 1e-14), ([1.3, 0.7, 2.1], [3, 1, 5], 1e-14)])
+def test_box_geometry_and_boundary_equal_the_cellwise_ones(extents, divisions, rtol):
+    # a box repeats the geometry of its first box, exactly on dyadic boxes and
+    # to round-off of the grid coordinates on others; the same mesh without
+    # its grid computes every cell. Its boundary is found without sorting.
+    box = build_rectangle_mesh(extents, divisions, LEFT_DIRICHLET)
+    assert np.array_equal(box.boundary_facets, _extract_boundary(box.cells, box.dim))
+    cellwise = Mesh(box.dim, box.vertices, box.cells, box.boundary_facets, box.boundary_tags)
+    for name in ("volumes", "grads", "grad_products"):
+        got, want = getattr(geometry(box), name), getattr(geometry(cellwise), name)
+        scale = np.abs(want).reshape(box.n_cells, -1).max(axis=1)
+        error = np.abs(got - want).reshape(box.n_cells, -1).max(axis=1)
+        assert np.all(error <= rtol * scale), name
+
+
+def test_mesh_refuses_a_grid_of_other_counts():
+    box = build_rectangle_mesh([2.0, 1.0], [4, 3], LEFT_DIRICHLET)
+    parts = box.dim, box.vertices, box.cells, box.boundary_facets, box.boundary_tags
+    assert Mesh(*parts, grid=box.grid).grid == ((4, 3), (2.0, 1.0))
+    with pytest.raises(ConfigurationError, match="grid"):
+        Mesh(*parts, grid=((4, 4), (2.0, 1.0)))
+    with pytest.raises(ConfigurationError, match="grid"):
+        Mesh(box.dim, box.vertices, box.cells[:-2], box.boundary_facets, box.boundary_tags,
+             grid=box.grid)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
