@@ -29,8 +29,9 @@ maps of the state solve (the adjoint takes the transposed blocks).
 Both block systems are solved by BiCGSTAB (van der Vorst, SIAM J. Sci.
 Stat. Comput. 13, 1992) with a block upper-triangular preconditioner
 (Murphy, Golub & Wathen, SIAM J. Sci. Comput. 21, 2000): a factor of the
-potential block S, the temperature factor of K + R that the state solve
-already made, and the block's own top-right coupling. The adjoint
+potential block S, the state solve's temperature_factor for K + R (its
+factor, or a box's separable inverse), and the block's own top-right
+coupling. The adjoint
 A^T - C^T S^-1 B^T and the sensitivity A - B S^-1 C share their Schur
 spectrum, so one path serves both; a run that reaches
 ADJOINT_MAX_ITER, or breaks down, falls back to the direct 2n solve. The
@@ -181,8 +182,8 @@ def _block_bicgstab(matrix, rhs, potential, coupling,
                     temperature_factor) -> tuple[np.ndarray | None, int, assembly.Factor]:
     """BiCGSTAB on the eliminated 2n block, preconditioned block upper
     triangularly: z2 = S^-1 r2 with S the `potential` block, then
-    z1 = T^-1 (r1 - M12 z2) with M12 the top-right `coupling` block and T the
-    state solve's factor of K + R eliminated on Gamma_D. Returns the solution
+    z1 = T^-1 (r1 - M12 z2) with M12 the top-right `coupling` block and T^-1 the
+    state solve's temperature_factor for K + R eliminated on Gamma_D. Returns the solution
     (None when the cap or a breakdown stops BiCGSTAB), the iterations and S's factor."""
     s_lu = assembly.factor_spd(potential)
     n = potential.shape[0]

@@ -23,6 +23,12 @@ the previous step's potential, preconditioned by the per-mesh inverse of K
 a nearby S (the optimizer passes the last adjoint's);
 when CG reaches its cap the step factors S and solves directly, and that
 factor preconditions the rest of the solve.
+
+The temperature matrix K + R is factored once per solve, except where
+_box_temperature_inverse gives a separable inverse: there each temperature
+solve is CG from the current iterate, preconditioned by it (Concus & Golub,
+SIAM J. Numer. Anal. 10, 1973), and a CG at its cap factors K + R for the
+remaining steps.
 """
 
 from __future__ import annotations
@@ -106,10 +112,11 @@ class StateSolution:
     sigma_clamp_count: int
     truncation_level: float | None   # the level n of sigma_n; None untruncated
     history: list = dfield(default_factory=list)
-    cg_iterations: int = 0       # over all potential solves
+    cg_iterations: int = 0       # over all potential and temperature solves
     factorizations: int = 0      # banded Cholesky or SuperLU factors this solve made
-    # factor of K + R eliminated on Gamma_D; the adjoint block and the
-    # certificate's Poincare estimate reuse it
+    # what the temperature solves used for K + R eliminated on Gamma_D: its
+    # factor, or a box's separable inverse (see the module docstring); the
+    # adjoint block and the certificate's Poincare estimate precondition by it
     temperature_factor: assembly.Factor | None = None
 
 
@@ -127,7 +134,8 @@ def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = N
     """Solve the coupled system; raises on nonconvergence or criticality.
 
     The potential CG is preconditioned by `precond`, a factor of a nearby
-    eliminated potential matrix, or by the mesh's factor of K when None.
+    eliminated potential matrix, or by the mesh's inverse of K
+    (geometry(mesh).potential_factor) when None.
     Convergence is measured on the unmixed Picard candidate (the fixed-point
     residual max |T(u^k) - u^k| together with the potential increment) and
     the final candidate is returned, which keeps the weak residual at the
@@ -155,12 +163,15 @@ def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = N
     fixed_phi = geom.boundary_vertices
     phi_fixed = spec.phi0.values[fixed_phi]
 
-    # the temperature matrix is iteration-independent: factor once
-    u_lu = assembly.factor_spd(geom.eliminated(A_u.data, fixed_u)[0])
+    # the temperature matrix is iteration-independent: factor it once, or CG
+    # (see the module docstring)
+    u_matrix, u_transpose = geom.eliminated(A_u.data, fixed_u)
+    u_inverse = _box_temperature_inverse(mesh, beta)
+    u_lu = assembly.factor_spd(u_matrix) if u_inverse is None else None
     # K's factor counts only for the solve that builds it, and K's grid
     # inverse on a box mesh is no factorization
-    factorizations = 1 + (precond is None and "potential_factor" not in vars(geom)
-                          and geom.grid is None)
+    factorizations = (u_lu is not None) + (precond is None and "potential_factor" not in vars(geom)
+                                           and geom.grid is None)
     precond = geom.potential_factor if precond is None else precond
     cg_iterations = 0
     sigma_clamp_count = 0   # negative temperatures at quadrature points, clamped by sigma
@@ -177,20 +188,28 @@ def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = N
         sigma_q = sigma(u_q)
         phi_new, cg, refactor = _solve_potential(mesh, sigma_q, phi, fixed_phi,
                                                  phi_fixed, precond)
-        cg_iterations += cg
+        factors = refactor is not None
         if refactor is not None:
             precond = refactor
-            factorizations += 1
         phi_field = Field(mesh, phi_new)
         joule = assembly.assemble_joule_rhs_weak(mesh, sigma_q, phi_field, spec.phi0)
-        u_candidate = u_lu.solve(lift_dirichlet(A_u, joule + robin_rhs, fixed_u, u_fixed))
+        u_rhs = lift_dirichlet(A_u, joule + robin_rhs, fixed_u, u_fixed)
+        if u_lu is None:
+            # a CG that reaches its cap factors, and the factor serves the rest
+            u_candidate, u_cg, u_lu = assembly.solve_spd_pcg(
+                u_matrix, u_rhs, u, u_inverse, PCG_RTOL, PCG_MAX_ITER, u_transpose)
+            cg, factors = cg + u_cg, factors + (u_lu is not None)
+        else:
+            u_candidate = u_lu.solve(u_rhs)
+        cg_iterations += cg
+        factorizations += factors
 
         residual = u_candidate - u
         delta_u = float(np.max(np.abs(residual)))
         delta_phi = float(np.max(np.abs(phi_new - phi)))
         history.append({"iteration": iterations, "delta_u": delta_u,
                         "delta_phi": delta_phi, "max_u": float(np.max(u_candidate)),
-                        "cg_iterations": cg, "refactored": refactor is not None})
+                        "cg_iterations": cg, "refactored": factors > 0})
         phi = phi_new
         if max(delta_u, delta_phi) <= opts.tol:
             u = u_candidate
@@ -230,10 +249,44 @@ def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = N
         history=history,
         cg_iterations=cg_iterations,
         factorizations=factorizations,
-        temperature_factor=u_lu,
+        temperature_factor=u_inverse if u_lu is None else u_lu,
     )
     sol.residual_u, sol.residual_phi = weak_residual(spec, beta, sol)
     return sol
+
+
+# The rule of _box_temperature_inverse against the measured crossover: time
+# of a solve's temperature work, CG on the box inverse (its set-up included)
+# / a factor of K + R and its solves, on boxes with Gamma_D = {x = 0} at
+# phi0 = 0.1 x, beta = 1 (6 Picard steps; median of 3 runs of best of 7, a
+# shared 2-core machine, SciPy 1.17). CG wins from 16^3 and ties at 64^2;
+# the rule also puts 8^3 and 12^3 on CG, at a loss of a few ms per solve.
+#   mesh         32^2  48^2  64^2   8^3  12^3  16^3  20^3
+#   K's b          33    49    65    81   169   289   441
+#   CG / factor   4.0   2.1   1.0   3.8  1.15  0.41  0.22
+def _box_temperature_inverse(mesh: Mesh, beta: Control) -> assembly.GridPoisson | None:
+    """The box inverse that preconditions the temperature CG, on a box mesh
+    whose Gamma_D is a union of whole faces and whose K + R does not band in
+    its own order: K + R bands only if K does, and K's half-bandwidth in grid
+    order is the stride of the first axis. Each Robin face takes its
+    facet-measure-weighted mean beta. None where K + R is factored."""
+    if mesh.grid is None:
+        return None
+    divisions, extents = mesh.grid
+    if math.prod(n + 1 for n in divisions[1:]) <= assembly.BANDED_MAX_HALF_WIDTH:
+        return None
+    # face 2k of a boundary facet is x_k = 0, face 2k + 1 is x_k = L_k
+    index = np.unravel_index(mesh.boundary_facets, [n + 1 for n in divisions])
+    faces = np.argmax([np.all(i == end, axis=1) for i, n in zip(index, divisions)
+                       for end in (0, n)], axis=0)
+    robin, measures = faces[beta.facet_ids], geometry(mesh).facet_measures[beta.facet_ids]
+    count, robin_count = (np.bincount(f, minlength=2 * mesh.dim) for f in (faces, robin))
+    if np.any((robin_count > 0) & (robin_count < count)):
+        return None   # a face partly Dirichlet
+    mean = (np.bincount(robin, measures * beta.values, 2 * mesh.dim)
+            / np.maximum(np.bincount(robin, measures, 2 * mesh.dim), 1e-300))
+    ends = [float(r) if k else None for k, r in zip(robin_count, mean)]
+    return assembly.GridPoisson(divisions, extents, list(zip(ends[::2], ends[1::2])))
 
 
 def _solve_potential(mesh, sigma_q, phi, fixed, values, precond):

@@ -39,7 +39,8 @@ _C_EPS_GRID_LO, _C_EPS_GRID_HI, _C_EPS_GRID_POINTS = 1e-6, 1e6, 2048
 # after POINCARE_MAX_ITER iterations. With 1e-6, C_D agrees with a dense
 # eigensolver to 3e-14 relative on boxes of 36 to 1,210 free vertices and
 # with a 1e-11 run to 2e-13 on up to 16,640, in 4 or 5 iterations
-# preconditioned by K and 8 by the K + R of the 16^3 certificate ops.
+# preconditioned by K and 9 by the separable inverse of K + R of the 16^3
+# certificate ops.
 POINCARE_RTOL, POINCARE_MAX_ITER = 1e-6, 100
 
 # scipy's lobpcg solves problems with fewer unknowns than five times the
@@ -148,9 +149,9 @@ def estimate_poincare(mesh: Mesh, factor: assembly.Factor | None = None) -> tupl
     (K, M) on the free vertices, by LOBPCG (Knyazev, SIAM J. Sci. Comput.
     23, 2001).
 
-    `factor` preconditions it: a factor of an SPD matrix eliminated on
-    Gamma_D and spectrally equivalent to K there, such as the state's
-    temperature factor of K + R; it changes the iteration count, not C_D.
+    `factor` preconditions it: the inverse, exact or approximate, of an SPD
+    matrix eliminated on Gamma_D and spectrally equivalent to K there, such
+    as the state's temperature_factor; it changes the iteration count, not C_D.
     Without one, K eliminated on Gamma_D is factored. Below _LOBPCG_MIN_SIZE
     free vertices the problem is solved densely, in 0 iterations.
     """

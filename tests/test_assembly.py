@@ -360,6 +360,69 @@ def test_grid_inverse_matches_spsolve_of_the_eliminated_stiffness(extents, divis
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _sine_inverse(divisions, extents, rhs):
+    """K's inverse on the boundary of a box by the closed-form sines alone,
+    in the matmul order of GridPoisson's all-Dirichlet axes."""
+    h = np.asarray(extents) / divisions
+    j = [np.arange(1, n) for n in divisions]
+    sines = [math.sqrt(2.0 / n) * np.sin(np.pi * np.outer(jk, jk) / n)
+             for jk, n in zip(j, divisions)]
+    eigenvalues = sum(np.ix_(*[np.prod(h) / hk ** 2 * (2.0 - 2.0 * np.cos(np.pi * jk / n))
+                               for jk, n, hk in zip(j, divisions, h)]))
+
+    def sine(y):
+        shape = y.shape
+        for axis, s in enumerate(sines, start=len(shape) - len(sines)):
+            lead, rest = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
+            y = (y.reshape(lead, shape[axis]) @ s if rest == 1
+                 else s @ y.reshape(lead, shape[axis], rest))
+        return y.reshape(shape)
+
+    x = rhs.copy()
+    grid = x.reshape(tuple(n + 1 for n in divisions) + rhs.shape[1:])
+    if rhs.ndim == 2:
+        grid = np.moveaxis(grid, -1, 0)
+    inner = grid[(...,) + (slice(1, -1),) * len(divisions)]
+    inner[...] = sine(sine(inner) / eigenvalues)
+    return x
+
+
+@pytest.mark.parametrize("extents, divisions", [
+    ([1.0, 1.0], [8, 8]), ([2.0, 0.5], [7, 5]), ([1.0, 1.0, 1.0], [5, 5, 5]),
+    ([1.0, 2.0, 0.7], [4, 6, 3]), ([1.0, 1.0, 1.0], [16, 16, 16]),
+    ([1.0, 1.0, 1.0], [1, 4, 4])])
+def test_grid_inverse_with_dirichlet_ends_keeps_the_closed_form_sines(extents, divisions):
+    rng = np.random.default_rng(4)
+    n = math.prod(k + 1 for k in divisions)
+    for ends in (None, [(None, None)] * len(divisions)):
+        inverse = assembly.GridPoisson(tuple(divisions), tuple(extents), ends)
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            assert np.array_equal(inverse.solve(rhs), _sine_inverse(divisions, extents, rhs))
+
+
+@pytest.mark.parametrize("extents, divisions, planes, ends", [
+    ([1.0, 1.0], [8, 8], ("x=0",), [(None, 0.0), (0.0, 0.0)]),
+    ([1.0, 1.0], [8, 8], ("x=0", "x=1"), [(None, None), (0.0, 0.0)]),
+    ([2.0, 0.7], [7, 5], ("x=0",), [(None, 0.0), (0.0, 0.0)]),
+    ([1.0, 1.0], [6, 1], ("y=0",), [(0.0, 0.0), (None, 0.0)]),
+    ([1.0, 1.0], [1, 6], ("x=0",), [(None, 0.0), (0.0, 0.0)]),
+    ([1.0, 1.0], [6, 1], ("x=0", "y=0"), [(None, 0.0), (None, 0.0)])])
+def test_grid_inverse_with_neumann_faces_inverts_k_in_2d(extents, divisions, planes, ends):
+    # K eliminated on whole faces of a rectangle, Neumann on the others
+    # (r = 0), including an axis of one division
+    mesh = build_rectangle_mesh(extents, divisions, dirichlet_on_planes(*planes))
+    geom = geometry(mesh)
+    K = geom.eliminated(geom.stiffness.data,
+                        mesh.boundary_vertex_set(BoundaryTag.DIRICHLET_TEMPERATURE))[0].tocsc()
+    inverse = assembly.GridPoisson(tuple(divisions), tuple(extents), ends)
+    rng = np.random.default_rng(13)
+    for rhs in (rng.standard_normal(mesh.n_vertices), rng.standard_normal((mesh.n_vertices, 2))):
+        given = rhs.copy()
+        x, ref = inverse.solve(rhs), spla.spsolve(K, rhs)
+        assert x.shape == rhs.shape and np.array_equal(rhs, given)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_only_box_meshes_carry_a_grid(tmp_path, monkeypatch):
     # a refined child and a mesh read from a file keep the box's geometry
     # but not its vertex and cell order, so they factor K and compute the

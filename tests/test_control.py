@@ -696,6 +696,29 @@ def test_optimize_3d_problem():
     assert np.all(res.beta.values <= spec.m_cap)
 
 
+def test_optimize_3d_box_with_the_box_temperature_inverse(monkeypatch):
+    # the 8^3 box solves its temperature by CG and preconditions the
+    # adjoint's temperature block by the box inverse: the J of a run whose
+    # state solves factor K + R, and no adjoint falls back to the direct solve
+    from thermopt import state as state_module
+    spec = control_spec(mesh=build_rectangle_mesh([1.0] * 3, [8] * 3, LEFT), drive=1.0)
+    spsolve, direct_solves = spla.spsolve, []
+
+    def counting_spsolve(*args, **kwargs):
+        direct_solves.append(args[0].shape)
+        return spsolve(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "spsolve", counting_spsolve)
+    res = optimize(spec)
+    assert res.converged and res.adjoint_iterations > 0 and direct_solves == []
+    assert isinstance(res.state.temperature_factor, assembly.GridPoisson)
+    monkeypatch.setattr(state_module, "_box_temperature_inverse", lambda mesh, beta: None)
+    factored = optimize(spec)
+    assert factored.converged and factored.factorizations > res.factorizations
+    j, j_factored = (objective(spec.mesh, r.state.u, r.beta).total for r in (res, factored))
+    assert abs(j - j_factored) <= 1e-10 * abs(j_factored)
+
+
 def test_optimize_beats_random_admissible_controls():
     spec = control_spec(8)
     result = optimize(spec)

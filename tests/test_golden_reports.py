@@ -1,6 +1,8 @@
 """Every command's report on configs/benchmark.cfg at 8 x 8, and the
-certificate's on its data on the 4 x 4 x 4 unit cube, against a golden in
-tests/golden/, so that a change meant to keep behaviour is seen to keep it.
+certificate's on its data on the 4 x 4 x 4 and the 8 x 8 x 8 unit cube (the
+one whose temperature solves run CG on the box's separable inverse), against
+a golden in tests/golden/, so that a change meant to keep behaviour is seen
+to keep it.
 
 A golden is the command's report.json without `timings_seconds` and
 `artifacts`. Key sets, strings, bools, ints and nulls must match exactly;
@@ -27,10 +29,12 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-10
 
-# edits of configs/benchmark.cfg: the 8 x 8 square and the 4 x 4 x 4 cube
+# edits of configs/benchmark.cfg: the 8 x 8 square and the 4 x 4 x 4 and 8 x 8 x 8 cubes
 SQUARE = {"problem.divisions = 16 16": "problem.divisions = 8 8"}
 CUBE = {"problem.extents = 1 1": "problem.extents = 1 1 1",
         "problem.divisions = 16 16": "problem.divisions = 4 4 4"}
+CUBE8 = {"problem.extents = 1 1": "problem.extents = 1 1 1",
+         "problem.divisions = 16 16": "problem.divisions = 8 8 8"}
 
 # golden name -> (command line, config edits)
 RUNS = {
@@ -38,6 +42,7 @@ RUNS = {
     "optimize": (["optimize"], SQUARE),
     "certificate": (["certificate"], SQUARE),
     "certificate_3d": (["certificate"], CUBE),
+    "certificate_8cube": (["certificate"], CUBE8),
     "convergence": (["convergence", "--levels", "2"], SQUARE),
     **{f"verify_{suite}": (["verify", "--suite", suite], SQUARE)
        for suite in ("lemma1", "maxprinciple", "substitution", "gradient")},

@@ -10,7 +10,7 @@ from thermopt.assembly import interpolate, norms
 from thermopt.errors import ConfigurationError
 from thermopt.fields import Control, Field
 from thermopt.materials import Constant, TruncatedModel, TruncatedPower
-from thermopt.mesh import build_rectangle_mesh, dirichlet_on_planes, refine_uniform
+from thermopt.mesh import BoundaryTag, build_rectangle_mesh, dirichlet_on_planes, refine_uniform
 from thermopt.state import (
     ProblemSpec,
     SolverOptions,
@@ -92,11 +92,91 @@ def test_solve_state_factors_with_symmetric_ordering_only(monkeypatch):
                         "dpbtrf")
 
 
+@pytest.mark.parametrize("extents, divisions", [([1.0] * 3, [4, 4, 4]), ([1.0, 1.0], [32, 32])],
+                         ids=["4x4x4", "32x32"])
+def test_box_within_the_banded_cap_factors_its_temperature(monkeypatch, extents, divisions):
+    # temperature half-bandwidths 30 and 33, within the cap: banded Cholesky,
+    # no CG on the box inverse
+    check_state_factors(monkeypatch, build_rectangle_mesh(extents, divisions, LEFT), "dpbtrf")
+
+
+# x = 0 Dirichlet below y = 1/2 only, Robin elsewhere: a face partly Dirichlet
+PART_OF_LEFT = lambda centroids: (centroids[:, 0] < 1e-12) & (centroids[:, 1] < 0.5)
+
+
 def test_solve_state_bands_the_coupled_block_of_a_3d_box(monkeypatch):
-    # temperature half-bandwidth 90, above the cap; its coupled block has
-    # m = 648 rows, m / b = 7.2: banded Cholesky
-    check_state_factors(monkeypatch, build_rectangle_mesh([1.0] * 3, [8, 8, 8], LEFT),
+    # Gamma_D covers part of a face, so the temperature matrix is factored:
+    # half-bandwidth 90, above the cap; its coupled block has m = 684 rows,
+    # m / b = 7.6: banded Cholesky
+    check_state_factors(monkeypatch, build_rectangle_mesh([1.0] * 3, [8, 8, 8], PART_OF_LEFT),
                         "dpbtrf")
+
+
+def box_temperature_system(n, values):
+    """The 8^3 or 16^3 box with Gamma_D = {x = 0}: the eliminated K + R of
+    the control `values` (a function of the Robin facet count), its
+    transpose permutation and the box inverse."""
+    mesh = build_rectangle_mesh([1.0] * 3, [n] * 3, LEFT)
+    beta = Control(mesh, values(mesh.facet_indices(BoundaryTag.ROBIN_TEMPERATURE).size), 2.0)
+    geom = assembly.geometry(mesh)
+    R = assembly.facet_mass(mesh, beta.values, beta.facet_ids)
+    matrix, transpose = geom.eliminated(geom.stiffness.data + R.data,
+                                        mesh.boundary_vertex_set(BoundaryTag.DIRICHLET_TEMPERATURE))
+    return matrix, transpose, state._box_temperature_inverse(mesh, beta)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("values", [
+    np.zeros, np.ones, lambda k: np.full(k, 2.0),
+    lambda k: np.random.default_rng(8).uniform(0.0, 2.0, k)], ids=["0", "1", "m_cap", "random"])
+def test_box_inverse_preconditions_cg_on_the_3d_temperature_matrix(n, values):
+    matrix, transpose, inverse = box_temperature_system(n, values)
+    assert isinstance(inverse, assembly.GridPoisson)
+    rhs = np.random.default_rng(n).standard_normal(matrix.shape[0])
+    _, iterations, factor = assembly.solve_spd_pcg(
+        matrix, rhs, np.zeros_like(rhs), inverse, state.PCG_RTOL, state.PCG_MAX_ITER, transpose)
+    assert 0 < iterations < state.PCG_MAX_ITER and factor is None
+
+
+def test_box_temperature_is_solved_by_cg_without_a_factor(monkeypatch):
+    spec = drive_spec([8, 8, 8], 0.5)
+    beta = Control.constant(spec.mesh, 1.0, 2.0)
+    sol = solve_state(spec, beta)
+    assert sol.factorizations == 0
+    assert isinstance(sol.temperature_factor, assembly.GridPoisson)
+    monkeypatch.setattr(state, "_box_temperature_inverse", lambda mesh, beta: None)
+    factored = solve_state(spec, beta)
+    assert factored.factorizations == 1
+    assert isinstance(factored.temperature_factor, assembly.BandedCholesky)
+    assert sol.cg_iterations > factored.cg_iterations
+    assert rel_diff(np.max(sol.u.values), np.max(factored.u.values)) <= 1e-12
+
+
+def test_partly_dirichlet_face_factors_the_temperature():
+    mesh = build_rectangle_mesh([1.0] * 3, [8, 8, 8], PART_OF_LEFT)
+    assert state._box_temperature_inverse(mesh, Control.constant(mesh, 1.0, 2.0)) is None
+
+
+def test_box_temperature_cg_cap_falls_back_to_one_factor(monkeypatch):
+    spec = drive_spec([8, 8, 8], 0.5)
+    beta = Control.constant(spec.mesh, 1.0, 2.0)
+    matrix = box_temperature_system(8, np.ones)[0]
+    factored = []   # True for a factor of the temperature matrix
+    factor_spd = assembly.factor_spd
+
+    def counting_factor_spd(A):
+        factored.append(A.nnz == matrix.nnz and np.array_equal(A.data, matrix.data))
+        return factor_spd(A)
+
+    monkeypatch.setattr(assembly, "factor_spd", counting_factor_spd)
+    monkeypatch.setattr(state, "PCG_MAX_ITER", 1)
+    sol = solve_state(spec, beta)
+    # one temperature factor, made at the first step, serves the rest
+    assert sol.iterations > 2 and factored.count(True) == 1
+    assert isinstance(sol.temperature_factor, assembly.BandedCholesky)
+    assert sol.history[0]["refactored"]
+    # the capped potential CG refactors too: each factor is counted once
+    assert sol.factorizations == len(factored)
 
 
 def test_solve_state_factors_above_the_banded_cap_with_mmd(monkeypatch):
