@@ -1,8 +1,9 @@
-"""Every command's report on configs/benchmark.cfg at 8 x 8, and the
-certificate's on its data on the 4 x 4 x 4 and the 8 x 8 x 8 unit cube (the
-one whose temperature solves run CG on the box's separable inverse), against
-a golden in tests/golden/, so that a change meant to keep behaviour is seen
-to keep it.
+"""Every command's report on configs/benchmark.cfg at 8 x 8, the optimizer's
+also at 32 x 32 (the size of the optimize-pg benchmark, whose potential
+blocks band at half-bandwidth 31), and the certificate's on its data on the
+4 x 4 x 4 and the 8 x 8 x 8 unit cube (the one whose temperature solves run
+CG on the box's separable inverse), against a golden in tests/golden/, so
+that a change meant to keep behaviour is seen to keep it.
 
 A golden is the command's report.json without `timings_seconds` and
 `artifacts`. Key sets, strings, bools, ints and nulls must match exactly;
@@ -29,8 +30,10 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-10
 
-# edits of configs/benchmark.cfg: the 8 x 8 square and the 4 x 4 x 4 and 8 x 8 x 8 cubes
+# edits of configs/benchmark.cfg: the 8 x 8 and 32 x 32 squares and the 4 x 4 x 4
+# and 8 x 8 x 8 cubes
 SQUARE = {"problem.divisions = 16 16": "problem.divisions = 8 8"}
+SQUARE32 = {"problem.divisions = 16 16": "problem.divisions = 32 32"}
 CUBE = {"problem.extents = 1 1": "problem.extents = 1 1 1",
         "problem.divisions = 16 16": "problem.divisions = 4 4 4"}
 CUBE8 = {"problem.extents = 1 1": "problem.extents = 1 1 1",
@@ -40,6 +43,7 @@ CUBE8 = {"problem.extents = 1 1": "problem.extents = 1 1 1",
 RUNS = {
     "solve": (["solve"], SQUARE),
     "optimize": (["optimize"], SQUARE),
+    "optimize_32": (["optimize"], SQUARE32),
     "certificate": (["certificate"], SQUARE),
     "certificate_3d": (["certificate"], CUBE),
     "certificate_8cube": (["certificate"], CUBE8),
