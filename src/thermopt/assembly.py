@@ -35,10 +35,10 @@ from .mesh import Mesh, edge_cofactors, facet_measures
 SOLVE_RTOL = 1e-10
 # a matrix is symmetric when max |A - A^T| <= SYMMETRY_RTOL max |A|
 SYMMETRY_RTOL = 1e-12
-# factor_spd bands a matrix up to this half-bandwidth b, and above it its m
-# coupled rows when m <= 64 b and b^2 <= 64 m. Time of one factor and 15
-# solves, banded coupled block / SuperLU, on the eliminated K and K + R of box
-# meshes (a shared 2-core machine, SciPy 1.17, 2 BLAS threads):
+# factor_spd bands a matrix of m rows and half-bandwidth b up to this b, and
+# above it when m <= 64 b and b^2 <= 64 m. Time of one factor and 15 solves,
+# banded / SuperLU, on the free blocks of K and K + R of box meshes (a shared
+# 2-core machine, SciPy 1.17, 2 BLAS threads):
 #   mesh  64^2   96^2  128^2  8^3   12^3  16^3  20^3  24^3
 #   m/b  63-64    95    127     7    11    15    19    23
 #   K     0.85  1.13   1.08  0.41  0.54  0.69  0.65  0.68
@@ -70,8 +70,9 @@ class P1Geometry:
 
     Holds the cell array but not the mesh itself, so that the cache below
     releases the geometry together with its mesh. The operators that depend
-    on the mesh alone (K, the stiffness map, K's factor and the slot maps of
-    `eliminated`) are built on first use and kept here.
+    on the mesh alone (K, the stiffness map, K's factor, and the free
+    vertices and slot maps of `eliminated`) are built on first use and kept
+    here.
     """
 
     def __init__(self, mesh: Mesh):
@@ -114,7 +115,8 @@ class P1Geometry:
         self.scatter = self._slots(mesh.cells).ravel()
         # the slot of each coupling of each boundary facet (a cell edge), (nf, d, d)
         self.facet_slots = self._slots(mesh.boundary_facets)
-        self._eliminations: dict[bytes, tuple] = {}   # see eliminated()
+        self._free: dict[bytes, np.ndarray] = {}        # see free()
+        self._eliminations: dict[tuple, tuple] = {}     # see eliminated()
 
     def _slots(self, simplices: np.ndarray) -> np.ndarray:
         """The pattern slot of every vertex pair of each simplex, (m, k, k), by a binary
@@ -186,32 +188,54 @@ class P1Geometry:
         return (GridPoisson(*self.grid) if self.grid else
                 factor_spd(self.eliminated(self.stiffness.data, self.boundary_vertices)[0]))
 
-    def eliminated(self, data: np.ndarray, fixed: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
-        """The matrix with `data` on the cached pattern, the rows and columns
-        of the distinct vertices `fixed` dropped but for a unit diagonal and
-        zeros of `data` kept (lift_dirichlet gives its right side), and the
-        permutation of its data onto its transpose's, for check_symmetric.
-        The slot map of each `fixed` is built on first use and kept."""
+    def free(self, fixed: np.ndarray) -> np.ndarray:
+        """The vertices off the distinct vertices `fixed`, ascending: a
+        system's unknowns. Read-only, kept per `fixed`."""
         key = fixed.tobytes()
+        if key not in self._free:
+            mask = np.ones(self.n_vertices, dtype=bool)
+            mask[fixed] = False
+            self._free[key] = free = np.flatnonzero(mask)
+            free.flags.writeable = False
+        return self._free[key]
+
+    def extend(self, x: np.ndarray, fixed: np.ndarray, values=0.0) -> np.ndarray:
+        """The nodal vector with x on free(fixed) and `values` on `fixed`."""
+        full = np.empty(self.n_vertices)
+        full[fixed] = values
+        full[self.free(fixed)] = x
+        return full
+
+    def eliminated(self, data: np.ndarray, fixed: np.ndarray, fixed_cols: np.ndarray | None = None
+                   ) -> tuple[sp.csr_matrix, np.ndarray | None]:
+        """The free block of the matrix with `data` on the cached pattern: rows
+        off the distinct vertices `fixed`, columns off `fixed_cols` (default
+        `fixed`), numbered as free() orders them, zeros of `data` kept; and for
+        a square block the permutation of its data onto its transpose's (for
+        check_symmetric), else None. Each pair of sets' slot map is kept."""
+        key = fixed.tobytes(), None if fixed_cols is None else fixed_cols.tobytes()
         if key not in self._eliminations:
             indices, indptr = self.pattern
             rows = np.repeat(np.arange(self.n_vertices), np.diff(indptr))
-            mask = np.zeros(self.n_vertices, dtype=bool)
-            mask[fixed] = True
-            diagonal = rows == indices
-            # kept is sorted, so it maps the row pointers too
-            kept = np.flatnonzero(~(mask[rows] | mask[indices]) | diagonal)
-            pattern = indices[kept], np.searchsorted(kept, indptr).astype(indptr.dtype)
+            free_rows, free_cols = self.free(fixed), self.free(fixed if fixed_cols is None
+                                                                else fixed_cols)
+            number = np.full((2, self.n_vertices), -1, dtype=indices.dtype)
+            number[0, free_rows], number[1, free_cols] = (np.arange(f.size) for f in
+                                                          (free_rows, free_cols))
+            # kept is sorted, so it maps the row pointers of the free rows too
+            kept = np.flatnonzero((number[0, rows] >= 0) & (number[1, indices] >= 0))
+            pattern = (number[1, indices[kept]],
+                       np.searchsorted(kept, indptr[np.append(free_rows, self.n_vertices)]
+                                       ).astype(indptr.dtype))
             for array in pattern:
                 array.flags.writeable = False
-            unit = np.flatnonzero(mask[rows[kept]] & diagonal[kept])
+            shape = free_rows.size, free_cols.size
             # the pattern is symmetric: its CSC order is its transpose's CSR order
-            transpose = self.csr(np.arange(kept.size), pattern).tocsc().data
-            self._eliminations[key] = kept, pattern, unit, transpose
-        kept, pattern, unit, transpose = self._eliminations[key]
-        reduced = data[kept]
-        reduced[unit] = 1.0
-        return self.csr(reduced, pattern), transpose
+            transpose = (None if fixed_cols is not None else
+                         sp.csr_matrix((np.arange(kept.size), *pattern), shape=shape).tocsc().data)
+            self._eliminations[key] = kept, pattern, shape, transpose
+        kept, pattern, shape, transpose = self._eliminations[key]
+        return sp.csr_matrix((data[kept], *pattern), shape=shape, copy=False), transpose
 
 
 def _periodic(values: np.ndarray, n: int) -> np.ndarray:
@@ -323,49 +347,44 @@ def assemble_joule_rhs_weak(mesh: Mesh, sigma_q: np.ndarray, phi: Field,
     return geom.load(c_bar[:, None] * q + dot[:, None] * (sigma_q @ geom.weighted_qbary))
 
 
-def lift_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray, fixed: np.ndarray,
-                   values) -> np.ndarray:
-    """Right side of the eliminated system: rhs - A x_D, then x_D on `fixed`.
+def lift_dirichlet(matrix: sp.spmatrix, rhs, fixed: np.ndarray, values,
+                   free: np.ndarray) -> np.ndarray:
+    """Right side of the free block: the rows `free` of rhs - A x_D, rhs a
+    vector or a scalar.
 
     x_D holds `values` (an array matching `fixed`, or a scalar) on the
     constrained vertices and zero elsewhere.
     """
     x = np.zeros(matrix.shape[0])
     x[fixed] = values
-    lifted = rhs - matrix @ x
-    lifted[fixed] = values
-    return lifted
+    lifted = matrix @ x
+    np.subtract(rhs, lifted, out=lifted)
+    return lifted[free]
 
 
 def check_symmetric(matrix: sp.spmatrix, transpose: np.ndarray | None = None) -> bool:
     """max |A - A^T| <= SYMMETRY_RTOL max |A|; with `transpose`, the permutation
     of the data of a symmetric pattern onto its transpose's, A^T is not formed."""
-    if transpose is None:
-        return abs(matrix - matrix.T).max() <= SYMMETRY_RTOL * max(1e-300, abs(matrix).max())
     data = matrix.data
-    return (np.abs(data - data[transpose]).max()
-            <= SYMMETRY_RTOL * max(1e-300, np.abs(data).max()))
+    difference = (matrix - matrix.T).data if transpose is None else data - data[transpose]
+    return (np.abs(difference).max(initial=0.0)
+            <= SYMMETRY_RTOL * max(1e-300, np.abs(data).max(initial=0.0)))
 
 
 class BandedCholesky:
     """Cholesky factor of an SPD matrix in LAPACK lower-band storage, as
-    dpbtrf leaves it, of the rows `coupled` alone when given (the others
-    divide by `diagonal`); solve takes a vector or an (n, k) block, as
+    dpbtrf leaves it; solve takes a vector or an (n, k) block, as
     SuperLU.solve does, and modifies neither it nor the factor."""
 
-    def __init__(self, band: np.ndarray, coupled: np.ndarray | None = None,
-                 diagonal: np.ndarray | None = None):
-        self.band, self.coupled, self.diagonal = band, coupled, diagonal
+    def __init__(self, band: np.ndarray):
+        self.band = band
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        n = self.band.shape[1] if self.coupled is None else self.diagonal.size
+        n = self.band.shape[1]
         if rhs.shape[0] != n:
             raise ValueError(f"right side of {rhs.shape[0]} rows for a factor of {n}")
-        if self.coupled is None:
-            return lapack.dpbtrs(self.band, rhs, lower=1)[0]
-        x = rhs / self.diagonal.reshape((n,) + (1,) * (rhs.ndim - 1))
-        x[self.coupled] = lapack.dpbtrs(self.band, rhs[self.coupled], lower=1)[0]
-        return x
+        # dpbtrs rejects a block of no rows
+        return lapack.dpbtrs(self.band, rhs, lower=1)[0] if rhs.size else rhs.copy()
 
 
 class GridPoisson:
@@ -373,45 +392,35 @@ class GridPoisson:
     fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964): T_k the
     Neumann 1D second difference, D_k = diag(1/2, 1, ..., 1/2), each end of
     ends[k] None (Dirichlet, the default: its grid layer is dropped) or a
-    Robin r >= 0. On a box mesh that is K + R eliminated on its Dirichlet
-    faces, with R lumped to one r per face; K exactly in 2D and on the 3D
-    interior block, about 1 % off on a 3D box's faces (Kuhn cells weigh the
-    edges along the box's edges 1/6 and 2/6, not 1/4). A Dirichlet-Dirichlet
-    axis takes the sines S_k = sqrt(2 / N_k) sin(pi i j / N_k), any other eigh of
-    its pencil (T_k + r h_k e e^T, D_k). solve is a factor's: vector or (n, k)
-    block, Dirichlet rows passed through."""
+    Robin r >= 0, each axis by eigh of its kept pencil (T_k + r h_k e e^T, D_k).
+    On a box mesh that is K + R's free block off its Dirichlet faces, R lumped
+    to one r per face; K exactly in 2D and on the 3D interior block, about 1 %
+    off on a 3D box's faces (Kuhn cells weigh the edges along the box's edges
+    1/6 and 2/6, not 1/4). solve is a factor's on the kept grid points (the
+    free vertices) in C order: a vector or an (m, k) block."""
 
     def __init__(self, divisions: tuple[int, ...], extents: tuple[float, ...],
                  ends: list[tuple[float | None, float | None]] | None = None):
         h = np.asarray(extents) / divisions
-        self.shape = tuple(n + 1 for n in divisions)
-        self.inner, self.vectors, eigenvalues = [], [], []
+        self.vectors, eigenvalues = [], []
         for n, hk, (lo, hi) in zip(divisions, h, ends or [(None, None)] * len(divisions)):
             keep = slice(int(lo is None), n + (hi is not None))
-            if lo is None and hi is None:
-                jk = np.arange(1, n)
-                v = vt = math.sqrt(2.0 / n) * np.sin(np.pi * np.outer(jk, jk) / n)
-                lam = 2.0 - 2.0 * np.cos(np.pi * jk / n)
-            else:
-                mass = np.r_[0.5, np.ones(n - 1), 0.5]
-                robin = hk * np.r_[lo or 0.0, np.zeros(n - 1), hi or 0.0]
-                pencil = np.diag(2.0 * mass + robin) - np.eye(n + 1, k=1) - np.eye(n + 1, k=-1)
-                lam, v = eigh(pencil[keep, keep], np.diag(mass[keep]))
-                vt = np.ascontiguousarray(v.T)
-            self.inner.append(keep)
-            self.vectors.append((v, vt))   # V_k and its transpose; S_k is both
+            mass = np.r_[0.5, np.ones(n - 1), 0.5]
+            robin = hk * np.r_[lo or 0.0, np.zeros(n - 1), hi or 0.0]
+            pencil = np.diag(2.0 * mass + robin) - np.eye(n + 1, k=1) - np.eye(n + 1, k=-1)
+            lam, v = eigh(pencil[keep, keep], np.diag(mass[keep]))
+            self.vectors.append((v, np.ascontiguousarray(v.T)))   # V_k and its transpose
             eigenvalues.append(lam)
+        self.shape = tuple(lam.size for lam in eigenvalues)
         self.eigenvalues = sum(np.ix_(*[np.prod(h) / hk ** 2 * lam
                                         for lam, hk in zip(eigenvalues, h)]))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = rhs.copy()
-        grid = x.reshape(self.shape + rhs.shape[1:])
+        grid = rhs.reshape(self.shape + rhs.shape[1:])
         if rhs.ndim == 2:
             grid = np.moveaxis(grid, -1, 0)   # the block's columns first
-        inner = grid[(...,) + tuple(self.inner)]
-        inner[...] = self._transform(self._transform(inner, True) / self.eigenvalues, False)
-        return x
+        x = self._transform(self._transform(grid, True) / self.eigenvalues, False)
+        return (np.moveaxis(x, 0, -1) if rhs.ndim == 2 else x).reshape(rhs.shape)
 
     def _transform(self, y: np.ndarray, transposed: bool) -> np.ndarray:
         """(V_1 x ... x V_d)^T y when transposed, else (V_1 x ... x V_d) y, over
@@ -433,45 +442,26 @@ def factor_spd(matrix: sp.spmatrix) -> Factor:
     """Factor of a symmetric positive definite matrix; stored zeros are
     ignored, so a matrix with and without them gets the same factor.
 
-    When every nonzero of the lower triangle lies within BANDED_MAX_HALF_WIDTH
-    of the diagonal, in the matrix's own order, LAPACK's banded Cholesky
-    (dpbtrf), which reads the lower triangle alone: every caller's matrix is
-    symmetric by construction or has passed check_symmetric. Above the cap,
-    the m rows with a nonzero off the diagonal, renumbered in order to
-    half-bandwidth b, when m <= cap b (the band's m b^2 flops undercut nested
-    dissection's b^3) and b^2 <= cap m (bad orders fail it); the other rows
-    divide by their diagonal. Otherwise sparse LU with a symmetric
-    minimum-degree ordering on A^T + A and diagonal pivots, which keep the
-    fill of a symmetric factorization (half of what COLAMD leaves on P1
-    stiffness matrices). An exactly singular factor, a nonpositive banded
-    pivot or a nonpositive decoupled diagonal raises SolverFailure.
+    LAPACK's banded Cholesky (dpbtrf) in the matrix's own order when the
+    half-bandwidth b of its lower triangle's nonzeros is at most the cap
+    BANDED_MAX_HALF_WIDTH, or when its m rows have m <= cap b (the band's
+    m b^2 flops undercut nested dissection's b^3) and b^2 <= cap m (bad
+    orders fail it); dpbtrf reads the lower triangle alone: every caller's
+    matrix is symmetric by construction or has passed check_symmetric.
+    Otherwise sparse LU with a symmetric minimum-degree ordering on A^T + A
+    and diagonal pivots, which keep the fill of a symmetric factorization
+    (half of what COLAMD leaves on P1 stiffness matrices). An exactly
+    singular factor or a nonpositive banded pivot raises SolverFailure.
     """
     csr = matrix.tocsr()
-    n = csr.shape[0]
+    m = csr.shape[0]
     cols = csr.indices
-    rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(csr.indptr))
-    offsets = rows - cols
+    offsets = np.repeat(np.arange(m, dtype=cols.dtype), np.diff(csr.indptr)) - cols
     lower = np.flatnonzero((offsets >= 0) & (csr.data != 0))
     cols, offsets, data = cols[lower], offsets[lower], csr.data[lower]
-    width = int(offsets.max(initial=0))
-    if width <= BANDED_MAX_HALF_WIDTH:
-        return BandedCholesky(_band_factor(cols, offsets, data, n, width))
-    rows = rows[lower]
-    coupled = np.zeros(n, dtype=bool)
-    coupled[rows[offsets > 0]] = coupled[cols[offsets > 0]] = True
-    number, kept = np.cumsum(coupled) - 1, coupled[rows]
-    # a decoupled row's one nonzero is its diagonal; 1 on the coupled rows
-    diagonal = np.bincount(rows[~kept], weights=data[~kept], minlength=n) + coupled
-    cols, m = number[cols[kept]], int(number[-1]) + 1
-    offsets = number[rows[kept]] - cols
-    width = int(offsets.max())
-    if m <= BANDED_MAX_HALF_WIDTH * width and width ** 2 <= BANDED_MAX_HALF_WIDTH * m:
-        if not np.all(diagonal > 0):
-            raise SolverFailure(f"sparse factorization failed (banded Cholesky: diagonal entry "
-                                f"{np.argmin(diagonal > 0)} not positive, matrix singular or "
-                                "not positive definite)")
-        return BandedCholesky(_band_factor(cols, offsets, data[kept], m, width),
-                              np.flatnonzero(coupled), diagonal)
+    b, cap = int(offsets.max(initial=0)), BANDED_MAX_HALF_WIDTH
+    if b <= cap or (m <= cap * b and b ** 2 <= cap * m):
+        return BandedCholesky(_band_factor(cols, offsets, data, m, b))
     csc = matrix.tocsc(copy=True)
     csc.eliminate_zeros()
     try:
@@ -483,11 +473,12 @@ def factor_spd(matrix: sp.spmatrix) -> Factor:
 
 def _band_factor(cols, offsets, data, n, width):
     """dpbtrf of the n x n matrix of half-bandwidth `width` whose lower triangle
-    holds `data` at (cols + offsets, cols), duplicates summed: A_ij at band[i - j, j]."""
-    slots = cols.astype(np.intp) * (width + 1) + offsets
-    band = np.bincount(slots, weights=data, minlength=(width + 1) * n)
-    band, info = lapack.dpbtrf(band.reshape((width + 1, n), order="F"),
-                               lower=1, overwrite_ab=1)
+    holds `data` at (cols + offsets, cols), duplicates summed: A_ij at band[i - j, j].
+    A band 2^k high, where dpbtrs is slow, stores one more diagonal, of zeros."""
+    height = width + 1 + ((width + 1) & width == 0)
+    slots = cols.astype(np.intp) * height + offsets
+    band = np.bincount(slots, weights=data, minlength=height * n)
+    band, info = lapack.dpbtrf(band.reshape((height, n), order="F"), lower=1, overwrite_ab=1)
     if info:
         raise SolverFailure(f"sparse factorization failed (banded Cholesky: leading minor "
                             f"{info} not positive, matrix singular or not positive definite)")
@@ -496,22 +487,24 @@ def _band_factor(cols, offsets, data, n, width):
 
 def solve_spd_pcg(matrix: sp.spmatrix, rhs: np.ndarray, x0: np.ndarray,
                   precond: Factor | None, pcg_rtol: float, max_iter: int,
-                  transpose: np.ndarray | None = None
+                  transpose: np.ndarray | None = None, dirichlet_norm: float = 0.0
                   ) -> tuple[np.ndarray, int, Factor | None]:
     """SPD solve by scipy's conjugate gradients from x0, preconditioned by
-    `precond` (a factor of a spectrally equivalent SPD matrix), to relative
-    residual pcg_rtol. When CG has not converged within max_iter iterations
-    the matrix is factored and solved directly instead, so max_iter = 0 is a
-    direct solve and needs no `precond`. Returns the solution, the CG
-    iterations and the new factor (None when CG converged). A nonsymmetric
-    matrix raises SolverFailure (`transpose` as in check_symmetric); the contract
-    is relative residual <= SOLVE_RTOL.
+    `precond` (a factor of a spectrally equivalent SPD matrix), to residual
+    pcg_rtol times the norm of (rhs, the `dirichlet_norm` of the values a
+    free block eliminated), as on the whole system. When CG has not converged within max_iter iterations the matrix is
+    factored and solved directly instead, so max_iter = 0 is a direct solve
+    and needs no `precond`. Returns the solution, the CG iterations and the
+    new factor (None when CG converged). A nonsymmetric matrix raises
+    SolverFailure (`transpose` as in check_symmetric); the contract is
+    relative residual <= SOLVE_RTOL.
     """
     if not check_symmetric(matrix, transpose=transpose):
         raise SolverFailure("matrix not symmetric")
     if max_iter > 0:
         steps = []   # cg hands every iterate to its callback
-        x, info = spla.cg(matrix, rhs, x0, rtol=pcg_rtol, atol=0.0, maxiter=max_iter,
+        atol = pcg_rtol * math.hypot(np.linalg.norm(rhs), dirichlet_norm)
+        x, info = spla.cg(matrix, rhs, x0, rtol=0.0, atol=atol, maxiter=max_iter,
                           M=spla.LinearOperator(matrix.shape, precond.solve, dtype=float),
                           callback=steps.append)
         if info == 0:

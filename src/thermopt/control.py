@@ -23,7 +23,8 @@ runs out of trials or whose step stops moving the control ends unconverged;
 and at max_outer the last iterate, which has the lowest J, is returned.
 Sensitivity solves exist only to verify the gradient; the optimizer never
 uses them. Both blocks come from one linearization: three cell matrices
-scattered once each and S from the stiffness map, eliminated on the slot
+scattered once each and S from the stiffness map, each reduced to its free
+block (the unknowns of u off Gamma_D, of phi off the boundary) on the slot
 maps of the state solve (the adjoint takes the transposed blocks).
 
 Both block systems are solved by BiCGSTAB (van der Vorst, SIAM J. Sci.
@@ -92,7 +93,7 @@ class AdjointSolution:
     p: Field
     q: Field
     iterations: int = 0     # BiCGSTAB iterations; 0 for a direct solve
-    # factor of the eliminated S; None when no BiCGSTAB ran
+    # factor of S's free block; None when no BiCGSTAB ran
     potential_factor: assembly.Factor | None = None
 
 
@@ -111,14 +112,13 @@ def objective(mesh, u: Field, beta: Control) -> ObjectiveValue:
 
 def _state_jacobian(spec: ProblemSpec, beta: Control,
                     state: StateSolution) -> list[list[sp.csr_matrix]]:
-    """Blocks [[A, B], [C, S]] of the exact Jacobian at (u, phi) of the
+    """Free blocks [[A, B], [C, S]] of the exact Jacobian at (u, phi) of the
     residuals (K + R) u - b(u, phi) - robin load and S(sigma(u)) phi, with b
-    the weak Joule load of assemble_joule_rhs_weak, Dirichlet-eliminated:
-    A (with R) on Gamma_D and S on the whole boundary through the slot maps
-    that the state solve built, B and C with the rows and columns of those
-    sets zeroed in every cell matrix. With d = phi0 - phi, [.] the cell mean
-    by quadrature, K the cell stiffness, test i and trial j, the cell
-    matrices are
+    the weak Joule load of assemble_joule_rhs_weak: the u rows and columns
+    off Gamma_D, the phi ones off the boundary, so A is square on the first,
+    S on the second, B their rows by columns and C the reverse. With
+    d = phi0 - phi, [.] the cell mean by quadrature, K the cell stiffness,
+    test i and trial j, the cell matrices are
 
     A = K - |K| (grad phi . grad lambda_i) [d sigma' lambda_j]
           - |K| [sigma' (grad phi . grad phi0) lambda_i lambda_j]
@@ -143,26 +143,24 @@ def _state_jacobian(spec: ProblemSpec, beta: Control,
          - K * ((diff_q * sigma_q) @ geom.qweights)[:, None, None])
     C = np.einsum("ci,cj->cij", conv, geom.moments(sigma_prime_q))
     fixed_u, fixed_phi = spec.dirichlet_temperature_vertices(), geom.boundary_vertices
-    free_u, free_phi = (~np.isin(geom.cells, fixed) for fixed in (fixed_u, fixed_phi))
-    B *= free_u[:, :, None] & free_phi[:, None, :]
-    C *= free_phi[:, :, None] & free_u[:, None, :]
     R, _ = assembly.assemble_robin(spec.mesh, beta, spec.u1)
-    return [[geom.eliminated(geom.data(A) + R.data, fixed_u)[0], geom.csr(geom.data(B))],
-            [geom.csr(geom.data(C)),
+    return [[geom.eliminated(geom.data(A) + R.data, fixed_u)[0],
+             geom.eliminated(geom.data(B), fixed_u, fixed_phi)[0]],
+            [geom.eliminated(geom.data(C), fixed_phi, fixed_u)[0],
              geom.eliminated(geom.stiffness_map @ (sigma_q @ geom.qweights), fixed_phi)[0]]]
 
 
 def _block_rhs(spec: ProblemSpec, source: np.ndarray) -> np.ndarray:
-    """Right side (source, 0) of a block system, zero on Gamma_D."""
-    rhs = np.concatenate([source, np.zeros(spec.mesh.n_vertices)])
-    rhs[spec.dirichlet_temperature_vertices()] = 0.0
-    return rhs
+    """Right side (source off Gamma_D, 0 off the boundary) of a block system."""
+    geom = geometry(spec.mesh)
+    return np.concatenate([source[geom.free(spec.dirichlet_temperature_vertices())],
+                           np.zeros(geom.free(geom.boundary_vertices).size)])
 
 
 def adjoint_system(spec: ProblemSpec, beta: Control,
                    state: StateSolution) -> tuple[list[list[sp.spmatrix]], np.ndarray]:
-    """Eliminated block system for (p, q): the state Jacobian's transpose
-    [[A^T, C^T], [B^T, S]], bit for bit as elimination commutes with it, with
+    """Free block system for (p, q): the state Jacobian's transpose
+    [[A^T, C^T], [B^T, S]], bit for bit as taking free blocks commutes with it, with
     the objective's source: A^T p + C^T q = -integral lambda_i dx, B^T p + S q = 0."""
     (a, b), (c, s) = _state_jacobian(spec, beta, state)
     return [[a.T, c.T], [b.T, s]], _block_rhs(spec, -assembly.load_vector(spec.mesh))
@@ -170,7 +168,7 @@ def adjoint_system(spec: ProblemSpec, beta: Control,
 
 def sensitivity_system(spec: ProblemSpec, beta: Control, state: StateSolution,
                        ell: Control) -> tuple[list[list[sp.spmatrix]], np.ndarray]:
-    """Eliminated block system for (psi1, psi2): the state Jacobian
+    """Free block system for (psi1, psi2): the state Jacobian
     [[A, B], [C, S]] with the derivative of the Robin terms in direction
     ell, -integral ell (u - u1) lambda_i ds, as the temperature source."""
     ell_load = (assembly.facet_mass(spec.mesh, ell.values, ell.facet_ids)
@@ -180,13 +178,13 @@ def sensitivity_system(spec: ProblemSpec, beta: Control, state: StateSolution,
 
 def _block_bicgstab(matrix, rhs, potential, coupling,
                     temperature_factor) -> tuple[np.ndarray | None, int, assembly.Factor]:
-    """BiCGSTAB on the eliminated 2n block, preconditioned block upper
+    """BiCGSTAB on the free block system, preconditioned block upper
     triangularly: z2 = S^-1 r2 with S the `potential` block, then
     z1 = T^-1 (r1 - M12 z2) with M12 the top-right `coupling` block and T^-1 the
-    state solve's temperature_factor for K + R eliminated on Gamma_D. Returns the solution
+    state solve's temperature_factor for the free block of K + R. Returns the solution
     (None when the cap or a breakdown stops BiCGSTAB), the iterations and S's factor."""
     s_lu = assembly.factor_spd(potential)
-    n = potential.shape[0]
+    n = coupling.shape[0]   # the temperature unknowns
     applications = 0
 
     def precondition(r):
@@ -202,13 +200,13 @@ def _block_bicgstab(matrix, rhs, potential, coupling,
     return (x if info == 0 else None), (applications + 1) // 2, s_lu
 
 
-def _solve_block(blocks, rhs, state: StateSolution
-                 ) -> tuple[np.ndarray, np.ndarray, int, assembly.Factor | None]:
-    """Solve the eliminated 2n block; returns both halves, the BiCGSTAB
-    iterations (0 for a direct solve) and the factor of S (None when no
-    BiCGSTAB ran). A BiCGSTAB run that reaches ADJOINT_MAX_ITER or breaks
-    down falls back to the direct solve."""
-    n = rhs.size // 2
+def _solve_block(spec: ProblemSpec, blocks, rhs, state: StateSolution
+                 ) -> tuple[Field, Field, int, assembly.Factor | None]:
+    """Solve the free block system; returns both halves as fields, zero on
+    their Dirichlet sets, the BiCGSTAB iterations (0 for a direct solve) and
+    the factor of S (None when no BiCGSTAB ran). A BiCGSTAB run that reaches
+    ADJOINT_MAX_ITER or breaks down falls back to the direct solve."""
+    geom = geometry(spec.mesh)
     matrix = sp.bmat(blocks, format="csr")
     matrix.eliminate_zeros()   # stored zeros would change the direct solve's ordering
     try:
@@ -222,19 +220,20 @@ def _solve_block(blocks, rhs, state: StateSolution
         raise AdjointFailure(
             f"block solve failed ({exc}); the conductivity may be degenerate "
             "on part of the domain") from exc
-    return x[:n], x[n:], iterations, s_lu
+    n = blocks[0][0].shape[0]   # the temperature unknowns
+    return (Field(spec.mesh, geom.extend(x[:n], spec.dirichlet_temperature_vertices())),
+            Field(spec.mesh, geom.extend(x[n:], geom.boundary_vertices)), iterations, s_lu)
 
 
 def solve_adjoint(spec: ProblemSpec, beta: Control,
                   state: StateSolution) -> AdjointSolution:
-    p, q, *rest = _solve_block(*adjoint_system(spec, beta, state), state)
-    return AdjointSolution(Field(spec.mesh, p), Field(spec.mesh, q), *rest)
+    return AdjointSolution(*_solve_block(spec, *adjoint_system(spec, beta, state), state))
 
 
 def solve_sensitivity(spec: ProblemSpec, beta: Control, state: StateSolution,
                       ell: Control) -> SensitivityPair:
-    psi1, psi2, *_ = _solve_block(*sensitivity_system(spec, beta, state, ell), state)
-    return SensitivityPair(Field(spec.mesh, psi1), Field(spec.mesh, psi2))
+    psi1, psi2, *_ = _solve_block(spec, *sensitivity_system(spec, beta, state, ell), state)
+    return SensitivityPair(psi1, psi2)
 
 
 def stationarity(spec: ProblemSpec, state: StateSolution, adjoint: AdjointSolution,

@@ -15,12 +15,16 @@ the truncation level, so it solves the original problem and the truncation
 was only scaffolding. Exceeding the level is a first-class error: that
 regime is outside the theory.
 
+Every linear solve is for the unknowns only, the free block off the
+Dirichlet set (the boundary for phi, Gamma_D for u), scattered into fields
+that hold phi0 and u0 there.
+
 The truncation also makes every potential matrix S(sigma_n(u)) spectrally
 equivalent to the unit stiffness K, with condition number of K^-1 S at most
 sigma_0 / min sigma_n. So each potential solve is conjugate gradients from
 the previous step's potential, preconditioned by the per-mesh inverse of K
-(a sine transform on a box mesh, else K's factor) or by a caller's factor of
-a nearby S (the optimizer passes the last adjoint's);
+(a separable inverse on a box mesh, else K's factor) or by a caller's
+factor of a nearby S (the optimizer passes the last adjoint's);
 when CG reaches its cap the step factors S and solves directly, and that
 factor preconditions the rest of the solve.
 
@@ -114,9 +118,9 @@ class StateSolution:
     history: list = dfield(default_factory=list)
     cg_iterations: int = 0       # over all potential and temperature solves
     factorizations: int = 0      # banded Cholesky or SuperLU factors this solve made
-    # what the temperature solves used for K + R eliminated on Gamma_D: its
-    # factor, or a box's separable inverse (see the module docstring); the
-    # adjoint block and the certificate's Poincare estimate precondition by it
+    # what the temperature solves used for K + R's free block: its factor,
+    # or a box's separable inverse (see the module docstring); the adjoint
+    # block and the certificate's Poincare estimate precondition by it
     temperature_factor: assembly.Factor | None = None
 
 
@@ -133,8 +137,8 @@ def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = N
                 precond: assembly.Factor | None = None) -> StateSolution:
     """Solve the coupled system; raises on nonconvergence or criticality.
 
-    The potential CG is preconditioned by `precond`, a factor of a nearby
-    eliminated potential matrix, or by the mesh's inverse of K
+    The potential CG is preconditioned by `precond`, a factor of the free
+    block of a nearby potential matrix, or by the mesh's inverse of K
     (geometry(mesh).potential_factor) when None.
     Convergence is measured on the unmixed Picard candidate (the fixed-point
     residual max |T(u^k) - u^k| together with the potential increment) and
@@ -159,9 +163,12 @@ def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = N
     R, robin_rhs = assembly.assemble_robin(mesh, beta, spec.u1)
     A_u = geom.csr(geom.stiffness.data + R.data)   # both on the cell pattern
     fixed_u = spec.dirichlet_temperature_vertices()
+    free_u = geom.free(fixed_u)
     u_fixed = spec.u0.values[fixed_u]
     fixed_phi = geom.boundary_vertices
     phi_fixed = spec.phi0.values[fixed_phi]
+    # CG stops relative to the whole system's right side, these values included
+    u_norm, phi_norm = (float(np.linalg.norm(v)) for v in (u_fixed, phi_fixed))
 
     # the temperature matrix is iteration-independent: factor it once, or CG
     # (see the module docstring)
@@ -187,20 +194,22 @@ def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = N
         sigma_clamp_count += int(np.count_nonzero(u_q < 0))
         sigma_q = sigma(u_q)
         phi_new, cg, refactor = _solve_potential(mesh, sigma_q, phi, fixed_phi,
-                                                 phi_fixed, precond)
+                                                 phi_fixed, phi_norm, precond)
         factors = refactor is not None
         if refactor is not None:
             precond = refactor
         phi_field = Field(mesh, phi_new)
         joule = assembly.assemble_joule_rhs_weak(mesh, sigma_q, phi_field, spec.phi0)
-        u_rhs = lift_dirichlet(A_u, joule + robin_rhs, fixed_u, u_fixed)
+        u_rhs = lift_dirichlet(A_u, joule + robin_rhs, fixed_u, u_fixed, free_u)
         if u_lu is None:
             # a CG that reaches its cap factors, and the factor serves the rest
-            u_candidate, u_cg, u_lu = assembly.solve_spd_pcg(
-                u_matrix, u_rhs, u, u_inverse, PCG_RTOL, PCG_MAX_ITER, u_transpose)
+            u_free, u_cg, u_lu = assembly.solve_spd_pcg(
+                u_matrix, u_rhs, u[free_u], u_inverse, PCG_RTOL, PCG_MAX_ITER, u_transpose,
+                u_norm)
             cg, factors = cg + u_cg, factors + (u_lu is not None)
         else:
-            u_candidate = u_lu.solve(u_rhs)
+            u_free = u_lu.solve(u_rhs)
+        u_candidate = geom.extend(u_free, fixed_u, u_fixed)
         cg_iterations += cg
         factorizations += factors
 
@@ -289,13 +298,16 @@ def _box_temperature_inverse(mesh: Mesh, beta: Control) -> assembly.GridPoisson 
     return assembly.GridPoisson(divisions, extents, list(zip(ends[::2], ends[1::2])))
 
 
-def _solve_potential(mesh, sigma_q, phi, fixed, values, precond):
+def _solve_potential(mesh, sigma_q, phi, fixed, values, values_norm, precond):
     # a function, so that its matrix is freed before the Joule assembly
-    A_phi = geometry(mesh).csr(assembly.weighted_stiffness_data(mesh, sigma_q))
-    matrix, transpose = geometry(mesh).eliminated(A_phi.data, fixed)
-    return assembly.solve_spd_pcg(
-        matrix, lift_dirichlet(A_phi, np.zeros(mesh.n_vertices), fixed, values),
-        phi, precond, PCG_RTOL, PCG_MAX_ITER, transpose=transpose)
+    geom = geometry(mesh)
+    A_phi = geom.csr(assembly.weighted_stiffness_data(mesh, sigma_q))
+    matrix, transpose = geom.eliminated(A_phi.data, fixed)
+    free = geom.free(fixed)
+    x, cg, factor = assembly.solve_spd_pcg(
+        matrix, lift_dirichlet(A_phi, 0.0, fixed, values, free), phi[free], precond,
+        PCG_RTOL, PCG_MAX_ITER, transpose, values_norm)
+    return geom.extend(x, fixed, values), cg, factor
 
 
 def weak_residual(spec: ProblemSpec, beta: Control, sol: StateSolution) -> tuple[float, float]:

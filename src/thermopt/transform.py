@@ -150,38 +150,32 @@ def estimate_poincare(mesh: Mesh, factor: assembly.Factor | None = None) -> tupl
     23, 2001).
 
     `factor` preconditions it: the inverse, exact or approximate, of an SPD
-    matrix eliminated on Gamma_D and spectrally equivalent to K there, such
-    as the state's temperature_factor; it changes the iteration count, not C_D.
-    Without one, K eliminated on Gamma_D is factored. Below _LOBPCG_MIN_SIZE
-    free vertices the problem is solved densely, in 0 iterations.
+    matrix on the free vertices (off Gamma_D) spectrally equivalent to K's
+    free block, such as the state's temperature_factor; it changes the
+    iteration count, not C_D. Without one, K's free block is factored. Below
+    _LOBPCG_MIN_SIZE free vertices the problem is solved densely, in 0
+    iterations.
     """
-    n = mesh.n_vertices
+    geom = geometry(mesh)
     fixed = mesh.boundary_vertex_set(BoundaryTag.DIRICHLET_TEMPERATURE)
-    free = np.setdiff1d(np.arange(n), fixed)
+    free = geom.free(fixed)
     if free.size == 0:
         raise EstimationError("every vertex lies on the Dirichlet part")
-    stiffness = geometry(mesh).stiffness
-    K = stiffness[free][:, free]
-    M = assembly.assemble_mass(mesh)[free][:, free]
+    K = geom.eliminated(geom.stiffness.data, fixed)[0]
+    M = geom.eliminated(assembly.assemble_mass(mesh).data, fixed)[0]
     if free.size < _LOBPCG_MIN_SIZE:
         lam = linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True,
                           subset_by_index=[0, 0])[0]
         iterations = 0
     else:
         if factor is None:
-            factor = assembly.factor_spd(geometry(mesh).eliminated(stiffness.data, fixed)[0])
-
-        def precondition(r):
-            z = np.zeros((n,) + r.shape[1:])
-            z[free] = r
-            return factor.solve(z)[free]
-
+            factor = assembly.factor_spd(K)
         x = np.full((free.size, 1), 1.0 / math.sqrt(M.sum()))   # M-normalized
         tol = POINCARE_RTOL * (x.T @ (K @ x)).item() * float(np.linalg.norm(M @ x))
         with warnings.catch_warnings():
             # a run that stops short warns; the residual check below raises
             warnings.simplefilter("ignore", UserWarning)
-            lams, _, residuals = spla.lobpcg(K, x, B=M, M=precondition, tol=tol,
+            lams, _, residuals = spla.lobpcg(K, x, B=M, M=factor.solve, tol=tol,
                                              maxiter=POINCARE_MAX_ITER, largest=False,
                                              retResidualNormsHistory=True)
         if not residuals[-1] <= tol:

@@ -48,10 +48,17 @@ def solve_direct(matrix, rhs):
 
 
 def dirichlet_system(mesh, matrix, rhs, fixed, values):
-    """A matrix on the cell pattern of geometry(mesh) with the vertices
-    `fixed` eliminated and `values` lifted onto the right side `rhs`."""
-    return (geometry(mesh).eliminated(matrix.data, fixed)[0],
-            lift_dirichlet(matrix, rhs, fixed, values))
+    """The free block of a matrix on the cell pattern of geometry(mesh), off
+    the vertices `fixed`, and its right side: `values` lifted onto `rhs`."""
+    geom = geometry(mesh)
+    return (geom.eliminated(matrix.data, fixed)[0],
+            lift_dirichlet(matrix, rhs, fixed, values, geom.free(fixed)))
+
+
+def dirichlet_solve(mesh, matrix, rhs, fixed, values):
+    """The nodal solution: the free block's direct solve, `values` on `fixed`."""
+    return geometry(mesh).extend(solve_direct(*dirichlet_system(mesh, matrix, rhs, fixed, values)),
+                                 fixed, values)
 
 
 def unit_square(n, rule=LEFT):
@@ -202,8 +209,7 @@ def test_joule_weak_zero_for_constants():
 def _solve_phi(mesh, phi0_vals):
     K = assemble_weighted_stiffness(mesh, 1.0)
     fixed = mesh.boundary_vertex_set()
-    return solve_direct(*dirichlet_system(mesh, K, np.zeros(mesh.n_vertices), fixed,
-                                          phi0_vals[fixed]))
+    return dirichlet_solve(mesh, K, np.zeros(mesh.n_vertices), fixed, phi0_vals[fixed])
 
 
 def test_weak_vs_direct_difference_decreases_under_refinement():
@@ -229,12 +235,14 @@ def test_weak_vs_direct_difference_decreases_under_refinement():
 
 
 def test_eliminated_full_constraint_identity():
+    # every vertex fixed: a free block of no rows, whose solve is empty
     mesh = unit_square(2)
     K = assemble_weighted_stiffness(mesh, 1.0)
     fixed = np.arange(mesh.n_vertices)
     A, rhs = dirichlet_system(mesh, K, np.zeros(mesh.n_vertices), fixed, fixed.astype(float))
-    assert np.array_equal(A.toarray(), np.eye(mesh.n_vertices))
-    assert np.array_equal(solve_direct(A, rhs), fixed.astype(float))
+    assert A.shape == (0, 0) and rhs.shape == (0,)
+    assert np.array_equal(dirichlet_solve(mesh, K, np.zeros(mesh.n_vertices), fixed,
+                                          fixed.astype(float)), fixed.astype(float))
 
 
 def test_p1_reproduces_linear_dirichlet_data():
@@ -301,7 +309,7 @@ def test_3d_p1_reproduces_linear_dirichlet_data():
     K = assemble_weighted_stiffness(mesh, 1.0)
     target = mesh.vertices @ np.array([1.0, -2.0, 0.5])
     fixed = mesh.boundary_vertex_set()
-    x = solve_direct(*dirichlet_system(mesh, K, np.zeros(mesh.n_vertices), fixed, target[fixed]))
+    x = dirichlet_solve(mesh, K, np.zeros(mesh.n_vertices), fixed, target[fixed])
     assert np.allclose(x, target, atol=1e-11)
 
 
@@ -353,16 +361,18 @@ def test_grid_inverse_matches_spsolve_of_the_eliminated_stiffness(extents, divis
     assert isinstance(inverse, assembly.GridPoisson)
     K = geom.eliminated(geom.stiffness.data, geom.boundary_vertices)[0].tocsc()
     rng = np.random.default_rng(12)
-    for rhs in (rng.standard_normal(mesh.n_vertices), rng.standard_normal((mesh.n_vertices, 3))):
+    m = K.shape[0]
+    for rhs in (rng.standard_normal(m), rng.standard_normal((m, 3))):
         given = rhs.copy()
         x, ref = inverse.solve(rhs), spla.spsolve(K, rhs)
         assert x.shape == rhs.shape and np.array_equal(rhs, given)
-        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(x - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
 
 
 def _sine_inverse(divisions, extents, rhs):
-    """K's inverse on the boundary of a box by the closed-form sines alone,
-    in the matmul order of GridPoisson's all-Dirichlet axes."""
+    """K's inverse on the interior of a box by the closed-form sines
+    S_k = sqrt(2 / N_k) sin(pi i j / N_k), on a vector or a block of its
+    interior grid points in C order."""
     h = np.asarray(extents) / divisions
     j = [np.arange(1, n) for n in divisions]
     sines = [math.sqrt(2.0 / n) * np.sin(np.pi * np.outer(jk, jk) / n)
@@ -378,26 +388,27 @@ def _sine_inverse(divisions, extents, rhs):
                  else s @ y.reshape(lead, shape[axis], rest))
         return y.reshape(shape)
 
-    x = rhs.copy()
-    grid = x.reshape(tuple(n + 1 for n in divisions) + rhs.shape[1:])
+    grid = rhs.reshape(tuple(n - 1 for n in divisions) + rhs.shape[1:])
     if rhs.ndim == 2:
         grid = np.moveaxis(grid, -1, 0)
-    inner = grid[(...,) + (slice(1, -1),) * len(divisions)]
-    inner[...] = sine(sine(inner) / eigenvalues)
-    return x
+    x = sine(sine(grid) / eigenvalues)
+    return (np.moveaxis(x, 0, -1) if rhs.ndim == 2 else x).reshape(rhs.shape)
 
 
 @pytest.mark.parametrize("extents, divisions", [
     ([1.0, 1.0], [8, 8]), ([2.0, 0.5], [7, 5]), ([1.0, 1.0, 1.0], [5, 5, 5]),
     ([1.0, 2.0, 0.7], [4, 6, 3]), ([1.0, 1.0, 1.0], [16, 16, 16]),
     ([1.0, 1.0, 1.0], [1, 4, 4])])
-def test_grid_inverse_with_dirichlet_ends_keeps_the_closed_form_sines(extents, divisions):
+def test_grid_inverse_with_dirichlet_ends_matches_the_closed_form_sines(extents, divisions):
+    # eigh of each all-Dirichlet axis's pencil diagonalizes it as the sines do
     rng = np.random.default_rng(4)
-    n = math.prod(k + 1 for k in divisions)
-    for ends in (None, [(None, None)] * len(divisions)):
-        inverse = assembly.GridPoisson(tuple(divisions), tuple(extents), ends)
-        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-            assert np.array_equal(inverse.solve(rhs), _sine_inverse(divisions, extents, rhs))
+    m = math.prod(k - 1 for k in divisions)
+    default = assembly.GridPoisson(tuple(divisions), tuple(extents))
+    inverse = assembly.GridPoisson(tuple(divisions), tuple(extents), [(None, None)] * len(divisions))
+    for rhs in (rng.standard_normal(m), rng.standard_normal((m, 3))):
+        x, ref = inverse.solve(rhs), _sine_inverse(divisions, extents, rhs)
+        assert np.array_equal(default.solve(rhs), x)
+        assert np.max(np.abs(x - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
 
 
 @pytest.mark.parametrize("extents, divisions, planes, ends", [
@@ -416,7 +427,8 @@ def test_grid_inverse_with_neumann_faces_inverts_k_in_2d(extents, divisions, pla
                         mesh.boundary_vertex_set(BoundaryTag.DIRICHLET_TEMPERATURE))[0].tocsc()
     inverse = assembly.GridPoisson(tuple(divisions), tuple(extents), ends)
     rng = np.random.default_rng(13)
-    for rhs in (rng.standard_normal(mesh.n_vertices), rng.standard_normal((mesh.n_vertices, 2))):
+    m = K.shape[0]
+    for rhs in (rng.standard_normal(m), rng.standard_normal((m, 2))):
         given = rhs.copy()
         x, ref = inverse.solve(rhs), spla.spsolve(K, rhs)
         assert x.shape == rhs.shape and np.array_equal(rhs, given)
@@ -450,7 +462,7 @@ def test_only_box_meshes_carry_a_grid(tmp_path, monkeypatch):
             factor = geom.potential_factor
             assert isinstance(factor, assembly.BandedCholesky | spla.SuperLU)
             K = geom.eliminated(geom.stiffness.data, geom.boundary_vertices)[0]
-            rhs = np.linspace(-1.0, 1.0, other.n_vertices)
+            rhs = np.linspace(-1.0, 1.0, K.shape[0])
             assembly.checked_solution(K, rhs, factor.solve(rhs))
 
 
@@ -460,8 +472,7 @@ def test_solve_spd_pcg_converges_or_refactors():
     w = 1.0 + mesh.vertices[:, 0] ** 2
     A, rhs = dirichlet_system(mesh, assemble_weighted_stiffness(mesh, geometry(mesh).at_quadrature(w)),
                               np.zeros(mesh.n_vertices), fixed, mesh.vertices[fixed, 1])
-    x0 = np.zeros(mesh.n_vertices)
-    x0[fixed] = mesh.vertices[fixed, 1]
+    x0 = np.zeros(A.shape[0])
     precond = geometry(mesh).potential_factor
     x, iterations, lu = solve_spd_pcg(A, rhs, x0, precond, 1e-13, 50)
     assert 0 < iterations < 50 and lu is None
@@ -495,22 +506,26 @@ FIXED_PATTERN_BOXES = [([1.0, 1.0], [32, 32]), ([1.0, 1.0, 1.0], [16, 16, 16]),
                        ([3.0, 1.0, 0.5], [9, 3, 2])]
 
 
-def apply_dirichlet(matrix, rhs, fixed, values):
-    """Reference elimination: D A D + (I - D) with D = diag(keep), the
-    constrained rows and columns zeroed but for a unit diagonal, stored zeros
-    dropped, and `values` lifted onto the right side."""
-    keep = np.ones(matrix.shape[0])
-    keep[fixed] = 0.0
-    A = (sp.diags(keep) @ matrix @ sp.diags(keep) + sp.diags(1.0 - keep)).tocsr()
-    A.eliminate_zeros()
-    return A, lift_dirichlet(matrix, rhs, fixed, values)
+def sliced(matrix, fixed, fixed_cols=None):
+    """Reference free block: the rows off `fixed` and the columns off
+    `fixed_cols` (default `fixed`) of the matrix, by scipy's indexing,
+    which keeps stored zeros."""
+    rows, cols = (np.setdiff1d(np.arange(matrix.shape[0]), f)
+                  for f in (fixed, fixed if fixed_cols is None else fixed_cols))
+    return matrix.tocsr()[rows][:, cols]
+
+
+def same_csr(A, B):
+    """A and B store the same entries in the same slots, bit for bit."""
+    return (A.shape == B.shape and np.array_equal(A.indptr, B.indptr)
+            and np.array_equal(A.indices, B.indices) and np.array_equal(A.data, B.data))
 
 
 @pytest.mark.parametrize("extents, divisions", FIXED_PATTERN_BOXES)
-def test_eliminated_matches_apply_dirichlet(extents, divisions):
+def test_eliminated_matches_the_sliced_matrix(extents, divisions):
     # the potential's set (the boundary) with a weighted stiffness and the
     # temperature's (Gamma_D) with the Robin term added, as the state solve
-    # builds them; apply_dirichlet drops stored zeros, eliminated keeps them
+    # builds them: eliminated keeps the stored zeros, as slicing does
     mesh = build_rectangle_mesh(extents, divisions, LEFT)
     geom = geometry(mesh)
     n = mesh.n_vertices
@@ -524,36 +539,63 @@ def test_eliminated_matches_apply_dirichlet(extents, divisions):
     for data, reference, fixed in ((S.data, S, geom.boundary_vertices),
                                    (S.data + R.data, S + R, gamma_d)):
         values = rng.uniform(-1.0, 1.0, fixed.size)
-        A_ref, rhs_ref = apply_dirichlet(reference, rhs, fixed, values)
+        free = geom.free(fixed)
+        assert np.array_equal(free, np.setdiff1d(np.arange(n), fixed))
+        assert geom.free(fixed.copy()) is free   # kept per set
         A, transpose = geom.eliminated(data, fixed)
         assert geom.eliminated(data, fixed)[1] is transpose   # the kept slot map
+        assert same_csr(A, sliced(geom.csr(data), fixed))
+        A_ref = sliced(reference, fixed)
+        A_ref.eliminate_zeros()
         stored = A.copy()
         stored.eliminate_zeros()
-        assert np.array_equal(stored.indptr, A_ref.indptr)
-        assert np.array_equal(stored.indices, A_ref.indices)
-        assert np.array_equal(stored.data, A_ref.data)
-        assert np.array_equal(lift_dirichlet(geom.csr(data), rhs, fixed, values), rhs_ref)
+        assert same_csr(stored, A_ref)
+        x_d = np.zeros(n)
+        x_d[fixed] = values
+        rhs_ref = (rhs - reference @ x_d)[free]
+        assert np.array_equal(lift_dirichlet(geom.csr(data), rhs, fixed, values, free), rhs_ref)
         # factor_spd drops the stored zeros: the same factor
         assert np.array_equal(factor_spd(A).solve(rhs_ref), factor_spd(A_ref).solve(rhs_ref))
         # the cached permutation is the transpose, also of nonsymmetric data
         assert np.array_equal(A.data[transpose], A.T.tocsr().data)
-        skew = geom.csr(np.arange(A.nnz, dtype=float), (A.indices, A.indptr))
+        skew = sp.csr_matrix((np.arange(A.nnz, dtype=float), A.indices, A.indptr), shape=A.shape)
         assert np.array_equal(skew.data[transpose], skew.T.tocsr().data)
         with pytest.raises(ValueError):
             A.indices[0] = 0
+        with pytest.raises(ValueError):
+            free[0] = 0
 
 
-def test_eliminated_potential_is_bit_identical_to_apply_dirichlet():
+@pytest.mark.parametrize("extents, divisions", FIXED_PATTERN_BOXES)
+def test_rectangular_and_square_free_blocks_equal_the_sliced_matrix(extents, divisions):
+    # every block the state Jacobian takes, on nonsymmetric data: A and S
+    # square, B (rows off Gamma_D, columns off the boundary) and C the reverse
+    mesh = build_rectangle_mesh(extents, divisions, LEFT)
+    geom = geometry(mesh)
+    data = np.random.default_rng(14).standard_normal(geom.pattern[0].size)
+    data[::7] = 0.0   # stored zeros stay
+    full = geom.csr(data)
+    gamma_d = mesh.boundary_vertex_set(BoundaryTag.DIRICHLET_TEMPERATURE)
+    for fixed, fixed_cols in ((gamma_d, None), (geom.boundary_vertices, None),
+                              (gamma_d, geom.boundary_vertices),
+                              (geom.boundary_vertices, gamma_d)):
+        block, transpose = geom.eliminated(data, fixed, fixed_cols)
+        assert same_csr(block, sliced(full, fixed, fixed_cols))
+        assert (transpose is None) == (fixed_cols is not None)
+
+
+def test_eliminated_potential_is_bit_identical_to_the_sliced_matrix():
     mesh = unit_square(32)
     geom = geometry(mesh)
     w = geom.at_quadrature(1.0 + mesh.vertices[:, 0] ** 2)
     S = assemble_weighted_stiffness(mesh, w)
     fixed = geom.boundary_vertices
-    A_ref, _ = apply_dirichlet(S, np.zeros(mesh.n_vertices), fixed, 0.0)
+    A_ref = sliced(S, fixed)
+    A_ref.eliminate_zeros()
     A, _ = geom.eliminated(S.data, fixed)
     assert (A != A_ref).nnz == 0
-    assert np.array_equal(factor_spd(A).solve(np.ones(mesh.n_vertices)),
-                          factor_spd(A_ref).solve(np.ones(mesh.n_vertices)))
+    assert np.array_equal(factor_spd(A).solve(np.ones(A.shape[0])),
+                          factor_spd(A_ref).solve(np.ones(A.shape[0])))
 
 
 def eliminated_systems(divisions, refined=False):
@@ -581,6 +623,12 @@ def half_bandwidth(matrix):
     return int((lower.row - lower.col)[lower.data != 0].max(initial=0))
 
 
+def band_height(width):
+    """The rows of a factor's band storage: width + 1, and one more where
+    that is a power of two."""
+    return width + 1 + ((width + 1) & width == 0)
+
+
 def band_matrix(n, width, diagonal=4.0):
     """diagonal I - E - E^T, E the ones at offset `width` below the diagonal."""
     return sp.diags([diagonal, -1.0, -1.0], [0, -width, width], shape=(n, n), format="csr")
@@ -590,7 +638,7 @@ def band_matrix(n, width, diagonal=4.0):
                                        [16, 16, 16]])
 def test_banded_factor_matches_superlu(monkeypatch, divisions):
     # vector and (n, 3) block right sides: the Poincare estimate's LOBPCG
-    # preconditions blocks; the 3D boxes from 8^3 on band their coupled rows
+    # preconditions blocks; the 3D boxes from 8^3 on band above the cap
     rng = np.random.default_rng(6)
     for A in eliminated_systems(divisions):
         data = A.data.copy()
@@ -599,7 +647,7 @@ def test_banded_factor_matches_superlu(monkeypatch, divisions):
             patch.setattr(assembly, "BANDED_MAX_HALF_WIDTH", -1)
             lu = factor_spd(A)
         assert isinstance(banded, assembly.BandedCholesky) and isinstance(lu, spla.SuperLU)
-        assert (banded.coupled is None) == (half_bandwidth(A) <= assembly.BANDED_MAX_HALF_WIDTH)
+        assert banded.band.shape == (band_height(half_bandwidth(A)), A.shape[0])
         for rhs in (rng.standard_normal(A.shape[0]), rng.standard_normal((A.shape[0], 3))):
             given = rhs.copy()
             x, ref = banded.solve(rhs), lu.solve(rhs)
@@ -615,7 +663,7 @@ def test_banded_factor_matches_superlu(monkeypatch, divisions):
 
 def test_factor_spd_takes_the_banded_path_up_to_the_cap(monkeypatch):
     """Counted, not timed: half-bandwidth at the cap factors by dpbtrf, and
-    stored zeros do not widen the band; above the cap the m coupled rows of
+    stored zeros do not widen the band; above the cap the m rows of
     half-bandwidth b are banded while m <= cap b and b^2 <= cap m, else
     factored by splu with the MMD ordering."""
     calls = []
@@ -673,28 +721,46 @@ def test_banded_factor_of_an_indefinite_or_singular_matrix_raises():
             factor_spd(A)
 
 
-def test_decoupled_rows_divide_by_their_diagonal_and_a_nonpositive_one_raises():
-    # offset 120 on 192 rows leaves rows 72-119 with the diagonal alone: the
-    # other 144 rows have b = 72 once renumbered, so they are banded
-    n, width = 192, 120
-    A = band_matrix(n, width).tolil()
-    A[80, 80] = 2.0
-    A = A.tocsr()
-    rhs = np.random.default_rng(9).standard_normal((n, 2))
+def test_band_storage_is_never_a_power_of_two_high(monkeypatch):
+    # dpbtrs is slow at heights 16, 32 and 64, so such a band stores one
+    # more diagonal; it stays zero in the factor, and the solves are SuperLU's
+    rng = np.random.default_rng(9)
+    for width, height in ((31, 33), (30, 31), (63, 65), (15, 17), (1, 3)):
+        A = band_matrix(961, width)
+        factor = factor_spd(A)
+        assert isinstance(factor, assembly.BandedCholesky)
+        assert factor.band.shape == (height, 961) == (band_height(width), 961)
+        if height > width + 1:
+            assert not factor.band[-1].any()
+        with monkeypatch.context() as patch:
+            patch.setattr(assembly, "BANDED_MAX_HALF_WIDTH", -1)
+            lu = factor_spd(A)
+        assert isinstance(lu, spla.SuperLU)
+        for rhs in (rng.standard_normal(961), rng.standard_normal((961, 2))):
+            x, ref = factor.solve(rhs), lu.solve(rhs)
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_a_thin_box_bands_below_the_cap():
+    # 256 x 4: b <= cap bands, although m > cap b, which keeps a band above
+    # the cap off it
+    cap = assembly.BANDED_MAX_HALF_WIDTH
+    for A in eliminated_systems([256, 4]):
+        assert half_bandwidth(A) <= cap and A.shape[0] > cap * half_bandwidth(A)
+        assert isinstance(factor_spd(A), assembly.BandedCholesky)
+
+
+def test_zero_size_free_blocks_factor_and_solve():
+    # a free block of no rows, as on a 1 x n box, factors, solves and CGs
+    A = sp.csr_matrix((0, 0))
     factor = factor_spd(A)
-    assert isinstance(factor, assembly.BandedCholesky) and factor.band.shape == (73, 144)
-    assert np.array_equal(factor.coupled, np.r_[0:72, 120:192])
-    x = factor.solve(rhs)
-    assert np.array_equal(x[72:120], rhs[72:120] / A.diagonal()[72:120, None])
-    ref = solve_direct(A, rhs)
-    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
-    with pytest.raises(ValueError):
-        factor.solve(np.ones(n - 1))
-    for value in (0.0, -1.0):
-        bad = A.tolil()
-        bad[100, 100] = value
-        with pytest.raises(SolverFailure, match="diagonal entry 100 not positive"):
-            factor_spd(bad.tocsr())
+    assert factor.solve(np.zeros(0)).shape == (0,)
+    assert factor.solve(np.zeros((0, 3))).shape == (0, 3)
+    x, iterations, lu = solve_spd_pcg(A, np.zeros(0), np.zeros(0), factor, 1e-13, 20,
+                                      np.zeros(0, dtype=int), 1.0)
+    assert x.shape == (0,) and iterations == 0 and lu is None
+    inverse = assembly.GridPoisson((1, 4), (1.0, 1.0))
+    assert inverse.shape == (0, 3) and inverse.solve(np.zeros((0, 2))).shape == (0, 2)
 
 
 @pytest.mark.parametrize("divisions, refined", [([96, 96], False), ([16, 16], True),
@@ -707,15 +773,15 @@ def test_long_and_refined_meshes_stay_on_superlu(divisions, refined):
 
 
 @pytest.mark.parametrize("n", [32, 64])
-def test_2d_box_bands_are_the_cholesky_of_their_coupled_block(n):
-    # 32^2 is within the cap and bands the whole matrix, as before; 64^2
-    # (b = 65) bands the block of its coupled rows
-    for A in eliminated_systems([n, n]):
+def test_2d_box_bands_are_the_cholesky_of_their_free_block(n):
+    # both free blocks band in their own order: at 32^2 the potential's
+    # b = 31 and the temperature's b = 33, at 64^2 b = 63 and 65, the first
+    # of each stored with a padded diagonal
+    for A, width in zip(eliminated_systems([n, n]), (n - 1, n + 1)):
         factor = factor_spd(A)
-        assert (factor.coupled is None) == (n == 32)
-        block = A if factor.coupled is None else A[factor.coupled][:, factor.coupled]
-        lower = sp.tril(block, format="coo")
-        band = np.zeros((half_bandwidth(block) + 1, block.shape[0]))
+        assert isinstance(factor, assembly.BandedCholesky) and half_bandwidth(A) == width
+        lower = sp.tril(A, format="coo")
+        band = np.zeros((band_height(width), A.shape[0]))
         band[lower.row - lower.col, lower.col] = lower.data
         assert np.array_equal(factor.band, assembly.lapack.dpbtrf(band, lower=1)[0])
 
@@ -726,11 +792,11 @@ def test_asymmetric_datum_on_cached_pattern_raises():
     fixed = geom.boundary_vertices
     S = assemble_weighted_stiffness(mesh, geom.at_quadrature(1.0 + mesh.vertices[:, 1]))
     A, transpose = geom.eliminated(S.data, fixed)
-    rhs = lift_dirichlet(S, np.zeros(mesh.n_vertices), fixed, 1.0)
-    x0 = np.zeros(mesh.n_vertices)
+    rhs = lift_dirichlet(S, np.zeros(mesh.n_vertices), fixed, 1.0, geom.free(fixed))
+    x0 = np.zeros(A.shape[0])
     x, _, _ = solve_spd_pcg(A, rhs, x0, geom.potential_factor, 1e-13, 50, transpose=transpose)
-    assert np.allclose(x[fixed], 1.0)
-    rows = np.repeat(np.arange(mesh.n_vertices), np.diff(A.indptr))
+    assert np.allclose(x, 1.0)   # the discrete harmonic extension of 1
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     off = np.flatnonzero((rows != A.indices) & (A.data != 0))[0]
     A.data[off] *= 1.0 + 1e-9
     assert not check_symmetric(A, transpose=transpose)

@@ -687,6 +687,15 @@ def test_verify_substitution_without_interior_vertex(tmp_path, capsys):
     assert not checks["substitution.residual_phi_decreases"]
 
 
+def test_solve_on_a_box_without_interior_vertex(tmp_path, capsys):
+    # a 1 x 4 box: the potential has no unknown, and its solves are empty
+    cfg = write_config(tmp_path, BENCHMARK.replace("16 16", "1 4"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = read_report(tmp_path / "o")
+    assert report["state"]["cg_iterations"] == 0
+
+
 @pytest.mark.parametrize("text", [(ROOT / "configs/smooth_convergence.cfg").read_text(), ""],
                          ids=["smooth_convergence", "all_defaults"])
 def test_verify_substitution_passes_on_exact_solutions(tmp_path, text):
@@ -866,7 +875,7 @@ def test_certificate_factors_once_on_a_box_and_counts_its_work(tmp_path, monkeyp
     cfg = write_config(tmp_path, BENCHMARK.replace("extents = 1 1", "extents = 1 1 1")
                        .replace("divisions = 16 16", "divisions = 6 6 6"))
     assert main(["certificate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert shapes == [(343, 343)]
+    assert shapes == [(7 ** 3 - 7 ** 2, 7 ** 3 - 7 ** 2)]   # the unknowns off x = 0
     assert read_report(tmp_path / "o")["state"]["factorizations"] == 1
     cert = read_report(tmp_path / "o")["certificate"]
     assert type(cert["eps_halvings"]) is int and cert["eps_halvings"] == 0

@@ -107,7 +107,9 @@ def test_adjoint_weak_form_residual():
     adj = solve_adjoint(spec, beta, state)
     blocks, rhs = adjoint_system(spec, beta, state)
     matrix = sp.bmat(blocks, format="csr")
-    x = np.concatenate([adj.p.values, adj.q.values])
+    geom = assembly.geometry(spec.mesh)
+    x = np.concatenate([adj.p.values[geom.free(spec.dirichlet_temperature_vertices())],
+                        adj.q.values[geom.free(geom.boundary_vertices)]])
     assert np.linalg.norm(matrix @ x - rhs) <= 1e-9 * max(1.0, np.linalg.norm(rhs))
     assert np.all(adj.p.values[spec.dirichlet_temperature_vertices()] == 0)
     assert np.all(adj.q.values[spec.mesh.boundary_vertex_set()] == 0)
@@ -224,7 +226,7 @@ def check_adjoint_factors(monkeypatch, mesh, kind):
 
 
 def test_solve_adjoint_factors_only_the_potential_block(monkeypatch):
-    # half-bandwidth 17, below the cap: banded Cholesky
+    # the free S block's half-bandwidth 15, below the cap: banded Cholesky
     check_adjoint_factors(monkeypatch, build_rectangle_mesh([1.0, 1.0], [16, 16], LEFT),
                           "dpbtrf")
 
@@ -236,15 +238,17 @@ def test_solve_adjoint_factors_above_the_banded_cap_with_mmd(monkeypatch):
     check_adjoint_factors(monkeypatch, refine_uniform(coarse), "MMD_AT_PLUS_A")
 
 
-def test_solve_adjoint_bands_the_coupled_block_of_a_3d_box(monkeypatch):
-    # half-bandwidth 81, above the cap; the 343 coupled rows have b = 49
+def test_solve_adjoint_bands_the_free_block_of_a_3d_box(monkeypatch):
+    # the free S block of 8^3, its 343 interior rows, has b = 49
     check_adjoint_factors(monkeypatch, build_rectangle_mesh([1.0, 1.0, 1.0], [8, 8, 8], LEFT),
                           "dpbtrf")
 
 
 def test_solve_adjoint_eliminates_through_the_state_slot_maps(monkeypatch):
-    """The adjoint eliminates A + R and S through the slot maps that the
-    state solve built: two eliminated calls and no new slot map."""
+    """The adjoint takes the free blocks of A + R and S through the slot
+    maps that the state solve built, and those of B and C through two more
+    that the first adjoint builds and keeps: four eliminated calls, and a
+    second adjoint builds no slot map."""
     spec = control_spec(16, drive=1.0)
     beta = Control.constant(spec.mesh, 0.5, 2.0)
     state = solve_state(spec, beta)
@@ -253,14 +257,17 @@ def test_solve_adjoint_eliminates_through_the_state_slot_maps(monkeypatch):
     calls = []
     eliminated = assembly.P1Geometry.eliminated
 
-    def counting_eliminated(self, data, fixed):
-        calls.append(fixed.tobytes())
-        return eliminated(self, data, fixed)
+    def counting_eliminated(self, data, fixed, fixed_cols=None):
+        calls.append((fixed.tobytes(), None if fixed_cols is None else fixed_cols.tobytes()))
+        return eliminated(self, data, fixed, fixed_cols)
 
     monkeypatch.setattr(assembly.P1Geometry, "eliminated", counting_eliminated)
     solve_adjoint(spec, beta, state)
-    assert len(calls) == 2 and set(calls) == slot_maps
-    assert set(geom._eliminations) == slot_maps
+    assert len(calls) == 4 and {c for c in calls if c[1] is None} == slot_maps
+    assert set(geom._eliminations) == slot_maps | set(calls) and len(set(calls)) == 4
+    kept = set(geom._eliminations)
+    solve_adjoint(spec, beta, state)
+    assert set(geom._eliminations) == kept
 
 
 def test_sensitivity_zero_direction_gives_zero():

@@ -681,11 +681,14 @@ def test_masked_dirichlet_matches_triple_product(extents, divisions):
     K = assemble_weighted_stiffness(mesh, geometry(mesh).at_quadrature(w))
     rhs = rng.standard_normal(mesh.n_vertices)
     fixed = mesh.boundary_vertex_set()
+    free = geometry(mesh).free(fixed)
     values = rng.uniform(-1.0, 1.0, fixed.size)
     A = geometry(mesh).eliminated(K.data, fixed)[0].copy()
     A.eliminate_zeros()
-    assert_same_system((A, lift_dirichlet(K, rhs, fixed, values)),
-                       dirichlet_triple_product(K, rhs, fixed, values))
+    # the free block is the triple product's on the free rows and columns
+    A_ref, rhs_ref = dirichlet_triple_product(K, rhs, fixed, values)
+    assert_same_system((A, lift_dirichlet(K, rhs, fixed, values, free)),
+                       (A_ref[free][:, free], rhs_ref[free]))
 
 
 def test_masked_dirichlet_matches_triple_product_on_adjoint_block():
@@ -697,15 +700,24 @@ def test_masked_dirichlet_matches_triple_product_on_adjoint_block():
                        phi0=interpolate(mesh, lambda p: 1.0 * p[:, 0]),
                        m_cap=2.0)
     beta = Control.constant(mesh, 1.0, 2.0)
-    blocks, rhs = adjoint_system(spec, beta, solve_state(spec, beta))
+    state = solve_state(spec, beta)
+    blocks, rhs = adjoint_system(spec, beta, state)
     block = sp.bmat(blocks, format="csr")
     block.eliminate_zeros()
-    assert block.shape == (2 * mesh.n_vertices,) * 2
-    # p vanishes on Gamma_D and q on the whole boundary: the system is
-    # already eliminated there, so masking it again changes nothing
-    fixed = np.concatenate([mesh.boundary_vertex_set(D),
-                            mesh.boundary_vertex_set() + mesh.n_vertices])
-    assert_same_system((block, rhs), dirichlet_triple_product(block, rhs, fixed, 0.0))
+    # the whole 2n system: the same blocks with no row or column taken out
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assembly.P1Geometry, "eliminated",
+                      lambda self, data, fixed, fixed_cols=None: (self.csr(data), None))
+        full = sp.bmat(adjoint_system(spec, beta, state)[0], format="csr")
+    # p vanishes on Gamma_D and q on the whole boundary: the free block
+    # system is the triple product's on the other rows and columns
+    n = mesh.n_vertices
+    fixed = np.concatenate([mesh.boundary_vertex_set(D), mesh.boundary_vertex_set() + n])
+    free = np.setdiff1d(np.arange(2 * n), fixed)
+    assert block.shape == (free.size,) * 2
+    A_ref, rhs_ref = dirichlet_triple_product(
+        full, np.r_[-assembly.load_vector(mesh), np.zeros(n)], fixed, 0.0)
+    assert_same_system((block, rhs), (A_ref[free][:, free], rhs_ref[free]))
 
 
 @pytest.mark.parametrize("extents, divisions", BOXES)
@@ -736,17 +748,17 @@ def test_state_jacobian_matches_residual_differences(extents, divisions):
         return np.concatenate([(K + R) @ u - joule - robin_load,
                                assemble_weighted_stiffness(mesh, sigma_q) @ phi])
 
-    # the eliminated block agrees with the Jacobian on the free rows and
-    # columns: directions zero on Gamma_D and on the boundary, compared off them
+    # the free block agrees with the Jacobian on the free rows and columns:
+    # directions zero on Gamma_D and on the boundary, compared off them
     block = sp.bmat(sensitivity_system(spec, beta, state, beta)[0], format="csr")
-    fixed_u, fixed_phi = mesh.boundary_vertex_set(D), mesh.boundary_vertex_set()
-    du, dphi = rng.standard_normal((2, n))
-    du[fixed_u] = dphi[fixed_phi] = 0.0
+    free_u, free_phi = (geometry(mesh).free(f) for f in (mesh.boundary_vertex_set(D),
+                                                          mesh.boundary_vertex_set()))
+    du, dphi = np.zeros((2, n))
+    du[free_u], dphi[free_phi] = rng.standard_normal(free_u.size), rng.standard_normal(free_phi.size)
     h = 1e-5
     fd = (residual(u + h * du, phi + h * dphi) - residual(u - h * du, phi - h * dphi)) / (2 * h)
-    jv = block @ np.concatenate([du, dphi])
-    for half, fixed in ((slice(0, n), fixed_u), (slice(n, 2 * n), fixed_phi)):
-        got, want = np.delete(jv[half], fixed), np.delete(fd[half], fixed)
+    jv = block @ np.concatenate([du[free_u], dphi[free_phi]])
+    for got, want in ((jv[:free_u.size], fd[:n][free_u]), (jv[free_u.size:], fd[n:][free_phi])):
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(got)
 
 
@@ -754,21 +766,23 @@ def test_state_jacobian_matches_residual_differences(extents, divisions):
 def test_factor_spd_matches_spsolve(extents, divisions):
     mesh, w, _, _ = random_mesh_fields(extents, divisions)
     rng = np.random.default_rng(9)
-    A, rhs = dirichlet_triple_product(
-        assemble_weighted_stiffness(mesh, geometry(mesh).at_quadrature(w)),
-        rng.standard_normal(mesh.n_vertices), mesh.boundary_vertex_set(D), 0.5)
+    geom, fixed = geometry(mesh), mesh.boundary_vertex_set(D)
+    K = assemble_weighted_stiffness(mesh, geom.at_quadrature(w))
+    A = geom.eliminated(K.data, fixed)[0]
+    rhs = lift_dirichlet(K, rng.standard_normal(mesh.n_vertices), fixed, 0.5, geom.free(fixed))
     x = factor_spd(A).solve(rhs)
     ref = spla.spsolve(A.tocsc(), rhs)
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(solve_direct(A, rhs), x)
 
 
-def pcg_loop(matrix, rhs, x0, precond, pcg_rtol, max_iter):
+def pcg_loop(matrix, rhs, x0, precond, pcg_rtol, max_iter, dirichlet_norm):
     """The preconditioned conjugate-gradient loop that scipy's cg replaced in
-    solve_spd_pcg: (x, iterations), with x None when the cap stops it."""
+    solve_spd_pcg: (x, iterations), with x None when the cap stops it; it
+    stops at pcg_rtol times the norm of (rhs, the Dirichlet values)."""
     x = np.array(x0, dtype=float)
     r = rhs - matrix @ x
-    stop = pcg_rtol * np.linalg.norm(rhs)
+    stop = pcg_rtol * math.hypot(np.linalg.norm(rhs), dirichlet_norm)
     p = np.zeros_like(x)
     rz = 1.0
     for iteration in range(max_iter + 1):
@@ -787,8 +801,9 @@ def pcg_loop(matrix, rhs, x0, precond, pcg_rtol, max_iter):
 
 
 def potential_system(extents, divisions):
-    """The eliminated potential matrix sigma(u) at the converged state of
-    phi0 = x, beta = 1, its right side, the start phi0 and K's factor."""
+    """The free block of the potential matrix sigma(u) at the converged
+    state of phi0 = x, beta = 1, its right side, the start phi0 off the
+    boundary, K's inverse and the norm of phi0 on the boundary."""
     mesh = build_rectangle_mesh(extents, divisions, dirichlet_on_planes("x=0"))
     model = TruncatedPower(1.0, 1.0, 2.0)
     spec = ProblemSpec(mesh=mesh, model=model,
@@ -798,28 +813,30 @@ def potential_system(extents, divisions):
                        m_cap=2.0)
     geom = geometry(mesh)
     u = solve_state(spec, Control.constant(mesh, 1.0, 2.0)).u.values
-    fixed = geom.boundary_vertices
-    A, rhs = dirichlet_triple_product(
-        assemble_weighted_stiffness(mesh, model.sigma(geom.at_quadrature(u))),
-        np.zeros(mesh.n_vertices), fixed, spec.phi0.values[fixed])
-    return A, rhs, spec.phi0.values, geom.potential_factor
+    fixed, free = geom.boundary_vertices, geom.free(geom.boundary_vertices)
+    S = assemble_weighted_stiffness(mesh, model.sigma(geom.at_quadrature(u)))
+    values = spec.phi0.values[fixed]
+    rhs = lift_dirichlet(S, np.zeros(mesh.n_vertices), fixed, values, free)
+    return (geom.eliminated(S.data, fixed)[0], rhs, spec.phi0.values[free],
+            geom.potential_factor, np.linalg.norm(values))
 
 
 @pytest.mark.parametrize("extents, divisions", [([1.0, 1.0], [32, 32]),
                                                 ([1.0, 1.0, 1.0], [6, 6, 6])])
 def test_solve_spd_pcg_matches_cg_loop_reference(extents, divisions):
-    A, rhs, x0, precond = potential_system(extents, divisions)
-    expected, iterations = pcg_loop(A, rhs, x0, precond, 1e-13, 20)
+    A, rhs, x0, precond, norm = potential_system(extents, divisions)
+    expected, iterations = pcg_loop(A, rhs, x0, precond, 1e-13, 20, norm)
     assert expected is not None and iterations > 2
-    x, actual_iterations, lu = solve_spd_pcg(A, rhs, x0, precond, 1e-13, 20)
+    x, actual_iterations, lu = solve_spd_pcg(A, rhs, x0, precond, 1e-13, 20,
+                                             dirichlet_norm=norm)
     assert np.array_equal(x, expected)
     assert actual_iterations == iterations and lu is None
 
 
 def test_solve_spd_pcg_matches_cg_loop_reference_at_the_cap():
-    A, rhs, x0, precond = potential_system([1.0, 1.0], [32, 32])
-    assert pcg_loop(A, rhs, x0, precond, 1e-13, 2) == (None, 2)
-    x, iterations, lu = solve_spd_pcg(A, rhs, x0, precond, 1e-13, 2)
+    A, rhs, x0, precond, norm = potential_system([1.0, 1.0], [32, 32])
+    assert pcg_loop(A, rhs, x0, precond, 1e-13, 2, norm) == (None, 2)
+    x, iterations, lu = solve_spd_pcg(A, rhs, x0, precond, 1e-13, 2, dirichlet_norm=norm)
     assert iterations == 2 and lu is not None
     assert np.array_equal(x, factor_spd(A).solve(rhs))
 

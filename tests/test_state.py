@@ -87,7 +87,7 @@ def check_state_factors(monkeypatch, mesh, kind):
 
 
 def test_solve_state_factors_with_symmetric_ordering_only(monkeypatch):
-    # temperature half-bandwidth 20, below the cap: banded Cholesky
+    # the free temperature block's half-bandwidth 16, below the cap: banded Cholesky
     check_state_factors(monkeypatch, build_rectangle_mesh([1.0] * 3, [3, 3, 3], LEFT),
                         "dpbtrf")
 
@@ -95,7 +95,7 @@ def test_solve_state_factors_with_symmetric_ordering_only(monkeypatch):
 @pytest.mark.parametrize("extents, divisions", [([1.0] * 3, [4, 4, 4]), ([1.0, 1.0], [32, 32])],
                          ids=["4x4x4", "32x32"])
 def test_box_within_the_banded_cap_factors_its_temperature(monkeypatch, extents, divisions):
-    # temperature half-bandwidths 30 and 33, within the cap: banded Cholesky,
+    # free temperature blocks of half-bandwidths 25 and 33, within the cap: banded Cholesky,
     # no CG on the box inverse
     check_state_factors(monkeypatch, build_rectangle_mesh(extents, divisions, LEFT), "dpbtrf")
 
@@ -104,10 +104,10 @@ def test_box_within_the_banded_cap_factors_its_temperature(monkeypatch, extents,
 PART_OF_LEFT = lambda centroids: (centroids[:, 0] < 1e-12) & (centroids[:, 1] < 0.5)
 
 
-def test_solve_state_bands_the_coupled_block_of_a_3d_box(monkeypatch):
+def test_solve_state_bands_the_free_block_of_a_3d_box(monkeypatch):
     # Gamma_D covers part of a face, so the temperature matrix is factored:
-    # half-bandwidth 90, above the cap; its coupled block has m = 684 rows,
-    # m / b = 7.6: banded Cholesky
+    # its free block has m = 684 rows of half-bandwidth 81, above the cap,
+    # and m / b = 8.4: banded Cholesky
     check_state_factors(monkeypatch, build_rectangle_mesh([1.0] * 3, [8, 8, 8], PART_OF_LEFT),
                         "dpbtrf")
 
