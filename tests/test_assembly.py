@@ -399,7 +399,7 @@ def _sine_inverse(divisions, extents, rhs):
     ([1.0, 1.0], [8, 8]), ([2.0, 0.5], [7, 5]), ([1.0, 1.0, 1.0], [5, 5, 5]),
     ([1.0, 2.0, 0.7], [4, 6, 3]), ([1.0, 1.0, 1.0], [16, 16, 16]),
     ([1.0, 1.0, 1.0], [1, 4, 4])])
-def test_grid_inverse_with_dirichlet_ends_matches_the_closed_form_sines(extents, divisions):
+def test_grid_inverse_with_dirichlet_ends_keeps_the_closed_form_sines(extents, divisions):
     # eigh of each all-Dirichlet axis's pencil diagonalizes it as the sines do
     rng = np.random.default_rng(4)
     m = math.prod(k - 1 for k in divisions)
@@ -515,6 +515,23 @@ def sliced(matrix, fixed, fixed_cols=None):
     return matrix.tocsr()[rows][:, cols]
 
 
+def apply_dirichlet(matrix, rhs, fixed, values):
+    """Reference unit-row elimination on the full matrix: D A D + (I - D)
+    with D = diag(keep), the fixed rows and columns zeroed but for a unit
+    diagonal, stored zeros dropped, and the right side rhs - A x_D with
+    `values` on the fixed rows. Its free rows and columns are the free
+    block, and its solution the free solution extended by `values`."""
+    keep = np.ones(matrix.shape[0])
+    keep[fixed] = 0.0
+    A = (sp.diags(keep) @ matrix @ sp.diags(keep) + sp.diags(1.0 - keep)).tocsr()
+    A.eliminate_zeros()
+    x_d = np.zeros(matrix.shape[0])
+    x_d[fixed] = values
+    b = rhs - matrix @ x_d
+    b[fixed] = values
+    return A, b
+
+
 def same_csr(A, B):
     """A and B store the same entries in the same slots, bit for bit."""
     return (A.shape == B.shape and np.array_equal(A.indptr, B.indptr)
@@ -522,10 +539,11 @@ def same_csr(A, B):
 
 
 @pytest.mark.parametrize("extents, divisions", FIXED_PATTERN_BOXES)
-def test_eliminated_matches_the_sliced_matrix(extents, divisions):
+def test_eliminated_matches_apply_dirichlet(extents, divisions):
     # the potential's set (the boundary) with a weighted stiffness and the
     # temperature's (Gamma_D) with the Robin term added, as the state solve
-    # builds them: eliminated keeps the stored zeros, as slicing does
+    # builds them: eliminated is the free block of the unit-row system and
+    # keeps the stored zeros, as slicing does; apply_dirichlet drops them
     mesh = build_rectangle_mesh(extents, divisions, LEFT)
     geom = geometry(mesh)
     n = mesh.n_vertices
@@ -545,17 +563,20 @@ def test_eliminated_matches_the_sliced_matrix(extents, divisions):
         A, transpose = geom.eliminated(data, fixed)
         assert geom.eliminated(data, fixed)[1] is transpose   # the kept slot map
         assert same_csr(A, sliced(geom.csr(data), fixed))
-        A_ref = sliced(reference, fixed)
-        A_ref.eliminate_zeros()
+        A_unit, rhs_unit = apply_dirichlet(reference, rhs, fixed, values)
+        assert same_csr(A_unit[fixed], sp.eye(n, format="csr")[fixed])
+        A_ref, rhs_ref = A_unit[free][:, free], rhs_unit[free]
         stored = A.copy()
         stored.eliminate_zeros()
         assert same_csr(stored, A_ref)
-        x_d = np.zeros(n)
-        x_d[fixed] = values
-        rhs_ref = (rhs - reference @ x_d)[free]
         assert np.array_equal(lift_dirichlet(geom.csr(data), rhs, fixed, values, free), rhs_ref)
         # factor_spd drops the stored zeros: the same factor
-        assert np.array_equal(factor_spd(A).solve(rhs_ref), factor_spd(A_ref).solve(rhs_ref))
+        x = factor_spd(A).solve(rhs_ref)
+        assert np.array_equal(x, factor_spd(A_ref).solve(rhs_ref))
+        # extended by the values, the free solution solves the unit-row system
+        full = geom.extend(x, fixed, values)
+        ref = solve_direct(A_unit, rhs_unit)
+        assert np.max(np.abs(full - ref)) <= 1e-10 * np.max(np.abs(ref))
         # the cached permutation is the transpose, also of nonsymmetric data
         assert np.array_equal(A.data[transpose], A.T.tocsr().data)
         skew = sp.csr_matrix((np.arange(A.nnz, dtype=float), A.indices, A.indptr), shape=A.shape)
@@ -584,14 +605,18 @@ def test_rectangular_and_square_free_blocks_equal_the_sliced_matrix(extents, div
         assert (transpose is None) == (fixed_cols is not None)
 
 
-def test_eliminated_potential_is_bit_identical_to_the_sliced_matrix():
+def test_eliminated_potential_is_bit_identical_to_apply_dirichlet():
+    # the free block of the unit-row system, and the sliced matrix
     mesh = unit_square(32)
     geom = geometry(mesh)
     w = geom.at_quadrature(1.0 + mesh.vertices[:, 0] ** 2)
     S = assemble_weighted_stiffness(mesh, w)
     fixed = geom.boundary_vertices
-    A_ref = sliced(S, fixed)
-    A_ref.eliminate_zeros()
+    free = geom.free(fixed)
+    A_ref = apply_dirichlet(S, np.zeros(mesh.n_vertices), fixed, 0.0)[0][free][:, free]
+    sliced_ref = sliced(S, fixed)
+    sliced_ref.eliminate_zeros()
+    assert same_csr(A_ref, sliced_ref)
     A, _ = geom.eliminated(S.data, fixed)
     assert (A != A_ref).nnz == 0
     assert np.array_equal(factor_spd(A).solve(np.ones(A.shape[0])),
@@ -773,8 +798,8 @@ def test_long_and_refined_meshes_stay_on_superlu(divisions, refined):
 
 
 @pytest.mark.parametrize("n", [32, 64])
-def test_2d_box_bands_are_the_cholesky_of_their_free_block(n):
-    # both free blocks band in their own order: at 32^2 the potential's
+def test_2d_box_bands_are_the_cholesky_of_their_coupled_block(n):
+    # both free blocks, the rows coupled to one another, band in their own order: at 32^2 the potential's
     # b = 31 and the temperature's b = 33, at 64^2 b = 63 and 65, the first
     # of each stored with a padded diagonal
     for A, width in zip(eliminated_systems([n, n]), (n - 1, n + 1)):

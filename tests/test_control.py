@@ -238,8 +238,9 @@ def test_solve_adjoint_factors_above_the_banded_cap_with_mmd(monkeypatch):
     check_adjoint_factors(monkeypatch, refine_uniform(coarse), "MMD_AT_PLUS_A")
 
 
-def test_solve_adjoint_bands_the_free_block_of_a_3d_box(monkeypatch):
-    # the free S block of 8^3, its 343 interior rows, has b = 49
+def test_solve_adjoint_bands_the_coupled_block_of_a_3d_box(monkeypatch):
+    # the free S block of 8^3, its 343 interior rows coupled to one another,
+    # has b = 49
     check_adjoint_factors(monkeypatch, build_rectangle_mesh([1.0, 1.0, 1.0], [8, 8, 8], LEFT),
                           "dpbtrf")
 

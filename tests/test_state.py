@@ -104,9 +104,9 @@ def test_box_within_the_banded_cap_factors_its_temperature(monkeypatch, extents,
 PART_OF_LEFT = lambda centroids: (centroids[:, 0] < 1e-12) & (centroids[:, 1] < 0.5)
 
 
-def test_solve_state_bands_the_free_block_of_a_3d_box(monkeypatch):
+def test_solve_state_bands_the_coupled_block_of_a_3d_box(monkeypatch):
     # Gamma_D covers part of a face, so the temperature matrix is factored:
-    # its free block has m = 684 rows of half-bandwidth 81, above the cap,
+    # its free (coupled) block has m = 684 rows of half-bandwidth 81, above the cap,
     # and m / b = 8.4: banded Cholesky
     check_state_factors(monkeypatch, build_rectangle_mesh([1.0] * 3, [8, 8, 8], PART_OF_LEFT),
                         "dpbtrf")
