@@ -29,7 +29,7 @@ from scipy.linalg import eigh, lapack
 
 from .errors import AssemblyError, DomainError, SolverFailure
 from .fields import Control, Field
-from .mesh import Mesh, edge_cofactors, facet_measures
+from .mesh import Mesh, edge_cofactors, facet_measures, pair_slots
 
 # the residual contract of every sparse solve: relative residual <= SOLVE_RTOL
 SOLVE_RTOL = 1e-10
@@ -112,20 +112,16 @@ class P1Geometry:
         pattern.sort_indices()
         pattern.indices.flags.writeable = pattern.indptr.flags.writeable = False
         self.pattern = pattern.indices, pattern.indptr   # read-only: csr() shares them
-        self.scatter = self._slots(mesh.cells).ravel()
-        # the slot of each coupling of each boundary facet (a cell edge), (nf, d, d)
-        self.facet_slots = self._slots(mesh.boundary_facets)
+        # the slot of every vertex pair of each cell, raveled, and of each boundary
+        # facet (a cell edge), (nf, d, d); ids in the index dtype need no conversion
+        cells, facets = (ids.astype(pattern.indices.dtype)
+                         for ids in (mesh.cells, mesh.boundary_facets))
+        self.scatter = pair_slots(np.repeat(cells, k, axis=1), np.tile(cells, k),
+                                  self.pattern)[0].ravel()
+        self.facet_slots = pair_slots(np.repeat(facets, k - 1, axis=1), np.tile(facets, k - 1),
+                                      self.pattern)[0].reshape(-1, k - 1, k - 1)
         self._free: dict[bytes, np.ndarray] = {}        # see free()
         self._eliminations: dict[tuple, tuple] = {}     # see eliminated()
-
-    def _slots(self, simplices: np.ndarray) -> np.ndarray:
-        """The pattern slot of every vertex pair of each simplex, (m, k, k), by a binary
-        search within each row, in the pattern's index dtype (so the lookup copies none)."""
-        dtype = self.pattern[0].dtype
-        slots = self.csr(np.arange(self.pattern[0].size, dtype=dtype))
-        ids, k = simplices.astype(dtype), simplices.shape[1]
-        pairs = slots[np.repeat(ids, k, axis=1).ravel(), np.tile(ids, (1, k)).ravel()]
-        return np.asarray(pairs).reshape(-1, k, k)
 
     def cell_gradient(self, values: np.ndarray) -> np.ndarray:
         """Cellwise-constant gradient of a P1 nodal field, (nc, d)."""
@@ -492,12 +488,13 @@ def solve_spd_pcg(matrix: sp.spmatrix, rhs: np.ndarray, x0: np.ndarray,
     """SPD solve by scipy's conjugate gradients from x0, preconditioned by
     `precond` (a factor of a spectrally equivalent SPD matrix), to residual
     pcg_rtol times the norm of (rhs, the `dirichlet_norm` of the values a
-    free block eliminated), as on the whole system. When CG has not converged within max_iter iterations the matrix is
-    factored and solved directly instead, so max_iter = 0 is a direct solve
-    and needs no `precond`. Returns the solution, the CG iterations and the
-    new factor (None when CG converged). A nonsymmetric matrix raises
-    SolverFailure (`transpose` as in check_symmetric); the contract is
-    relative residual <= SOLVE_RTOL.
+    free block eliminated), as on the whole system. When CG has not
+    converged within max_iter iterations the matrix is factored and solved
+    directly instead, so max_iter = 0 is a direct solve and needs no
+    `precond`. Returns the solution, the CG iterations and the new factor
+    (None when CG converged), checked by checked_solution with the same
+    `dirichlet_norm`. A nonsymmetric matrix raises SolverFailure
+    (`transpose` as in check_symmetric).
     """
     if not check_symmetric(matrix, transpose=transpose):
         raise SolverFailure("matrix not symmetric")
@@ -508,9 +505,9 @@ def solve_spd_pcg(matrix: sp.spmatrix, rhs: np.ndarray, x0: np.ndarray,
                           M=spla.LinearOperator(matrix.shape, precond.solve, dtype=float),
                           callback=steps.append)
         if info == 0:
-            return checked_solution(matrix, rhs, x), len(steps), None
+            return checked_solution(matrix, rhs, x, dirichlet_norm), len(steps), None
     lu = factor_spd(matrix)
-    return checked_solution(matrix, rhs, lu.solve(rhs)), max_iter, lu
+    return checked_solution(matrix, rhs, lu.solve(rhs), dirichlet_norm), max_iter, lu
 
 
 def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
@@ -518,16 +515,18 @@ def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     return checked_solution(matrix, rhs, x)
 
 
-def checked_solution(matrix, rhs, x):
-    """x itself, after checking that it is finite and that its relative
-    residual is at most SOLVE_RTOL; raises SolverFailure otherwise."""
+def checked_solution(matrix, rhs, x, dirichlet_norm: float = 0.0):
+    """x itself, after checking that it is finite and that its residual is
+    at most SOLVE_RTOL times the larger of hypot(||rhs||, d) and hypot(||A x||,
+    d), d the `dirichlet_norm` of the values a free block eliminated: the whole
+    system's scale, on which CG stops. Raises SolverFailure otherwise."""
     if not np.all(np.isfinite(x)):
         raise SolverFailure("sparse solve produced non-finite values "
                             "(singular or degenerate system)")
     ax = matrix @ x
     res = np.linalg.norm(ax - rhs)
-    scale = max(np.linalg.norm(rhs), 1e-300)
-    if res > SOLVE_RTOL * max(scale, np.linalg.norm(ax)):
+    scale = max(math.hypot(np.linalg.norm(rhs), dirichlet_norm), 1e-300)
+    if res > SOLVE_RTOL * max(scale, math.hypot(np.linalg.norm(ax), dirichlet_norm)):
         raise SolverFailure(f"linear solve residual {res / scale:.3e} exceeds {SOLVE_RTOL:.1e}")
     return x
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigurationError
 
@@ -52,6 +53,7 @@ class Mesh:
     boundary_tags: np.ndarray
     parent_edges: np.ndarray | None = field(default=None, repr=False)
     grid: tuple[tuple[int, ...], tuple[float, ...]] | None = None
+    _vertex_sets: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for arr in (self.vertices, self.cells, self.boundary_facets, self.boundary_tags,
@@ -78,12 +80,13 @@ class Mesh:
         return np.flatnonzero(self.boundary_tags == _TAG_CODE[tag])
 
     def boundary_vertex_set(self, tag: BoundaryTag | None = None) -> np.ndarray:
-        """Sorted vertex indices lying on facets with the given tag (all if None)."""
-        if tag is None:
-            facets = self.boundary_facets
-        else:
-            facets = self.boundary_facets[self.facet_indices(tag)]
-        return np.unique(facets)
+        """Sorted vertex indices lying on facets with the given tag (all if
+        None); read-only, computed once per tag."""
+        if tag not in self._vertex_sets:
+            facets = slice(None) if tag is None else self.facet_indices(tag)
+            self._vertex_sets[tag] = np.unique(self.boundary_facets[facets])
+            self._vertex_sets[tag].setflags(write=False)
+        return self._vertex_sets[tag]
 
 
 _TAG_CODE = {BoundaryTag.DIRICHLET_TEMPERATURE: 0, BoundaryTag.ROBIN_TEMPERATURE: 1}
@@ -159,44 +162,39 @@ def dirichlet_on_planes(*specs: str) -> TagRule:
     return rule
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One int64 key per row of a nonnegative int array whose rows are sorted
-    ascending, equal exactly when the rows are.
+def pair_slots(a: np.ndarray, b: np.ndarray, pattern: tuple[np.ndarray, np.ndarray] | None = None
+               ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The slot of each pair (a, b) of nonnegative int arrays of one shape in
+    a CSR pattern (indices, indptr) of sorted rows, by a binary search within
+    its row, or -1 off it, in the pattern's index dtype; and the pattern, by
+    default the one the pairs form. That one ranks the distinct pairs in
+    lexicographic order, so column by column, (slot of columns 1..j, column
+    j + 1), this numbers the distinct rows of an int array exactly."""
+    if pattern is None:
+        formed = sp.csr_matrix((np.ones(a.size, dtype=bool), (a.ravel(), b.ravel())))
+        pattern = formed.indices, formed.indptr
+    indices, indptr = pattern
+    columns = max(b.max(initial=0), indices.max(initial=0)) + 1
+    numbers = sp.csr_matrix((np.arange(1, indices.size + 1, dtype=indices.dtype), indices, indptr),
+                            shape=(indptr.size - 1, columns), copy=False)
+    return np.asarray(numbers[a.ravel(), b.ravel()]).reshape(a.shape) - 1, pattern
 
-    The key of (r_1, ..., r_k) is its rank as a multiset in the combinatorial
-    number system, sum_j C(r_j + j - 1, j). Every key is below C(m + k, k),
-    m the largest entry: facets of k = 3 vertices stay exact up to m of
-    about 3.8e6, edges far beyond, and a larger array raises
-    ConfigurationError.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    k = rows.shape[1]
-    if rows.size and math.comb(int(rows.max()) + k, k) > 2 ** 63:
-        raise ConfigurationError(f"mesh too large for exact row keys "
-                                 f"(vertex index {rows.max()})")
-    return sum(_binomial(rows[:, j] + j, j + 1) for j in range(k))
 
-
-def _binomial(x: np.ndarray, k: int) -> np.ndarray:
-    """C(x, k) for k <= 3 with no intermediate larger than the result:
-    C(x, 3) = p q / 3 with p = C(x, 2) and q = x - 2, which for p = 3 s + t
-    is s q + t (q / 3), exact as 3 divides q whenever it does not divide p."""
-    if k == 1:
-        return x
-    p = x * (x - 1) // 2
-    if k == 2:
-        return p
-    q = x - 2
-    return p // 3 * q + p % 3 * (q // 3)
+def _row_numbers(rows: np.ndarray) -> np.ndarray:
+    """The rank of each row of an (m, k) nonnegative int array among its
+    distinct rows in lexicographic order: pair_slots column by column."""
+    number, *columns = np.ascontiguousarray(rows.T)
+    for column in columns:
+        number = pair_slots(number, column)[0]
+    return number
 
 
 def _extract_boundary(cells: np.ndarray, dim: int) -> np.ndarray:
     """Facets appearing in exactly one cell, in order of first appearance,
     each with its vertex order in the owning cell."""
     facets = cells[:, _FACETS_OF[dim + 1]].reshape(-1, dim)
-    _, first, counts = np.unique(_row_keys(np.sort(facets, axis=1)),
-                                 return_index=True, return_counts=True)
-    return facets[np.sort(first[counts == 1])]
+    number = _row_numbers(np.sort(facets, axis=1))
+    return facets[np.bincount(number)[number] == 1]
 
 
 def _tag_facets(vertices: np.ndarray, facets: np.ndarray, tag_rule: TagRule) -> np.ndarray:
@@ -293,11 +291,13 @@ def validate(mesh: Mesh) -> None:
     unused = np.flatnonzero(np.bincount(mesh.cells.ravel(), minlength=mesh.n_vertices) == 0)
     if unused.size:
         raise ConfigurationError(f"mesh vertex {unused[0]} is in no cell")
-    have = np.unique(_row_keys(np.sort(mesh.boundary_facets, axis=1)))
-    want = np.unique(_row_keys(np.sort(_extract_boundary(mesh.cells, mesh.dim), axis=1)))
-    if not np.array_equal(have, want):
+    want = _extract_boundary(mesh.cells, mesh.dim)
+    number = _row_numbers(np.sort(np.vstack([want, mesh.boundary_facets]), axis=1))
+    wanted, listed = (np.bincount(part, minlength=number.size)
+                      for part in np.split(number, [want.shape[0]]))
+    if not np.array_equal(wanted > 0, listed > 0):
         raise ConfigurationError("boundary facets do not partition the boundary")
-    if have.size != mesh.boundary_facets.shape[0]:
+    if np.any(listed > 1):
         raise ConfigurationError("duplicate boundary facet")
     if mesh.facet_indices(BoundaryTag.DIRICHLET_TEMPERATURE).size == 0:
         raise ConfigurationError("no Dirichlet facet")
@@ -312,18 +312,18 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     cells are positive, and a box mesh refined k times has the cells of the
     box mesh with 2^k times the divisions, numbered differently.
     """
-    nv = mesh.n_vertices
     edges = _edge_rows(mesh.cells)
-    keys, first, inverse = np.unique(_row_keys(edges), return_index=True,
-                                     return_inverse=True)
+    slots, pattern = pair_slots(*edges.T)
     # midpoints are numbered in the order their edges are first met
-    order = np.argsort(first)
-    number = np.empty_like(order)
-    number[order] = nv + np.arange(order.size)
-    parent_edges = edges[first[order]]
-    cells = _split(mesh.cells, number[inverse])
-    facet_mids = number[np.searchsorted(keys, _row_keys(_edge_rows(mesh.boundary_facets)))]
-    facets = _split(mesh.boundary_facets, facet_mids)
+    first = np.full(pattern[0].size, slots.size)
+    np.minimum.at(first, slots, np.arange(slots.size))
+    first.sort()
+    number = np.empty(first.size, dtype=np.intp)
+    number[slots[first]] = mesh.n_vertices + np.arange(first.size)
+    parent_edges = edges[first]
+    cells = _split(mesh.cells, number[slots])
+    facets = _split(mesh.boundary_facets,
+                    number[pair_slots(*_edge_rows(mesh.boundary_facets).T, pattern)[0]])
     tags = np.repeat(mesh.boundary_tags, len(_CHILDREN[mesh.dim]))
 
     mids = 0.5 * (mesh.vertices[parent_edges[:, 0]] + mesh.vertices[parent_edges[:, 1]])

@@ -466,6 +466,28 @@ def test_only_box_meshes_carry_a_grid(tmp_path, monkeypatch):
             assembly.checked_solution(K, rhs, factor.solve(rhs))
 
 
+def test_checked_solution_scales_by_the_dirichlet_norm():
+    # a residual between SOLVE_RTOL ||rhs|| and SOLVE_RTOL d passes only with the
+    # Dirichlet norm d; a larger one raises with it too
+    geom = geometry(unit_square(8))
+    A = geom.eliminated(geom.stiffness.data, geom.boundary_vertices)[0]
+    rhs = np.linspace(-1.0, 1.0, A.shape[0])
+    x = solve_direct(A, rhs)
+    d = 1e4 * np.linalg.norm(rhs)
+    ones = np.ones(A.shape[0])
+    # a step of residual norm one: A step = ones / ||ones||
+    step = solve_direct(A, ones) / np.linalg.norm(ones)
+    r = assembly.SOLVE_RTOL * np.linalg.norm(rhs)
+    assembly.checked_solution(A, rhs, x)
+    assembly.checked_solution(A, rhs, x, d)
+    with pytest.raises(SolverFailure, match="residual"):
+        assembly.checked_solution(A, rhs, x + 10 * r * step)
+    assembly.checked_solution(A, rhs, x + 10 * r * step, d)
+    for norm in (0.0, d):
+        with pytest.raises(SolverFailure, match="residual"):
+            assembly.checked_solution(A, rhs, x + 1e5 * r * step, norm)
+
+
 def test_solve_spd_pcg_converges_or_refactors():
     mesh = unit_square(8)
     fixed = mesh.boundary_vertex_set()

@@ -366,6 +366,21 @@ def test_report_states_the_truncation_level(tmp_path, kind, line, level):
     assert read_report(tmp_path / "o")["state"]["truncation_level"] == level
 
 
+# A strong drive at a raised level leaves sigma small, and the potential's
+# free right side under 1e-3 of the whole system's norm, Dirichlet values
+# included, on which CG stops; a CG that stopped must pass the solution check
+# on that scale. max u as solved with the Dirichlet rows kept in the system.
+@pytest.mark.parametrize("drive, max_u", [(8, 0.8898841325779441), (10, 0.9252787387535331),
+                                          (12, 0.9468143299629618)])
+def test_strong_drive_at_a_raised_level_solves(tmp_path, drive, max_u):
+    text = ((ROOT / "configs/benchmark.cfg").read_text()
+            .replace("problem.phi0 = 0.1*x", f"problem.phi0 = {drive}*x")
+            + "solver.truncation_level = 0.99\n")
+    cfg = write_config(tmp_path, text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert abs(read_report(tmp_path / "o")["state"]["max_u"] - max_u) <= 1e-10
+
+
 def test_solve_criticality_exits_3(tmp_path):
     cfg = write_config(tmp_path, CRITICAL)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from thermopt.assembly import geometry
 from thermopt.errors import ConfigurationError
@@ -9,13 +10,13 @@ from thermopt.mesh import (
     BoundaryTag,
     Mesh,
     _extract_boundary,
-    _row_keys,
     build_rectangle_mesh,
     cell_volumes,
     dirichlet_on_planes,
     facet_centroids,
     facet_measures,
     mesh_size,
+    pair_slots,
     prolong,
     prolong_facets,
     read_mesh_file,
@@ -239,27 +240,61 @@ def test_validate_rejects_a_nonpositive_cell(dim):
         validate(Mesh(dim, mesh.vertices, cells, mesh.boundary_facets, mesh.boundary_tags))
 
 
+def interior_facet(mesh):
+    """A facet shared by two cells, with its vertex order in the first of them."""
+    facets = mesh.cells[:, [[j for j in range(mesh.dim + 1) if j != i]
+                            for i in range(mesh.dim + 1)]].reshape(-1, mesh.dim)
+    _, first, counts = np.unique(np.sort(facets, axis=1), axis=0, return_index=True,
+                                 return_counts=True)
+    return facets[first[counts == 2][0]]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("change", ["drop", "interior"])
+def test_validate_rejects_facets_that_do_not_partition_the_boundary(dim, change):
+    mesh = jittered([1.0] * dim, [2] * dim)
+    facets, tags = mesh.boundary_facets, mesh.boundary_tags
+    if change == "drop":
+        facets, tags = facets[1:], tags[1:]
+    else:
+        facets, tags = np.vstack([facets, interior_facet(mesh)]), np.append(tags, tags[-1])
+    with pytest.raises(ConfigurationError, match="do not partition the boundary"):
+        validate(Mesh(dim, mesh.vertices, mesh.cells, facets, tags))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_validate_rejects_a_duplicate_boundary_facet(dim):
+    # listed again with its vertices in another order, and with the other tag
+    mesh = jittered([1.0] * dim, [2] * dim)
+    facets = np.vstack([mesh.boundary_facets, mesh.boundary_facets[3, ::-1]])
+    tags = np.append(mesh.boundary_tags, 1 - mesh.boundary_tags[3])
+    with pytest.raises(ConfigurationError, match="duplicate boundary facet"):
+        validate(Mesh(dim, mesh.vertices, mesh.cells, facets, tags))
+
+
 @pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("base", [2_146_689, 3_000_000])
+@pytest.mark.parametrize("base", [2_146_689, 3_000_000, 4_000_000])
 def test_row_keys_are_exact_for_large_vertex_indices(base, k):
-    # 2,146,689 = 129^3 vertices, where n^3 is past 2^63; sorted rows with
-    # repeated entries and repeated rows
+    # 2,146,689 = 129^3 vertices, where n^3 is past 2^63, and 4,000,000 past
+    # 3,810,777, where keys C(r + 2, 3) of facets would leave int64; sorted rows
+    # with repeated entries and repeated rows, numbered by pair_slots column
+    # by column, must be ranked among the distinct rows in lexicographic order
     rng = np.random.default_rng(k)
     rows = np.sort(rng.integers(base - 30, base + 30, size=(4000, k)), axis=1)
     rows = np.vstack([rows, rows[::7], np.full((1, k), base)])
-    keys = _row_keys(rows)
-    assert keys.dtype == np.int64
-    assert keys.tolist() == [sum(math.comb(r + j, j + 1) for j, r in enumerate(row))
-                             for row in rows.tolist()]
-    distinct_rows = np.unique(rows, axis=0).shape[0]
-    assert np.unique(keys).size == distinct_rows
-    assert len(set(zip(map(tuple, rows.tolist()), keys.tolist()))) == distinct_rows
+    number = rows[:, 0]
+    for column in rows.T[1:]:
+        number = pair_slots(number, column)[0]
+    rank = {row: i for i, row in enumerate(sorted(set(map(tuple, rows.tolist()))))}
+    assert number.tolist() == [rank[row] for row in map(tuple, rows.tolist())]
 
 
-def test_row_keys_refuse_indices_past_int64():
-    assert _row_keys(np.array([[0, 0, 3_810_776]]))[0] < 2 ** 63
-    with pytest.raises(ConfigurationError, match="too large"):
-        _row_keys(np.array([[0, 0, 3_810_777]]))
+def test_pair_slots_in_a_given_pattern_mark_pairs_outside_it():
+    pattern = sp.csr_matrix(np.array([[1, 0, 1], [0, 0, 0], [1, 1, 0]]))
+    slots, same = pair_slots(np.array([[0, 0, 0], [2, 2, 2]]), np.array([[0, 1, 2], [0, 1, 2]]),
+                             (pattern.indices, pattern.indptr))
+    assert slots.tolist() == [[0, -1, 1], [2, 3, -1]]
+    assert slots.dtype == pattern.indices.dtype and same[0] is pattern.indices
 
 
 def test_prolong_reproduces_linears():

@@ -1,8 +1,8 @@
 """Every function, class and method defined in the package serves its code:
 its name is referenced somewhere in src/ outside its own definition, and
-every field of a dataclass there is read somewhere in src/. No module reads
-another module's underscore names, and every name a module imports is
-referenced in it."""
+every field of a dataclass there is read somewhere in src/, and so is every
+name a module assigns at its top level. No module reads another module's
+underscore names, and every name a module imports is referenced in it."""
 
 import ast
 from pathlib import Path
@@ -158,3 +158,28 @@ def unused_imports():
 
 def test_every_imported_name_is_referenced():
     assert unused_imports() == set()
+
+
+def unread_module_names():
+    """(module, name) of every name a src/ module assigns at its top level
+    that no code in src/ reads, as a name, an attribute or in a string
+    annotation; dunders are left out."""
+    assigned, reads = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        targets = [target for stmt in tree.body
+                   for target in (stmt.targets if isinstance(stmt, ast.Assign)
+                                  else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])]
+        assigned.update((path.stem, node.id) for target in targets for node in ast.walk(target)
+                        if isinstance(node, ast.Name)
+                        and not (node.id.startswith("__") and node.id.endswith("__")))
+        reads.update(node.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        reads.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+        reads.update(_annotation_names(tree))
+    return {(module, name) for module, name in assigned if name not in reads}
+
+
+def test_every_module_level_name_is_read():
+    assert unread_module_names() == set()
