@@ -146,11 +146,10 @@ class P1Geometry:
         """Sum the (nc, d+1, d+1) cell matrices into data on the cached pattern."""
         return np.bincount(self.scatter, weights=local.ravel(), minlength=self.pattern[0].size)
 
-    def csr(self, data: np.ndarray, pattern: tuple | None = None) -> sp.csr_matrix:
-        """The matrix with `data` on the cached pattern (or on `pattern`),
-        sharing its read-only index arrays; its copy() owns its arrays."""
-        return sp.csr_matrix((data, *(pattern or self.pattern)),
-                             shape=(self.n_vertices,) * 2, copy=False)
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """The matrix with `data` on the cached pattern, sharing its read-only
+        index arrays; its copy() owns its arrays."""
+        return sp.csr_matrix((data, *self.pattern), shape=(self.n_vertices,) * 2, copy=False)
 
     def load(self, local: np.ndarray) -> np.ndarray:
         """Sum the (nc, d+1) cell vectors into a nodal vector."""
@@ -179,10 +178,24 @@ class P1Geometry:
     @cached_property
     def potential_factor(self) -> Factor:
         """Inverse of K eliminated on the whole boundary, the potential's
-        Dirichlet set: it preconditions every potential solve on this mesh.
-        A GridPoisson on a box mesh, else a factor."""
+        Dirichlet set, which potential_preconditioner scales. A GridPoisson on
+        a box mesh, else a factor."""
         return (GridPoisson(*self.grid) if self.grid else
                 factor_spd(self.eliminated(self.stiffness.data, self.boundary_vertices)[0]))
+
+    @cached_property
+    def potential_diagonal(self) -> np.ndarray:
+        """The diagonal of potential_factor's matrix."""
+        return self.stiffness.diagonal()[self.free(self.boundary_vertices)]
+
+    def potential_preconditioner(self, matrix: sp.spmatrix) -> ScaledInverse:
+        """P = D^-1/2 K^-1 D^-1/2 for the free block S of a potential matrix,
+        K^-1 the potential_factor and D = diag(S) / diag(K), sigma's nodal
+        weight. A nonpositive diagonal entry of S raises SolverFailure."""
+        ratio = matrix.diagonal() / self.potential_diagonal
+        if not np.all(ratio > 0):
+            raise SolverFailure("potential matrix with a nonpositive diagonal entry")
+        return ScaledInverse(self.potential_factor, 1.0 / np.sqrt(ratio))
 
     def free(self, fixed: np.ndarray) -> np.ndarray:
         """The vertices off the distinct vertices `fixed`, ascending: a
@@ -430,8 +443,18 @@ class GridPoisson:
         return y.reshape(shape)
 
 
-# the factor of an SPD matrix, as factor_spd returns it, or a box's grid inverse
-Factor = spla.SuperLU | BandedCholesky | GridPoisson
+class ScaledInverse(NamedTuple):
+    """D^-1/2 K^-1 D^-1/2 from K's inverse and scale = D^-1/2, as a factor."""
+    inverse: Factor
+    scale: np.ndarray
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        scale = self.scale if rhs.ndim == 1 else self.scale[:, None]
+        return scale * self.inverse.solve(scale * rhs)
+
+
+# the factor of an SPD matrix, as factor_spd returns it, or an inverse in its place
+Factor = spla.SuperLU | BandedCholesky | GridPoisson | ScaledInverse
 
 
 def factor_spd(matrix: sp.spmatrix) -> Factor:

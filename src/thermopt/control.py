@@ -28,17 +28,14 @@ block (the unknowns of u off Gamma_D, of phi off the boundary) on the slot
 maps of the state solve (the adjoint takes the transposed blocks).
 
 Both block systems are solved by BiCGSTAB (van der Vorst, SIAM J. Sci.
-Stat. Comput. 13, 1992) with a block upper-triangular preconditioner
-(Murphy, Golub & Wathen, SIAM J. Sci. Comput. 21, 2000): a factor of the
-potential block S, the state solve's temperature_factor for K + R (its
-factor, or a box's separable inverse), and the block's own top-right
-coupling. The adjoint
-A^T - C^T S^-1 B^T and the sensitivity A - B S^-1 C share their Schur
-spectrum, so one path serves both; a run that reaches
-ADJOINT_MAX_ITER, or breaks down, falls back to the direct 2n solve. The
-adjoint keeps its factor of S, and the optimizer preconditions the potential
-CG of the next state solves (each trial of the next step) with it in place
-of K's: the truncation keeps nearby S close.
+Stat. Comput. 13, 1992) on the four free blocks, with a block
+upper-triangular preconditioner (Murphy, Golub & Wathen, SIAM J. Sci.
+Comput. 21, 2000) that factors nothing: the sigma-scaled inverse of K of
+the state's potential CG for S, the state's temperature_factor for K + R
+and the block's own top-right coupling. The adjoint A^T - C^T S^-1 B^T and
+the sensitivity A - B S^-1 C share their Schur spectrum, so one path serves
+both; a run that reaches ADJOINT_MAX_ITER, or breaks down, falls back to the
+direct 2n solve of the assembled block matrix.
 """
 
 from __future__ import annotations
@@ -67,14 +64,14 @@ ARMIJO_C = 1e-4     # sufficient-decrease constant of the Armijo condition
 # Relative residual at which BiCGSTAB stops on an adjoint or sensitivity
 # block. Its recursive residual falls below 1e-18 without a fallback on 16^2-
 # 64^2 squares (phi0 = x at beta = 1, phi0 = 2x-3.8x at beta = 0 and 2) and on
-# 8^3 and 16^3 boxes, but the true residual levels off at 1e-14 to 4e-13; 1e-14
+# 8^3 and 16^3 boxes, but the true residual levels off at 1e-14 to 5e-13; 1e-14
 # reaches that floor on every one of these cases (1e-13 leaves 8^3 at four
 # times it) and tighter values only add iterations.
 ADJOINT_RTOL = 1e-14
 
 # BiCGSTAB iterations after which a block solve falls back to the direct 2n
-# solve; 0 makes every block solve direct. The cases above take 3-10; 30
-# iterations at 32^2 cost about as much as the direct solve.
+# solve; 0 makes every block solve direct. The cases above take 5-11 (5-10
+# with a factor of S for S); 30 at 32^2 cost about as much as the direct solve.
 ADJOINT_MAX_ITER = 30
 
 
@@ -93,8 +90,6 @@ class AdjointSolution:
     p: Field
     q: Field
     iterations: int = 0     # BiCGSTAB iterations; 0 for a direct solve
-    # factor of S's free block; None when no BiCGSTAB ran
-    potential_factor: assembly.Factor | None = None
 
 
 @dataclass
@@ -176,53 +171,57 @@ def sensitivity_system(spec: ProblemSpec, beta: Control, state: StateSolution,
     return _state_jacobian(spec, beta, state), _block_rhs(spec, -ell_load)
 
 
-def _block_bicgstab(matrix, rhs, potential, coupling,
-                    temperature_factor) -> tuple[np.ndarray | None, int, assembly.Factor]:
-    """BiCGSTAB on the free block system, preconditioned block upper
-    triangularly: z2 = S^-1 r2 with S the `potential` block, then
-    z1 = T^-1 (r1 - M12 z2) with M12 the top-right `coupling` block and T^-1 the
-    state solve's temperature_factor for the free block of K + R. Returns the solution
-    (None when the cap or a breakdown stops BiCGSTAB), the iterations and S's factor."""
-    s_lu = assembly.factor_spd(potential)
-    n = coupling.shape[0]   # the temperature unknowns
+def _block_bicgstab(geom, blocks, rhs, temperature_factor) -> tuple[np.ndarray | None, int]:
+    """BiCGSTAB on the free blocks [[M11, M12], [M21, M22]], preconditioned
+    block upper triangularly: z2 = P r2 with P the sigma-scaled inverse of K
+    for S = M22, then z1 = T^-1 (r1 - M12 z2) with T^-1 the `temperature_factor`.
+    Returns the checked solution (None when the cap or a breakdown stops
+    BiCGSTAB) and the iterations."""
+    (m11, m12), (m21, m22) = blocks
+    n = m11.shape[0]   # the temperature unknowns
+    potential_inverse = geom.potential_preconditioner(m22)
     applications = 0
+
+    def apply(x):
+        return np.concatenate([m11 @ x[:n] + m12 @ x[n:], m21 @ x[:n] + m22 @ x[n:]])
 
     def precondition(r):
         nonlocal applications
         applications += 1
-        z2 = s_lu.solve(r[n:])
-        return np.concatenate([temperature_factor.solve(r[:n] - coupling @ z2), z2])
+        z2 = potential_inverse.solve(r[n:])
+        return np.concatenate([temperature_factor.solve(r[:n] - m12 @ z2), z2])
 
+    matrix, M = (spla.LinearOperator((rhs.size,) * 2, f, dtype=float)
+                 for f in (apply, precondition))
     x, info = spla.bicgstab(matrix, rhs, rtol=ADJOINT_RTOL, atol=0.0,
-                            maxiter=ADJOINT_MAX_ITER,
-                            M=spla.LinearOperator(matrix.shape, precondition, dtype=float))
+                            maxiter=ADJOINT_MAX_ITER, M=M)
+    x = assembly.checked_solution(matrix, rhs, x) if info == 0 else None
     # an iteration applies the preconditioner twice, once if it stops halfway
-    return (x if info == 0 else None), (applications + 1) // 2, s_lu
+    return x, (applications + 1) // 2
 
 
 def _solve_block(spec: ProblemSpec, blocks, rhs, state: StateSolution
-                 ) -> tuple[Field, Field, int, assembly.Factor | None]:
+                 ) -> tuple[Field, Field, int]:
     """Solve the free block system; returns both halves as fields, zero on
-    their Dirichlet sets, the BiCGSTAB iterations (0 for a direct solve) and
-    the factor of S (None when no BiCGSTAB ran). A BiCGSTAB run that reaches
-    ADJOINT_MAX_ITER or breaks down falls back to the direct solve."""
+    their Dirichlet sets, and the BiCGSTAB iterations (0 for a direct solve).
+    A BiCGSTAB run that reaches ADJOINT_MAX_ITER or breaks down falls back to
+    the direct solve of the assembled block matrix."""
     geom = geometry(spec.mesh)
-    matrix = sp.bmat(blocks, format="csr")
-    matrix.eliminate_zeros()   # stored zeros would change the direct solve's ordering
     try:
-        x, iterations, s_lu = None, 0, None
+        x, iterations = None, 0
         if ADJOINT_MAX_ITER > 0:
-            x, iterations, s_lu = _block_bicgstab(matrix, rhs, blocks[1][1], blocks[0][1],
-                                                  state.temperature_factor)
-        x = (assembly.solve_sparse(matrix, rhs) if x is None
-             else assembly.checked_solution(matrix, rhs, x))
+            x, iterations = _block_bicgstab(geom, blocks, rhs, state.temperature_factor)
+        if x is None:
+            matrix = sp.bmat(blocks, format="csr")
+            matrix.eliminate_zeros()   # stored zeros would change the direct solve's ordering
+            x = assembly.solve_sparse(matrix, rhs)
     except SolverFailure as exc:
         raise AdjointFailure(
             f"block solve failed ({exc}); the conductivity may be degenerate "
             "on part of the domain") from exc
     n = blocks[0][0].shape[0]   # the temperature unknowns
     return (Field(spec.mesh, geom.extend(x[:n], spec.dirichlet_temperature_vertices())),
-            Field(spec.mesh, geom.extend(x[n:], geom.boundary_vertices)), iterations, s_lu)
+            Field(spec.mesh, geom.extend(x[n:], geom.boundary_vertices)), iterations)
 
 
 def solve_adjoint(spec: ProblemSpec, beta: Control,
@@ -307,7 +306,7 @@ class OptimizeResult:
     adjoint_solves: int
     adjoint_iterations: int   # BiCGSTAB iterations over all adjoint solves
     cg_iterations: int        # potential CG iterations over all state solves
-    factorizations: int       # the state solves' factors and the adjoints' S factors
+    factorizations: int       # the state solves' factors (an adjoint makes none)
 
 
 def _initial_control(spec: ProblemSpec, opts: OptimizerOptions) -> Control:
@@ -326,8 +325,7 @@ def _count(work: Counter, state=None, adjoint=None) -> None:
         work.update(state_solves=1, cg_iterations=state.cg_iterations,
                     factorizations=state.factorizations)
     if adjoint is not None:
-        work.update(adjoint_solves=1, adjoint_iterations=adjoint.iterations,
-                    factorizations=int(adjoint.potential_factor is not None))
+        work.update(adjoint_solves=1, adjoint_iterations=adjoint.iterations)
 
 
 def _spectral_step(measures, previous, beta, g) -> float:
@@ -378,7 +376,7 @@ def optimize(spec: ProblemSpec, opts: OptimizerOptions | None = None) -> Optimiz
             cand = beta.with_values(candidate)
             entry["trials"] += 1
             try:
-                cstate = solve_state(spec, cand, opts.solver, adjoint.potential_factor)
+                cstate = solve_state(spec, cand, opts.solver)
             except (NonconvergenceError, CriticalityError) as exc:
                 entry["failed_trials"] += 1   # an unreachable trial is a rejected step
                 _count(work, exc)
@@ -388,7 +386,7 @@ def optimize(spec: ProblemSpec, opts: OptimizerOptions | None = None) -> Optimiz
             cj = objective(spec.mesh, cstate.u, cand)
             decrease = float(np.sum(measures * g * (candidate - beta.values)))
             if cj.total <= j.total + ARMIJO_C * decrease:
-                beta, state, j, adjoint = cand, cstate, cj, None   # frees the last S factor
+                beta, state, j = cand, cstate, cj
                 adjoint = solve_adjoint(spec, beta, state)
                 _count(work, adjoint=adjoint)
                 entry["step"] = step

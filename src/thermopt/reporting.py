@@ -21,24 +21,20 @@ _VTK_MESH_CACHE: "weakref.WeakKeyDictionary[Mesh, str]" = weakref.WeakKeyDiction
 def write_vtk(field: Field, path: str, name: str) -> None:
     """Legacy ASCII VTK unstructured grid with one point scalar; mesh section cached per mesh."""
     mesh = field.mesh
+    n, nc, k = mesh.n_vertices, mesh.n_cells, mesh.dim + 1
     if mesh not in _VTK_MESH_CACHE:
-        k = mesh.dim + 1
-        points = np.zeros((mesh.n_vertices, 3))
+        points = np.zeros((n, 3))
         points[:, :mesh.dim] = mesh.vertices
-        cells = np.column_stack([np.full(mesh.n_cells, k), mesh.cells])
-        lines = [f"POINTS {mesh.n_vertices} double"]
-        lines += [" ".join(map(repr, row)) for row in points.tolist()]
-        lines.append(f"CELLS {mesh.n_cells} {mesh.n_cells * (k + 1)}")
-        lines += [" ".join(map(str, row)) for row in cells.tolist()]
-        lines.append(f"CELL_TYPES {mesh.n_cells}")
-        lines += [str(_VTK_CELL_TYPE[mesh.dim])] * mesh.n_cells
-        _VTK_MESH_CACHE[mesh] = "\n".join(lines)
-    lines = ["# vtk DataFile Version 3.0", name, "ASCII", "DATASET UNSTRUCTURED_GRID",
-             _VTK_MESH_CACHE[mesh], f"POINT_DATA {mesh.n_vertices}",
-             f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
-    lines += map(repr, np.asarray(field.values, dtype=float).tolist())
+        _VTK_MESH_CACHE[mesh] = (
+            f"POINTS {n} double\n" + ("%r %r %r\n" * n) % tuple(points.ravel().tolist())
+            + f"CELLS {nc} {nc * (k + 1)}\n"
+            + ((f"{k}" + " %d" * k + "\n") * nc) % tuple(mesh.cells.ravel().tolist())
+            + f"CELL_TYPES {nc}\n" + f"{_VTK_CELL_TYPE[mesh.dim]}\n" * nc)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# vtk DataFile Version 3.0\n{name}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+                 + _VTK_MESH_CACHE[mesh] + f"POINT_DATA {n}\nSCALARS {name} double 1\n"
+                 "LOOKUP_TABLE default\n"
+                 + ("%r\n" * n) % tuple(np.asarray(field.values, dtype=float).tolist()))
 
 
 def write_beta_csv(beta: Control, path: str) -> None:

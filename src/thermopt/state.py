@@ -21,12 +21,13 @@ that hold phi0 and u0 there.
 
 The truncation also makes every potential matrix S(sigma_n(u)) spectrally
 equivalent to the unit stiffness K, with condition number of K^-1 S at most
-sigma_0 / min sigma_n. So each potential solve is conjugate gradients from
-the previous step's potential, preconditioned by the per-mesh inverse of K
-(a separable inverse on a box mesh, else K's factor) or by a caller's
-factor of a nearby S (the optimizer passes the last adjoint's);
-when CG reaches its cap the step factors S and solves directly, and that
-factor preconditions the rest of the solve.
+sigma_0 / min sigma_n (Faber, Manteuffel & Parter, Adv. Appl. Math. 11,
+1990). So each potential solve is conjugate gradients from the previous
+step's potential, preconditioned by P = D^-1/2 K^-1 D^-1/2 with K^-1 the
+per-mesh inverse of K (a separable inverse on a box mesh, else K's factor)
+and D = diag(S) / diag(K) from the matrix being solved (see
+P1Geometry.potential_preconditioner); a step whose CG reaches its cap
+factors S and solves directly, and the next takes P again.
 
 The temperature matrix K + R is factored once per solve, except where
 _box_temperature_inverse gives a separable inverse: there each temperature
@@ -59,11 +60,12 @@ ANDERSON_DEPTH = 5
 # within 2.3e-13 of direct solves.
 PCG_RTOL = 1e-13
 
-# CG iterations after which a potential solve factors S instead. Preconditioned
-# by K, CG takes 0-3 iterations per Picard step on a 16^3 solve at phi0 = 0.1x
-# and 3-10 on a 32^2 solve at phi0 = x; at phi0 = 2x and 3x (32^2, beta = 0)
-# 4 of 15 and 9 of 35 steps reach this cap and refactor. Caps from 10 to 30
-# gave the same solve times there, within run-to-run noise.
+# CG iterations after which a potential solve factors S instead. Under the
+# sigma-scaled inverse of K, CG takes 0-2 iterations per Picard step at 16^3,
+# phi0 = 0.1x, 0-5 at 32^2, phi0 = x, and 0-17 at 2x-3.8x, beta = 0 (K's
+# inverse alone: 4 of 15 to 19 of 48 steps refactored). Near the truncation
+# level a few steps refactor (16^2 at 8x, beta = 2, level 0.99: 4 of 50);
+# keeping their factor for the later steps made 37 refactors against 1 at beta = 1.
 PCG_MAX_ITER = 20
 
 
@@ -119,8 +121,8 @@ class StateSolution:
     cg_iterations: int = 0       # over all potential and temperature solves
     factorizations: int = 0      # banded Cholesky or SuperLU factors this solve made
     # what the temperature solves used for K + R's free block: its factor,
-    # or a box's separable inverse (see the module docstring); the adjoint
-    # block and the certificate's Poincare estimate precondition by it
+    # or a box's separable inverse (see the module docstring); it
+    # preconditions the adjoint's K + R block and the Poincare estimate
     temperature_factor: assembly.Factor | None = None
 
 
@@ -133,13 +135,10 @@ def pick_truncation_level(spec: ProblemSpec) -> float | None:
     return u_star - 0.1 * (u_star - u0max)
 
 
-def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = None,
-                precond: assembly.Factor | None = None) -> StateSolution:
+def solve_state(spec: ProblemSpec, beta: Control,
+                opts: SolverOptions | None = None) -> StateSolution:
     """Solve the coupled system; raises on nonconvergence or criticality.
 
-    The potential CG is preconditioned by `precond`, a factor of the free
-    block of a nearby potential matrix, or by the mesh's inverse of K
-    (geometry(mesh).potential_factor) when None.
     Convergence is measured on the unmixed Picard candidate (the fixed-point
     residual max |T(u^k) - u^k| together with the potential increment) and
     the final candidate is returned, which keeps the weak residual at the
@@ -175,11 +174,8 @@ def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = N
     u_matrix, u_transpose = geom.eliminated(A_u.data, fixed_u)
     u_inverse = _box_temperature_inverse(mesh, beta)
     u_lu = assembly.factor_spd(u_matrix) if u_inverse is None else None
-    # K's factor counts only for the solve that builds it, and K's grid
-    # inverse on a box mesh is no factorization
-    factorizations = (u_lu is not None) + (precond is None and "potential_factor" not in vars(geom)
-                                           and geom.grid is None)
-    precond = geom.potential_factor if precond is None else precond
+    # K's factor counts only for the solve that builds it; a box's grid inverse is none
+    factorizations = (u_lu is not None) + ("potential_factor" not in vars(geom) and not geom.grid)
     cg_iterations = 0
     sigma_clamp_count = 0   # negative temperatures at quadrature points, clamped by sigma
 
@@ -193,11 +189,8 @@ def solve_state(spec: ProblemSpec, beta: Control, opts: SolverOptions | None = N
         u_q = geom.at_quadrature(u)
         sigma_clamp_count += int(np.count_nonzero(u_q < 0))
         sigma_q = sigma(u_q)
-        phi_new, cg, refactor = _solve_potential(mesh, sigma_q, phi, fixed_phi,
-                                                 phi_fixed, phi_norm, precond)
-        factors = refactor is not None
-        if refactor is not None:
-            precond = refactor
+        phi_new, cg, factors = _solve_potential(mesh, sigma_q, phi, fixed_phi,
+                                                phi_fixed, phi_norm)
         phi_field = Field(mesh, phi_new)
         joule = assembly.assemble_joule_rhs_weak(mesh, sigma_q, phi_field, spec.phi0)
         u_rhs = lift_dirichlet(A_u, joule + robin_rhs, fixed_u, u_fixed, free_u)
@@ -298,16 +291,17 @@ def _box_temperature_inverse(mesh: Mesh, beta: Control) -> assembly.GridPoisson 
     return assembly.GridPoisson(divisions, extents, list(zip(ends[::2], ends[1::2])))
 
 
-def _solve_potential(mesh, sigma_q, phi, fixed, values, values_norm, precond):
-    # a function, so that its matrix is freed before the Joule assembly
+def _solve_potential(mesh, sigma_q, phi, fixed, values, values_norm):
+    """One Picard step's potential, its CG iterations and whether it factored
+    S; a function, so that its matrix is freed before the Joule assembly."""
     geom = geometry(mesh)
     A_phi = geom.csr(assembly.weighted_stiffness_data(mesh, sigma_q))
     matrix, transpose = geom.eliminated(A_phi.data, fixed)
     free = geom.free(fixed)
     x, cg, factor = assembly.solve_spd_pcg(
-        matrix, lift_dirichlet(A_phi, 0.0, fixed, values, free), phi[free], precond,
-        PCG_RTOL, PCG_MAX_ITER, transpose, values_norm)
-    return geom.extend(x, fixed, values), cg, factor
+        matrix, lift_dirichlet(A_phi, 0.0, fixed, values, free), phi[free],
+        geom.potential_preconditioner(matrix), PCG_RTOL, PCG_MAX_ITER, transpose, values_norm)
+    return geom.extend(x, fixed, values), cg, factor is not None
 
 
 def weak_residual(spec: ProblemSpec, beta: Control, sol: StateSolution) -> tuple[float, float]:

@@ -349,6 +349,44 @@ def test_geometry_keeps_unit_stiffness_and_potential_factor():
     assert np.allclose(geom.potential_factor.solve(rhs), solve_direct(A, rhs), rtol=1e-13)
 
 
+@pytest.mark.parametrize("extents, divisions, refined", [
+    ([1.0, 0.7], [6, 5], False), ([1.0, 0.7], [6, 5], True), ([1.0, 1.0, 1.3], [3, 4, 2], False),
+    ([1.0, 1.0, 1.3], [3, 4, 2], True)], ids=["6x5", "6x5-refined", "3x4x2", "3x4x2-refined"])
+def test_potential_preconditioner_is_the_scaled_inverse_of_k(extents, divisions, refined):
+    # P = D^-1/2 K^-1 D^-1/2, D = diag(S) / diag(K), on a box (K's grid inverse)
+    # and on its refined child (K's factor), for a vector and a block
+    mesh = build_rectangle_mesh(extents, divisions, LEFT)
+    mesh = refine_uniform(mesh) if refined else mesh
+    geom = geometry(mesh)
+    rng = np.random.default_rng(8)
+    sigma_q = rng.uniform(0.05, 3.0, (mesh.n_cells, geom.qweights.size))
+    S = geom.eliminated(assembly.weighted_stiffness_data(mesh, sigma_q),
+                        geom.boundary_vertices)[0]
+    K = geom.eliminated(geom.stiffness.data, geom.boundary_vertices)[0]
+    scale = np.sqrt(K.diagonal() / S.diagonal())
+    P = geom.potential_preconditioner(S)
+    assert isinstance(geom.potential_factor, assembly.GridPoisson) != refined
+    for rhs in (rng.standard_normal(S.shape[0]), rng.standard_normal((S.shape[0], 3))):
+        given = rhs.copy()
+        diagonal = scale if rhs.ndim == 1 else scale[:, None]
+        ref = diagonal * np.linalg.solve(K.toarray(), diagonal * rhs)
+        x = P.solve(rhs)
+        assert x.shape == rhs.shape and np.array_equal(rhs, given)
+        assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_potential_preconditioner_rejects_a_nonpositive_diagonal():
+    mesh = unit_square(4)
+    geom = geometry(mesh)
+    # sigma vanishes on every cell around the centre vertex 12, an unknown
+    sigma_q = np.ones((mesh.n_cells, geom.qweights.size))
+    sigma_q[np.any(mesh.cells == 12, axis=1)] = 0.0
+    S = geom.eliminated(assembly.weighted_stiffness_data(mesh, sigma_q),
+                        geom.boundary_vertices)[0]
+    with pytest.raises(SolverFailure, match="nonpositive diagonal"):
+        geom.potential_preconditioner(S)
+
+
 @pytest.mark.parametrize("extents, divisions", [
     ([1.0, 1.0], [8, 8]), ([2.0, 0.5], [7, 5]), ([1.0, 1.0, 1.0], [5, 5, 5]),
     ([1.0, 2.0, 0.7], [4, 6, 3]), ([1.0, 1.0, 1.0], [16, 16, 16]),

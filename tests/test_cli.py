@@ -289,7 +289,7 @@ def test_solve_determinism(tmp_path):
 
 
 def test_solve_report_does_not_depend_on_an_earlier_optimize(tmp_path):
-    # the optimizer hands S factors only between its own state solves
+    # an optimize leaves nothing on the mesh that changes a later solve
     cfg = write_config(tmp_path, BENCHMARK.replace("0.1*x", "x"))
     outs = [tmp_path / name for name in ("before", "optimize", "after")]
     assert main(["solve", "--config", cfg, "--out", str(outs[0])]) == 0
@@ -302,7 +302,8 @@ def test_solve_report_does_not_depend_on_an_earlier_optimize(tmp_path):
     assert before == after
     opt = opt["optimizer"]
     assert opt["cg_iterations"] > 0
-    assert opt["factorizations"] >= opt["state_solves"] + opt["adjoint_solves"]
+    # each state solve factors K + R; an adjoint factors nothing
+    assert opt["factorizations"] >= opt["state_solves"]
 
 
 def test_optimize_zero_cap(tmp_path):

@@ -1,6 +1,4 @@
 import math
-import sys
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -171,7 +169,6 @@ def test_block_krylov_matches_direct_solve(monkeypatch, spec_of, beta_value):
     direct = solve_adjoint(spec, beta, state)
     direct_pair = solve_sensitivity(spec, beta, state, ell)
     assert adjoint.iterations > 0 and direct.iterations == 0
-    assert adjoint.potential_factor is not None and direct.potential_factor is None
     for got, want in ((adjoint.p, direct.p), (adjoint.q, direct.q),
                       (pair.psi1, direct_pair.psi1), (pair.psi2, direct_pair.psi2)):
         scale = np.max(np.abs(want.values))
@@ -193,56 +190,36 @@ def test_block_krylov_cap_falls_back_to_direct_solve(monkeypatch):
     assert np.array_equal(capped.q.values, direct.q.values)
 
 
-def check_adjoint_factors(monkeypatch, mesh, kind):
-    """The adjoint reuses the state's temperature factor: one factor of the
-    potential block, by `kind` ("dpbtrf" or splu's ordering), and no COLAMD
-    spsolve of the 2n block."""
-    spec = control_spec(mesh=mesh, drive=1.0)
+@pytest.mark.parametrize("mesh_of", [
+    lambda: build_rectangle_mesh([1.0, 1.0], [16, 16], LEFT),
+    lambda: refine_uniform(build_rectangle_mesh([1.0, 1.0, 1.0], [4, 4, 4], LEFT)),
+    lambda: build_rectangle_mesh([1.0, 1.0, 1.0], [8, 8, 8], LEFT),
+], ids=["16x16", "refined-8x8x8", "8x8x8"])
+def test_solve_adjoint_factors_nothing(monkeypatch, mesh_of):
+    """The adjoint preconditions S by the state's sigma-scaled inverse of K
+    and K + R by the state's temperature_factor: BiCGSTAB converges with no
+    factor of any block and no direct spsolve of the 2n block. On a square,
+    whose S and K + R band; on a refined box, where K's inverse is its MMD
+    factor, which the state solve made; and on a box, where it is the grid
+    inverse."""
+    spec = control_spec(mesh=mesh_of(), drive=1.0)
     beta = Control.constant(spec.mesh, 0.5, 2.0)
     state = solve_state(spec, beta)
-    calls = {"factors": [], "spsolve": 0}
+    calls = {"factors": 0, "spsolve": 0}
     splu, spsolve, dpbtrf = spla.splu, spla.spsolve, assembly.lapack.dpbtrf
 
-    def counting_splu(*args, **kwargs):
-        if sys._getframe(1).f_globals["__name__"] == "thermopt.assembly":
-            calls["factors"].append(kwargs.get("permc_spec"))
-        return splu(*args, **kwargs)
+    def counting(function, key):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return function(*args, **kwargs)
+        return counted
 
-    def counting_dpbtrf(*args, **kwargs):
-        if sys._getframe(1).f_globals["__name__"] == "thermopt.assembly":
-            calls["factors"].append("dpbtrf")
-        return dpbtrf(*args, **kwargs)
-
-    def counting_spsolve(*args, **kwargs):
-        calls["spsolve"] += 1
-        return spsolve(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting_splu)
-    monkeypatch.setattr(spla, "spsolve", counting_spsolve)
-    monkeypatch.setattr(assembly.lapack, "dpbtrf", counting_dpbtrf)
+    monkeypatch.setattr(spla, "splu", counting(splu, "factors"))
+    monkeypatch.setattr(spla, "spsolve", counting(spsolve, "spsolve"))
+    monkeypatch.setattr(assembly.lapack, "dpbtrf", counting(dpbtrf, "factors"))
     adjoint = solve_adjoint(spec, beta, state)
     assert adjoint.iterations > 0
-    assert calls == {"factors": [kind], "spsolve": 0}
-
-
-def test_solve_adjoint_factors_only_the_potential_block(monkeypatch):
-    # the free S block's half-bandwidth 15, below the cap: banded Cholesky
-    check_adjoint_factors(monkeypatch, build_rectangle_mesh([1.0, 1.0], [16, 16], LEFT),
-                          "dpbtrf")
-
-
-def test_solve_adjoint_factors_above_the_banded_cap_with_mmd(monkeypatch):
-    # the 8^3 refined from 4^3, whose vertex order gives b about m: splu
-    # with the MMD ordering
-    coarse = build_rectangle_mesh([1.0, 1.0, 1.0], [4, 4, 4], LEFT)
-    check_adjoint_factors(monkeypatch, refine_uniform(coarse), "MMD_AT_PLUS_A")
-
-
-def test_solve_adjoint_bands_the_coupled_block_of_a_3d_box(monkeypatch):
-    # the free S block of 8^3, its 343 interior rows coupled to one another,
-    # has b = 49
-    check_adjoint_factors(monkeypatch, build_rectangle_mesh([1.0, 1.0, 1.0], [8, 8, 8], LEFT),
-                          "dpbtrf")
+    assert calls == {"factors": 0, "spsolve": 0}
 
 
 def test_solve_adjoint_eliminates_through_the_state_slot_maps(monkeypatch):
@@ -526,10 +503,10 @@ def test_optimizer_totals_adjoint_iterations(monkeypatch):
 
 @pytest.mark.parametrize("failing_call", [None, 2])
 def test_optimizer_totals_cg_iterations_and_factorizations(monkeypatch, failing_call):
-    # cg_iterations totals every state solve, a failed trial included (from
-    # its error's counts); factorizations adds every adjoint's S factor
+    # cg_iterations and factorizations total every state solve, a failed
+    # trial included (from its error's counts); an adjoint factors nothing
     from thermopt import control
-    states, adjoint_factors = [], []
+    states, adjoints = [], []
 
     def recording_state(*args, **kwargs):
         states.append(solve_state(*args, **kwargs))
@@ -539,9 +516,8 @@ def test_optimizer_totals_cg_iterations_and_factorizations(monkeypatch, failing_
         return states[-1]
 
     def recording_adjoint(*args):
-        adjoint = solve_adjoint(*args)
-        adjoint_factors.append(adjoint.potential_factor is not None)
-        return adjoint
+        adjoints.append(solve_adjoint(*args))
+        return adjoints[-1]
 
     monkeypatch.setattr(control, "solve_state", recording_state)
     monkeypatch.setattr(control, "solve_adjoint", recording_adjoint)
@@ -549,48 +525,15 @@ def test_optimizer_totals_cg_iterations_and_factorizations(monkeypatch, failing_
     assert result.converged
     assert result.state_solves == len(states)
     assert sum(h.get("failed_trials", 0) for h in result.history) == (failing_call is not None)
-    assert all(adjoint_factors) and result.adjoint_solves == len(adjoint_factors)
+    assert result.adjoint_solves == len(adjoints) > 1
+    assert all(a.iterations > 0 for a in adjoints)
     assert result.cg_iterations == sum(s.cg_iterations for s in states) > 0
-    assert result.factorizations == (sum(s.factorizations for s in states)
-                                     + len(adjoint_factors))
-
-
-def test_optimizer_keeps_one_s_factor_alive(monkeypatch):
-    # when an adjoint factors S, no earlier adjoint still holds its factor
-    from thermopt import control
-    earlier = []
-
-    def checking_adjoint(*args):
-        assert all(ref() is None or ref().potential_factor is None for ref in earlier)
-        adjoint = solve_adjoint(*args)
-        earlier.append(weakref.ref(adjoint))
-        return adjoint
-
-    monkeypatch.setattr(control, "solve_adjoint", checking_adjoint)
-    result = optimize(control_spec(8, drive=1.0))
-    assert result.converged and len(earlier) == result.adjoint_solves > 2
-
-
-def test_trial_solve_preconditioned_by_the_adjoint_factor():
-    # a line-search trial given the accepted iterate's S factor reaches the
-    # K-preconditioned state in the same Picard steps with fewer CG iterations
-    spec = control_spec(16, drive=1.0)
-    beta = Control.constant(spec.mesh, 1.0, spec.m_cap)
-    state = solve_state(spec, beta)
-    adjoint = solve_adjoint(spec, beta, state)
-    g = gradient(spec, state, adjoint, beta)
-    trial = beta.with_values(np.clip(beta.values - 0.5 * g, 0.0, spec.m_cap))
-    plain = solve_state(spec, trial)
-    reused = solve_state(spec, trial, precond=adjoint.potential_factor)
-    for got, want in ((reused.u, plain.u), (reused.phi, plain.phi)):
-        assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
-    assert reused.iterations == plain.iterations
-    assert reused.cg_iterations < plain.cg_iterations
-    assert reused.factorizations == plain.factorizations == 1
+    assert result.factorizations == sum(s.factorizations for s in states) > 0
 
 
 # J of configs/benchmark.cfg with every potential CG preconditioned by K's
-# factor; the optimizer reaches the optimum beta = 0 there
+# factor alone, before S factors and then the sigma-scaled inverse of K took
+# its place; the optimizer reaches the optimum beta = 0 there
 BENCHMARK_CFG = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"
 BENCHMARK_J = 0.003307491842017859
 
@@ -725,6 +668,45 @@ def test_optimize_3d_box_with_the_box_temperature_inverse(monkeypatch):
     assert factored.converged and factored.factorizations > res.factorizations
     j, j_factored = (objective(spec.mesh, r.state.u, r.beta).total for r in (res, factored))
     assert abs(j - j_factored) <= 1e-10 * abs(j_factored)
+
+
+def benchmark_box(divisions, drive):
+    """configs/benchmark.cfg's problem and optimizer options on the unit box
+    of `divisions`, at phi0 = drive x."""
+    text = (BENCHMARK_CFG.read_text()
+            .replace("problem.phi0 = 0.1*x", f"problem.phi0 = {drive}*x")
+            .replace("problem.extents = 1 1", "problem.extents = " + " ".join("1" * len(divisions)))
+            .replace("problem.divisions = 16 16",
+                     "problem.divisions = " + " ".join(map(str, divisions))))
+    config = cfg.parse_config_text(text)
+    return cfg.build_problem(config), cfg.build_optimizer_options(config)
+
+
+# J of the optimizers below, as computed when each adjoint factored S and
+# handed the factor to the next state solves
+BOX8_J = 0.1974791445170461
+SQUARE32_2X_J = 0.40871590834180743
+
+
+def test_3d_box_optimize_makes_no_factor():
+    # K's and K + R's grid inverses, and the sigma-scaled inverse of K for
+    # every potential CG and every adjoint's S block
+    spec, opts = benchmark_box([8, 8, 8], 1)
+    result = optimize(spec, opts)
+    assert result.converged and result.factorizations == 0
+    j = objective(spec.mesh, result.state.u, result.beta).total
+    assert abs(j - BOX8_J) <= 1e-12 * BOX8_J
+
+
+def test_strong_drive_optimize_factors_only_the_temperature():
+    # 32^2 at phi0 = 2x: 6 state solves each factor K + R and no potential
+    # CG reaches its cap (33 factors when S factors preconditioned the trials)
+    spec, opts = benchmark_box([32, 32], 2)
+    result = optimize(spec, opts)
+    assert result.converged
+    assert result.factorizations <= 6
+    j = objective(spec.mesh, result.state.u, result.beta).total
+    assert abs(j - SQUARE32_2X_J) <= 1e-10 * SQUARE32_2X_J
 
 
 def test_optimize_beats_random_admissible_controls():

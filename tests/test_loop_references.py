@@ -940,8 +940,7 @@ def _count(work: Counter, state=None, adjoint=None) -> None:
         work.update(state_solves=1, cg_iterations=state.cg_iterations,
                     factorizations=state.factorizations)
     if adjoint is not None:
-        work.update(adjoint_solves=1, adjoint_iterations=adjoint.iterations,
-                    factorizations=int(adjoint.potential_factor is not None))
+        work.update(adjoint_solves=1, adjoint_iterations=adjoint.iterations)
 
 
 def _optimize_projected_gradient(spec: ProblemSpec,
@@ -978,7 +977,7 @@ def _optimize_projected_gradient(spec: ProblemSpec,
             cand = beta.with_values(candidate)
             entry["trials"] += 1
             try:
-                cstate = solve_state(spec, cand, opts.solver, adjoint.potential_factor)
+                cstate = solve_state(spec, cand, opts.solver)
             except (NonconvergenceError, CriticalityError) as exc:
                 # an unreachable trial is a rejected step; it made u's factor and refactors
                 entry["failed_trials"] += 1
@@ -991,7 +990,7 @@ def _optimize_projected_gradient(spec: ProblemSpec,
             cj = objective(spec.mesh, cstate.u, cand)
             decrease = float(np.sum(measures * g * (candidate - beta.values)))
             if cj.total <= j.total + ARMIJO_C * decrease:
-                beta, state, j, adjoint = cand, cstate, cj, None   # frees the last S factor
+                beta, state, j = cand, cstate, cj
                 adjoint = solve_adjoint(spec, beta, state)
                 _count(work, adjoint=adjoint)
                 entry["step"] = step

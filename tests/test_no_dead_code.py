@@ -2,7 +2,8 @@
 its name is referenced somewhere in src/ outside its own definition, and
 every field of a dataclass there is read somewhere in src/, and so is every
 name a module assigns at its top level. No module reads another module's
-underscore names, and every name a module imports is referenced in it."""
+underscore names, every name a module imports is referenced in it, and
+every defaulted parameter is passed by some call in src/."""
 
 import ast
 from pathlib import Path
@@ -183,3 +184,61 @@ def unread_module_names():
 
 def test_every_module_level_name_is_read():
     assert unread_module_names() == set()
+
+
+# Defaulted parameters kept although no call in src/ passes them.
+UNPASSED_ALLOWED = {
+    ("assemble_mass", "weight"): "the weighted mass matrix, for users and tests",
+    ("load_vector", "weight"): "the weighted load, for users and tests",
+    ("main", "argv"): "the command line as a list, for tests and embedding; None reads sys.argv",
+}
+
+
+def _defaulted_parameters(node):
+    """(name, positional index or None) of each defaulted parameter of a
+    function definition, the index counted without a method's self or cls."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    skip = int(bool(positional) and positional[0].arg in ("self", "cls"))
+    found = [(a.arg, i - skip)
+             for i, a in enumerate(positional) if i >= len(positional) - len(args.defaults)]
+    return found + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+
+
+def unpassed_defaults():
+    """(function, parameter) of every defaulted parameter of a function or
+    method in src/ that no call in src/ passes, by keyword or by position;
+    calls match by name, a call of a class or of a subclass standing for its
+    __init__, and a call with *args or **kwargs passes every parameter."""
+    defined, calls, bases = [], [], {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {getattr(b, "id", None) for b in node.bases}
+                defined += [(node.name, p) for item in node.body
+                            if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                            for p in _defaulted_parameters(item)]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name != "__init__":
+                defined += [(node.name, p) for p in _defaulted_parameters(node)]
+            elif isinstance(node, ast.Call):
+                calls.append(node)
+
+    def callees(name):
+        """The name and, for a class, the names of its subclasses in src/."""
+        return {name}.union(*(callees(sub) for sub, of in bases.items() if name in of))
+
+    def passed(name, parameter, index):
+        return any(getattr(call.func, "id", getattr(call.func, "attr", None)) in callees(name)
+                   and (any(k.arg in (None, parameter) for k in call.keywords)
+                        or any(isinstance(a, ast.Starred) for a in call.args)
+                        or index is not None and len(call.args) > index)
+                   for call in calls)
+
+    return {(name, parameter) for name, (parameter, index) in defined
+            if not passed(name, parameter, index)}
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert unpassed_defaults() == set(UNPASSED_ALLOWED)
