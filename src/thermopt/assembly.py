@@ -443,6 +443,27 @@ class GridPoisson:
         return y.reshape(shape)
 
 
+def box_inverse(mesh: Mesh, beta: Control) -> GridPoisson | None:
+    """The GridPoisson of K + R's free block off Gamma_D on a box mesh whose
+    Gamma_D is a union of whole faces, each Robin face taking its
+    facet-measure-weighted mean beta; None on any other mesh."""
+    if mesh.grid is None:
+        return None
+    divisions, extents = mesh.grid
+    # face 2k of a boundary facet is x_k = 0, face 2k + 1 is x_k = L_k
+    index = np.unravel_index(mesh.boundary_facets, [n + 1 for n in divisions])
+    faces = np.argmax([np.all(i == end, axis=1) for i, n in zip(index, divisions)
+                       for end in (0, n)], axis=0)
+    robin, measures = faces[beta.facet_ids], geometry(mesh).facet_measures[beta.facet_ids]
+    count, robin_count = (np.bincount(f, minlength=2 * mesh.dim) for f in (faces, robin))
+    if np.any((robin_count > 0) & (robin_count < count)):
+        return None   # a face partly Dirichlet
+    mean = (np.bincount(robin, measures * beta.values, 2 * mesh.dim)
+            / np.maximum(np.bincount(robin, measures, 2 * mesh.dim), 1e-300))
+    ends = [float(r) if k else None for k, r in zip(robin_count, mean)]
+    return GridPoisson(divisions, extents, list(zip(ends[::2], ends[1::2])))
+
+
 class ScaledInverse(NamedTuple):
     """D^-1/2 K^-1 D^-1/2 from K's inverse and scale = D^-1/2, as a factor."""
     inverse: Factor

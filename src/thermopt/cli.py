@@ -32,7 +32,6 @@ from .fields import Control, Field
 from .mesh import mesh_size, prolong, prolong_facets, refine_uniform
 from .state import solve_state, subcritical_margin
 from .transform import (
-    certificate_data,
     check_certificate,
     compute_certificate,
     psi_checks,
@@ -173,14 +172,13 @@ def _suite_maxprinciple(config, spec, checks):
 
 
 def _certified_state(config, spec):
-    """(control, state, certificate) of the configured problem. The checks
-    that need no C_D come before the state solve, so that data the chain
-    cannot bound exits 5 without one; the solve's temperature factor then
-    preconditions the Poincare estimate."""
-    data = certificate_data(spec, **cfg.certificate_arguments(config))
+    """(control, state, certificate) of the configured problem. The
+    certificate bounds every steady state from the data, so it comes before
+    the control and the state solve: data the chain cannot bound exits 5
+    without either."""
+    cert = compute_certificate(spec, **cfg.certificate_arguments(config))
     beta = cfg.build_control(config, spec)
-    sol = solve_state(spec, beta, cfg.build_solver_options(config))
-    return beta, sol, compute_certificate(spec, data, factor=sol.temperature_factor)
+    return beta, solve_state(spec, beta, cfg.build_solver_options(config)), cert
 
 
 def _suite_substitution(config, spec, checks):

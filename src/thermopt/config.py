@@ -263,7 +263,7 @@ def build_optimizer_options(config: RunConfig) -> OptimizerOptions:
 
 
 def certificate_arguments(config: RunConfig) -> dict:
-    """Keyword arguments eps, C1 and auto_eps of `certificate_data`.
+    """Keyword arguments eps, C1 and auto_eps of `compute_certificate`.
 
     eps may be halved automatically unless it was pinned in the file, and
     certificate.auto_eps, when set, decides either way."""

@@ -70,8 +70,8 @@ ARMIJO_C = 1e-4     # sufficient-decrease constant of the Armijo condition
 ADJOINT_RTOL = 1e-14
 
 # BiCGSTAB iterations after which a block solve falls back to the direct 2n
-# solve; 0 makes every block solve direct. The cases above take 5-11 (5-10
-# with a factor of S for S); 30 at 32^2 cost about as much as the direct solve.
+# solve; 0 makes every block solve direct. The cases above take 5-11; 30 at
+# 32^2 cost about as much as the direct solve.
 ADJOINT_MAX_ITER = 30
 
 
@@ -288,7 +288,7 @@ def dj_fd(spec: ProblemSpec, beta: Control, ell: Control, eps: float = 1e-4,
 class OptimizerOptions:
     tol: float = 1e-7
     max_outer: int = 100
-    beta0: np.ndarray | float | None = None   # default m_cap / 2
+    beta0: float | None = None   # default m_cap / 2
     max_backtracks: int = 40
     solver: SolverOptions = dfield(default_factory=SolverOptions)
 
@@ -305,16 +305,13 @@ class OptimizeResult:
     state_solves: int     # including failed and rejected trials
     adjoint_solves: int
     adjoint_iterations: int   # BiCGSTAB iterations over all adjoint solves
-    cg_iterations: int        # potential CG iterations over all state solves
+    cg_iterations: int        # potential and temperature CG iterations over all state solves
     factorizations: int       # the state solves' factors (an adjoint makes none)
 
 
 def _initial_control(spec: ProblemSpec, opts: OptimizerOptions) -> Control:
-    if opts.beta0 is None:
-        return Control.constant(spec.mesh, 0.5 * spec.m_cap, spec.m_cap)
-    if np.ndim(opts.beta0) == 0:
-        return Control.constant(spec.mesh, float(opts.beta0), spec.m_cap)
-    return Control(spec.mesh, np.asarray(opts.beta0, dtype=float), spec.m_cap)
+    beta0 = 0.5 * spec.m_cap if opts.beta0 is None else opts.beta0
+    return Control.constant(spec.mesh, beta0, spec.m_cap)
 
 
 def _count(work: Counter, state=None, adjoint=None) -> None:

@@ -51,8 +51,6 @@ class Expression:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[None, :]
         with np.errstate(all="ignore"):
             out = self._evaluate(self._tree, points)
         return np.broadcast_to(np.asarray(out, dtype=float),

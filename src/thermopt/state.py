@@ -122,7 +122,7 @@ class StateSolution:
     factorizations: int = 0      # banded Cholesky or SuperLU factors this solve made
     # what the temperature solves used for K + R's free block: its factor,
     # or a box's separable inverse (see the module docstring); it
-    # preconditions the adjoint's K + R block and the Poincare estimate
+    # preconditions the adjoint's K + R block
     temperature_factor: assembly.Factor | None = None
 
 
@@ -267,28 +267,14 @@ def solve_state(spec: ProblemSpec, beta: Control,
 #   K's b          33    49    65    81   169   289   441
 #   CG / factor   4.0   2.1   1.0   3.8  1.15  0.41  0.22
 def _box_temperature_inverse(mesh: Mesh, beta: Control) -> assembly.GridPoisson | None:
-    """The box inverse that preconditions the temperature CG, on a box mesh
-    whose Gamma_D is a union of whole faces and whose K + R does not band in
-    its own order: K + R bands only if K does, and K's half-bandwidth in grid
-    order is the stride of the first axis. Each Robin face takes its
-    facet-measure-weighted mean beta. None where K + R is factored."""
-    if mesh.grid is None:
+    """assembly.box_inverse, which preconditions the temperature CG, on a box
+    mesh whose K + R does not band in its own order: K + R bands only if K
+    does, and K's half-bandwidth in grid order is the stride of the first
+    axis. None where K + R is factored."""
+    if mesh.grid is None or (math.prod(n + 1 for n in mesh.grid[0][1:])
+                             <= assembly.BANDED_MAX_HALF_WIDTH):
         return None
-    divisions, extents = mesh.grid
-    if math.prod(n + 1 for n in divisions[1:]) <= assembly.BANDED_MAX_HALF_WIDTH:
-        return None
-    # face 2k of a boundary facet is x_k = 0, face 2k + 1 is x_k = L_k
-    index = np.unravel_index(mesh.boundary_facets, [n + 1 for n in divisions])
-    faces = np.argmax([np.all(i == end, axis=1) for i, n in zip(index, divisions)
-                       for end in (0, n)], axis=0)
-    robin, measures = faces[beta.facet_ids], geometry(mesh).facet_measures[beta.facet_ids]
-    count, robin_count = (np.bincount(f, minlength=2 * mesh.dim) for f in (faces, robin))
-    if np.any((robin_count > 0) & (robin_count < count)):
-        return None   # a face partly Dirichlet
-    mean = (np.bincount(robin, measures * beta.values, 2 * mesh.dim)
-            / np.maximum(np.bincount(robin, measures, 2 * mesh.dim), 1e-300))
-    ends = [float(r) if k else None for k, r in zip(robin_count, mean)]
-    return assembly.GridPoisson(divisions, extents, list(zip(ends[::2], ends[1::2])))
+    return assembly.box_inverse(mesh, beta)
 
 
 def _solve_potential(mesh, sigma_q, phi, fixed, values, values_norm):

@@ -39,8 +39,8 @@ _C_EPS_GRID_LO, _C_EPS_GRID_HI, _C_EPS_GRID_POINTS = 1e-6, 1e6, 2048
 # after POINCARE_MAX_ITER iterations. With 1e-6, C_D agrees with a dense
 # eigensolver to 3e-14 relative on boxes of 36 to 1,210 free vertices and
 # with a 1e-11 run to 2e-13 on up to 16,640, in 4 or 5 iterations
-# preconditioned by K and 9 by the separable inverse of K + R of the 16^3
-# certificate ops.
+# preconditioned by K's factor and 6 by the box inverse of K on the 16^3 box
+# of the certificate ops.
 POINCARE_RTOL, POINCARE_MAX_ITER = 1e-6, 100
 
 # scipy's lobpcg solves problems with fewer unknowns than five times the
@@ -143,16 +143,13 @@ def compute_C_eps(model: ConductivityModel, eps: float) -> float:
     return max(0.0, gmax) * 1.05
 
 
-def estimate_poincare(mesh: Mesh, factor: assembly.Factor | None = None) -> tuple[float, int]:
+def estimate_poincare(mesh: Mesh) -> tuple[float, int]:
     """(C_D, iterations): C_D = 1/sqrt(lambda_min) for the Laplacian with
     zero data on the Dirichlet part Gamma_D, the smallest eigenvalue of
     (K, M) on the free vertices, by LOBPCG (Knyazev, SIAM J. Sci. Comput.
-    23, 2001).
-
-    `factor` preconditions it: the inverse, exact or approximate, of an SPD
-    matrix on the free vertices (off Gamma_D) spectrally equivalent to K's
-    free block, such as the state's temperature_factor; it changes the
-    iteration count, not C_D. Without one, K's free block is factored. Below
+    23, 2001), preconditioned by assembly.box_inverse at beta = 0 on a box
+    whose Gamma_D is a union of whole faces, else by K's free-block factor;
+    the preconditioner changes the iteration count, not C_D. Below
     _LOBPCG_MIN_SIZE free vertices the problem is solved densely, in 0
     iterations.
     """
@@ -168,14 +165,14 @@ def estimate_poincare(mesh: Mesh, factor: assembly.Factor | None = None) -> tupl
                           subset_by_index=[0, 0])[0]
         iterations = 0
     else:
-        if factor is None:
-            factor = assembly.factor_spd(K)
+        inverse = (assembly.box_inverse(mesh, Control.constant(mesh, 0.0, 0.0))
+                   or assembly.factor_spd(K))
         x = np.full((free.size, 1), 1.0 / math.sqrt(M.sum()))   # M-normalized
         tol = POINCARE_RTOL * (x.T @ (K @ x)).item() * float(np.linalg.norm(M @ x))
         with warnings.catch_warnings():
             # a run that stops short warns; the residual check below raises
             warnings.simplefilter("ignore", UserWarning)
-            lams, _, residuals = spla.lobpcg(K, x, B=M, M=factor.solve, tol=tol,
+            lams, _, residuals = spla.lobpcg(K, x, B=M, M=inverse.solve, tol=tol,
                                              maxiter=POINCARE_MAX_ITER, largest=False,
                                              retResidualNormsHistory=True)
         if not residuals[-1] <= tol:
@@ -298,71 +295,42 @@ def _eps_halvings(eps: float, exp_term: float, C_D: float) -> int:
     return max(0, exponent + e) if m else 0
 
 
-@dataclass
-class CertificateData:
-    """The constants of the chain that do not depend on C_D, with the eps,
-    C1 and auto_eps they were checked under."""
+def compute_certificate(spec: ProblemSpec, eps: float, C1: float,
+                        auto_eps: bool) -> BoundCertificate:
+    """Evaluate the whole constant chain for one problem, from its data
+    alone: it bounds every steady state, so a caller runs it before any.
 
-    mes_omega: float
-    mu: float
-    phi0_inf: float
-    phi0_w1inf: float
-    exp_term: float
-    F_u0: float
-    F_u1: float
-    eps: float
-    C1: float
-    auto_eps: bool
-
-
-def certificate_data(spec: ProblemSpec, eps: float, C1: float,
-                     auto_eps: bool) -> CertificateData:
-    """The C_D-free stage of compute_certificate and every check it allows:
-    an eps <= 0, an exponential weight that overflows, which no eps cures,
-    and a pinned eps that closes denominator 1 raise
-    CertificateInfeasibleError. It is cheap, so a caller runs it before the
-    state solve whose factor the Poincare estimate reuses."""
+    The checks that need no C_D come first: an eps <= 0, an exponential
+    weight that overflows, which no eps cures, and a pinned eps that closes
+    denominator 1 raise CertificateInfeasibleError before estimate_poincare.
+    With auto_eps, eps is then halved the fewest times that leave both
+    denominators above 0.5 (_eps_halvings; any sufficiently small eps works
+    in the estimates), and one note records the count. A pinned eps that
+    closes denominator 2 raises CertificateInfeasibleError instead, and so
+    does a v_inf bound that overflows, which bounds nothing.
+    """
     if eps <= 0:
         raise CertificateInfeasibleError("eps must be positive")
-    mu = spec.model.lipschitz_mu()
+    model, mesh = spec.model, spec.mesh
+    mu = model.lipschitz_mu()
     phi0_inf = float(np.max(np.abs(spec.phi0.values)))
     phi0_w1inf = assembly.w1inf_proxy(spec.phi0)
     exp_term = exp_weight(mu, phi0_inf, phi0_w1inf)
     if not auto_eps:
         _denominator_1(eps, exp_term)
-    return CertificateData(
-        mes_omega=float(geometry(spec.mesh).volumes.sum()), mu=mu,
-        phi0_inf=phi0_inf, phi0_w1inf=phi0_w1inf, exp_term=exp_term,
-        F_u0=float(spec.model.F(float(np.max(spec.u0.values)))),
-        F_u1=float(spec.model.F(float(np.max(spec.u1.values)))),
-        eps=eps, C1=C1, auto_eps=auto_eps)
-
-
-def compute_certificate(spec: ProblemSpec, data: CertificateData,
-                        factor: assembly.Factor | None = None) -> BoundCertificate:
-    """Evaluate the whole constant chain for one problem.
-
-    `data` is the first stage, certificate_data(spec, ...), which a
-    caller runs before the state solve; its eps, C1 and auto_eps hold here.
-    `factor` preconditions estimate_poincare. With auto_eps, eps is halved
-    the fewest times that leave both denominators above 0.5 (_eps_halvings;
-    any sufficiently small eps works in the estimates), and one note records
-    the count. A pinned eps that closes a denominator raises
-    CertificateInfeasibleError instead, and so does a v_inf bound that
-    overflows, which bounds nothing.
-    """
-    eps, C1 = data.eps, data.C1
-    mesh = spec.mesh
+    mes_omega = float(geometry(mesh).volumes.sum())
+    F_u0 = float(model.F(float(np.max(spec.u0.values))))
+    F_u1 = float(model.F(float(np.max(spec.u1.values))))
     notes = []
-    C_D, poincare_iterations = estimate_poincare(mesh, factor)
+    C_D, poincare_iterations = estimate_poincare(mesh)
 
-    halvings = _eps_halvings(eps, data.exp_term, C_D) if data.auto_eps else 0
+    halvings = _eps_halvings(eps, exp_term, C_D) if auto_eps else 0
     if halvings:
         eps = math.ldexp(eps, -halvings)
         notes.append(f"eps halved {halvings} times to {eps:g} (denominators below 0.5)")
-    C_eps = compute_C_eps(spec.model, eps)
-    chain = certificate_chain(mesh.dim, data.mes_omega, data.exp_term, data.phi0_inf,
-                              data.F_u0, data.F_u1, eps, C_eps, C_D, C1)
+    C_eps = compute_C_eps(model, eps)
+    chain = certificate_chain(mesh.dim, mes_omega, exp_term, phi0_inf, F_u0, F_u1, eps,
+                              C_eps, C_D, C1)
 
     v_inf = chain["v_inf_bound"]
     if not math.isfinite(v_inf):
@@ -372,17 +340,16 @@ def compute_certificate(spec: ProblemSpec, data: CertificateData,
     if v_inf > 1e300:
         notes.append("v_inf bound overflows the inverse map; N reported at cap")
         v_inf = 1e300
-    N = float(spec.model.F_inv(v_inf))
+    N = float(model.F_inv(v_inf))
     dim = mesh.dim
     s = 2.0 * (dim - 1) / (dim - 2) if dim > 2 else math.inf
     return BoundCertificate(
-        dim=dim, mes_omega=data.mes_omega, mu=data.mu, phi0_inf=data.phi0_inf,
-        phi0_w1inf=data.phi0_w1inf, F_u0=data.F_u0, F_u1=data.F_u1, eps=eps,
-        C_eps=C_eps, C=chain["C"], M=chain["M"], thresholds=chain["thresholds"],
-        C_D=C_D, C1=C1, C2=chain["C2"], psiM_l2_bound=chain["psiM_l2_bound"],
-        psiM_inf_bound=chain["psiM_inf_bound"], v_inf_bound=chain["v_inf_bound"], N=N,
-        r=2.0 * (dim - 1), s=s, eps_halvings=halvings,
-        poincare_iterations=poincare_iterations, notes=notes)
+        dim=dim, mes_omega=mes_omega, mu=mu, phi0_inf=phi0_inf, phi0_w1inf=phi0_w1inf,
+        F_u0=F_u0, F_u1=F_u1, eps=eps, C_eps=C_eps, C=chain["C"], M=chain["M"],
+        thresholds=chain["thresholds"], C_D=C_D, C1=C1, C2=chain["C2"],
+        psiM_l2_bound=chain["psiM_l2_bound"], psiM_inf_bound=chain["psiM_inf_bound"],
+        v_inf_bound=chain["v_inf_bound"], N=N, r=2.0 * (dim - 1), s=s,
+        eps_halvings=halvings, poincare_iterations=poincare_iterations, notes=notes)
 
 
 @dataclass

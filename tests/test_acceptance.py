@@ -25,7 +25,6 @@ from thermopt.materials import TruncatedPower
 from thermopt.mesh import build_rectangle_mesh, dirichlet_on_planes, refine_uniform
 from thermopt.state import ProblemSpec, SolverOptions, solve_state, weak_residual
 from thermopt.transform import (
-    certificate_data,
     check_certificate,
     compute_certificate,
     estimate_poincare,
@@ -128,8 +127,7 @@ def test_criterion_4_substitution_consistency():
     with Timer(cap=60.0) as t:
         spec = benchmark_spec()
         beta = Control.constant(spec.mesh, 1.0, 2.0)
-        cert = compute_certificate(spec, certificate_data(spec, eps=0.01, C1=1.0,
-                                                          auto_eps=True))
+        cert = compute_certificate(spec, eps=0.01, C1=1.0, auto_eps=True)
         sol = solve_state(spec, beta)
         ts = transform(sol, spec)
         r0 = transformed_residual(ts, spec, beta)
@@ -157,8 +155,7 @@ def test_criterion_4_substitution_consistency():
 def test_criterion_5_certificate_chain():
     with Timer(cap=60.0) as t:
         spec = benchmark_spec()
-        cert = compute_certificate(spec, certificate_data(spec, eps=0.01, C1=1.0,
-                                                          auto_eps=True))
+        cert = compute_certificate(spec, eps=0.01, C1=1.0, auto_eps=True)
         for name, value in cert.thresholds.items():
             assert cert.M > value, name
         assert 1.0 - 2.0 * cert.eps * math.exp(8 * cert.mu * cert.phi0_inf ** 2) \

@@ -728,6 +728,15 @@ def test_verify_gradient(tmp_path):
                  "--out", str(tmp_path / "o")]) == 0
 
 
+def test_verify_gradient_with_a_small_cap_exits_1(tmp_path, capsys):
+    # no interior constant control below m_cap = 0.2
+    cfg = write_config(tmp_path, BENCHMARK.replace("16 16", "4 4")
+                       .replace("problem.m_cap = 2.0", "problem.m_cap = 0.1"))
+    assert main(["verify", "--config", cfg, "--suite", "gradient",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: gradient suite")
+
+
 def test_verify_failing_property_exits_4(tmp_path, monkeypatch, capsys):
     def broken_suite(config, spec, checks):
         checks.append(("stub.always_fails", False, 2.0, 1.0))
@@ -864,11 +873,12 @@ def test_overflowing_certificate_chain_exits_5_without_traceback(tmp_path, phi0)
 @pytest.mark.parametrize("change", [
     "problem.phi0 = 12*x",                            # the weight overflows
     "problem.phi0 = 1.0*x\ncertificate.eps = 1e9",     # pinned eps closes den1
+    "problem.phi0 = 5*x",                             # v_inf overflows after auto-eps
 ])
 def test_certificate_checks_without_c_d_precede_the_state_solve(tmp_path, monkeypatch,
                                                                  change):
     def raiser(*args, **kwargs):
-        raise AssertionError("state solved before the certificate data")
+        raise AssertionError("state solved before the certificate")
 
     monkeypatch.setattr(cli_mod, "solve_state", raiser)
     text = BENCHMARK.replace("problem.phi0 = 0.1*x", change)
@@ -878,8 +888,8 @@ def test_certificate_checks_without_c_d_precede_the_state_solve(tmp_path, monkey
 
 
 def test_certificate_factors_once_on_a_box_and_counts_its_work(tmp_path, monkeypatch):
-    # K + R for the temperature, which also preconditions the Poincare
-    # estimate; the potential's K has a grid inverse on a box
+    # K + R for the temperature; the potential's K and the Poincare
+    # estimate's have a grid inverse on a box
     shapes = []
     factor_spd = assembly.factor_spd
 
@@ -1006,6 +1016,13 @@ def test_convergence_failing_level_reports_the_solved_ones(tmp_path, monkeypatch
     assert (out / "convergence.csv").exists()
 
 
+def test_convergence_with_one_level_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, BENCHMARK.replace("16 16", "4 4"))
+    assert main(["convergence", "--config", cfg, "--levels", "1",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "at least 2 levels" in capsys.readouterr().err
+
+
 def test_convergence_trivial_reports_exact(tmp_path):
     cfg = write_config(tmp_path, CONSTANT_DATA)
     out = tmp_path / "o"
@@ -1071,9 +1088,11 @@ FACETS 3
     ("CELLS 1\n0 1 2", "CELLS 1\n0 1 2.5"),
     ("CELLS 1\n0 1 2", "CELLS 1\n0 1 99999999999999999999"),
     ("VERTICES 3", "VERTICES \u00b2"),
+    ("0 1 robin_temperature", "0 1 neumann"),
+    ("0 0\n1 0\n0 1", "0 0 0 0\n1 0 0 0\n0 1 0 0"),
 ], ids=["facet-without-tag", "cell-vertex-past-count", "negative-index",
         "facet-vertex-past-count", "facets-short", "vertices-short", "not-integers",
-        "index-past-int64", "count-not-decimal"])
+        "index-past-int64", "count-not-decimal", "unknown-tag", "four-coordinates"])
 def test_solve_malformed_mesh_file_exits_1(tmp_path, capsys, old, new):
     mesh_path = tmp_path / "bad.mesh"
     mesh_path.write_text(TRIANGLE_MESH.replace(old, new))
@@ -1115,6 +1134,19 @@ def test_unreadable_input_file_exits_1(tmp_path, capsys, source, kind):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and str(bad) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["problem.u0", "problem.u1", "problem.phi0",
+                                    "problem.beta"])
+def test_file_source_with_the_wrong_value_count_exits_1(tmp_path, capsys, source):
+    values = tmp_path / "values.txt"
+    values.write_text("0.0\n" * 7)   # a 4 x 4 square has 25 vertices and 12 Robin facets
+    text = re.sub(rf"(?m)^{re.escape(source)} = .*\n", "", BENCHMARK.replace("16 16", "4 4"))
+    cfg = write_config(tmp_path, text + f"{source} = file:{values}\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: config key {source}: file {values} "
+                          "holds 7 values for")
 
 
 def _walk_numbers(node, path=""):

@@ -304,6 +304,8 @@ def test_prolong_reproduces_linears():
     fine_vals = prolong(coarse_vals, fine)
     expect = 2.0 * fine.vertices[:, 0] - fine.vertices[:, 1]
     assert np.allclose(fine_vals, expect, atol=1e-14)
+    with pytest.raises(ConfigurationError, match="refine_uniform"):
+        prolong(coarse_vals, mesh)
 
 
 @pytest.mark.parametrize("extents, divisions", [([1, 1], [4, 4]), ([1, 1, 1], [2, 2, 2])])

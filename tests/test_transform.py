@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from thermopt import transform as transform_mod
+from thermopt import assembly, transform as transform_mod
 from thermopt.assembly import assemble_mass, geometry, interpolate, w1inf_proxy
 from thermopt.errors import CertificateInfeasibleError, DomainError, EstimationError
 from thermopt.fields import Control
@@ -19,7 +19,6 @@ from thermopt.mesh import (
 from thermopt.state import ProblemSpec, solve_state
 from thermopt.transform import (
     certificate_chain,
-    certificate_data,
     exp_weight,
     check_certificate,
     compute_C_eps,
@@ -236,12 +235,19 @@ def test_poincare_matches_dense_oracle(extents, divisions, iterates):
     assert (iterations > 0) == iterates
 
 
-def test_poincare_preconditioner_changes_only_the_iterations():
-    spec, beta, sol = solved_benchmark()
-    own, own_iterations = estimate_poincare(spec.mesh)
-    shared, shared_iterations = estimate_poincare(spec.mesh, sol.temperature_factor)
-    assert shared == pytest.approx(own, rel=1e-10)
-    assert min(own_iterations, shared_iterations) > 0
+def test_poincare_preconditioner_changes_only_the_iterations(monkeypatch):
+    # a 3D box preconditions LOBPCG by its box inverse of K and factors
+    # nothing; the same mesh without its grid takes K's factor
+    shapes, factor_spd = [], assembly.factor_spd
+    monkeypatch.setattr(assembly, "factor_spd",
+                        lambda matrix: shapes.append(matrix.shape) or factor_spd(matrix))
+    mesh = build_rectangle_mesh([1.0, 1.0, 1.0], [8, 8, 8], LEFT)
+    box, box_iterations = estimate_poincare(mesh)
+    assert shapes == []
+    factored, factored_iterations = estimate_poincare(dataclasses.replace(mesh, grid=None))
+    assert shapes == [(8 * 9 * 9,) * 2]   # the vertices off x = 0
+    assert box == pytest.approx(factored, rel=1e-10)
+    assert min(box_iterations, factored_iterations) > 0
 
 
 def test_poincare_unconverged_lobpcg_raises(monkeypatch):
@@ -276,7 +282,7 @@ def test_certificate_chain_phi0_zero_gives_zero_C():
 
 def test_certificate_benchmark_values():
     spec, beta, sol = solved_benchmark(16)
-    cert = compute_certificate(spec, certificate_data(spec, eps=0.01, C1=1.0, auto_eps=True))
+    cert = compute_certificate(spec, eps=0.01, C1=1.0, auto_eps=True)
     thresholds = cert.thresholds
     for name, value in thresholds.items():
         assert cert.M > value, name
@@ -311,14 +317,14 @@ def test_certificate_infeasible_eps_raises():
 
 def test_certificate_auto_eps_recovers():
     spec, _, _ = solved_benchmark(4)
-    cert = compute_certificate(spec, certificate_data(spec, eps=1e6, C1=1.0, auto_eps=True))
+    cert = compute_certificate(spec, eps=1e6, C1=1.0, auto_eps=True)
     assert cert.eps < 1e6
     assert math.isfinite(cert.N)
 
 
 def test_certificate_counts_its_halvings():
     spec, _, _ = solved_benchmark(4)
-    cert = compute_certificate(spec, certificate_data(spec, eps=1e6, C1=1.0, auto_eps=True))
+    cert = compute_certificate(spec, eps=1e6, C1=1.0, auto_eps=True)
     assert cert.eps_halvings > 0
     assert cert.eps == math.ldexp(1e6, -cert.eps_halvings)
     assert cert.notes == [f"eps halved {cert.eps_halvings} times to {cert.eps:g} "
@@ -329,7 +335,7 @@ def test_certificate_pinned_infeasible_eps_raises():
     mesh = build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT)
     spec = make_spec(mesh, phi0_scale=1.0)  # |phi0| = 1 makes exp term large
     with pytest.raises(CertificateInfeasibleError):
-        compute_certificate(spec, certificate_data(spec, eps=10.0, C1=1.0, auto_eps=False))
+        compute_certificate(spec, eps=10.0, C1=1.0, auto_eps=False)
 
 
 def test_certificate_overflowing_chain_raises():
@@ -337,14 +343,14 @@ def test_certificate_overflowing_chain_raises():
     # bound puts N at u_star, which certifies nothing
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT), phi0_scale=5.0)
     with pytest.raises(CertificateInfeasibleError, match="v_inf bound overflows"):
-        compute_certificate(spec, certificate_data(spec, eps=0.01, C1=1.0, auto_eps=True))
+        compute_certificate(spec, eps=0.01, C1=1.0, auto_eps=True)
 
 
 def test_certificate_with_n_at_u_star_fails_its_check():
     # at phi0 = 2x the v_inf bound is finite but F_inv rounds it to u_star:
     # every solution meets N, and the check must not call that a pass
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT), phi0_scale=2.0)
-    cert = compute_certificate(spec, certificate_data(spec, eps=0.01, C1=1.0, auto_eps=True))
+    cert = compute_certificate(spec, eps=0.01, C1=1.0, auto_eps=True)
     assert math.isfinite(cert.v_inf_bound) and cert.N == MODEL.u_star
     _, _, sol = solved_benchmark(4)
     check = check_certificate(sol, cert, spec)
@@ -356,7 +362,7 @@ def test_certificate_overflowing_weight_raises_for_every_eps():
     # at phi0 = 12x the weight e^(8 mu |phi0|^2) overflows; auto-eps must not retry
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT), phi0_scale=12.0)
     with pytest.raises(CertificateInfeasibleError, match="overflows"):
-        compute_certificate(spec, certificate_data(spec, eps=0.01, C1=1.0, auto_eps=True))
+        compute_certificate(spec, eps=0.01, C1=1.0, auto_eps=True)
 
 
 def halving_certificate(spec, eps):
@@ -392,9 +398,9 @@ def test_closed_form_eps_matches_halving_search(extents, divisions, phi0_scale, 
     eps, v_inf = halving_certificate(spec, eps0)
     if not math.isfinite(v_inf):
         with pytest.raises(CertificateInfeasibleError, match="v_inf bound overflows"):
-            compute_certificate(spec, certificate_data(spec, eps=eps0, C1=1.0, auto_eps=True))
+            compute_certificate(spec, eps=eps0, C1=1.0, auto_eps=True)
         return
-    cert = compute_certificate(spec, certificate_data(spec, eps=eps0, C1=1.0, auto_eps=True))
+    cert = compute_certificate(spec, eps=eps0, C1=1.0, auto_eps=True)
     assert cert.eps == eps
     assert cert.v_inf_bound == v_inf
     assert cert.N == float(MODEL.F_inv(min(v_inf, 1e300)))
@@ -409,7 +415,7 @@ def test_closed_form_eps_keeps_overflowing_product_in_range():
     # make both denominators positive, so the v_inf bound is what overflows
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT), phi0_scale=6.6)
     with pytest.raises(CertificateInfeasibleError, match="v_inf bound overflows"):
-        compute_certificate(spec, certificate_data(spec, eps=1e6, C1=1.0, auto_eps=True))
+        compute_certificate(spec, eps=1e6, C1=1.0, auto_eps=True)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0])
@@ -420,7 +426,7 @@ def test_nonpositive_eps_rejected_before_poincare(monkeypatch, eps):
     monkeypatch.setattr(transform_mod, "estimate_poincare", raiser)
     spec = make_spec(build_rectangle_mesh([1.0, 1.0], [4, 4], LEFT))
     with pytest.raises(CertificateInfeasibleError, match="eps must be positive"):
-        compute_certificate(spec, certificate_data(spec, eps=eps, C1=1.0, auto_eps=True))
+        compute_certificate(spec, eps=eps, C1=1.0, auto_eps=True)
 
 
 def test_certificate_3d_problem():
@@ -432,7 +438,7 @@ def test_certificate_3d_problem():
         u1=interpolate(mesh, lambda p: np.zeros(p.shape[0])),
         phi0=interpolate(mesh, lambda p: 0.1 * p[:, 0]),
         m_cap=2.0)
-    cert = compute_certificate(spec, certificate_data(spec, eps=0.01, C1=1.0, auto_eps=True))
+    cert = compute_certificate(spec, eps=0.01, C1=1.0, auto_eps=True)
     assert cert.dim == 3
     assert cert.r == 4.0
     assert cert.s == pytest.approx(4.0)  # 2(d-1)/(d-2) at d = 3
@@ -444,7 +450,7 @@ def test_certificate_3d_problem():
 
 def test_tiny_c1_flagged_in_check():
     spec, beta, sol = solved_benchmark(8)
-    cert = compute_certificate(spec, certificate_data(spec, eps=0.01, C1=1.0, auto_eps=True))
+    cert = compute_certificate(spec, eps=0.01, C1=1.0, auto_eps=True)
     assert "heuristic" in cert.c1_provenance
     check = check_certificate(sol, cert, spec)
     assert "heuristic" in check.c1_provenance
